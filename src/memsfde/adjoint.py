@@ -39,6 +39,7 @@ from memsfde.engine import (
     ControlProblem,
     JumpModel,
     ParticleEnsemble,
+    _law_segment_from,
     as_control,
     combine_controls,
     pathwise_cost,
@@ -467,7 +468,7 @@ def _ensemble_inputs(ens: ParticleEnsemble, k: int):
     law = EmpiricalMeasure(x)
     d, dt = ens.grid.delta_steps, ens.grid.dt
     idx = d + k
-    law_seg = MeasureSegment([EmpiricalMeasure(ens.paths[:, idx - j]) for j in range(d + 1)], dt)
+    law_seg = _law_segment_from(ens.paths, idx, d, dt)
     return x, x_seg, law, law_seg
 
 

@@ -412,6 +412,8 @@ def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) ->
         cfg._error("picard", "t0", f"horizon must be an integer multiple of t0 (t0={t0!r}, horizon={grid.horizon!r})")
     tol = cfg.get_float("picard", "tol", 1e-20)
     max_iter = cfg.get_int("picard", "max_iter", t0_steps + 5)
+    if max_iter < 1:
+        cfg._error("picard", "max_iter", "must be at least 1")
     want_consistency = cfg.get_bool("picard", "consistency", True)
 
     ens, report = picard_solve(
@@ -434,7 +436,7 @@ def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) ->
         f"worst final ratio {worst:.6g}",
     )
     if want_consistency:
-        gap = consistency_check(coeffs, grid, jumps=jumps, xi=xi, t0_steps=t0_steps, tol=tol, max_iter=max_iter)
+        gap = consistency_check(coeffs, grid, jumps=jumps, xi=xi, t0_steps=t0_steps, ens_fp=ens)
         res.add_check("matches_direct_scheme", gap < 1e-8, f"sup mean-square gap {gap:.3e}")
         res.scalars["consistency_gap"] = gap
     res.scalars.update(
@@ -543,15 +545,15 @@ def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -
     except ValueError as exc:
         raise ConfigError(str(exc), path=cfg.path, line=cfg.section_lines.get("meanvar", 0), section="meanvar")
 
-    sol = mean_variance.solve_closed_form(spec, grid)
+    ens, sol = mean_variance.simulate_optimal(spec, grid)
     write_csv(os.path.join(outdir, "solution.csv"), ("t", "rate", "phi", "psi"), sol.rows())
     res.artifacts.append("solution.csv")
 
-    ver = mean_variance.verify_adjoint(spec, grid)
+    ver = mean_variance.verify_adjoint(spec, grid, ens=ens, sol=sol)
     write_csv(os.path.join(outdir, "verification.csv"), ("name", "value"), ver.rows())
     res.artifacts.append("verification.csv")
 
-    j_rows = mean_variance.j_comparison(spec, grid)
+    j_rows = mean_variance.j_comparison(spec, grid, ens=ens, sol=sol)
     out_rows = []
     dominance = True
     for label, j, se, jgap, gse in j_rows:
@@ -612,6 +614,8 @@ def run_lq(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> Run
         cfg._error("lq", "damping", "must be in (0, 1]")
     tol = cfg.get_float("lq", "tol", 1e-4)
     max_iter = cfg.get_int("lq", "max_iter", 50)
+    if max_iter < 1:
+        cfg._error("lq", "max_iter", "must be at least 1")
     eps = cfg.get_float("lq", "eps", 1e-3)
     want_verify = cfg.get_bool("lq", "verify", True)
 

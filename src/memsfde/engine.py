@@ -15,6 +15,11 @@ window with column k equal to the state at lag ``k * dt``, ``law`` the current
 empirical law of the ensemble, ``law_seg`` its backward segment, and ``u`` /
 ``u_seg`` the control and its backward window.  ``None`` stands for zero.
 
+All array inputs are views into the arrays being integrated, and ``law_seg``
+builds its d + 1 laws only when read.  They are valid only during the
+coefficient call: the fixed-point solver overwrites the array they view on its
+next sweep, so a coefficient that needs them later must copy them.
+
 One Euler step with law inputs frozen at the step's left endpoint:
 
     X[k+1] = X[k] + drift dt + diffusion dW
@@ -27,7 +32,10 @@ error on top of the Euler bias.
 
 The same window integrator serves the direct scheme (the read and write paths
 alias) and the fixed-point solver in :mod:`memsfde.picard` (coefficients read a
-frozen previous iterate while increments accumulate on the new one).
+frozen previous iterate while increments accumulate on the new one).  Noise is
+drawn into the ensemble's ``brownian`` / ``jump_counts`` arrays before a
+window is integrated, so the solver draws each step's noise once however many
+sweeps it makes.
 """
 
 from __future__ import annotations
@@ -283,10 +291,71 @@ def _materialize_history(xi, grid: SimGrid) -> np.ndarray:
     return arr
 
 
+class _LazyLawSegment(MeasureSegment):
+    """Backward law segment over ``paths`` at column ``idx`` (entry j is the
+    law at lag ``j * dt``) whose measures are built on first access.
+
+    Most coefficients never read ``law_seg``, so the d + 1 empirical laws of
+    every step are only materialized when one does.  The measures are views
+    into ``paths``.
+    """
+
+    def __init__(self, paths: np.ndarray, idx: int, d: int, dt: float):
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "_source", (paths, idx, d))
+        object.__setattr__(self, "_measures", None)
+
+    @property
+    def measures(self) -> tuple:
+        if self._measures is None:
+            paths, idx, d = self._source
+            built = tuple(EmpiricalMeasure(paths[:, idx - j]) for j in range(d + 1))
+            object.__setattr__(self, "_measures", built)
+        return self._measures
+
+    def __len__(self) -> int:
+        return self._source[2] + 1
+
+
 def _law_segment_from(paths: np.ndarray, idx: int, d: int, dt: float) -> MeasureSegment:
-    return MeasureSegment(
-        [EmpiricalMeasure(paths[:, idx - j]) for j in range(d + 1)], dt
-    )
+    return _LazyLawSegment(paths, idx, d, dt)
+
+
+def _noise_arrays(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel):
+    """Zeroed ``(brownian, jump_counts)`` for one ensemble; ``jump_counts`` is
+    ``None`` unless jumps are active and the dynamics have a jump coefficient."""
+    N, K = grid.n_particles, grid.n_steps
+    brownian = np.zeros((N, K))
+    use_jumps = jumps.active and coeffs.jump is not None
+    jump_counts = np.zeros((N, K, len(jumps.marks)), dtype=np.int64) if use_jumps else None
+    return brownian, jump_counts
+
+
+def _draw_noise(
+    coeffs: CoefficientSet,
+    grid: SimGrid,
+    jumps: JumpModel,
+    k_start: int,
+    k_stop: int,
+    brownian: np.ndarray,
+    jump_counts: np.ndarray | None,
+) -> None:
+    """Fill ``brownian[:, k]`` and ``jump_counts[:, k, :]`` for steps
+    ``k_start..k_stop-1`` from the per-step streams.
+
+    Brownian increments are drawn only when there is a diffusion coefficient,
+    jump counts only when ``jump_counts`` is allocated; untouched entries stay
+    zero.
+    """
+    N = grid.n_particles
+    if coeffs.diffusion is not None:
+        sq = math.sqrt(grid.dt)
+        for k in range(k_start, k_stop):
+            brownian[:, k] = step_generator(grid.seed, k, BROWNIAN).standard_normal(N) * sq
+    if jump_counts is not None:
+        mark_rates = np.array(jumps.probs) * jumps.intensity * grid.dt
+        for k in range(k_start, k_stop):
+            jump_counts[:, k, :] = step_generator(grid.seed, k, JUMPS).poisson(mark_rates, size=(N, len(jumps.marks)))
 
 
 def _euler_window(
@@ -306,12 +375,11 @@ def _euler_window(
 
     Coefficient inputs (state, segments, laws, control) are read from
     ``read_paths``; increments accumulate on ``write_paths``.  Passing the same
-    array for both gives the ordinary explicit scheme.
+    array for both gives the ordinary explicit scheme.  The noise of those
+    steps must already be in ``brownian`` / ``jump_counts`` (see
+    :func:`_draw_noise`).
     """
-    d, dt, N = grid.delta_steps, grid.dt, grid.n_particles
-    sq = math.sqrt(dt)
-    use_jumps = jumps.active and coeffs.jump is not None
-    mark_rates = np.array(jumps.probs) * jumps.intensity * dt if use_jumps else None
+    d, dt = grid.delta_steps, grid.dt
 
     for k in range(k_start, k_stop):
         idx = d + k
@@ -328,13 +396,9 @@ def _euler_window(
         if coeffs.drift is not None:
             nxt += dt * np.asarray(coeffs.drift(t, x, x_seg, law, law_seg, u, u_seg))
         if coeffs.diffusion is not None:
-            dw = step_generator(grid.seed, k, BROWNIAN).standard_normal(N) * sq
-            brownian[:, k] = dw
-            nxt += np.asarray(coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg)) * dw
-        if use_jumps:
-            counts = step_generator(grid.seed, k, JUMPS).poisson(mark_rates, size=(N, len(jumps.marks)))
-            if jump_counts is not None:
-                jump_counts[:, k, :] = counts
+            nxt += np.asarray(coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg)) * brownian[:, k]
+        if jump_counts is not None:
+            counts = jump_counts[:, k, :]
             for a, (z, p) in enumerate(zip(jumps.marks, jumps.probs)):
                 g = np.asarray(coeffs.jump(t, x, x_seg, law, law_seg, u, u_seg, z))
                 nxt += counts[:, a] * g - jumps.intensity * p * g * dt
@@ -378,9 +442,8 @@ def simulate(
             raise MeshMismatchError(f"control history must be scalar or shape ({d},)")
 
     ctrl = as_control(control)
-    brownian = np.zeros((N, K))
-    use_jumps = jumps.active and coeffs.jump is not None
-    jump_counts = np.zeros((N, K, len(jumps.marks)), dtype=np.int64) if use_jumps else None
+    brownian, jump_counts = _noise_arrays(coeffs, grid, jumps)
+    _draw_noise(coeffs, grid, jumps, 0, K, brownian, jump_counts)
 
     _euler_window(coeffs, grid, jumps, ctrl, paths, paths, ucols, 0, K, brownian, jump_counts)
 

@@ -8,9 +8,10 @@ Noise is drawn from counter-based Philox streams keyed by ``(master seed,
 substream, step)``.  Each step's draws are a single vectorized call, and
 particle ``i`` always reads slot ``i`` of that step's array, so results do not
 depend on scheduling or on how the particle loop is partitioned.  Re-running
-with the same seed and grid is bit-identical, and the same increments can be
-re-materialized on demand (the fixed-point solver relies on this to freeze the
-noise across iterations without storing it).
+with the same seed and grid is bit-identical, and any step's increments can be
+drawn in any order: the direct scheme and the fixed-point solver draw each
+step's streams once into the ensemble's noise arrays (the solver window by
+window, before its sweeps) and so see the same increments.
 """
 
 from __future__ import annotations

@@ -177,6 +177,8 @@ def solve_lq(
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     problem = control_problem(spec, grid)
     K, N = grid.n_steps, grid.n_particles
     wq = trapezoid_weights(K + 1, grid.dt)

@@ -330,16 +330,19 @@ PERTURBATION_FAMILY = (
 )
 
 
-def j_comparison(spec: MeanVarSpec, grid: SimGrid):
+def j_comparison(spec: MeanVarSpec, grid: SimGrid, ens=None, sol=None):
     """Performance of the optimal control against its perturbation family.
 
     All variants run under common random numbers (the noise streams depend
     only on the grid seed), so each row's gap J(optimal) - J(variant) comes
     with a paired standard error.  Returns rows
     (label, J, stderr, gap, gap_stderr); optimality means every gap is no
-    less than -3 gap_stderr.
+    less than -3 gap_stderr.  ``ens`` / ``sol`` may pass in the output of
+    :func:`simulate_optimal` so a caller that already has it does not
+    simulate again.
     """
-    ens, sol = simulate_optimal(spec, grid)
+    if ens is None or sol is None:
+        ens, sol = simulate_optimal(spec, grid)
     problem = control_problem(spec, grid)
     base_cost = pathwise_cost(ens, problem.coeffs)
     n = base_cost.size

@@ -199,7 +199,7 @@ class MeasureSegment:
 
     @property
     def delta(self) -> float:
-        return (len(self.measures) - 1) * self.dt
+        return (len(self) - 1) * self.dt
 
 
 def m_segment_dist_sq(seg_a: MeasureSegment, seg_b: MeasureSegment, rule: QuadratureRule | None = None) -> float:

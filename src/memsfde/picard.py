@@ -12,8 +12,11 @@ reports.
 
 Windows tile [0, T]; each window starts from the already-converged state, with
 the new window's initial guess the constant extension of its starting value.
-Noise is drawn from per-step counter streams, so every sweep sees bit-identical
-increments and the converged result matches the direct scheme exactly.
+Each window's noise is drawn once, from the same per-step counter streams as
+the direct scheme, before its first sweep; every sweep reads those stored
+increments, so the converged result matches the direct scheme exactly.  The
+frozen iterate is one array allocated per solve; a sweep refreshes only the
+columns its window reads (the window plus the memory span before it).
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from memsfde.engine import (
     CoefficientSet,
     JumpModel,
     ParticleEnsemble,
+    _draw_noise,
     _euler_window,
-    as_control,
     _materialize_history,
+    _noise_arrays,
+    as_control,
     simulate,
 )
 from memsfde.grid import SimGrid
@@ -84,8 +89,8 @@ def picard_solve(
     ``t0_steps`` is the window length in mesh steps and must divide the number
     of steps (default: one window spanning [0, T]).  Iteration on a window
     stops when the mean squared sup-distance between consecutive sweeps falls
-    to ``tol``; ``max_iter`` defaults to ``t0_steps + 5``, past the point where
-    exactness is guaranteed.
+    to ``tol``; ``max_iter`` (at least 1) defaults to ``t0_steps + 5``, past
+    the point where exactness is guaranteed.
     """
     jumps = jumps if jumps is not None else JumpModel.none()
     d, K, N = grid.delta_steps, grid.n_steps, grid.n_particles
@@ -95,15 +100,16 @@ def picard_solve(
         raise ValueError(f"t0_steps must be a positive divisor of n_steps={K}, got {t0_steps}")
     if max_iter is None:
         max_iter = t0_steps + 5
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     ctrl = as_control(control)
 
     n_total = d + K + 1
     paths = np.empty((N, n_total))
     paths[:, : d + 1] = _materialize_history(xi, grid)
+    prev = np.empty_like(paths)
     ucols = np.zeros((N, n_total))
-    brownian = np.zeros((N, K))
-    use_jumps = jumps.active and coeffs.jump is not None
-    jump_counts = np.zeros((N, K, len(jumps.marks)), dtype=np.int64) if use_jumps else None
+    brownian, jump_counts = _noise_arrays(coeffs, grid, jumps)
 
     n_windows = K // t0_steps
     all_dists: list[tuple] = []
@@ -116,11 +122,14 @@ def picard_solve(
         lo, hi = d + k0, d + k1
         # initial guess: constant extension of the window's starting value
         paths[:, lo + 1 : hi + 1] = paths[:, lo][:, None]
+        _draw_noise(coeffs, grid, jumps, k0, k1, brownian, jump_counts)
         dists: list[float] = []
         ratios: list[float] = []
         window_done = False
         for _ in range(max_iter):
-            prev = paths.copy()
+            # the sweep reads columns k0..hi-1 (memory span plus window) and
+            # the distance below reads lo+1..hi
+            prev[:, k0 : hi + 1] = paths[:, k0 : hi + 1]
             _euler_window(coeffs, grid, jumps, ctrl, prev, paths, ucols, k0, k1, brownian, jump_counts)
             diff = paths[:, lo + 1 : hi + 1] - prev[:, lo + 1 : hi + 1]
             dist = float(np.mean(np.max(diff * diff, axis=1)))
@@ -169,11 +178,18 @@ def consistency_check(
     xi=0.0,
     control=None,
     t0_steps: int | None = None,
+    ens_fp: ParticleEnsemble | None = None,
     **kwargs,
 ) -> float:
     """Sup over the [0, T] mesh of the mean squared gap between the
-    fixed-point solve and the direct scheme (same grid, same noise)."""
-    ens_fp, _ = picard_solve(coeffs, grid, jumps=jumps, xi=xi, control=control, t0_steps=t0_steps, **kwargs)
+    fixed-point solve and the direct scheme (same grid, same noise).
+
+    ``ens_fp`` is an ensemble already solved by :func:`picard_solve` with the
+    same arguments; the solve is deterministic, so passing it gives the same
+    gap as solving again.  Without it the solve is run here.
+    """
+    if ens_fp is None:
+        ens_fp, _ = picard_solve(coeffs, grid, jumps=jumps, xi=xi, control=control, t0_steps=t0_steps, **kwargs)
     ens_dir = simulate(coeffs, grid, jumps=jumps, xi=xi, control=control)
     diff = ens_fp.states - ens_dir.states
     return float(np.max(np.mean(diff * diff, axis=0)))

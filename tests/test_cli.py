@@ -255,6 +255,16 @@ class TestConfigErrors:
         err = self.run_expecting_bad_config(["lq", "--config", path], capsys)
         assert "[lq] damping: must be in (0, 1]" in err
 
+    def test_picard_max_iter_must_be_positive(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, PICARD_TINY + "max_iter = 0\n")
+        err = self.run_expecting_bad_config(["picard", "--config", path], capsys)
+        assert f"{path}:16: [picard] max_iter: must be at least 1" in err
+
+    def test_lq_max_iter_must_be_positive(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, LQ_TINY + "max_iter = 0\n")
+        err = self.run_expecting_bad_config(["lq", "--config", path], capsys)
+        assert f"{path}:13: [lq] max_iter: must be at least 1" in err
+
     def test_missing_config_flag_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from memsfde import engine
 from memsfde.engine import (
     CoefficientSet,
     ControlProblem,
@@ -19,7 +20,8 @@ from memsfde.engine import (
     simulate,
 )
 from memsfde.grid import SimGrid
-from memsfde.measures import cf_dist_sq
+from memsfde.measures import EmpiricalMeasure, MeasureSegment, cf_dist_sq, m_segment_dist_sq
+from memsfde.picard import picard_solve
 
 LAGGED_DRIFT = CoefficientSet(drift=lambda t, x, x_seg, law, law_seg, u, u_seg: x_seg[:, -1])
 
@@ -167,6 +169,70 @@ class TestLawViews:
         assert [m.mean() for m in seg.measures] == [7.0, 6.0, 5.0]
         with pytest.raises(ValueError):
             law_at(ens, 0.75)  # off mesh
+
+
+def segment_reading_drift(seen: list):
+    """Drift that reads the law segment and records what it saw: the segment
+    length and, per lag, whether the law's atoms equal the state window."""
+
+    def drift(t, x, x_seg, law, law_seg, u, u_seg):
+        seen.append(
+            (len(law_seg), all(np.array_equal(m.atoms, x_seg[:, j]) for j, m in enumerate(law_seg.measures)))
+        )
+        return 0.5 * law_seg.measures[-1].mean()
+
+    return CoefficientSet(drift=drift, diffusion=lambda *a: 0.3)
+
+
+class TestLazyLawSegment:
+    GRID = SimGrid(dt=0.05, delta_steps=4, horizon=0.6, n_particles=16, seed=2)
+
+    def test_simulate_passes_the_backward_law_window(self):
+        seen = []
+        ens = simulate(segment_reading_drift(seen), self.GRID, xi=1.0)
+        d, K = self.GRID.delta_steps, self.GRID.n_steps
+        assert seen == [(d + 1, True)] * K
+        # the window's laws are the stored states at lags 0..d
+        seg = law_segment(ens, 0.3)
+        idx = d + 6
+        for j, m in enumerate(seg.measures):
+            np.testing.assert_array_equal(m.atoms, ens.paths[:, idx - j])
+
+    def test_picard_solve_passes_the_frozen_law_window(self):
+        # the drift reads only the law at lag delta, which a window shorter
+        # than delta never changes, so the solve is exact and equals simulate
+        seen = []
+        coeffs = segment_reading_drift(seen)
+        ens, report = picard_solve(coeffs, self.GRID, xi=1.0, t0_steps=2)
+        assert report.converged
+        assert seen == [(self.GRID.delta_steps + 1, True)] * len(seen)
+        assert len(seen) == 2 * sum(report.iterations)
+        np.testing.assert_array_equal(ens.paths, simulate(coeffs, self.GRID, xi=1.0).paths)
+
+    def test_unread_segment_builds_no_laws(self, monkeypatch):
+        built = []
+
+        class CountingMeasure(EmpiricalMeasure):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        monkeypatch.setattr(engine, "EmpiricalMeasure", CountingMeasure)
+        simulate(CoefficientSet(drift=lambda *a: 1.0), self.GRID, xi=1.0)
+        # one law per step plus the one for the horizon control
+        assert len(built) == self.GRID.n_steps + 1
+
+    def test_law_segment_matches_an_eager_segment(self):
+        grid = self.GRID
+        ens = simulate(CoefficientSet(diffusion=lambda *a: 1.0), grid, xi=0.0)
+        d, idx = grid.delta_steps, grid.delta_steps + 5
+        seg = law_segment(ens, 5 * grid.dt)
+        eager = MeasureSegment([EmpiricalMeasure(ens.paths[:, idx - j]) for j in range(d + 1)], grid.dt)
+        assert isinstance(seg, MeasureSegment)
+        assert len(seg) == len(eager) == d + 1
+        assert (seg.dt, seg.delta) == (eager.dt, eager.delta)
+        assert m_segment_dist_sq(seg, eager) == 0.0
+        assert m_segment_dist_sq(seg, law_segment(ens, 0.0)) > 0.0
 
 
 class TestPerformance:

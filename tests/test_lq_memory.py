@@ -95,6 +95,10 @@ class TestSolverBehaviour:
         with pytest.raises(ValueError):
             solve_lq(LQSpec(), DESK_GRID, damping=1.5)
 
+    def test_max_iter_validated(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_lq(LQSpec(), DESK_GRID, max_iter=0)
+
     def test_kernel_forms_agree(self):
         grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.2, n_particles=3, seed=1)
         by_const = LQSpec(kernel=2.0).kernel_values(grid)

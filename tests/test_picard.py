@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 
+from memsfde import engine
 from memsfde.engine import CoefficientSet, JumpModel, simulate
-from memsfde.grid import SimGrid
+from memsfde.grid import BROWNIAN, JUMPS, SimGrid
 from memsfde.picard import consistency_check, picard_solve
 
 CONST_DRIFT = CoefficientSet(drift=lambda *a: 1.0)
 LAG_DRIFT = CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: xs[:, -1])
+
+
+MEAN_FIELD_JUMPS = CoefficientSet(
+    drift=lambda t, x, xs, m, ms, u, us: 0.5 * (m.mean() - x) + xs[:, -1],
+    diffusion=lambda *a: 0.3,
+    jump=lambda t, x, xs, m, ms, u, us, mark: 0.1 * mark,
+)
+TWO_MARKS = JumpModel(intensity=1.0, marks=(1.0, -1.0), probs=(0.5, 0.5))
 
 
 def linear_drift(rate: float, noise: float = 0.2) -> CoefficientSet:
@@ -106,14 +115,51 @@ class TestConsistencyWithDirectScheme:
         # coefficients that read the empirical law and carry jumps still land
         # exactly on the direct scheme once the iteration has settled
         grid = SimGrid(dt=0.02, delta_steps=5, horizon=0.4, n_particles=64, seed=8)
+        gap = consistency_check(MEAN_FIELD_JUMPS, grid, jumps=TWO_MARKS, xi=1.0, t0_steps=5)
+        assert gap < 1e-10
+
+
+class TestNoiseReuse:
+    def test_each_step_stream_is_drawn_once(self, monkeypatch):
+        calls = []
+        step_generator = engine.step_generator
+
+        def counting(seed, step, substream=0):
+            calls.append((step, substream))
+            return step_generator(seed, step, substream)
+
+        monkeypatch.setattr(engine, "step_generator", counting)
+        grid = SimGrid(dt=0.02, delta_steps=5, horizon=0.4, n_particles=16, seed=8)
+        _, report = picard_solve(MEAN_FIELD_JUMPS, grid, jumps=TWO_MARKS, xi=1.0, t0_steps=5)
+        assert min(report.iterations) > 1  # several sweeps per window
+        expected = {(k, s) for k in range(grid.n_steps) for s in (BROWNIAN, JUMPS)}
+        assert sorted(calls) == sorted(expected)
+
+    def test_short_windows_reproduce_the_direct_ensemble(self):
+        # windows shorter than the lag with state-free noise coefficients: the
+        # solve is exact, so paths and the stored noise match bit for bit
+        grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.6, n_particles=8, seed=3)
         coeffs = CoefficientSet(
-            drift=lambda t, x, xs, m, ms, u, us: 0.5 * (m.mean() - x) + xs[:, -1],
+            drift=LAG_DRIFT.drift,
             diffusion=lambda *a: 0.3,
             jump=lambda t, x, xs, m, ms, u, us, mark: 0.1 * mark,
         )
-        jumps = JumpModel(intensity=1.0, marks=(1.0, -1.0), probs=(0.5, 0.5))
-        gap = consistency_check(coeffs, grid, jumps=jumps, xi=1.0, t0_steps=5)
-        assert gap < 1e-10
+        ens, report = picard_solve(coeffs, grid, jumps=TWO_MARKS, xi=1.0, t0_steps=2)
+        direct = simulate(coeffs, grid, jumps=TWO_MARKS, xi=1.0)
+        assert report.converged
+        np.testing.assert_array_equal(ens.paths, direct.paths)
+        np.testing.assert_array_equal(ens.brownian, direct.brownian)
+        np.testing.assert_array_equal(ens.jump_counts, direct.jump_counts)
+        assert np.any(ens.brownian != 0.0) and np.any(ens.jump_counts != 0)
+
+    def test_solved_ensemble_gives_the_recomputed_gap(self):
+        # stop short of convergence so the gap is not trivially zero
+        grid = SimGrid(dt=0.02, delta_steps=5, horizon=0.4, n_particles=64, seed=8)
+        args = dict(jumps=TWO_MARKS, xi=1.0, t0_steps=5)
+        ens, _ = picard_solve(MEAN_FIELD_JUMPS, grid, max_iter=2, **args)
+        recomputed = consistency_check(MEAN_FIELD_JUMPS, grid, max_iter=2, **args)
+        assert recomputed > 0.0
+        assert consistency_check(MEAN_FIELD_JUMPS, grid, ens_fp=ens, **args) == recomputed
 
 
 class TestValidation:
@@ -123,3 +169,8 @@ class TestValidation:
             picard_solve(CONST_DRIFT, grid, t0_steps=7)
         with pytest.raises(ValueError):
             picard_solve(CONST_DRIFT, grid, t0_steps=0)
+
+    def test_max_iter_must_be_positive(self):
+        grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=1, seed=0)
+        with pytest.raises(ValueError, match="max_iter"):
+            picard_solve(CONST_DRIFT, grid, max_iter=0)
