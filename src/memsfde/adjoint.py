@@ -319,6 +319,44 @@ class AdjointTriple:
         return ext_ok and tail_ok
 
 
+def _regress(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
+    """Least-norm least-squares coefficients of ``target`` on ``design``.
+
+    Solves the normal equations through a symmetric eigensolve of the Gram
+    matrix ``XᵀX`` with its columns scaled to unit diagonal (all-zero
+    columns keep scale 1, so they come out as zero eigenvalues).  An
+    eigenvalue counts as zero when it is at most ``max(N, n) * eps`` times
+    the largest: numpy's default least-squares rank cutoff, applied to the
+    scaled Gram's eigenvalues (squared singular values) instead of to
+    singular values, because that is the rounding level of a Gram entry
+    summed over N rows.  The pseudo-inverse on the surviving eigenspace is
+    projected so that it returns the least-norm unscaled coefficients (the
+    solution an SVD least-squares solver returns at the same rank), and the
+    solution is refined once against its own residual.
+    ``target`` may be (N,) or (N, c); returns ``(beta, rank)``.
+    """
+    n_rows, n = design.shape
+    gram = design.T @ design
+    scale = np.sqrt(gram.diagonal())
+    scale[scale == 0.0] = 1.0
+    evals, evecs = np.linalg.eigh(gram / np.outer(scale, scale))
+    keep = evals > max(n_rows, n) * np.finfo(float).eps * evals[-1]
+    rank = int(keep.sum())
+    kept = evecs[:, keep] / scale[:, None]
+    # maps Xᵀy to the least-norm coefficients
+    solve = (kept / evals[keep]) @ kept.T
+    if rank < n:
+        # project out the null space of the unscaled design, orthonormalised
+        null, _ = np.linalg.qr(evecs[:, ~keep] / scale[:, None])
+        solve -= null @ (null.T @ solve)
+    y = target.reshape(n_rows, -1)
+    beta = solve @ (design.T @ y)
+    # one refinement step on the residual wins back the accuracy that the
+    # squared condition number of the normal equations costs
+    beta += solve @ (design.T @ (y - design @ beta))
+    return beta.reshape((n,) + target.shape[1:]), rank
+
+
 def default_basis(ens: ParticleEnsemble, k: int) -> np.ndarray:
     """Polynomial regression features {1, X(t), X(t - delta), X^2, X * X_delta}."""
     x = ens.state_column(k)
@@ -345,11 +383,14 @@ class SweepContext:
         self._r0 = r0
         self.read_log: list[tuple[int, int, str]] = []
 
-    def _future(self, arr, k: int, ahead: int, extension: str, name: str):
+    def _check_ahead(self, k: int, ahead: int, name: str) -> None:
         if ahead < 1:
             raise ValueError(f"{name} at step {k}: drivers may only read strictly ahead (got offset {ahead})")
         if ahead > self.grid.delta_steps:
             raise ValueError(f"{name} at step {k}: read offset {ahead} exceeds the memory window")
+
+    def _future(self, arr, k: int, ahead: int, extension: str, name: str):
+        self._check_ahead(k, ahead, name)
         self.read_log.append((k, ahead, extension))
         j = k + ahead
         K = self.grid.n_steps
@@ -372,16 +413,26 @@ class SweepContext:
 
         Trapezoid in the lag variable; the lag-0 endpoint is read one step
         ahead to keep the sweep explicit (an O(dt^3) perturbation of the
-        step's integral).
+        step's integral).  Computed as one matrix-vector product over the
+        live band ``p0[:, k+1 : min(k+d, K)+1]``: the lag-0 weight is folded
+        onto lag 1, and the weights of lags past the horizon are dropped
+        (``"zero"``) or folded onto column K (``"terminal"``, whose stored
+        extension repeats column K).  Each lag 1..d is logged as one read.
         """
         if f.kind == "evaluation":
             return self.p0_future(k, f.point_steps, extension)
         d = f.delta_steps
+        lags = max(d, 1)
+        self._check_ahead(k, lags, "p0")
+        self.read_log.extend((k, j, extension) for j in range(1, lags + 1))
         w = trapezoid_weights(d + 1, f.dt) * f.kernel
-        out = w[0] * self.p0_future(k, 1, extension)
-        for j in range(1, d + 1):
-            out = out + w[j] * self.p0_future(k, j, extension)
-        return out
+        folded = np.zeros(lags)
+        folded[:d] = w[1:]
+        folded[0] += w[0]
+        live = min(lags, self.grid.n_steps - k)
+        if extension != "zero" and live < lags:
+            folded[live - 1] += folded[live:].sum()
+        return self._p0[:, k + 1 : k + 1 + live] @ folded[:live]
 
 
 def solve_absde(
@@ -390,6 +441,7 @@ def solve_absde(
     driver=None,
     basis=None,
     return_context: bool = False,
+    warn: bool = True,
 ):
     """Backward least-squares sweep for the adjoint triple along an ensemble.
 
@@ -399,9 +451,14 @@ def solve_absde(
     regresses ``p0[k+1] + dt * driver`` onto the basis augmented by basis
     interactions with the step's Brownian and compensated-jump increments;
     the plain-basis fit is p0 at k and the interaction fits are the noise
-    loadings q0, r0.  Rank-deficient designs fall back to the least-norm
-    solution (for a collapsed basis that is exactly the ensemble mean) and
-    are reported via ``deficient_steps`` plus a logged warning.
+    loadings q0, r0.  The ``[φ, φ·ΔW, φ·ΔÑ]`` design is written into one
+    buffer reused by every step and solved by ``_regress``: a symmetric
+    eigensolve of its column-scaled Gram matrix, with eigenvalues at most
+    ``max(N, n) * eps`` times the largest counted as zero, plus one
+    residual refinement step.  Rank-deficient designs fall back to the
+    least-norm solution (for a collapsed basis that is exactly the ensemble
+    mean) and are reported via ``deficient_steps`` plus, unless ``warn`` is
+    false, a logged warning.
     """
     grid = ens.grid
     d, K, N, dt = grid.delta_steps, grid.n_steps, grid.n_particles, grid.dt
@@ -418,8 +475,10 @@ def solve_absde(
 
     use_jumps = ens.jump_counts is not None
     lam_dt = ens.jumps.intensity * dt if use_jumps else 0.0
+    n_blocks = 3 if use_jumps else 2
     ctx = SweepContext(ens, p0, q0, r0)
     deficient: list[int] = []
+    design = None
 
     for k in range(K - 1, -1, -1):
         target = p0[:, k + 1].copy()
@@ -427,12 +486,14 @@ def solve_absde(
             target = target + dt * np.asarray(driver(ctx, k))
         phi = basis(ens, k)
         m = phi.shape[1]
-        blocks = [phi, phi * ens.brownian[:, k][:, None]]
+        if design is None:
+            design = np.empty((N, n_blocks * m))
+        design[:, :m] = phi
+        np.multiply(phi, ens.brownian[:, k, None], out=design[:, m : 2 * m])
         if use_jumps:
             dn = ens.jump_counts[:, k, :].sum(axis=1) - lam_dt
-            blocks.append(phi * dn[:, None])
-        design = np.hstack(blocks)
-        beta, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+            np.multiply(phi, dn[:, None], out=design[:, 2 * m :])
+        beta, rank = _regress(design, target)
         if rank < design.shape[1]:
             deficient.append(k)
         p0[:, k] = phi @ beta[:m]
@@ -441,7 +502,7 @@ def solve_absde(
             r0[:, k] = phi @ beta[2 * m : 3 * m]
         mean_stderr[k] = target.std(ddof=1) / math.sqrt(N) if N > 1 else 0.0
 
-    if deficient:
+    if deficient and warn:
         log.warning(
             "rank-deficient regression at %d of %d steps; least-norm/ensemble-mean fallback used",
             len(deficient),
@@ -526,12 +587,11 @@ def max_condition_gap(
                     best_se = float(np.std(diff, ddof=1) / math.sqrt(len(diff))) if len(diff) > 1 else 0.0
         elif filtration == "full":
             phi = basis(ens, k)
-            fitted = []
-            for c in candidates:
-                diff = hamiltonian(coeffs, HamiltonianInputs(u=c, **common), jumps, grid.horizon) - h_used
-                beta, _, _, _ = np.linalg.lstsq(phi, diff, rcond=None)
-                fitted.append(phi @ beta)
-            pointwise = np.max(np.stack(fitted), axis=0)
+            diffs = np.column_stack(
+                [hamiltonian(coeffs, HamiltonianInputs(u=c, **common), jumps, grid.horizon) - h_used for c in candidates]
+            )
+            beta, _ = _regress(phi, diffs)
+            pointwise = np.max(phi @ beta, axis=1)
             gap = float(pointwise.mean())
             if gap > best_gap:
                 best_gap = gap

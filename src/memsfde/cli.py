@@ -117,9 +117,12 @@ class ConfigFile:
                 self._require(section, key)
             return float(default)
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             self._error(section, key, f"expected a number, got {raw!r}")
+        if not math.isfinite(value):
+            self._error(section, key, f"expected a finite number, got {raw!r}")
+        return value
 
     def get_int(self, section, key, default=None) -> int:
         raw = self.raw(section, key)
@@ -148,9 +151,12 @@ class ConfigFile:
         if raw is None:
             return tuple(default)
         try:
-            return tuple(float(part) for part in raw.split(",") if part.strip())
+            values = tuple(float(part) for part in raw.split(",") if part.strip())
         except ValueError:
             self._error(section, key, f"expected comma-separated numbers, got {raw!r}")
+        if not all(math.isfinite(v) for v in values):
+            self._error(section, key, f"expected comma-separated finite numbers, got {raw!r}")
+        return values
 
     def _require(self, section, key):
         line = self.section_lines.get(section, 0)

@@ -211,6 +211,15 @@ def as_control(obj) -> _Control:
     raise TypeError(f"cannot interpret {type(obj).__name__} as a control")
 
 
+def _as_time_fn(v) -> Callable[[float], float]:
+    """A deterministic coefficient of time: callables pass through, constants
+    become constant functions."""
+    if callable(v):
+        return v
+    c = float(v)
+    return lambda t: c
+
+
 def combine_controls(base, direction, scale: float) -> _Control:
     """Control ``base + scale * direction`` (both may be feedback rules)."""
     return _SumControl([(as_control(base), 1.0), (as_control(direction), float(scale))])

@@ -25,9 +25,9 @@ control satisfies u(0) = -x0/(1 + T).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -42,9 +42,9 @@ from memsfde.engine import (
     CoefficientSet,
     ControlProblem,
     JumpModel,
+    _as_time_fn,
     combine_controls,
     pathwise_cost,
-    performance,
 )
 from memsfde.grid import SimGrid, trapezoid_weights
 
@@ -60,15 +60,11 @@ __all__ = [
 ]
 
 
+log = logging.getLogger("memsfde.lq_memory")
+
+
 class FixedPointDivergence(RuntimeError):
     """Control changes grew for several consecutive fixed-point sweeps."""
-
-
-def _as_time_fn(v) -> Callable[[float], float]:
-    if callable(v):
-        return v
-    c = float(v)
-    return lambda t: c
 
 
 def _is_zero_const(v) -> bool:
@@ -144,15 +140,48 @@ def lq_basis(spec: LQSpec, grid: SimGrid):
     return basis
 
 
+def _adjoint_driver(spec: LQSpec, grid: SimGrid):
+    """Advanced driver of the adjoint equation: the kernel-weighted average of
+    future p0, zero past the horizon; ``None`` when the kernel vanishes."""
+    kern = spec.kernel_values(grid)
+    if not np.any(kern != 0.0):
+        return None
+    functional = SegmentFunctional.averaging(kern, grid.delta_steps, grid.dt)
+
+    def driver(ctx, k):
+        return ctx.advanced_average(k, functional, extension="zero")
+
+    return driver
+
+
+def _solve_adjoint(ens, driver, basis_fn) -> AdjointTriple:
+    return solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis_fn, warn=False)
+
+
+def _warn_deficient(counts, n_steps: int) -> None:
+    """One warning line for the rank-deficient regression steps of several
+    backward solves (expected at steps whose lagged features are constant)."""
+    hit = [c for c in counts if c]
+    if not hit:
+        return
+    if len(hit) == len(counts) and min(hit) == max(hit):
+        where = f"{hit[0]} of {n_steps} steps in each of {len(counts)} solves"
+    else:
+        where = f"{min(hit)} to {max(hit)} of {n_steps} steps in {len(hit)} of {len(counts)} solves"
+    log.warning("rank-deficient regression at %s; least-norm/ensemble-mean fallback used", where)
+
+
 @dataclass(frozen=True)
 class FBSDEIterationReport:
     """Trace of the damped control iteration: per-sweep control change
-    (root-mean-square over particles of the mesh-L2 norm of the update)."""
+    (root-mean-square over particles of the mesh-L2 norm of the update) and
+    per-sweep number of rank-deficient regression steps."""
 
     changes: tuple
     damping: float
     tol: float
     converged: bool
+    deficient_counts: tuple = ()
 
     @property
     def iterations(self) -> int:
@@ -174,6 +203,7 @@ def solve_lq(
     iteration trace.  Noise is frozen across sweeps (counter-based streams),
     so the iteration is a deterministic map on control arrays.  Five
     consecutive growing sweeps abort with :class:`FixedPointDivergence`.
+    Rank-deficient regressions are summarised in one warning for all sweeps.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -183,26 +213,19 @@ def solve_lq(
     K, N = grid.n_steps, grid.n_particles
     wq = trapezoid_weights(K + 1, grid.dt)
     basis_fn = basis if basis is not None else lq_basis(spec, grid)
-
-    kern = spec.kernel_values(grid)
-    if np.any(kern != 0.0):
-        functional = SegmentFunctional.averaging(kern, grid.delta_steps, grid.dt)
-
-        def driver(ctx, k):
-            return ctx.advanced_average(k, functional, extension="zero")
-
-    else:
-        driver = None
+    driver = _adjoint_driver(spec, grid)
 
     control = np.zeros((N, K + 1))
     changes: list[float] = []
+    deficient: list[int] = []
     converged = False
     growing = 0
     adjoint: AdjointTriple | None = None
 
     for _ in range(max_iter):
         ens = problem.simulate(control)
-        adjoint = solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis_fn)
+        adjoint = _solve_adjoint(ens, driver, basis_fn)
+        deficient.append(len(adjoint.deficient_steps))
         new_control = (1.0 - damping) * control + damping * adjoint.p0_on_horizon()
         delta = new_control - control
         change = float(np.sqrt(np.mean((delta * delta) @ wq)))
@@ -220,7 +243,15 @@ def solve_lq(
             converged = True
             break
 
-    report = FBSDEIterationReport(changes=tuple(changes), damping=damping, tol=tol, converged=converged)
+    _warn_deficient(deficient, K)
+
+    report = FBSDEIterationReport(
+        changes=tuple(changes),
+        damping=damping,
+        tol=tol,
+        converged=converged,
+        deficient_counts=tuple(deficient),
+    )
     return control, adjoint, report
 
 
@@ -233,6 +264,7 @@ class LQVerification:
     parabola_quad: float
     parabola_vertex: float
     parabola_rel_residual: float
+    parabola_points: tuple = ()  # (lambda, J) ordinates of the fit
 
     def rows(self):
         yield "coupling_residual_max", self.coupling_residual_max
@@ -276,17 +308,10 @@ def verify_lq(
     coupling_residual_max = float(residual.max())
 
     # idempotence: one more forward+backward sweep barely moves the control
-    kern = spec.kernel_values(grid)
-    if np.any(kern != 0.0):
-        functional = SegmentFunctional.averaging(kern, grid.delta_steps, grid.dt)
-
-        def driver(ctx, k):
-            return ctx.advanced_average(k, functional, extension="zero")
-
-    else:
-        driver = None
     ens = problem.simulate(control)
-    adj2 = solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis_fn)
+    adj2 = _solve_adjoint(ens, _adjoint_driver(spec, grid), basis_fn)
+    if len(adj2.deficient_steps) > max(report.deficient_counts, default=0):
+        _warn_deficient((len(adj2.deficient_steps),), K)
     delta = damping * (adj2.p0_on_horizon() - control)
     idempotence_change = float(np.sqrt(np.mean((delta * delta) @ wq)))
 
@@ -301,7 +326,16 @@ def verify_lq(
         for label, direction in directions
     )
 
-    base_cost = pathwise_cost(ens, problem.coeffs)
+    # pathwise cost per shift size; each size is simulated once and the
+    # unshifted ensemble is the idempotence one
+    costs = {0.0: pathwise_cost(ens, problem.coeffs)}
+
+    def cost_at(lam: float) -> np.ndarray:
+        if lam not in costs:
+            costs[lam] = pathwise_cost(problem.simulate(combine_controls(control, 1.0, lam)), problem.coeffs)
+        return costs[lam]
+
+    base_cost = costs[0.0]
     j_rows = [
         (
             "solution",
@@ -312,7 +346,7 @@ def verify_lq(
         )
     ]
     for lam in lambdas:
-        cost = pathwise_cost(problem.simulate(combine_controls(control, 1.0, lam)), problem.coeffs)
+        cost = cost_at(float(lam))
         diff = base_cost - cost
         j_rows.append(
             (
@@ -325,12 +359,7 @@ def verify_lq(
         )
 
     lam_grid = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
-    js = np.array(
-        [
-            performance(problem.simulate(combine_controls(control, 1.0, float(l))), problem.coeffs)[0]
-            for l in lam_grid
-        ]
-    )
+    js = np.array([float(cost_at(float(l)).mean()) for l in lam_grid])
     coefs = np.polyfit(lam_grid, js, 2)
     fit = np.polyval(coefs, lam_grid)
     scale = max(float(np.max(js) - np.min(js)), 1e-300)
@@ -346,4 +375,5 @@ def verify_lq(
         parabola_quad=quad,
         parabola_vertex=vertex,
         parabola_rel_residual=rel_residual,
+        parabola_points=tuple(zip(lam_grid.tolist(), js.tolist())),
     )

@@ -42,6 +42,7 @@ from memsfde.engine import (
     CoefficientSet,
     ControlProblem,
     JumpModel,
+    _as_time_fn,
     combine_controls,
     pathwise_cost,
 )
@@ -59,13 +60,6 @@ __all__ = [
     "stationarity_suite",
     "PERTURBATION_FAMILY",
 ]
-
-
-def _as_time_fn(v) -> Callable[[float], float]:
-    if callable(v):
-        return v
-    c = float(v)
-    return lambda t: c
 
 
 @dataclass(frozen=True)

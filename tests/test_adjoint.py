@@ -6,9 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from memsfde import adjoint
 from memsfde.adjoint import (
     HamiltonianInputs,
     SegmentFunctional,
+    SweepContext,
+    _regress,
+    default_basis,
     hamiltonian,
     max_condition_gap,
     riesz_advanced,
@@ -17,7 +21,8 @@ from memsfde.adjoint import (
     stationarity_gap,
 )
 from memsfde.engine import CoefficientSet, ControlProblem, JumpModel, simulate
-from memsfde.grid import SimGrid
+from memsfde.grid import SimGrid, trapezoid_weights
+from memsfde.lq_memory import LQSpec, control_problem, lq_basis
 from memsfde.segments import GridPath
 
 
@@ -227,6 +232,146 @@ class TestBackwardSolver:
         np.testing.assert_array_equal(seen["q_tail"], 0.0)
 
 
+def rel_err(a, b) -> float:
+    """Largest absolute difference relative to the largest reference entry."""
+    scale = float(np.max(np.abs(b)))
+    diff = float(np.max(np.abs(np.asarray(a) - b)))
+    return diff / scale if scale > 0.0 else diff
+
+
+def lstsq_regress(design, target):
+    beta, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    return beta, int(rank)
+
+
+def reference_sweep(ens, terminal, kernel=None, basis=default_basis):
+    """Backward LSMC sweep as a per-step ``np.linalg.lstsq`` on a stacked
+    design, with the advanced average (zero past the horizon) summed lag by
+    lag; returns ``(p0, q0, r0, deficient_steps)``."""
+    grid = ens.grid
+    d, K, N, dt = grid.delta_steps, grid.n_steps, grid.n_particles, grid.dt
+    p0, q0, r0 = np.zeros((N, K + d + 1)), np.zeros((N, K + 1)), np.zeros((N, K + 1))
+    p0[:, K:] = terminal(ens.state_column(K))[:, None]
+    w = None if kernel is None else trapezoid_weights(d + 1, dt) * kernel
+    use_jumps = ens.jump_counts is not None
+    deficient = []
+    for k in range(K - 1, -1, -1):
+        target = p0[:, k + 1].copy()
+        if w is not None:
+            avg = w[0] * p0[:, k + 1]
+            for j in range(1, d + 1):
+                if k + j <= K:
+                    avg = avg + w[j] * p0[:, k + j]
+            target = target + dt * avg
+        phi = basis(ens, k)
+        m = phi.shape[1]
+        blocks = [phi, phi * ens.brownian[:, k][:, None]]
+        if use_jumps:
+            dn = ens.jump_counts[:, k, :].sum(axis=1) - ens.jumps.intensity * dt
+            blocks.append(phi * dn[:, None])
+        design = np.hstack(blocks)
+        beta, rank = lstsq_regress(design, target)
+        if rank < design.shape[1]:
+            deficient.append(k)
+        p0[:, k] = phi @ beta[:m]
+        q0[:, k] = phi @ beta[m : 2 * m]
+        if use_jumps:
+            r0[:, k] = phi @ beta[2 * m :]
+    return p0, q0, r0, tuple(reversed(deficient))
+
+
+def block_design(phi, *noises):
+    return np.hstack([phi] + [phi * z[:, None] for z in noises])
+
+
+def regression_designs():
+    rng = np.random.Generator(np.random.Philox(key=11))
+    n = 400
+    x, dw, dn = rng.normal(size=n), 0.1 * rng.normal(size=n), rng.poisson(0.2, size=n) - 0.2
+    ones = np.ones(n)
+    spec = LQSpec()
+    grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.5, n_particles=n, seed=7)
+    ens = control_problem(spec, grid).simulate(0.0)
+    few = rng.normal(size=(5, 4))
+    # wealth-like state near 2 with a constant lagged history: exactly
+    # collinear columns next to a badly conditioned polynomial basis
+    w = 2.0 + 0.02 * x
+    history = np.column_stack([ones, w, 2.0 * ones, w * w, 2.0 * w])
+    return {
+        "collinear_history": (block_design(history, dw, dn), 5),
+        "full_rank": (block_design(np.column_stack([ones, x, x * x]), dw, dn), 3),
+        "zero_column": (block_design(np.column_stack([ones, x, np.zeros(n)]), dw, dn), 3),
+        "duplicated_column": (block_design(np.column_stack([ones, x, x]), dw, dn), 3),
+        "lq_first_step": (block_design(lq_basis(spec, grid)(ens, 0), ens.brownian[:, 0]), 6),
+        "fewer_rows_than_columns": (block_design(few, rng.normal(size=5), rng.normal(size=5)), 4),
+        "all_zero": (np.zeros((n, 6)), 2),
+    }
+
+
+class TestRegression:
+    """The Gram/eigh routine reproduces the least-norm SVD solution."""
+
+    @pytest.mark.parametrize("name", sorted(regression_designs()))
+    def test_matches_lstsq(self, name):
+        design, m = regression_designs()[name]
+        rng = np.random.Generator(np.random.Philox(key=5))
+        target = design @ rng.normal(size=design.shape[1]) + rng.normal(size=design.shape[0])
+        beta, rank = _regress(design, target)
+        ref, ref_rank = lstsq_regress(design, target)
+        assert rank == ref_rank
+        assert rel_err(design @ beta, design @ ref) <= 1e-10
+        phi = design[:, :m]
+        for b in range(0, design.shape[1], m):
+            assert rel_err(phi @ beta[b : b + m], phi @ ref[b : b + m]) <= 1e-10
+
+    def test_matrix_target_solves_each_column(self):
+        design, _ = regression_designs()["duplicated_column"]
+        targets = np.column_stack([np.arange(design.shape[0]) % 7, design[:, 1]])
+        beta, _ = _regress(design, targets)
+        for j in range(2):
+            np.testing.assert_allclose(beta[:, j], _regress(design, targets[:, j])[0], rtol=1e-12, atol=1e-14)
+
+    def test_jump_sweep_matches_lstsq_reference(self):
+        grid = SimGrid(dt=0.05, delta_steps=4, horizon=1.0, n_particles=2_000, seed=21)
+        jumps = JumpModel(intensity=2.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
+        coeffs = CoefficientSet(
+            drift=lambda t, x, xs, m, ms, u, us: 0.3 * xs[:, -1] - 0.2 * x,
+            diffusion=lambda *a: 0.3,
+            jump=lambda t, x, xs, m, ms, u, us, z: 0.1 * z,
+        )
+        ens = simulate(coeffs, grid, jumps=jumps, xi=1.0)
+        kernel = np.linspace(1.0, 0.5, grid.delta_steps + 1)
+        f = SegmentFunctional.averaging(kernel, grid.delta_steps, grid.dt)
+        adj = solve_absde(ens, terminal=lambda x, law: -x, driver=lambda c, k: c.advanced_average(k, f))
+        p0, q0, r0, deficient = reference_sweep(ens, lambda x: -x, kernel)
+        assert adj.deficient_steps == deficient
+        assert deficient  # the constant history collapses the lagged features
+        assert rel_err(adj.p0, p0) <= 1e-10
+        assert rel_err(adj.q0, q0) <= 1e-10
+        assert rel_err(adj.r0, r0) <= 1e-10
+        assert np.any(r0 != 0.0)
+
+
+class TestAdvancedAverage:
+    @pytest.mark.parametrize("extension", ["zero", "terminal"])
+    def test_matvec_equals_lag_by_lag_sum(self, extension):
+        ens = brownian_ensemble(50, seed=4, dt=0.05, delta_steps=6)
+        K, d = ens.grid.n_steps, ens.grid.delta_steps
+        rng = np.random.Generator(np.random.Philox(key=3))
+        p0 = rng.normal(size=(50, K + d + 1))
+        p0[:, K:] = p0[:, K, None]
+        ctx = SweepContext(ens, p0, np.zeros((50, K + 1)), np.zeros((50, K + 1)))
+        f = SegmentFunctional.averaging(rng.uniform(size=d + 1), d, ens.grid.dt)
+        w = trapezoid_weights(d + 1, ens.grid.dt) * f.kernel
+        for k in (0, K - d - 1, K - d, K - 3, K - 1):
+            loop = w[0] * ctx.p0_future(k, 1, extension)
+            for j in range(1, d + 1):
+                loop = loop + w[j] * ctx.p0_future(k, j, extension)
+            ctx.read_log.clear()
+            np.testing.assert_allclose(ctx.advanced_average(k, f, extension), loop, rtol=1e-13, atol=1e-15)
+            assert ctx.read_log == [(k, j, extension) for j in range(1, d + 1)]
+
+
 class TestMaxCondition:
     def test_zero_bracket_means_no_improvement(self):
         # terminal cost is constant, so the whole adjoint triple vanishes and
@@ -255,6 +400,20 @@ class TestMaxCondition:
         gap, se = max_condition_gap(coeffs, ens, adj, [-1.0, 0.0, 0.5], filtration=filtration)
         assert gap == pytest.approx(0.5, abs=1e-10)
         assert gap > 3.0 * se
+
+    def test_full_filtration_matches_lstsq(self, monkeypatch):
+        spec = LQSpec()
+        grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.5, n_particles=300, seed=7)
+        problem = control_problem(spec, grid)
+        ens = problem.simulate(0.0)
+        basis = lq_basis(spec, grid)
+        adj = solve_absde(ens, terminal=lambda x, law: -x, basis=basis)
+        args = (problem.coeffs, ens, adj, [-0.5, 0.0, 0.5])
+        gap, se = max_condition_gap(*args, filtration="full", basis=basis)
+        monkeypatch.setattr(adjoint, "_regress", lstsq_regress)
+        ref_gap, ref_se = max_condition_gap(*args, filtration="full", basis=basis)
+        assert abs(gap - ref_gap) <= 1e-10 * abs(ref_gap)
+        assert abs(se - ref_se) <= 1e-10 * abs(ref_se)
 
     def test_bad_arguments_rejected(self):
         ens = brownian_ensemble(10, seed=1)

@@ -171,6 +171,17 @@ class TestConfigErrors:
         err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)
         assert f"{path}:4: [grid] dt: expected a number, got 'fast'" in err
 
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_number_is_rejected(self, tmp_path, capsys, literal):
+        path = write_cfg(tmp_path, SIM_TINY.replace("dt = 0.01", f"dt = {literal}"))
+        err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)
+        assert f"{path}:6: [grid] dt: expected a finite number, got '{literal}'" in err
+
+    def test_non_finite_number_in_a_list_is_rejected(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, SIM_TINY.replace("marks = 0.3, -0.2", "marks = 1.0, nan"))
+        err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)
+        assert f"{path}:17: [jumps] marks: expected comma-separated finite numbers, got '1.0, nan'" in err
+
     def test_duplicate_key(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "[grid]\ndt = 0.1\ndt = 0.2\n")
         err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)

@@ -1,10 +1,12 @@
 """Distributed-delay LQ regulator: fixed-point solver and optimality audit."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from memsfde import engine
 from memsfde.adjoint import SegmentFunctional, solve_absde
 from memsfde.grid import SimGrid
 from memsfde.lq_memory import (
@@ -139,6 +141,44 @@ def desk_solution():
     spec = LQSpec()
     solution = solve_lq(spec, DESK_GRID)
     return spec, solution, verify_lq(solution, spec, DESK_GRID)
+
+
+class TestRunEconomy:
+    GRID = SimGrid(dt=0.05, delta_steps=4, horizon=1.0, n_particles=500, seed=5)
+
+    def test_rank_deficiency_is_one_warning_per_run(self, caplog):
+        spec = LQSpec()
+        with caplog.at_level(logging.WARNING):
+            solution = solve_lq(spec, self.GRID)
+            verify_lq(solution, spec, self.GRID)
+        report = solution[2]
+        assert report.iterations > 1
+        assert len(set(report.deficient_counts)) == 1 and report.deficient_counts[0] > 0
+        messages = [rec.getMessage() for rec in caplog.records if "rank-deficient" in rec.getMessage()]
+        assert messages == [
+            f"rank-deficient regression at {report.deficient_counts[0]} of {self.GRID.n_steps} steps "
+            f"in each of {report.iterations} solves; least-norm/ensemble-mean fallback used"
+        ]
+
+    def test_verification_simulates_each_shift_once(self, monkeypatch):
+        spec = LQSpec()
+        solution = solve_lq(spec, self.GRID)
+        calls = []
+        original = engine.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "simulate", counting)
+        ver = verify_lq(solution, spec, self.GRID)
+        # idempotence 1, stationarity 3 x 2, shifts +-0.2 and +-0.5, parabola +-0.25
+        assert len(calls) == 13
+        ordinates = dict(ver.parabola_points)
+        j_by_label = {row[0]: row[1] for row in ver.j_rows}
+        assert j_by_label["shift_+0.5"] == ordinates[0.5]
+        assert j_by_label["shift_-0.5"] == ordinates[-0.5]
+        assert j_by_label["solution"] == ordinates[0.0]
 
 
 class TestVerification:
