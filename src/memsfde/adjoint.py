@@ -39,8 +39,6 @@ from memsfde.engine import (
     ControlProblem,
     JumpModel,
     ParticleEnsemble,
-    _law_segment_from,
-    as_control,
     combine_controls,
     pathwise_cost,
 )
@@ -523,16 +521,6 @@ def solve_absde(
 # optimality checkers
 
 
-def _ensemble_inputs(ens: ParticleEnsemble, k: int):
-    x = ens.state_column(k)
-    x_seg = ens.backward_window(k)
-    law = EmpiricalMeasure(x)
-    d, dt = ens.grid.delta_steps, ens.grid.dt
-    idx = d + k
-    law_seg = _law_segment_from(ens.paths, idx, d, dt)
-    return x, x_seg, law, law_seg
-
-
 def max_condition_gap(
     coeffs: CoefficientSet,
     ens: ParticleEnsemble,
@@ -564,7 +552,7 @@ def max_condition_gap(
     best_gap, best_se = -math.inf, 0.0
 
     for k in range(0, grid.n_steps, step_stride):
-        x, x_seg, law, law_seg = _ensemble_inputs(ens, k)
+        x, x_seg, law, law_seg = ens.step_inputs(k)
         u_seg = ens.control_window(k)
         common = dict(
             t=k * grid.dt,

@@ -93,9 +93,6 @@ class ConfigFile:
 
     # -- access ------------------------------------------------------------
 
-    def has(self, section: str, key: str) -> bool:
-        return (section, key) in self.entries
-
     def line(self, section: str, key: str) -> int:
         return self.entries.get((section, key), ("", 0))[1]
 
@@ -106,9 +103,6 @@ class ConfigFile:
         if (section, key) in self.entries:
             return self.entries[(section, key)][0]
         return default
-
-    def get_str(self, section, key, default=None):
-        return self.raw(section, key, default)
 
     def get_float(self, section, key, default=None) -> float:
         raw = self.raw(section, key)
@@ -161,16 +155,6 @@ class ConfigFile:
     def _require(self, section, key):
         line = self.section_lines.get(section, 0)
         raise ConfigError("missing required key", path=self.path, line=line, section=section, key=key)
-
-    def require_float(self, section, key) -> float:
-        if not self.has(section, key):
-            self._require(section, key)
-        return self.get_float(section, key)
-
-    def require_int(self, section, key) -> int:
-        if not self.has(section, key):
-            self._require(section, key)
-        return self.get_int(section, key)
 
     def check_known(self, section: str, allowed) -> None:
         for (sec, key), (_, line) in self.entries.items():
@@ -229,21 +213,23 @@ GRID_KEYS = ("horizon", "dt", "delta", "particles", "seed")
 JUMP_KEYS = ("intensity", "marks", "probs")
 
 
-def _steps_of(cfg: ConfigFile, section: str, key: str, span: float, dt: float, what: str) -> int:
+def _steps_of(cfg: ConfigFile, section: str, key: str, span: float, dt: float, what: str, positive=False) -> int:
     ratio = span / dt
     steps = int(round(ratio))
     if steps < 0 or abs(ratio - steps) > 1e-9 * max(1.0, abs(ratio)):
         cfg._error(section, key, f"{what} (got {key}={span!r}, dt={dt!r})")
+    if positive and steps < 1:
+        cfg._error(section, key, "must be at least one step")
     return steps
 
 
 def build_grid(cfg: ConfigFile) -> SimGrid:
     cfg.check_known("grid", GRID_KEYS)
-    horizon = cfg.require_float("grid", "horizon")
-    dt = cfg.require_float("grid", "dt")
-    delta = cfg.require_float("grid", "delta")
-    particles = cfg.require_int("grid", "particles")
-    seed = cfg.require_int("grid", "seed")
+    horizon = cfg.get_float("grid", "horizon")
+    dt = cfg.get_float("grid", "dt")
+    delta = cfg.get_float("grid", "delta")
+    particles = cfg.get_int("grid", "particles")
+    seed = cfg.get_int("grid", "seed")
 
     if dt <= 0:
         cfg._error("grid", "dt", "must be positive")
@@ -266,7 +252,7 @@ def build_grid(cfg: ConfigFile) -> SimGrid:
         cfg._error("grid", "seed", "must be an unsigned 64-bit integer")
 
     delta_steps = _steps_of(cfg, "grid", "delta", delta, dt, "must be a non-negative integer multiple of dt")
-    _steps_of(cfg, "grid", "horizon", horizon, dt, "must be a positive integer multiple of dt")
+    _steps_of(cfg, "grid", "horizon", horizon, dt, "must be a positive integer multiple of dt", positive=True)
     return SimGrid(dt=dt, delta_steps=delta_steps, horizon=horizon, n_particles=particles, seed=seed)
 
 
@@ -411,9 +397,7 @@ def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) ->
     res = RunResult()
     coeffs, xi = build_linear_coefficients(cfg, "picard", jumps, extra_keys=PICARD_EXTRA_KEYS)
     t0 = cfg.get_float("picard", "t0", grid.delta if grid.delta > 0 else grid.horizon)
-    t0_steps = _steps_of(cfg, "picard", "t0", t0, grid.dt, "must be a positive integer multiple of dt")
-    if t0_steps < 1:
-        cfg._error("picard", "t0", "must be at least one step")
+    t0_steps = _steps_of(cfg, "picard", "t0", t0, grid.dt, "must be a positive integer multiple of dt", positive=True)
     if grid.n_steps % t0_steps != 0:
         cfg._error("picard", "t0", f"horizon must be an integer multiple of t0 (t0={t0!r}, horizon={grid.horizon!r})")
     tol = cfg.get_float("picard", "tol", 1e-20)
@@ -754,6 +738,12 @@ def selftest_checks() -> list:
 # entry point
 
 
+def _finite_or_none(value):
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _emit(outdir, problem, cfg, grid, threads, seed_overridden, result, started):
     os.makedirs(outdir, exist_ok=True)
     manifest = {
@@ -772,14 +762,15 @@ def _emit(outdir, problem, cfg, grid, threads, seed_overridden, result, started)
         "effective_seed": None if grid is None else grid.seed,
         "seed_overridden": seed_overridden,
         "threads": threads,
-        "scalars": {k: result.scalars[k] for k in sorted(result.scalars)},
+        # strict JSON has no NaN or Infinity: a non-finite scalar is null
+        "scalars": {k: _finite_or_none(result.scalars[k]) for k in sorted(result.scalars)},
         "checks": result.checks,
         "checks_passed": result.all_passed,
         "artifacts": sorted(result.artifacts),
         "timing_file": "timing.txt",
     }
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+        json.dump(manifest, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     with open(os.path.join(outdir, "timing.txt"), "w", encoding="utf-8") as handle:
         handle.write(f"wall_seconds={time.perf_counter() - started:.3f}\n")
@@ -852,7 +843,7 @@ def main(argv=None) -> int:
                 )
         cfg.check_known("run", ("problem", "threads"))
         cfg.check_known("output", ("dir",))
-        problem = cfg.get_str("run", "problem")
+        problem = cfg.raw("run", "problem")
         if problem is not None and problem != args.command:
             cfg._error("run", "problem", f"config is for {problem!r} but subcommand is {args.command!r}")
         threads = args.threads if args.threads is not None else cfg.get_int("run", "threads", 1)
@@ -861,7 +852,7 @@ def main(argv=None) -> int:
         grid = build_grid(cfg)
         seed_overridden = os.environ.get(SEED_ENV_VAR) is not None
         jumps = build_jumps(cfg)
-        outdir = args.out or cfg.get_str("output", "dir") or os.path.join("out", args.command)
+        outdir = args.out or cfg.raw("output", "dir") or os.path.join("out", args.command)
 
         os.makedirs(outdir, exist_ok=True)
         if args.command == "norms":

@@ -30,12 +30,14 @@ The law the particles interact through is the ensemble's own empirical law, so
 all mean-field quantities carry the usual O(1/sqrt(N)) particle-approximation
 error on top of the Euler bias.
 
-The same window integrator serves the direct scheme (the read and write paths
-alias) and the fixed-point solver in :mod:`memsfde.picard` (coefficients read a
-frozen previous iterate while increments accumulate on the new one).  Noise is
-drawn into the ensemble's ``brownian`` / ``jump_counts`` arrays before a
-window is integrated, so the solver draws each step's noise once however many
-sweeps it makes.
+Every per-step reader takes these inputs from ``ParticleEnsemble.step_inputs``.
+The window integrator ``_euler_window(coeffs, ctrl, read_ens, write_paths, k0,
+k1)`` serves the direct scheme (``write_paths`` is ``read_ens.paths``) and the
+fixed-point solver in :mod:`memsfde.picard` (``read_ens`` is the frozen
+previous iterate, sharing the solve's controls and noise, while increments
+accumulate on the new paths).  ``_draw_noise(coeffs, ens, k0, k1)`` fills the
+ensemble's ``brownian`` / ``jump_counts`` before a window is integrated, so
+the solver draws each step's noise once however many sweeps it makes.
 """
 
 from __future__ import annotations
@@ -143,71 +145,36 @@ class CoefficientSet:
 # controls
 
 
+@dataclass(frozen=True)
 class _Control:
-    def value(self, k: int, t: float, x, x_seg, law) -> np.ndarray:
-        raise NotImplementedError
+    """A control normalized to ``value(k, t, x, x_seg, law) -> (N,)``."""
 
-
-class _ZeroControl(_Control):
-    def value(self, k, t, x, x_seg, law):
-        return np.zeros_like(x)
-
-
-class _ConstControl(_Control):
-    def __init__(self, c: float):
-        self.c = float(c)
-
-    def value(self, k, t, x, x_seg, law):
-        return np.full_like(x, self.c)
-
-
-class _ArrayControl(_Control):
-    """Open-loop values on the [0, T] mesh: shape (K+1,) shared or (N, K+1)."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = np.asarray(values, dtype=float)
-
-    def value(self, k, t, x, x_seg, law):
-        if self.values.ndim == 1:
-            return np.full_like(x, self.values[k])
-        return self.values[:, k]
-
-
-class _CallableControl(_Control):
-    def __init__(self, fn):
-        self.fn = fn
-
-    def value(self, k, t, x, x_seg, law):
-        out = self.fn(t, x, x_seg, law)
-        return np.broadcast_to(np.asarray(out, dtype=float), x.shape)
-
-
-class _SumControl(_Control):
-    def __init__(self, parts):
-        self.parts = parts  # list of (control, scale)
-
-    def value(self, k, t, x, x_seg, law):
-        out = np.zeros_like(x)
-        for ctrl, scale in self.parts:
-            out = out + scale * ctrl.value(k, t, x, x_seg, law)
-        return out
+    value: Callable
 
 
 def as_control(obj) -> _Control:
     """Normalize scalars, mesh arrays, and feedback callables to a control.
 
-    Callables receive ``(t, x, x_seg, law)`` and return per-particle values.
+    Arrays hold open-loop values on the [0, T] mesh, shape (K+1,) shared or
+    (N, K+1) per particle.  Callables receive ``(t, x, x_seg, law)`` and
+    return per-particle values.
     """
     if obj is None:
-        return _ZeroControl()
+        return _Control(lambda k, t, x, x_seg, law: np.zeros_like(x))
     if isinstance(obj, _Control):
         return obj
     if np.isscalar(obj):
-        return _ConstControl(obj)
+        c = float(obj)
+        return _Control(lambda k, t, x, x_seg, law: np.full_like(x, c))
     if isinstance(obj, np.ndarray):
-        return _ArrayControl(obj)
+        values = np.asarray(obj, dtype=float)
+        if values.ndim == 1:
+            return _Control(lambda k, t, x, x_seg, law: np.full_like(x, values[k]))
+        return _Control(lambda k, t, x, x_seg, law: values[:, k])
     if callable(obj):
-        return _CallableControl(obj)
+        return _Control(
+            lambda k, t, x, x_seg, law: np.broadcast_to(np.asarray(obj(t, x, x_seg, law), dtype=float), x.shape)
+        )
     raise TypeError(f"cannot interpret {type(obj).__name__} as a control")
 
 
@@ -222,7 +189,14 @@ def _as_time_fn(v) -> Callable[[float], float]:
 
 def combine_controls(base, direction, scale: float) -> _Control:
     """Control ``base + scale * direction`` (both may be feedback rules)."""
-    return _SumControl([(as_control(base), 1.0), (as_control(direction), float(scale))])
+    base, direction, scale = as_control(base), as_control(direction), float(scale)
+
+    def value(k, t, x, x_seg, law):
+        # summed onto zeros, so a -0.0 base value comes out as +0.0
+        out = np.zeros_like(x) + base.value(k, t, x, x_seg, law)
+        return out + scale * direction.value(k, t, x, x_seg, law)
+
+    return _Control(value)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +240,16 @@ class ParticleEnsemble:
 
     def backward_window(self, k: int) -> np.ndarray:
         """State window (N, delta_steps + 1); column j is the state at lag j dt."""
-        idx = self.grid.delta_steps + k
-        return self.paths[:, idx - self.grid.delta_steps : idx + 1][:, ::-1]
+        return self.paths[:, k : self.grid.delta_steps + k + 1][:, ::-1]
 
     def control_window(self, k: int) -> np.ndarray:
-        idx = self.grid.delta_steps + k
-        return self.controls_full[:, idx - self.grid.delta_steps : idx + 1][:, ::-1]
+        return self.controls_full[:, k : self.grid.delta_steps + k + 1][:, ::-1]
+
+    def step_inputs(self, k: int) -> tuple:
+        """Coefficient inputs at step k read from ``paths``: the state, its
+        backward window, its empirical law and the (lazy) law segment."""
+        x = self.state_column(k)
+        return x, self.backward_window(k), EmpiricalMeasure(x), _LazyLawSegment(self, k)
 
     def path(self, i: int) -> GridPath:
         return GridPath(
@@ -301,17 +279,18 @@ def _materialize_history(xi, grid: SimGrid) -> np.ndarray:
 
 
 class _LazyLawSegment(MeasureSegment):
-    """Backward law segment over ``paths`` at column ``idx`` (entry j is the
-    law at lag ``j * dt``) whose measures are built on first access.
+    """Backward law segment of an ensemble at step k (entry j is the law at
+    lag ``j * dt``) whose measures are built on first access.
 
     Most coefficients never read ``law_seg``, so the d + 1 empirical laws of
     every step are only materialized when one does.  The measures are views
-    into ``paths``.
+    into the ensemble's ``paths``.
     """
 
-    def __init__(self, paths: np.ndarray, idx: int, d: int, dt: float):
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "_source", (paths, idx, d))
+    def __init__(self, ens: ParticleEnsemble, k: int):
+        d = ens.grid.delta_steps
+        object.__setattr__(self, "dt", ens.grid.dt)
+        object.__setattr__(self, "_source", (ens.paths, d + k, d))
         object.__setattr__(self, "_measures", None)
 
     @property
@@ -326,86 +305,94 @@ class _LazyLawSegment(MeasureSegment):
         return self._source[2] + 1
 
 
-def _law_segment_from(paths: np.ndarray, idx: int, d: int, dt: float) -> MeasureSegment:
-    return _LazyLawSegment(paths, idx, d, dt)
+def _new_ensemble(
+    coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None, xi, control_history=0.0
+) -> ParticleEnsemble:
+    """Ensemble with the state and control histories filled in, the rest of
+    ``paths`` unset, the rest of ``controls_full`` zero, and zeroed noise.
 
+    ``jumps=None`` means no jumps.  ``jump_counts`` is ``None`` unless jumps
+    are active and the dynamics have a jump coefficient.
+    """
+    jumps = jumps if jumps is not None else JumpModel.none()
+    d, K, N = grid.delta_steps, grid.n_steps, grid.n_particles
+    paths = np.empty((N, d + K + 1))
+    paths[:, : d + 1] = _materialize_history(xi, grid)
 
-def _noise_arrays(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel):
-    """Zeroed ``(brownian, jump_counts)`` for one ensemble; ``jump_counts`` is
-    ``None`` unless jumps are active and the dynamics have a jump coefficient."""
-    N, K = grid.n_particles, grid.n_steps
-    brownian = np.zeros((N, K))
+    ucols = np.zeros((N, d + K + 1))
+    if d > 0:
+        hist = np.asarray(control_history, dtype=float)
+        if hist.ndim == 0:
+            ucols[:, :d] = float(hist)
+        elif hist.shape == (d,):
+            ucols[:, :d] = hist
+        else:
+            raise MeshMismatchError(f"control history must be scalar or shape ({d},)")
+
     use_jumps = jumps.active and coeffs.jump is not None
-    jump_counts = np.zeros((N, K, len(jumps.marks)), dtype=np.int64) if use_jumps else None
-    return brownian, jump_counts
+    return ParticleEnsemble(
+        grid=grid,
+        paths=paths,
+        controls_full=ucols,
+        brownian=np.zeros((N, K)),
+        jump_counts=np.zeros((N, K, len(jumps.marks)), dtype=np.int64) if use_jumps else None,
+        jumps=jumps,
+    )
 
 
-def _draw_noise(
-    coeffs: CoefficientSet,
-    grid: SimGrid,
-    jumps: JumpModel,
-    k_start: int,
-    k_stop: int,
-    brownian: np.ndarray,
-    jump_counts: np.ndarray | None,
-) -> None:
-    """Fill ``brownian[:, k]`` and ``jump_counts[:, k, :]`` for steps
+def _draw_noise(coeffs: CoefficientSet, ens: ParticleEnsemble, k_start: int, k_stop: int) -> None:
+    """Fill ``ens.brownian[:, k]`` and ``ens.jump_counts[:, k, :]`` for steps
     ``k_start..k_stop-1`` from the per-step streams.
 
     Brownian increments are drawn only when there is a diffusion coefficient,
     jump counts only when ``jump_counts`` is allocated; untouched entries stay
     zero.
     """
+    grid, jumps = ens.grid, ens.jumps
     N = grid.n_particles
     if coeffs.diffusion is not None:
         sq = math.sqrt(grid.dt)
         for k in range(k_start, k_stop):
-            brownian[:, k] = step_generator(grid.seed, k, BROWNIAN).standard_normal(N) * sq
-    if jump_counts is not None:
+            ens.brownian[:, k] = step_generator(grid.seed, k, BROWNIAN).standard_normal(N) * sq
+    if ens.jump_counts is not None:
         mark_rates = np.array(jumps.probs) * jumps.intensity * grid.dt
         for k in range(k_start, k_stop):
-            jump_counts[:, k, :] = step_generator(grid.seed, k, JUMPS).poisson(mark_rates, size=(N, len(jumps.marks)))
+            ens.jump_counts[:, k, :] = step_generator(grid.seed, k, JUMPS).poisson(mark_rates, size=(N, mark_rates.size))
 
 
 def _euler_window(
     coeffs: CoefficientSet,
-    grid: SimGrid,
-    jumps: JumpModel,
     ctrl: _Control,
-    read_paths: np.ndarray,
+    read_ens: ParticleEnsemble,
     write_paths: np.ndarray,
-    ucols: np.ndarray,
     k_start: int,
     k_stop: int,
-    brownian: np.ndarray,
-    jump_counts: np.ndarray | None,
 ) -> None:
     """Advance ``write_paths`` over steps ``k_start..k_stop-1``.
 
-    Coefficient inputs (state, segments, laws, control) are read from
-    ``read_paths``; increments accumulate on ``write_paths``.  Passing the same
-    array for both gives the ordinary explicit scheme.  The noise of those
-    steps must already be in ``brownian`` / ``jump_counts`` (see
+    Coefficient inputs (state, segments, laws) are read from
+    ``read_ens.paths``; increments accumulate on ``write_paths``.  Passing the
+    ensemble's own ``paths`` gives the ordinary explicit scheme.  The applied
+    control is recorded in ``read_ens.controls_full``, and the noise of those
+    steps must already be in its ``brownian`` / ``jump_counts`` (see
     :func:`_draw_noise`).
     """
-    d, dt = grid.delta_steps, grid.dt
+    d, dt = read_ens.grid.delta_steps, read_ens.grid.dt
+    jumps, jump_counts = read_ens.jumps, read_ens.jump_counts
 
     for k in range(k_start, k_stop):
         idx = d + k
         t = k * dt
-        x = read_paths[:, idx]
-        x_seg = read_paths[:, idx - d : idx + 1][:, ::-1]
-        law = EmpiricalMeasure(x)
-        law_seg = _law_segment_from(read_paths, idx, d, dt)
+        x, x_seg, law, law_seg = read_ens.step_inputs(k)
         u = ctrl.value(k, t, x, x_seg, law)
-        ucols[:, idx] = u
-        u_seg = ucols[:, idx - d : idx + 1][:, ::-1]
+        read_ens.controls_full[:, idx] = u
+        u_seg = read_ens.control_window(k)
 
         nxt = write_paths[:, idx].copy()
         if coeffs.drift is not None:
             nxt += dt * np.asarray(coeffs.drift(t, x, x_seg, law, law_seg, u, u_seg))
         if coeffs.diffusion is not None:
-            nxt += np.asarray(coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg)) * brownian[:, k]
+            nxt += np.asarray(coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg)) * read_ens.brownian[:, k]
         if jump_counts is not None:
             counts = jump_counts[:, k, :]
             for a, (z, p) in enumerate(zip(jumps.marks, jumps.probs)):
@@ -416,6 +403,14 @@ def _euler_window(
         if bad.any():
             raise SimulationBlowupError(step=k, time=t, n_bad=int(bad.sum()))
         write_paths[:, idx + 1] = nxt
+
+
+def _record_horizon_control(ens: ParticleEnsemble, ctrl: _Control) -> None:
+    """Record the control at the horizon: no step is integrated from it, but
+    the cost evaluation needs it."""
+    K = ens.grid.n_steps
+    x, x_seg, law, _ = ens.step_inputs(K)
+    ens.controls_full[:, ens.grid.delta_steps + K] = ctrl.value(K, ens.grid.horizon, x, x_seg, law)
 
 
 def simulate(
@@ -433,43 +428,12 @@ def simulate(
     before time zero (scalar or (delta_steps,) array).  Identical ``grid``
     (including seed) and inputs reproduce the ensemble bit for bit.
     """
-    jumps = jumps if jumps is not None else JumpModel.none()
-    d, K, N = grid.delta_steps, grid.n_steps, grid.n_particles
-    n_total = d + K + 1
-
-    paths = np.empty((N, n_total))
-    paths[:, : d + 1] = _materialize_history(xi, grid)
-
-    ucols = np.zeros((N, n_total))
-    if d > 0:
-        hist = np.asarray(control_history, dtype=float)
-        if hist.ndim == 0:
-            ucols[:, :d] = float(hist)
-        elif hist.shape == (d,):
-            ucols[:, :d] = hist
-        else:
-            raise MeshMismatchError(f"control history must be scalar or shape ({d},)")
-
+    ens = _new_ensemble(coeffs, grid, jumps, xi, control_history)
     ctrl = as_control(control)
-    brownian, jump_counts = _noise_arrays(coeffs, grid, jumps)
-    _draw_noise(coeffs, grid, jumps, 0, K, brownian, jump_counts)
-
-    _euler_window(coeffs, grid, jumps, ctrl, paths, paths, ucols, 0, K, brownian, jump_counts)
-
-    # record the control at the horizon (cost evaluation needs it)
-    idx = d + K
-    x = paths[:, idx]
-    x_seg = paths[:, idx - d : idx + 1][:, ::-1]
-    ucols[:, idx] = ctrl.value(K, grid.horizon, x, x_seg, EmpiricalMeasure(x))
-
-    return ParticleEnsemble(
-        grid=grid,
-        paths=paths,
-        controls_full=ucols,
-        brownian=brownian,
-        jump_counts=jump_counts,
-        jumps=jumps,
-    )
+    _draw_noise(coeffs, ens, 0, grid.n_steps)
+    _euler_window(coeffs, ctrl, ens, ens.paths, 0, grid.n_steps)
+    _record_horizon_control(ens, ctrl)
+    return ens
 
 
 def law_at(ens: ParticleEnsemble, t: float) -> EmpiricalMeasure:
@@ -480,8 +444,7 @@ def law_at(ens: ParticleEnsemble, t: float) -> EmpiricalMeasure:
 
 def law_segment(ens: ParticleEnsemble, t: float) -> MeasureSegment:
     """Backward law segment at t: entry j is the law at lag j dt."""
-    k = ens.grid.index_of(t)
-    return _law_segment_from(ens.paths, ens.grid.delta_steps + k, ens.grid.delta_steps, ens.grid.dt)
+    return _LazyLawSegment(ens, ens.grid.index_of(t))
 
 
 def pathwise_cost(ens: ParticleEnsemble, coeffs: CoefficientSet) -> np.ndarray:
@@ -493,15 +456,10 @@ def pathwise_cost(ens: ParticleEnsemble, coeffs: CoefficientSet) -> np.ndarray:
     if coeffs.running_cost is not None:
         w = trapezoid_weights(K + 1, dt)
         for k in range(K + 1):
-            idx = d + k
-            t = k * dt
-            x = ens.paths[:, idx]
-            x_seg = ens.backward_window(k)
-            law = EmpiricalMeasure(x)
-            law_seg = _law_segment_from(ens.paths, idx, d, dt)
-            u = ens.controls_full[:, idx]
+            x, x_seg, law, law_seg = ens.step_inputs(k)
+            u = ens.controls_full[:, d + k]
             u_seg = ens.control_window(k)
-            total += w[k] * np.asarray(coeffs.running_cost(t, x, x_seg, law, law_seg, u, u_seg))
+            total += w[k] * np.asarray(coeffs.running_cost(k * dt, x, x_seg, law, law_seg, u, u_seg))
     if coeffs.terminal_cost is not None:
         xT = ens.state_column(K)
         total += np.asarray(coeffs.terminal_cost(xT, EmpiricalMeasure(xT)))

@@ -43,6 +43,7 @@ from memsfde.engine import (
     ControlProblem,
     JumpModel,
     _as_time_fn,
+    _materialize_history,
     combine_controls,
     pathwise_cost,
 )
@@ -198,12 +199,7 @@ def control_problem(spec: MeanVarSpec, grid: SimGrid) -> ControlProblem:
 def simulate_optimal(spec: MeanVarSpec, grid: SimGrid):
     """Simulate the optimally controlled ensemble; returns (ensemble, solution)."""
     sol = solve_closed_form(spec, grid)
-    hist = np.atleast_1d(np.asarray(
-        [spec.xi(t) for t in grid.times_full()[: grid.delta_steps + 1]]
-        if callable(spec.xi)
-        else spec.xi,
-        dtype=float,
-    ))
+    hist = _materialize_history(spec.xi, grid)
     # equality is the degenerate-but-legal case (zero control, X constant);
     # the pathwise positivity claim needs strict inequality
     if np.min(hist) < spec.target:

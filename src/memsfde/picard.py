@@ -21,7 +21,7 @@ columns its window reads (the window plus the memory span before it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,13 +31,12 @@ from memsfde.engine import (
     ParticleEnsemble,
     _draw_noise,
     _euler_window,
-    _materialize_history,
-    _noise_arrays,
+    _new_ensemble,
+    _record_horizon_control,
     as_control,
     simulate,
 )
 from memsfde.grid import SimGrid
-from memsfde.measures import EmpiricalMeasure
 
 __all__ = ["PicardReport", "picard_solve", "consistency_check"]
 
@@ -92,8 +91,7 @@ def picard_solve(
     to ``tol``; ``max_iter`` (at least 1) defaults to ``t0_steps + 5``, past
     the point where exactness is guaranteed.
     """
-    jumps = jumps if jumps is not None else JumpModel.none()
-    d, K, N = grid.delta_steps, grid.n_steps, grid.n_particles
+    d, K = grid.delta_steps, grid.n_steps
     if t0_steps is None:
         t0_steps = K
     if t0_steps <= 0 or K % t0_steps != 0:
@@ -104,12 +102,11 @@ def picard_solve(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     ctrl = as_control(control)
 
-    n_total = d + K + 1
-    paths = np.empty((N, n_total))
-    paths[:, : d + 1] = _materialize_history(xi, grid)
+    ens = _new_ensemble(coeffs, grid, jumps, xi)
+    paths = ens.paths
+    # the frozen iterate: its own paths, the solve's controls and noise
     prev = np.empty_like(paths)
-    ucols = np.zeros((N, n_total))
-    brownian, jump_counts = _noise_arrays(coeffs, grid, jumps)
+    frozen = replace(ens, paths=prev)
 
     n_windows = K // t0_steps
     all_dists: list[tuple] = []
@@ -122,7 +119,7 @@ def picard_solve(
         lo, hi = d + k0, d + k1
         # initial guess: constant extension of the window's starting value
         paths[:, lo + 1 : hi + 1] = paths[:, lo][:, None]
-        _draw_noise(coeffs, grid, jumps, k0, k1, brownian, jump_counts)
+        _draw_noise(coeffs, ens, k0, k1)
         dists: list[float] = []
         ratios: list[float] = []
         window_done = False
@@ -130,7 +127,7 @@ def picard_solve(
             # the sweep reads columns k0..hi-1 (memory span plus window) and
             # the distance below reads lo+1..hi
             prev[:, k0 : hi + 1] = paths[:, k0 : hi + 1]
-            _euler_window(coeffs, grid, jumps, ctrl, prev, paths, ucols, k0, k1, brownian, jump_counts)
+            _euler_window(coeffs, ctrl, frozen, paths, k0, k1)
             diff = paths[:, lo + 1 : hi + 1] - prev[:, lo + 1 : hi + 1]
             dist = float(np.mean(np.max(diff * diff, axis=1)))
             if dists and dists[-1] > 0.0:
@@ -146,19 +143,8 @@ def picard_solve(
             converged = False
 
     # controls were recorded by each window's last sweep; only the terminal
-    # column remains (no step is integrated from it)
-    idx = d + K
-    x = paths[:, idx]
-    ucols[:, idx] = ctrl.value(K, grid.horizon, x, paths[:, idx - d : idx + 1][:, ::-1], EmpiricalMeasure(x))
-
-    ens = ParticleEnsemble(
-        grid=grid,
-        paths=paths,
-        controls_full=ucols,
-        brownian=brownian,
-        jump_counts=jump_counts,
-        jumps=jumps,
-    )
+    # column remains
+    _record_horizon_control(ens, ctrl)
     report = PicardReport(
         window_steps=t0_steps,
         window_starts=tuple(w * t0_steps * grid.dt for w in range(n_windows)),

@@ -203,6 +203,13 @@ class TestConfigErrors:
         err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)
         assert "[grid] seed: missing required key" in err
 
+    def test_horizon_must_span_at_least_one_step(self, tmp_path, capsys):
+        # within the multiple-of-dt tolerance, but zero steps
+        text = SIM_TINY.replace("horizon = 0.5", "horizon = 1e-12").replace("delta = 0.1", "delta = 0")
+        path = write_cfg(tmp_path, text.replace("dt = 0.01", "dt = 1"))
+        err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)
+        assert f"{path}:4: [grid] horizon: must be at least one step" in err
+
     def test_lag_span_must_be_a_multiple_of_dt(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SIM_TINY.replace("delta = 0.1", "delta = 0.035"))
         err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)
@@ -320,6 +327,23 @@ class TestFailedChecks:
         assert manifest["checks_passed"] is False
         # the manifest is still written in full so the failure can be audited
         assert (out / "picard_iters.csv").exists()
+
+
+class TestStrictManifest:
+    def test_non_finite_scalar_is_written_as_null(self, tmp_path, capsys):
+        # with tol = 1 no window iterates twice, so there is no contraction
+        # ratio and the worst final ratio is NaN
+        path = write_cfg(tmp_path, PICARD_TINY + "tol = 1.0\n")
+        out = tmp_path / "out"
+        assert main(["picard", "--config", path, "--out", str(out)]) in (EXIT_OK, EXIT_CHECKS_FAILED)
+        text = (out / "manifest.json").read_text(encoding="utf-8")
+
+        def reject(constant):
+            raise AssertionError(f"manifest holds the non-JSON constant {constant}")
+
+        manifest = json.loads(text, parse_constant=reject)
+        assert manifest["scalars"]["worst_final_ratio"] is None
+        assert manifest["scalars"]["total_iterations"] == manifest["scalars"]["windows"]
 
 
 class TestHappyPaths:

@@ -282,6 +282,18 @@ class TestControls:
         got = combo.value(0, 0.25, x, None, None)
         np.testing.assert_allclose(got, 0.5 + 2.0 * 0.25)
 
+    def test_combined_control_sums_onto_zero(self):
+        # a -0.0 base value comes out as +0.0, as a sum started from zeros does
+        combo = combine_controls(lambda t, x, xs, m: -0.0 * x, None, 1.0)
+        got = combo.value(0, 0.0, np.ones(3), None, None)
+        assert not np.signbit(got).any()
+
+    def test_normalized_control_is_not_callable(self):
+        # feedback rules are recognized by being callable; a normalized
+        # control must not be mistaken for one
+        assert not callable(as_control(0.5))
+        assert not callable(combine_controls(0.5, None, 1.0))
+
     def test_control_memory_window(self):
         # drift reads the lag-delta control; the pre-horizon window is supplied
         # via control_history, so the state climbs at rate 3 for delta time

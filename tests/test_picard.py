@@ -137,20 +137,27 @@ class TestNoiseReuse:
 
     def test_short_windows_reproduce_the_direct_ensemble(self):
         # windows shorter than the lag with state-free noise coefficients: the
-        # solve is exact, so paths and the stored noise match bit for bit
+        # solve is exact, so paths, the recorded controls and the stored noise
+        # match bit for bit, for no control, a per-particle open-loop array
+        # and a feedback rule
         grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.6, n_particles=8, seed=3)
         coeffs = CoefficientSet(
-            drift=LAG_DRIFT.drift,
+            drift=lambda t, x, xs, m, ms, u, us: xs[:, -1] + u,
             diffusion=lambda *a: 0.3,
             jump=lambda t, x, xs, m, ms, u, us, mark: 0.1 * mark,
         )
-        ens, report = picard_solve(coeffs, grid, jumps=TWO_MARKS, xi=1.0, t0_steps=2)
-        direct = simulate(coeffs, grid, jumps=TWO_MARKS, xi=1.0)
-        assert report.converged
-        np.testing.assert_array_equal(ens.paths, direct.paths)
-        np.testing.assert_array_equal(ens.brownian, direct.brownian)
-        np.testing.assert_array_equal(ens.jump_counts, direct.jump_counts)
-        assert np.any(ens.brownian != 0.0) and np.any(ens.jump_counts != 0)
+        per_particle = np.random.default_rng(0).standard_normal((grid.n_particles, grid.n_steps + 1))
+        feedback = lambda t, x, xs, law: 0.2 * xs[:, -1] - 0.5 * x + 0.1 * law.mean()
+        for control in (None, per_particle, feedback):
+            ens, report = picard_solve(coeffs, grid, jumps=TWO_MARKS, xi=1.0, control=control, t0_steps=2)
+            direct = simulate(coeffs, grid, jumps=TWO_MARKS, xi=1.0, control=control)
+            assert report.converged
+            np.testing.assert_array_equal(ens.paths, direct.paths)
+            np.testing.assert_array_equal(ens.controls_full, direct.controls_full)
+            np.testing.assert_array_equal(ens.brownian, direct.brownian)
+            np.testing.assert_array_equal(ens.jump_counts, direct.jump_counts)
+            assert np.any(ens.brownian != 0.0) and np.any(ens.jump_counts != 0)
+            assert (control is None) == np.all(ens.controls == 0.0)
 
     def test_solved_ensemble_gives_the_recomputed_gap(self):
         # stop short of convergence so the gap is not trivially zero
