@@ -4,9 +4,8 @@ Four pieces live here:
 
 * ``hamiltonian`` — the scalar pairing of dynamics with adjoint variables,
   ``running_cost + p0*drift + q0*diffusion + integral(r0*jump)``, zero past the
-  horizon.  (The pairing against the law's time derivative is carried as a
-  structural slot; every implemented problem has no law dependence in the
-  coefficients, so only the zero functional is ever instantiated.)
+  horizon.  No implemented problem has law-dependent coefficients, so the
+  pairing against the law's time derivative is identically zero and omitted.
 * ``SegmentFunctional`` / ``riesz_advanced`` / ``riesz_duality_check`` — bounded
   linear functionals on memory segments (an averaging kernel on [0, delta], or
   evaluation at a fixed lag) and the change-of-variables identity that converts
@@ -16,10 +15,11 @@ Four pieces live here:
   and O(dt) on the mesh.
 * ``solve_absde`` — least-squares Monte Carlo backward sweep for the adjoint
   triple (p0, q0, r0).  The equation is *advanced*: the driver at time t may
-  read the (already computed) solution on [t, t+delta].  Conditioning on the
-  time-t information is done by regression onto a state basis; the Brownian and
-  compensated-jump loadings come out as the regression coefficients of the
-  basis interacted with the corresponding noise increments.
+  read the (already computed) solution on [t, t+delta], read as zero past the
+  horizon: the convention under which the duality identity above is exact.
+  Conditioning on the time-t information is done by regression onto a state
+  basis; the Brownian and compensated-jump loadings come out as the regression
+  coefficients of the basis interacted with the corresponding noise increments.
 * ``max_condition_gap`` / ``stationarity_gap`` — numerical optimality tests:
   how much the Hamiltonian can be improved over a candidate control grid, and
   the common-random-number central difference of the performance functional in
@@ -39,6 +39,7 @@ from memsfde.engine import (
     ControlProblem,
     JumpModel,
     ParticleEnsemble,
+    _mean_and_stderr,
     combine_controls,
     pathwise_cost,
 )
@@ -192,10 +193,8 @@ class HamiltonianInputs:
 
     Scalars or (N,) arrays are accepted throughout; ``law`` defaults to the
     Dirac mass at ``x`` and segments default to constant extensions, which is
-    what pointwise evaluations want.  ``r0`` may be a scalar/array (a loading
-    constant in the jump mark) or a callable of the mark.  ``p1`` is the
-    pairing against the law derivative ``law_rate``; no implemented problem
-    has law-dependent coefficients, so only the zero functional is used.
+    what pointwise evaluations want.  ``r0`` is a scalar/array: a loading
+    constant in the jump mark.
     """
 
     t: float
@@ -208,8 +207,6 @@ class HamiltonianInputs:
     law_seg: MeasureSegment | None = None
     u: object = 0.0
     u_seg: np.ndarray | None = None
-    p1: object = None
-    law_rate: object = None
 
 
 def hamiltonian(
@@ -263,17 +260,9 @@ def hamiltonian(
             coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg)
         )
     if coeffs.jump is not None and jumps.active:
-        r0 = inputs.r0
-        if callable(r0):
-            total = total + jumps.nu_integral(
-                lambda z: np.asarray(r0(z)) * np.asarray(coeffs.jump(t, x, x_seg, law, law_seg, u, u_seg, z))
-            )
-        else:
-            total = total + np.asarray(r0) * jumps.nu_integral(
-                lambda z: np.asarray(coeffs.jump(t, x, x_seg, law, law_seg, u, u_seg, z))
-            )
-    if inputs.p1 is not None:
-        total = total + inputs.p1(inputs.law_rate)
+        total = total + np.asarray(inputs.r0) * jumps.nu_integral(
+            lambda z: np.asarray(coeffs.jump(t, x, x_seg, law, law_seg, u, u_seg, z))
+        )
     return float(total[0]) if scalar_in else total
 
 
@@ -299,16 +288,9 @@ class AdjointTriple:
     mean_stderr: np.ndarray  # (n_steps + 1,)
     deficient_steps: tuple = ()
 
-    @property
-    def n_particles(self) -> int:
-        return self.p0.shape[0]
-
     def p0_on_horizon(self) -> np.ndarray:
         """View of p0 restricted to the [0, T] mesh."""
         return self.p0[:, : self.grid.n_steps + 1]
-
-    def p0_path(self, i: int) -> GridPath:
-        return GridPath(values=self.p0[i].copy(), dt=self.grid.dt, t0=0.0, delta_steps=self.grid.delta_steps)
 
     def check_terminal_conventions(self) -> bool:
         K, d = self.grid.n_steps, self.grid.delta_steps
@@ -365,21 +347,17 @@ def default_basis(ens: ParticleEnsemble, k: int) -> np.ndarray:
 class SweepContext:
     """Backward-sweep state handed to ABSDE drivers.
 
-    Drivers may read the solution strictly ahead of the current step (that is
-    what makes the equation advanced); reads are logged so tests can assert
-    the support and extension conventions.  ``extension="terminal"`` reads the
-    stored terminal extension of p0; ``extension="zero"`` treats everything
-    past the horizon as zero — the convention under which the duality identity
-    behind the driver is exact.
+    Drivers may read the solution strictly ahead of the current step and at
+    most one memory window ahead (that is what makes the equation advanced).
+    Everything past the horizon reads as zero — the convention under which
+    the duality identity behind the driver is exact.
     """
 
     def __init__(self, ens: ParticleEnsemble, p0: np.ndarray, q0: np.ndarray, r0: np.ndarray):
-        self.ens = ens
         self.grid = ens.grid
         self._p0 = p0
         self._q0 = q0
         self._r0 = r0
-        self.read_log: list[tuple[int, int, str]] = []
 
     def _check_ahead(self, k: int, ahead: int, name: str) -> None:
         if ahead < 1:
@@ -387,49 +365,42 @@ class SweepContext:
         if ahead > self.grid.delta_steps:
             raise ValueError(f"{name} at step {k}: read offset {ahead} exceeds the memory window")
 
-    def _future(self, arr, k: int, ahead: int, extension: str, name: str):
+    def _future(self, arr, k: int, ahead: int, name: str):
         self._check_ahead(k, ahead, name)
-        self.read_log.append((k, ahead, extension))
         j = k + ahead
-        K = self.grid.n_steps
-        if extension == "zero" and j > K:
+        if j > self.grid.n_steps:
             return np.zeros(arr.shape[0])
-        j = min(j, arr.shape[1] - 1)
         return arr[:, j]
 
-    def p0_future(self, k: int, ahead: int, extension: str = "terminal") -> np.ndarray:
-        return self._future(self._p0, k, ahead, extension, "p0")
+    def p0_future(self, k: int, ahead: int) -> np.ndarray:
+        return self._future(self._p0, k, ahead, "p0")
 
     def q0_future(self, k: int, ahead: int) -> np.ndarray:
-        return self._future(self._q0, k, ahead, "zero", "q0")
+        return self._future(self._q0, k, ahead, "q0")
 
     def r0_future(self, k: int, ahead: int) -> np.ndarray:
-        return self._future(self._r0, k, ahead, "zero", "r0")
+        return self._future(self._r0, k, ahead, "r0")
 
-    def advanced_average(self, k: int, f: SegmentFunctional, extension: str = "zero") -> np.ndarray:
+    def advanced_average(self, k: int, f: SegmentFunctional) -> np.ndarray:
         """Kernel-weighted integral of future p0 over the memory window.
 
         Trapezoid in the lag variable; the lag-0 endpoint is read one step
         ahead to keep the sweep explicit (an O(dt^3) perturbation of the
         step's integral).  Computed as one matrix-vector product over the
         live band ``p0[:, k+1 : min(k+d, K)+1]``: the lag-0 weight is folded
-        onto lag 1, and the weights of lags past the horizon are dropped
-        (``"zero"``) or folded onto column K (``"terminal"``, whose stored
-        extension repeats column K).  Each lag 1..d is logged as one read.
+        onto lag 1, and lags past the horizon read zero, so their weights
+        are dropped.
         """
         if f.kind == "evaluation":
-            return self.p0_future(k, f.point_steps, extension)
+            return self.p0_future(k, f.point_steps)
         d = f.delta_steps
         lags = max(d, 1)
         self._check_ahead(k, lags, "p0")
-        self.read_log.extend((k, j, extension) for j in range(1, lags + 1))
         w = trapezoid_weights(d + 1, f.dt) * f.kernel
         folded = np.zeros(lags)
         folded[:d] = w[1:]
         folded[0] += w[0]
         live = min(lags, self.grid.n_steps - k)
-        if extension != "zero" and live < lags:
-            folded[live - 1] += folded[live:].sum()
         return self._p0[:, k + 1 : k + 1 + live] @ folded[:live]
 
 
@@ -438,9 +409,8 @@ def solve_absde(
     terminal,
     driver=None,
     basis=None,
-    return_context: bool = False,
     warn: bool = True,
-):
+) -> AdjointTriple:
     """Backward least-squares sweep for the adjoint triple along an ensemble.
 
     ``terminal(x_T, law_T)`` gives p0 at the horizon.  ``driver(ctx, k)``
@@ -498,7 +468,7 @@ def solve_absde(
         q0[:, k] = phi @ beta[m : 2 * m]
         if use_jumps:
             r0[:, k] = phi @ beta[2 * m : 3 * m]
-        mean_stderr[k] = target.std(ddof=1) / math.sqrt(N) if N > 1 else 0.0
+        _, mean_stderr[k] = _mean_and_stderr(target)
 
     if deficient and warn:
         log.warning(
@@ -506,7 +476,7 @@ def solve_absde(
             len(deficient),
             K,
         )
-    triple = AdjointTriple(
+    return AdjointTriple(
         grid=grid,
         p0=p0,
         q0=q0,
@@ -514,7 +484,6 @@ def solve_absde(
         mean_stderr=mean_stderr,
         deficient_steps=tuple(reversed(deficient)),
     )
-    return (triple, ctx) if return_context else triple
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +498,6 @@ def max_condition_gap(
     jumps: JumpModel | None = None,
     filtration: str = "trivial",
     basis=None,
-    step_stride: int = 1,
 ) -> tuple[float, float]:
     """Worst improvement of the conditional Hamiltonian over a control grid.
 
@@ -551,7 +519,7 @@ def max_condition_gap(
     grid = ens.grid
     best_gap, best_se = -math.inf, 0.0
 
-    for k in range(0, grid.n_steps, step_stride):
+    for k in range(grid.n_steps):
         x, x_seg, law, law_seg = ens.step_inputs(k)
         u_seg = ens.control_window(k)
         common = dict(
@@ -569,21 +537,18 @@ def max_condition_gap(
         if filtration == "trivial":
             for c in candidates:
                 diff = hamiltonian(coeffs, HamiltonianInputs(u=c, **common), jumps, grid.horizon) - h_used
-                gap = float(np.mean(diff))
+                gap, se = _mean_and_stderr(diff)
                 if gap > best_gap:
-                    best_gap = gap
-                    best_se = float(np.std(diff, ddof=1) / math.sqrt(len(diff))) if len(diff) > 1 else 0.0
+                    best_gap, best_se = gap, se
         elif filtration == "full":
             phi = basis(ens, k)
             diffs = np.column_stack(
                 [hamiltonian(coeffs, HamiltonianInputs(u=c, **common), jumps, grid.horizon) - h_used for c in candidates]
             )
             beta, _ = _regress(phi, diffs)
-            pointwise = np.max(phi @ beta, axis=1)
-            gap = float(pointwise.mean())
+            gap, se = _mean_and_stderr(np.max(phi @ beta, axis=1))
             if gap > best_gap:
-                best_gap = gap
-                best_se = float(pointwise.std(ddof=1) / math.sqrt(len(pointwise))) if len(pointwise) > 1 else 0.0
+                best_gap, best_se = gap, se
         else:
             raise ValueError("filtration must be 'trivial' or 'full'")
     return best_gap, best_se
@@ -606,7 +571,4 @@ def stationarity_gap(
     plus = problem.simulate(combine_controls(control, direction, +eps))
     minus = problem.simulate(combine_controls(control, direction, -eps))
     per_path = (pathwise_cost(plus, problem.coeffs) - pathwise_cost(minus, problem.coeffs)) / (2.0 * eps)
-    n = per_path.size
-    if n == 1:
-        return float(per_path[0]), 0.0
-    return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n))
+    return _mean_and_stderr(per_path)

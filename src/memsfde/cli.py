@@ -637,7 +637,7 @@ def run_lq(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> Run
     )
 
     if want_verify:
-        ver = lq_memory.verify_lq((control, adjoint, report), spec, grid, eps=eps, damping=damping)
+        ver = lq_memory.verify_lq((control, adjoint, report), spec, grid, eps=eps)
         write_csv(os.path.join(outdir, "verification.csv"), ("name", "value"), ver.rows())
         res.artifacts.append("verification.csv")
 

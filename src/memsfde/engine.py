@@ -466,13 +466,17 @@ def pathwise_cost(ens: ParticleEnsemble, coeffs: CoefficientSet) -> np.ndarray:
     return total
 
 
+def _mean_and_stderr(values) -> tuple[float, float]:
+    """Sample mean and its Monte Carlo standard error (0 for one sample)."""
+    values = np.asarray(values)
+    n = values.size
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(values.mean()), se
+
+
 def performance(ens: ParticleEnsemble, coeffs: CoefficientSet) -> tuple[float, float]:
     """Monte Carlo estimate of the cost functional: ``(mean, standard error)``."""
-    cost = pathwise_cost(ens, coeffs)
-    n = cost.size
-    if n == 1:
-        return float(cost[0]), 0.0
-    return float(cost.mean()), float(cost.std(ddof=1) / math.sqrt(n))
+    return _mean_and_stderr(pathwise_cost(ens, coeffs))
 
 
 @dataclass(frozen=True)

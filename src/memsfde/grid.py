@@ -64,6 +64,8 @@ class SimGrid:
         if self.n_particles < 1:
             raise ValueError(f"n_particles={self.n_particles} must be >= 1")
         _check_multiple(self.horizon, self.dt, "horizon")
+        if self.n_steps < 1:
+            raise ValueError(f"horizon={self.horizon} must span at least one step of dt={self.dt}")
 
     @property
     def n_steps(self) -> int:

@@ -43,6 +43,7 @@ from memsfde.engine import (
     ControlProblem,
     JumpModel,
     _as_time_fn,
+    _mean_and_stderr,
     combine_controls,
     pathwise_cost,
 )
@@ -149,7 +150,7 @@ def _adjoint_driver(spec: LQSpec, grid: SimGrid):
     functional = SegmentFunctional.averaging(kern, grid.delta_steps, grid.dt)
 
     def driver(ctx, k):
-        return ctx.advanced_average(k, functional, extension="zero")
+        return ctx.advanced_average(k, functional)
 
     return driver
 
@@ -194,7 +195,6 @@ def solve_lq(
     damping: float = 0.5,
     tol: float = 1e-4,
     max_iter: int = 50,
-    basis=None,
 ):
     """Damped fixed-point solve of the coupled forward-backward system.
 
@@ -212,7 +212,7 @@ def solve_lq(
     problem = control_problem(spec, grid)
     K, N = grid.n_steps, grid.n_particles
     wq = trapezoid_weights(K + 1, grid.dt)
-    basis_fn = basis if basis is not None else lq_basis(spec, grid)
+    basis_fn = lq_basis(spec, grid)
     driver = _adjoint_driver(spec, grid)
 
     control = np.zeros((N, K + 1))
@@ -285,13 +285,11 @@ def verify_lq(
     spec: LQSpec,
     grid: SimGrid,
     eps: float = 1e-3,
-    lambdas=(0.2, -0.2, 0.5, -0.5),
-    damping: float = 0.5,
-    basis=None,
 ) -> LQVerification:
     """First-order and pairwise optimality interrogation of a solved control.
 
-    ``solution`` is the (control, adjoint, report) triple from ``solve_lq``.
+    ``solution`` is the (control, adjoint, report) triple from ``solve_lq``;
+    the idempotence sweep is damped like the solve's (``report.damping``).
     The parabola diagnostics exploit that for frozen noise the performance is
     exactly quadratic in the size of an additive perturbation, so a quadratic
     fit over five sizes must be essentially interpolation: its curvature is
@@ -300,19 +298,18 @@ def verify_lq(
     """
     control, adjoint, report = solution
     problem = control_problem(spec, grid)
-    K, N = grid.n_steps, grid.n_particles
+    K = grid.n_steps
     wq = trapezoid_weights(K + 1, grid.dt)
-    basis_fn = basis if basis is not None else lq_basis(spec, grid)
 
     residual = np.abs((adjoint.p0_on_horizon() - control).mean(axis=0))
     coupling_residual_max = float(residual.max())
 
     # idempotence: one more forward+backward sweep barely moves the control
     ens = problem.simulate(control)
-    adj2 = _solve_adjoint(ens, _adjoint_driver(spec, grid), basis_fn)
+    adj2 = _solve_adjoint(ens, _adjoint_driver(spec, grid), lq_basis(spec, grid))
     if len(adj2.deficient_steps) > max(report.deficient_counts, default=0):
         _warn_deficient((len(adj2.deficient_steps),), K)
-    delta = damping * (adj2.p0_on_horizon() - control)
+    delta = report.damping * (adj2.p0_on_horizon() - control)
     idempotence_change = float(np.sqrt(np.mean((delta * delta) @ wq)))
 
     half = grid.horizon / 2.0
@@ -336,27 +333,10 @@ def verify_lq(
         return costs[lam]
 
     base_cost = costs[0.0]
-    j_rows = [
-        (
-            "solution",
-            float(base_cost.mean()),
-            float(base_cost.std(ddof=1) / math.sqrt(N)) if N > 1 else 0.0,
-            0.0,
-            0.0,
-        )
-    ]
-    for lam in lambdas:
-        cost = cost_at(float(lam))
-        diff = base_cost - cost
-        j_rows.append(
-            (
-                f"shift_{lam:+g}",
-                float(cost.mean()),
-                float(cost.std(ddof=1) / math.sqrt(N)) if N > 1 else 0.0,
-                float(diff.mean()),
-                float(diff.std(ddof=1) / math.sqrt(N)) if N > 1 else 0.0,
-            )
-        )
+    j_rows = [("solution", *_mean_and_stderr(base_cost), 0.0, 0.0)]
+    for lam in (0.2, -0.2, 0.5, -0.5):
+        cost = cost_at(lam)
+        j_rows.append((f"shift_{lam:+g}", *_mean_and_stderr(cost), *_mean_and_stderr(base_cost - cost)))
 
     lam_grid = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
     js = np.array([float(cost_at(float(l)).mean()) for l in lam_grid])

@@ -44,6 +44,7 @@ from memsfde.engine import (
     JumpModel,
     _as_time_fn,
     _materialize_history,
+    _mean_and_stderr,
     combine_controls,
     pathwise_cost,
 )
@@ -281,7 +282,7 @@ def verify_adjoint(spec: MeanVarSpec, grid: SimGrid, ens=None, sol=None) -> Mean
         j = k + d
         if j > K:
             return np.zeros(N)
-        p = ctx.p0_future(k, d, extension="zero")
+        p = ctx.p0_future(k, d)
         q = ctx.q0_future(k, d)
         r = ctx.r0_future(k, d)
         w = b0[j] * p + s0[j] * q + g0[j] * m1 * r
@@ -335,24 +336,14 @@ def j_comparison(spec: MeanVarSpec, grid: SimGrid, ens=None, sol=None):
         ens, sol = simulate_optimal(spec, grid)
     problem = control_problem(spec, grid)
     base_cost = pathwise_cost(ens, problem.coeffs)
-    n = base_cost.size
-    rows = [("optimal", float(base_cost.mean()), float(base_cost.std(ddof=1) / math.sqrt(n)), 0.0, 0.0)]
+    rows = [("optimal", *_mean_and_stderr(base_cost), 0.0, 0.0)]
     for label, kind, amount in PERTURBATION_FAMILY:
         if kind == "scale":
             control = combine_controls(None, sol.feedback, amount)
         else:
             control = combine_controls(sol.feedback, 1.0, amount)
         cost = pathwise_cost(problem.simulate(control), problem.coeffs)
-        diff = base_cost - cost
-        rows.append(
-            (
-                label,
-                float(cost.mean()),
-                float(cost.std(ddof=1) / math.sqrt(n)),
-                float(diff.mean()),
-                float(diff.std(ddof=1) / math.sqrt(n)),
-            )
-        )
+        rows.append((label, *_mean_and_stderr(cost), *_mean_and_stderr(base_cost - cost)))
     return rows
 
 

@@ -50,8 +50,6 @@ class PicardReport:
     ``ratios[w]`` are successive distance quotients.
     """
 
-    window_steps: int
-    window_starts: tuple
     distances: tuple  # tuple of tuples, one per window
     ratios: tuple
     iterations: tuple
@@ -146,8 +144,6 @@ def picard_solve(
     # column remains
     _record_horizon_control(ens, ctrl)
     report = PicardReport(
-        window_steps=t0_steps,
-        window_starts=tuple(w * t0_steps * grid.dt for w in range(n_windows)),
         distances=tuple(all_dists),
         ratios=tuple(all_ratios),
         iterations=tuple(iters),

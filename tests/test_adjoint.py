@@ -190,20 +190,17 @@ class TestBackwardSolver:
         # the fallback is still exact here: target stays the constant X(T)
         np.testing.assert_allclose(adj.p0, 1.5, atol=1e-12)
 
-    def test_driver_reads_are_logged_and_strictly_ahead(self):
+    def test_driver_runs_once_per_step_backwards(self):
         ens = brownian_ensemble(500, seed=5)
-        d = ens.grid.delta_steps
-        f = SegmentFunctional.averaging(lambda r: 1.0, delta_steps=d, dt=ens.grid.dt)
-        adj, ctx = solve_absde(
-            ens,
-            terminal=lambda x, law: -x,
-            driver=lambda c, k: c.advanced_average(k, f),
-            return_context=True,
-        )
-        assert ctx.read_log, "driver reads should be recorded"
-        for k, ahead, extension in ctx.read_log:
-            assert 1 <= ahead <= d
-            assert extension == "zero"
+        f = SegmentFunctional.averaging(lambda r: 1.0, delta_steps=ens.grid.delta_steps, dt=ens.grid.dt)
+        steps = []
+
+        def driver(ctx, k):
+            steps.append(k)
+            return ctx.advanced_average(k, f)
+
+        adj = solve_absde(ens, terminal=lambda x, law: -x, driver=driver)
+        assert steps == list(range(ens.grid.n_steps - 1, -1, -1))
         assert adj.check_terminal_conventions()
 
     def test_driver_cannot_read_current_or_far_future(self):
@@ -215,21 +212,31 @@ class TestBackwardSolver:
             solve_absde(ens, terminal=lambda x, law: x, driver=lambda c, k: c.p0_future(k, too_far))
 
     def test_zero_extension_convention_in_context(self):
-        ens = brownian_ensemble(50, seed=8)
-        K, d = ens.grid.n_steps, ens.grid.delta_steps
+        grid = SimGrid(dt=0.05, delta_steps=4, horizon=1.0, n_particles=200, seed=8)
+        jumps = JumpModel(intensity=3.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
+        coeffs = CoefficientSet(diffusion=lambda *a: 0.3, jump=lambda t, x, xs, m, ms, u, us, z: 0.2 * z)
+        ens = simulate(coeffs, grid, jumps=jumps, xi=1.0)
+        K = grid.n_steps
         seen = {}
 
         def probe(ctx, k):
+            if k == K - 2:
+                seen["p_at_horizon"] = ctx.p0_future(k, 2).copy()
+                seen["r_inside"] = ctx.r0_future(k, 1).copy()
             if k == K - 1:
-                seen["zero"] = ctx.p0_future(k, 2, extension="zero").copy()
-                seen["terminal"] = ctx.p0_future(k, 2, extension="terminal").copy()
+                seen["p_tail"] = ctx.p0_future(k, 2).copy()
                 seen["q_tail"] = ctx.q0_future(k, 2).copy()
+                seen["r_tail"] = ctx.r0_future(k, 2).copy()
             return np.zeros(ens.n_particles)
 
-        solve_absde(ens, terminal=lambda x, law: -x, driver=probe)
-        np.testing.assert_array_equal(seen["zero"], 0.0)
-        np.testing.assert_allclose(seen["terminal"], -ens.states[:, K])
-        np.testing.assert_array_equal(seen["q_tail"], 0.0)
+        adj = solve_absde(ens, terminal=lambda x, law: -x, driver=probe)
+        # reads up to the horizon see the stored solution, reads past it zero
+        np.testing.assert_array_equal(seen["p_at_horizon"], -ens.states[:, K])
+        np.testing.assert_array_equal(seen["r_inside"], adj.r0[:, K - 1])
+        assert np.any(seen["r_inside"] != 0.0)
+        for name in ("p_tail", "q_tail", "r_tail"):
+            np.testing.assert_array_equal(seen[name], 0.0)
+        assert adj.check_terminal_conventions()
 
 
 def rel_err(a, b) -> float:
@@ -353,8 +360,7 @@ class TestRegression:
 
 
 class TestAdvancedAverage:
-    @pytest.mark.parametrize("extension", ["zero", "terminal"])
-    def test_matvec_equals_lag_by_lag_sum(self, extension):
+    def test_matvec_equals_lag_by_lag_sum(self):
         ens = brownian_ensemble(50, seed=4, dt=0.05, delta_steps=6)
         K, d = ens.grid.n_steps, ens.grid.delta_steps
         rng = np.random.Generator(np.random.Philox(key=3))
@@ -364,12 +370,10 @@ class TestAdvancedAverage:
         f = SegmentFunctional.averaging(rng.uniform(size=d + 1), d, ens.grid.dt)
         w = trapezoid_weights(d + 1, ens.grid.dt) * f.kernel
         for k in (0, K - d - 1, K - d, K - 3, K - 1):
-            loop = w[0] * ctx.p0_future(k, 1, extension)
+            loop = w[0] * ctx.p0_future(k, 1)
             for j in range(1, d + 1):
-                loop = loop + w[j] * ctx.p0_future(k, j, extension)
-            ctx.read_log.clear()
-            np.testing.assert_allclose(ctx.advanced_average(k, f, extension), loop, rtol=1e-13, atol=1e-15)
-            assert ctx.read_log == [(k, j, extension) for j in range(1, d + 1)]
+                loop = loop + w[j] * ctx.p0_future(k, j)
+            np.testing.assert_allclose(ctx.advanced_average(k, f), loop, rtol=1e-13, atol=1e-15)
 
 
 class TestMaxCondition:

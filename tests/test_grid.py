@@ -36,6 +36,13 @@ def test_grid_validation():
         SimGrid(dt=0.1, delta_steps=-1, horizon=1.0, n_particles=1, seed=0)
 
 
+def test_horizon_must_span_at_least_one_step():
+    # 1e-12 passes the multiple-of-dt tolerance but rounds to zero steps
+    with pytest.raises(ValueError, match="at least one step"):
+        SimGrid(dt=1.0, delta_steps=0, horizon=1e-12, n_particles=3, seed=0)
+    assert SimGrid(dt=1.0, delta_steps=0, horizon=1.0, n_particles=3, seed=0).n_steps == 1
+
+
 def test_streams_are_reproducible_and_separated():
     a = step_generator(123, step=7, substream=BROWNIAN).standard_normal(16)
     b = step_generator(123, step=7, substream=BROWNIAN).standard_normal(16)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from memsfde import engine
-from memsfde.adjoint import SegmentFunctional, solve_absde
-from memsfde.grid import SimGrid
+from memsfde.adjoint import SegmentFunctional, SweepContext, solve_absde
+from memsfde.grid import SimGrid, trapezoid_weights
 from memsfde.lq_memory import (
     FixedPointDivergence,
     LQSpec,
@@ -117,23 +117,32 @@ class TestAdvancedDriverContract:
         spec = LQSpec()
         grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.5, n_particles=300, seed=7)
         ens = control_problem(spec, grid).simulate(0.0)
-        f = SegmentFunctional.averaging(spec.kernel_values(grid), grid.delta_steps, grid.dt)
-        adj, ctx = solve_absde(
-            ens,
-            terminal=lambda x, law: -x,
-            driver=lambda c, k: c.advanced_average(k, f, extension="zero"),
-            basis=lq_basis(spec, grid),
-            return_context=True,
-        )
         K, d = grid.n_steps, grid.delta_steps
-        assert ctx.read_log
-        for k, ahead, extension in ctx.read_log:
-            assert 1 <= ahead <= d
-            assert extension == "zero"
-        # every step consults the whole forward window once per lag
-        steps_seen = {k for k, _, _ in ctx.read_log}
-        assert steps_seen == set(range(K))
+        kern = spec.kernel_values(grid)
+        f = SegmentFunctional.averaging(kern, d, grid.dt)
+        w = trapezoid_weights(d + 1, grid.dt) * kern
+        steps = []
+
+        def driver(ctx, k):
+            steps.append(k)
+            return ctx.advanced_average(k, f)
+
+        adj = solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=lq_basis(spec, grid))
+        # every step calls the driver once, latest step first
+        assert steps == list(range(K - 1, -1, -1))
         assert adj.check_terminal_conventions()
+        # at step k only p0 on k+1..min(k+d, K) is read (NaN elsewhere would
+        # show), lag 0 is read one step ahead and lags past the horizon are 0
+        for k in range(K):
+            live = np.arange(k + 1, min(k + d, K) + 1)
+            p0 = np.full_like(adj.p0, np.nan)
+            p0[:, live] = adj.p0[:, live]
+            ctx = SweepContext(ens, p0, adj.q0, adj.r0)
+            expected = w[0] * adj.p0[:, k + 1]
+            for j in range(1, d + 1):
+                if k + j <= K:
+                    expected = expected + w[j] * adj.p0[:, k + j]
+            np.testing.assert_allclose(ctx.advanced_average(k, f), expected, rtol=1e-13, atol=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +168,23 @@ class TestRunEconomy:
             f"rank-deficient regression at {report.deficient_counts[0]} of {self.GRID.n_steps} steps "
             f"in each of {report.iterations} solves; least-norm/ensemble-mean fallback used"
         ]
+
+    def test_idempotence_is_damped_like_the_solve(self):
+        spec = LQSpec()
+        solution = solve_lq(spec, self.GRID, damping=0.25)
+        control, _, report = solution
+        ver = verify_lq(solution, spec, self.GRID)
+        # the undamped update of one more forward-backward sweep
+        grid = self.GRID
+        f = SegmentFunctional.averaging(spec.kernel_values(grid), grid.delta_steps, grid.dt)
+        ens = control_problem(spec, grid).simulate(control)
+        adj = solve_absde(
+            ens, terminal=lambda x, law: -x, driver=lambda c, k: c.advanced_average(k, f), basis=lq_basis(spec, grid)
+        )
+        update = adj.p0_on_horizon() - control
+        norm = math.sqrt(np.mean((update * update) @ trapezoid_weights(grid.n_steps + 1, grid.dt)))
+        assert report.damping == 0.25
+        assert ver.idempotence_change == pytest.approx(report.damping * norm, rel=1e-12)
 
     def test_verification_simulates_each_shift_once(self, monkeypatch):
         spec = LQSpec()

@@ -1,6 +1,7 @@
 """Delayed-gearing target tracking: closed form, optimality, and adjoint checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,15 @@ class TestOptimality:
         for label in ("scale_0.5", "scale_2.0", "shift_+1.0", "shift_-1.0"):
             _, _, _, gap, gap_se = rows[label]
             assert gap > 3.0 * gap_se, f"{label} should be clearly sub-optimal"
+
+    def test_one_particle_reports_zero_stderr(self):
+        grid = SimGrid(dt=0.05, delta_steps=2, horizon=0.5, n_particles=1, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = j_comparison(MeanVarSpec(), grid)
+        for label, j, se, gap, gap_se in rows:
+            assert math.isfinite(j) and math.isfinite(gap), label
+            assert se == 0.0 and gap_se == 0.0, label
 
     def test_stationarity_in_bounded_directions(self):
         rows = stationarity_suite(MeanVarSpec(), DESK_GRID, eps=1e-3)
