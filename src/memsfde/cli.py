@@ -223,6 +223,13 @@ def _steps_of(cfg: ConfigFile, section: str, key: str, span: float, dt: float, w
     return steps
 
 
+def _physical_memory_bytes() -> int | None:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def build_grid(cfg: ConfigFile) -> SimGrid:
     cfg.check_known("grid", GRID_KEYS)
     horizon = cfg.get_float("grid", "horizon")
@@ -252,7 +259,18 @@ def build_grid(cfg: ConfigFile) -> SimGrid:
         cfg._error("grid", "seed", "must be an unsigned 64-bit integer")
 
     delta_steps = _steps_of(cfg, "grid", "delta", delta, dt, "must be a non-negative integer multiple of dt")
-    _steps_of(cfg, "grid", "horizon", horizon, dt, "must be a positive integer multiple of dt", positive=True)
+    n_steps = _steps_of(cfg, "grid", "horizon", horizon, dt, "must be a positive integer multiple of dt", positive=True)
+    # one (N, d + K + 1) float array per ensemble; refuse before allocating it
+    points = delta_steps + n_steps + 1
+    memory = _physical_memory_bytes()
+    if memory is not None and particles * points * 8 > memory:
+        cfg._error(
+            "grid",
+            "particles",
+            f"{particles} particles on {points} mesh points need {particles * points * 8} bytes "
+            "per state array, more than the machine's physical memory "
+            f"({memory} bytes)",
+        )
     return SimGrid(dt=dt, delta_steps=delta_steps, horizon=horizon, n_particles=particles, seed=seed)
 
 
@@ -855,10 +873,13 @@ def main(argv=None) -> int:
         outdir = args.out or cfg.raw("output", "dir") or os.path.join("out", args.command)
 
         os.makedirs(outdir, exist_ok=True)
-        if args.command == "norms":
-            result = run_norms(cfg, grid, outdir)
-        else:
-            result = RUNNERS[args.command](cfg, grid, jumps, outdir)
+        # an overflow is reported once, by the non-finite-state abort, not
+        # also as a numpy RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "norms":
+                result = run_norms(cfg, grid, outdir)
+            else:
+                result = RUNNERS[args.command](cfg, grid, jumps, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

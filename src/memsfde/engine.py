@@ -35,15 +35,23 @@ The window integrator ``_euler_window(coeffs, ctrl, read_ens, write_paths, k0,
 k1)`` serves the direct scheme (``write_paths`` is ``read_ens.paths``) and the
 fixed-point solver in :mod:`memsfde.picard` (``read_ens`` is the frozen
 previous iterate, sharing the solve's controls and noise, while increments
-accumulate on the new paths).  ``_draw_noise(coeffs, ens, k0, k1)`` fills the
-ensemble's ``brownian`` / ``jump_counts`` before a window is integrated, so
-the solver draws each step's noise once however many sweeps it makes.
+accumulate on the new paths).
+
+The noise of a problem depends only on its grid, its jump model and which
+noise kinds its coefficients use, never on the control.  ``draw_noise`` draws
+it once over all steps and marks it read-only; ``ControlProblem`` caches that
+draw and passes it to every ``simulate`` call, so all ensembles of one problem
+share one read-only ``(brownian, jump_counts)`` pair instead of each drawing
+and holding its own.  The fixed-point solver fills its own writable arrays
+window by window through the same per-step routine (``_draw_noise``), so it
+too draws each step's noise once however many sweeps it makes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -59,6 +67,7 @@ __all__ = [
     "CoefficientSet",
     "ParticleEnsemble",
     "ControlProblem",
+    "draw_noise",
     "simulate",
     "law_at",
     "law_segment",
@@ -209,9 +218,12 @@ class ParticleEnsemble:
 
     ``paths`` covers ``[-delta, T]`` (column ``delta_steps + k`` is time
     ``k dt``); ``controls_full`` covers the same mesh with the pre-horizon part
-    holding the control history.  Brownian increments and per-mark jump counts
-    are kept so the adjoint solver can build regression features from the same
-    noise that moved the particles.
+    holding the control history.  Brownian increments ``brownian`` (N, K) and
+    per-mark jump counts ``jump_counts`` (N, K, marks) are kept so the adjoint
+    solver can build regression features from the same noise that moved the
+    particles.  They are the noise of the ensemble's problem, drawn once and
+    shared read-only by every ensemble simulated on it (the fixed-point
+    solver's are its own, filled window by window).
     """
 
     grid: SimGrid
@@ -224,6 +236,11 @@ class ParticleEnsemble:
     @property
     def n_particles(self) -> int:
         return self.paths.shape[0]
+
+    @property
+    def noise(self) -> tuple:
+        """``(brownian, jump_counts)``, the form ``simulate(noise=)`` takes."""
+        return self.brownian, self.jump_counts
 
     @property
     def controls(self) -> np.ndarray:
@@ -305,14 +322,10 @@ class _LazyLawSegment(MeasureSegment):
         return self._source[2] + 1
 
 
-def _new_ensemble(
-    coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None, xi, control_history=0.0
-) -> ParticleEnsemble:
-    """Ensemble with the state and control histories filled in, the rest of
-    ``paths`` unset, the rest of ``controls_full`` zero, and zeroed noise.
-
-    ``jumps=None`` means no jumps.  ``jump_counts`` is ``None`` unless jumps
-    are active and the dynamics have a jump coefficient.
+def _new_ensemble(grid: SimGrid, jumps: JumpModel | None, xi, noise: tuple, control_history=0.0) -> ParticleEnsemble:
+    """Ensemble over ``noise`` (referenced, not copied) with the state and
+    control histories filled in, the rest of ``paths`` unset and the rest of
+    ``controls_full`` zero.  ``jumps=None`` means no jumps.
     """
     jumps = jumps if jumps is not None else JumpModel.none()
     d, K, N = grid.delta_steps, grid.n_steps, grid.n_particles
@@ -329,35 +342,63 @@ def _new_ensemble(
         else:
             raise MeshMismatchError(f"control history must be scalar or shape ({d},)")
 
-    use_jumps = jumps.active and coeffs.jump is not None
+    brownian, jump_counts = noise
     return ParticleEnsemble(
-        grid=grid,
-        paths=paths,
-        controls_full=ucols,
-        brownian=np.zeros((N, K)),
-        jump_counts=np.zeros((N, K, len(jumps.marks)), dtype=np.int64) if use_jumps else None,
-        jumps=jumps,
+        grid=grid, paths=paths, controls_full=ucols, brownian=brownian, jump_counts=jump_counts, jumps=jumps
     )
 
 
-def _draw_noise(coeffs: CoefficientSet, ens: ParticleEnsemble, k_start: int, k_stop: int) -> None:
-    """Fill ``ens.brownian[:, k]`` and ``ens.jump_counts[:, k, :]`` for steps
-    ``k_start..k_stop-1`` from the per-step streams.
+def _noise_shapes(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None) -> tuple:
+    """Shapes of ``(brownian, jump_counts)``; ``jump_counts`` is ``None``
+    unless jumps are active and the dynamics have a jump coefficient."""
+    N, K = grid.n_particles, grid.n_steps
+    if jumps is not None and jumps.active and coeffs.jump is not None:
+        return (N, K), (N, K, len(jumps.marks))
+    return (N, K), None
+
+
+def _noise_arrays(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None) -> tuple:
+    """Zeroed, writable ``(brownian, jump_counts)`` for :func:`_draw_noise`."""
+    b_shape, j_shape = _noise_shapes(coeffs, grid, jumps)
+    return np.zeros(b_shape), None if j_shape is None else np.zeros(j_shape, dtype=np.int64)
+
+
+def _draw_noise(
+    coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None, noise: tuple, k_start: int, k_stop: int
+) -> None:
+    """Fill ``brownian[:, k]`` and ``jump_counts[:, k, :]`` of ``noise`` for
+    steps ``k_start..k_stop-1`` from the per-step streams.
 
     Brownian increments are drawn only when there is a diffusion coefficient,
     jump counts only when ``jump_counts`` is allocated; untouched entries stay
     zero.
     """
-    grid, jumps = ens.grid, ens.jumps
+    brownian, jump_counts = noise
     N = grid.n_particles
     if coeffs.diffusion is not None:
         sq = math.sqrt(grid.dt)
         for k in range(k_start, k_stop):
-            ens.brownian[:, k] = step_generator(grid.seed, k, BROWNIAN).standard_normal(N) * sq
-    if ens.jump_counts is not None:
+            brownian[:, k] = step_generator(grid.seed, k, BROWNIAN).standard_normal(N) * sq
+    if jump_counts is not None:
         mark_rates = np.array(jumps.probs) * jumps.intensity * grid.dt
         for k in range(k_start, k_stop):
-            ens.jump_counts[:, k, :] = step_generator(grid.seed, k, JUMPS).poisson(mark_rates, size=(N, mark_rates.size))
+            jump_counts[:, k, :] = step_generator(grid.seed, k, JUMPS).poisson(mark_rates, size=(N, mark_rates.size))
+
+
+def draw_noise(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None = None) -> tuple:
+    """The noise ``(brownian, jump_counts)`` of a problem over steps
+    ``[0, K)``, marked read-only.
+
+    It depends on the grid (including its seed), the jump model and which
+    noise kinds ``coeffs`` use, not on any control, so every simulation of
+    one problem can share it (``simulate(noise=)``).
+    """
+    noise = _noise_arrays(coeffs, grid, jumps)
+    _draw_noise(coeffs, grid, jumps, noise, 0, grid.n_steps)
+    for arr in noise:
+        if arr is not None:
+            arr.setflags(write=False)
+    return noise
 
 
 def _euler_window(
@@ -420,6 +461,7 @@ def simulate(
     xi=0.0,
     control=None,
     control_history=0.0,
+    noise: tuple | None = None,
 ) -> ParticleEnsemble:
     """Run the N-particle scheme over [0, T] from initial history ``xi``.
 
@@ -427,10 +469,20 @@ def simulate(
     mesh of [-delta, 0].  ``control_history`` fills the control's memory window
     before time zero (scalar or (delta_steps,) array).  Identical ``grid``
     (including seed) and inputs reproduce the ensemble bit for bit.
+
+    ``noise`` is the ``(brownian, jump_counts)`` of the same problem, from
+    :func:`draw_noise` or another ensemble's ``noise``; it is used as is and
+    referenced by the ensemble.  Without it the noise is drawn here.
     """
-    ens = _new_ensemble(coeffs, grid, jumps, xi, control_history)
+    if noise is None:
+        noise = draw_noise(coeffs, grid, jumps)
+    else:
+        shapes = tuple(None if arr is None else arr.shape for arr in noise)
+        expected = _noise_shapes(coeffs, grid, jumps)
+        if shapes != expected:
+            raise MeshMismatchError(f"noise shapes {shapes} do not match the problem's {expected}")
+    ens = _new_ensemble(grid, jumps, xi, noise, control_history)
     ctrl = as_control(control)
-    _draw_noise(coeffs, ens, 0, grid.n_steps)
     _euler_window(coeffs, ctrl, ens, ens.paths, 0, grid.n_steps)
     _record_horizon_control(ens, ctrl)
     return ens
@@ -481,13 +533,22 @@ def performance(ens: ParticleEnsemble, coeffs: CoefficientSet) -> tuple[float, f
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Bundle of dynamics, mesh, noise and initial data; controls vary."""
+    """Bundle of dynamics, mesh, noise and initial data; controls vary.
+
+    The noise is drawn on first use and every simulation of the problem
+    shares it (common random numbers at no extra draw).
+    """
 
     coeffs: CoefficientSet
     grid: SimGrid
     jumps: JumpModel = field(default_factory=JumpModel.none)
     xi: object = 0.0
     control_history: object = 0.0
+
+    @cached_property
+    def noise(self) -> tuple:
+        """The problem's read-only ``(brownian, jump_counts)``."""
+        return draw_noise(self.coeffs, self.grid, self.jumps)
 
     def simulate(self, control=None) -> ParticleEnsemble:
         return simulate(
@@ -497,6 +558,7 @@ class ControlProblem:
             xi=self.xi,
             control=control,
             control_history=self.control_history,
+            noise=self.noise,
         )
 
     def performance(self, control=None) -> tuple[float, float]:

@@ -47,6 +47,7 @@ from memsfde.engine import (
     _mean_and_stderr,
     combine_controls,
     pathwise_cost,
+    simulate,
 )
 from memsfde.grid import SimGrid
 
@@ -324,8 +325,8 @@ PERTURBATION_FAMILY = (
 def j_comparison(spec: MeanVarSpec, grid: SimGrid, ens=None, sol=None):
     """Performance of the optimal control against its perturbation family.
 
-    All variants run under common random numbers (the noise streams depend
-    only on the grid seed), so each row's gap J(optimal) - J(variant) comes
+    All variants run under common random numbers: each is simulated on the
+    optimal ensemble's noise, so each row's gap J(optimal) - J(variant) comes
     with a paired standard error.  Returns rows
     (label, J, stderr, gap, gap_stderr); optimality means every gap is no
     less than -3 gap_stderr.  ``ens`` / ``sol`` may pass in the output of
@@ -342,7 +343,8 @@ def j_comparison(spec: MeanVarSpec, grid: SimGrid, ens=None, sol=None):
             control = combine_controls(None, sol.feedback, amount)
         else:
             control = combine_controls(sol.feedback, 1.0, amount)
-        cost = pathwise_cost(problem.simulate(control), problem.coeffs)
+        variant = simulate(problem.coeffs, grid, jumps=problem.jumps, xi=problem.xi, control=control, noise=ens.noise)
+        cost = pathwise_cost(variant, problem.coeffs)
         rows.append((label, *_mean_and_stderr(cost), *_mean_and_stderr(base_cost - cost)))
     return rows
 

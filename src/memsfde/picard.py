@@ -32,6 +32,7 @@ from memsfde.engine import (
     _draw_noise,
     _euler_window,
     _new_ensemble,
+    _noise_arrays,
     _record_horizon_control,
     as_control,
     simulate,
@@ -100,7 +101,7 @@ def picard_solve(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     ctrl = as_control(control)
 
-    ens = _new_ensemble(coeffs, grid, jumps, xi)
+    ens = _new_ensemble(grid, jumps, xi, _noise_arrays(coeffs, grid, jumps))
     paths = ens.paths
     # the frozen iterate: its own paths, the solve's controls and noise
     prev = np.empty_like(paths)
@@ -117,7 +118,7 @@ def picard_solve(
         lo, hi = d + k0, d + k1
         # initial guess: constant extension of the window's starting value
         paths[:, lo + 1 : hi + 1] = paths[:, lo][:, None]
-        _draw_noise(coeffs, ens, k0, k1)
+        _draw_noise(coeffs, grid, jumps, ens.noise, k0, k1)
         dists: list[float] = []
         ratios: list[float] = []
         window_done = False
@@ -168,10 +169,11 @@ def consistency_check(
 
     ``ens_fp`` is an ensemble already solved by :func:`picard_solve` with the
     same arguments; the solve is deterministic, so passing it gives the same
-    gap as solving again.  Without it the solve is run here.
+    gap as solving again.  Without it the solve is run here.  The direct
+    scheme runs on ``ens_fp``'s noise rather than drawing it again.
     """
     if ens_fp is None:
         ens_fp, _ = picard_solve(coeffs, grid, jumps=jumps, xi=xi, control=control, t0_steps=t0_steps, **kwargs)
-    ens_dir = simulate(coeffs, grid, jumps=jumps, xi=xi, control=control)
+    ens_dir = simulate(coeffs, grid, jumps=jumps, xi=xi, control=control, noise=ens_fp.noise)
     diff = ens_fp.states - ens_dir.states
     return float(np.max(np.mean(diff * diff, axis=0)))

@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 
-import numpy as np
 import pytest
 
 from memsfde.cli import (
@@ -210,6 +210,12 @@ class TestConfigErrors:
         err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)
         assert f"{path}:4: [grid] horizon: must be at least one step" in err
 
+    def test_huge_particle_count_is_rejected_before_allocating(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, SIM_TINY.replace("particles = 500", "particles = 10000000000000"))
+        err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)
+        assert f"{path}:7: [grid] particles: 10000000000000 particles on 61 mesh points" in err
+        assert "physical memory" in err
+
     def test_lag_span_must_be_a_multiple_of_dt(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SIM_TINY.replace("delta = 0.1", "delta = 0.035"))
         err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)
@@ -296,11 +302,15 @@ class TestRuntimeAborts:
             "problem = simulate\n\n[grid]\nhorizon = 0.5\ndelta = 0.1\ndt = 0.1\n"
             "particles = 2\nseed = 0\n\n[simulate]\nxi = 1.0\ndrift_x = 1e200\n",
         )
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_RUNTIME_ABORT
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
-        assert err.startswith("runtime abort:")
-        assert "non-finite state" in err
+        assert err == (
+            "runtime abort: non-finite state for 2 particle(s) at step 1 (t=0.1); "
+            "reduce dt or check coefficient growth\n"
+        )
 
     def test_diverging_fixed_point_exits_3(self, tmp_path, capsys):
         path = write_cfg(
@@ -479,6 +489,27 @@ class TestDeterminism:
         assert (out_a / "law_stats.csv").read_bytes() == (out_b / "law_stats.csv").read_bytes()
         # wall time lives in timing.txt, so the manifest itself is comparable
         assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [MEANVAR_TINY + "\n[jumps]\nintensity = 1.0\nmarks = 1.0\nprobs = 1.0\n", LQ_TINY],
+        ids=["meanvar_jumps", "lq"],
+    )
+    def test_reruns_in_one_process_stay_independent(self, tmp_path, capsys, text):
+        # seed A, then B, then A again: no noise drawn for one run may leak
+        # into a later one
+        seed = text.split("seed = ")[1].split("\n")[0]
+        command = text.split("problem = ")[1].split("\n")[0]
+        outputs = []
+        for run, s in enumerate((seed, "17", seed)):
+            path = write_cfg(tmp_path, text.replace(f"seed = {seed}\n", f"seed = {s}\n"), name=f"{run}.cfg")
+            out = tmp_path / f"run{run}"
+            assert main([command, "--config", path, "--out", str(out)]) == EXIT_OK
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir() if f.name != "timing.txt"})
+        first, other, again = outputs
+        assert again == first
+        assert first.keys() == other.keys()
+        assert [name for name in first if first[name] != other[name] and name != "manifest.json"]
 
     def test_seed_env_var_overrides_config(self, tmp_path, capsys, monkeypatch):
         path = write_cfg(tmp_path, SIM_TINY)

@@ -1,5 +1,6 @@
 """Particle simulator: deterministic delay oracles, noise moments, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -308,3 +309,97 @@ class TestControls:
     def test_unknown_control_type_rejected(self):
         with pytest.raises(TypeError):
             as_control({"not": "a control"})
+
+
+class TestSharedNoise:
+    """A problem draws its noise once; its ensembles share it read-only."""
+
+    GRID = SimGrid(dt=0.05, delta_steps=4, horizon=1.0, n_particles=32, seed=11)
+    DIFFUSION_ONLY = (
+        CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: xs[:, -1] + u, diffusion=lambda *a: 0.4),
+        JumpModel.none(),
+    )
+    WITH_JUMPS = (
+        CoefficientSet(
+            drift=lambda t, x, xs, m, ms, u, us: 0.5 * (m.mean() - x) + u,
+            diffusion=lambda t, x, *rest: 0.2 + 0.1 * x,
+            jump=lambda t, x, xs, m, ms, u, us, mark: 0.1 * mark * xs[:, -1],
+        ),
+        JumpModel(intensity=2.0, marks=(1.0, -0.5), probs=(0.4, 0.6)),
+    )
+    CONTROLS = (None, 0.3, lambda t, x, xs, law: -0.5 * x + 0.1 * law.mean())
+
+    def problem(self, kind):
+        coeffs, jumps = kind
+        return ControlProblem(coeffs=coeffs, grid=self.GRID, jumps=jumps, xi=1.0)
+
+    @pytest.mark.parametrize("kind", [DIFFUSION_ONLY, WITH_JUMPS], ids=["diffusion", "jumps"])
+    def test_simulations_share_one_read_only_draw(self, kind):
+        problem = self.problem(kind)
+        a, b = problem.simulate(None), problem.simulate(0.3)
+        arrays = [(a.brownian, b.brownian)]
+        if kind[1].active:
+            arrays.append((a.jump_counts, b.jump_counts))
+        else:
+            assert a.jump_counts is None and b.jump_counts is None
+        for x, y in arrays:
+            assert np.shares_memory(x, y)
+            for arr in (x, y):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1
+                with pytest.raises(ValueError):
+                    arr += 1
+
+    @pytest.mark.parametrize("kind", [DIFFUSION_ONLY, WITH_JUMPS], ids=["diffusion", "jumps"])
+    def test_shared_noise_gives_the_freshly_drawn_ensemble(self, kind):
+        problem = self.problem(kind)
+        coeffs, jumps = kind
+        for control in self.CONTROLS:
+            shared = problem.simulate(control)
+            fresh = simulate(coeffs, self.GRID, jumps=jumps, xi=1.0, control=control)
+            np.testing.assert_array_equal(shared.paths, fresh.paths)
+            np.testing.assert_array_equal(shared.controls_full, fresh.controls_full)
+            np.testing.assert_array_equal(shared.brownian, fresh.brownian)
+            if jumps.active:
+                np.testing.assert_array_equal(shared.jump_counts, fresh.jump_counts)
+                assert np.any(fresh.jump_counts != 0)
+            assert np.any(fresh.brownian != 0.0)
+
+    def test_each_step_stream_is_drawn_once_per_problem(self, monkeypatch):
+        calls = []
+        step_generator = engine.step_generator
+
+        def counting(seed, step, substream=0):
+            calls.append((step, substream))
+            return step_generator(seed, step, substream)
+
+        monkeypatch.setattr(engine, "step_generator", counting)
+        problem = self.problem(self.WITH_JUMPS)
+        for control in self.CONTROLS:
+            problem.simulate(control)
+        assert len(calls) == len(set(calls)) == 2 * self.GRID.n_steps
+
+    def test_no_diffusion_means_zero_brownian_increments(self):
+        jumps = JumpModel(intensity=2.0, marks=(1.0,), probs=(1.0,))
+        coeffs = CoefficientSet(drift=lambda *a: 1.0, jump=lambda t, x, xs, m, ms, u, us, mark: mark)
+        ens = ControlProblem(coeffs=coeffs, grid=self.GRID, jumps=jumps).simulate()
+        np.testing.assert_array_equal(ens.brownian, 0.0)
+        assert ens.brownian.shape == (self.GRID.n_particles, self.GRID.n_steps)
+        assert np.any(ens.jump_counts != 0)
+
+    def test_problems_do_not_share_noise(self):
+        problem = self.problem(self.WITH_JUMPS)
+        reseeded = dataclasses.replace(problem, grid=grid_with_seed(self.GRID, 12))
+        a, b = problem.simulate(), reseeded.simulate()
+        assert not np.shares_memory(a.brownian, b.brownian)
+        assert not np.array_equal(a.brownian, b.brownian)
+        assert problem.simulate().brownian is a.brownian
+
+    def test_noise_of_another_problem_is_rejected(self):
+        coeffs, jumps = self.WITH_JUMPS
+        noise = self.problem(self.WITH_JUMPS).noise
+        longer = SimGrid(dt=0.05, delta_steps=4, horizon=2.0, n_particles=32, seed=11)
+        with pytest.raises(MeshMismatchError):
+            simulate(coeffs, longer, jumps=jumps, noise=noise)
+        with pytest.raises(MeshMismatchError):
+            simulate(coeffs, self.GRID, jumps=JumpModel.none(), noise=noise)

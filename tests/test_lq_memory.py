@@ -206,6 +206,23 @@ class TestRunEconomy:
         assert j_by_label["shift_-0.5"] == ordinates[-0.5]
         assert j_by_label["solution"] == ordinates[0.0]
 
+    def test_solve_and_verification_each_draw_the_noise_once(self, monkeypatch):
+        spec = LQSpec()
+        calls = []
+        step_generator = engine.step_generator
+
+        def counting(seed, step, substream=0):
+            calls.append((step, substream))
+            return step_generator(seed, step, substream)
+
+        monkeypatch.setattr(engine, "step_generator", counting)
+        solution = solve_lq(spec, self.GRID)
+        assert solution[2].iterations > 1
+        assert sorted(calls) == [(k, 0) for k in range(self.GRID.n_steps)]
+        calls.clear()
+        verify_lq(solution, spec, self.GRID)
+        assert sorted(calls) == [(k, 0) for k in range(self.GRID.n_steps)]
+
 
 class TestVerification:
     def test_coupling_and_idempotence(self, desk_solution):

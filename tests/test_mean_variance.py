@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from memsfde import engine
 from memsfde.engine import JumpModel
 from memsfde.grid import SimGrid
 from memsfde.mean_variance import (
@@ -197,6 +198,23 @@ class TestOptimality:
         for label, j, se, gap, gap_se in rows:
             assert math.isfinite(j) and math.isfinite(gap), label
             assert se == 0.0 and gap_se == 0.0, label
+
+    def test_variants_run_on_the_optimal_ensembles_noise(self, monkeypatch):
+        spec = MeanVarSpec(jumps=JumpModel(intensity=1.0, marks=(1.0,), probs=(1.0,)))
+        grid = SimGrid(dt=0.05, delta_steps=2, horizon=0.5, n_particles=200, seed=6)
+        ens, sol = simulate_optimal(spec, grid)
+        drawn = []
+        step_generator = engine.step_generator
+
+        def counting(*args):
+            drawn.append(args)
+            return step_generator(*args)
+
+        monkeypatch.setattr(engine, "step_generator", counting)
+        rows = j_comparison(spec, grid, ens=ens, sol=sol)
+        assert drawn == []
+        monkeypatch.undo()
+        assert rows == j_comparison(spec, grid)
 
     def test_stationarity_in_bounded_directions(self):
         rows = stationarity_suite(MeanVarSpec(), DESK_GRID, eps=1e-3)

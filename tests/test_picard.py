@@ -168,6 +168,13 @@ class TestNoiseReuse:
         assert recomputed > 0.0
         assert consistency_check(MEAN_FIELD_JUMPS, grid, ens_fp=ens, **args) == recomputed
 
+    def test_direct_scheme_of_the_check_reuses_the_solved_noise(self, monkeypatch):
+        grid = SimGrid(dt=0.02, delta_steps=5, horizon=0.4, n_particles=64, seed=8)
+        args = dict(jumps=TWO_MARKS, xi=1.0, t0_steps=5)
+        ens, _ = picard_solve(MEAN_FIELD_JUMPS, grid, **args)
+        monkeypatch.setattr(engine, "step_generator", lambda *a: pytest.fail("noise drawn again"))
+        assert consistency_check(MEAN_FIELD_JUMPS, grid, ens_fp=ens, **args) == 0.0
+
 
 class TestValidation:
     def test_window_must_divide_horizon(self):
