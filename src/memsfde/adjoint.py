@@ -274,29 +274,31 @@ def hamiltonian(
 class AdjointTriple:
     """Regression-valued adjoint processes on the simulation mesh.
 
-    ``p0`` covers [0, T + delta] (columns past the horizon repeat the terminal
-    value, particle by particle); ``q0`` and ``r0`` are per-step noise loadings
-    on [0, T] whose final column is zero — they vanish past the horizon.
-    ``mean_stderr[k]`` is the Monte Carlo standard error of the regression
-    target's mean at step k, the right yardstick for drift/level tests.
+    ``p0``, ``q0`` and ``r0`` cover the [0, T] mesh only; past the horizon
+    all three read as zero (see :class:`SweepContext`).  ``q0`` and ``r0``
+    are per-step noise loadings whose final column is zero.  Each is an
+    (N, n_steps + 1) view of time-major storage in time order, so column k
+    is one contiguous row and the forward window a driver reads is a band
+    of rows in ascending memory order.  ``mean_stderr[k]`` is the Monte
+    Carlo standard error of the regression target's mean at step k, the
+    right yardstick for drift/level tests.
     """
 
     grid: SimGrid
-    p0: np.ndarray  # (N, n_steps + delta_steps + 1)
+    p0: np.ndarray  # (N, n_steps + 1)
     q0: np.ndarray  # (N, n_steps + 1)
     r0: np.ndarray  # (N, n_steps + 1)
     mean_stderr: np.ndarray  # (n_steps + 1,)
     deficient_steps: tuple = ()
 
     def p0_on_horizon(self) -> np.ndarray:
-        """View of p0 restricted to the [0, T] mesh."""
-        return self.p0[:, : self.grid.n_steps + 1]
+        """p0 on the [0, T] mesh, shape (N, n_steps + 1)."""
+        return self.p0
 
     def check_terminal_conventions(self) -> bool:
-        K, d = self.grid.n_steps, self.grid.delta_steps
-        ext_ok = bool(np.all(self.p0[:, K:] == self.p0[:, K][:, None]))
-        tail_ok = bool(np.all(self.q0[:, K] == 0.0) and np.all(self.r0[:, K] == 0.0))
-        return ext_ok and tail_ok
+        """The noise loadings vanish at the horizon."""
+        K = self.grid.n_steps
+        return bool(np.all(self.q0[:, K] == 0.0) and np.all(self.r0[:, K] == 0.0))
 
 
 def _regress(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
@@ -337,11 +339,16 @@ def _regress(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
     return beta.reshape((n,) + target.shape[1:]), rank
 
 
-def default_basis(ens: ParticleEnsemble, k: int) -> np.ndarray:
-    """Polynomial regression features {1, X(t), X(t - delta), X^2, X * X_delta}."""
+def _polynomial_columns(ens: ParticleEnsemble, k: int) -> list:
+    """The columns of :func:`default_basis`, for bases that extend it."""
     x = ens.state_column(k)
     xd = ens.backward_window(k)[:, -1]
-    return np.column_stack([np.ones_like(x), x, xd, x * x, x * xd])
+    return [np.ones_like(x), x, xd, x * x, x * xd]
+
+
+def default_basis(ens: ParticleEnsemble, k: int) -> np.ndarray:
+    """Polynomial regression features {1, X(t), X(t - delta), X^2, X * X_delta}."""
+    return np.column_stack(_polynomial_columns(ens, k))
 
 
 class SweepContext:
@@ -429,17 +436,17 @@ def solve_absde(
     false, a logged warning.
     """
     grid = ens.grid
-    d, K, N, dt = grid.delta_steps, grid.n_steps, grid.n_particles, grid.dt
+    K, N, dt = grid.n_steps, grid.n_particles, grid.dt
     basis = basis if basis is not None else default_basis
 
-    p0 = np.zeros((N, K + d + 1))
-    q0 = np.zeros((N, K + 1))
-    r0 = np.zeros((N, K + 1))
+    # time-major storage behind (N, K + 1) views: each step writes one row
+    p0 = np.zeros((K + 1, N)).T
+    q0 = np.zeros((K + 1, N)).T
+    r0 = np.zeros((K + 1, N)).T
     mean_stderr = np.zeros(K + 1)
 
     xT = ens.state_column(K)
-    pT = np.broadcast_to(np.asarray(terminal(xT, EmpiricalMeasure(xT)), dtype=float), (N,))
-    p0[:, K:] = pT[:, None]
+    p0[:, K] = np.asarray(terminal(xT, EmpiricalMeasure(xT)), dtype=float)
 
     use_jumps = ens.jump_counts is not None
     lam_dt = ens.jumps.intensity * dt if use_jumps else 0.0

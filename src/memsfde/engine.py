@@ -45,6 +45,16 @@ share one read-only ``(brownian, jump_counts)`` pair instead of each drawing
 and holding its own.  The fixed-point solver fills its own writable arrays
 window by window through the same per-step routine (``_draw_noise``), so it
 too draws each step's noise once however many sweeps it makes.
+
+Every per-step array is stored time-major and handed out particle-major:
+``paths``, ``controls_full``, ``brownian`` and ``jump_counts`` are transposed
+views with public shapes (N, ·), and the state, control and noise of one step,
+like every law of a law segment, are one contiguous row.  ``paths`` and
+``controls_full`` (and the fixed-point solver's frozen iterate) keep the
+newest time first (``_mesh_array``), so a step's backward window is a band of
+d + 1 rows in ascending memory order that a product such as ``x_seg @ w``
+hands to BLAS without a copy; the noise, read one step at a time, is stored
+in time order.
 """
 
 from __future__ import annotations
@@ -224,6 +234,11 @@ class ParticleEnsemble:
     particles.  They are the noise of the ensemble's problem, drawn once and
     shared read-only by every ensemble simulated on it (the fixed-point
     solver's are its own, filled window by window).
+
+    All four arrays are (N, ·) views of time-major storage, so column k of
+    each is one contiguous row; ``paths`` and ``controls_full`` store the
+    newest time first, which makes ``backward_window`` and
+    ``control_window`` bands of rows in ascending memory order.
     """
 
     grid: SimGrid
@@ -322,17 +337,27 @@ class _LazyLawSegment(MeasureSegment):
         return self._source[2] + 1
 
 
+def _mesh_array(grid: SimGrid) -> np.ndarray:
+    """Zeroed (N, d + K + 1) array over the mesh of [-delta, T], stored
+    time-major with the newest time first: column k is one contiguous row,
+    and a backward window ``[:, k : k + d + 1][:, ::-1]`` is a band of rows
+    in ascending memory order, which matrix products hand to BLAS as is."""
+    d, K, N = grid.delta_steps, grid.n_steps, grid.n_particles
+    return np.zeros((d + K + 1, N))[::-1].T
+
+
 def _new_ensemble(grid: SimGrid, jumps: JumpModel | None, xi, noise: tuple, control_history=0.0) -> ParticleEnsemble:
     """Ensemble over ``noise`` (referenced, not copied) with the state and
-    control histories filled in, the rest of ``paths`` unset and the rest of
-    ``controls_full`` zero.  ``jumps=None`` means no jumps.
+    control histories filled in and the rest of ``paths`` and
+    ``controls_full`` zero; both are :func:`_mesh_array` arrays.
+    ``jumps=None`` means no jumps.
     """
     jumps = jumps if jumps is not None else JumpModel.none()
-    d, K, N = grid.delta_steps, grid.n_steps, grid.n_particles
-    paths = np.empty((N, d + K + 1))
+    d = grid.delta_steps
+    paths = _mesh_array(grid)
     paths[:, : d + 1] = _materialize_history(xi, grid)
 
-    ucols = np.zeros((N, d + K + 1))
+    ucols = _mesh_array(grid)
     if d > 0:
         hist = np.asarray(control_history, dtype=float)
         if hist.ndim == 0:
@@ -358,9 +383,14 @@ def _noise_shapes(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None
 
 
 def _noise_arrays(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None) -> tuple:
-    """Zeroed, writable ``(brownian, jump_counts)`` for :func:`_draw_noise`."""
+    """Zeroed, writable ``(brownian, jump_counts)`` for :func:`_draw_noise`,
+    stored time-major behind (N, K) and (N, K, marks) views."""
     b_shape, j_shape = _noise_shapes(coeffs, grid, jumps)
-    return np.zeros(b_shape), None if j_shape is None else np.zeros(j_shape, dtype=np.int64)
+    brownian = np.zeros(b_shape[::-1]).T
+    if j_shape is None:
+        return brownian, None
+    N, K, marks = j_shape
+    return brownian, np.zeros((K, marks, N), dtype=np.int64).transpose(2, 0, 1)
 
 
 def _draw_noise(

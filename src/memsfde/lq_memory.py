@@ -34,7 +34,7 @@ import numpy as np
 from memsfde.adjoint import (
     AdjointTriple,
     SegmentFunctional,
-    default_basis,
+    _polynomial_columns,
     solve_absde,
     stationarity_gap,
 )
@@ -135,8 +135,7 @@ def lq_basis(spec: LQSpec, grid: SimGrid):
     dw = _delay_weights(spec, grid)
 
     def basis(ens, k):
-        phi = default_basis(ens, k)
-        return np.column_stack([phi, ens.backward_window(k) @ dw])
+        return np.column_stack(_polynomial_columns(ens, k) + [ens.backward_window(k) @ dw])
 
     return basis
 
@@ -215,7 +214,8 @@ def solve_lq(
     basis_fn = lq_basis(spec, grid)
     driver = _adjoint_driver(spec, grid)
 
-    control = np.zeros((N, K + 1))
+    # time-major like the ensemble, so each step reads its control as a row
+    control = np.zeros((K + 1, N)).T
     changes: list[float] = []
     deficient: list[int] = []
     converged = False

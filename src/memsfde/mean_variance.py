@@ -263,9 +263,14 @@ def verify_adjoint(spec: MeanVarSpec, grid: SimGrid, ens=None, sol=None) -> Mean
     controls = ens.controls
     p_closed = sol.p0_closed(states)
 
-    # (1) first-order condition along paths: b0 p0 + sigma0 q0 + jump term
-    bracket = b0 * p_closed + sol.phi * delayed * controls * (s0**2 + g0**2 * m2)
+    # (1) first-order condition along paths: b0 p0 + sigma0 q0 + jump term,
+    # built in place so it holds one full-size temporary at a time
+    bracket = sol.phi * delayed
+    bracket *= controls
+    bracket *= s0**2 + g0**2 * m2
+    bracket += b0 * p_closed
     foc_residual_max = float(np.max(np.abs(bracket)))
+    del bracket
 
     # (2) martingale drift of the closed-form adjoint
     incr = np.diff(p_closed, axis=1)
@@ -276,6 +281,13 @@ def verify_adjoint(spec: MeanVarSpec, grid: SimGrid, ens=None, sol=None) -> Mean
     with np.errstate(divide="ignore", invalid="ignore"):
         zs = np.where(step_se > 0, np.abs(step_means) / step_se, 0.0)
     p0_drift_max_step_z = float(np.max(zs))
+    closed_p0 = float(p_closed[:, 0].mean())
+    target = spec.target
+    above = np.min(states - target, axis=1) > 0.0
+    min_abs_delayed = float(np.min(np.abs(delayed)))
+    # the backward solve allocates three (N, K + 1) arrays of its own; free
+    # the full-size temporaries first so they do not add to its peak
+    del p_closed, incr
 
     # (3) independent LSMC backward solve; the driver reads the future triple
     # at lag delta (strictly ahead, zero past the horizon)
@@ -289,13 +301,10 @@ def verify_adjoint(spec: MeanVarSpec, grid: SimGrid, ens=None, sol=None) -> Mean
         w = b0[j] * p + s0[j] * q + g0[j] * m1 * r
         return controls[:, j] * w
 
-    target = spec.target
     adj = solve_absde(ens, terminal=lambda x, law: -(x - target), driver=driver, basis=default_basis)
     lsmc_p0 = float(adj.p0[:, 0].mean())
-    closed_p0 = float(p_closed[:, 0].mean())
     rel = abs(lsmc_p0 - closed_p0) / max(abs(closed_p0), 1e-300)
 
-    above = np.min(states - target, axis=1) > 0.0
     return MeanVarVerification(
         foc_residual_max=foc_residual_max,
         p0_drift_z=p0_drift_z,
@@ -304,7 +313,7 @@ def verify_adjoint(spec: MeanVarSpec, grid: SimGrid, ens=None, sol=None) -> Mean
         closed_p0=closed_p0,
         lsmc_p0_rel_err=float(rel),
         positivity_fraction=float(above.mean()),
-        min_abs_delayed_state=float(np.min(np.abs(delayed))),
+        min_abs_delayed_state=min_abs_delayed,
         lsmc_deficient_steps=len(adj.deficient_steps),
     )
 
@@ -343,8 +352,12 @@ def j_comparison(spec: MeanVarSpec, grid: SimGrid, ens=None, sol=None):
             control = combine_controls(None, sol.feedback, amount)
         else:
             control = combine_controls(sol.feedback, 1.0, amount)
-        variant = simulate(problem.coeffs, grid, jumps=problem.jumps, xi=problem.xi, control=control, noise=ens.noise)
-        cost = pathwise_cost(variant, problem.coeffs)
+        # the variant ensemble is not kept, so it is freed before the next
+        # one is simulated
+        cost = pathwise_cost(
+            simulate(problem.coeffs, grid, jumps=problem.jumps, xi=problem.xi, control=control, noise=ens.noise),
+            problem.coeffs,
+        )
         rows.append((label, *_mean_and_stderr(cost), *_mean_and_stderr(base_cost - cost)))
     return rows
 

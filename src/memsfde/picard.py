@@ -31,6 +31,7 @@ from memsfde.engine import (
     ParticleEnsemble,
     _draw_noise,
     _euler_window,
+    _mesh_array,
     _new_ensemble,
     _noise_arrays,
     _record_horizon_control,
@@ -104,7 +105,7 @@ def picard_solve(
     ens = _new_ensemble(grid, jumps, xi, _noise_arrays(coeffs, grid, jumps))
     paths = ens.paths
     # the frozen iterate: its own paths, the solve's controls and noise
-    prev = np.empty_like(paths)
+    prev = _mesh_array(grid)
     frozen = replace(ens, paths=prev)
 
     n_windows = K // t0_steps

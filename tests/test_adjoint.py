@@ -257,8 +257,8 @@ def reference_sweep(ens, terminal, kernel=None, basis=default_basis):
     lag; returns ``(p0, q0, r0, deficient_steps)``."""
     grid = ens.grid
     d, K, N, dt = grid.delta_steps, grid.n_steps, grid.n_particles, grid.dt
-    p0, q0, r0 = np.zeros((N, K + d + 1)), np.zeros((N, K + 1)), np.zeros((N, K + 1))
-    p0[:, K:] = terminal(ens.state_column(K))[:, None]
+    p0, q0, r0 = np.zeros((N, K + 1)), np.zeros((N, K + 1)), np.zeros((N, K + 1))
+    p0[:, K] = terminal(ens.state_column(K))
     w = None if kernel is None else trapezoid_weights(d + 1, dt) * kernel
     use_jumps = ens.jump_counts is not None
     deficient = []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from memsfde import engine
+from memsfde.adjoint import solve_absde
 from memsfde.engine import (
     CoefficientSet,
     ControlProblem,
@@ -403,3 +404,64 @@ class TestSharedNoise:
             simulate(coeffs, longer, jumps=jumps, noise=noise)
         with pytest.raises(MeshMismatchError):
             simulate(coeffs, self.GRID, jumps=JumpModel.none(), noise=noise)
+
+
+class TestTimeMajorLayout:
+    """Per-step arrays are stored time-major behind (N, ·) views: every
+    per-step read and write is one contiguous row, and the public shapes
+    stay particle-major."""
+
+    GRID = TestSharedNoise.GRID
+    COEFFS, JUMPS = TestSharedNoise.WITH_JUMPS
+
+    def ensemble(self, how):
+        control = lambda t, x, xs, law: -0.5 * x + 0.1 * xs[:, -1]
+        if how == "simulate":
+            return simulate(self.COEFFS, self.GRID, jumps=self.JUMPS, xi=1.0, control=control)
+        if how == "problem":
+            return ControlProblem(coeffs=self.COEFFS, grid=self.GRID, jumps=self.JUMPS, xi=1.0).simulate(control)
+        ens, _ = picard_solve(self.COEFFS, self.GRID, jumps=self.JUMPS, xi=1.0, control=control, t0_steps=5)
+        return ens
+
+    @pytest.mark.parametrize("how", ["simulate", "problem", "picard"])
+    def test_per_step_reads_are_contiguous_rows(self, how):
+        ens = self.ensemble(how)
+        d, K = self.GRID.delta_steps, self.GRID.n_steps
+        assert ens.jump_counts is not None
+        for k in range(K + 1):
+            assert ens.state_column(k).flags.c_contiguous
+            # newest time first: the backward window is a band of rows in
+            # ascending memory order
+            assert ens.backward_window(k).flags.f_contiguous
+            assert ens.control_window(k).flags.f_contiguous
+            assert all(law.atoms.flags.c_contiguous for law in law_segment(ens, k * self.GRID.dt).measures)
+        for k in range(d + K + 1):
+            assert ens.controls_full[:, k].flags.c_contiguous
+        for k in range(K):
+            assert ens.brownian[:, k].flags.c_contiguous
+            assert ens.jump_counts[:, k, :].T.flags.c_contiguous
+
+    @pytest.mark.parametrize("how", ["simulate", "problem", "picard"])
+    def test_public_shapes_stay_particle_major(self, how):
+        ens = self.ensemble(how)
+        N, d, K = self.GRID.n_particles, self.GRID.delta_steps, self.GRID.n_steps
+        assert ens.paths.shape == ens.controls_full.shape == (N, d + K + 1)
+        assert ens.states.shape == ens.controls.shape == (N, K + 1)
+        assert ens.brownian.shape == (N, K)
+        assert ens.jump_counts.shape == (N, K, len(self.JUMPS.marks))
+        for k in range(K + 1):
+            window = ens.backward_window(k)
+            assert window.shape == ens.control_window(k).shape == (N, d + 1)
+            for j in range(d + 1):
+                lagged = ens.state_column(k - j) if k >= j else np.ones(N)  # unit history
+                np.testing.assert_array_equal(window[:, j], lagged)
+
+    def test_adjoint_columns_are_contiguous_rows(self):
+        ens = self.ensemble("problem")
+        N, K = self.GRID.n_particles, self.GRID.n_steps
+        adj = solve_absde(ens, terminal=lambda x, law: -x, warn=False)
+        assert adj.p0_on_horizon() is adj.p0
+        for arr in (adj.p0, adj.q0, adj.r0):
+            assert arr.shape == (N, K + 1)
+            assert arr.flags.f_contiguous  # time order: forward windows are row bands
+            assert all(arr[:, k].flags.c_contiguous for k in range(K + 1))

@@ -77,6 +77,8 @@ class TestSolverBehaviour:
         assert report.iterations <= 50
         assert adjoint.check_terminal_conventions()
         assert control.shape == (DESK_GRID.n_particles, DESK_GRID.n_steps + 1)
+        # stored time-major: each sweep reads a step's control as one row
+        assert all(control[:, k].flags.c_contiguous for k in range(DESK_GRID.n_steps + 1))
 
     def test_runaway_feedback_aborts(self):
         # an aggressive delay kernel iterated without damping blows the

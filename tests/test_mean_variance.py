@@ -1,12 +1,13 @@
 """Delayed-gearing target tracking: closed form, optimality, and adjoint checks."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from memsfde import engine
+from memsfde import engine, mean_variance
 from memsfde.engine import JumpModel
 from memsfde.grid import SimGrid
 from memsfde.mean_variance import (
@@ -166,6 +167,28 @@ class TestAdjointVerification:
         names = [name for name, _ in ver.rows()]
         assert names[0] == "foc_residual_max"
         assert len(names) == 9
+
+    def test_full_size_temporaries_are_freed_before_the_backward_solve(self, monkeypatch):
+        grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=2_000, seed=6)
+        spec = MeanVarSpec()
+        ens, sol = simulate_optimal(spec, grid)
+        at_solve = []
+        solve_absde = mean_variance.solve_absde
+
+        def recording(*args, **kwargs):
+            at_solve.append(tracemalloc.get_traced_memory()[0])
+            return solve_absde(*args, **kwargs)
+
+        monkeypatch.setattr(mean_variance, "solve_absde", recording)
+        tracemalloc.start()
+        try:
+            at_entry = tracemalloc.get_traced_memory()[0]
+            verify_adjoint(spec, grid, ens=ens, sol=sol)
+        finally:
+            tracemalloc.stop()
+        one_array = grid.n_particles * (grid.n_steps + 1) * 8
+        assert len(at_solve) == 1
+        assert at_solve[0] - at_entry < one_array
 
     def test_jump_variant_passes_the_same_checks(self):
         spec = MeanVarSpec(jumps=JumpModel(intensity=1.0, marks=(1.0,), probs=(1.0,)))
