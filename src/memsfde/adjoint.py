@@ -339,16 +339,27 @@ def _regress(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
     return beta.reshape((n,) + target.shape[1:]), rank
 
 
-def _polynomial_columns(ens: ParticleEnsemble, k: int) -> list:
-    """The columns of :func:`default_basis`, for bases that extend it."""
+def _polynomial_rows(ens: ParticleEnsemble, k: int, out: np.ndarray) -> None:
+    """Write the five :func:`default_basis` features into rows ``out[:5]``
+    of a feature-major (m, N) buffer, for bases that extend it."""
     x = ens.state_column(k)
     xd = ens.backward_window(k)[:, -1]
-    return [np.ones_like(x), x, xd, x * x, x * xd]
+    out[0] = 1.0
+    out[1] = x
+    out[2] = xd
+    np.multiply(x, x, out=out[3])
+    np.multiply(x, xd, out=out[4])
 
 
 def default_basis(ens: ParticleEnsemble, k: int) -> np.ndarray:
-    """Polynomial regression features {1, X(t), X(t - delta), X^2, X * X_delta}."""
-    return np.column_stack(_polynomial_columns(ens, k))
+    """Polynomial regression features {1, X(t), X(t - delta), X^2, X * X_delta}.
+
+    Returned as the (N, 5) transposed view of a feature-major buffer, so each
+    feature is one contiguous row.
+    """
+    rows = np.empty((5, ens.grid.n_particles))
+    _polynomial_rows(ens, k, rows)
+    return rows.T
 
 
 class SweepContext:
@@ -426,9 +437,12 @@ def solve_absde(
     regresses ``p0[k+1] + dt * driver`` onto the basis augmented by basis
     interactions with the step's Brownian and compensated-jump increments;
     the plain-basis fit is p0 at k and the interaction fits are the noise
-    loadings q0, r0.  The ``[φ, φ·ΔW, φ·ΔÑ]`` design is written into one
-    buffer reused by every step and solved by ``_regress``: a symmetric
-    eigensolve of its column-scaled Gram matrix, with eigenvalues at most
+    loadings q0, r0.  The ``[φ, φ·ΔW, φ·ΔÑ]`` design is stored feature-major:
+    one C-contiguous (n_blocks·m, N) buffer reused by every step, whose row
+    blocks hold the basis and its products with the step's noise rows, so
+    every write and every fitted value is a contiguous row.  Its (N, n)
+    transposed view is solved by ``_regress``: a symmetric eigensolve of
+    its column-scaled Gram matrix, with eigenvalues at most
     ``max(N, n) * eps`` times the largest counted as zero, plus one
     residual refinement step.  Rank-deficient designs fall back to the
     least-norm solution (for a collapsed basis that is exactly the ensemble
@@ -453,28 +467,30 @@ def solve_absde(
     n_blocks = 3 if use_jumps else 2
     ctx = SweepContext(ens, p0, q0, r0)
     deficient: list[int] = []
-    design = None
+    rows = None
 
     for k in range(K - 1, -1, -1):
-        target = p0[:, k + 1].copy()
+        target = p0[:, k + 1]
         if driver is not None:
             target = target + dt * np.asarray(driver(ctx, k))
         phi = basis(ens, k)
         m = phi.shape[1]
-        if design is None:
-            design = np.empty((N, n_blocks * m))
-        design[:, :m] = phi
-        np.multiply(phi, ens.brownian[:, k, None], out=design[:, m : 2 * m])
+        if rows is None:
+            # feature-major design: block b is rows [b*m, (b+1)*m)
+            rows = np.empty((n_blocks * m, N))
+        basis_rows = rows[:m]
+        basis_rows[...] = phi.T
+        np.multiply(basis_rows, ens.brownian[:, k], out=rows[m : 2 * m])
         if use_jumps:
             dn = ens.jump_counts[:, k, :].sum(axis=1) - lam_dt
-            np.multiply(phi, dn[:, None], out=design[:, 2 * m :])
-        beta, rank = _regress(design, target)
-        if rank < design.shape[1]:
+            np.multiply(basis_rows, dn, out=rows[2 * m :])
+        beta, rank = _regress(rows.T, target)
+        if rank < rows.shape[0]:
             deficient.append(k)
-        p0[:, k] = phi @ beta[:m]
-        q0[:, k] = phi @ beta[m : 2 * m]
+        np.matmul(beta[:m], basis_rows, out=p0[:, k])
+        np.matmul(beta[m : 2 * m], basis_rows, out=q0[:, k])
         if use_jumps:
-            r0[:, k] = phi @ beta[2 * m : 3 * m]
+            np.matmul(beta[2 * m :], basis_rows, out=r0[:, k])
         _, mean_stderr[k] = _mean_and_stderr(target)
 
     if deficient and warn:

@@ -538,6 +538,9 @@ MEANVAR_KEYS = ("b0", "sigma0", "gamma0", "target", "xi")
 def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> RunResult:
     res = RunResult()
     cfg.check_known("meanvar", MEANVAR_KEYS)
+    if grid.delta_steps < 1:
+        # the adjoint driver reads p0 at lag delta, which must lie strictly ahead
+        cfg._error("grid", "delta", f"meanvar needs a lag of at least one step (got delta={grid.delta!r})")
     spec = mean_variance.MeanVarSpec(
         b0=cfg.get_float("meanvar", "b0", 0.1),
         sigma0=cfg.get_float("meanvar", "sigma0", 0.2),

@@ -34,7 +34,7 @@ import numpy as np
 from memsfde.adjoint import (
     AdjointTriple,
     SegmentFunctional,
-    _polynomial_columns,
+    _polynomial_rows,
     solve_absde,
     stationarity_gap,
 )
@@ -135,16 +135,20 @@ def lq_basis(spec: LQSpec, grid: SimGrid):
     dw = _delay_weights(spec, grid)
 
     def basis(ens, k):
-        return np.column_stack(_polynomial_columns(ens, k) + [ens.backward_window(k) @ dw])
+        rows = np.empty((6, ens.grid.n_particles))
+        _polynomial_rows(ens, k, rows)
+        np.matmul(ens.backward_window(k), dw, out=rows[5])
+        return rows.T
 
     return basis
 
 
 def _adjoint_driver(spec: LQSpec, grid: SimGrid):
     """Advanced driver of the adjoint equation: the kernel-weighted average of
-    future p0, zero past the horizon; ``None`` when the kernel vanishes."""
+    future p0, zero past the horizon; ``None`` when the kernel vanishes or
+    the window [0, delta] is a single mesh point (its integral is zero)."""
     kern = spec.kernel_values(grid)
-    if not np.any(kern != 0.0):
+    if grid.delta_steps == 0 or not np.any(kern != 0.0):
         return None
     functional = SegmentFunctional.averaging(kern, grid.delta_steps, grid.dt)
 
@@ -220,11 +224,13 @@ def solve_lq(
     deficient: list[int] = []
     converged = False
     growing = 0
-    adjoint: AdjointTriple | None = None
 
     for _ in range(max_iter):
+        # only one sweep's ensemble and adjoint are alive at a time
+        adjoint: AdjointTriple | None = None
         ens = problem.simulate(control)
         adjoint = _solve_adjoint(ens, driver, basis_fn)
+        del ens
         deficient.append(len(adjoint.deficient_steps))
         new_control = (1.0 - damping) * control + damping * adjoint.p0_on_horizon()
         delta = new_control - control
@@ -311,6 +317,10 @@ def verify_lq(
         _warn_deficient((len(adj2.deficient_steps),), K)
     delta = report.damping * (adj2.p0_on_horizon() - control)
     idempotence_change = float(np.sqrt(np.mean((delta * delta) @ wq)))
+    # pathwise cost per shift size; each size is simulated once and the
+    # unshifted ensemble is the idempotence one, which is not needed after
+    costs = {0.0: pathwise_cost(ens, problem.coeffs)}
+    del ens, adj2, delta
 
     half = grid.horizon / 2.0
     directions = (
@@ -322,10 +332,6 @@ def verify_lq(
         (label, *stationarity_gap(problem, control, direction, eps=eps))
         for label, direction in directions
     )
-
-    # pathwise cost per shift size; each size is simulated once and the
-    # unshifted ensemble is the idempotence one
-    costs = {0.0: pathwise_cost(ens, problem.coeffs)}
 
     def cost_at(lam: float) -> np.ndarray:
         if lam not in costs:

@@ -359,6 +359,58 @@ class TestRegression:
         assert np.any(r0 != 0.0)
 
 
+def jump_sweep_inputs():
+    grid = SimGrid(dt=0.05, delta_steps=4, horizon=1.0, n_particles=2_000, seed=21)
+    jumps = JumpModel(intensity=2.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
+    coeffs = CoefficientSet(
+        drift=lambda t, x, xs, m, ms, u, us: 0.3 * xs[:, -1] - 0.2 * x,
+        diffusion=lambda *a: 0.3,
+        jump=lambda t, x, xs, m, ms, u, us, z: 0.1 * z,
+    )
+    ens = simulate(coeffs, grid, jumps=jumps, xi=1.0)
+    f = SegmentFunctional.averaging(np.linspace(1.0, 0.5, grid.delta_steps + 1), grid.delta_steps, grid.dt)
+    return ens, lambda c, k: c.advanced_average(k, f)
+
+
+class TestFeatureMajorDesign:
+    """The regression design and the bases are stored one feature per row."""
+
+    def test_bases_are_views_of_feature_major_rows(self):
+        spec = LQSpec()
+        grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.5, n_particles=300, seed=7)
+        ens = control_problem(spec, grid).simulate(0.0)
+        for basis, m in ((default_basis, 5), (lq_basis(spec, grid), 6)):
+            for k in (0, grid.delta_steps, grid.n_steps - 1):
+                phi = basis(ens, k)
+                assert phi.shape == (300, m)
+                assert phi.T.flags.c_contiguous
+
+    def test_c_ordered_user_basis_gives_the_same_sweep(self):
+        ens, driver = jump_sweep_inputs()
+        adj = solve_absde(ens, terminal=lambda x, law: -x, driver=driver)
+        ref = solve_absde(
+            ens,
+            terminal=lambda x, law: -x,
+            driver=driver,
+            basis=lambda e, k: np.ascontiguousarray(default_basis(e, k)),
+        )
+        assert adj.deficient_steps == ref.deficient_steps
+        assert adj.deficient_steps  # the constant history collapses the lagged features
+        for name in ("p0", "q0", "r0"):
+            assert rel_err(getattr(adj, name), getattr(ref, name)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(regression_designs()))
+    def test_regress_on_transposed_rows_matches_c_order(self, name):
+        design, _ = regression_designs()[name]
+        rows = np.ascontiguousarray(design.T)
+        rng = np.random.Generator(np.random.Philox(key=5))
+        target = design @ rng.normal(size=design.shape[1]) + rng.normal(size=design.shape[0])
+        beta, rank = _regress(rows.T, target)
+        ref, ref_rank = _regress(np.ascontiguousarray(design), target)
+        assert rank == ref_rank
+        assert rel_err(design @ beta, design @ ref) <= 1e-12
+
+
 class TestAdvancedAverage:
     def test_matvec_equals_lag_by_lag_sum(self):
         ens = brownian_ensemble(50, seed=4, dt=0.05, delta_steps=6)

@@ -339,6 +339,40 @@ class TestFailedChecks:
         assert (out / "picard_iters.csv").exists()
 
 
+class TestZeroLag:
+    """``[grid] delta = 0`` is a valid grid for every subcommand but meanvar."""
+
+    def test_meanvar_rejects_it_at_config_time(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MEANVAR_TINY.replace("delta = 0.1", "delta = 0"))
+        assert main(["meanvar", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {path}:5: [grid] delta: meanvar needs a lag of at least one step (got delta=0.0)\n"
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("verify", ["true", "false"])
+    def test_lq_runs_without_an_advanced_driver(self, tmp_path, capsys, verify):
+        path = write_cfg(tmp_path, LQ_TINY.replace("delta = 0.2", "delta = 0") + f"verify = {verify}\n")
+        out = tmp_path / "out"
+        assert main(["lq", "--config", path, "--out", str(out)]) in (EXIT_OK, EXIT_CHECKS_FAILED)
+        assert "Traceback" not in capsys.readouterr().err
+        manifest = read_manifest(out)
+        assert manifest["grid"]["delta"] == 0.0
+        assert check_names(manifest)[0] == "converged"
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("simulate", SIM_TINY.replace("delta = 0.1", "delta = 0")),
+            ("picard", PICARD_TINY.replace("delta = 0.1", "delta = 0")),
+            ("norms", NORMS_TINY.replace("delta = 0.05", "delta = 0")),
+        ],
+    )
+    def test_other_subcommands_accept_it(self, tmp_path, capsys, command, text):
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
 class TestStrictManifest:
     def test_non_finite_scalar_is_written_as_null(self, tmp_path, capsys):
         # with tol = 1 no window iterates twice, so there is no contraction

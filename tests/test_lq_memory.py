@@ -2,11 +2,12 @@
 
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from memsfde import engine
+from memsfde import engine, lq_memory
 from memsfde.adjoint import SegmentFunctional, SweepContext, solve_absde
 from memsfde.grid import SimGrid, trapezoid_weights
 from memsfde.lq_memory import (
@@ -224,6 +225,59 @@ class TestRunEconomy:
         calls.clear()
         verify_lq(solution, spec, self.GRID)
         assert sorted(calls) == [(k, 0) for k in range(self.GRID.n_steps)]
+
+    @staticmethod
+    def track_lifetimes(monkeypatch):
+        """Weak references to every ensemble and backward solve, in order."""
+        ensembles, solves = [], []
+        simulate, solve = engine.ControlProblem.simulate, lq_memory.solve_absde
+
+        def tracked_simulate(self, *args, **kwargs):
+            ens = simulate(self, *args, **kwargs)
+            ensembles.append(weakref.ref(ens))
+            return ens
+
+        def tracked_solve(*args, **kwargs):
+            adj = solve(*args, **kwargs)
+            solves.append(weakref.ref(adj))
+            return adj
+
+        monkeypatch.setattr(engine.ControlProblem, "simulate", tracked_simulate)
+        monkeypatch.setattr(lq_memory, "solve_absde", tracked_solve)
+        return ensembles, solves
+
+    def test_solve_keeps_one_sweep_alive(self, monkeypatch):
+        ensembles, solves = self.track_lifetimes(monkeypatch)
+        alive_at_simulate = []
+        simulate = engine.ControlProblem.simulate
+
+        def checking(self, *args, **kwargs):
+            alive_at_simulate.append(sum(r() is not None for r in ensembles + solves))
+            return simulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine.ControlProblem, "simulate", checking)
+        spec = LQSpec()
+        _, adjoint, report = solve_lq(spec, self.GRID)
+        assert report.iterations > 1
+        assert alive_at_simulate == [0] * report.iterations
+        assert [r() is not None for r in solves] == [False] * (report.iterations - 1) + [True]
+        assert solves[-1]() is adjoint
+
+    def test_verification_frees_the_idempotence_sweep(self, monkeypatch):
+        spec = LQSpec()
+        solution = solve_lq(spec, self.GRID)
+        ensembles, solves = self.track_lifetimes(monkeypatch)
+        alive_at_stationarity = []
+        gap = lq_memory.stationarity_gap
+
+        def checking(*args, **kwargs):
+            alive_at_stationarity.append(sum(r() is not None for r in ensembles + solves))
+            return gap(*args, **kwargs)
+
+        monkeypatch.setattr(lq_memory, "stationarity_gap", checking)
+        verify_lq(solution, spec, self.GRID)
+        assert len(ensembles) == 13 and len(solves) == 1
+        assert alive_at_stationarity == [0, 0, 0]
 
 
 class TestVerification:
