@@ -143,8 +143,11 @@ def solve_closed_form(spec: MeanVarSpec, grid: SimGrid) -> MeanVarSolution:
 
     The reverse cumulative integral of the rate uses the trapezoid rule, so
     phi and psi satisfy their defining one-step relations to O(dt^2) and the
-    terminal values phi(T) = -1, psi(T) = target exactly.
+    terminal values phi(T) = -1, psi(T) = target exactly.  The grid needs a
+    lag of at least one step: the adjoint driver reads p0 strictly ahead.
     """
+    if grid.delta_steps < 1:
+        raise ValueError(f"the delay problem needs a lag of at least one step (got delta_steps={grid.delta_steps})")
     rate_fn = spec.rate_fn()
     b0_fn = spec.b0_fn()
     ts = grid.times()

@@ -88,8 +88,8 @@ def picard_solve(
     ``t0_steps`` is the window length in mesh steps and must divide the number
     of steps (default: one window spanning [0, T]).  Iteration on a window
     stops when the mean squared sup-distance between consecutive sweeps falls
-    to ``tol``; ``max_iter`` (at least 1) defaults to ``t0_steps + 5``, past
-    the point where exactness is guaranteed.
+    to ``tol`` (non-negative); ``max_iter`` (at least 1) defaults to
+    ``t0_steps + 5``, past the point where exactness is guaranteed.
     """
     d, K = grid.delta_steps, grid.n_steps
     if t0_steps is None:
@@ -100,6 +100,8 @@ def picard_solve(
         max_iter = t0_steps + 5
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     ctrl = as_control(control)
 
     ens = _new_ensemble(grid, jumps, xi, _noise_arrays(coeffs, grid, jumps))

@@ -86,6 +86,14 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="jump loading"):
             solve_closed_form(spec, DESK_GRID)
 
+    def test_zero_lag_rejected_before_simulating(self, monkeypatch):
+        grid = SimGrid(dt=0.01, delta_steps=0, horizon=1.0, n_particles=500, seed=1)
+        with pytest.raises(ValueError, match="lag of at least one step"):
+            solve_closed_form(MeanVarSpec(), grid)
+        monkeypatch.setattr(engine, "simulate", lambda *a, **k: pytest.fail("simulated a zero-lag grid"))
+        with pytest.raises(ValueError, match="lag of at least one step"):
+            simulate_optimal(MeanVarSpec(), grid)
+
 
 class TestOptimalSimulation:
     def test_history_at_target_freezes_everything(self):

@@ -188,3 +188,11 @@ class TestValidation:
         grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=1, seed=0)
         with pytest.raises(ValueError, match="max_iter"):
             picard_solve(CONST_DRIFT, grid, max_iter=0)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_tol_must_be_non_negative(self, tol):
+        # no distance falls to such a tol, and the sweeps after a zero
+        # distance would record no contraction ratio
+        grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=1, seed=0)
+        with pytest.raises(ValueError, match="tol"):
+            picard_solve(CONST_DRIFT, grid, tol=tol)
