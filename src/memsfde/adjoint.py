@@ -291,17 +291,13 @@ class AdjointTriple:
     mean_stderr: np.ndarray  # (n_steps + 1,)
     deficient_steps: tuple = ()
 
-    def p0_on_horizon(self) -> np.ndarray:
-        """p0 on the [0, T] mesh, shape (N, n_steps + 1)."""
-        return self.p0
-
     def check_terminal_conventions(self) -> bool:
         """The noise loadings vanish at the horizon."""
         K = self.grid.n_steps
         return bool(np.all(self.q0[:, K] == 0.0) and np.all(self.r0[:, K] == 0.0))
 
 
-def _regress(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
+def _regress(design: np.ndarray, target: np.ndarray, step: int | None = None) -> tuple[np.ndarray, int]:
     """Least-norm least-squares coefficients of ``target`` on ``design``.
 
     Solves the normal equations through a symmetric eigensolve of the Gram
@@ -315,10 +311,14 @@ def _regress(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
     projected so that it returns the least-norm unscaled coefficients (the
     solution an SVD least-squares solver returns at the same rank), and the
     solution is refined once against its own residual.
-    ``target`` may be (N,) or (N, c); returns ``(beta, rank)``.
+    ``target`` may be (N,) or (N, c); returns ``(beta, rank)``.  A Gram
+    matrix that overflows raises ``LinAlgError`` naming the backward ``step``.
     """
     n_rows, n = design.shape
     gram = design.T @ design
+    if not np.isfinite(gram).all():
+        where = f"backward step {step}: " if step is not None else ""
+        raise np.linalg.LinAlgError(f"{where}the regression design is too large to square: its Gram matrix overflows")
     scale = np.sqrt(gram.diagonal())
     scale[scale == 0.0] = 1.0
     evals, evecs = np.linalg.eigh(gram / np.outer(scale, scale))
@@ -484,7 +484,7 @@ def solve_absde(
         if use_jumps:
             dn = ens.jump_counts[:, k, :].sum(axis=1) - lam_dt
             np.multiply(basis_rows, dn, out=rows[2 * m :])
-        beta, rank = _regress(rows.T, target)
+        beta, rank = _regress(rows.T, target, step=k)
         if rank < rows.shape[0]:
             deficient.append(k)
         np.matmul(beta[:m], basis_rows, out=p0[:, k])

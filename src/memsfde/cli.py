@@ -19,6 +19,7 @@ on values too large to square).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -473,7 +474,7 @@ def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) ->
         f"worst final ratio {worst:.6g}",
     )
     if values["consistency"]:
-        gap = consistency_check(coeffs, grid, jumps=jumps, xi=xi, t0_steps=t0_steps, ens_fp=ens)
+        gap = consistency_check(coeffs, ens, xi=xi)
         res.add_check("matches_direct_scheme", gap < 1e-8, f"sup mean-square gap {gap:.3e}")
         res.scalars["consistency_gap"] = gap
     res.scalars.update(
@@ -490,6 +491,13 @@ def run_norms(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> 
     values = cfg.section("norms")
     n_nodes, n_sets, n_samples = values["rule_points"], values["property_sets"], values["samples"]
     point_a, point_b = values["point_a"], values["point_b"]
+    n_lags = grid.delta_steps + 1
+    # per sample: a complex ecf phase entry per rule point, and a pair of
+    # float (samples, lags) windows; refuse before drawing them
+    need = n_samples * (16 * n_nodes + 2 * 8 * n_lags)
+    memory = _physical_memory_bytes()
+    if memory is not None and need > memory:
+        cfg._error("norms", "samples", f"{n_samples} samples need {need} bytes, more than physical memory")
     rule = gauss_weight_rule(n_nodes)
     rng = np.random.Generator(np.random.Philox(key=grid.seed))
 
@@ -527,7 +535,6 @@ def run_norms(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> 
     )
 
     # window variant: trapezoid-in-lag integral of the same inequality
-    n_lags = grid.delta_steps + 1
     base = rng.standard_normal((n_samples, n_lags))
     other = base + rng.standard_normal((n_samples, n_lags)) * rng.uniform(0.0, 1.0, size=n_lags)
     seg_a = MeasureSegment([EmpiricalMeasure(base[:, j]) for j in range(n_lags)], grid.dt)
@@ -572,11 +579,11 @@ def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -
     write_csv(os.path.join(outdir, "solution.csv"), ("t", "rate", "phi", "psi"), sol.rows())
     res.artifacts.append("solution.csv")
 
-    ver = mean_variance.verify_adjoint(spec, grid, ens=ens, sol=sol)
+    ver = mean_variance.verify_adjoint(ens, sol)
     write_csv(os.path.join(outdir, "verification.csv"), ("name", "value"), ver.rows())
     res.artifacts.append("verification.csv")
 
-    j_rows = mean_variance.j_comparison(spec, grid, ens=ens, sol=sol)
+    j_rows = mean_variance.j_comparison(ens, sol)
     out_rows = []
     dominance = True
     for label, j, se, jgap, gse in j_rows:
@@ -809,6 +816,25 @@ RUNNERS = {
 }
 
 
+@contextlib.contextmanager
+def _logs_held_until_return():
+    """Hold the package's log records until the block returns, so a run that
+    ends in exit 2 or 3 prints just its one anchored line."""
+    logger = logging.getLogger("memsfde")
+    records = []
+    held = logging.Handler()
+    held.emit = records.append  # keep each record as it is handed on
+    propagate, logger.propagate = logger.propagate, False
+    logger.addHandler(held)
+    try:
+        yield
+    finally:
+        logger.removeHandler(held)
+        logger.propagate = propagate
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="memsfde",
@@ -871,7 +897,7 @@ def main(argv=None) -> int:
         os.makedirs(outdir, exist_ok=True)
         # an overflow is reported once, by the non-finite-state abort, not
         # also as a numpy RuntimeWarning
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), _logs_held_until_return():
             result = RUNNERS[args.command](cfg, grid, jumps, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

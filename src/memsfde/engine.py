@@ -42,9 +42,8 @@ noise kinds its coefficients use, never on the control.  ``draw_noise`` draws
 it once over all steps and marks it read-only; ``ControlProblem`` caches that
 draw and passes it to every ``simulate`` call, so all ensembles of one problem
 share one read-only ``(brownian, jump_counts)`` pair instead of each drawing
-and holding its own.  The fixed-point solver fills its own writable arrays
-window by window through the same per-step routine (``_draw_noise``), so it
-too draws each step's noise once however many sweeps it makes.
+and holding its own.  The fixed-point solver builds its ensemble on the same
+draw, so it too draws each step's noise once however many sweeps it makes.
 
 Every per-step array is stored time-major and handed out particle-major:
 ``paths``, ``controls_full``, ``brownian`` and ``jump_counts`` are transposed
@@ -68,7 +67,6 @@ import numpy as np
 
 from memsfde.grid import BROWNIAN, JUMPS, SimGrid, step_generator, trapezoid_weights
 from memsfde.measures import EmpiricalMeasure, MeasureSegment
-from memsfde.segments import GridPath
 
 __all__ = [
     "MeshMismatchError",
@@ -157,7 +155,6 @@ class CoefficientSet:
     jump: Callable | None = None
     running_cost: Callable | None = None
     terminal_cost: Callable | None = None
-    lipschitz: float | None = None  # declared constant, reporting only
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +229,7 @@ class ParticleEnsemble:
     per-mark jump counts ``jump_counts`` (N, K, marks) are kept so the adjoint
     solver can build regression features from the same noise that moved the
     particles.  They are the noise of the ensemble's problem, drawn once and
-    shared read-only by every ensemble simulated on it (the fixed-point
-    solver's are its own, filled window by window).
+    shared read-only by every ensemble simulated or solved on it.
 
     All four arrays are (N, ·) views of time-major storage, so column k of
     each is one contiguous row; ``paths`` and ``controls_full`` store the
@@ -282,14 +278,6 @@ class ParticleEnsemble:
         backward window, its empirical law and the (lazy) law segment."""
         x = self.state_column(k)
         return x, self.backward_window(k), EmpiricalMeasure(x), _LazyLawSegment(self, k)
-
-    def path(self, i: int) -> GridPath:
-        return GridPath(
-            values=self.paths[i].copy(),
-            dt=self.grid.dt,
-            t0=-self.grid.delta,
-            delta_steps=self.grid.delta_steps,
-        )
 
 
 def _materialize_history(xi, grid: SimGrid) -> np.ndarray:
@@ -382,53 +370,31 @@ def _noise_shapes(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None
     return (N, K), None
 
 
-def _noise_arrays(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None) -> tuple:
-    """Zeroed, writable ``(brownian, jump_counts)`` for :func:`_draw_noise`,
-    stored time-major behind (N, K) and (N, K, marks) views."""
-    b_shape, j_shape = _noise_shapes(coeffs, grid, jumps)
-    brownian = np.zeros(b_shape[::-1]).T
-    if j_shape is None:
-        return brownian, None
-    N, K, marks = j_shape
-    return brownian, np.zeros((K, marks, N), dtype=np.int64).transpose(2, 0, 1)
-
-
-def _draw_noise(
-    coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None, noise: tuple, k_start: int, k_stop: int
-) -> None:
-    """Fill ``brownian[:, k]`` and ``jump_counts[:, k, :]`` of ``noise`` for
-    steps ``k_start..k_stop-1`` from the per-step streams.
-
-    Brownian increments are drawn only when there is a diffusion coefficient,
-    jump counts only when ``jump_counts`` is allocated; untouched entries stay
-    zero.
-    """
-    brownian, jump_counts = noise
-    N = grid.n_particles
-    if coeffs.diffusion is not None:
-        sq = math.sqrt(grid.dt)
-        for k in range(k_start, k_stop):
-            brownian[:, k] = step_generator(grid.seed, k, BROWNIAN).standard_normal(N) * sq
-    if jump_counts is not None:
-        mark_rates = np.array(jumps.probs) * jumps.intensity * grid.dt
-        for k in range(k_start, k_stop):
-            jump_counts[:, k, :] = step_generator(grid.seed, k, JUMPS).poisson(mark_rates, size=(N, mark_rates.size))
-
-
 def draw_noise(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None = None) -> tuple:
     """The noise ``(brownian, jump_counts)`` of a problem over steps
-    ``[0, K)``, marked read-only.
+    ``[0, K)``, marked read-only and stored time-major behind (N, K) and
+    (N, K, marks) views.
 
     It depends on the grid (including its seed), the jump model and which
     noise kinds ``coeffs`` use, not on any control, so every simulation of
-    one problem can share it (``simulate(noise=)``).
+    one problem can share it (``simulate(noise=)``).  Without a diffusion
+    coefficient the Brownian increments stay zero.
     """
-    noise = _noise_arrays(coeffs, grid, jumps)
-    _draw_noise(coeffs, grid, jumps, noise, 0, grid.n_steps)
-    for arr in noise:
-        if arr is not None:
-            arr.setflags(write=False)
-    return noise
+    (N, K), j_shape = _noise_shapes(coeffs, grid, jumps)
+    brownian = np.zeros((K, N))
+    if coeffs.diffusion is not None:
+        sq = math.sqrt(grid.dt)
+        for k in range(K):
+            brownian[k] = step_generator(grid.seed, k, BROWNIAN).standard_normal(N) * sq
+    brownian.setflags(write=False)
+    if j_shape is None:
+        return brownian.T, None
+    mark_rates = np.array(jumps.probs) * jumps.intensity * grid.dt
+    counts = np.zeros((K, mark_rates.size, N), dtype=np.int64)
+    for k in range(K):
+        counts[k].T[...] = step_generator(grid.seed, k, JUMPS).poisson(mark_rates, size=(N, mark_rates.size))
+    counts.setflags(write=False)
+    return brownian.T, counts.transpose(2, 0, 1)
 
 
 def _euler_window(
@@ -444,9 +410,8 @@ def _euler_window(
     Coefficient inputs (state, segments, laws) are read from
     ``read_ens.paths``; increments accumulate on ``write_paths``.  Passing the
     ensemble's own ``paths`` gives the ordinary explicit scheme.  The applied
-    control is recorded in ``read_ens.controls_full``, and the noise of those
-    steps must already be in its ``brownian`` / ``jump_counts`` (see
-    :func:`_draw_noise`).
+    control is recorded in ``read_ens.controls_full``, and the noise is read
+    from its ``brownian`` / ``jump_counts`` (see :func:`draw_noise`).
     """
     d, dt = read_ens.grid.delta_steps, read_ens.grid.dt
     jumps, jump_counts = read_ens.jumps, read_ens.jump_counts

@@ -9,11 +9,10 @@ substream, step)``.  Each step's draws are a single vectorized call, and
 particle ``i`` always reads slot ``i`` of that step's array, so results do not
 depend on scheduling or on how the particle loop is partitioned.  Re-running
 with the same seed and grid is bit-identical, and any step's increments can be
-drawn in any order.  Each step's streams are drawn once per problem: the direct
-scheme's noise is drawn over all steps, marked read-only and shared by every
-simulation of that problem (``engine.draw_noise``), and the fixed-point solver
-draws into its own arrays window by window, before its sweeps, so both see the
-same increments.
+drawn in any order.  Each step's streams are drawn once per problem: the noise
+is drawn over all steps, marked read-only and shared by every simulation and
+fixed-point solve of that problem (``engine.draw_noise``), so all of them see
+the same increments.
 """
 
 from __future__ import annotations

@@ -232,7 +232,7 @@ def solve_lq(
         adjoint = _solve_adjoint(ens, driver, basis_fn)
         del ens
         deficient.append(len(adjoint.deficient_steps))
-        new_control = (1.0 - damping) * control + damping * adjoint.p0_on_horizon()
+        new_control = (1.0 - damping) * control + damping * adjoint.p0
         delta = new_control - control
         change = float(np.sqrt(np.mean((delta * delta) @ wq)))
         if changes and change > changes[-1]:
@@ -307,7 +307,7 @@ def verify_lq(
     K = grid.n_steps
     wq = trapezoid_weights(K + 1, grid.dt)
 
-    residual = np.abs((adjoint.p0_on_horizon() - control).mean(axis=0))
+    residual = np.abs((adjoint.p0 - control).mean(axis=0))
     coupling_residual_max = float(residual.max())
 
     # idempotence: one more forward+backward sweep barely moves the control
@@ -315,7 +315,7 @@ def verify_lq(
     adj2 = _solve_adjoint(ens, _adjoint_driver(spec, grid), lq_basis(spec, grid))
     if len(adj2.deficient_steps) > max(report.deficient_counts, default=0):
         _warn_deficient((len(adj2.deficient_steps),), K)
-    delta = report.damping * (adj2.p0_on_horizon() - control)
+    delta = report.damping * (adj2.p0 - control)
     idempotence_change = float(np.sqrt(np.mean((delta * delta) @ wq)))
     # pathwise cost per shift size; each size is simulated once and the
     # unshifted ensemble is the idempotence one, which is not needed after

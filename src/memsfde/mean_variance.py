@@ -42,6 +42,7 @@ from memsfde.engine import (
     CoefficientSet,
     ControlProblem,
     JumpModel,
+    ParticleEnsemble,
     _as_time_fn,
     _materialize_history,
     _mean_and_stderr,
@@ -237,8 +238,10 @@ class MeanVarVerification:
         yield "lsmc_deficient_steps", self.lsmc_deficient_steps
 
 
-def verify_adjoint(spec: MeanVarSpec, grid: SimGrid, ens=None, sol=None) -> MeanVarVerification:
-    """Three independent checks of the candidate optimum.
+def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerification:
+    """Three independent checks of the candidate optimum, run on the
+    ``(ens, sol)`` that :func:`simulate_optimal` returns; the problem and
+    its grid are ``sol.spec`` and ``sol.grid``.
 
     (1) The first-order-condition bracket, assembled from the closed-form
     adjoint loadings along every simulated path, must vanish to rounding.
@@ -251,9 +254,8 @@ def verify_adjoint(spec: MeanVarSpec, grid: SimGrid, ens=None, sol=None) -> Mean
     tolerance.  Positivity of Y = X - target and the smallest |X(t - delta)|
     (the denominator of the feedback rule) are monitored alongside.
     """
-    if ens is None or sol is None:
-        ens, sol = simulate_optimal(spec, grid)
-    K, d, dt, N = grid.n_steps, grid.delta_steps, grid.dt, grid.n_particles
+    spec, grid = sol.spec, sol.grid
+    K, d, N = grid.n_steps, grid.delta_steps, grid.n_particles
     ts = grid.times()
     b0 = np.array([spec.b0_fn()(t) for t in ts])
     s0 = np.array([spec.sigma0_fn()(t) for t in ts])
@@ -334,20 +336,18 @@ PERTURBATION_FAMILY = (
 )
 
 
-def j_comparison(spec: MeanVarSpec, grid: SimGrid, ens=None, sol=None):
+def j_comparison(ens: ParticleEnsemble, sol: MeanVarSolution):
     """Performance of the optimal control against its perturbation family.
 
-    All variants run under common random numbers: each is simulated on the
-    optimal ensemble's noise, so each row's gap J(optimal) - J(variant) comes
-    with a paired standard error.  Returns rows
-    (label, J, stderr, gap, gap_stderr); optimality means every gap is no
-    less than -3 gap_stderr.  ``ens`` / ``sol`` may pass in the output of
-    :func:`simulate_optimal` so a caller that already has it does not
-    simulate again.
+    ``(ens, sol)`` is what :func:`simulate_optimal` returns; the optimal
+    ensemble is costed as is, not simulated again.  All variants run under
+    common random numbers: each is simulated on the optimal ensemble's
+    noise, so each row's gap J(optimal) - J(variant) comes with a paired
+    standard error.  Returns rows (label, J, stderr, gap, gap_stderr);
+    optimality means every gap is no less than -3 gap_stderr.
     """
-    if ens is None or sol is None:
-        ens, sol = simulate_optimal(spec, grid)
-    problem = control_problem(spec, grid)
+    grid = sol.grid
+    problem = control_problem(sol.spec, grid)
     base_cost = pathwise_cost(ens, problem.coeffs)
     rows = [("optimal", *_mean_and_stderr(base_cost), 0.0, 0.0)]
     for label, kind, amount in PERTURBATION_FAMILY:

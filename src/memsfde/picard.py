@@ -12,11 +12,12 @@ reports.
 
 Windows tile [0, T]; each window starts from the already-converged state, with
 the new window's initial guess the constant extension of its starting value.
-Each window's noise is drawn once, from the same per-step counter streams as
-the direct scheme, before its first sweep; every sweep reads those stored
-increments, so the converged result matches the direct scheme exactly.  The
-frozen iterate is one array allocated per solve; a sweep refreshes only the
-columns its window reads (the window plus the memory span before it).
+The solve runs on the problem's noise as :func:`memsfde.engine.draw_noise`
+draws it for the direct scheme, once and before the first sweep; every sweep
+reads those stored increments, so the converged result matches the direct
+scheme exactly.  The frozen iterate is one array allocated per solve; a sweep
+refreshes only the columns its window reads (the window plus the memory span
+before it).
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from memsfde.engine import (
     CoefficientSet,
     JumpModel,
     ParticleEnsemble,
-    _draw_noise,
     _euler_window,
     _mesh_array,
     _new_ensemble,
-    _noise_arrays,
     _record_horizon_control,
     as_control,
+    draw_noise,
     simulate,
 )
 from memsfde.grid import SimGrid
@@ -104,7 +104,7 @@ def picard_solve(
         raise ValueError(f"tol must be non-negative, got {tol}")
     ctrl = as_control(control)
 
-    ens = _new_ensemble(grid, jumps, xi, _noise_arrays(coeffs, grid, jumps))
+    ens = _new_ensemble(grid, jumps, xi, draw_noise(coeffs, grid, jumps))
     paths = ens.paths
     # the frozen iterate: its own paths, the solve's controls and noise
     prev = _mesh_array(grid)
@@ -121,7 +121,6 @@ def picard_solve(
         lo, hi = d + k0, d + k1
         # initial guess: constant extension of the window's starting value
         paths[:, lo + 1 : hi + 1] = paths[:, lo][:, None]
-        _draw_noise(coeffs, grid, jumps, ens.noise, k0, k1)
         dists: list[float] = []
         ratios: list[float] = []
         window_done = False
@@ -157,26 +156,14 @@ def picard_solve(
     return ens, report
 
 
-def consistency_check(
-    coeffs: CoefficientSet,
-    grid: SimGrid,
-    jumps: JumpModel | None = None,
-    xi=0.0,
-    control=None,
-    t0_steps: int | None = None,
-    ens_fp: ParticleEnsemble | None = None,
-    **kwargs,
-) -> float:
+def consistency_check(coeffs: CoefficientSet, ens_fp: ParticleEnsemble, xi=0.0, control=None) -> float:
     """Sup over the [0, T] mesh of the mean squared gap between the
     fixed-point solve and the direct scheme (same grid, same noise).
 
-    ``ens_fp`` is an ensemble already solved by :func:`picard_solve` with the
-    same arguments; the solve is deterministic, so passing it gives the same
-    gap as solving again.  Without it the solve is run here.  The direct
-    scheme runs on ``ens_fp``'s noise rather than drawing it again.
+    ``ens_fp`` is the ensemble :func:`picard_solve` returned for ``coeffs``,
+    ``xi`` and ``control``; the direct scheme runs on its grid, jump model
+    and noise, so nothing is solved or drawn again.
     """
-    if ens_fp is None:
-        ens_fp, _ = picard_solve(coeffs, grid, jumps=jumps, xi=xi, control=control, t0_steps=t0_steps, **kwargs)
-    ens_dir = simulate(coeffs, grid, jumps=jumps, xi=xi, control=control, noise=ens_fp.noise)
+    ens_dir = simulate(coeffs, ens_fp.grid, jumps=ens_fp.jumps, xi=xi, control=control, noise=ens_fp.noise)
     diff = ens_fp.states - ens_dir.states
     return float(np.max(np.mean(diff * diff, axis=0)))

@@ -94,11 +94,10 @@ def test_criterion_4_window_iteration_contracts():
         coeffs = CoefficientSet(
             drift=lambda t, x, xs, m, ms, u, us, rate=rate: rate * x,
             diffusion=lambda *a: 0.2,
-            lipschitz=rate,
         )
-        _, wide = picard_solve(coeffs, grid, xi=1.0, t0_steps=10)
+        ens, wide = picard_solve(coeffs, grid, xi=1.0, t0_steps=10)
         _, narrow = picard_solve(coeffs, grid, xi=1.0, t0_steps=5)
-        gap = consistency_check(coeffs, grid, xi=1.0, t0_steps=10)
+        gap = consistency_check(coeffs, ens, xi=1.0)
         ok = (
             ok
             and wide.converged
@@ -163,8 +162,9 @@ def test_criterion_7_delayed_wealth_battery():
     started = time.perf_counter()
     grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=100_000, seed=1)
     spec = mean_variance.MeanVarSpec()  # unit-excess history above a unit floor
-    ver = mean_variance.verify_adjoint(spec, grid)
-    rows = mean_variance.j_comparison(spec, grid)
+    ens, sol = mean_variance.simulate_optimal(spec, grid)
+    ver = mean_variance.verify_adjoint(ens, sol)
+    rows = mean_variance.j_comparison(ens, sol)
     variants = rows[1:]
     dominance = all(gap >= -3.0 * gse for _, _, _, gap, gse in variants)
     ok = (

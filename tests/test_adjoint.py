@@ -175,7 +175,7 @@ class TestBackwardSolver:
     def test_column_means_follow_zero_driver_martingale(self):
         ens = brownian_ensemble(5_000, seed=3)
         adj = solve_absde(ens, terminal=lambda x, law: -x)
-        means = adj.p0_on_horizon().mean(axis=0)
+        means = adj.p0.mean(axis=0)
         steps = np.abs(np.diff(means))
         assert np.max(steps) < 3.0 * np.max(adj.mean_stderr) + 1e-4
 

@@ -5,13 +5,14 @@ test below writes configs from it, one subcommand at a time, and mutates up
 to three keys to values that are finite, huge, tiny, zero, negative,
 ``nan``, ``inf``, non-numeric or hex.  Whatever it draws, a run must exit
 0, 1, 2 or 3 without a traceback; an exit 2 or 3 prints exactly one
-``config error:`` or ``runtime abort:`` line; a finished run writes a
-strict-JSON manifest and reruns byte for byte.
+``config error:`` or ``runtime abort:`` line and nothing else on stderr;
+a finished run writes a strict-JSON manifest and reruns byte for byte.
 
 Grids stay either small enough to run in milliseconds or so large that
 ``build_grid`` rejects them before allocating.  Keys that only bound the
-work of a run (iteration caps, sample and property-set counts) are drawn
-small: a huge value there is valid input that simply runs long.
+work of a run (iteration caps and property-set counts) are drawn small: a
+huge value there is valid input that simply runs long.  Sample counts and
+rule sizes are also drawn huge, which the CLI rejects before allocating.
 
 The inputs that used to end in a traceback, or to pass although malformed,
 are pinned with their exact messages in ``TestProbedInputs`` and are
@@ -24,6 +25,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -70,7 +73,7 @@ FINITE_GRID = {
 BOUNDED = {
     "max_iter": ["1", "2", "0x3", "0", "-5", "abc", "nan"],
     "property_sets": ["1", "3", "0x2", "0", "-5", "abc", "nan"],
-    "samples": ["1", "2", "16", "0", "-5", "abc", "nan"],
+    "samples": ["1", "2", "16", "0", "-5", "100000000000", "abc", "nan"],
     "rule_points": ["2", "3", "16", "0", "1", "-3", "100000000000", "abc", "nan"],
 }
 
@@ -152,6 +155,11 @@ LQ = GRID + "\n[lq]\n"
 NORMS = GRID + "\n[norms]\nproperty_sets = 3\nsamples = 16\n"
 SIMULATE = GRID + "\n[simulate]\nxi = 1.0\njump_scale = 0.1\n"
 
+GRAM_OVERFLOW = (
+    "runtime abort: linear algebra failed (backward step 9: the regression design is too large to square: "
+    "its Gram matrix overflows); check coefficient growth"
+)
+
 # (command, config, extra argv, exit code, stderr with {path} for the config)
 PROBES = {
     "meanvar_b0_zero": (
@@ -182,8 +190,15 @@ PROBES = {
         EXIT_BAD_CONFIG,
         "config error: {path}:9: [meanvar] xi: must be non-zero: the optimal feedback divides by it",
     ),
-    "meanvar_huge_history": ("meanvar", MEANVAR + "xi = 1e300\n", (), EXIT_RUNTIME_ABORT, None),
-    "lq_huge_alpha0": ("lq", LQ + "alpha0 = 1e200\n", (), EXIT_RUNTIME_ABORT, None),
+    "meanvar_huge_history": ("meanvar", MEANVAR + "xi = 1e300\n", (), EXIT_RUNTIME_ABORT, GRAM_OVERFLOW),
+    "lq_huge_alpha0": ("lq", LQ + "alpha0 = 1e200\n", (), EXIT_RUNTIME_ABORT, GRAM_OVERFLOW),
+    "lq_huge_eps": (
+        "lq",
+        LQ + "eps = 1e200\n",
+        (),
+        EXIT_RUNTIME_ABORT,
+        "runtime abort: non-finite state for 64 particle(s) at step 6 (t=0.12); reduce dt or check coefficient growth",
+    ),
     "norms_zero_rule": (
         "norms",
         NORMS + "rule_points = 0\n",
@@ -227,6 +242,14 @@ PROBES = {
         EXIT_BAD_CONFIG,
         "config error: {path}:10: [norms] samples: must be at least 1",
     ),
+    "norms_huge_samples": (
+        "norms",
+        NORMS.replace("samples = 16", "samples = 1000000000000"),
+        (),
+        EXIT_BAD_CONFIG,
+        "config error: {path}:10: [norms] samples: 1000000000000 samples need 1072000000000000 bytes, "
+        "more than physical memory",
+    ),
     "jumps_huge_intensity": (
         "simulate",
         SIMULATE + "\n[jumps]\nintensity = 1e300\n",
@@ -269,11 +292,7 @@ class TestProbedInputs:
         got, err, caught = run(command, text, flag, str(tmp_path), "out")
         assert got == code
         assert caught == []
-        if message is None:
-            assert err.startswith("runtime abort: linear algebra failed (")
-            assert err.endswith("); check coefficient growth\n")
-        else:
-            assert err == message.format(path=os.path.join(str(tmp_path), "exp.cfg")) + "\n"
+        assert err == message.format(path=os.path.join(str(tmp_path), "exp.cfg")) + "\n"
         assert not os.path.exists(os.path.join(str(tmp_path), "out", "manifest.json"))
 
     def test_poisson_limit_is_numpys(self):
@@ -281,6 +300,35 @@ class TestProbedInputs:
         rng.poisson(POISSON_LAM_MAX)
         with pytest.raises(ValueError, match="lam value too large"):
             rng.poisson(np.nextafter(POISSON_LAM_MAX, np.inf))
+
+
+class TestLoggedWarnings:
+    """Through the console entry point, which logs to stderr: a run that
+    aborts prints only its one line, a finished run keeps its warnings."""
+
+    def run_console(self, tmp_path, command: str, text: str):
+        path = tmp_path / "exp.cfg"
+        path.write_text(text, encoding="utf-8")
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-m", "memsfde", command, "--config", str(path), "--out", str(tmp_path / "out")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        return proc.returncode, proc.stderr
+
+    def test_an_abort_prints_no_warning_first(self, tmp_path):
+        command, text, _, code, message = PROBES["lq_huge_eps"]
+        got, err = self.run_console(tmp_path, command, text)
+        assert got == code
+        assert err == message + "\n"
+
+    def test_a_finished_run_keeps_its_summary_warning(self, tmp_path):
+        # no kernel and no noise: every regression step is rank-deficient
+        got, err = self.run_console(tmp_path, "lq", LQ + "kernel = 0\nalpha0 = 0\nbeta0 = 0\nxi = 1\n")
+        assert got == EXIT_OK
+        assert err == (
+            "WARNING memsfde.lq_memory: rank-deficient regression at 10 of 10 steps in each of 10 solves; "
+            "least-norm/ensemble-mean fallback used\n"
+        )
 
 
 class TestSchema:
@@ -334,12 +382,14 @@ class TestSelftestDetails:
 @example(case=PROBES["meanvar_zero_history"][:3])
 @example(case=PROBES["meanvar_huge_history"][:3])
 @example(case=PROBES["lq_huge_alpha0"][:3])
+@example(case=PROBES["lq_huge_eps"][:3])
 @example(case=PROBES["norms_zero_rule"][:3])
 @example(case=PROBES["norms_negative_rule"][:3])
 @example(case=PROBES["norms_one_point_rule"][:3])
 @example(case=PROBES["norms_huge_rule"][:3])
 @example(case=PROBES["norms_zero_samples"][:3])
 @example(case=PROBES["norms_negative_samples"][:3])
+@example(case=PROBES["norms_huge_samples"][:3])
 @example(case=PROBES["jumps_huge_intensity"][:3])
 @example(case=PROBES["jumps_marks_without_intensity"][:3])
 @example(case=PROBES["threads_key_beside_flag"][:3])
@@ -351,11 +401,10 @@ def test_contract_holds_for_configs_drawn_from_the_schema(case):
         assert code in (EXIT_OK, EXIT_CHECKS_FAILED, EXIT_BAD_CONFIG, EXIT_RUNTIME_ABORT)
         assert "Traceback" not in err
         if code in (EXIT_BAD_CONFIG, EXIT_RUNTIME_ABORT):
-            # logged diagnostics (a rank-deficiency summary) may come first
+            # no logged diagnostic (a rank-deficiency summary) precedes it
             prefix = "config error: " if code == EXIT_BAD_CONFIG else "runtime abort: "
-            lines = err.splitlines()
-            assert [line for line in lines if line.startswith(("config error:", "runtime abort:"))] == lines[-1:]
-            assert lines[-1].startswith(prefix), err
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith(prefix), err
             assert caught == []
             return
         with open(os.path.join(workdir, "a", "manifest.json"), encoding="utf-8") as handle:

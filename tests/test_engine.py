@@ -16,12 +16,13 @@ from memsfde.engine import (
     SimulationBlowupError,
     as_control,
     combine_controls,
+    draw_noise,
     law_at,
     law_segment,
     performance,
     simulate,
 )
-from memsfde.grid import SimGrid
+from memsfde.grid import BROWNIAN, JUMPS, SimGrid
 from memsfde.measures import EmpiricalMeasure, MeasureSegment, cf_dist_sq, m_segment_dist_sq
 from memsfde.picard import picard_solve
 
@@ -380,6 +381,30 @@ class TestSharedNoise:
             problem.simulate(control)
         assert len(calls) == len(set(calls)) == 2 * self.GRID.n_steps
 
+    @pytest.mark.parametrize("kind", [DIFFUSION_ONLY, WITH_JUMPS], ids=["diffusion", "jumps"])
+    def test_picard_solve_draws_the_problems_noise_once(self, monkeypatch, kind):
+        coeffs, jumps = kind
+        calls = []
+        step_generator = engine.step_generator
+
+        def counting(seed, step, substream=0):
+            calls.append((step, substream))
+            return step_generator(seed, step, substream)
+
+        monkeypatch.setattr(engine, "step_generator", counting)
+        ens, report = picard_solve(coeffs, self.GRID, jumps=jumps, xi=1.0, control=0.3, t0_steps=5)
+        monkeypatch.undo()
+        assert min(report.iterations) > 1  # several sweeps per window
+        substreams = (BROWNIAN, JUMPS) if jumps.active else (BROWNIAN,)
+        assert sorted(calls) == sorted((k, s) for k in range(self.GRID.n_steps) for s in substreams)
+        brownian, jump_counts = draw_noise(coeffs, self.GRID, jumps)
+        for got, drawn in ((ens.brownian, brownian), (ens.jump_counts, jump_counts)):
+            if drawn is None:
+                assert got is None
+                continue
+            assert not got.flags.writeable
+            np.testing.assert_array_equal(got, drawn)
+
     def test_no_diffusion_means_zero_brownian_increments(self):
         jumps = JumpModel(intensity=2.0, marks=(1.0,), probs=(1.0,))
         coeffs = CoefficientSet(drift=lambda *a: 1.0, jump=lambda t, x, xs, m, ms, u, us, mark: mark)
@@ -460,7 +485,6 @@ class TestTimeMajorLayout:
         ens = self.ensemble("problem")
         N, K = self.GRID.n_particles, self.GRID.n_steps
         adj = solve_absde(ens, terminal=lambda x, law: -x, warn=False)
-        assert adj.p0_on_horizon() is adj.p0
         for arr in (adj.p0, adj.q0, adj.r0):
             assert arr.shape == (N, K + 1)
             assert arr.flags.f_contiguous  # time order: forward windows are row bands

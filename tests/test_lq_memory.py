@@ -184,7 +184,7 @@ class TestRunEconomy:
         adj = solve_absde(
             ens, terminal=lambda x, law: -x, driver=lambda c, k: c.advanced_average(k, f), basis=lq_basis(spec, grid)
         )
-        update = adj.p0_on_horizon() - control
+        update = adj.p0 - control
         norm = math.sqrt(np.mean((update * update) @ trapezoid_weights(grid.n_steps + 1, grid.dt)))
         assert report.damping == 0.25
         assert ver.idempotence_change == pytest.approx(report.damping * norm, rel=1e-12)

@@ -150,7 +150,7 @@ class TestOptimalSimulation:
 def verified():
     spec = MeanVarSpec()
     ens, sol = simulate_optimal(spec, DESK_GRID)
-    return spec, verify_adjoint(spec, DESK_GRID, ens=ens, sol=sol)
+    return spec, verify_adjoint(ens, sol)
 
 
 class TestAdjointVerification:
@@ -191,7 +191,7 @@ class TestAdjointVerification:
         tracemalloc.start()
         try:
             at_entry = tracemalloc.get_traced_memory()[0]
-            verify_adjoint(spec, grid, ens=ens, sol=sol)
+            verify_adjoint(ens, sol)
         finally:
             tracemalloc.stop()
         one_array = grid.n_particles * (grid.n_steps + 1) * 8
@@ -200,7 +200,7 @@ class TestAdjointVerification:
 
     def test_jump_variant_passes_the_same_checks(self):
         spec = MeanVarSpec(jumps=JumpModel(intensity=1.0, marks=(1.0,), probs=(1.0,)))
-        ver = verify_adjoint(spec, DESK_GRID)
+        ver = verify_adjoint(*simulate_optimal(spec, DESK_GRID))
         assert ver.foc_residual_max < 1e-12
         assert ver.p0_drift_z < 3.0
         assert ver.lsmc_p0_rel_err < 0.02
@@ -209,14 +209,14 @@ class TestAdjointVerification:
 
 class TestOptimality:
     def test_perturbation_family_never_beats_the_optimum(self):
-        rows = j_comparison(MeanVarSpec(), DESK_GRID)
+        rows = j_comparison(*simulate_optimal(MeanVarSpec(), DESK_GRID))
         assert rows[0][0] == "optimal"
         assert len(rows) == 1 + len(PERTURBATION_FAMILY)
         for label, j, se, gap, gap_se in rows[1:]:
             assert gap >= -3.0 * gap_se, f"{label} beat the optimum: gap {gap}"
 
     def test_coarse_perturbations_lose_decisively(self):
-        rows = {r[0]: r for r in j_comparison(MeanVarSpec(), DESK_GRID)}
+        rows = {r[0]: r for r in j_comparison(*simulate_optimal(MeanVarSpec(), DESK_GRID))}
         for label in ("scale_0.5", "scale_2.0", "shift_+1.0", "shift_-1.0"):
             _, _, _, gap, gap_se = rows[label]
             assert gap > 3.0 * gap_se, f"{label} should be clearly sub-optimal"
@@ -225,7 +225,7 @@ class TestOptimality:
         grid = SimGrid(dt=0.05, delta_steps=2, horizon=0.5, n_particles=1, seed=6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = j_comparison(MeanVarSpec(), grid)
+            rows = j_comparison(*simulate_optimal(MeanVarSpec(), grid))
         for label, j, se, gap, gap_se in rows:
             assert math.isfinite(j) and math.isfinite(gap), label
             assert se == 0.0 and gap_se == 0.0, label
@@ -242,10 +242,8 @@ class TestOptimality:
             return step_generator(*args)
 
         monkeypatch.setattr(engine, "step_generator", counting)
-        rows = j_comparison(spec, grid, ens=ens, sol=sol)
+        j_comparison(ens, sol)
         assert drawn == []
-        monkeypatch.undo()
-        assert rows == j_comparison(spec, grid)
 
     def test_stationarity_in_bounded_directions(self):
         rows = stationarity_suite(MeanVarSpec(), DESK_GRID, eps=1e-3)

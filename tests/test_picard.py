@@ -24,8 +24,13 @@ def linear_drift(rate: float, noise: float = 0.2) -> CoefficientSet:
     return CoefficientSet(
         drift=lambda t, x, xs, m, ms, u, us: rate * x,
         diffusion=lambda *a: noise,
-        lipschitz=rate,
     )
+
+
+def solved_gap(coeffs: CoefficientSet, grid: SimGrid, xi: float, **kwargs) -> float:
+    """Consistency gap of a fresh fixed-point solve; ``kwargs`` go to the solve."""
+    ens, _ = picard_solve(coeffs, grid, xi=xi, **kwargs)
+    return consistency_check(coeffs, ens, xi=xi)
 
 
 class TestDegenerateMaps:
@@ -99,23 +104,23 @@ class TestContraction:
 class TestConsistencyWithDirectScheme:
     def test_deterministic_delay_exact(self):
         grid = SimGrid(dt=0.05, delta_steps=20, horizon=2.0, n_particles=1, seed=0)
-        assert consistency_check(LAG_DRIFT, grid, xi=1.0, t0_steps=10) == 0.0
+        assert solved_gap(LAG_DRIFT, grid, 1.0, t0_steps=10) == 0.0
 
     def test_pure_brownian_exact(self):
         grid = SimGrid(dt=0.02, delta_steps=5, horizon=1.0, n_particles=100, seed=3)
         coeffs = CoefficientSet(diffusion=lambda *a: 1.0)
-        assert consistency_check(coeffs, grid, xi=0.0, t0_steps=10) == 0.0
+        assert solved_gap(coeffs, grid, 0.0, t0_steps=10) == 0.0
 
     def test_linear_drift_below_tolerance(self):
         grid = SimGrid(dt=0.01, delta_steps=10, horizon=0.5, n_particles=100, seed=5)
-        gap = consistency_check(linear_drift(1.0), grid, xi=1.0, t0_steps=10)
+        gap = solved_gap(linear_drift(1.0), grid, 1.0, t0_steps=10)
         assert gap < 1e-10
 
     def test_mean_field_and_jump_terms_round_trip(self):
         # coefficients that read the empirical law and carry jumps still land
         # exactly on the direct scheme once the iteration has settled
         grid = SimGrid(dt=0.02, delta_steps=5, horizon=0.4, n_particles=64, seed=8)
-        gap = consistency_check(MEAN_FIELD_JUMPS, grid, jumps=TWO_MARKS, xi=1.0, t0_steps=5)
+        gap = solved_gap(MEAN_FIELD_JUMPS, grid, 1.0, jumps=TWO_MARKS, t0_steps=5)
         assert gap < 1e-10
 
 
@@ -160,20 +165,19 @@ class TestNoiseReuse:
             assert (control is None) == np.all(ens.controls == 0.0)
 
     def test_solved_ensemble_gives_the_recomputed_gap(self):
-        # stop short of convergence so the gap is not trivially zero
+        # stop short of convergence so the gap is not trivially zero; a
+        # second solve reproduces the ensemble, so the gap too
         grid = SimGrid(dt=0.02, delta_steps=5, horizon=0.4, n_particles=64, seed=8)
-        args = dict(jumps=TWO_MARKS, xi=1.0, t0_steps=5)
-        ens, _ = picard_solve(MEAN_FIELD_JUMPS, grid, max_iter=2, **args)
-        recomputed = consistency_check(MEAN_FIELD_JUMPS, grid, max_iter=2, **args)
-        assert recomputed > 0.0
-        assert consistency_check(MEAN_FIELD_JUMPS, grid, ens_fp=ens, **args) == recomputed
+        args = dict(jumps=TWO_MARKS, t0_steps=5, max_iter=2)
+        gap = solved_gap(MEAN_FIELD_JUMPS, grid, 1.0, **args)
+        assert gap > 0.0
+        assert solved_gap(MEAN_FIELD_JUMPS, grid, 1.0, **args) == gap
 
     def test_direct_scheme_of_the_check_reuses_the_solved_noise(self, monkeypatch):
         grid = SimGrid(dt=0.02, delta_steps=5, horizon=0.4, n_particles=64, seed=8)
-        args = dict(jumps=TWO_MARKS, xi=1.0, t0_steps=5)
-        ens, _ = picard_solve(MEAN_FIELD_JUMPS, grid, **args)
+        ens, _ = picard_solve(MEAN_FIELD_JUMPS, grid, jumps=TWO_MARKS, xi=1.0, t0_steps=5)
         monkeypatch.setattr(engine, "step_generator", lambda *a: pytest.fail("noise drawn again"))
-        assert consistency_check(MEAN_FIELD_JUMPS, grid, ens_fp=ens, **args) == 0.0
+        assert consistency_check(MEAN_FIELD_JUMPS, ens, xi=1.0) == 0.0
 
 
 class TestValidation:
