@@ -19,6 +19,15 @@ The pieces fit together like this:
 * :mod:`memsfde.cli` - experiment runner (config file in, CSV + manifest out).
 """
 
+import os
+
+# A multi-threaded BLAS splits reductions over particles (a regression's
+# X^T y) across its threads, so the bits of a result would depend on the
+# machine's core count.  One thread keeps them fixed.  This only takes effect
+# if numpy is not imported yet, and a caller's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from memsfde.grid import SimGrid, step_generator
 from memsfde.measures import (
     EmpiricalMeasure,

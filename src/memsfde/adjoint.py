@@ -31,6 +31,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,11 +85,15 @@ class SegmentFunctional:
 
     @staticmethod
     def averaging(kernel, delta_steps: int, dt: float) -> "SegmentFunctional":
+        """The kernel is a callable of the lag, a constant, or its
+        ``delta_steps + 1`` mesh values."""
         if callable(kernel):
             vals = np.array([float(kernel(j * dt)) for j in range(delta_steps + 1)])
         else:
             vals = np.asarray(kernel, dtype=float)
-            if vals.shape != (delta_steps + 1,):
+            if vals.ndim == 0:
+                vals = np.full(delta_steps + 1, float(vals))
+            elif vals.shape != (delta_steps + 1,):
                 raise ValueError(
                     f"kernel needs delta_steps + 1 = {delta_steps + 1} mesh values, got {vals.shape}"
                 )
@@ -109,6 +114,12 @@ class SegmentFunctional:
             return len(self.kernel) - 1
         return self.point_steps
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Quadrature-folded kernel of an averaging functional: the trapezoid
+        weights times the kernel, so ``seg_values @ weights`` is its value."""
+        return trapezoid_weights(len(self.kernel), self.dt) * self.kernel
+
     def apply(self, seg_values: np.ndarray) -> np.ndarray | float:
         """Apply to segment values laid out along the last axis."""
         vals = np.asarray(seg_values, dtype=float)
@@ -120,8 +131,7 @@ class SegmentFunctional:
             raise ValueError(
                 f"segment has {vals.shape[-1]} mesh values, kernel expects {len(self.kernel)}"
             )
-        w = trapezoid_weights(len(self.kernel), self.dt)
-        return vals @ (w * self.kernel)
+        return vals @ self.weights
 
 
 def _forward_values(path: GridPath, t: float, n_ahead: int) -> np.ndarray:
@@ -215,13 +225,14 @@ def hamiltonian(
     jumps: JumpModel | None = None,
     horizon: float = math.inf,
 ) -> float | np.ndarray:
-    """Running cost plus adjoint-weighted dynamics; identically 0 past the horizon."""
-    if inputs.t > horizon + 1e-12:
-        return 0.0
-    jumps = jumps if jumps is not None else JumpModel.none()
-
+    """Running cost plus adjoint-weighted dynamics; identically 0 past the
+    horizon.  A scalar state gives a float, an (N,) state an (N,) array."""
     scalar_in = np.isscalar(inputs.x)
     x = np.atleast_1d(np.asarray(inputs.x, dtype=float))
+    if inputs.t > horizon + 1e-12:
+        return 0.0 if scalar_in else np.zeros(x.shape[0])
+    jumps = jumps if jumps is not None else JumpModel.none()
+
     n = x.shape[0]
 
     if inputs.x_seg is not None:
@@ -414,7 +425,7 @@ class SweepContext:
         d = f.delta_steps
         lags = max(d, 1)
         self._check_ahead(k, lags, "p0")
-        w = trapezoid_weights(d + 1, f.dt) * f.kernel
+        w = f.weights
         folded = np.zeros(lags)
         folded[:d] = w[1:]
         folded[0] += w[0]

@@ -630,7 +630,8 @@ def run_lq(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> Run
     res = RunResult()
     values = cfg.section("lq")
     spec = lq_memory.LQSpec(**_subset(values, "kernel", "alpha0", "beta0", "xi"), jumps=jumps)
-    control, adjoint, report = lq_memory.solve_lq(spec, grid, **_subset(values, "damping", "tol", "max_iter"))
+    solution = lq_memory.solve_lq(spec, grid, **_subset(values, "damping", "tol", "max_iter"))
+    control, report = solution.control, solution.report
     write_csv(
         os.path.join(outdir, "convergence.csv"),
         ("iter", "change"),
@@ -658,7 +659,7 @@ def run_lq(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> Run
     )
 
     if values["verify"]:
-        ver = lq_memory.verify_lq((control, adjoint, report), spec, grid, **_subset(values, "eps"))
+        ver = lq_memory.verify_lq(solution, **_subset(values, "eps"))
         write_csv(os.path.join(outdir, "verification.csv"), ("name", "value"), ver.rows())
         res.artifacts.append("verification.csv")
 
@@ -682,7 +683,7 @@ def run_lq(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> Run
             parabola_vertex=ver.parabola_vertex,
         )
     else:
-        res.scalars["J"] = lq_memory.control_problem(spec, grid).performance(control)[0]
+        res.scalars["J"] = solution.problem.performance(control)[0]
     return res
 
 
@@ -736,9 +737,9 @@ def selftest_checks() -> list:
     # deterministic energy problem: hand-solved fixed point
     grid = SimGrid(dt=0.01, delta_steps=20, horizon=1.0, n_particles=4, seed=1)
     spec = lq_memory.LQSpec(kernel=0.0, alpha0=0.0, beta0=0.0, xi=1.0)
-    control, _, report = lq_memory.solve_lq(spec, grid, tol=1e-12)
+    control, _, report, _, problem = lq_memory.solve_lq(spec, grid, tol=1e-12)
     u_err = float(np.abs(control + 0.5).max())
-    j_err = abs(lq_memory.control_problem(spec, grid).performance(control)[0] + 0.25)
+    j_err = abs(problem.performance(control)[0] + 0.25)
     checks.append(
         check(
             "deterministic_energy_fixed_point",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +55,7 @@ __all__ = [
     "FBSDEIterationReport",
     "FixedPointDivergence",
     "LQVerification",
+    "LQSolution",
     "solve_lq",
     "verify_lq",
     "control_problem",
@@ -88,25 +90,14 @@ class LQSpec:
     xi: object = 0.0
     jumps: JumpModel = field(default_factory=JumpModel.none)
 
-    def kernel_values(self, grid: SimGrid) -> np.ndarray:
-        d, dt = grid.delta_steps, grid.dt
-        if callable(self.kernel):
-            return np.array([float(self.kernel(j * dt)) for j in range(d + 1)])
-        arr = np.asarray(self.kernel, dtype=float)
-        if arr.ndim == 0:
-            return np.full(d + 1, float(arr))
-        if arr.shape != (d + 1,):
-            raise ValueError(f"kernel mesh must have delta_steps + 1 = {d + 1} values")
-        return arr
-
-
-def _delay_weights(spec: LQSpec, grid: SimGrid) -> np.ndarray:
-    """Quadrature-folded kernel: backward window @ weights = delay integral."""
-    return trapezoid_weights(grid.delta_steps + 1, grid.dt) * spec.kernel_values(grid)
+    def delay_functional(self, grid: SimGrid) -> SegmentFunctional:
+        """The kernel as an averaging functional on the grid's memory window;
+        its ``weights`` turn a backward window into the delay integral."""
+        return SegmentFunctional.averaging(self.kernel, grid.delta_steps, grid.dt)
 
 
 def control_problem(spec: LQSpec, grid: SimGrid) -> ControlProblem:
-    dw = _delay_weights(spec, grid)
+    dw = spec.delay_functional(grid).weights
     a0 = _as_time_fn(spec.alpha0)
     b0 = _as_time_fn(spec.beta0)
 
@@ -132,7 +123,7 @@ def control_problem(spec: LQSpec, grid: SimGrid) -> ControlProblem:
 def lq_basis(spec: LQSpec, grid: SimGrid):
     """Regression basis: the default polynomial features plus the running
     delay integral — the statistic that drives the dynamics."""
-    dw = _delay_weights(spec, grid)
+    dw = spec.delay_functional(grid).weights
 
     def basis(ens, k):
         rows = np.empty((6, ens.grid.n_particles))
@@ -147,10 +138,9 @@ def _adjoint_driver(spec: LQSpec, grid: SimGrid):
     """Advanced driver of the adjoint equation: the kernel-weighted average of
     future p0, zero past the horizon; ``None`` when the kernel vanishes or
     the window [0, delta] is a single mesh point (its integral is zero)."""
-    kern = spec.kernel_values(grid)
-    if grid.delta_steps == 0 or not np.any(kern != 0.0):
+    functional = spec.delay_functional(grid)
+    if grid.delta_steps == 0 or not np.any(functional.kernel != 0.0):
         return None
-    functional = SegmentFunctional.averaging(kern, grid.delta_steps, grid.dt)
 
     def driver(ctx, k):
         return ctx.advanced_average(k, functional)
@@ -192,21 +182,37 @@ class FBSDEIterationReport:
         return len(self.changes)
 
 
+class LQSolution(NamedTuple):
+    """A solved control with the problem it was solved on.
+
+    ``control`` is the per-particle control on the [0, T] mesh (shape
+    (N, n_steps + 1)), ``adjoint`` the final backward solve and ``report``
+    the iteration trace.  ``problem`` is the solve's own
+    :class:`~memsfde.engine.ControlProblem`, whose frozen noise every later
+    simulation of the control shares, so checks draw nothing new.
+    """
+
+    control: np.ndarray
+    adjoint: AdjointTriple
+    report: FBSDEIterationReport
+    spec: LQSpec
+    problem: ControlProblem
+
+
 def solve_lq(
     spec: LQSpec,
     grid: SimGrid,
     damping: float = 0.5,
     tol: float = 1e-4,
     max_iter: int = 50,
-):
+) -> LQSolution:
     """Damped fixed-point solve of the coupled forward-backward system.
 
-    Returns ``(control, adjoint, report)``: the per-particle control on the
-    [0, T] mesh (shape (N, n_steps + 1)), the final backward solve, and the
-    iteration trace.  Noise is frozen across sweeps (counter-based streams),
-    so the iteration is a deterministic map on control arrays.  Five
-    consecutive growing sweeps abort with :class:`FixedPointDivergence`.
-    Rank-deficient regressions are summarised in one warning for all sweeps.
+    Builds the problem once and returns it in the :class:`LQSolution`.
+    Noise is frozen across sweeps (counter-based streams), so the iteration
+    is a deterministic map on control arrays.  Five consecutive growing
+    sweeps abort with :class:`FixedPointDivergence`.  Rank-deficient
+    regressions are summarised in one warning for all sweeps.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -258,7 +264,7 @@ def solve_lq(
         converged=converged,
         deficient_counts=tuple(deficient),
     )
-    return control, adjoint, report
+    return LQSolution(control, adjoint, report, spec, problem)
 
 
 @dataclass(frozen=True)
@@ -286,15 +292,11 @@ class LQVerification:
         yield "parabola_rel_residual", self.parabola_rel_residual
 
 
-def verify_lq(
-    solution,
-    spec: LQSpec,
-    grid: SimGrid,
-    eps: float = 1e-3,
-) -> LQVerification:
+def verify_lq(solution: LQSolution, eps: float = 1e-3) -> LQVerification:
     """First-order and pairwise optimality interrogation of a solved control.
 
-    ``solution`` is the (control, adjoint, report) triple from ``solve_lq``;
+    ``solution`` is what :func:`solve_lq` returns.  Every simulation runs on
+    ``solution.problem``, so on the solve's noise, which is not drawn again;
     the idempotence sweep is damped like the solve's (``report.damping``).
     The parabola diagnostics exploit that for frozen noise the performance is
     exactly quadratic in the size of an additive perturbation, so a quadratic
@@ -302,8 +304,8 @@ def verify_lq(
     negative and its vertex sits at the distance of the solved control from
     the true discrete optimizer in that direction.
     """
-    control, adjoint, report = solution
-    problem = control_problem(spec, grid)
+    control, adjoint, report, spec, problem = solution
+    grid = problem.grid
     K = grid.n_steps
     wq = trapezoid_weights(K + 1, grid.dt)
 

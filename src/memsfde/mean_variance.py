@@ -48,7 +48,6 @@ from memsfde.engine import (
     _mean_and_stderr,
     combine_controls,
     pathwise_cost,
-    simulate,
 )
 from memsfde.grid import SimGrid
 
@@ -120,7 +119,13 @@ class MeanVarSpec:
 
 @dataclass(frozen=True)
 class MeanVarSolution:
-    """Closed-form solution sampled on the mesh, plus the feedback rule."""
+    """Closed-form solution sampled on the mesh, plus the feedback rule.
+
+    ``problem`` is the simulation problem the solution is checked on, built
+    once by :func:`solve_closed_form`.  Its noise is drawn on the first
+    simulation, and the optimal ensemble, its variants and the stationarity
+    probes all share that one draw.
+    """
 
     spec: MeanVarSpec
     grid: SimGrid
@@ -128,6 +133,7 @@ class MeanVarSolution:
     phi: np.ndarray
     psi: np.ndarray
     feedback: Callable  # (t, x, x_seg, law) -> per-particle control
+    problem: ControlProblem
 
     def p0_closed(self, states: np.ndarray) -> np.ndarray:
         """Affine adjoint phi X + psi along given states on the [0, T] mesh."""
@@ -176,7 +182,7 @@ def solve_closed_form(spec: MeanVarSpec, grid: SimGrid) -> MeanVarSolution:
             )
         return rate_fn(t) * (target - x) / (b0_fn(t) * x_del)
 
-    return MeanVarSolution(spec=spec, grid=grid, rate=rate, phi=phi, psi=psi, feedback=feedback)
+    return MeanVarSolution(spec, grid, rate, phi, psi, feedback, control_problem(spec, grid))
 
 
 def control_problem(spec: MeanVarSpec, grid: SimGrid) -> ControlProblem:
@@ -210,7 +216,7 @@ def simulate_optimal(spec: MeanVarSpec, grid: SimGrid):
     # the pathwise positivity claim needs strict inequality
     if np.min(hist) < spec.target:
         raise ValueError("initial history must not fall below the target")
-    ens = control_problem(spec, grid).simulate(sol.feedback)
+    ens = sol.problem.simulate(sol.feedback)
     return ens, sol
 
 
@@ -341,13 +347,13 @@ def j_comparison(ens: ParticleEnsemble, sol: MeanVarSolution):
 
     ``(ens, sol)`` is what :func:`simulate_optimal` returns; the optimal
     ensemble is costed as is, not simulated again.  All variants run under
-    common random numbers: each is simulated on the optimal ensemble's
-    noise, so each row's gap J(optimal) - J(variant) comes with a paired
-    standard error.  Returns rows (label, J, stderr, gap, gap_stderr);
-    optimality means every gap is no less than -3 gap_stderr.
+    common random numbers: each is simulated on ``sol.problem``, whose noise
+    the optimal ensemble was simulated on, so each row's gap J(optimal) -
+    J(variant) comes with a paired standard error.  Returns rows (label, J,
+    stderr, gap, gap_stderr); optimality means every gap is no less than
+    -3 gap_stderr.
     """
-    grid = sol.grid
-    problem = control_problem(sol.spec, grid)
+    problem = sol.problem
     base_cost = pathwise_cost(ens, problem.coeffs)
     rows = [("optimal", *_mean_and_stderr(base_cost), 0.0, 0.0)]
     for label, kind, amount in PERTURBATION_FAMILY:
@@ -357,18 +363,19 @@ def j_comparison(ens: ParticleEnsemble, sol: MeanVarSolution):
             control = combine_controls(sol.feedback, 1.0, amount)
         # the variant ensemble is not kept, so it is freed before the next
         # one is simulated
-        cost = pathwise_cost(
-            simulate(problem.coeffs, grid, jumps=problem.jumps, xi=problem.xi, control=control, noise=ens.noise),
-            problem.coeffs,
-        )
+        cost = pathwise_cost(problem.simulate(control), problem.coeffs)
         rows.append((label, *_mean_and_stderr(cost), *_mean_and_stderr(base_cost - cost)))
     return rows
 
 
-def stationarity_suite(spec: MeanVarSpec, grid: SimGrid, eps: float = 1e-3):
-    """First-order gaps of J at the optimal feedback in bounded directions."""
-    sol = solve_closed_form(spec, grid)
-    problem = control_problem(spec, grid)
+def stationarity_suite(sol: MeanVarSolution, eps: float = 1e-3):
+    """First-order gaps of J at the optimal feedback in bounded directions.
+
+    Every probe is simulated on ``sol.problem``, so after
+    :func:`simulate_optimal` the suite shares the optimal ensemble's noise
+    and draws nothing.
+    """
+    grid = sol.grid
     half = grid.horizon / 2.0
 
     directions = (
@@ -378,6 +385,6 @@ def stationarity_suite(spec: MeanVarSpec, grid: SimGrid, eps: float = 1e-3):
     )
     rows = []
     for label, direction in directions:
-        gap, se = stationarity_gap(problem, sol.feedback, direction, eps=eps)
+        gap, se = stationarity_gap(sol.problem, sol.feedback, direction, eps=eps)
         rows.append((label, gap, se))
     return rows

@@ -195,8 +195,7 @@ def test_criterion_8_distributed_delay_energy():
     # (a) no kernel, no noise, unit history: u = -1/2 and J = -1/4 exactly
     grid_a = SimGrid(dt=0.01, delta_steps=20, horizon=1.0, n_particles=4, seed=0)
     spec_a = lq_memory.LQSpec(kernel=0.0, alpha0=0.0, beta0=0.0, xi=1.0)
-    control_a, _, report_a = lq_memory.solve_lq(spec_a, grid_a, tol=1e-10)
-    problem_a = lq_memory.control_problem(spec_a, grid_a)
+    control_a, _, report_a, _, problem_a = lq_memory.solve_lq(spec_a, grid_a, tol=1e-10)
     j_a = float(pathwise_cost(problem_a.simulate(control_a), problem_a.coeffs).mean())
     u_err = float(np.abs(control_a + 0.5).max())
     ok_a = report_a.converged and u_err < 1e-6 and abs(j_a + 0.25) < 1e-6
@@ -205,19 +204,19 @@ def test_criterion_8_distributed_delay_energy():
     spec = lq_memory.LQSpec()
     grid_b = SimGrid(dt=0.01, delta_steps=20, horizon=1.0, n_particles=50_000, seed=2)
     sol_b = lq_memory.solve_lq(spec, grid_b, tol=1e-4, max_iter=50)
-    rep_b = sol_b[2]
+    rep_b = sol_b.report
     ok_b = rep_b.converged and rep_b.iterations <= 50 and rep_b.changes[-1] < 1e-4
 
     # (d) frozen-noise performance is exactly quadratic in an additive shift;
     # its fitted vertex locates the solved control's optimality error
-    ver_b = lq_memory.verify_lq(sol_b, spec, grid_b)
+    ver_b = lq_memory.verify_lq(sol_b)
     ok_d = ver_b.parabola_quad < 0.0 and abs(ver_b.parabola_vertex) < 0.05
 
     # (c) stationarity on a refined mesh, where the endpoint-quadrature bias
     # of the state-dependent direction is far below the Monte Carlo noise
     grid_c = SimGrid(dt=0.005, delta_steps=40, horizon=1.0, n_particles=12_500, seed=2)
     sol_c = lq_memory.solve_lq(spec, grid_c, tol=1e-4, max_iter=50)
-    ver_c = lq_memory.verify_lq(sol_c, spec, grid_c)
+    ver_c = lq_memory.verify_lq(sol_c)
     worst_z = max(abs(gap) / se for _, gap, se in ver_c.stationarity)
     ok_c = all(abs(gap) <= 3.0 * se for _, gap, se in ver_c.stationarity)
 

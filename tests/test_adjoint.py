@@ -138,6 +138,14 @@ class TestHamiltonian:
         h = hamiltonian(coeffs, HamiltonianInputs(t=1.01, x=0.0, p0=5.0), horizon=1.0)
         assert h == 0.0
 
+    def test_past_horizon_keeps_the_shape_of_the_state(self):
+        coeffs = CoefficientSet(drift=lambda *a: 1.0)
+        x = np.array([1.0, 2.0, 3.0])
+        inside = hamiltonian(coeffs, HamiltonianInputs(t=0.5, x=x, p0=5.0), horizon=1.0)
+        past = hamiltonian(coeffs, HamiltonianInputs(t=1.5, x=x, p0=5.0), horizon=1.0)
+        assert isinstance(past, np.ndarray) and past.shape == inside.shape == (3,)
+        np.testing.assert_array_equal(past, 0.0)
+
     def test_vector_inputs_broadcast(self):
         coeffs = CoefficientSet(running_cost=lambda t, x, xs, m, ms, u, us: x * u)
         out = hamiltonian(coeffs, HamiltonianInputs(t=0.0, x=np.array([1.0, 2.0]), p0=0.0, u=3.0))

@@ -17,6 +17,7 @@ import warnings
 
 import pytest
 
+from memsfde import engine
 from memsfde.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECKS_FAILED,
@@ -499,6 +500,25 @@ class TestHappyPaths:
         ctrl = read_rows(out, "control_path.csv")
         assert ctrl[0] == ["t", "mean", "std"]
         assert len(ctrl) == 1 + 21
+
+    def test_unverified_lq_costs_the_control_on_the_solves_noise(self, tmp_path, monkeypatch):
+        # the control is costed on the solve's own problem, so each per-step
+        # stream is built once in the whole run
+        calls = []
+        step_generator = engine.step_generator
+
+        def counting(seed, step, substream=0):
+            calls.append((step, substream))
+            return step_generator(seed, step, substream)
+
+        monkeypatch.setattr(engine, "step_generator", counting)
+        path = write_cfg(tmp_path, LQ_TINY + "verify = false\n")
+        out = tmp_path / "out"
+        assert main(["lq", "--config", path, "--out", str(out)]) == EXIT_OK
+        manifest = read_manifest(out)
+        assert manifest["artifacts"] == ["control_path.csv", "convergence.csv"]
+        assert "J" in manifest["scalars"]
+        assert sorted(calls) == [(k, 0) for k in range(20)]
 
     def test_selftest_passes_and_writes_manifest(self, tmp_path, capsys):
         out = tmp_path / "st"

@@ -329,6 +329,14 @@ class TestSharedNoise:
         ),
         JumpModel(intensity=2.0, marks=(1.0, -0.5), probs=(0.4, 0.6)),
     )
+    MEAN_FIELD_JUMPS = (
+        CoefficientSet(
+            drift=lambda t, x, xs, m, ms, u, us: 0.5 * (m.mean() - x) + xs[:, -1],
+            diffusion=lambda *a: 0.3,
+            jump=lambda t, x, xs, m, ms, u, us, mark: 0.1 * mark,
+        ),
+        JumpModel(intensity=1.0, marks=(1.0, -1.0), probs=(0.5, 0.5)),
+    )
     CONTROLS = (None, 0.3, lambda t, x, xs, law: -0.5 * x + 0.1 * law.mean())
 
     def problem(self, kind):
@@ -381,7 +389,9 @@ class TestSharedNoise:
             problem.simulate(control)
         assert len(calls) == len(set(calls)) == 2 * self.GRID.n_steps
 
-    @pytest.mark.parametrize("kind", [DIFFUSION_ONLY, WITH_JUMPS], ids=["diffusion", "jumps"])
+    @pytest.mark.parametrize(
+        "kind", [DIFFUSION_ONLY, WITH_JUMPS, MEAN_FIELD_JUMPS], ids=["diffusion", "jumps", "mean_field_jumps"]
+    )
     def test_picard_solve_draws_the_problems_noise_once(self, monkeypatch, kind):
         coeffs, jumps = kind
         calls = []

@@ -9,7 +9,8 @@ import pytest
 
 from memsfde import engine, lq_memory
 from memsfde.adjoint import SegmentFunctional, SweepContext, solve_absde
-from memsfde.grid import SimGrid, trapezoid_weights
+from memsfde.engine import JumpModel
+from memsfde.grid import BROWNIAN, JUMPS, SimGrid, trapezoid_weights
 from memsfde.lq_memory import (
     FixedPointDivergence,
     LQSpec,
@@ -28,11 +29,10 @@ class TestHandSolvableCases:
         # c = -x0 - cT gives u = -1/2 and J = -((1+c)^2 + c^2)/2 = -1/4
         grid = SimGrid(dt=0.01, delta_steps=20, horizon=1.0, n_particles=4, seed=0)
         spec = LQSpec(kernel=0.0, alpha0=0.0, xi=1.0)
-        control, adjoint, report = solve_lq(spec, grid, tol=1e-10)
+        control, adjoint, report, _, problem = solve_lq(spec, grid, tol=1e-10)
         assert report.converged
         assert report.iterations == 2  # one productive sweep, one confirming
         assert np.max(np.abs(control + 0.5)) < 1e-6
-        problem = control_problem(spec, grid)
         j, se = problem.performance(control)
         assert abs(j + 0.25) < 1e-6
         assert se == 0.0
@@ -41,11 +41,11 @@ class TestHandSolvableCases:
     def test_zero_history_zero_noise_stays_at_rest(self):
         grid = SimGrid(dt=0.02, delta_steps=10, horizon=1.0, n_particles=4, seed=0)
         spec = LQSpec(kernel=1.0, alpha0=0.0, xi=0.0)
-        control, _, report = solve_lq(spec, grid, tol=1e-12)
+        control, _, report, _, problem = solve_lq(spec, grid, tol=1e-12)
         assert report.converged
         assert report.iterations == 1
         np.testing.assert_array_equal(control, 0.0)
-        j, _ = control_problem(spec, grid).performance(control)
+        j, _ = problem.performance(control)
         assert j == 0.0
 
     def test_brownian_no_delay_matches_classical_relation(self):
@@ -55,12 +55,11 @@ class TestHandSolvableCases:
         # the same number.
         grid = SimGrid(dt=0.02, delta_steps=5, horizon=1.0, n_particles=10_000, seed=12)
         spec = LQSpec(kernel=0.0, alpha0=1.0, xi=1.0)
-        control, _, report = solve_lq(spec, grid, tol=1e-5)
+        control, _, report, _, problem = solve_lq(spec, grid, tol=1e-5)
         assert report.converged
         u0 = float(control[:, 0].mean())
         assert abs(u0 + 0.5) < 0.02
 
-        problem = control_problem(spec, grid)
         cs = np.array([-0.7, -0.6, -0.5, -0.4, -0.3])
         js = np.array([problem.performance(float(c))[0] for c in cs])
         quad, lin, _ = np.polyfit(cs, js, 2)
@@ -72,7 +71,7 @@ class TestHandSolvableCases:
 
 class TestSolverBehaviour:
     def test_default_problem_converges(self):
-        control, adjoint, report = solve_lq(LQSpec(), DESK_GRID)
+        control, adjoint, report, *_ = solve_lq(LQSpec(), DESK_GRID)
         assert report.converged
         assert report.changes[-1] < report.tol
         assert report.iterations <= 50
@@ -90,7 +89,7 @@ class TestSolverBehaviour:
             solve_lq(spec, grid, damping=1.0)
 
     def test_non_convergence_reported(self):
-        control, _, report = solve_lq(LQSpec(), DESK_GRID, max_iter=2)
+        report = solve_lq(LQSpec(), DESK_GRID, max_iter=2).report
         assert not report.converged
         assert report.iterations == 2
 
@@ -106,13 +105,13 @@ class TestSolverBehaviour:
 
     def test_kernel_forms_agree(self):
         grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.2, n_particles=3, seed=1)
-        by_const = LQSpec(kernel=2.0).kernel_values(grid)
-        by_fn = LQSpec(kernel=lambda s: 2.0).kernel_values(grid)
-        by_arr = LQSpec(kernel=np.full(5, 2.0)).kernel_values(grid)
+        by_const = LQSpec(kernel=2.0).delay_functional(grid).kernel
+        by_fn = LQSpec(kernel=lambda s: 2.0).delay_functional(grid).kernel
+        by_arr = LQSpec(kernel=np.full(5, 2.0)).delay_functional(grid).kernel
         np.testing.assert_allclose(by_const, by_fn)
         np.testing.assert_allclose(by_const, by_arr)
         with pytest.raises(ValueError):
-            LQSpec(kernel=np.ones(3)).kernel_values(grid)
+            LQSpec(kernel=np.ones(3)).delay_functional(grid)
 
 
 class TestAdvancedDriverContract:
@@ -121,9 +120,8 @@ class TestAdvancedDriverContract:
         grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.5, n_particles=300, seed=7)
         ens = control_problem(spec, grid).simulate(0.0)
         K, d = grid.n_steps, grid.delta_steps
-        kern = spec.kernel_values(grid)
-        f = SegmentFunctional.averaging(kern, d, grid.dt)
-        w = trapezoid_weights(d + 1, grid.dt) * kern
+        f = spec.delay_functional(grid)
+        w = trapezoid_weights(d + 1, grid.dt) * f.kernel
         steps = []
 
         def driver(ctx, k):
@@ -152,7 +150,7 @@ class TestAdvancedDriverContract:
 def desk_solution():
     spec = LQSpec()
     solution = solve_lq(spec, DESK_GRID)
-    return spec, solution, verify_lq(solution, spec, DESK_GRID)
+    return spec, solution, verify_lq(solution)
 
 
 class TestRunEconomy:
@@ -162,8 +160,8 @@ class TestRunEconomy:
         spec = LQSpec()
         with caplog.at_level(logging.WARNING):
             solution = solve_lq(spec, self.GRID)
-            verify_lq(solution, spec, self.GRID)
-        report = solution[2]
+            verify_lq(solution)
+        report = solution.report
         assert report.iterations > 1
         assert len(set(report.deficient_counts)) == 1 and report.deficient_counts[0] > 0
         messages = [rec.getMessage() for rec in caplog.records if "rank-deficient" in rec.getMessage()]
@@ -175,12 +173,12 @@ class TestRunEconomy:
     def test_idempotence_is_damped_like_the_solve(self):
         spec = LQSpec()
         solution = solve_lq(spec, self.GRID, damping=0.25)
-        control, _, report = solution
-        ver = verify_lq(solution, spec, self.GRID)
+        control, _, report, _, problem = solution
+        ver = verify_lq(solution)
         # the undamped update of one more forward-backward sweep
         grid = self.GRID
-        f = SegmentFunctional.averaging(spec.kernel_values(grid), grid.delta_steps, grid.dt)
-        ens = control_problem(spec, grid).simulate(control)
+        f = SegmentFunctional.averaging(spec.kernel, grid.delta_steps, grid.dt)
+        ens = problem.simulate(control)
         adj = solve_absde(
             ens, terminal=lambda x, law: -x, driver=lambda c, k: c.advanced_average(k, f), basis=lq_basis(spec, grid)
         )
@@ -200,7 +198,7 @@ class TestRunEconomy:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(engine, "simulate", counting)
-        ver = verify_lq(solution, spec, self.GRID)
+        ver = verify_lq(solution)
         # idempotence 1, stationarity 3 x 2, shifts +-0.2 and +-0.5, parabola +-0.25
         assert len(calls) == 13
         ordinates = dict(ver.parabola_points)
@@ -210,7 +208,7 @@ class TestRunEconomy:
         assert j_by_label["solution"] == ordinates[0.0]
 
     def test_solve_and_verification_each_draw_the_noise_once(self, monkeypatch):
-        spec = LQSpec()
+        # the solve draws each stream once; verification shares its problem
         calls = []
         step_generator = engine.step_generator
 
@@ -219,12 +217,22 @@ class TestRunEconomy:
             return step_generator(seed, step, substream)
 
         monkeypatch.setattr(engine, "step_generator", counting)
+        jumps = JumpModel(intensity=2.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
+        for spec, substreams in ((LQSpec(), (BROWNIAN,)), (LQSpec(beta0=0.2, jumps=jumps), (BROWNIAN, JUMPS))):
+            calls.clear()
+            solution = solve_lq(spec, self.GRID)
+            assert solution.report.iterations > 1
+            assert sorted(calls) == sorted((k, s) for k in range(self.GRID.n_steps) for s in substreams)
+            calls.clear()
+            verify_lq(solution)
+            assert calls == []
+
+    def test_the_solution_carries_the_problem_it_was_solved_on(self):
+        spec = LQSpec()
         solution = solve_lq(spec, self.GRID)
-        assert solution[2].iterations > 1
-        assert sorted(calls) == [(k, 0) for k in range(self.GRID.n_steps)]
-        calls.clear()
-        verify_lq(solution, spec, self.GRID)
-        assert sorted(calls) == [(k, 0) for k in range(self.GRID.n_steps)]
+        assert solution.spec is spec
+        assert solution.problem.grid is self.GRID
+        assert solution.problem.jumps is spec.jumps and solution.problem.xi == spec.xi
 
     @staticmethod
     def track_lifetimes(monkeypatch):
@@ -257,7 +265,7 @@ class TestRunEconomy:
 
         monkeypatch.setattr(engine.ControlProblem, "simulate", checking)
         spec = LQSpec()
-        _, adjoint, report = solve_lq(spec, self.GRID)
+        _, adjoint, report, *_ = solve_lq(spec, self.GRID)
         assert report.iterations > 1
         assert alive_at_simulate == [0] * report.iterations
         assert [r() is not None for r in solves] == [False] * (report.iterations - 1) + [True]
@@ -275,7 +283,7 @@ class TestRunEconomy:
             return gap(*args, **kwargs)
 
         monkeypatch.setattr(lq_memory, "stationarity_gap", checking)
-        verify_lq(solution, spec, self.GRID)
+        verify_lq(solution)
         assert len(ensembles) == 13 and len(solves) == 1
         assert alive_at_stationarity == [0, 0, 0]
 
@@ -283,7 +291,7 @@ class TestRunEconomy:
 class TestVerification:
     def test_coupling_and_idempotence(self, desk_solution):
         _, solution, ver = desk_solution
-        _, _, report = solution
+        report = solution.report
         assert ver.coupling_residual_max < 1e-3
         assert ver.idempotence_change < report.tol
 

@@ -13,7 +13,6 @@ from memsfde.grid import SimGrid
 from memsfde.mean_variance import (
     MeanVarSpec,
     PERTURBATION_FAMILY,
-    control_problem,
     j_comparison,
     simulate_optimal,
     solve_closed_form,
@@ -98,13 +97,12 @@ class TestClosedForm:
 class TestOptimalSimulation:
     def test_history_at_target_freezes_everything(self):
         spec = MeanVarSpec(xi=1.0, target=1.0)
-        ens, _ = simulate_optimal(spec, DESK_GRID)
+        ens, sol = simulate_optimal(spec, DESK_GRID)
         np.testing.assert_array_equal(ens.states, 1.0)
         np.testing.assert_array_equal(ens.controls, 0.0)
-        problem = control_problem(spec, DESK_GRID)
         from memsfde.engine import performance
 
-        j, se = performance(ens, problem.coeffs)
+        j, se = performance(ens, sol.problem.coeffs)
         assert (j, se) == (0.0, 0.0)
 
     def test_history_below_target_rejected(self):
@@ -245,8 +243,15 @@ class TestOptimality:
         j_comparison(ens, sol)
         assert drawn == []
 
+    def test_stationarity_suite_draws_nothing_after_the_optimal_simulation(self, monkeypatch):
+        spec = MeanVarSpec(jumps=JumpModel(intensity=1.0, marks=(1.0,), probs=(1.0,)))
+        grid = SimGrid(dt=0.05, delta_steps=2, horizon=0.5, n_particles=200, seed=6)
+        _, sol = simulate_optimal(spec, grid)
+        monkeypatch.setattr(engine, "step_generator", lambda *a: pytest.fail("noise drawn again"))
+        assert [r[0] for r in stationarity_suite(sol)] == ["const_1", "late_half", "sin_wave"]
+
     def test_stationarity_in_bounded_directions(self):
-        rows = stationarity_suite(MeanVarSpec(), DESK_GRID, eps=1e-3)
+        rows = stationarity_suite(solve_closed_form(MeanVarSpec(), DESK_GRID), eps=1e-3)
         assert [r[0] for r in rows] == ["const_1", "late_half", "sin_wave"]
         for label, gap, se in rows:
             assert abs(gap) < 3.0 * se + 1e-3, f"{label}: gap {gap} vs se {se}"

@@ -5,7 +5,7 @@ import pytest
 
 from memsfde import engine
 from memsfde.engine import CoefficientSet, JumpModel, simulate
-from memsfde.grid import BROWNIAN, JUMPS, SimGrid
+from memsfde.grid import SimGrid
 from memsfde.picard import consistency_check, picard_solve
 
 CONST_DRIFT = CoefficientSet(drift=lambda *a: 1.0)
@@ -125,21 +125,6 @@ class TestConsistencyWithDirectScheme:
 
 
 class TestNoiseReuse:
-    def test_each_step_stream_is_drawn_once(self, monkeypatch):
-        calls = []
-        step_generator = engine.step_generator
-
-        def counting(seed, step, substream=0):
-            calls.append((step, substream))
-            return step_generator(seed, step, substream)
-
-        monkeypatch.setattr(engine, "step_generator", counting)
-        grid = SimGrid(dt=0.02, delta_steps=5, horizon=0.4, n_particles=16, seed=8)
-        _, report = picard_solve(MEAN_FIELD_JUMPS, grid, jumps=TWO_MARKS, xi=1.0, t0_steps=5)
-        assert min(report.iterations) > 1  # several sweeps per window
-        expected = {(k, s) for k in range(grid.n_steps) for s in (BROWNIAN, JUMPS)}
-        assert sorted(calls) == sorted(expected)
-
     def test_short_windows_reproduce_the_direct_ensemble(self):
         # windows shorter than the lag with state-free noise coefficients: the
         # solve is exact, so paths, the recorded controls and the stored noise
