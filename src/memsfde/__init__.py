@@ -20,11 +20,14 @@ The pieces fit together like this:
 """
 
 import os
+import sys
 
 # A multi-threaded BLAS splits reductions over particles (a regression's
 # X^T y) across its threads, so the bits of a result would depend on the
 # machine's core count.  One thread keeps them fixed.  This only takes effect
-# if numpy is not imported yet, and a caller's own setting wins.
+# if numpy is not imported yet (recorded below), and a caller's own setting
+# wins.
+_NUMPY_PRELOADED = "numpy" in sys.modules
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 

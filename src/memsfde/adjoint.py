@@ -290,20 +290,25 @@ class AdjointTriple:
     are per-step noise loadings whose final column is zero.  Each is an
     (N, n_steps + 1) view of time-major storage in time order, so column k
     is one contiguous row and the forward window a driver reads is a band
-    of rows in ascending memory order.  ``mean_stderr[k]`` is the Monte
-    Carlo standard error of the regression target's mean at step k, the
-    right yardstick for drift/level tests.
+    of rows in ascending memory order.  A solve with windowed loadings
+    (``solve_absde(loadings="window")``) keeps them only as long as its
+    driver can read them, so its ``q0`` and ``r0`` are ``None``.
+    ``mean_stderr[k]`` is the Monte Carlo standard error of the regression
+    target's mean at step k, the right yardstick for drift/level tests.
     """
 
     grid: SimGrid
     p0: np.ndarray  # (N, n_steps + 1)
-    q0: np.ndarray  # (N, n_steps + 1)
-    r0: np.ndarray  # (N, n_steps + 1)
+    q0: np.ndarray | None  # (N, n_steps + 1)
+    r0: np.ndarray | None  # (N, n_steps + 1)
     mean_stderr: np.ndarray  # (n_steps + 1,)
     deficient_steps: tuple = ()
 
     def check_terminal_conventions(self) -> bool:
-        """The noise loadings vanish at the horizon."""
+        """The noise loadings vanish at the horizon.  Windowed loadings are
+        not kept, so a triple solved with them cannot be checked."""
+        if self.q0 is None:
+            raise ValueError("the loadings were solved windowed and not kept; solve with loadings='full'")
         K = self.grid.n_steps
         return bool(np.all(self.q0[:, K] == 0.0) and np.all(self.r0[:, K] == 0.0))
 
@@ -380,6 +385,11 @@ class SweepContext:
     most one memory window ahead (that is what makes the equation advanced).
     Everything past the horizon reads as zero — the convention under which
     the duality identity behind the driver is exact.
+
+    Each array is an (N, width) view whose column ``j % width`` holds step
+    j.  A full array has width n_steps + 1, so that is column j; the
+    windowed loadings of :func:`solve_absde` are a ring of d + 1 columns,
+    in which every step a driver may still read has its own column.
     """
 
     def __init__(self, ens: ParticleEnsemble, p0: np.ndarray, q0: np.ndarray, r0: np.ndarray):
@@ -399,7 +409,7 @@ class SweepContext:
         j = k + ahead
         if j > self.grid.n_steps:
             return np.zeros(arr.shape[0])
-        return arr[:, j]
+        return arr[:, j % arr.shape[1]]
 
     def p0_future(self, k: int, ahead: int) -> np.ndarray:
         return self._future(self._p0, k, ahead, "p0")
@@ -439,6 +449,7 @@ def solve_absde(
     driver=None,
     basis=None,
     warn: bool = True,
+    loadings: str = "full",
 ) -> AdjointTriple:
     """Backward least-squares sweep for the adjoint triple along an ensemble.
 
@@ -459,15 +470,28 @@ def solve_absde(
     least-norm solution (for a collapsed basis that is exactly the ensemble
     mean) and are reported via ``deficient_steps`` plus, unless ``warn`` is
     false, a logged warning.
+
+    ``loadings="full"`` keeps q0 and r0 for every step.  With
+    ``loadings="window"`` they live in a ring of d + 1 rows (d the grid's
+    delay steps): step k overwrites the row of step k + d + 1, which no
+    driver can read any more, and the returned triple's ``q0`` and ``r0``
+    are ``None``.  p0 and every value a driver reads are the same bits in
+    both modes; the window saves two (N, n_steps + 1) arrays when only p0
+    is read after the sweep.
     """
+    if loadings not in ("full", "window"):
+        raise ValueError(f"loadings must be 'full' or 'window', got {loadings!r}")
+    full = loadings == "full"
     grid = ens.grid
     K, N, dt = grid.n_steps, grid.n_particles, grid.dt
     basis = basis if basis is not None else default_basis
 
-    # time-major storage behind (N, K + 1) views: each step writes one row
+    # time-major storage behind (N, ·) views: each step writes one row, and
+    # the loadings of step k go to row k % width (see SweepContext)
+    width = K + 1 if full else min(grid.delta_steps, K) + 1
     p0 = np.zeros((K + 1, N)).T
-    q0 = np.zeros((K + 1, N)).T
-    r0 = np.zeros((K + 1, N)).T
+    q0 = np.zeros((width, N)).T
+    r0 = np.zeros((width, N)).T
     mean_stderr = np.zeros(K + 1)
 
     xT = ens.state_column(K)
@@ -499,9 +523,9 @@ def solve_absde(
         if rank < rows.shape[0]:
             deficient.append(k)
         np.matmul(beta[:m], basis_rows, out=p0[:, k])
-        np.matmul(beta[m : 2 * m], basis_rows, out=q0[:, k])
+        np.matmul(beta[m : 2 * m], basis_rows, out=q0[:, k % width])
         if use_jumps:
-            np.matmul(beta[2 * m :], basis_rows, out=r0[:, k])
+            np.matmul(beta[2 * m :], basis_rows, out=r0[:, k % width])
         _, mean_stderr[k] = _mean_and_stderr(target)
 
     if deficient and warn:
@@ -513,8 +537,8 @@ def solve_absde(
     return AdjointTriple(
         grid=grid,
         p0=p0,
-        q0=q0,
-        r0=r0,
+        q0=q0 if full else None,
+        r0=r0 if full else None,
         mean_stderr=mean_stderr,
         deficient_steps=tuple(reversed(deficient)),
     )
@@ -602,7 +626,7 @@ def stationarity_gap(
     error is an honest yardstick: at an optimum |gap| should be within a few
     standard errors of zero (plus an O(eps^2) curvature remainder).
     """
-    plus = problem.simulate(combine_controls(control, direction, +eps))
-    minus = problem.simulate(combine_controls(control, direction, -eps))
-    per_path = (pathwise_cost(plus, problem.coeffs) - pathwise_cost(minus, problem.coeffs)) / (2.0 * eps)
-    return _mean_and_stderr(per_path)
+    # each ensemble is costed and freed before the next one is simulated
+    plus = pathwise_cost(problem.simulate(combine_controls(control, direction, +eps)), problem.coeffs)
+    minus = pathwise_cost(problem.simulate(combine_controls(control, direction, -eps)), problem.coeffs)
+    return _mean_and_stderr((plus - minus) / (2.0 * eps))

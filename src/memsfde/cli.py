@@ -570,12 +570,12 @@ def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -
         cfg._error("meanvar", "xi", f"initial history must exceed the floor (xi={spec.xi!r}, target={spec.target!r})")
     try:
         # degenerate or overflowing coefficients fail in the closed form
-        mean_variance.solve_closed_form(spec, grid)
+        sol = mean_variance.solve_closed_form(spec, grid)
     except (ValueError, OverflowError) as exc:
         message = "the closed-form rate overflows" if isinstance(exc, OverflowError) else str(exc)
         raise ConfigError(message, path=cfg.path, line=cfg.section_lines.get("meanvar", 0), section="meanvar")
 
-    ens, sol = mean_variance.simulate_optimal(spec, grid)
+    ens = mean_variance.simulate_optimal(sol)
     write_csv(os.path.join(outdir, "solution.csv"), ("t", "rate", "phi", "psi"), sol.rows())
     res.artifacts.append("solution.csv")
 

@@ -226,7 +226,8 @@ class ParticleEnsemble:
     ``paths`` covers ``[-delta, T]`` (column ``delta_steps + k`` is time
     ``k dt``); ``controls_full`` covers the same mesh with the pre-horizon part
     holding the control history.  Brownian increments ``brownian`` (N, K) and
-    per-mark jump counts ``jump_counts`` (N, K, marks) are kept so the adjoint
+    per-mark jump counts ``jump_counts`` (N, K, marks; ``uint8``, or int64
+    when a count exceeds 255, see :func:`draw_noise`) are kept so the adjoint
     solver can build regression features from the same noise that moved the
     particles.  They are the noise of the ensemble's problem, drawn once and
     shared read-only by every ensemble simulated or solved on it.
@@ -379,6 +380,11 @@ def draw_noise(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None = 
     noise kinds ``coeffs`` use, not on any control, so every simulation of
     one problem can share it (``simulate(noise=)``).  Without a diffusion
     coefficient the Brownian increments stay zero.
+
+    The jump counts are ``uint8``, an eighth of an int64 array; if any
+    step draws a count above 255 the whole array is widened to int64 once,
+    so every count stays exact.  Readers promote the counts to float
+    before using them, so the dtype moves no bit of any result.
     """
     (N, K), j_shape = _noise_shapes(coeffs, grid, jumps)
     brownian = np.zeros((K, N))
@@ -390,9 +396,12 @@ def draw_noise(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None = 
     if j_shape is None:
         return brownian.T, None
     mark_rates = np.array(jumps.probs) * jumps.intensity * grid.dt
-    counts = np.zeros((K, mark_rates.size, N), dtype=np.int64)
+    counts = np.zeros((K, mark_rates.size, N), dtype=np.uint8)
     for k in range(K):
-        counts[k].T[...] = step_generator(grid.seed, k, JUMPS).poisson(mark_rates, size=(N, mark_rates.size))
+        drawn = step_generator(grid.seed, k, JUMPS).poisson(mark_rates, size=(N, mark_rates.size))
+        if counts.dtype == np.uint8 and drawn.max() > np.iinfo(np.uint8).max:
+            counts = counts.astype(np.int64)
+        counts[k].T[...] = drawn
     counts.setflags(write=False)
     return brownian.T, counts.transpose(2, 0, 1)
 
@@ -433,7 +442,8 @@ def _euler_window(
             counts = jump_counts[:, k, :]
             for a, (z, p) in enumerate(zip(jumps.marks, jumps.probs)):
                 g = np.asarray(coeffs.jump(t, x, x_seg, law, law_seg, u, u_seg, z))
-                nxt += counts[:, a] * g - jumps.intensity * p * g * dt
+                # a float64 product whatever the counts' integer dtype
+                nxt += np.multiply(counts[:, a], g, dtype=float) - jumps.intensity * p * g * dt
 
         bad = ~np.isfinite(nxt)
         if bad.any():

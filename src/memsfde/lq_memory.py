@@ -149,7 +149,9 @@ def _adjoint_driver(spec: LQSpec, grid: SimGrid):
 
 
 def _solve_adjoint(ens, driver, basis_fn) -> AdjointTriple:
-    return solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis_fn, warn=False)
+    """The adjoint of one sweep.  The solve and its checks read only p0, so
+    the loadings are kept only while the driver can read them."""
+    return solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis_fn, warn=False, loadings="window")
 
 
 def _warn_deficient(counts, n_steps: int) -> None:
@@ -186,10 +188,11 @@ class LQSolution(NamedTuple):
     """A solved control with the problem it was solved on.
 
     ``control`` is the per-particle control on the [0, T] mesh (shape
-    (N, n_steps + 1)), ``adjoint`` the final backward solve and ``report``
-    the iteration trace.  ``problem`` is the solve's own
-    :class:`~memsfde.engine.ControlProblem`, whose frozen noise every later
-    simulation of the control shares, so checks draw nothing new.
+    (N, n_steps + 1)), ``adjoint`` the final backward solve (its loadings
+    are windowed, so it keeps p0 only) and ``report`` the iteration trace.
+    ``problem`` is the solve's own :class:`~memsfde.engine.ControlProblem`,
+    whose frozen noise every later simulation of the control shares, so
+    checks draw nothing new.
     """
 
     control: np.ndarray

@@ -135,9 +135,9 @@ class MeanVarSolution:
     feedback: Callable  # (t, x, x_seg, law) -> per-particle control
     problem: ControlProblem
 
-    def p0_closed(self, states: np.ndarray) -> np.ndarray:
-        """Affine adjoint phi X + psi along given states on the [0, T] mesh."""
-        return self.phi[None, :] * states + self.psi[None, :]
+    def p0_closed(self, x: np.ndarray, k: int) -> np.ndarray:
+        """Affine adjoint phi X + psi at step k, along the states ``x``."""
+        return self.phi[k] * x + self.psi[k]
 
     def rows(self):
         ts = self.grid.times()
@@ -208,16 +208,15 @@ def control_problem(spec: MeanVarSpec, grid: SimGrid) -> ControlProblem:
     return ControlProblem(coeffs=coeffs, grid=grid, jumps=spec.jumps, xi=spec.xi)
 
 
-def simulate_optimal(spec: MeanVarSpec, grid: SimGrid):
-    """Simulate the optimally controlled ensemble; returns (ensemble, solution)."""
-    sol = solve_closed_form(spec, grid)
-    hist = _materialize_history(spec.xi, grid)
+def simulate_optimal(sol: MeanVarSolution) -> ParticleEnsemble:
+    """Simulate the ensemble that the closed form ``sol`` controls optimally,
+    on ``sol.problem``."""
+    hist = _materialize_history(sol.spec.xi, sol.grid)
     # equality is the degenerate-but-legal case (zero control, X constant);
     # the pathwise positivity claim needs strict inequality
-    if np.min(hist) < spec.target:
+    if np.min(hist) < sol.spec.target:
         raise ValueError("initial history must not fall below the target")
-    ens = sol.problem.simulate(sol.feedback)
-    return ens, sol
+    return sol.problem.simulate(sol.feedback)
 
 
 @dataclass(frozen=True)
@@ -246,8 +245,8 @@ class MeanVarVerification:
 
 def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerification:
     """Three independent checks of the candidate optimum, run on the
-    ``(ens, sol)`` that :func:`simulate_optimal` returns; the problem and
-    its grid are ``sol.spec`` and ``sol.grid``.
+    ensemble that :func:`simulate_optimal` returns for ``sol``; the problem
+    and its grid are ``sol.spec`` and ``sol.grid``.
 
     (1) The first-order-condition bracket, assembled from the closed-form
     adjoint loadings along every simulated path, must vanish to rounding.
@@ -259,6 +258,12 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
     and zeroed past the horizon — must reproduce p0(0) within regression
     tolerance.  Positivity of Y = X - target and the smallest |X(t - delta)|
     (the denominator of the feedback rule) are monitored alongside.
+
+    Checks (1) and (2) and the monitors run one contiguous time row at a
+    time, and the backward solve keeps its loadings windowed, so the checks
+    hold one (N, n_steps + 1) array (the solve's p0) on top of the
+    ensemble.  The pooled increment statistics are combined from the
+    per-step means and standard deviations.
     """
     spec, grid = sol.spec, sol.grid
     K, d, N = grid.n_steps, grid.delta_steps, grid.n_particles
@@ -268,37 +273,50 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
     g0 = np.array([spec.gamma0_fn()(t) for t in ts])
     m2 = spec.jump_m2()
     m1 = spec.jump_m1()
-
-    states = ens.states
-    delayed = ens.paths[:, : K + 1]  # X(t - delta) column-aligned with states
+    noise_var = s0**2 + g0**2 * m2
+    target = spec.target
     controls = ens.controls
-    p_closed = sol.p0_closed(states)
 
-    # (1) first-order condition along paths: b0 p0 + sigma0 q0 + jump term,
-    # built in place so it holds one full-size temporary at a time
-    bracket = sol.phi * delayed
-    bracket *= controls
-    bracket *= s0**2 + g0**2 * m2
-    bracket += b0 * p_closed
-    foc_residual_max = float(np.max(np.abs(bracket)))
-    del bracket
+    foc = np.empty(K + 1)  # max |bracket| per step
+    abs_delayed = np.empty(K + 1)  # min |X(t - delta)| per step
+    step_means, step_sds = np.empty(K), np.empty(K)  # of the p0 increments
+    lowest = np.full(N, np.inf)  # per-path min of X - target
+    for k in range(K + 1):
+        x = ens.state_column(k)
+        delayed = ens.paths[:, k]  # X(t - delta)
+        p = sol.p0_closed(x, k)
+        # (1) first-order condition along paths: b0 p0 + sigma0 q0 + jump term
+        bracket = sol.phi[k] * delayed
+        bracket *= controls[:, k]
+        bracket *= noise_var[k]
+        bracket += b0[k] * p
+        foc[k] = np.max(np.abs(bracket))
+        # (2) martingale increments of the closed-form adjoint
+        if k == 0:
+            closed_p0 = float(p.mean())
+        else:
+            incr = p - p_prev
+            step_means[k - 1] = incr.mean()
+            step_sds[k - 1] = incr.std(ddof=1)
+        p_prev = p
+        np.minimum(lowest, x - target, out=lowest)
+        abs_delayed[k] = np.min(np.abs(delayed))
+    foc_residual_max = float(np.max(foc))
+    min_abs_delayed = float(np.min(abs_delayed))
+    above = lowest > 0.0
 
-    # (2) martingale drift of the closed-form adjoint
-    incr = np.diff(p_closed, axis=1)
-    pooled_se = incr.std(ddof=1) / math.sqrt(incr.size)
-    p0_drift_z = float(abs(incr.mean()) / pooled_se) if pooled_se > 0 else 0.0
-    step_means = incr.mean(axis=0)
-    step_se = incr.std(axis=0, ddof=1) / math.sqrt(N)
+    # pooled over all n = N * K increments: the within-step sums of squares
+    # plus the spread of the step means around the pooled mean
+    n = N * K
+    pooled_mean = step_means.mean()
+    within = (N - 1) * np.sum(step_sds**2) if N > 1 else 0.0
+    sum_sq = within + N * np.sum((step_means - pooled_mean) ** 2)
+    pooled_se = math.sqrt(sum_sq / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+    p0_drift_z = float(abs(pooled_mean) / pooled_se) if pooled_se > 0 else 0.0
+    step_se = step_sds / math.sqrt(N)
     with np.errstate(divide="ignore", invalid="ignore"):
         zs = np.where(step_se > 0, np.abs(step_means) / step_se, 0.0)
     p0_drift_max_step_z = float(np.max(zs))
-    closed_p0 = float(p_closed[:, 0].mean())
-    target = spec.target
-    above = np.min(states - target, axis=1) > 0.0
-    min_abs_delayed = float(np.min(np.abs(delayed)))
-    # the backward solve allocates three (N, K + 1) arrays of its own; free
-    # the full-size temporaries first so they do not add to its peak
-    del p_closed, incr
 
     # (3) independent LSMC backward solve; the driver reads the future triple
     # at lag delta (strictly ahead, zero past the horizon)
@@ -312,7 +330,9 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
         w = b0[j] * p + s0[j] * q + g0[j] * m1 * r
         return controls[:, j] * w
 
-    adj = solve_absde(ens, terminal=lambda x, law: -(x - target), driver=driver, basis=default_basis)
+    adj = solve_absde(
+        ens, terminal=lambda x, law: -(x - target), driver=driver, basis=default_basis, loadings="window"
+    )
     lsmc_p0 = float(adj.p0[:, 0].mean())
     rel = abs(lsmc_p0 - closed_p0) / max(abs(closed_p0), 1e-300)
 

@@ -162,7 +162,8 @@ def test_criterion_7_delayed_wealth_battery():
     started = time.perf_counter()
     grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=100_000, seed=1)
     spec = mean_variance.MeanVarSpec()  # unit-excess history above a unit floor
-    ens, sol = mean_variance.simulate_optimal(spec, grid)
+    sol = mean_variance.solve_closed_form(spec, grid)
+    ens = mean_variance.simulate_optimal(sol)
     ver = mean_variance.verify_adjoint(ens, sol)
     rows = mean_variance.j_comparison(ens, sol)
     variants = rows[1:]

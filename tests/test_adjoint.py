@@ -246,6 +246,46 @@ class TestBackwardSolver:
             np.testing.assert_array_equal(seen[name], 0.0)
         assert adj.check_terminal_conventions()
 
+    def test_windowed_loadings_match_the_full_solve(self):
+        # a jump problem with d = 4 whose driver reads every lag of all three
+        # processes, so p0 depends on every loading the ring must serve
+        grid = SimGrid(dt=0.05, delta_steps=4, horizon=1.0, n_particles=200, seed=8)
+        jumps = JumpModel(intensity=3.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
+        coeffs = CoefficientSet(diffusion=lambda *a: 0.3, jump=lambda t, x, xs, m, ms, u, us, z: 0.2 * z)
+        ens = simulate(coeffs, grid, jumps=jumps, xi=1.0)
+        K, d = grid.n_steps, grid.delta_steps
+
+        def solve(loadings):
+            reads = {}
+
+            def driver(ctx, k):
+                total = np.zeros(ens.n_particles)
+                for ahead in range(1, d + 1):
+                    for name, read in (("p", ctx.p0_future), ("q", ctx.q0_future), ("r", ctx.r0_future)):
+                        reads[name, k, ahead] = read(k, ahead).copy()
+                        total += 0.1 * ahead * reads[name, k, ahead]
+                return total
+
+            return solve_absde(ens, terminal=lambda x, law: -x, driver=driver, loadings=loadings), reads
+
+        full, full_reads = solve("full")
+        window, window_reads = solve("window")
+        np.testing.assert_array_equal(window.p0, full.p0)
+        assert window.deficient_steps == full.deficient_steps
+        assert window_reads.keys() == full_reads.keys()
+        for (name, k, ahead), value in window_reads.items():
+            np.testing.assert_array_equal(value, full_reads[name, k, ahead])
+            if k + ahead > K:
+                np.testing.assert_array_equal(value, 0.0)
+            elif name != "p":
+                np.testing.assert_array_equal(value, getattr(full, f"{name}0")[:, k + ahead])
+        assert np.any(full.r0[:, : K - d] != 0.0)  # the ring's reused rows were live
+        assert window.q0 is None and window.r0 is None
+        with pytest.raises(ValueError, match="windowed"):
+            window.check_terminal_conventions()
+        with pytest.raises(ValueError, match="loadings"):
+            solve_absde(ens, terminal=lambda x, law: -x, loadings="ring")
+
 
 def rel_err(a, b) -> float:
     """Largest absolute difference relative to the largest reference entry."""

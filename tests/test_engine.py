@@ -22,7 +22,7 @@ from memsfde.engine import (
     performance,
     simulate,
 )
-from memsfde.grid import BROWNIAN, JUMPS, SimGrid
+from memsfde.grid import BROWNIAN, JUMPS, SimGrid, step_generator
 from memsfde.measures import EmpiricalMeasure, MeasureSegment, cf_dist_sq, m_segment_dist_sq
 from memsfde.picard import picard_solve
 
@@ -414,6 +414,32 @@ class TestSharedNoise:
                 continue
             assert not got.flags.writeable
             np.testing.assert_array_equal(got, drawn)
+
+    @pytest.mark.parametrize(
+        "intensity, n_particles", [(2.0, 32), (7500.0, 3)], ids=["uint8", "widened_at_step_3"]
+    )
+    def test_jump_counts_are_the_int64_draw_value_for_value(self, intensity, n_particles):
+        coeffs, _ = self.WITH_JUMPS
+        jumps = JumpModel(intensity=intensity, marks=(1.0, -0.5), probs=(0.4, 0.6))
+        grid = dataclasses.replace(self.GRID, n_particles=n_particles)
+        brownian, counts = draw_noise(coeffs, grid, jumps)
+        rates = np.array(jumps.probs) * jumps.intensity * grid.dt
+        reference = np.stack(
+            [step_generator(grid.seed, k, JUMPS).poisson(rates, size=(n_particles, 2)) for k in range(grid.n_steps)],
+            axis=1,
+        )
+        assert reference.dtype == np.int64
+        np.testing.assert_array_equal(counts, reference)
+        # narrow unless a count does not fit; then every step is widened
+        assert counts.dtype == (np.uint8 if reference.max() <= 255 else np.int64)
+        assert not counts.flags.writeable
+        # the count dtype moves no bit of an ensemble or of its adjoint
+        narrow = simulate(coeffs, grid, jumps=jumps, xi=1.0, control=0.3, noise=(brownian, counts))
+        wide = simulate(coeffs, grid, jumps=jumps, xi=1.0, control=0.3, noise=(brownian, reference))
+        np.testing.assert_array_equal(narrow.paths, wide.paths)
+        narrow_adj, wide_adj = (solve_absde(ens, terminal=lambda x, law: -x, warn=False) for ens in (narrow, wide))
+        for name in ("p0", "q0", "r0"):
+            np.testing.assert_array_equal(getattr(narrow_adj, name), getattr(wide_adj, name))
 
     def test_no_diffusion_means_zero_brownian_increments(self):
         jumps = JumpModel(intensity=2.0, marks=(1.0,), probs=(1.0,))

@@ -1,10 +1,11 @@
 """Behaviour that only a fresh interpreter shows.
 
 The BLAS thread count is fixed when numpy is first imported, so its effect on
-the output is checked on CLI runs in child processes.  The traced benchmark
-runner (``perfbench/tracer.py``) wraps the program's functions by name, so a
-refactor that renames or reshapes one of them shows here as a failed traced
-run or a missing span.
+the output is checked on CLI runs in child processes; that this test process
+got the pin too (``conftest.py`` imports ``memsfde`` first) is checked here.
+The traced benchmark runner (``perfbench/tracer.py``) wraps the program's
+functions by name, so a refactor that renames or reshapes one of them shows
+here as a failed traced run or a missing span.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ from memsfde.cli import SEED_ENV_VAR
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SOURCE = os.path.join(ROOT, "src")
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
+
+
+def test_numpy_was_imported_after_the_blas_pin():
+    import memsfde
+
+    assert not memsfde._NUMPY_PRELOADED
+
 
 # above OpenBLAS's threading threshold, so a second BLAS thread would split
 # the regression's reductions over particles

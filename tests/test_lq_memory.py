@@ -36,7 +36,7 @@ class TestHandSolvableCases:
         j, se = problem.performance(control)
         assert abs(j + 0.25) < 1e-6
         assert se == 0.0
-        assert adjoint.check_terminal_conventions()
+        assert adjoint.q0 is None and adjoint.r0 is None  # windowed: p0 only
 
     def test_zero_history_zero_noise_stays_at_rest(self):
         grid = SimGrid(dt=0.02, delta_steps=10, horizon=1.0, n_particles=4, seed=0)
@@ -75,7 +75,7 @@ class TestSolverBehaviour:
         assert report.converged
         assert report.changes[-1] < report.tol
         assert report.iterations <= 50
-        assert adjoint.check_terminal_conventions()
+        assert adjoint.q0 is None and adjoint.r0 is None  # windowed: p0 only
         assert control.shape == (DESK_GRID.n_particles, DESK_GRID.n_steps + 1)
         # stored time-major: each sweep reads a step's control as one row
         assert all(control[:, k].flags.c_contiguous for k in range(DESK_GRID.n_steps + 1))
