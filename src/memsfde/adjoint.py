@@ -290,25 +290,27 @@ class AdjointTriple:
     are per-step noise loadings whose final column is zero.  Each is an
     (N, n_steps + 1) view of time-major storage in time order, so column k
     is one contiguous row and the forward window a driver reads is a band
-    of rows in ascending memory order.  A solve with windowed loadings
-    (``solve_absde(loadings="window")``) keeps them only as long as its
-    driver can read them, so its ``q0`` and ``r0`` are ``None``.
-    ``mean_stderr[k]`` is the Monte Carlo standard error of the regression
-    target's mean at step k, the right yardstick for drift/level tests.
+    of rows in ascending memory order.  A solve that does not keep the
+    whole triple (``solve_absde(keep=...)``) holds the rest only as long as
+    its driver can read it: with ``keep="p0"`` its ``q0`` and ``r0`` are
+    ``None``, and with ``keep="initial_p0"`` so are they and ``p0`` is the
+    (N, 1) column of step 0.  ``mean_stderr[k]`` is the Monte Carlo
+    standard error of the regression target's mean at step k, the right
+    yardstick for drift/level tests.
     """
 
     grid: SimGrid
-    p0: np.ndarray  # (N, n_steps + 1)
+    p0: np.ndarray  # (N, n_steps + 1), or (N, 1) for step 0 only
     q0: np.ndarray | None  # (N, n_steps + 1)
     r0: np.ndarray | None  # (N, n_steps + 1)
     mean_stderr: np.ndarray  # (n_steps + 1,)
     deficient_steps: tuple = ()
 
     def check_terminal_conventions(self) -> bool:
-        """The noise loadings vanish at the horizon.  Windowed loadings are
-        not kept, so a triple solved with them cannot be checked."""
+        """The noise loadings vanish at the horizon.  A solve that did not
+        keep them cannot be checked."""
         if self.q0 is None:
-            raise ValueError("the loadings were solved windowed and not kept; solve with loadings='full'")
+            raise ValueError("the loadings were not kept after the sweep; solve with keep='all'")
         K = self.grid.n_steps
         return bool(np.all(self.q0[:, K] == 0.0) and np.all(self.r0[:, K] == 0.0))
 
@@ -387,9 +389,9 @@ class SweepContext:
     the duality identity behind the driver is exact.
 
     Each array is an (N, width) view whose column ``j % width`` holds step
-    j.  A full array has width n_steps + 1, so that is column j; the
-    windowed loadings of :func:`solve_absde` are a ring of d + 1 columns,
-    in which every step a driver may still read has its own column.
+    j.  A full array has width n_steps + 1, so that is column j; what
+    :func:`solve_absde` does not keep lives in a ring of fewer columns, in
+    which every step a driver may still read has its own column.
     """
 
     def __init__(self, ens: ParticleEnsemble, p0: np.ndarray, q0: np.ndarray, r0: np.ndarray):
@@ -428,10 +430,13 @@ class SweepContext:
         step's integral).  Computed as one matrix-vector product over the
         live band ``p0[:, k+1 : min(k+d, K)+1]``: the lag-0 weight is folded
         onto lag 1, and lags past the horizon read zero, so their weights
-        are dropped.
+        are dropped.  The band cannot wrap around a ring, so an averaging
+        functional needs p0 kept in full (``keep="all"`` or ``"p0"``).
         """
         if f.kind == "evaluation":
             return self.p0_future(k, f.point_steps)
+        if self._p0.shape[1] <= self.grid.n_steps:
+            raise ValueError("advanced_average reads a band of p0, which a ring cannot hold; keep p0 in full")
         d = f.delta_steps
         lags = max(d, 1)
         self._check_ahead(k, lags, "p0")
@@ -449,7 +454,7 @@ def solve_absde(
     driver=None,
     basis=None,
     warn: bool = True,
-    loadings: str = "full",
+    keep: str = "all",
 ) -> AdjointTriple:
     """Backward least-squares sweep for the adjoint triple along an ensemble.
 
@@ -471,31 +476,36 @@ def solve_absde(
     mean) and are reported via ``deficient_steps`` plus, unless ``warn`` is
     false, a logged warning.
 
-    ``loadings="full"`` keeps q0 and r0 for every step.  With
-    ``loadings="window"`` they live in a ring of d + 1 rows (d the grid's
-    delay steps): step k overwrites the row of step k + d + 1, which no
-    driver can read any more, and the returned triple's ``q0`` and ``r0``
-    are ``None``.  p0 and every value a driver reads are the same bits in
-    both modes; the window saves two (N, n_steps + 1) arrays when only p0
-    is read after the sweep.
+    ``keep`` names what survives the sweep: ``"all"`` keeps the whole
+    triple, ``"p0"`` keeps p0 only and ``"initial_p0"`` keeps p0 at step 0
+    only.  What is not kept lives in a ring of max(d, 1) + 1 rows (d the
+    grid's delay steps): step k overwrites the row of a step beyond the
+    driver's reach and beyond step k + 1, whose p0 is the step's target.
+    The returned triple's ``q0`` and ``r0`` are then ``None``, and with
+    ``"initial_p0"`` its ``p0`` is the (N, 1) column of step 0.  Every value
+    a driver reads, p0 at the steps kept, ``mean_stderr`` and
+    ``deficient_steps`` are the same bits in all three modes; each ring
+    saves an (N, n_steps + 1) array.  A driver that calls
+    :meth:`SweepContext.advanced_average` needs p0 in full.
     """
-    if loadings not in ("full", "window"):
-        raise ValueError(f"loadings must be 'full' or 'window', got {loadings!r}")
-    full = loadings == "full"
+    if keep not in ("all", "p0", "initial_p0"):
+        raise ValueError(f"keep must be 'all', 'p0' or 'initial_p0', got {keep!r}")
     grid = ens.grid
     K, N, dt = grid.n_steps, grid.n_particles, grid.dt
     basis = basis if basis is not None else default_basis
 
     # time-major storage behind (N, ·) views: each step writes one row, and
-    # the loadings of step k go to row k % width (see SweepContext)
-    width = K + 1 if full else min(grid.delta_steps, K) + 1
-    p0 = np.zeros((K + 1, N)).T
+    # step k goes to row k % width (see SweepContext)
+    ring = min(max(grid.delta_steps, 1), K) + 1
+    p_width = ring if keep == "initial_p0" else K + 1
+    width = K + 1 if keep == "all" else ring
+    p0 = np.zeros((p_width, N)).T
     q0 = np.zeros((width, N)).T
     r0 = np.zeros((width, N)).T
     mean_stderr = np.zeros(K + 1)
 
     xT = ens.state_column(K)
-    p0[:, K] = np.asarray(terminal(xT, EmpiricalMeasure(xT)), dtype=float)
+    p0[:, K % p_width] = np.asarray(terminal(xT, EmpiricalMeasure(xT)), dtype=float)
 
     use_jumps = ens.jump_counts is not None
     lam_dt = ens.jumps.intensity * dt if use_jumps else 0.0
@@ -505,7 +515,7 @@ def solve_absde(
     rows = None
 
     for k in range(K - 1, -1, -1):
-        target = p0[:, k + 1]
+        target = p0[:, (k + 1) % p_width]
         if driver is not None:
             target = target + dt * np.asarray(driver(ctx, k))
         phi = basis(ens, k)
@@ -522,7 +532,7 @@ def solve_absde(
         beta, rank = _regress(rows.T, target, step=k)
         if rank < rows.shape[0]:
             deficient.append(k)
-        np.matmul(beta[:m], basis_rows, out=p0[:, k])
+        np.matmul(beta[:m], basis_rows, out=p0[:, k % p_width])
         np.matmul(beta[m : 2 * m], basis_rows, out=q0[:, k % width])
         if use_jumps:
             np.matmul(beta[2 * m :], basis_rows, out=r0[:, k % width])
@@ -536,9 +546,9 @@ def solve_absde(
         )
     return AdjointTriple(
         grid=grid,
-        p0=p0,
-        q0=q0 if full else None,
-        r0=r0 if full else None,
+        p0=p0[:, :1].copy() if keep == "initial_p0" else p0,
+        q0=q0 if keep == "all" else None,
+        r0=r0 if keep == "all" else None,
         mean_stderr=mean_stderr,
         deficient_steps=tuple(reversed(deficient)),
     )
@@ -625,7 +635,10 @@ def stationarity_gap(
     per-particle cost difference has tiny variance and the returned standard
     error is an honest yardstick: at an optimum |gap| should be within a few
     standard errors of zero (plus an O(eps^2) curvature remainder).
+    ``eps`` must be a positive finite number.
     """
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be a positive finite number, got {eps!r}")
     # each ensemble is costed and freed before the next one is simulated
     plus = pathwise_cost(problem.simulate(combine_controls(control, direction, +eps)), problem.coeffs)
     minus = pathwise_cost(problem.simulate(combine_controls(control, direction, -eps)), problem.coeffs)

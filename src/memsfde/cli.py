@@ -37,6 +37,7 @@ from memsfde.engine import (
     CoefficientSet,
     JumpModel,
     SimulationBlowupError,
+    pathwise_cost,
     simulate,
 )
 from memsfde.grid import SimGrid, trapezoid_weights
@@ -269,7 +270,11 @@ SCHEMA = {
         "xi": (_number, None, (lambda v: v != 0.0, "must be non-zero: the optimal feedback divides by it")),
     },
     "lq": {
-        **{key: (_number, None) for key in ("kernel", "alpha0", "beta0", "xi", "tol", "eps")},
+        **{key: (_number, None) for key in ("kernel", "alpha0", "beta0", "xi")},
+        # the sweeps stop once a change falls below tol, and the stationarity
+        # probes divide by 2 eps
+        "tol": (_number, None, _POSITIVE),
+        "eps": (_number, None, _POSITIVE),
         "damping": (_number, None, (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")),
         "max_iter": (_integer, None, _AT_LEAST_1),
         "verify": (_boolean, True),
@@ -583,7 +588,11 @@ def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -
     write_csv(os.path.join(outdir, "verification.csv"), ("name", "value"), ver.rows())
     res.artifacts.append("verification.csv")
 
-    j_rows = mean_variance.j_comparison(ens, sol)
+    # the comparison reads only the optimal cost, so the ensemble is freed
+    # before its variants are simulated
+    optimal_cost = pathwise_cost(ens, sol.problem.coeffs)
+    del ens
+    j_rows = mean_variance.j_comparison(optimal_cost, sol)
     out_rows = []
     dominance = True
     for label, j, se, jgap, gse in j_rows:

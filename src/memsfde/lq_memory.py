@@ -151,7 +151,7 @@ def _adjoint_driver(spec: LQSpec, grid: SimGrid):
 def _solve_adjoint(ens, driver, basis_fn) -> AdjointTriple:
     """The adjoint of one sweep.  The solve and its checks read only p0, so
     the loadings are kept only while the driver can read them."""
-    return solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis_fn, warn=False, loadings="window")
+    return solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis_fn, warn=False, keep="p0")
 
 
 def _warn_deficient(counts, n_steps: int) -> None:
@@ -188,8 +188,8 @@ class LQSolution(NamedTuple):
     """A solved control with the problem it was solved on.
 
     ``control`` is the per-particle control on the [0, T] mesh (shape
-    (N, n_steps + 1)), ``adjoint`` the final backward solve (its loadings
-    are windowed, so it keeps p0 only) and ``report`` the iteration trace.
+    (N, n_steps + 1)), ``adjoint`` the final backward solve (it keeps p0
+    only) and ``report`` the iteration trace.
     ``problem`` is the solve's own :class:`~memsfde.engine.ControlProblem`,
     whose frozen noise every later simulation of the control shares, so
     checks draw nothing new.
@@ -215,7 +215,9 @@ def solve_lq(
     Noise is frozen across sweeps (counter-based streams), so the iteration
     is a deterministic map on control arrays.  Five consecutive growing
     sweeps abort with :class:`FixedPointDivergence`.  Rank-deficient
-    regressions are summarised in one warning for all sweeps.
+    regressions are summarised in one warning for all sweeps.  The damped
+    update and its change norm are built in two buffers, allocated after
+    the sweep's ensemble is freed.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -241,9 +243,16 @@ def solve_lq(
         adjoint = _solve_adjoint(ens, driver, basis_fn)
         del ens
         deficient.append(len(adjoint.deficient_steps))
-        new_control = (1.0 - damping) * control + damping * adjoint.p0
-        delta = new_control - control
-        change = float(np.sqrt(np.mean((delta * delta) @ wq)))
+        # (1 - damping) control + damping p0 and the squared update, built
+        # in place in two buffers with the time-major layout of control; the
+        # second is freed before the next sweep simulates
+        new_control = np.multiply(control, 1.0 - damping)
+        delta = np.multiply(adjoint.p0, damping)
+        new_control += delta
+        np.subtract(new_control, control, out=delta)
+        delta *= delta
+        change = float(np.sqrt(np.mean(delta @ wq)))
+        del delta
         if changes and change > changes[-1]:
             growing += 1
             if growing >= 5:
@@ -320,8 +329,12 @@ def verify_lq(solution: LQSolution, eps: float = 1e-3) -> LQVerification:
     adj2 = _solve_adjoint(ens, _adjoint_driver(spec, grid), lq_basis(spec, grid))
     if len(adj2.deficient_steps) > max(report.deficient_counts, default=0):
         _warn_deficient((len(adj2.deficient_steps),), K)
-    delta = report.damping * (adj2.p0 - control)
-    idempotence_change = float(np.sqrt(np.mean((delta * delta) @ wq)))
+    # the damped squared update, built inside adj2.p0, which is not read again
+    delta = adj2.p0
+    np.subtract(delta, control, out=delta)
+    delta *= report.damping
+    delta *= delta
+    idempotence_change = float(np.sqrt(np.mean(delta @ wq)))
     # pathwise cost per shift size; each size is simulated once and the
     # unshifted ensemble is the idempotence one, which is not needed after
     costs = {0.0: pathwise_cost(ens, problem.coeffs)}

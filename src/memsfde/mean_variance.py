@@ -260,9 +260,10 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
     (the denominator of the feedback rule) are monitored alongside.
 
     Checks (1) and (2) and the monitors run one contiguous time row at a
-    time, and the backward solve keeps its loadings windowed, so the checks
-    hold one (N, n_steps + 1) array (the solve's p0) on top of the
-    ensemble.  The pooled increment statistics are combined from the
+    time, and the backward solve keeps only p0 at step 0: the rest of the
+    triple lives in rings of d + 1 rows, because the driver reads exactly
+    d steps ahead.  So the checks hold no (N, n_steps + 1) array on top of
+    the ensemble.  The pooled increment statistics are combined from the
     per-step means and standard deviations.
     """
     spec, grid = sol.spec, sol.grid
@@ -331,7 +332,7 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
         return controls[:, j] * w
 
     adj = solve_absde(
-        ens, terminal=lambda x, law: -(x - target), driver=driver, basis=default_basis, loadings="window"
+        ens, terminal=lambda x, law: -(x - target), driver=driver, basis=default_basis, keep="initial_p0"
     )
     lsmc_p0 = float(adj.p0[:, 0].mean())
     rel = abs(lsmc_p0 - closed_p0) / max(abs(closed_p0), 1e-300)
@@ -362,20 +363,22 @@ PERTURBATION_FAMILY = (
 )
 
 
-def j_comparison(ens: ParticleEnsemble, sol: MeanVarSolution):
+def j_comparison(optimal_cost: np.ndarray, sol: MeanVarSolution):
     """Performance of the optimal control against its perturbation family.
 
-    ``(ens, sol)`` is what :func:`simulate_optimal` returns; the optimal
-    ensemble is costed as is, not simulated again.  All variants run under
-    common random numbers: each is simulated on ``sol.problem``, whose noise
-    the optimal ensemble was simulated on, so each row's gap J(optimal) -
-    J(variant) comes with a paired standard error.  Returns rows (label, J,
-    stderr, gap, gap_stderr); optimality means every gap is no less than
-    -3 gap_stderr.
+    ``optimal_cost`` is the pathwise cost of the ensemble that
+    :func:`simulate_optimal` returns for ``sol``, ``pathwise_cost(ens,
+    sol.problem.coeffs)``; the optimal control is not simulated again, and
+    its ensemble may be freed before the comparison, which then holds one
+    variant ensemble at a time.  All variants run under common random
+    numbers: each is simulated on ``sol.problem``, whose noise the optimal
+    ensemble was simulated on, so each row's gap J(optimal) - J(variant)
+    comes with a paired standard error.  Returns rows (label, J, stderr,
+    gap, gap_stderr); optimality means every gap is no less than -3
+    gap_stderr.
     """
     problem = sol.problem
-    base_cost = pathwise_cost(ens, problem.coeffs)
-    rows = [("optimal", *_mean_and_stderr(base_cost), 0.0, 0.0)]
+    rows = [("optimal", *_mean_and_stderr(optimal_cost), 0.0, 0.0)]
     for label, kind, amount in PERTURBATION_FAMILY:
         if kind == "scale":
             control = combine_controls(None, sol.feedback, amount)
@@ -384,7 +387,7 @@ def j_comparison(ens: ParticleEnsemble, sol: MeanVarSolution):
         # the variant ensemble is not kept, so it is freed before the next
         # one is simulated
         cost = pathwise_cost(problem.simulate(control), problem.coeffs)
-        rows.append((label, *_mean_and_stderr(cost), *_mean_and_stderr(base_cost - cost)))
+        rows.append((label, *_mean_and_stderr(cost), *_mean_and_stderr(optimal_cost - cost)))
     return rows
 
 

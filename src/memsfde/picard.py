@@ -162,8 +162,13 @@ def consistency_check(coeffs: CoefficientSet, ens_fp: ParticleEnsemble, xi=0.0, 
 
     ``ens_fp`` is the ensemble :func:`picard_solve` returned for ``coeffs``,
     ``xi`` and ``control``; the direct scheme runs on its grid, jump model
-    and noise, so nothing is solved or drawn again.
+    and noise, so nothing is solved or drawn again.  The gap is formed one
+    contiguous time row at a time, so no full-size temporary is held.
     """
     ens_dir = simulate(coeffs, ens_fp.grid, jumps=ens_fp.jumps, xi=xi, control=control, noise=ens_fp.noise)
-    diff = ens_fp.states - ens_dir.states
-    return float(np.max(np.mean(diff * diff, axis=0)))
+    gaps = np.empty(ens_fp.grid.n_steps + 1)
+    for k in range(len(gaps)):
+        diff = ens_fp.state_column(k) - ens_dir.state_column(k)
+        diff *= diff
+        gaps[k] = diff.mean()
+    return float(np.max(gaps))

@@ -165,7 +165,7 @@ def test_criterion_7_delayed_wealth_battery():
     sol = mean_variance.solve_closed_form(spec, grid)
     ens = mean_variance.simulate_optimal(sol)
     ver = mean_variance.verify_adjoint(ens, sol)
-    rows = mean_variance.j_comparison(ens, sol)
+    rows = mean_variance.j_comparison(pathwise_cost(ens, sol.problem.coeffs), sol)
     variants = rows[1:]
     dominance = all(gap >= -3.0 * gse for _, _, _, gap, gse in variants)
     ok = (

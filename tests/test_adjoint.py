@@ -255,7 +255,7 @@ class TestBackwardSolver:
         ens = simulate(coeffs, grid, jumps=jumps, xi=1.0)
         K, d = grid.n_steps, grid.delta_steps
 
-        def solve(loadings):
+        def solve(keep):
             reads = {}
 
             def driver(ctx, k):
@@ -266,10 +266,10 @@ class TestBackwardSolver:
                         total += 0.1 * ahead * reads[name, k, ahead]
                 return total
 
-            return solve_absde(ens, terminal=lambda x, law: -x, driver=driver, loadings=loadings), reads
+            return solve_absde(ens, terminal=lambda x, law: -x, driver=driver, keep=keep), reads
 
-        full, full_reads = solve("full")
-        window, window_reads = solve("window")
+        full, full_reads = solve("all")
+        window, window_reads = solve("p0")
         np.testing.assert_array_equal(window.p0, full.p0)
         assert window.deficient_steps == full.deficient_steps
         assert window_reads.keys() == full_reads.keys()
@@ -281,10 +281,52 @@ class TestBackwardSolver:
                 np.testing.assert_array_equal(value, getattr(full, f"{name}0")[:, k + ahead])
         assert np.any(full.r0[:, : K - d] != 0.0)  # the ring's reused rows were live
         assert window.q0 is None and window.r0 is None
-        with pytest.raises(ValueError, match="windowed"):
+        with pytest.raises(ValueError, match="not kept"):
             window.check_terminal_conventions()
-        with pytest.raises(ValueError, match="loadings"):
-            solve_absde(ens, terminal=lambda x, law: -x, loadings="ring")
+        with pytest.raises(ValueError, match="keep must be"):
+            solve_absde(ens, terminal=lambda x, law: -x, keep="ring")
+
+    @pytest.mark.parametrize("delta_steps", [4, 0])
+    def test_a_ring_held_p0_keeps_the_initial_step_bits(self, delta_steps):
+        # with d >= 2 the driver reads p0 at every lag through the ring; with
+        # d = 0 there is no driver, so each step's target is a view of p0 at
+        # step k + 1, which the ring must not overwrite before mean_stderr
+        # reads it (a ring of one row would)
+        grid = SimGrid(dt=0.05, delta_steps=delta_steps, horizon=1.0, n_particles=300, seed=8)
+        jumps = JumpModel(intensity=3.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
+        coeffs = CoefficientSet(diffusion=lambda *a: 0.3, jump=lambda t, x, xs, m, ms, u, us, z: 0.2 * z)
+        ens = simulate(coeffs, grid, jumps=jumps, xi=1.0)
+        d = grid.delta_steps
+
+        def driver(ctx, k):
+            total = np.zeros(ens.n_particles)
+            for ahead in range(1, d + 1):
+                total += 0.1 * ahead * ctx.p0_future(k, ahead) + 0.05 * ctx.q0_future(k, ahead)
+            return total
+
+        def solve(keep):
+            return solve_absde(ens, terminal=lambda x, law: np.sin(x), driver=driver if d else None, keep=keep)
+
+        full, initial = solve("all"), solve("initial_p0")
+        assert initial.p0.shape == (ens.n_particles, 1)
+        np.testing.assert_array_equal(initial.p0[:, 0], full.p0[:, 0])
+        np.testing.assert_array_equal(initial.mean_stderr, full.mean_stderr)
+        assert initial.deficient_steps == full.deficient_steps
+        assert initial.q0 is None and initial.r0 is None
+        assert np.all(full.mean_stderr[:-1] > 0.0)
+
+    def test_advanced_average_refuses_a_ring_held_p0(self):
+        ens = brownian_ensemble(50, seed=4, dt=0.05, delta_steps=3)
+        f = SegmentFunctional.averaging(1.0, 3, ens.grid.dt)
+
+        def driver(ctx, k):
+            return ctx.advanced_average(k, f)
+
+        with pytest.raises(ValueError, match="ring"):
+            solve_absde(ens, terminal=lambda x, law: -x, driver=driver, keep="initial_p0")
+        kept = solve_absde(ens, terminal=lambda x, law: -x, driver=driver, keep="p0")
+        full = solve_absde(ens, terminal=lambda x, law: -x, driver=driver)
+        np.testing.assert_array_equal(kept.p0, full.p0)
 
 
 def rel_err(a, b) -> float:
@@ -543,6 +585,12 @@ class TestStationarityGap:
         problem = self.quadratic_problem()
         gap, se = stationarity_gap(problem, control=-0.5, direction=1.0, eps=1e-3)
         assert abs(gap) < 1e-3
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.inf, math.nan])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        problem = self.quadratic_problem()
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+            stationarity_gap(problem, control=-0.5, direction=1.0, eps=eps)
 
     def test_zero_direction_is_exact_zero(self):
         problem = self.quadratic_problem()

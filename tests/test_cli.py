@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import json
 import os
+import tracemalloc
 import warnings
 
 import pytest
 
-from memsfde import engine
+from memsfde import engine, mean_variance
 from memsfde.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECKS_FAILED,
@@ -290,6 +291,20 @@ class TestConfigErrors:
         err = self.run_expecting_bad_config(["lq", "--config", path], capsys)
         assert f"{path}:13: [lq] max_iter: must be at least 1" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1e-3"])
+    def test_lq_eps_must_be_positive(self, tmp_path, capsys, value):
+        # the stationarity probes divide by 2 eps, so eps = 0 would write nan rows
+        path = write_cfg(tmp_path, LQ_TINY + f"eps = {value}\n")
+        err = self.run_expecting_bad_config(["lq", "--config", path], capsys)
+        assert f"{path}:13: [lq] eps: must be positive" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_lq_tol_must_be_positive(self, tmp_path, capsys, value):
+        # no change falls below a tol <= 0, so every sweep would run in vain
+        path = write_cfg(tmp_path, LQ_TINY.replace("tol = 1e-4", f"tol = {value}"))
+        err = self.run_expecting_bad_config(["lq", "--config", path], capsys)
+        assert f"{path}:12: [lq] tol: must be positive" in err
+
     def test_missing_config_flag_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])
@@ -479,6 +494,38 @@ class TestHappyPaths:
         assert comp[0] == ["control", "J", "stderr", "gap_vs_optimal", "gap_stderr", "passed"]
         assert comp[1][0] == "optimal"
         assert len(comp) == 1 + 9  # header + optimal + eight perturbations
+
+    def test_meanvar_frees_the_optimal_ensemble_before_its_variants(self, tmp_path, monkeypatch):
+        # the comparison reads only the optimal cost, so from before the
+        # optimal simulation to the end of the comparison the run holds at
+        # most one ensemble: paths and controls over [-delta, T], N = 4000
+        # particles on 56 mesh points.  The noise is drawn before the mark,
+        # since every ensemble of the run shares it.
+        simulate_optimal, j_comparison = mean_variance.simulate_optimal, mean_variance.j_comparison
+        marks = {}
+
+        def marking_simulate(sol):
+            sol.problem.noise
+            marks["before"] = tracemalloc.get_traced_memory()[0]
+            return simulate_optimal(sol)
+
+        def peaking(*args):
+            tracemalloc.reset_peak()
+            rows = j_comparison(*args)
+            marks["peak"] = tracemalloc.get_traced_memory()[1]
+            return rows
+
+        monkeypatch.setattr(mean_variance, "simulate_optimal", marking_simulate)
+        monkeypatch.setattr(mean_variance, "j_comparison", peaking)
+        path = write_cfg(tmp_path, MEANVAR_TINY)
+        tracemalloc.start()
+        try:
+            assert main(["meanvar", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        finally:
+            tracemalloc.stop()
+        n_particles, n_points = 4000, 56
+        ensemble = 2 * n_particles * n_points * 8
+        assert marks["peak"] - marks["before"] <= ensemble + 16 * n_particles * 8
 
     def test_lq_layout(self, tmp_path, capsys):
         path = write_cfg(tmp_path, LQ_TINY)

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -286,6 +287,52 @@ class TestRunEconomy:
         verify_lq(solution)
         assert len(ensembles) == 13 and len(solves) == 1
         assert alive_at_stationarity == [0, 0, 0]
+
+
+    def test_update_and_idempotence_check_hold_at_most_one_temporary(self, monkeypatch):
+        # traced memory after each backward solve, and the peak from there to
+        # the next simulation (or to the end of the solve): the damped update
+        # of every sweep, then the idempotence check of the verification.
+        # The solve's ensemble is held until the next simulation, so its
+        # release cannot hide what the update allocates.
+        grid = SimGrid(dt=0.02, delta_steps=4, horizon=1.0, n_particles=4_000, seed=5)
+        solve, simulate = lq_memory._solve_adjoint, engine.ControlProblem.simulate
+        marks, peaks, held = [], [], []
+
+        def close_interval():
+            if len(peaks) < len(marks):
+                peaks.append(tracemalloc.get_traced_memory()[1] - marks[-1])
+            held.clear()
+
+        def marking_solve(ens, *args):
+            adj = solve(ens, *args)
+            held.append(ens)
+            marks.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return adj
+
+        def closing_simulate(self, *args, **kwargs):
+            close_interval()
+            return simulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(lq_memory, "_solve_adjoint", marking_solve)
+        monkeypatch.setattr(engine.ControlProblem, "simulate", closing_simulate)
+        tracemalloc.start()
+        try:
+            solution = solve_lq(LQSpec(), grid)
+            close_interval()
+            update_peaks = list(peaks)
+            verify_lq(solution)
+        finally:
+            tracemalloc.stop()
+        one_array = grid.n_particles * (grid.n_steps + 1) * 8
+        slack = 16 * grid.n_particles * 8  # (N,) temporaries, such as a cost
+        assert len(update_peaks) == solution.report.iterations > 1
+        # each update allocates the new control and one temporary
+        assert max(update_peaks) <= 2 * one_array + slack
+        # the idempotence check squares its update inside the sweep's p0
+        assert len(peaks) == len(update_peaks) + 1
+        assert peaks[-1] <= slack
 
 
 class TestVerification:

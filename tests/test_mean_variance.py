@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from memsfde import engine, mean_variance
-from memsfde.engine import JumpModel
+from memsfde.engine import JumpModel, pathwise_cost
 from memsfde.grid import SimGrid
 from memsfde.mean_variance import (
     MeanVarSpec,
@@ -27,6 +27,13 @@ def optimal(spec, grid):
     """The optimally controlled ensemble and the closed form it follows."""
     sol = solve_closed_form(spec, grid)
     return simulate_optimal(sol), sol
+
+
+def costed(spec, grid):
+    """The optimal ensemble's pathwise cost and the closed form it follows,
+    the arguments of :func:`j_comparison`."""
+    ens, sol = optimal(spec, grid)
+    return pathwise_cost(ens, sol.problem.coeffs), sol
 
 
 class TestClosedForm:
@@ -202,9 +209,9 @@ class TestAdjointVerification:
         one_array = grid.n_particles * (grid.n_steps + 1) * 8
         assert len(at_solve) == 1
         assert at_solve[0] - at_entry < one_array
-        # the checks run row by row and the solve keeps one full-size array
-        # (its p0), so the whole verification peaks below two of them
-        assert peak - at_entry <= 2 * one_array
+        # the checks run row by row and the solve keeps only p0 at step 0,
+        # so the whole verification peaks below one full-size array
+        assert peak - at_entry <= one_array
 
     def test_jump_variant_passes_the_same_checks(self):
         spec = MeanVarSpec(jumps=JumpModel(intensity=1.0, marks=(1.0,), probs=(1.0,)))
@@ -217,14 +224,14 @@ class TestAdjointVerification:
 
 class TestOptimality:
     def test_perturbation_family_never_beats_the_optimum(self):
-        rows = j_comparison(*optimal(MeanVarSpec(), DESK_GRID))
+        rows = j_comparison(*costed(MeanVarSpec(), DESK_GRID))
         assert rows[0][0] == "optimal"
         assert len(rows) == 1 + len(PERTURBATION_FAMILY)
         for label, j, se, gap, gap_se in rows[1:]:
             assert gap >= -3.0 * gap_se, f"{label} beat the optimum: gap {gap}"
 
     def test_coarse_perturbations_lose_decisively(self):
-        rows = {r[0]: r for r in j_comparison(*optimal(MeanVarSpec(), DESK_GRID))}
+        rows = {r[0]: r for r in j_comparison(*costed(MeanVarSpec(), DESK_GRID))}
         for label in ("scale_0.5", "scale_2.0", "shift_+1.0", "shift_-1.0"):
             _, _, _, gap, gap_se = rows[label]
             assert gap > 3.0 * gap_se, f"{label} should be clearly sub-optimal"
@@ -233,7 +240,7 @@ class TestOptimality:
         grid = SimGrid(dt=0.05, delta_steps=2, horizon=0.5, n_particles=1, seed=6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = j_comparison(*optimal(MeanVarSpec(), grid))
+            rows = j_comparison(*costed(MeanVarSpec(), grid))
         for label, j, se, gap, gap_se in rows:
             assert math.isfinite(j) and math.isfinite(gap), label
             assert se == 0.0 and gap_se == 0.0, label
@@ -241,7 +248,7 @@ class TestOptimality:
     def test_variants_run_on_the_optimal_ensembles_noise(self, monkeypatch):
         spec = MeanVarSpec(jumps=JumpModel(intensity=1.0, marks=(1.0,), probs=(1.0,)))
         grid = SimGrid(dt=0.05, delta_steps=2, horizon=0.5, n_particles=200, seed=6)
-        ens, sol = optimal(spec, grid)
+        cost, sol = costed(spec, grid)
         drawn = []
         step_generator = engine.step_generator
 
@@ -250,8 +257,28 @@ class TestOptimality:
             return step_generator(*args)
 
         monkeypatch.setattr(engine, "step_generator", counting)
-        j_comparison(ens, sol)
+        j_comparison(cost, sol)
         assert drawn == []
+
+    @pytest.mark.parametrize("jumps", [None, JumpModel(intensity=1.0, marks=(1.0,), probs=(1.0,))])
+    def test_comparison_holds_one_variant_ensemble(self, jumps):
+        spec = MeanVarSpec(jumps=jumps or JumpModel.none())
+        grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=2_000, seed=6)
+        cost, sol = costed(spec, grid)
+        tracemalloc.start()
+        try:
+            at_entry = tracemalloc.get_traced_memory()[0]
+            j_comparison(cost, sol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a variant ensemble is its paths and controls over [-delta, T]; it
+        # shares the optimal ensemble's noise.  The slack covers a few
+        # per-step (N,) temporaries of the simulation and the costs.
+        n_points = grid.delta_steps + grid.n_steps + 1
+        variant = 2 * grid.n_particles * n_points * 8
+        slack = 16 * grid.n_particles * 8
+        assert peak - at_entry <= variant + slack
 
     def test_stationarity_suite_draws_nothing_after_the_optimal_simulation(self, monkeypatch):
         spec = MeanVarSpec(jumps=JumpModel(intensity=1.0, marks=(1.0,), probs=(1.0,)))
