@@ -53,7 +53,9 @@ like every law of a law segment, are one contiguous row.  ``paths`` and
 newest time first (``_mesh_array``), so a step's backward window is a band of
 d + 1 rows in ascending memory order that a product such as ``x_seg @ w``
 hands to BLAS without a copy; the noise, read one step at a time, is stored
-in time order.
+in time order.  The one exception is the control record of uncontrolled
+dynamics: the zero control from a +0.0 history can write nothing but +0.0,
+so that record is a read-only zero view with no storage of its own.
 """
 
 from __future__ import annotations
@@ -168,15 +170,21 @@ class _Control:
     value: Callable
 
 
+# the control of uncontrolled dynamics; an ensemble simulated with it from a
+# +0.0 control history stores no control record (see _control_record)
+_ZERO_CONTROL = _Control(lambda k, t, x, x_seg, law: np.zeros_like(x))
+
+
 def as_control(obj) -> _Control:
     """Normalize scalars, mesh arrays, and feedback callables to a control.
 
     Arrays hold open-loop values on the [0, T] mesh, shape (K+1,) shared or
     (N, K+1) per particle.  Callables receive ``(t, x, x_seg, law)`` and
-    return per-particle values.
+    return per-particle values.  ``None`` is the zero control, one shared
+    instance.
     """
     if obj is None:
-        return _Control(lambda k, t, x, x_seg, law: np.zeros_like(x))
+        return _ZERO_CONTROL
     if isinstance(obj, _Control):
         return obj
     if np.isscalar(obj):
@@ -232,10 +240,15 @@ class ParticleEnsemble:
     particles.  They are the noise of the ensemble's problem, drawn once and
     shared read-only by every ensemble simulated or solved on it.
 
-    All four arrays are (N, ·) views of time-major storage, so column k of
-    each is one contiguous row; ``paths`` and ``controls_full`` store the
-    newest time first, which makes ``backward_window`` and
-    ``control_window`` bands of rows in ascending memory order.
+    ``paths``, the noise and a recorded ``controls_full`` are (N, ·) views of
+    time-major storage, so column k of each is one contiguous row;
+    ``paths`` and ``controls_full`` store the newest time first, which
+    makes ``backward_window`` and ``control_window`` bands of rows in
+    ascending memory order.  An ensemble driven by the zero control
+    (``control=None``) from a +0.0 control history records nothing: its
+    ``controls_full`` is a read-only view of one +0.0 broadcast to
+    (N, d + K + 1), so every reader sees +0.0 and no buffer of that size
+    exists.
     """
 
     grid: SimGrid
@@ -335,10 +348,35 @@ def _mesh_array(grid: SimGrid) -> np.ndarray:
     return np.zeros((d + K + 1, N))[::-1].T
 
 
-def _new_ensemble(grid: SimGrid, jumps: JumpModel | None, xi, noise: tuple, control_history=0.0) -> ParticleEnsemble:
-    """Ensemble over ``noise`` (referenced, not copied) with the state and
-    control histories filled in and the rest of ``paths`` and
-    ``controls_full`` zero; both are :func:`_mesh_array` arrays.
+def _control_record(grid: SimGrid, ctrl: _Control, control_history) -> np.ndarray:
+    """The ``controls_full`` of a new ensemble driven by ``ctrl``.
+
+    The zero control from a +0.0 history (a scalar or a (d,) array, all
+    +0.0; any history when d = 0) leaves the record +0.0 everywhere, so it
+    gets a read-only zero view that owns no (N, d + K + 1) buffer and that
+    no step writes.  Otherwise the record is a :func:`_mesh_array` with the
+    history's bits before time zero; a -0.0 history is recorded as such.
+    """
+    d, K, N = grid.delta_steps, grid.n_steps, grid.n_particles
+    hist = None
+    if d > 0:
+        hist = np.asarray(control_history, dtype=float)
+        if hist.ndim != 0 and hist.shape != (d,):
+            raise MeshMismatchError(f"control history must be scalar or shape ({d},)")
+    if ctrl is _ZERO_CONTROL and (hist is None or not (np.any(hist) or np.any(np.signbit(hist)))):
+        return np.broadcast_to(np.zeros(()), (N, d + K + 1))
+    record = _mesh_array(grid)
+    if hist is not None:
+        record[:, :d] = hist
+    return record
+
+
+def _new_ensemble(
+    grid: SimGrid, jumps: JumpModel | None, xi, noise: tuple, ctrl: _Control, control_history=0.0
+) -> ParticleEnsemble:
+    """Ensemble over ``noise`` (referenced, not copied) with the state
+    history filled in and the rest of ``paths`` zero (a :func:`_mesh_array`
+    array), and the control record of ``ctrl`` (:func:`_control_record`).
     ``jumps=None`` means no jumps.
     """
     jumps = jumps if jumps is not None else JumpModel.none()
@@ -346,19 +384,14 @@ def _new_ensemble(grid: SimGrid, jumps: JumpModel | None, xi, noise: tuple, cont
     paths = _mesh_array(grid)
     paths[:, : d + 1] = _materialize_history(xi, grid)
 
-    ucols = _mesh_array(grid)
-    if d > 0:
-        hist = np.asarray(control_history, dtype=float)
-        if hist.ndim == 0:
-            ucols[:, :d] = float(hist)
-        elif hist.shape == (d,):
-            ucols[:, :d] = hist
-        else:
-            raise MeshMismatchError(f"control history must be scalar or shape ({d},)")
-
     brownian, jump_counts = noise
     return ParticleEnsemble(
-        grid=grid, paths=paths, controls_full=ucols, brownian=brownian, jump_counts=jump_counts, jumps=jumps
+        grid=grid,
+        paths=paths,
+        controls_full=_control_record(grid, ctrl, control_history),
+        brownian=brownian,
+        jump_counts=jump_counts,
+        jumps=jumps,
     )
 
 
@@ -419,18 +452,21 @@ def _euler_window(
     Coefficient inputs (state, segments, laws) are read from
     ``read_ens.paths``; increments accumulate on ``write_paths``.  Passing the
     ensemble's own ``paths`` gives the ordinary explicit scheme.  The applied
-    control is recorded in ``read_ens.controls_full``, and the noise is read
+    control is recorded in ``read_ens.controls_full`` unless that record is
+    the read-only zero view (:func:`_control_record`), and the noise is read
     from its ``brownian`` / ``jump_counts`` (see :func:`draw_noise`).
     """
     d, dt = read_ens.grid.delta_steps, read_ens.grid.dt
     jumps, jump_counts = read_ens.jumps, read_ens.jump_counts
+    record = read_ens.controls_full if read_ens.controls_full.flags.writeable else None
 
     for k in range(k_start, k_stop):
         idx = d + k
         t = k * dt
         x, x_seg, law, law_seg = read_ens.step_inputs(k)
         u = ctrl.value(k, t, x, x_seg, law)
-        read_ens.controls_full[:, idx] = u
+        if record is not None:
+            record[:, idx] = u
         u_seg = read_ens.control_window(k)
 
         nxt = write_paths[:, idx].copy()
@@ -453,10 +489,12 @@ def _euler_window(
 
 def _record_horizon_control(ens: ParticleEnsemble, ctrl: _Control) -> None:
     """Record the control at the horizon: no step is integrated from it, but
-    the cost evaluation needs it."""
+    the cost evaluation needs it.  A read-only (zero) record is not written."""
     K = ens.grid.n_steps
     x, x_seg, law, _ = ens.step_inputs(K)
-    ens.controls_full[:, ens.grid.delta_steps + K] = ctrl.value(K, ens.grid.horizon, x, x_seg, law)
+    u = ctrl.value(K, ens.grid.horizon, x, x_seg, law)
+    if ens.controls_full.flags.writeable:
+        ens.controls_full[:, ens.grid.delta_steps + K] = u
 
 
 def simulate(
@@ -486,8 +524,8 @@ def simulate(
         expected = _noise_shapes(coeffs, grid, jumps)
         if shapes != expected:
             raise MeshMismatchError(f"noise shapes {shapes} do not match the problem's {expected}")
-    ens = _new_ensemble(grid, jumps, xi, noise, control_history)
     ctrl = as_control(control)
+    ens = _new_ensemble(grid, jumps, xi, noise, ctrl, control_history)
     _euler_window(coeffs, ctrl, ens, ens.paths, 0, grid.n_steps)
     _record_horizon_control(ens, ctrl)
     return ens

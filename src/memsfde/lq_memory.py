@@ -188,15 +188,17 @@ class LQSolution(NamedTuple):
     """A solved control with the problem it was solved on.
 
     ``control`` is the per-particle control on the [0, T] mesh (shape
-    (N, n_steps + 1)), ``adjoint`` the final backward solve (it keeps p0
-    only) and ``report`` the iteration trace.
+    (N, n_steps + 1)), ``coupling_residual`` the (n_steps + 1,) gap
+    ``|mean over particles of (p0 - control)|`` between the final backward
+    solve and the returned control, and ``report`` the iteration trace.
+    The final backward solve itself is not kept.
     ``problem`` is the solve's own :class:`~memsfde.engine.ControlProblem`,
     whose frozen noise every later simulation of the control shares, so
     checks draw nothing new.
     """
 
     control: np.ndarray
-    adjoint: AdjointTriple
+    coupling_residual: np.ndarray
     report: FBSDEIterationReport
     spec: LQSpec
     problem: ControlProblem
@@ -217,7 +219,9 @@ def solve_lq(
     sweeps abort with :class:`FixedPointDivergence`.  Rank-deficient
     regressions are summarised in one warning for all sweeps.  The damped
     update and its change norm are built in two buffers, allocated after
-    the sweep's ensemble is freed.
+    the sweep's ensemble is freed.  After the last update the coupling
+    residual of the returned control is formed and the last backward solve
+    is dropped, so no sweep's arrays outlive the solve.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -267,6 +271,10 @@ def solve_lq(
             converged = True
             break
 
+    # the coupling residual of the returned control; its backward solve is
+    # not needed after this
+    coupling_residual = np.abs((adjoint.p0 - control).mean(axis=0))
+    del adjoint
     _warn_deficient(deficient, K)
 
     report = FBSDEIterationReport(
@@ -276,7 +284,7 @@ def solve_lq(
         converged=converged,
         deficient_counts=tuple(deficient),
     )
-    return LQSolution(control, adjoint, report, spec, problem)
+    return LQSolution(control, coupling_residual, report, spec, problem)
 
 
 @dataclass(frozen=True)
@@ -310,19 +318,19 @@ def verify_lq(solution: LQSolution, eps: float = 1e-3) -> LQVerification:
     ``solution`` is what :func:`solve_lq` returns.  Every simulation runs on
     ``solution.problem``, so on the solve's noise, which is not drawn again;
     the idempotence sweep is damped like the solve's (``report.damping``).
+    The coupling residual is the maximum of ``solution.coupling_residual``,
+    which the solve formed from its last backward solve.
     The parabola diagnostics exploit that for frozen noise the performance is
     exactly quadratic in the size of an additive perturbation, so a quadratic
     fit over five sizes must be essentially interpolation: its curvature is
     negative and its vertex sits at the distance of the solved control from
     the true discrete optimizer in that direction.
     """
-    control, adjoint, report, spec, problem = solution
+    control, coupling_residual, report, spec, problem = solution
     grid = problem.grid
     K = grid.n_steps
     wq = trapezoid_weights(K + 1, grid.dt)
-
-    residual = np.abs((adjoint.p0 - control).mean(axis=0))
-    coupling_residual_max = float(residual.max())
+    coupling_residual_max = float(coupling_residual.max())
 
     # idempotence: one more forward+backward sweep barely moves the control
     ens = problem.simulate(control)

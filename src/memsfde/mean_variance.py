@@ -298,7 +298,9 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
         else:
             incr = p - p_prev
             step_means[k - 1] = incr.mean()
-            step_sds[k - 1] = incr.std(ddof=1)
+            # one particle has no spread (0, as in _mean_and_stderr); the
+            # pooled statistics below treat N = 1 on their own
+            step_sds[k - 1] = incr.std(ddof=1) if N > 1 else 0.0
         p_prev = p
         np.minimum(lowest, x - target, out=lowest)
         abs_delayed[k] = np.min(np.abs(delayed))

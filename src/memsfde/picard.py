@@ -104,9 +104,10 @@ def picard_solve(
         raise ValueError(f"tol must be non-negative, got {tol}")
     ctrl = as_control(control)
 
-    ens = _new_ensemble(grid, jumps, xi, draw_noise(coeffs, grid, jumps))
+    ens = _new_ensemble(grid, jumps, xi, draw_noise(coeffs, grid, jumps), ctrl)
     paths = ens.paths
-    # the frozen iterate: its own paths, the solve's controls and noise
+    # the frozen iterate: its own paths, the solve's control record (the
+    # read-only zero view when uncontrolled) and noise
     prev = _mesh_array(grid)
     frozen = replace(ens, paths=prev)
 

@@ -495,6 +495,19 @@ class TestHappyPaths:
         assert comp[1][0] == "optimal"
         assert len(comp) == 1 + 9  # header + optimal + eight perturbations
 
+    def test_one_particle_meanvar_prints_no_runtime_warning(self, tmp_path, capsys):
+        # one particle has no sample spread; the martingale check must not
+        # ask numpy for one (it would print "Degrees of freedom <= 0")
+        path = write_cfg(tmp_path, MEANVAR_TINY.replace("particles = 4000", "particles = 1"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["meanvar", "--config", path, "--out", str(tmp_path / "out")])
+        assert code in (EXIT_OK, EXIT_CHECKS_FAILED)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        rows = dict(read_rows(tmp_path / "out", "verification.csv")[1:])
+        assert float(rows["p0_drift_max_step_z"]) == 0.0  # no per-step spread to compare against
+
     def test_meanvar_frees_the_optimal_ensemble_before_its_variants(self, tmp_path, monkeypatch):
         # the comparison reads only the optimal cost, so from before the
         # optimal simulation to the end of the comparison the run holds at

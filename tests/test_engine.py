@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from memsfde.engine import (
     draw_noise,
     law_at,
     law_segment,
+    pathwise_cost,
     performance,
     simulate,
 )
@@ -525,3 +527,103 @@ class TestTimeMajorLayout:
             assert arr.shape == (N, K + 1)
             assert arr.flags.f_contiguous  # time order: forward windows are row bands
             assert all(arr[:, k].flags.c_contiguous for k in range(K + 1))
+
+
+def _buffer_owner(arr: np.ndarray) -> np.ndarray:
+    """The array that owns the memory ``arr`` views."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+class TestUncontrolledRecord:
+    """The zero control from a +0.0 history writes nothing but +0.0, so its
+    ensemble records no control: ``controls_full`` is a read-only zero view
+    that owns no (N, d + K + 1) buffer."""
+
+    GRID = TestSharedNoise.GRID
+    COEFFS, JUMPS = TestSharedNoise.WITH_JUMPS
+
+    def ensemble(self, how, control=None, **kwargs):
+        if how == "simulate":
+            return simulate(self.COEFFS, self.GRID, jumps=self.JUMPS, xi=1.0, control=control, **kwargs)
+        if how == "problem":
+            problem = ControlProblem(coeffs=self.COEFFS, grid=self.GRID, jumps=self.JUMPS, xi=1.0, **kwargs)
+            return problem.simulate(control)
+        ens, _ = picard_solve(self.COEFFS, self.GRID, jumps=self.JUMPS, xi=1.0, control=control, t0_steps=5)
+        return ens
+
+    @pytest.mark.parametrize("how", ["simulate", "problem", "picard"])
+    def test_uncontrolled_record_is_a_read_only_zero_view(self, how):
+        ens = self.ensemble(how)
+        N, d, K = self.GRID.n_particles, self.GRID.delta_steps, self.GRID.n_steps
+        record = ens.controls_full
+        assert isinstance(record, np.ndarray) and record.shape == (N, d + K + 1)
+        assert not record.flags.writeable
+        assert _buffer_owner(record).nbytes < N * (d + K + 1) * 8
+        assert np.all(record == 0.0) and not np.signbit(record).any()
+        # every reader sees +0.0, as on a recorded zero control
+        recorded = self.ensemble(how, control=0.0)
+        assert recorded.controls_full.flags.writeable
+        np.testing.assert_array_equal(ens.paths, recorded.paths)
+        np.testing.assert_array_equal(ens.controls, recorded.controls)
+        for k in range(K + 1):
+            np.testing.assert_array_equal(ens.control_window(k), recorded.control_window(k))
+        cost = CoefficientSet(running_cost=lambda t, x, xs, m, ms, u, us: u * u + us.sum(axis=1) + x)
+        assert pathwise_cost(ens, cost).tobytes() == pathwise_cost(recorded, cost).tobytes()
+
+    @pytest.mark.parametrize("how", ["simulate", "problem"])
+    def test_signed_and_non_zero_histories_are_recorded(self, how):
+        d = self.GRID.delta_steps
+        # the same history shapes at +0.0 record nothing
+        for zero in (0.0, np.zeros(d)):
+            assert not self.ensemble(how, control_history=zero).controls_full.flags.writeable
+        minus_zero = np.zeros(d)
+        minus_zero[1] = -0.0
+        for hist in (-0.0, 0.25, minus_zero, np.linspace(-1.0, 1.0, d)):
+            record = self.ensemble(how, control_history=hist).controls_full
+            assert record.flags.writeable
+            expected = np.broadcast_to(np.asarray(hist, dtype=float), (self.GRID.n_particles, d))
+            assert record[:, :d].tobytes() == np.ascontiguousarray(expected).tobytes()
+            assert np.array_equal(np.signbit(record[:, :d]), np.signbit(expected))
+            assert np.all(record[:, d:] == 0.0) and not np.signbit(record[:, d:]).any()
+
+    def test_without_a_memory_window_the_history_is_ignored(self):
+        grid = SimGrid(dt=0.1, delta_steps=0, horizon=1.0, n_particles=4, seed=0)
+        coeffs = CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: 1.0 + u)
+        for hist in (0.0, -0.0, 2.0, np.arange(5.0)):
+            ens = simulate(coeffs, grid, xi=0.0, control_history=hist)
+            assert not ens.controls_full.flags.writeable
+            assert ens.controls_full.shape == (4, grid.n_steps + 1)
+            np.testing.assert_allclose(ens.states[:, -1], 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("how", ["simulate", "problem", "picard"])
+    def test_controlled_records_stay_writable(self, how):
+        ens = self.ensemble(how, control=lambda t, x, xs, law: -0.5 * x)
+        assert ens.controls_full.flags.writeable
+        assert _buffer_owner(ens.controls_full).nbytes == ens.controls_full.nbytes
+
+    @pytest.mark.parametrize("how", ["simulate", "picard"])
+    def test_uncontrolled_runs_allocate_no_control_array(self, how):
+        # a simulation on shared noise allocates its paths; the fixed-point
+        # solve also its frozen iterate and the noise it draws.  The control
+        # record used to add one more (N, d + K + 1) array to each.
+        grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=4_000, seed=3)
+        coeffs = CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: xs[:, -1] - x + u, diffusion=lambda *a: 0.3)
+        noise = draw_noise(coeffs, grid)
+        N, d, K = grid.n_particles, grid.delta_steps, grid.n_steps
+        mesh = N * (d + K + 1) * 8
+        slack = 16 * N * 8  # (N,)-sized temporaries of the steps
+        tracemalloc.start()
+        try:
+            if how == "simulate":
+                simulate(coeffs, grid, xi=1.0, noise=noise)
+                allowed = mesh + slack
+            else:
+                picard_solve(coeffs, grid, xi=1.0, t0_steps=5)
+                # plus the sweep distance over a 5-step window
+                allowed = 2 * mesh + N * K * 8 + 2 * N * 5 * 8 + slack
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= allowed

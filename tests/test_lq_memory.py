@@ -30,14 +30,15 @@ class TestHandSolvableCases:
         # c = -x0 - cT gives u = -1/2 and J = -((1+c)^2 + c^2)/2 = -1/4
         grid = SimGrid(dt=0.01, delta_steps=20, horizon=1.0, n_particles=4, seed=0)
         spec = LQSpec(kernel=0.0, alpha0=0.0, xi=1.0)
-        control, adjoint, report, _, problem = solve_lq(spec, grid, tol=1e-10)
+        control, residual, report, _, problem = solve_lq(spec, grid, tol=1e-10)
         assert report.converged
         assert report.iterations == 2  # one productive sweep, one confirming
         assert np.max(np.abs(control + 0.5)) < 1e-6
         j, se = problem.performance(control)
         assert abs(j + 0.25) < 1e-6
         assert se == 0.0
-        assert adjoint.q0 is None and adjoint.r0 is None  # windowed: p0 only
+        assert residual.shape == (grid.n_steps + 1,)
+        assert np.max(residual) < 1e-6
 
     def test_zero_history_zero_noise_stays_at_rest(self):
         grid = SimGrid(dt=0.02, delta_steps=10, horizon=1.0, n_particles=4, seed=0)
@@ -72,11 +73,12 @@ class TestHandSolvableCases:
 
 class TestSolverBehaviour:
     def test_default_problem_converges(self):
-        control, adjoint, report, *_ = solve_lq(LQSpec(), DESK_GRID)
+        control, residual, report, *_ = solve_lq(LQSpec(), DESK_GRID)
         assert report.converged
         assert report.changes[-1] < report.tol
         assert report.iterations <= 50
-        assert adjoint.q0 is None and adjoint.r0 is None  # windowed: p0 only
+        assert residual.shape == (DESK_GRID.n_steps + 1,)
+        assert np.all(np.isfinite(residual)) and np.all(residual >= 0.0)
         assert control.shape == (DESK_GRID.n_particles, DESK_GRID.n_steps + 1)
         # stored time-major: each sweep reads a step's control as one row
         assert all(control[:, k].flags.c_contiguous for k in range(DESK_GRID.n_steps + 1))
@@ -266,11 +268,31 @@ class TestRunEconomy:
 
         monkeypatch.setattr(engine.ControlProblem, "simulate", checking)
         spec = LQSpec()
-        _, adjoint, report, *_ = solve_lq(spec, self.GRID)
+        solution = solve_lq(spec, self.GRID)
+        report = solution.report
         assert report.iterations > 1
         assert alive_at_simulate == [0] * report.iterations
-        assert [r() is not None for r in solves] == [False] * (report.iterations - 1) + [True]
-        assert solves[-1]() is adjoint
+        # the last solve is dropped once its coupling residual is formed, so
+        # the solution holds no sweep's arrays
+        assert len(solves) == report.iterations
+        assert all(r() is None for r in ensembles + solves)
+
+    def test_coupling_residual_is_formed_from_the_last_solve(self, monkeypatch):
+        # the residual the solve carries has the bits of |mean(p0 - control)|
+        # over the last backward solve and the returned control
+        solve = lq_memory._solve_adjoint
+        kept = []
+
+        def keeping(*args):
+            kept.append(solve(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(lq_memory, "_solve_adjoint", keeping)
+        solution = solve_lq(LQSpec(), self.GRID)
+        assert len(kept) == solution.report.iterations
+        expected = np.abs((kept[-1].p0 - solution.control).mean(axis=0))
+        np.testing.assert_array_equal(solution.coupling_residual, expected)
+        assert verify_lq(solution).coupling_residual_max == float(expected.max())
 
     def test_verification_frees_the_idempotence_sweep(self, monkeypatch):
         spec = LQSpec()
