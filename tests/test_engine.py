@@ -605,9 +605,9 @@ class TestUncontrolledRecord:
 
     @pytest.mark.parametrize("how", ["simulate", "picard"])
     def test_uncontrolled_runs_allocate_no_control_array(self, how):
-        # a simulation on shared noise allocates its paths; the fixed-point
-        # solve also its frozen iterate and the noise it draws.  The control
-        # record used to add one more (N, d + K + 1) array to each.
+        # a simulation on shared noise allocates its paths, and the
+        # fixed-point solve also its frozen iterate and the noise it draws;
+        # no (N, d + K + 1) control record beside them
         grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=4_000, seed=3)
         coeffs = CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: xs[:, -1] - x + u, diffusion=lambda *a: 0.3)
         noise = draw_noise(coeffs, grid)
