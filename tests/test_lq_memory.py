@@ -290,6 +290,7 @@ class TestRunEconomy:
         monkeypatch.setattr(lq_memory, "_solve_adjoint", keeping)
         solution = solve_lq(LQSpec(), self.GRID)
         assert len(kept) == solution.report.iterations
+        assert all(a.q0 is None and a.r0 is None for a in kept)  # windowed: p0 only
         expected = np.abs((kept[-1].p0 - solution.control).mean(axis=0))
         np.testing.assert_array_equal(solution.coupling_residual, expected)
         assert verify_lq(solution).coupling_residual_max == float(expected.max())

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the CLI output of this checkout with that of a base git revision.
 
-    python3 tools/compare_artifacts.py [--base REV | --base-tree DIR] [--seeds 7 11 37] [--keep]
+    python3 tools/compare_artifacts.py [--base REV] [--seeds 7 11 37]
 
 The runs are the ones a pure refactor must leave byte-identical:
 
@@ -18,12 +18,12 @@ from source on every run: a tree with a warm ``__pycache__`` starts tens of
 milliseconds faster, which would bias any comparison of the two trees.
 
 The base is checked out with ``git worktree add --detach`` into a temporary
-directory (``--base REV``, default ``HEAD``) and removed afterwards, or it is
-an existing source tree (``--base-tree DIR``).  The script prints one line
-per run with both trees' exit codes and child peak RSS (``ru_maxrss``), then
-every exit code, stdout, stderr and artifact (``timing.txt`` excepted) that
-differs.  It exits 1 on any difference and 0 when everything is identical.
-The work directory is deleted unless a run differs or ``--keep`` is given.
+directory (``--base REV``, default ``HEAD``) and removed afterwards.  The
+script prints one line per run with both trees' exit codes and child peak RSS
+(``ru_maxrss``), then every exit code, stdout, stderr and artifact
+(``timing.txt`` excepted) that differs.  It exits 1 on any difference and 0
+when everything is identical.  The work directory is deleted unless a run
+differs.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNCOMPARED_FILES = ("timing.txt",)
-RUN_LIMIT_S = 900.0  # a hung run is killed, so the comparison still ends
 
 
 def config_runs(root: str) -> list:
@@ -103,12 +101,7 @@ class Tree:
                 stdout=stdout,
                 stderr=stderr,
             )
-            timer = threading.Timer(RUN_LIMIT_S, proc.kill)
-            timer.start()
-            try:
-                _, status, usage = os.wait4(proc.pid, 0)
-            finally:
-                timer.cancel()
+            _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         return {
             "exit": proc.returncode,
@@ -154,30 +147,22 @@ def differences(base: dict, change: dict) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    base_arg = parser.add_mutually_exclusive_group()
-    base_arg.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
-    base_arg.add_argument("--base-tree", help="an existing source tree to compare against instead")
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 11, 37], help="benchmark workload seeds")
-    parser.add_argument("--keep", action="store_true", help="keep the work directory")
     args = parser.parse_args(argv)
 
     work = tempfile.mkdtemp(prefix="compare_artifacts_")
-    worktree = None
-    keep = args.keep
+    worktree = os.path.join(work, "base_tree")
+    keep = False
     try:
-        if args.base_tree:
-            base_root = os.path.abspath(args.base_tree)
-        else:
-            worktree = os.path.join(work, "base_tree")
-            subprocess.run(
-                ["git", "-C", ROOT, "worktree", "add", "--quiet", "--detach", worktree, args.base],
-                check=True,
-            )
-            base_root = worktree
+        subprocess.run(
+            ["git", "-C", ROOT, "worktree", "add", "--quiet", "--detach", worktree, args.base],
+            check=True,
+        )
         config_dir = os.path.join(work, "configs")
         os.makedirs(config_dir)
         runs = config_runs(ROOT) + [("selftest", ["selftest"])] + workload_runs(ROOT, args.seeds, config_dir)
-        base, change = Tree("base", base_root, work), Tree("change", ROOT, work)
+        base, change = Tree("base", worktree, work), Tree("change", ROOT, work)
 
         differing = []
         print(f"{'run':<24} {'base exit':>9} {'base MB':>9} {'change exit':>11} {'change MB':>9}  result")
@@ -193,11 +178,10 @@ def main(argv=None) -> int:
             print(f"{len(differing)} of {len(runs)} runs differ: {', '.join(differing)}")
         else:
             print(f"all {len(runs)} runs identical")
-        keep = keep or bool(differing)
+        keep = bool(differing)
         return 1 if differing else 0
     finally:
-        if worktree is not None:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", worktree], check=False)
+        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", worktree], check=False)
         if keep:
             print(f"outputs kept in {work}")
         else:
