@@ -577,7 +577,9 @@ def max_condition_gap(
     Returns the largest mean gap over times and candidates together with the
     standard error at the maximizing pair — for an optimal control the gap
     should vanish within noise; a genuinely improvable control yields a gap
-    many standard errors above zero.
+    many standard errors above zero.  The applied control and its segment
+    are replayed from the ensemble's paths
+    (:meth:`~memsfde.engine.ParticleEnsemble.coefficient_inputs`).
     """
     candidates = [float(c) for c in candidate_grid]
     if not candidates:
@@ -587,9 +589,8 @@ def max_condition_gap(
     grid = ens.grid
     best_gap, best_se = -math.inf, 0.0
 
-    for k in range(grid.n_steps):
-        x, x_seg, law, law_seg = ens.step_inputs(k)
-        u_seg = ens.control_window(k)
+    # the ensemble's inputs and replayed control, one step at a time
+    for k, (x, x_seg, law, law_seg, u, u_seg) in zip(range(grid.n_steps), ens.coefficient_inputs()):
         common = dict(
             t=k * grid.dt,
             x=x,
@@ -601,7 +602,7 @@ def max_condition_gap(
             q0=adj.q0[:, k],
             r0=adj.r0[:, k],
         )
-        h_used = hamiltonian(coeffs, HamiltonianInputs(u=ens.controls[:, k], **common), jumps, grid.horizon)
+        h_used = hamiltonian(coeffs, HamiltonianInputs(u=u, **common), jumps, grid.horizon)
         if filtration == "trivial":
             for c in candidates:
                 diff = hamiltonian(coeffs, HamiltonianInputs(u=c, **common), jumps, grid.horizon) - h_used

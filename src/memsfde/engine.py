@@ -31,11 +31,23 @@ all mean-field quantities carry the usual O(1/sqrt(N)) particle-approximation
 error on top of the Euler bias.
 
 Every per-step reader takes these inputs from ``ParticleEnsemble.step_inputs``.
-The window integrator ``_euler_window(coeffs, ctrl, read_ens, write_paths, k0,
+The window integrator ``_euler_window(coeffs, read_ens, write_paths, ring, k0,
 k1)`` serves the direct scheme (``write_paths`` is ``read_ens.paths``) and the
 fixed-point solver in :mod:`memsfde.picard` (``read_ens`` is the frozen
-previous iterate, sharing the solve's controls and noise, while increments
-accumulate on the new paths).
+previous iterate, sharing the solve's control, control window and noise,
+while increments accumulate on the new paths).
+
+No ensemble records its control.  It keeps the control itself and its
+history before time zero; the applied value at step k is the control
+evaluated on the stored state, backward window and law of step k, so a
+reader replays it (``ParticleEnsemble.control_at``, or
+``ParticleEnsemble.coefficient_inputs`` for a forward pass) from the paths
+the Euler step read, and gets the same bits.  Only while it integrates does
+a pass hold a ``_ControlRing`` of the last d + 1 applied values, from which
+it hands out the control window ``u_seg``.  A fixed-point ensemble replays
+its control on its final paths: that is the applied value of the last sweep
+once the solve has converged exactly, and differs from it by the residual
+of the iteration otherwise.
 
 The noise of a problem depends only on its grid, its jump model and which
 noise kinds its coefficients use, never on the control.  ``draw_noise`` draws
@@ -46,16 +58,16 @@ and holding its own.  The fixed-point solver builds its ensemble on the same
 draw, so it too draws each step's noise once however many sweeps it makes.
 
 Every per-step array is stored time-major and handed out particle-major:
-``paths``, ``controls_full``, ``brownian`` and ``jump_counts`` are transposed
-views with public shapes (N, ·), and the state, control and noise of one step,
-like every law of a law segment, are one contiguous row.  ``paths`` and
-``controls_full`` (and the fixed-point solver's frozen iterate) keep the
-newest time first (``_mesh_array``), so a step's backward window is a band of
-d + 1 rows in ascending memory order that a product such as ``x_seg @ w``
-hands to BLAS without a copy; the noise, read one step at a time, is stored
-in time order.  The one exception is the control record of uncontrolled
-dynamics: the zero control from a +0.0 history can write nothing but +0.0,
-so that record is a read-only zero view with no storage of its own.
+``paths``, ``brownian`` and ``jump_counts`` are transposed views with public
+shapes (N, ·), and the state, control and noise of one step, like every law
+of a law segment, are one contiguous row.  ``paths`` (and the fixed-point
+solver's frozen iterate) keep the newest time first (``_mesh_array``), and so
+does the control ring, so a step's backward windows ``x_seg`` and ``u_seg``
+are bands of d + 1 rows in ascending memory order that a product such as
+``x_seg @ w`` hands to BLAS without a copy; the noise, read one step at a
+time, is stored in time order.  The zero control from a +0.0 history can
+apply nothing but +0.0, so its window is a read-only zero view and no ring
+is allocated.
 """
 
 from __future__ import annotations
@@ -170,8 +182,8 @@ class _Control:
     value: Callable
 
 
-# the control of uncontrolled dynamics; an ensemble simulated with it from a
-# +0.0 control history stores no control record (see _control_record)
+# the control of uncontrolled dynamics; from a +0.0 control history its
+# window is a read-only zero view (see _ControlRing)
 _ZERO_CONTROL = _Control(lambda k, t, x, x_seg, law: np.zeros_like(x))
 
 
@@ -179,9 +191,11 @@ def as_control(obj) -> _Control:
     """Normalize scalars, mesh arrays, and feedback callables to a control.
 
     Arrays hold open-loop values on the [0, T] mesh, shape (K+1,) shared or
-    (N, K+1) per particle.  Callables receive ``(t, x, x_seg, law)`` and
-    return per-particle values.  ``None`` is the zero control, one shared
-    instance.
+    (N, K+1) per particle (``simulate`` and ``picard_solve`` reject any
+    other shape); a float64 array is referenced, not copied, and an
+    ensemble replays its values from it, so it must not change while the
+    ensemble is read.  Callables receive ``(t, x, x_seg, law)`` and return
+    per-particle values.  ``None`` is the zero control, one shared instance.
     """
     if obj is None:
         return _ZERO_CONTROL
@@ -223,6 +237,18 @@ def combine_controls(base, direction, scale: float) -> _Control:
     return _Control(value)
 
 
+def _grid_control(control, grid: SimGrid) -> _Control:
+    """``as_control(control)``, with an array control checked against the
+    mesh first: its shape must be (K+1,) or (N, K+1)."""
+    if isinstance(control, np.ndarray):
+        N, K = grid.n_particles, grid.n_steps
+        if control.shape not in ((K + 1,), (N, K + 1)):
+            raise MeshMismatchError(
+                f"control array has shape {control.shape}; the mesh needs ({K + 1},) or ({N}, {K + 1})"
+            )
+    return as_control(control)
+
+
 # ---------------------------------------------------------------------------
 # ensemble
 
@@ -232,31 +258,43 @@ class ParticleEnsemble:
     """Simulated particle system plus the noise that drove it.
 
     ``paths`` covers ``[-delta, T]`` (column ``delta_steps + k`` is time
-    ``k dt``); ``controls_full`` covers the same mesh with the pre-horizon part
-    holding the control history.  Brownian increments ``brownian`` (N, K) and
-    per-mark jump counts ``jump_counts`` (N, K, marks; ``uint8``, or int64
-    when a count exceeds 255, see :func:`draw_noise`) are kept so the adjoint
-    solver can build regression features from the same noise that moved the
-    particles.  They are the noise of the ensemble's problem, drawn once and
-    shared read-only by every ensemble simulated or solved on it.
+    ``k dt``).  Brownian increments ``brownian`` (N, K) and per-mark jump
+    counts ``jump_counts`` (N, K, marks; ``uint8``, or int64 when a count
+    exceeds 255, see :func:`draw_noise`) are kept so the adjoint solver can
+    build regression features from the same noise that moved the particles.
+    They are the noise of the ensemble's problem, drawn once and shared
+    read-only by every ensemble simulated or solved on it.  ``paths`` and the
+    noise are (N, ·) views of time-major storage, so column k of each is one
+    contiguous row; ``paths`` stores the newest time first, which makes
+    ``backward_window`` a band of rows in ascending memory order.
 
-    ``paths``, the noise and a recorded ``controls_full`` are (N, ·) views of
-    time-major storage, so column k of each is one contiguous row;
-    ``paths`` and ``controls_full`` store the newest time first, which
-    makes ``backward_window`` and ``control_window`` bands of rows in
-    ascending memory order.  An ensemble driven by the zero control
-    (``control=None``) from a +0.0 control history records nothing: its
-    ``controls_full`` is a read-only view of one +0.0 broadcast to
-    (N, d + K + 1), so every reader sees +0.0 and no buffer of that size
-    exists.
+    The ensemble keeps its ``control`` and its ``control_history`` (the
+    values before time zero: ``None`` without a memory window, else a scalar
+    or (d,) float array) instead of a record of the applied control, which
+    is fixed by the stored paths.  ``control_at(k)`` replays the value
+    applied at step k, and ``coefficient_inputs()`` replays every step's
+    coefficient inputs with the control and its window, through a ring of
+    d + 1 values like the one :func:`simulate` integrates with.  After
+    :func:`simulate` both give the applied bits.  On a :func:`memsfde.picard.picard_solve` ensemble
+    they evaluate the control on the final paths, which is what the last
+    sweep applied once the solve has converged exactly.  An array control
+    is referenced, so replays read it as it is at the time.
+
+    ``controls_full`` is always ``None``: there is no full-mesh control
+    array, and the attribute is kept so that code which sums the bytes of
+    ``(paths, controls_full, brownian, jump_counts)`` and skips ``None``
+    (``perfbench/tracer.py``) counts the bytes the ensemble holds.
     """
 
     grid: SimGrid
     paths: np.ndarray
-    controls_full: np.ndarray
     brownian: np.ndarray
     jump_counts: np.ndarray | None
     jumps: JumpModel
+    control: _Control
+    control_history: np.ndarray | None
+
+    controls_full = None
 
     @property
     def n_particles(self) -> int:
@@ -266,11 +304,6 @@ class ParticleEnsemble:
     def noise(self) -> tuple:
         """``(brownian, jump_counts)``, the form ``simulate(noise=)`` takes."""
         return self.brownian, self.jump_counts
-
-    @property
-    def controls(self) -> np.ndarray:
-        """Applied control on the [0, T] mesh, shape (N, n_steps + 1)."""
-        return self.controls_full[:, self.grid.delta_steps :]
 
     @property
     def states(self) -> np.ndarray:
@@ -284,14 +317,35 @@ class ParticleEnsemble:
         """State window (N, delta_steps + 1); column j is the state at lag j dt."""
         return self.paths[:, k : self.grid.delta_steps + k + 1][:, ::-1]
 
-    def control_window(self, k: int) -> np.ndarray:
-        return self.controls_full[:, k : self.grid.delta_steps + k + 1][:, ::-1]
-
     def step_inputs(self, k: int) -> tuple:
         """Coefficient inputs at step k read from ``paths``: the state, its
         backward window, its empirical law and the (lazy) law segment."""
         x = self.state_column(k)
         return x, self.backward_window(k), EmpiricalMeasure(x), _LazyLawSegment(self, k)
+
+    def _control_value(self, k: int, x, x_seg, law):
+        """The control at step k on the given state inputs; the horizon step
+        is evaluated at ``grid.horizon``."""
+        t = self.grid.horizon if k == self.grid.n_steps else k * self.grid.dt
+        return self.control.value(k, t, x, x_seg, law)
+
+    def control_at(self, k: int):
+        """The control applied at step k in [0, K], replayed on the stored
+        state, backward window and law of step k (see the class notes)."""
+        x, x_seg, law, _ = self.step_inputs(k)
+        return self._control_value(k, x, x_seg, law)
+
+    def coefficient_inputs(self):
+        """Yield ``(x, x_seg, law, law_seg, u, u_seg)`` for steps 0..K in
+        order: the step's inputs, the replayed control as its ring row, and
+        the control window; ``u`` and ``u_seg`` are valid until the next
+        step is yielded."""
+        d = self.grid.delta_steps
+        ring = _ControlRing(self, d + 1)
+        for k in range(self.grid.n_steps + 1):
+            x, x_seg, law, law_seg = self.step_inputs(k)
+            u_seg = ring.push(d + k, self._control_value(k, x, x_seg, law))
+            yield x, x_seg, law, law_seg, u_seg[:, 0], u_seg
 
 
 def _materialize_history(xi, grid: SimGrid) -> np.ndarray:
@@ -348,27 +402,59 @@ def _mesh_array(grid: SimGrid) -> np.ndarray:
     return np.zeros((d + K + 1, N))[::-1].T
 
 
-def _control_record(grid: SimGrid, ctrl: _Control, control_history) -> np.ndarray:
-    """The ``controls_full`` of a new ensemble driven by ``ctrl``.
+def _control_history(grid: SimGrid, control_history) -> np.ndarray | None:
+    """The control's values before time zero, a copied scalar or (d,) float
+    array; ``None`` when there is no memory window, which reads none."""
+    d = grid.delta_steps
+    if d == 0:
+        return None
+    hist = np.array(control_history, dtype=float)
+    if hist.ndim != 0 and hist.shape != (d,):
+        raise MeshMismatchError(f"control history must be scalar or shape ({d},)")
+    return hist
+
+
+class _ControlRing:
+    """The newest applied values of an ensemble's control, newest first.
+
+    Mesh column i (time ``(i - d) dt``) is stored in row ``(-i) % period``
+    of a (period + d, N) array, and rows 0..d-1 are mirrored at
+    ``row + period``.  So the window that ends at column i, lags 0..d, is
+    the band of rows ``p .. p + d`` from ``p = (-i) % period`` in ascending
+    memory order, which :meth:`push` hands out as an F-contiguous
+    (N, d + 1) view without a copy.  A period of d + 1 keeps exactly one
+    window; the fixed-point solver's longer period also keeps the d values
+    before a window while its sweeps rewrite the window.  The history fills
+    the columns before time zero.
 
     The zero control from a +0.0 history (a scalar or a (d,) array, all
-    +0.0; any history when d = 0) leaves the record +0.0 everywhere, so it
-    gets a read-only zero view that owns no (N, d + K + 1) buffer and that
-    no step writes.  Otherwise the record is a :func:`_mesh_array` with the
-    history's bits before time zero; a -0.0 history is recorded as such.
+    +0.0; any history when d = 0) applies nothing but +0.0: its ring holds
+    no rows, and every window is one read-only zero view.
     """
-    d, K, N = grid.delta_steps, grid.n_steps, grid.n_particles
-    hist = None
-    if d > 0:
-        hist = np.asarray(control_history, dtype=float)
-        if hist.ndim != 0 and hist.shape != (d,):
-            raise MeshMismatchError(f"control history must be scalar or shape ({d},)")
-    if ctrl is _ZERO_CONTROL and (hist is None or not (np.any(hist) or np.any(np.signbit(hist)))):
-        return np.broadcast_to(np.zeros(()), (N, d + K + 1))
-    record = _mesh_array(grid)
-    if hist is not None:
-        record[:, :d] = hist
-    return record
+
+    def __init__(self, ens: ParticleEnsemble, period: int):
+        d, N = ens.grid.delta_steps, ens.grid.n_particles
+        hist = ens.control_history
+        self.d, self.period = d, period
+        if ens.control is _ZERO_CONTROL and (hist is None or not (np.any(hist) or np.any(np.signbit(hist)))):
+            self.rows = None
+            self.zero = np.broadcast_to(np.zeros(()), (N, d + 1))
+            return
+        self.rows = np.zeros((period + d, N))
+        if hist is not None:
+            for i, value in enumerate(np.broadcast_to(hist, (d,))):
+                self.push(i, value)
+
+    def push(self, i: int, u) -> np.ndarray:
+        """Store ``u`` as the value at mesh column i and return the window
+        that ends there; it stays valid until the next push."""
+        if self.rows is None:
+            return self.zero
+        p = (-i) % self.period
+        self.rows[p] = u
+        if p < self.d:
+            self.rows[p + self.period] = u
+        return self.rows[p : p + self.d + 1].T
 
 
 def _new_ensemble(
@@ -376,8 +462,8 @@ def _new_ensemble(
 ) -> ParticleEnsemble:
     """Ensemble over ``noise`` (referenced, not copied) with the state
     history filled in and the rest of ``paths`` zero (a :func:`_mesh_array`
-    array), and the control record of ``ctrl`` (:func:`_control_record`).
-    ``jumps=None`` means no jumps.
+    array), driven by ``ctrl`` from ``control_history``.  ``jumps=None``
+    means no jumps.
     """
     jumps = jumps if jumps is not None else JumpModel.none()
     d = grid.delta_steps
@@ -388,10 +474,11 @@ def _new_ensemble(
     return ParticleEnsemble(
         grid=grid,
         paths=paths,
-        controls_full=_control_record(grid, ctrl, control_history),
         brownian=brownian,
         jump_counts=jump_counts,
         jumps=jumps,
+        control=ctrl,
+        control_history=_control_history(grid, control_history),
     )
 
 
@@ -441,33 +528,31 @@ def draw_noise(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None = 
 
 def _euler_window(
     coeffs: CoefficientSet,
-    ctrl: _Control,
     read_ens: ParticleEnsemble,
     write_paths: np.ndarray,
+    ring: _ControlRing,
     k_start: int,
     k_stop: int,
 ) -> None:
     """Advance ``write_paths`` over steps ``k_start..k_stop-1``.
 
-    Coefficient inputs (state, segments, laws) are read from
+    Coefficient inputs (state, segments, laws, control) are read from
     ``read_ens.paths``; increments accumulate on ``write_paths``.  Passing the
-    ensemble's own ``paths`` gives the ordinary explicit scheme.  The applied
-    control is recorded in ``read_ens.controls_full`` unless that record is
-    the read-only zero view (:func:`_control_record`), and the noise is read
-    from its ``brownian`` / ``jump_counts`` (see :func:`draw_noise`).
+    ensemble's own ``paths`` gives the ordinary explicit scheme.  Each
+    applied control value is pushed to ``ring``, which must already hold the
+    d values before ``k_start`` and hands out the step's control window, and
+    the noise is read from ``read_ens.brownian`` / ``jump_counts`` (see
+    :func:`draw_noise`).
     """
     d, dt = read_ens.grid.delta_steps, read_ens.grid.dt
     jumps, jump_counts = read_ens.jumps, read_ens.jump_counts
-    record = read_ens.controls_full if read_ens.controls_full.flags.writeable else None
 
     for k in range(k_start, k_stop):
         idx = d + k
         t = k * dt
         x, x_seg, law, law_seg = read_ens.step_inputs(k)
-        u = ctrl.value(k, t, x, x_seg, law)
-        if record is not None:
-            record[:, idx] = u
-        u_seg = read_ens.control_window(k)
+        u = read_ens._control_value(k, x, x_seg, law)
+        u_seg = ring.push(idx, u)
 
         nxt = write_paths[:, idx].copy()
         if coeffs.drift is not None:
@@ -485,16 +570,6 @@ def _euler_window(
         if bad.any():
             raise SimulationBlowupError(step=k, time=t, n_bad=int(bad.sum()))
         write_paths[:, idx + 1] = nxt
-
-
-def _record_horizon_control(ens: ParticleEnsemble, ctrl: _Control) -> None:
-    """Record the control at the horizon: no step is integrated from it, but
-    the cost evaluation needs it.  A read-only (zero) record is not written."""
-    K = ens.grid.n_steps
-    x, x_seg, law, _ = ens.step_inputs(K)
-    u = ctrl.value(K, ens.grid.horizon, x, x_seg, law)
-    if ens.controls_full.flags.writeable:
-        ens.controls_full[:, ens.grid.delta_steps + K] = u
 
 
 def simulate(
@@ -516,7 +591,11 @@ def simulate(
     ``noise`` is the ``(brownian, jump_counts)`` of the same problem, from
     :func:`draw_noise` or another ensemble's ``noise``; it is used as is and
     referenced by the ensemble.  Without it the noise is drawn here.
+
+    The integration holds the control window in a ring of d + 1 values; the
+    ensemble keeps no control array (see :class:`ParticleEnsemble`).
     """
+    ctrl = _grid_control(control, grid)
     if noise is None:
         noise = draw_noise(coeffs, grid, jumps)
     else:
@@ -524,10 +603,11 @@ def simulate(
         expected = _noise_shapes(coeffs, grid, jumps)
         if shapes != expected:
             raise MeshMismatchError(f"noise shapes {shapes} do not match the problem's {expected}")
-    ctrl = as_control(control)
     ens = _new_ensemble(grid, jumps, xi, noise, ctrl, control_history)
-    _euler_window(coeffs, ctrl, ens, ens.paths, 0, grid.n_steps)
-    _record_horizon_control(ens, ctrl)
+    _euler_window(coeffs, ens, ens.paths, _ControlRing(ens, grid.delta_steps + 1), 0, grid.n_steps)
+    # no step starts at the horizon, but its control is evaluated, so a
+    # control that fails there fails here rather than in a later reader
+    ens.control_at(grid.n_steps)
     return ens
 
 
@@ -544,17 +624,17 @@ def law_segment(ens: ParticleEnsemble, t: float) -> MeasureSegment:
 
 def pathwise_cost(ens: ParticleEnsemble, coeffs: CoefficientSet) -> np.ndarray:
     """Per-particle cost: trapezoid of the running cost over [0, T] plus the
-    terminal cost, evaluated along the stored states and controls."""
+    terminal cost, evaluated along the stored states.  The running cost sees
+    the control replayed step by step (:meth:`ParticleEnsemble.coefficient_inputs`),
+    with its window in a ring of d + 1 values; without a running cost the
+    control is not evaluated."""
     grid = ens.grid
-    d, K, dt = grid.delta_steps, grid.n_steps, grid.dt
+    K, dt = grid.n_steps, grid.dt
     total = np.zeros(ens.n_particles)
     if coeffs.running_cost is not None:
         w = trapezoid_weights(K + 1, dt)
-        for k in range(K + 1):
-            x, x_seg, law, law_seg = ens.step_inputs(k)
-            u = ens.controls_full[:, d + k]
-            u_seg = ens.control_window(k)
-            total += w[k] * np.asarray(coeffs.running_cost(k * dt, x, x_seg, law, law_seg, u, u_seg))
+        for k, inputs in enumerate(ens.coefficient_inputs()):
+            total += w[k] * np.asarray(coeffs.running_cost(k * dt, *inputs))
     if coeffs.terminal_cost is not None:
         xT = ens.state_column(K)
         total += np.asarray(coeffs.terminal_cost(xT, EmpiricalMeasure(xT)))

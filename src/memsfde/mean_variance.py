@@ -262,7 +262,10 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
     Checks (1) and (2) and the monitors run one contiguous time row at a
     time, and the backward solve keeps only p0 at step 0: the rest of the
     triple lives in rings of d + 1 rows, because the driver reads exactly
-    d steps ahead.  So the checks hold no (N, n_steps + 1) array on top of
+    d steps ahead.  The control the checks and the driver weigh by is
+    replayed step by step from the ensemble's paths
+    (:meth:`~memsfde.engine.ParticleEnsemble.control_at`), which gives the
+    applied bits.  So the checks hold no (N, n_steps + 1) array on top of
     the ensemble.  The pooled increment statistics are combined from the
     per-step means and standard deviations.
     """
@@ -276,7 +279,6 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
     m1 = spec.jump_m1()
     noise_var = s0**2 + g0**2 * m2
     target = spec.target
-    controls = ens.controls
 
     foc = np.empty(K + 1)  # max |bracket| per step
     abs_delayed = np.empty(K + 1)  # min |X(t - delta)| per step
@@ -288,7 +290,7 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
         p = sol.p0_closed(x, k)
         # (1) first-order condition along paths: b0 p0 + sigma0 q0 + jump term
         bracket = sol.phi[k] * delayed
-        bracket *= controls[:, k]
+        bracket *= ens.control_at(k)
         bracket *= noise_var[k]
         bracket += b0[k] * p
         foc[k] = np.max(np.abs(bracket))
@@ -331,7 +333,7 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
         q = ctx.q0_future(k, d)
         r = ctx.r0_future(k, d)
         w = b0[j] * p + s0[j] * q + g0[j] * m1 * r
-        return controls[:, j] * w
+        return ens.control_at(j) * w
 
     adj = solve_absde(
         ens, terminal=lambda x, law: -(x - target), driver=driver, basis=default_basis, keep="initial_p0"

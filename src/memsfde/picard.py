@@ -17,7 +17,11 @@ draws it for the direct scheme, once and before the first sweep; every sweep
 reads those stored increments, so the converged result matches the direct
 scheme exactly.  The frozen iterate is one array allocated per solve; a sweep
 refreshes only the columns its window reads (the window plus the memory span
-before it).
+before it).  The applied control lives in one ring of d + t0_steps values
+for the whole solve (see ``engine._ControlRing``): a sweep restarts at its
+window's first step and still finds the d values before it.  The returned
+ensemble, like any other, keeps no control array; it replays its control on
+its final paths.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from memsfde.engine import (
     CoefficientSet,
     JumpModel,
     ParticleEnsemble,
+    _ControlRing,
     _euler_window,
+    _grid_control,
     _mesh_array,
     _new_ensemble,
-    _record_horizon_control,
-    as_control,
     draw_noise,
     simulate,
 )
@@ -89,7 +93,13 @@ def picard_solve(
     of steps (default: one window spanning [0, T]).  Iteration on a window
     stops when the mean squared sup-distance between consecutive sweeps falls
     to ``tol`` (non-negative); ``max_iter`` (at least 1) defaults to
-    ``t0_steps + 5``, past the point where exactness is guaranteed.
+    ``t0_steps + 5``, past the point where exactness is guaranteed.  An
+    array control must have shape (K+1,) or (N, K+1).
+
+    The returned ensemble's ``control_at`` and ``coefficient_inputs``
+    evaluate the control on the final paths: the value the last sweep
+    applied once its window has converged exactly (distance 0), and that
+    value up to the iteration's residual otherwise.
     """
     d, K = grid.delta_steps, grid.n_steps
     if t0_steps is None:
@@ -102,14 +112,16 @@ def picard_solve(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be non-negative, got {tol}")
-    ctrl = as_control(control)
+    ctrl = _grid_control(control, grid)
 
     ens = _new_ensemble(grid, jumps, xi, draw_noise(coeffs, grid, jumps), ctrl)
     paths = ens.paths
-    # the frozen iterate: its own paths, the solve's control record (the
-    # read-only zero view when uncontrolled) and noise
+    # the frozen iterate: its own paths, the solve's control and noise
     prev = _mesh_array(grid)
     frozen = replace(ens, paths=prev)
+    # one ring for every sweep: a sweep rewrites the t0_steps values of its
+    # window, which leaves the d values before the window in place
+    ring = _ControlRing(ens, d + t0_steps)
 
     n_windows = K // t0_steps
     all_dists: list[tuple] = []
@@ -129,7 +141,7 @@ def picard_solve(
             # the sweep reads columns k0..hi-1 (memory span plus window) and
             # the distance below reads lo+1..hi
             prev[:, k0 : hi + 1] = paths[:, k0 : hi + 1]
-            _euler_window(coeffs, ctrl, frozen, paths, k0, k1)
+            _euler_window(coeffs, frozen, paths, ring, k0, k1)
             diff = paths[:, lo + 1 : hi + 1] - prev[:, lo + 1 : hi + 1]
             dist = float(np.mean(np.max(diff * diff, axis=1)))
             if dists and dists[-1] > 0.0:
@@ -144,9 +156,8 @@ def picard_solve(
         if not window_done:
             converged = False
 
-    # controls were recorded by each window's last sweep; only the terminal
-    # column remains
-    _record_horizon_control(ens, ctrl)
+    # evaluated and dropped, as in simulate
+    ens.control_at(K)
     report = PicardReport(
         distances=tuple(all_dists),
         ratios=tuple(all_ratios),

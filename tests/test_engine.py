@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -314,6 +315,23 @@ class TestControls:
         with pytest.raises(TypeError):
             as_control({"not": "a control"})
 
+    @pytest.mark.parametrize("shape", [(10,), (5, 10), (12,), (1, 11), (3, 11)])
+    def test_array_controls_must_fit_the_mesh(self, shape):
+        # K = 10 steps and N = 5 particles: only (11,) and (5, 11) fit, and
+        # any other array is refused before a step runs
+        grid = SimGrid(dt=0.1, delta_steps=2, horizon=1.0, n_particles=5, seed=0)
+        coeffs = CoefficientSet(drift=lambda *a: pytest.fail("a step ran"))
+        control = np.zeros(shape)
+        runs = (
+            lambda: simulate(coeffs, grid, control=control),
+            lambda: ControlProblem(coeffs=coeffs, grid=grid).simulate(control),
+            lambda: picard_solve(coeffs, grid, control=control),
+        )
+        for run in runs:
+            with pytest.raises(MeshMismatchError, match=re.escape(str(shape))) as err:
+                run()
+            assert "(11,)" in str(err.value) and "(5, 11)" in str(err.value)
+
 
 class TestSharedNoise:
     """A problem draws its noise once; its ensembles share it read-only."""
@@ -370,7 +388,8 @@ class TestSharedNoise:
             shared = problem.simulate(control)
             fresh = simulate(coeffs, self.GRID, jumps=jumps, xi=1.0, control=control)
             np.testing.assert_array_equal(shared.paths, fresh.paths)
-            np.testing.assert_array_equal(shared.controls_full, fresh.controls_full)
+            for a, b in zip(shared.coefficient_inputs(), fresh.coefficient_inputs()):
+                np.testing.assert_array_equal(a[-1], b[-1])  # the replayed control windows
             np.testing.assert_array_equal(shared.brownian, fresh.brownian)
             if jumps.active:
                 np.testing.assert_array_equal(shared.jump_counts, fresh.jump_counts)
@@ -491,15 +510,16 @@ class TestTimeMajorLayout:
         ens = self.ensemble(how)
         d, K = self.GRID.delta_steps, self.GRID.n_steps
         assert ens.jump_counts is not None
-        for k in range(K + 1):
+        for k, (*_, u, u_seg) in enumerate(ens.coefficient_inputs()):
             assert ens.state_column(k).flags.c_contiguous
-            # newest time first: the backward window is a band of rows in
+            # newest time first: the backward windows are bands of rows in
             # ascending memory order
             assert ens.backward_window(k).flags.f_contiguous
-            assert ens.control_window(k).flags.f_contiguous
+            assert u_seg.flags.f_contiguous
             assert all(law.atoms.flags.c_contiguous for law in law_segment(ens, k * self.GRID.dt).measures)
-        for k in range(d + K + 1):
-            assert ens.controls_full[:, k].flags.c_contiguous
+            # every control value, history included, is one contiguous row
+            assert u.flags.c_contiguous
+            assert all(u_seg[:, j].flags.c_contiguous for j in range(d + 1))
         for k in range(K):
             assert ens.brownian[:, k].flags.c_contiguous
             assert ens.jump_counts[:, k, :].T.flags.c_contiguous
@@ -508,13 +528,15 @@ class TestTimeMajorLayout:
     def test_public_shapes_stay_particle_major(self, how):
         ens = self.ensemble(how)
         N, d, K = self.GRID.n_particles, self.GRID.delta_steps, self.GRID.n_steps
-        assert ens.paths.shape == ens.controls_full.shape == (N, d + K + 1)
-        assert ens.states.shape == ens.controls.shape == (N, K + 1)
+        assert ens.paths.shape == (N, d + K + 1)
+        assert ens.controls_full is None  # no full-mesh control array
+        assert ens.states.shape == (N, K + 1)
         assert ens.brownian.shape == (N, K)
         assert ens.jump_counts.shape == (N, K, len(self.JUMPS.marks))
-        for k in range(K + 1):
+        for k, (*_, u, u_seg) in enumerate(ens.coefficient_inputs()):
+            assert u.shape == ens.control_at(k).shape == (N,)
             window = ens.backward_window(k)
-            assert window.shape == ens.control_window(k).shape == (N, d + 1)
+            assert window.shape == u_seg.shape == (N, d + 1)
             for j in range(d + 1):
                 lagged = ens.state_column(k - j) if k >= j else np.ones(N)  # unit history
                 np.testing.assert_array_equal(window[:, j], lagged)
@@ -537,93 +559,244 @@ def _buffer_owner(arr: np.ndarray) -> np.ndarray:
 
 
 class TestUncontrolledRecord:
-    """The zero control from a +0.0 history writes nothing but +0.0, so its
-    ensemble records no control: ``controls_full`` is a read-only zero view
-    that owns no (N, d + K + 1) buffer."""
+    """The zero control from a +0.0 history applies nothing but +0.0, so its
+    ensemble holds no control storage: every control window it hands out,
+    integrating or replaying, is one read-only zero view that owns no buffer
+    of its size.  Any other control or history is held in a ring."""
 
     GRID = TestSharedNoise.GRID
     COEFFS, JUMPS = TestSharedNoise.WITH_JUMPS
 
-    def ensemble(self, how, control=None, **kwargs):
+    def ensemble(self, how, control=None, coeffs=None, **kwargs):
+        coeffs = coeffs if coeffs is not None else self.COEFFS
         if how == "simulate":
-            return simulate(self.COEFFS, self.GRID, jumps=self.JUMPS, xi=1.0, control=control, **kwargs)
+            return simulate(coeffs, self.GRID, jumps=self.JUMPS, xi=1.0, control=control, **kwargs)
         if how == "problem":
-            problem = ControlProblem(coeffs=self.COEFFS, grid=self.GRID, jumps=self.JUMPS, xi=1.0, **kwargs)
+            problem = ControlProblem(coeffs=coeffs, grid=self.GRID, jumps=self.JUMPS, xi=1.0, **kwargs)
             return problem.simulate(control)
-        ens, _ = picard_solve(self.COEFFS, self.GRID, jumps=self.JUMPS, xi=1.0, control=control, t0_steps=5)
+        ens, _ = picard_solve(coeffs, self.GRID, jumps=self.JUMPS, xi=1.0, control=control, t0_steps=5)
         return ens
+
+    def integration_windows(self, how, control=None, **kwargs):
+        """The ensemble and the control windows its Euler steps were handed,
+        each as ``(copy, writeable, bytes of the buffer it views)``."""
+        seen = []
+
+        def drift(t, x, xs, m, ms, u, us):
+            seen.append((us.copy(), us.flags.writeable, _buffer_owner(us).nbytes))
+            return self.COEFFS.drift(t, x, xs, m, ms, u, us)
+
+        coeffs = dataclasses.replace(self.COEFFS, drift=drift)
+        return self.ensemble(how, control=control, coeffs=coeffs, **kwargs), seen
 
     @pytest.mark.parametrize("how", ["simulate", "problem", "picard"])
     def test_uncontrolled_record_is_a_read_only_zero_view(self, how):
-        ens = self.ensemble(how)
+        ens, seen = self.integration_windows(how)
         N, d, K = self.GRID.n_particles, self.GRID.delta_steps, self.GRID.n_steps
-        record = ens.controls_full
-        assert isinstance(record, np.ndarray) and record.shape == (N, d + K + 1)
-        assert not record.flags.writeable
-        assert _buffer_owner(record).nbytes < N * (d + K + 1) * 8
-        assert np.all(record == 0.0) and not np.signbit(record).any()
-        # every reader sees +0.0, as on a recorded zero control
+        assert ens.controls_full is None
+        replayed = [(u_seg, u_seg.flags.writeable, _buffer_owner(u_seg).nbytes) for *_, u_seg in ens.coefficient_inputs()]
+        assert len(replayed) == K + 1
+        for window, writeable, owned in seen + replayed:
+            assert isinstance(window, np.ndarray) and window.shape == (N, d + 1)
+            assert not writeable
+            assert owned < N * (d + 1) * 8
+            assert np.all(window == 0.0) and not np.signbit(window).any()
+        # every reader sees +0.0, as on a 0.0 control held in a ring
         recorded = self.ensemble(how, control=0.0)
-        assert recorded.controls_full.flags.writeable
         np.testing.assert_array_equal(ens.paths, recorded.paths)
-        np.testing.assert_array_equal(ens.controls, recorded.controls)
-        for k in range(K + 1):
-            np.testing.assert_array_equal(ens.control_window(k), recorded.control_window(k))
+        for k, (a, b) in enumerate(zip(ens.coefficient_inputs(), recorded.coefficient_inputs())):
+            assert b[-1].flags.writeable
+            assert a[-2].tobytes() == b[-2].tobytes()  # the control
+            assert a[-1].tobytes() == b[-1].tobytes()  # its window
+            assert ens.control_at(k).tobytes() == recorded.control_at(k).tobytes()
         cost = CoefficientSet(running_cost=lambda t, x, xs, m, ms, u, us: u * u + us.sum(axis=1) + x)
         assert pathwise_cost(ens, cost).tobytes() == pathwise_cost(recorded, cost).tobytes()
 
     @pytest.mark.parametrize("how", ["simulate", "problem"])
     def test_signed_and_non_zero_histories_are_recorded(self, how):
-        d = self.GRID.delta_steps
-        # the same history shapes at +0.0 record nothing
+        N, d = self.GRID.n_particles, self.GRID.delta_steps
+        # the same history shapes at +0.0 are held nowhere
         for zero in (0.0, np.zeros(d)):
-            assert not self.ensemble(how, control_history=zero).controls_full.flags.writeable
+            ens = self.ensemble(how, control_history=zero)
+            assert all(not u_seg.flags.writeable for *_, u_seg in ens.coefficient_inputs())
         minus_zero = np.zeros(d)
         minus_zero[1] = -0.0
         for hist in (-0.0, 0.25, minus_zero, np.linspace(-1.0, 1.0, d)):
-            record = self.ensemble(how, control_history=hist).controls_full
-            assert record.flags.writeable
-            expected = np.broadcast_to(np.asarray(hist, dtype=float), (self.GRID.n_particles, d))
-            assert record[:, :d].tobytes() == np.ascontiguousarray(expected).tobytes()
-            assert np.array_equal(np.signbit(record[:, :d]), np.signbit(expected))
-            assert np.all(record[:, d:] == 0.0) and not np.signbit(record[:, d:]).any()
+            ens, seen = self.integration_windows(how, control_history=hist)
+            expected = np.broadcast_to(np.asarray(hist, dtype=float), (N, d))
+            replayed = [(u_seg.copy(), u_seg.flags.writeable) for *_, u_seg in ens.coefficient_inputs()]
+            steps = [(k, w, writeable) for k, (w, writeable, _) in enumerate(seen)]
+            steps += [(k, w, writeable) for k, (w, writeable) in enumerate(replayed)]
+            for k, window, writeable in steps:
+                assert writeable
+                # lag j at step k is history column d + k - j up to time zero
+                for j in range(k + 1, d + 1):
+                    column, held = window[:, j], expected[:, d + k - j]
+                    assert column.tobytes() == np.ascontiguousarray(held).tobytes()
+                    assert np.array_equal(np.signbit(column), np.signbit(held))
+                applied = window[:, : min(k, d) + 1]
+                assert np.all(applied == 0.0) and not np.signbit(applied).any()
 
     def test_without_a_memory_window_the_history_is_ignored(self):
         grid = SimGrid(dt=0.1, delta_steps=0, horizon=1.0, n_particles=4, seed=0)
         coeffs = CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: 1.0 + u)
         for hist in (0.0, -0.0, 2.0, np.arange(5.0)):
             ens = simulate(coeffs, grid, xi=0.0, control_history=hist)
-            assert not ens.controls_full.flags.writeable
-            assert ens.controls_full.shape == (4, grid.n_steps + 1)
+            assert ens.control_history is None
+            windows = [u_seg for *_, u_seg in ens.coefficient_inputs()]
+            assert len(windows) == grid.n_steps + 1
+            assert all(w.shape == (4, 1) and not w.flags.writeable for w in windows)
             np.testing.assert_allclose(ens.states[:, -1], 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("how", ["simulate", "problem", "picard"])
     def test_controlled_records_stay_writable(self, how):
-        ens = self.ensemble(how, control=lambda t, x, xs, law: -0.5 * x)
-        assert ens.controls_full.flags.writeable
-        assert _buffer_owner(ens.controls_full).nbytes == ens.controls_full.nbytes
+        ens, seen = self.integration_windows(how, control=lambda t, x, xs, law: -0.5 * x)
+        N, d = self.GRID.n_particles, self.GRID.delta_steps
+        # views of a ring of 2d + 1 rows (2d + t0_steps for the fixed-point
+        # solve), not of a full-mesh array
+        period = 5 + d if how == "picard" else d + 1
+        for _, writeable, owned in seen:
+            assert writeable
+            assert owned == (period + d) * N * 8
+        for *_, u_seg in ens.coefficient_inputs():
+            assert u_seg.flags.writeable
+            assert _buffer_owner(u_seg).nbytes == (2 * d + 1) * N * 8
 
     @pytest.mark.parametrize("how", ["simulate", "picard"])
     def test_uncontrolled_runs_allocate_no_control_array(self, how):
         # a simulation on shared noise allocates its paths, and the
         # fixed-point solve also its frozen iterate and the noise it draws;
-        # no (N, d + K + 1) control record beside them
+        # no (N, d + K + 1) control array beside them.  A controlled run
+        # adds only its control ring: 2d + 1 rows in a simulation, and
+        # 2d + t0_steps in the fixed-point solve
         grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=4_000, seed=3)
         coeffs = CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: xs[:, -1] - x + u, diffusion=lambda *a: 0.3)
         noise = draw_noise(coeffs, grid)
         N, d, K = grid.n_particles, grid.delta_steps, grid.n_steps
         mesh = N * (d + K + 1) * 8
         slack = 16 * N * 8  # (N,)-sized temporaries of the steps
-        tracemalloc.start()
-        try:
-            if how == "simulate":
-                simulate(coeffs, grid, xi=1.0, noise=noise)
-                allowed = mesh + slack
-            else:
-                picard_solve(coeffs, grid, xi=1.0, t0_steps=5)
-                # plus the sweep distance over a 5-step window
-                allowed = 2 * mesh + N * K * 8 + 2 * N * 5 * 8 + slack
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= allowed
+        feedback = lambda t, x, xs, law: 0.2 * xs[:, -1] - 0.5 * x + 0.1 * law.mean()
+        controls = [None, feedback]
+        if how == "simulate":
+            controls.append(np.random.default_rng(0).standard_normal((N, K + 1)))
+        for control in controls:
+            tracemalloc.start()
+            try:
+                if how == "simulate":
+                    simulate(coeffs, grid, xi=1.0, control=control, noise=noise)
+                    ring = (2 * d + 1) * N * 8
+                    allowed = mesh + slack
+                else:
+                    picard_solve(coeffs, grid, xi=1.0, control=control, t0_steps=5)
+                    ring = (2 * d + 5) * N * 8
+                    # plus the sweep distance over a 5-step window
+                    allowed = 2 * mesh + N * K * 8 + 2 * N * 5 * 8 + slack
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= allowed + (0 if control is None else ring)
+
+
+class TestControlReplay:
+    """No ensemble records its control: the window a coefficient sees is the
+    history followed by the applied values, held in a ring while the
+    ensemble integrates, and readers replay the applied values from the
+    stored paths with the same bits."""
+
+    @staticmethod
+    def logged(coeffs, control, grid, log):
+        """``coeffs`` and ``control`` that append, in call order, each
+        applied control value and each window the drift is handed."""
+        dt = grid.dt
+
+        def applied(t, x, xs, law):
+            value = control(t, x, xs, law)
+            log.append(("u", int(round(t / dt)), np.broadcast_to(np.asarray(value, dtype=float), x.shape).copy()))
+            return value
+
+        def drift(t, x, xs, m, ms, u, us):
+            log.append(("window", int(round(t / dt)), us.copy()))
+            return coeffs.drift(t, x, xs, m, ms, u, us)
+
+        return dataclasses.replace(coeffs, drift=drift), applied
+
+    @staticmethod
+    def check_windows(log, history, grid):
+        """Every logged window is bit for bit the history before time zero
+        and the values applied since, newest first."""
+        N, d = grid.n_particles, grid.delta_steps
+        held = {}
+        if d:
+            held.update(enumerate(np.broadcast_to(np.asarray(history, dtype=float)[..., None], (d, N))))
+        windows = 0
+        for kind, k, value in log:
+            if kind == "u":
+                held[d + k] = value
+                continue
+            expected = np.column_stack([held[d + k - j] for j in range(d + 1)])
+            assert value.shape == (N, d + 1)
+            assert value.tobytes() == expected.tobytes()
+            assert np.array_equal(np.signbit(value), np.signbit(expected))
+            windows += 1
+        return windows
+
+    COEFFS = CoefficientSet(
+        drift=lambda t, x, xs, m, ms, u, us: 0.5 * us[:, -1] + us[:, 1 % us.shape[1]] - x,
+        diffusion=lambda *a: 0.3,
+    )
+    FEEDBACK = staticmethod(lambda t, x, xs, law: 0.2 * xs[:, -1] - 0.5 * x + 0.1 * law.mean() + 0.3)
+
+    @pytest.mark.parametrize(
+        "d, history, t0_steps",
+        [(4, -0.0, None), (4, np.array([0.5, -0.0, -1.25, 2.0]), None), (0, 1.0, None), (3, 0.0, 6)],
+        ids=["minus_zero_history", "non_zero_history", "no_memory", "picard_window_longer_than_d_plus_one"],
+    )
+    def test_windows_are_the_history_and_the_applied_values(self, d, history, t0_steps):
+        grid = SimGrid(dt=0.05, delta_steps=d, horizon=0.6, n_particles=16, seed=4)
+        log = []
+        coeffs, control = self.logged(self.COEFFS, self.FEEDBACK, grid, log)
+        if t0_steps is None:
+            ens = simulate(coeffs, grid, xi=1.0, control=control, control_history=history)
+            assert self.check_windows(log, history, grid) == grid.n_steps
+        else:
+            # every sweep restarts at its window's first step and must find
+            # the d values before it, which the window's writes leave alone
+            assert t0_steps > d + 1
+            ens, report = picard_solve(coeffs, grid, xi=1.0, control=control, t0_steps=t0_steps)
+            assert report.converged and min(report.iterations) > 1
+            assert self.check_windows(log, history, grid) == sum(report.iterations) * t0_steps
+        last_applied = {k: value for kind, k, value in log if kind == "u"}
+        assert sorted(last_applied) == list(range(grid.n_steps + 1))
+        # the replay gives the last applied values and their windows, bit
+        # for bit (a fixed-point solve that converged exactly included)
+        del log[:]
+        for k, (*_, u, u_seg) in enumerate(ens.coefficient_inputs()):
+            assert u.tobytes() == last_applied[k].tobytes()
+            log.append(("window", k, u_seg.copy()))
+        replayed = [entry for entry in log if entry[0] == "window"]
+        assert self.check_windows(log, history, grid) == len(replayed) == grid.n_steps + 1
+
+    @pytest.mark.parametrize("kind", ["feedback", "per_particle", "shared", "combined"])
+    def test_control_at_gives_the_applied_bits_at_every_step(self, kind):
+        grid = SimGrid(dt=0.05, delta_steps=3, horizon=0.55, n_particles=16, seed=9)
+        N, K = grid.n_particles, grid.n_steps
+        rng = np.random.default_rng(1)
+        control = {
+            "feedback": self.FEEDBACK,
+            "per_particle": rng.standard_normal((N, K + 1)),
+            "shared": rng.standard_normal(K + 1),
+            "combined": combine_controls(self.FEEDBACK, lambda t, x, xs, law: np.sin(t) * xs[:, 1], 0.7),
+        }[kind]
+        applied = {}
+
+        def drift(t, x, xs, m, ms, u, us):
+            applied[int(round(t / grid.dt))] = np.array(u, dtype=float)
+            return self.COEFFS.drift(t, x, xs, m, ms, u, us)
+
+        ens = simulate(dataclasses.replace(self.COEFFS, drift=drift), grid, xi=1.0, control=control)
+        assert sorted(applied) == list(range(K))
+        # the horizon value enters no step; it is the control at T
+        x, x_seg, law, _ = ens.step_inputs(K)
+        applied[K] = np.broadcast_to(engine.as_control(control).value(K, grid.horizon, x, x_seg, law), (N,))
+        for k in range(K + 1):
+            assert np.asarray(ens.control_at(k), dtype=float).tobytes() == np.ascontiguousarray(applied[k]).tobytes()

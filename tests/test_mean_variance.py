@@ -112,7 +112,8 @@ class TestOptimalSimulation:
         spec = MeanVarSpec(xi=1.0, target=1.0)
         ens, sol = optimal(spec, DESK_GRID)
         np.testing.assert_array_equal(ens.states, 1.0)
-        np.testing.assert_array_equal(ens.controls, 0.0)
+        for k in range(DESK_GRID.n_steps + 1):
+            np.testing.assert_array_equal(ens.control_at(k), 0.0)
         from memsfde.engine import performance
 
         j, se = performance(ens, sol.problem.coeffs)

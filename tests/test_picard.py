@@ -127,9 +127,9 @@ class TestConsistencyWithDirectScheme:
 class TestNoiseReuse:
     def test_short_windows_reproduce_the_direct_ensemble(self):
         # windows shorter than the lag with state-free noise coefficients: the
-        # solve is exact, so paths, the recorded controls and the stored noise
-        # match bit for bit, for no control, a per-particle open-loop array
-        # and a feedback rule
+        # solve is exact, so paths, the replayed controls with their windows
+        # and the stored noise match bit for bit, for no control, a
+        # per-particle open-loop array and a feedback rule
         grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.6, n_particles=8, seed=3)
         coeffs = CoefficientSet(
             drift=lambda t, x, xs, m, ms, u, us: xs[:, -1] + u,
@@ -143,11 +143,15 @@ class TestNoiseReuse:
             direct = simulate(coeffs, grid, jumps=TWO_MARKS, xi=1.0, control=control)
             assert report.converged
             np.testing.assert_array_equal(ens.paths, direct.paths)
-            np.testing.assert_array_equal(ens.controls_full, direct.controls_full)
+            for k, (solved, simulated) in enumerate(zip(ens.coefficient_inputs(), direct.coefficient_inputs())):
+                np.testing.assert_array_equal(solved[-2], simulated[-2])  # the control
+                np.testing.assert_array_equal(solved[-1], simulated[-1])  # its window
+                np.testing.assert_array_equal(ens.control_at(k), direct.control_at(k))
             np.testing.assert_array_equal(ens.brownian, direct.brownian)
             np.testing.assert_array_equal(ens.jump_counts, direct.jump_counts)
             assert np.any(ens.brownian != 0.0) and np.any(ens.jump_counts != 0)
-            assert (control is None) == np.all(ens.controls == 0.0)
+            uncontrolled = all(np.all(ens.control_at(k) == 0.0) for k in range(grid.n_steps + 1))
+            assert (control is None) == uncontrolled
 
     def test_solved_ensemble_gives_the_recomputed_gap(self):
         # stop short of convergence so the gap is not trivially zero; a

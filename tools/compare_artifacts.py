@@ -10,6 +10,13 @@ The runs are the ones a pure refactor must leave byte-identical:
 - each benchmark workload's config (``perfbench/workloads.py``, imported
   read-only) at every ``--seeds`` value.
 
+Each workload at the first ``--seeds`` value also runs once more in this
+checkout under the benchmark's tracer, ``python3 perfbench/tracer.py SPANS
+<cli arguments>``, which wraps program functions by name and reads ensemble
+attributes.  Its row compares the plain run of this checkout with the traced
+one: a non-zero exit of the traced run, or an exit code, stdout, stderr or
+artifact that differs from the plain run's, is a difference.
+
 Both trees run the same config files, one CLI process at a time, the base
 first and then this checkout.  Each tree imports the program from its own
 ``src/`` with ``OPENBLAS_NUM_THREADS=1``, ``PYTHONDONTWRITEBYTECODE=1`` and
@@ -75,7 +82,8 @@ def workload_runs(root: str, seeds, config_dir: str) -> list:
 class Tree:
     """One source tree and the directory its runs write into."""
 
-    def __init__(self, label: str, root: str, work: str):
+    def __init__(self, label: str, root: str, work: str, traced: bool = False):
+        self.root, self.traced = root, traced
         self.dir = os.path.join(work, label)
         os.makedirs(self.dir)
         self.env = dict(os.environ)
@@ -88,13 +96,18 @@ class Tree:
         )
 
     def run(self, name: str, argv: list) -> dict:
-        """Run ``memsfde.cli`` with ``argv --out <name>`` in this tree's
-        directory; the output path is relative, so both trees print it alike."""
+        """Run ``memsfde.cli`` (under ``perfbench/tracer.py`` in a traced
+        tree) with ``argv --out <name>`` in this tree's directory; the output
+        path is relative, so all trees print it alike."""
         out = os.path.join(self.dir, name)
         stdout_path, stderr_path = out + ".stdout", out + ".stderr"
+        if self.traced:
+            command = [sys.executable, os.path.join(self.root, "perfbench", "tracer.py"), out + ".spans.json"]
+        else:
+            command = [sys.executable, "-m", "memsfde.cli"]
         with open(stdout_path, "wb") as stdout, open(stderr_path, "wb") as stderr:
             proc = subprocess.Popen(
-                [sys.executable, "-m", "memsfde.cli", *argv, "--out", name],
+                [*command, *argv, "--out", name],
                 cwd=self.dir,
                 env=self.env,
                 stdin=subprocess.DEVNULL,
@@ -163,21 +176,35 @@ def main(argv=None) -> int:
         os.makedirs(config_dir)
         runs = config_runs(ROOT) + [("selftest", ["selftest"])] + workload_runs(ROOT, args.seeds, config_dir)
         base, change = Tree("base", worktree, work), Tree("change", ROOT, work)
+        traced = Tree("traced", ROOT, work, traced=True)
+        traced_runs = [(name, cmd) for name, cmd in runs if name.endswith(f"@{args.seeds[0]}")]
 
         differing = []
-        print(f"{'run':<24} {'base exit':>9} {'base MB':>9} {'change exit':>11} {'change MB':>9}  result")
-        for name, cmd in runs:
-            b, c = base.run(name, cmd), change.run(name, cmd)
-            diffs = differences(b, c)
+
+        def report(name, b, c, diffs):
             verdict = "identical" if not diffs else "DIFFERS: " + ", ".join(diffs)
-            print(f"{name:<24} {b['exit']:>9} {b['rss_mb']:>9.1f} {c['exit']:>11} {c['rss_mb']:>9.1f}  {verdict}")
+            print(f"{name:<28} {b['exit']:>9} {b['rss_mb']:>9.1f} {c['exit']:>11} {c['rss_mb']:>9.1f}  {verdict}")
             sys.stdout.flush()
             if diffs:
                 differing.append(name)
+
+        print(f"{'run':<28} {'base exit':>9} {'base MB':>9} {'change exit':>11} {'change MB':>9}  result")
+        plain = {}
+        for name, cmd in runs:
+            b, plain[name] = base.run(name, cmd), change.run(name, cmd)
+            report(name, b, plain[name], differences(b, plain[name]))
+        # a traced row: this checkout's plain run against its traced run
+        for name, cmd in traced_runs:
+            t = traced.run(name, cmd)
+            diffs = differences(plain[name], t)
+            if t["exit"] != 0 and t["exit"] == plain[name]["exit"]:
+                diffs.insert(0, f"traced exit {t['exit']}")  # both failed alike
+            report(f"{name} traced", plain[name], t, diffs)
+        total = len(runs) + len(traced_runs)
         if differing:
-            print(f"{len(differing)} of {len(runs)} runs differ: {', '.join(differing)}")
+            print(f"{len(differing)} of {total} runs differ: {', '.join(differing)}")
         else:
-            print(f"all {len(runs)} runs identical")
+            print(f"all {total} runs identical")
         keep = bool(differing)
         return 1 if differing else 0
     finally:
