@@ -511,9 +511,10 @@ class TestHappyPaths:
     def test_meanvar_frees_the_optimal_ensemble_before_its_variants(self, tmp_path, monkeypatch):
         # the comparison reads only the optimal cost, so from before the
         # optimal simulation to the end of the comparison the run holds at
-        # most one ensemble: paths and controls over [-delta, T], N = 4000
-        # particles on 56 mesh points.  The noise is drawn before the mark,
-        # since every ensemble of the run shares it.
+        # most one ensemble: paths over [-delta, T], N = 4000 particles on
+        # 56 mesh points, and while it integrates the control ring of
+        # 2d + 1 = 11 rows.  The noise is drawn before the mark, since every
+        # ensemble of the run shares it.
         simulate_optimal, j_comparison = mean_variance.simulate_optimal, mean_variance.j_comparison
         marks = {}
 
@@ -536,8 +537,8 @@ class TestHappyPaths:
             assert main(["meanvar", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
         finally:
             tracemalloc.stop()
-        n_particles, n_points = 4000, 56
-        ensemble = 2 * n_particles * n_points * 8
+        n_particles, n_points, ring_rows = 4000, 56, 11
+        ensemble = (n_points + ring_rows) * n_particles * 8
         assert marks["peak"] - marks["before"] <= ensemble + 16 * n_particles * 8
 
     def test_lq_layout(self, tmp_path, capsys):

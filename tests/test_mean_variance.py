@@ -273,11 +273,12 @@ class TestOptimality:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a variant ensemble is its paths and controls over [-delta, T]; it
-        # shares the optimal ensemble's noise.  The slack covers a few
-        # per-step (N,) temporaries of the simulation and the costs.
+        # a variant ensemble is its paths over [-delta, T] and, while it
+        # integrates, a control ring of 2d + 1 rows; it shares the optimal
+        # ensemble's noise.  The slack covers a few per-step (N,)
+        # temporaries of the simulation and the costs.
         n_points = grid.delta_steps + grid.n_steps + 1
-        variant = 2 * grid.n_particles * n_points * 8
+        variant = (n_points + 2 * grid.delta_steps + 1) * grid.n_particles * 8
         slack = 16 * grid.n_particles * 8
         assert peak - at_entry <= variant + slack
 
