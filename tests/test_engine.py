@@ -765,7 +765,8 @@ class TestControlReplay:
             # the d values before it, which the window's writes leave alone
             assert t0_steps > d + 1
             ens, report = picard_solve(coeffs, grid, xi=1.0, control=control, t0_steps=t0_steps)
-            assert report.converged and min(report.iterations) > 1
+            assert min(report.iterations) > 1
+            assert all(dists[-1] == 0.0 for dists in report.distances)  # converged exactly
             assert self.check_windows(log, history, grid) == sum(report.iterations) * t0_steps
         last_applied = {k: value for kind, k, value in log if kind == "u"}
         assert sorted(last_applied) == list(range(grid.n_steps + 1))
