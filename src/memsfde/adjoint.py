@@ -42,7 +42,6 @@ from memsfde.engine import (
     ParticleEnsemble,
     _mean_and_stderr,
     combine_controls,
-    pathwise_cost,
 )
 from memsfde.grid import SimGrid, trapezoid_weights
 from memsfde.measures import EmpiricalMeasure, MeasureSegment, dirac
@@ -587,6 +586,8 @@ def max_condition_gap(
     jumps = jumps if jumps is not None else ens.jumps
     basis = basis if basis is not None else default_basis
     grid = ens.grid
+    if adj.q0 is None:
+        raise ValueError("the loadings were not kept after the sweep; solve with keep='all'")
     best_gap, best_se = -math.inf, 0.0
 
     # the ensemble's inputs and replayed control, one step at a time
@@ -631,8 +632,8 @@ def stationarity_gap(
 ) -> tuple[float, float]:
     """Central difference of the performance in a perturbation direction.
 
-    Both perturbed controls are simulated under common random numbers (the
-    per-step counter streams depend only on the grid seed), so the paired
+    Both perturbed controls are costed by ``problem.costs`` under common
+    random numbers (the problem's one noise draw), so the paired
     per-particle cost difference has tiny variance and the returned standard
     error is an honest yardstick: at an optimum |gap| should be within a few
     standard errors of zero (plus an O(eps^2) curvature remainder).
@@ -640,7 +641,16 @@ def stationarity_gap(
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be a positive finite number, got {eps!r}")
-    # each ensemble is costed and freed before the next one is simulated
-    plus = pathwise_cost(problem.simulate(combine_controls(control, direction, +eps)), problem.coeffs)
-    minus = pathwise_cost(problem.simulate(combine_controls(control, direction, -eps)), problem.coeffs)
+    plus, minus = problem.costs([combine_controls(control, direction, eps), combine_controls(control, direction, -eps)])
     return _mean_and_stderr((plus - minus) / (2.0 * eps))
+
+
+def _paired_rows(base_label: str, base_cost: np.ndarray, labels, costs) -> list:
+    """Rows ``(label, J, stderr, gap, gap_stderr)`` of a base control and
+    its variants, from per-particle costs on common noise: J and its
+    standard error, then the paired gap J(base) - J(variant) with its own
+    (0, 0 on the base row)."""
+    rows = [(base_label, *_mean_and_stderr(base_cost), 0.0, 0.0)]
+    for label, cost in zip(labels, costs):
+        rows.append((label, *_mean_and_stderr(cost), *_mean_and_stderr(base_cost - cost)))
+    return rows

@@ -479,7 +479,7 @@ def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) ->
         f"worst final ratio {worst:.6g}",
     )
     if values["consistency"]:
-        gap = consistency_check(coeffs, ens, xi=xi)
+        gap = consistency_check(coeffs, ens)
         res.add_check("matches_direct_scheme", gap < 1e-8, f"sup mean-square gap {gap:.3e}")
         res.scalars["consistency_gap"] = gap
     res.scalars.update(

@@ -135,11 +135,13 @@ class JumpModel:
     def __post_init__(self) -> None:
         if self.intensity < 0.0:
             raise ValueError("intensity must be >= 0")
+        if not math.isfinite(self.intensity):
+            raise ValueError(f"intensity={self.intensity} must be finite")
         marks = tuple(float(z) for z in self.marks)
         probs = tuple(float(p) for p in self.probs)
         if len(marks) != len(probs) or not marks:
             raise ValueError("marks and probs must be non-empty and match")
-        if any(p < 0.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+        if not (all(p >= 0.0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-9):
             raise ValueError("mark probabilities must be non-negative and sum to 1")
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "probs", probs)
@@ -684,5 +686,12 @@ class ControlProblem:
             noise=self.noise,
         )
 
+    def costs(self, controls) -> list:
+        """Per-particle cost of each control, in order, under common random
+        numbers: each is simulated on the problem's noise and costed with
+        its coefficients, and its ensemble is dropped before the next
+        control is simulated."""
+        return [pathwise_cost(self.simulate(control), self.coeffs) for control in controls]
+
     def performance(self, control=None) -> tuple[float, float]:
-        return performance(self.simulate(control), self.coeffs)
+        return _mean_and_stderr(self.costs([control])[0])

@@ -17,6 +17,7 @@ the same increments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,14 @@ class SimGrid:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("delta_steps", "n_particles", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name}={value!r} must be an integer")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed={self.seed} must be an unsigned 64-bit integer")
+        if not (math.isfinite(self.dt) and math.isfinite(self.horizon)):
+            raise ValueError(f"dt={self.dt} and horizon={self.horizon} must be finite")
         if self.dt <= 0.0:
             raise ValueError(f"dt={self.dt} must be positive")
         if self.delta_steps < 0:

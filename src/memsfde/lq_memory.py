@@ -35,6 +35,7 @@ import numpy as np
 from memsfde.adjoint import (
     AdjointTriple,
     SegmentFunctional,
+    _paired_rows,
     _polynomial_rows,
     solve_absde,
     stationarity_gap,
@@ -44,7 +45,6 @@ from memsfde.engine import (
     ControlProblem,
     JumpModel,
     _as_time_fn,
-    _mean_and_stderr,
     combine_controls,
     pathwise_cost,
 )
@@ -343,9 +343,8 @@ def verify_lq(solution: LQSolution, eps: float = 1e-3) -> LQVerification:
     delta *= report.damping
     delta *= delta
     idempotence_change = float(np.sqrt(np.mean(delta @ wq)))
-    # pathwise cost per shift size; each size is simulated once and the
-    # unshifted ensemble is the idempotence one, which is not needed after
-    costs = {0.0: pathwise_cost(ens, problem.coeffs)}
+    # the unshifted cost is the idempotence ensemble's, which is not needed after
+    base_cost = pathwise_cost(ens, problem.coeffs)
     del ens, adj2, delta
 
     half = grid.horizon / 2.0
@@ -359,19 +358,16 @@ def verify_lq(solution: LQSolution, eps: float = 1e-3) -> LQVerification:
         for label, direction in directions
     )
 
-    def cost_at(lam: float) -> np.ndarray:
-        if lam not in costs:
-            costs[lam] = pathwise_cost(problem.simulate(combine_controls(control, 1.0, lam)), problem.coeffs)
-        return costs[lam]
-
-    base_cost = costs[0.0]
-    j_rows = [("solution", *_mean_and_stderr(base_cost), 0.0, 0.0)]
-    for lam in (0.2, -0.2, 0.5, -0.5):
-        cost = cost_at(lam)
-        j_rows.append((f"shift_{lam:+g}", *_mean_and_stderr(cost), *_mean_and_stderr(base_cost - cost)))
+    # pathwise cost per shift size, each simulated once: the compared shifts
+    # first, then the parabola's other sizes
+    compared = (0.2, -0.2, 0.5, -0.5)
+    sizes = (*compared, -0.25, 0.25)
+    shifted = problem.costs([combine_controls(control, 1.0, s) for s in sizes])
+    j_rows = _paired_rows("solution", base_cost, [f"shift_{s:+g}" for s in compared], shifted[: len(compared)])
 
     lam_grid = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
-    js = np.array([float(cost_at(float(l)).mean()) for l in lam_grid])
+    costs = {0.0: base_cost, **dict(zip(sizes, shifted))}
+    js = np.array([float(costs[float(l)].mean()) for l in lam_grid])
     coefs = np.polyfit(lam_grid, js, 2)
     fit = np.polyval(coefs, lam_grid)
     scale = max(float(np.max(js) - np.min(js)), 1e-300)

@@ -32,12 +32,12 @@ control against scaled and shifted variants under common random numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from memsfde.adjoint import default_basis, solve_absde, stationarity_gap
+from memsfde.adjoint import _paired_rows, default_basis, solve_absde, stationarity_gap
 from memsfde.engine import (
     CoefficientSet,
     ControlProblem,
@@ -45,9 +45,7 @@ from memsfde.engine import (
     ParticleEnsemble,
     _as_time_fn,
     _materialize_history,
-    _mean_and_stderr,
     combine_controls,
-    pathwise_cost,
 )
 from memsfde.grid import SimGrid
 
@@ -232,15 +230,9 @@ class MeanVarVerification:
     lsmc_deficient_steps: int
 
     def rows(self):
-        yield "foc_residual_max", self.foc_residual_max
-        yield "p0_drift_z", self.p0_drift_z
-        yield "p0_drift_max_step_z", self.p0_drift_max_step_z
-        yield "lsmc_p0", self.lsmc_p0
-        yield "closed_p0", self.closed_p0
-        yield "lsmc_p0_rel_err", self.lsmc_p0_rel_err
-        yield "positivity_fraction", self.positivity_fraction
-        yield "min_abs_delayed_state", self.min_abs_delayed_state
-        yield "lsmc_deficient_steps", self.lsmc_deficient_steps
+        """``(name, value)`` of every field, in declaration order."""
+        for f in fields(self):
+            yield f.name, getattr(self, f.name)
 
 
 def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerification:
@@ -375,24 +367,18 @@ def j_comparison(optimal_cost: np.ndarray, sol: MeanVarSolution):
     sol.problem.coeffs)``; the optimal control is not simulated again, and
     its ensemble may be freed before the comparison, which then holds one
     variant ensemble at a time.  All variants run under common random
-    numbers: each is simulated on ``sol.problem``, whose noise the optimal
+    numbers: ``sol.problem.costs`` simulates each on the noise the optimal
     ensemble was simulated on, so each row's gap J(optimal) - J(variant)
     comes with a paired standard error.  Returns rows (label, J, stderr,
     gap, gap_stderr); optimality means every gap is no less than -3
     gap_stderr.
     """
-    problem = sol.problem
-    rows = [("optimal", *_mean_and_stderr(optimal_cost), 0.0, 0.0)]
-    for label, kind, amount in PERTURBATION_FAMILY:
-        if kind == "scale":
-            control = combine_controls(None, sol.feedback, amount)
-        else:
-            control = combine_controls(sol.feedback, 1.0, amount)
-        # the variant ensemble is not kept, so it is freed before the next
-        # one is simulated
-        cost = pathwise_cost(problem.simulate(control), problem.coeffs)
-        rows.append((label, *_mean_and_stderr(cost), *_mean_and_stderr(optimal_cost - cost)))
-    return rows
+    controls = [
+        combine_controls(None, sol.feedback, amount) if kind == "scale" else combine_controls(sol.feedback, 1.0, amount)
+        for _, kind, amount in PERTURBATION_FAMILY
+    ]
+    labels = [label for label, _, _ in PERTURBATION_FAMILY]
+    return _paired_rows("optimal", optimal_cost, labels, sol.problem.costs(controls))
 
 
 def stationarity_suite(sol: MeanVarSolution, eps: float = 1e-3):

@@ -168,16 +168,18 @@ def picard_solve(
     return ens, report
 
 
-def consistency_check(coeffs: CoefficientSet, ens_fp: ParticleEnsemble, xi=0.0, control=None) -> float:
+def consistency_check(coeffs: CoefficientSet, ens_fp: ParticleEnsemble) -> float:
     """Sup over the [0, T] mesh of the mean squared gap between the
     fixed-point solve and the direct scheme (same grid, same noise).
 
-    ``ens_fp`` is the ensemble :func:`picard_solve` returned for ``coeffs``,
-    ``xi`` and ``control``; the direct scheme runs on its grid, jump model
-    and noise, so nothing is solved or drawn again.  The gap is formed one
+    ``ens_fp`` is the ensemble :func:`picard_solve` returned for ``coeffs``;
+    the direct scheme runs on what it holds: its grid, jump model, noise,
+    initial history (``paths`` before time zero), control and control
+    history, so nothing is solved or drawn again.  The gap is formed one
     contiguous time row at a time, so no full-size temporary is held.
     """
-    ens_dir = simulate(coeffs, ens_fp.grid, jumps=ens_fp.jumps, xi=xi, control=control, noise=ens_fp.noise)
+    hist = ens_fp.paths[0, : ens_fp.grid.delta_steps + 1]
+    ens_dir = simulate(coeffs, ens_fp.grid, ens_fp.jumps, hist, ens_fp.control, ens_fp.control_history, ens_fp.noise)
     gaps = np.empty(ens_fp.grid.n_steps + 1)
     for k in range(len(gaps)):
         diff = ens_fp.state_column(k) - ens_dir.state_column(k)

@@ -97,7 +97,7 @@ def test_criterion_4_window_iteration_contracts():
         )
         ens, wide = picard_solve(coeffs, grid, xi=1.0, t0_steps=10)
         _, narrow = picard_solve(coeffs, grid, xi=1.0, t0_steps=5)
-        gap = consistency_check(coeffs, ens, xi=1.0)
+        gap = consistency_check(coeffs, ens)
         ok = (
             ok
             and wide.converged

@@ -569,6 +569,14 @@ class TestMaxCondition:
         with pytest.raises(ValueError):
             max_condition_gap(CoefficientSet(), ens, adj, [0.0], filtration="partial")
 
+    @pytest.mark.parametrize("keep", ["p0", "initial_p0"])
+    @pytest.mark.parametrize("filtration", ["trivial", "full"])
+    def test_a_triple_without_its_loadings_is_refused(self, keep, filtration):
+        ens = brownian_ensemble(10, seed=1)
+        adj = solve_absde(ens, terminal=lambda x, law: x, keep=keep)
+        with pytest.raises(ValueError, match="keep='all'"):
+            max_condition_gap(CoefficientSet(), ens, adj, [0.0, 0.5], filtration=filtration)
+
 
 class TestStationarityGap:
     @staticmethod

@@ -4,9 +4,13 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from memsfde import engine
 from memsfde.adjoint import solve_absde
@@ -268,6 +272,86 @@ class TestPerformance:
         j, se = problem.performance(-0.5)
         assert j == pytest.approx(-0.25, abs=1e-12)
         assert se == 0.0
+
+
+FINITE = st.floats(-2.0, 2.0, allow_nan=False, width=64)
+
+
+@st.composite
+def cost_cases(draw):
+    """A small problem with a drawn history and jump model, and 1-4
+    controls of every kind ``as_control`` takes."""
+    n, k, d = draw(st.integers(1, 7)), draw(st.integers(1, 12)), draw(st.integers(0, 4))
+    grid = SimGrid(dt=0.1, delta_steps=d, horizon=0.1 * k, n_particles=n, seed=draw(st.integers(0, 2**64 - 1)))
+    intensity = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    jumps = JumpModel(intensity=intensity, marks=(1.0, -0.5), probs=(0.4, 0.6))
+    running = draw(st.booleans())
+    coeffs = CoefficientSet(
+        drift=lambda t, x, xs, m, ms, u, us: 0.3 * xs[:, -1] - 0.5 * x + 0.2 * m.mean() + u + 0.1 * us[:, -1],
+        diffusion=lambda t, x, *rest: 0.2 + 0.1 * np.tanh(x),
+        jump=lambda t, x, xs, m, ms, u, us, mark: 0.1 * mark * np.tanh(xs[:, -1]),
+        running_cost=(lambda t, x, xs, m, ms, u, us: -0.5 * u * u + 0.1 * us[:, -1] * x) if running else None,
+        terminal_cost=lambda x, law: -0.5 * x * x + 0.1 * law.mean(),
+    )
+    xi = draw(st.one_of(FINITE, st.lists(FINITE, min_size=d + 1, max_size=d + 1).map(np.array)))
+    history = draw(st.one_of(st.sampled_from([0.0, -0.0]), FINITE, st.lists(FINITE, min_size=d, max_size=d).map(np.array)))
+
+    def feedback(a, b):
+        return lambda t, x, xs, law: a * xs[:, -1] + b * x - 0.1 * law.mean() + np.sin(t)
+
+    simple = st.one_of(
+        st.sampled_from([None, 0.0, -0.0]),
+        FINITE,
+        st.lists(FINITE, min_size=k + 1, max_size=k + 1).map(np.array),
+        st.lists(FINITE, min_size=n * (k + 1), max_size=n * (k + 1)).map(lambda v: np.array(v).reshape(n, k + 1)),
+        st.builds(feedback, FINITE, FINITE),
+    )
+    control = st.one_of(simple, st.builds(combine_controls, simple, simple, FINITE))
+    problem = ControlProblem(coeffs=coeffs, grid=grid, jumps=jumps, xi=xi, control_history=history)
+    return problem, draw(st.lists(control, min_size=1, max_size=4))
+
+
+class TestControlCosts:
+    """``ControlProblem.costs`` is the one place that costs controls."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(case=cost_cases())
+    def test_costs_are_the_fresh_pathwise_costs_one_ensemble_at_a_time(self, case):
+        problem, controls = case
+        alive = []
+
+        def tracked(*args, **kwargs):
+            # every ensemble this call simulated before is already freed
+            assert all(ref() is None for ref in alive)
+            ens = simulate(*args, **kwargs)
+            alive.append(weakref.ref(ens))
+            return ens
+
+        with mock.patch.object(engine, "simulate", tracked):
+            costs = problem.costs(controls)
+        assert len(alive) == len(controls)
+        assert all(ref() is None for ref in alive)
+        # each control on its own freshly drawn noise, bit for bit
+        expected = [
+            pathwise_cost(
+                simulate(
+                    problem.coeffs,
+                    problem.grid,
+                    jumps=problem.jumps,
+                    xi=problem.xi,
+                    control=control,
+                    control_history=problem.control_history,
+                ),
+                problem.coeffs,
+            )
+            for control in controls
+        ]
+        assert [c.tobytes() for c in costs] == [e.tobytes() for e in expected]
 
 
 class TestControls:

@@ -5,7 +5,8 @@ the output is checked on CLI runs in child processes; that this test process
 got the pin too (``conftest.py`` imports ``memsfde`` first) is checked here.
 The traced benchmark runner (``perfbench/tracer.py``) wraps the program's
 functions by name, so a refactor that renames or reshapes one of them shows
-here as a failed traced run or a missing span.
+here as a failed traced run, a missing span, or printed output or artifacts
+that differ from a plain run's.
 """
 
 from __future__ import annotations
@@ -116,8 +117,13 @@ def child_env(**overrides) -> dict:
     return env
 
 
-def run(argv, env) -> subprocess.CompletedProcess:
-    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+def run(argv, env, cwd=ROOT) -> subprocess.CompletedProcess:
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def artifacts(out) -> dict:
+    """Every file a run wrote under ``out`` except ``timing.txt``, by name."""
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out)) if name != "timing.txt"}
 
 
 def test_output_does_not_depend_on_the_blas_thread_setting(tmp_path):
@@ -128,7 +134,7 @@ def test_output_does_not_depend_on_the_blas_thread_setting(tmp_path):
         out = tmp_path / label
         done = run([sys.executable, "-m", "memsfde.cli", "lq", "--config", str(config), "--out", str(out)], env)
         assert done.returncode == 0, done.stderr
-        outputs[label] = {name: (out / name).read_bytes() for name in sorted(os.listdir(out)) if name != "timing.txt"}
+        outputs[label] = artifacts(out)
     assert sorted(outputs["unset"]) == ["control_path.csv", "convergence.csv", "manifest.json"]
     for name, data in outputs["unset"].items():
         assert data == outputs["pinned"][name], f"{name} depends on the BLAS thread setting"
@@ -155,9 +161,18 @@ def test_traced_runs_succeed_and_record_their_spans(tmp_path, command, config, s
     path = tmp_path / f"{command}.cfg"
     path.write_text(config, encoding="utf-8")
     trace = tmp_path / "spans.json"
-    argv = [sys.executable, TRACER, str(trace), command, "--config", str(path), "--out", str(tmp_path / "out")]
-    done = run(argv, child_env())
+    cli_args = [command, "--config", str(path), "--out", "out"]
+    # each run writes to "out" in its own directory, so both print the same path
+    runs = {}
+    for label, prefix in (("traced", [sys.executable, TRACER, str(trace)]), ("plain", [sys.executable, "-m", "memsfde.cli"])):
+        (tmp_path / label).mkdir()
+        runs[label] = run([*prefix, *cli_args], child_env(), cwd=tmp_path / label)
+    done, plain = runs["traced"], runs["plain"]
     assert done.returncode == 0, done.stderr
+    # tracing changes nothing the run prints or writes
+    assert plain.returncode == 0, plain.stderr
+    assert (done.stdout, done.stderr) == (plain.stdout, plain.stderr)
+    assert artifacts(tmp_path / "traced" / "out") == artifacts(tmp_path / "plain" / "out")
     with open(trace, encoding="utf-8") as handle:
         recorded = json.load(handle)
     assert spans <= {span[0] for span in recorded["spans"]}

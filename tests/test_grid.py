@@ -1,8 +1,11 @@
 """Mesh bookkeeping and the counter-based noise stream policy."""
 
+import math
+
 import numpy as np
 import pytest
 
+from memsfde.engine import JumpModel
 from memsfde.grid import BROWNIAN, JUMPS, SimGrid, step_generator, trapezoid_weights
 
 
@@ -34,6 +37,32 @@ def test_grid_validation():
         SimGrid(dt=0.3, delta_steps=1, horizon=1.0, n_particles=1, seed=0)  # T not a multiple
     with pytest.raises(ValueError):
         SimGrid(dt=0.1, delta_steps=-1, horizon=1.0, n_particles=1, seed=0)
+
+
+GRID = dict(dt=0.1, delta_steps=2, horizon=1.0, n_particles=3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        pytest.param(lambda: SimGrid(**{**GRID, "horizon": math.inf}), "horizon", id="horizon=inf"),
+        pytest.param(lambda: SimGrid(**{**GRID, "horizon": math.nan}), "horizon", id="horizon=nan"),
+        pytest.param(lambda: SimGrid(**{**GRID, "dt": math.nan}), "dt", id="dt=nan"),
+        pytest.param(lambda: SimGrid(**{**GRID, "delta_steps": 2.5}), "delta_steps", id="delta_steps=2.5"),
+        pytest.param(lambda: SimGrid(**{**GRID, "n_particles": 2.5}), "n_particles", id="n_particles=2.5"),
+        pytest.param(lambda: SimGrid(**{**GRID, "seed": -1}), "seed", id="seed=-1"),
+        pytest.param(lambda: SimGrid(**{**GRID, "seed": 2**64}), "seed", id="seed=2**64"),
+        pytest.param(lambda: SimGrid(**{**GRID, "seed": 1.5}), "seed", id="seed=1.5"),
+        pytest.param(lambda: JumpModel(intensity=math.nan), "intensity", id="intensity=nan"),
+        pytest.param(lambda: JumpModel(intensity=math.inf), "intensity", id="intensity=inf"),
+        pytest.param(lambda: JumpModel(intensity=1.0, probs=(math.nan,)), "probabilities", id="probs=nan"),
+    ],
+)
+def test_invalid_mesh_and_jump_inputs_are_refused_on_construction(make, named):
+    # each was accepted, or refused by an error that does not name it, and
+    # failed or silently misbehaved later
+    with pytest.raises(ValueError, match=named):
+        make()
 
 
 def test_horizon_must_span_at_least_one_step():

@@ -30,7 +30,7 @@ def linear_drift(rate: float, noise: float = 0.2) -> CoefficientSet:
 def solved_gap(coeffs: CoefficientSet, grid: SimGrid, xi: float, **kwargs) -> float:
     """Consistency gap of a fresh fixed-point solve; ``kwargs`` go to the solve."""
     ens, _ = picard_solve(coeffs, grid, xi=xi, **kwargs)
-    return consistency_check(coeffs, ens, xi=xi)
+    return consistency_check(coeffs, ens)
 
 
 class TestDegenerateMaps:
@@ -129,7 +129,8 @@ class TestNoiseReuse:
         # windows shorter than the lag with state-free noise coefficients: the
         # solve is exact, so paths, the replayed controls with their windows
         # and the stored noise match bit for bit, for no control, a
-        # per-particle open-loop array and a feedback rule
+        # per-particle open-loop array and a feedback rule; the consistency
+        # check, which takes the control from the ensemble, finds no gap
         grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.6, n_particles=8, seed=3)
         coeffs = CoefficientSet(
             drift=lambda t, x, xs, m, ms, u, us: xs[:, -1] + u,
@@ -152,6 +153,7 @@ class TestNoiseReuse:
             assert np.any(ens.brownian != 0.0) and np.any(ens.jump_counts != 0)
             uncontrolled = all(np.all(ens.control_at(k) == 0.0) for k in range(grid.n_steps + 1))
             assert (control is None) == uncontrolled
+            assert consistency_check(coeffs, ens) == 0.0
 
     def test_solved_ensemble_gives_the_recomputed_gap(self):
         # stop short of convergence so the gap is not trivially zero; a
@@ -166,7 +168,7 @@ class TestNoiseReuse:
         grid = SimGrid(dt=0.02, delta_steps=5, horizon=0.4, n_particles=64, seed=8)
         ens, _ = picard_solve(MEAN_FIELD_JUMPS, grid, jumps=TWO_MARKS, xi=1.0, t0_steps=5)
         monkeypatch.setattr(engine, "step_generator", lambda *a: pytest.fail("noise drawn again"))
-        assert consistency_check(MEAN_FIELD_JUMPS, ens, xi=1.0) == 0.0
+        assert consistency_check(MEAN_FIELD_JUMPS, ens) == 0.0
 
 
 class TestValidation:
