@@ -10,6 +10,9 @@ Every config key is declared once, in ``SCHEMA`` (parser, default, range
 checks), and read through ``ConfigFile.section``; checks spanning keys stay
 in code.
 
+A runner returns its CSV tables, checks and scalars, and ``_emit`` writes
+them with the manifest once the run has returned: exit 2 or 3 writes no file.
+
 Exit codes: 0 all built-in checks passed, 1 at least one check failed,
 2 invalid configuration (message anchored to file and line), 3 runtime abort
 (non-finite state, diverging fixed point, or a least-squares fit that fails
@@ -408,7 +411,8 @@ class RunResult:
     def __init__(self):
         self.checks: list = []
         self.scalars: dict = {}
-        self.artifacts: list = []
+        # artifact name -> (header, rows); ``_emit`` writes them
+        self.tables: dict = {}
 
     def add_check(self, name, passed, detail):
         self.checks.append(check(name, passed, detail))
@@ -422,7 +426,7 @@ class RunResult:
 # subcommand bodies
 
 
-def run_simulate(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> RunResult:
+def run_simulate(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
     res = RunResult()
     coeffs, xi = build_linear_coefficients(cfg.section("simulate"), jumps)
     ens = simulate(coeffs, grid, jumps=jumps, xi=xi)
@@ -434,9 +438,7 @@ def run_simulate(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) 
         col = states[:, k]
         var = float(col.var(ddof=1)) if grid.n_particles > 1 else 0.0
         rows.append((times[k], float(col.mean()), var) + tuple(float(q) for q in qs[:, k]))
-    path = os.path.join(outdir, "law_stats.csv")
-    write_csv(path, ("t", "mean", "var", "q05", "q25", "q50", "q75", "q95"), rows)
-    res.artifacts.append("law_stats.csv")
+    res.tables["law_stats.csv"] = (("t", "mean", "var", "q05", "q25", "q50", "q75", "q95"), rows)
 
     finite = bool(np.isfinite(states).all())
     res.add_check("finite_states", finite, f"max |X| = {np.abs(states).max():.6g}")
@@ -450,7 +452,7 @@ def run_simulate(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) 
     return res
 
 
-def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> RunResult:
+def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
     res = RunResult()
     values = cfg.section("picard")
     coeffs, xi = build_linear_coefficients(values, jumps)
@@ -467,9 +469,7 @@ def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) ->
         for m, dist in enumerate(dists):
             ratio = report.ratios[w][m - 1] if m >= 1 else float("nan")
             rows.append((w, m + 1, dist, ratio))
-    path = os.path.join(outdir, "picard_iters.csv")
-    write_csv(path, ("window", "iter", "distance", "ratio"), rows)
-    res.artifacts.append("picard_iters.csv")
+    res.tables["picard_iters.csv"] = (("window", "iter", "distance", "ratio"), rows)
 
     worst = report.worst_final_ratio
     res.add_check("converged", report.converged, f"iterations per window: {list(report.iterations)}")
@@ -491,7 +491,7 @@ def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) ->
     return res
 
 
-def run_norms(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> RunResult:
+def run_norms(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
     res = RunResult()
     values = cfg.section("norms")
     n_nodes, n_sets, n_samples = values["rule_points"], values["property_sets"], values["samples"]
@@ -555,17 +555,12 @@ def run_norms(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> 
     refine = abs(m_dist_sq(*pair, gauss_weight_rule(n_nodes)) - m_dist_sq(*pair, gauss_weight_rule(2 * n_nodes)))
     record("quadrature_doubling_gap", refine, 0.0, 1e-8)
 
-    write_csv(
-        os.path.join(outdir, "norms.csv"),
-        ("name", "computed", "expected", "abs_error", "tolerance", "passed"),
-        rows,
-    )
-    res.artifacts.append("norms.csv")
+    res.tables["norms.csv"] = (("name", "computed", "expected", "abs_error", "tolerance", "passed"), rows)
     res.scalars["closed_form_max_abs_error"] = max(r[3] for r in rows[:2])
     return res
 
 
-def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> RunResult:
+def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
     res = RunResult()
     spec = mean_variance.MeanVarSpec(**cfg.section("meanvar"), jumps=jumps)
     if grid.delta_steps < 1:
@@ -581,12 +576,10 @@ def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -
         raise ConfigError(message, path=cfg.path, line=cfg.section_lines.get("meanvar", 0), section="meanvar")
 
     ens = mean_variance.simulate_optimal(sol)
-    write_csv(os.path.join(outdir, "solution.csv"), ("t", "rate", "phi", "psi"), sol.rows())
-    res.artifacts.append("solution.csv")
+    res.tables["solution.csv"] = (("t", "rate", "phi", "psi"), list(sol.rows()))
 
     ver = mean_variance.verify_adjoint(ens, sol)
-    write_csv(os.path.join(outdir, "verification.csv"), ("name", "value"), ver.rows())
-    res.artifacts.append("verification.csv")
+    res.tables["verification.csv"] = (("name", "value"), list(ver.rows()))
 
     # the comparison reads only the optimal cost, so the ensemble is freed
     # before its variants are simulated
@@ -599,12 +592,7 @@ def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -
         ok = label == "optimal" or jgap >= -3.0 * gse
         dominance = dominance and ok
         out_rows.append((label, j, se, jgap, gse, ok))
-    write_csv(
-        os.path.join(outdir, "j_comparison.csv"),
-        ("control", "J", "stderr", "gap_vs_optimal", "gap_stderr", "passed"),
-        out_rows,
-    )
-    res.artifacts.append("j_comparison.csv")
+    res.tables["j_comparison.csv"] = (("control", "J", "stderr", "gap_vs_optimal", "gap_stderr", "passed"), out_rows)
 
     res.add_check(
         "first_order_condition",
@@ -635,27 +623,20 @@ def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -
     return res
 
 
-def run_lq(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> RunResult:
+def run_lq(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
     res = RunResult()
     values = cfg.section("lq")
     spec = lq_memory.LQSpec(**_subset(values, "kernel", "alpha0", "beta0", "xi"), jumps=jumps)
     solution = lq_memory.solve_lq(spec, grid, **_subset(values, "damping", "tol", "max_iter"))
     control, report = solution.control, solution.report
-    write_csv(
-        os.path.join(outdir, "convergence.csv"),
-        ("iter", "change"),
-        [(i + 1, c) for i, c in enumerate(report.changes)],
-    )
-    res.artifacts.append("convergence.csv")
-    write_csv(
-        os.path.join(outdir, "control_path.csv"),
+    res.tables["convergence.csv"] = (("iter", "change"), [(i + 1, c) for i, c in enumerate(report.changes)])
+    res.tables["control_path.csv"] = (
         ("t", "mean", "std"),
         [
             (t, float(control[:, k].mean()), float(control[:, k].std(ddof=1)) if grid.n_particles > 1 else 0.0)
             for k, t in enumerate(grid.times())
         ],
     )
-    res.artifacts.append("control_path.csv")
 
     res.add_check(
         "converged",
@@ -669,8 +650,7 @@ def run_lq(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel, outdir: str) -> Run
 
     if values["verify"]:
         ver = lq_memory.verify_lq(solution, **_subset(values, "eps"))
-        write_csv(os.path.join(outdir, "verification.csv"), ("name", "value"), ver.rows())
-        res.artifacts.append("verification.csv")
+        res.tables["verification.csv"] = (("name", "value"), list(ver.rows()))
 
         dominance = all(jgap >= -3.0 * gse for label, _, _, jgap, gse in ver.j_rows if label != "solution")
         res.add_check(
@@ -781,6 +761,8 @@ def _finite_or_none(value):
 
 def _emit(outdir, problem, cfg, grid, threads, seed_overridden, result, started):
     os.makedirs(outdir, exist_ok=True)
+    for name, (header, rows) in result.tables.items():
+        write_csv(os.path.join(outdir, name), header, rows)
     manifest = {
         "problem": problem,
         "package": "memsfde",
@@ -801,7 +783,7 @@ def _emit(outdir, problem, cfg, grid, threads, seed_overridden, result, started)
         "scalars": {k: _finite_or_none(result.scalars[k]) for k in sorted(result.scalars)},
         "checks": result.checks,
         "checks_passed": result.all_passed,
-        "artifacts": sorted(result.artifacts),
+        "artifacts": sorted(result.tables),
         "timing_file": "timing.txt",
     }
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as handle:
@@ -904,11 +886,10 @@ def main(argv=None) -> int:
         jumps = build_jumps(cfg)
         outdir = args.out or output.get("dir") or os.path.join("out", args.command)
 
-        os.makedirs(outdir, exist_ok=True)
         # an overflow is reported once, by the non-finite-state abort, not
         # also as a numpy RuntimeWarning
         with np.errstate(over="ignore", invalid="ignore"), _logs_held_until_return():
-            result = RUNNERS[args.command](cfg, grid, jumps, outdir)
+            result = RUNNERS[args.command](cfg, grid, jumps)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -921,7 +902,7 @@ def main(argv=None) -> int:
 
     _emit(outdir, args.command, cfg, grid, threads, seed_overridden, result, started)
     _print_checks(result)
-    print(f"wrote {len(result.artifacts) + 2} files to {outdir}")
+    print(f"wrote {len(result.tables) + 2} files to {outdir}")
     print(f"status: {'ok' if result.all_passed else 'checks-failed'}")
     return EXIT_OK if result.all_passed else EXIT_CHECKS_FAILED
 

@@ -141,6 +141,8 @@ class JumpModel:
         probs = tuple(float(p) for p in self.probs)
         if len(marks) != len(probs) or not marks:
             raise ValueError("marks and probs must be non-empty and match")
+        if not all(math.isfinite(z) for z in marks):
+            raise ValueError(f"marks={self.marks} must be finite")
         if not (all(p >= 0.0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-9):
             raise ValueError("mark probabilities must be non-negative and sum to 1")
         object.__setattr__(self, "marks", marks)
@@ -179,9 +181,11 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class _Control:
-    """A control normalized to ``value(k, t, x, x_seg, law) -> (N,)``."""
+    """A control normalized to ``value(k, t, x, x_seg, law) -> (N,)``;
+    ``shapes`` are the shapes of the mesh arrays it reads."""
 
     value: Callable
+    shapes: tuple = ()
 
 
 # the control of uncontrolled dynamics; from a +0.0 control history its
@@ -194,10 +198,11 @@ def as_control(obj) -> _Control:
 
     Arrays hold open-loop values on the [0, T] mesh, shape (K+1,) shared or
     (N, K+1) per particle (``simulate`` and ``picard_solve`` reject any
-    other shape); a float64 array is referenced, not copied, and an
-    ensemble replays its values from it, so it must not change while the
-    ensemble is read.  Callables receive ``(t, x, x_seg, law)`` and return
-    per-particle values.  ``None`` is the zero control, one shared instance.
+    other shape, bare or inside :func:`combine_controls`); a float64 array
+    is referenced, not copied, and an ensemble replays its values from it,
+    so it must not change while the ensemble is read.  Callables receive
+    ``(t, x, x_seg, law)`` and return per-particle values.  ``None`` is the
+    zero control, one shared instance.
     """
     if obj is None:
         return _ZERO_CONTROL
@@ -209,8 +214,8 @@ def as_control(obj) -> _Control:
     if isinstance(obj, np.ndarray):
         values = np.asarray(obj, dtype=float)
         if values.ndim == 1:
-            return _Control(lambda k, t, x, x_seg, law: np.full_like(x, values[k]))
-        return _Control(lambda k, t, x, x_seg, law: values[:, k])
+            return _Control(lambda k, t, x, x_seg, law: np.full_like(x, values[k]), (values.shape,))
+        return _Control(lambda k, t, x, x_seg, law: values[:, k], (values.shape,))
     if callable(obj):
         return _Control(
             lambda k, t, x, x_seg, law: np.broadcast_to(np.asarray(obj(t, x, x_seg, law), dtype=float), x.shape)
@@ -236,19 +241,18 @@ def combine_controls(base, direction, scale: float) -> _Control:
         out = np.zeros_like(x) + base.value(k, t, x, x_seg, law)
         return out + scale * direction.value(k, t, x, x_seg, law)
 
-    return _Control(value)
+    return _Control(value, base.shapes + direction.shapes)
 
 
 def _grid_control(control, grid: SimGrid) -> _Control:
-    """``as_control(control)``, with an array control checked against the
-    mesh first: its shape must be (K+1,) or (N, K+1)."""
-    if isinstance(control, np.ndarray):
-        N, K = grid.n_particles, grid.n_steps
-        if control.shape not in ((K + 1,), (N, K + 1)):
-            raise MeshMismatchError(
-                f"control array has shape {control.shape}; the mesh needs ({K + 1},) or ({N}, {K + 1})"
-            )
-    return as_control(control)
+    """``as_control(control)``, with every array it reads checked against
+    the mesh: each shape must be (K+1,) or (N, K+1)."""
+    ctrl = as_control(control)
+    N, K = grid.n_particles, grid.n_steps
+    for shape in ctrl.shapes:
+        if shape not in ((K + 1,), (N, K + 1)):
+            raise MeshMismatchError(f"control array has shape {shape}; the mesh needs ({K + 1},) or ({N}, {K + 1})")
+    return ctrl
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +355,24 @@ class ParticleEnsemble:
 
 
 def _materialize_history(xi, grid: SimGrid) -> np.ndarray:
-    """Initial data on the mesh of [-delta, 0], time-ordered, shape (d + 1,)."""
+    """Initial data on the mesh of [-delta, 0], time-ordered, shape (d + 1,),
+    checked to be finite."""
     d = grid.delta_steps
     ts = grid.times_full()[: d + 1]
     if xi is None:
         return np.zeros(d + 1)
     if np.isscalar(xi):
-        return np.full(d + 1, float(xi))
-    if callable(xi):
-        return np.array([float(xi(t)) for t in ts])
-    arr = np.asarray(xi, dtype=float)
-    if arr.shape != (d + 1,):
-        raise MeshMismatchError(
-            f"initial history must have delta_steps + 1 = {d + 1} values, got shape {arr.shape}"
-        )
+        arr = np.full(d + 1, float(xi))
+    elif callable(xi):
+        arr = np.array([float(xi(t)) for t in ts])
+    else:
+        arr = np.asarray(xi, dtype=float)
+        if arr.shape != (d + 1,):
+            raise MeshMismatchError(
+                f"initial history must have delta_steps + 1 = {d + 1} values, got shape {arr.shape}"
+            )
+    if not np.isfinite(arr).all():
+        raise ValueError(f"initial history xi must be finite on the mesh of [-delta, 0], got {arr}")
     return arr
 
 
@@ -405,14 +413,16 @@ def _mesh_array(grid: SimGrid) -> np.ndarray:
 
 
 def _control_history(grid: SimGrid, control_history) -> np.ndarray | None:
-    """The control's values before time zero, a copied scalar or (d,) float
-    array; ``None`` when there is no memory window, which reads none."""
+    """The control's values before time zero, a copied finite scalar or (d,)
+    float array; ``None`` when there is no memory window, which reads none."""
     d = grid.delta_steps
     if d == 0:
         return None
     hist = np.array(control_history, dtype=float)
     if hist.ndim != 0 and hist.shape != (d,):
         raise MeshMismatchError(f"control history must be scalar or shape ({d},)")
+    if not np.isfinite(hist).all():
+        raise ValueError(f"control_history must be finite, got {control_history!r}")
     return hist
 
 
@@ -460,17 +470,27 @@ class _ControlRing:
 
 
 def _new_ensemble(
-    grid: SimGrid, jumps: JumpModel | None, xi, noise: tuple, ctrl: _Control, control_history=0.0
+    coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None, xi, ctrl: _Control, control_history=0.0, noise=None
 ) -> ParticleEnsemble:
-    """Ensemble over ``noise`` (referenced, not copied) with the state
-    history filled in and the rest of ``paths`` zero (a :func:`_mesh_array`
-    array), driven by ``ctrl`` from ``control_history``.  ``jumps=None``
-    means no jumps.
+    """Ensemble with the state history filled in and the rest of ``paths``
+    zero (a :func:`_mesh_array` array), driven by ``ctrl`` from
+    ``control_history``, over ``noise`` (referenced, not copied; drawn here
+    when ``None``).  Both histories are checked before any noise is drawn.
+    ``jumps=None`` means no jumps.
     """
+    history = _materialize_history(xi, grid)
+    control_history = _control_history(grid, control_history)
+    if noise is None:
+        noise = draw_noise(coeffs, grid, jumps)
+    else:
+        shapes = tuple(None if arr is None else arr.shape for arr in noise)
+        expected = _noise_shapes(coeffs, grid, jumps)
+        if shapes != expected:
+            raise MeshMismatchError(f"noise shapes {shapes} do not match the problem's {expected}")
     jumps = jumps if jumps is not None else JumpModel.none()
     d = grid.delta_steps
     paths = _mesh_array(grid)
-    paths[:, : d + 1] = _materialize_history(xi, grid)
+    paths[:, : d + 1] = history
 
     brownian, jump_counts = noise
     return ParticleEnsemble(
@@ -480,7 +500,7 @@ def _new_ensemble(
         jump_counts=jump_counts,
         jumps=jumps,
         control=ctrl,
-        control_history=_control_history(grid, control_history),
+        control_history=control_history,
     )
 
 
@@ -597,15 +617,7 @@ def simulate(
     The integration holds the control window in a ring of d + 1 values; the
     ensemble keeps no control array (see :class:`ParticleEnsemble`).
     """
-    ctrl = _grid_control(control, grid)
-    if noise is None:
-        noise = draw_noise(coeffs, grid, jumps)
-    else:
-        shapes = tuple(None if arr is None else arr.shape for arr in noise)
-        expected = _noise_shapes(coeffs, grid, jumps)
-        if shapes != expected:
-            raise MeshMismatchError(f"noise shapes {shapes} do not match the problem's {expected}")
-    ens = _new_ensemble(grid, jumps, xi, noise, ctrl, control_history)
+    ens = _new_ensemble(coeffs, grid, jumps, xi, _grid_control(control, grid), control_history, noise)
     _euler_window(coeffs, ens, ens.paths, _ControlRing(ens, grid.delta_steps + 1), 0, grid.n_steps)
     # no step starts at the horizon, but its control is evaluated, so a
     # control that fails there fails here rather than in a later reader

@@ -225,8 +225,10 @@ def solve_lq(
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     problem = control_problem(spec, grid)
     K, N = grid.n_steps, grid.n_particles
     wq = trapezoid_weights(K + 1, grid.dt)

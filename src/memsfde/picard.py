@@ -39,7 +39,6 @@ from memsfde.engine import (
     _grid_control,
     _mesh_array,
     _new_ensemble,
-    draw_noise,
     simulate,
 )
 from memsfde.grid import SimGrid
@@ -114,7 +113,7 @@ def picard_solve(
         raise ValueError(f"tol must be non-negative, got {tol}")
     ctrl = _grid_control(control, grid)
 
-    ens = _new_ensemble(grid, jumps, xi, draw_noise(coeffs, grid, jumps), ctrl)
+    ens = _new_ensemble(coeffs, grid, jumps, xi, ctrl)
     paths = ens.paths
     # the frozen iterate: its own paths, the solve's control and noise
     prev = _mesh_array(grid)

@@ -340,6 +340,31 @@ class TestRuntimeAborts:
         assert err.startswith("runtime abort:")
         assert "consecutive sweeps" in err
 
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            (MEANVAR_TINY.replace("xi = 2.0", "xi = 1e300"), EXIT_RUNTIME_ABORT),
+            (MEANVAR_TINY.replace("delta = 0.1", "delta = 0"), EXIT_BAD_CONFIG),
+        ],
+        ids=["overflow", "zero_lag"],
+    )
+    def test_an_aborted_run_creates_no_output(self, tmp_path, capsys, text, code):
+        # both fail inside the runner: the first after the optimal ensemble
+        # and its solution table exist, the second at a cross-key check
+        out = tmp_path / "fresh"
+        assert main(["meanvar", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == code
+        assert not out.exists()
+
+    def test_an_aborted_run_leaves_an_earlier_run_untouched(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["meanvar", "--config", write_cfg(tmp_path, MEANVAR_TINY), "--out", str(out)]) == EXIT_OK
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        # another drift rate gives another solution table
+        text = MEANVAR_TINY.replace("xi = 2.0", "xi = 1e300").replace("b0 = 0.1", "b0 = 0.3")
+        path = write_cfg(tmp_path, text, name="overflow.cfg")
+        assert main(["meanvar", "--config", path, "--out", str(out)]) == EXIT_RUNTIME_ABORT
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
 
 class TestFailedChecks:
     def test_unconverged_fixed_point_exits_1_and_reports_fail(self, tmp_path, capsys):

@@ -82,6 +82,34 @@ class TestDegenerateDynamics:
         with pytest.raises(MeshMismatchError):
             simulate(LAGGED_DRIFT, grid, xi=np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("control_history", None),
+            ("control_history", math.nan),
+            ("control_history", np.array([0.0, math.inf])),
+            ("xi", math.nan),
+            ("xi", -math.inf),
+            ("xi", np.array([1.0, math.nan, 1.0])),
+            ("xi", lambda t: math.inf),
+        ],
+    )
+    def test_non_finite_histories_are_refused_before_the_noise_is_drawn(self, name, value):
+        # each reached step 0 and failed there as a non-finite state, which
+        # blames the mesh; at d = 0 the control history is never read
+        grid = SimGrid(dt=0.1, delta_steps=2, horizon=0.5, n_particles=3, seed=1)
+        coeffs = CoefficientSet(drift=lambda *a: pytest.fail("a step ran"), diffusion=lambda *a: 0.3)
+        runs = [lambda: simulate(coeffs, grid, **{name: value})]
+        if name == "xi":
+            runs.append(lambda: picard_solve(coeffs, grid, xi=value))
+        with mock.patch.object(engine, "draw_noise", side_effect=AssertionError("the noise was drawn")):
+            for run in runs:
+                with pytest.raises(ValueError, match=name):
+                    run()
+        if name == "control_history":
+            no_lag = SimGrid(dt=0.1, delta_steps=0, horizon=0.5, n_particles=3, seed=1)
+            simulate(LAGGED_DRIFT, no_lag, xi=1.0, control_history=value)
+
 
 class TestNoiseMoments:
     def test_brownian_variance(self):
@@ -399,22 +427,30 @@ class TestControls:
         with pytest.raises(TypeError):
             as_control({"not": "a control"})
 
-    @pytest.mark.parametrize("shape", [(10,), (5, 10), (12,), (1, 11), (3, 11)])
+    @pytest.mark.parametrize("shape", [(10,), (5, 10), (12,), (1, 11), (3, 11), (5, 12)])
     def test_array_controls_must_fit_the_mesh(self, shape):
         # K = 10 steps and N = 5 particles: only (11,) and (5, 11) fit, and
-        # any other array is refused before a step runs
+        # any other array is refused before a step runs, bare or as either
+        # operand of combine_controls
         grid = SimGrid(dt=0.1, delta_steps=2, horizon=1.0, n_particles=5, seed=0)
         coeffs = CoefficientSet(drift=lambda *a: pytest.fail("a step ran"))
-        control = np.zeros(shape)
-        runs = (
-            lambda: simulate(coeffs, grid, control=control),
-            lambda: ControlProblem(coeffs=coeffs, grid=grid).simulate(control),
-            lambda: picard_solve(coeffs, grid, control=control),
-        )
-        for run in runs:
-            with pytest.raises(MeshMismatchError, match=re.escape(str(shape))) as err:
-                run()
-            assert "(11,)" in str(err.value) and "(5, 11)" in str(err.value)
+        array = np.zeros(shape)
+        fitting = np.zeros(11)
+        for control in (
+            array,
+            combine_controls(array, None, 1.0),
+            combine_controls(fitting, array, -0.5),
+            combine_controls(combine_controls(0.5, fitting, 1.0), combine_controls(None, array, 2.0), 1.0),
+        ):
+            runs = (
+                lambda: simulate(coeffs, grid, control=control),
+                lambda: ControlProblem(coeffs=coeffs, grid=grid).simulate(control),
+                lambda: picard_solve(coeffs, grid, control=control),
+            )
+            for run in runs:
+                with pytest.raises(MeshMismatchError, match=re.escape(str(shape))) as err:
+                    run()
+                assert "(11,)" in str(err.value) and "(5, 11)" in str(err.value)
 
 
 class TestSharedNoise:

@@ -56,6 +56,8 @@ GRID = dict(dt=0.1, delta_steps=2, horizon=1.0, n_particles=3, seed=0)
         pytest.param(lambda: JumpModel(intensity=math.nan), "intensity", id="intensity=nan"),
         pytest.param(lambda: JumpModel(intensity=math.inf), "intensity", id="intensity=inf"),
         pytest.param(lambda: JumpModel(intensity=1.0, probs=(math.nan,)), "probabilities", id="probs=nan"),
+        pytest.param(lambda: JumpModel(intensity=1.0, marks=(math.inf,)), "marks", id="marks=inf"),
+        pytest.param(lambda: JumpModel(intensity=1.0, marks=(math.nan,)), "marks", id="marks=nan"),
     ],
 )
 def test_invalid_mesh_and_jump_inputs_are_refused_on_construction(make, named):

@@ -106,6 +106,16 @@ class TestSolverBehaviour:
         with pytest.raises(ValueError, match="max_iter"):
             solve_lq(LQSpec(), DESK_GRID, max_iter=0)
 
+    @pytest.mark.parametrize(
+        "name, value", [("tol", 0.0), ("tol", -1e-4), ("tol", math.nan), ("max_iter", 2.5), ("max_iter", "3")]
+    )
+    def test_stopping_rule_validated_before_any_sweep(self, name, value, monkeypatch):
+        # a non-positive or NaN tol ran every sweep and returned unconverged;
+        # a non-integer max_iter failed in range() with a TypeError
+        monkeypatch.setattr(engine.ControlProblem, "simulate", lambda *a: pytest.fail("a sweep ran"))
+        with pytest.raises(ValueError, match=name):
+            solve_lq(LQSpec(), DESK_GRID, **{name: value})
+
     def test_kernel_forms_agree(self):
         grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.2, n_particles=3, seed=1)
         by_const = LQSpec(kernel=2.0).delay_functional(grid).kernel

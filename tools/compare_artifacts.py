@@ -8,7 +8,9 @@ The runs are the ones a pure refactor must leave byte-identical:
 - every ``configs/*.cfg`` of this checkout, run with its ``problem``;
 - ``selftest --out``;
 - each benchmark workload's config (``perfbench/workloads.py``, imported
-  read-only) at every ``--seeds`` value.
+  read-only) at every ``--seeds`` value;
+- three small edge configs that end in exit 1, 2 and 3, so the contract's
+  failure paths are compared like its successes.
 
 Each workload at the first ``--seeds`` value also runs once more in this
 checkout under the benchmark's tracer, ``python3 perfbench/tracer.py SPANS
@@ -47,6 +49,22 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNCOMPARED_FILES = ("timing.txt",)
 
+_EDGE_GRID = "[grid]\nhorizon = 0.5\ndelta = {delta}\ndt = 0.05\nparticles = 200\nseed = 3\n\n"
+# name -> (subcommand, config text)
+EDGE_CONFIGS = {
+    # one sweep per window cannot converge: a failed check
+    "edge_exit1": (
+        "picard",
+        _EDGE_GRID.format(delta=0.1) + "[picard]\nxi = 1.0\ndrift_lag = 1.0\ndiff_const = 0.2\nt0 = 0.1\nmax_iter = 1\n",
+    ),
+    # the wealth problem needs a lag of at least one step: a config error
+    # found inside the runner
+    "edge_exit2": ("meanvar", _EDGE_GRID.format(delta=0) + "[meanvar]\nxi = 2.0\n"),
+    # a history too large to square: a runtime abort after the optimal
+    # ensemble is simulated
+    "edge_exit3": ("meanvar", _EDGE_GRID.format(delta=0.1) + "[meanvar]\nxi = 1e300\n"),
+}
+
 
 def config_runs(root: str) -> list:
     """``(name, argv)`` for every shipped config, by its ``problem`` line."""
@@ -76,6 +94,18 @@ def workload_runs(root: str, seeds, config_dir: str) -> list:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(workloads.config_text(name, seed))
             runs.append((f"{name}@{seed}", [spec["command"], "--config", path]))
+    return runs
+
+
+def edge_runs(config_dir: str) -> list:
+    """``(name, argv)`` for each of ``EDGE_CONFIGS``, written into
+    ``config_dir``."""
+    runs = []
+    for name, (command, text) in EDGE_CONFIGS.items():
+        path = os.path.join(config_dir, f"{name}.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(f"problem = {command}\n\n{text}")
+        runs.append((name, [command, "--config", path]))
     return runs
 
 
@@ -174,7 +204,12 @@ def main(argv=None) -> int:
         )
         config_dir = os.path.join(work, "configs")
         os.makedirs(config_dir)
-        runs = config_runs(ROOT) + [("selftest", ["selftest"])] + workload_runs(ROOT, args.seeds, config_dir)
+        runs = (
+            config_runs(ROOT)
+            + [("selftest", ["selftest"])]
+            + workload_runs(ROOT, args.seeds, config_dir)
+            + edge_runs(config_dir)
+        )
         base, change = Tree("base", worktree, work), Tree("change", ROOT, work)
         traced = Tree("traced", ROOT, work, traced=True)
         traced_runs = [(name, cmd) for name, cmd in runs if name.endswith(f"@{args.seeds[0]}")]
