@@ -19,6 +19,7 @@ The pieces fit together like this:
 * :mod:`memsfde.cli` - experiment runner (config file in, CSV + manifest out).
 """
 
+import importlib
 import os
 import sys
 
@@ -31,93 +32,59 @@ _NUMPY_PRELOADED = "numpy" in sys.modules
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from memsfde.grid import SimGrid, step_generator
-from memsfde.measures import (
-    EmpiricalMeasure,
-    MeasureSegment,
-    QuadratureRule,
-    cf_dist_sq,
-    ecf,
-    gauss_weight_rule,
-    law_dist_l2_bound,
-    m_dist_sq,
-    m_norm_sq,
-    m_segment_dist_sq,
-)
-from memsfde.segments import (
-    GridPath,
-    Segment,
-    backward_segment,
-    forward_segment,
-    l2_norm_sq,
-    sup_norm,
-)
-from memsfde.engine import (
-    CoefficientSet,
-    ControlProblem,
-    JumpModel,
-    MeshMismatchError,
-    ParticleEnsemble,
-    SimulationBlowupError,
-    law_at,
-    law_segment,
-    pathwise_cost,
-    performance,
-    simulate,
-)
-from memsfde.picard import PicardReport, consistency_check, picard_solve
-from memsfde.adjoint import (
-    AdjointTriple,
-    HamiltonianInputs,
-    SegmentFunctional,
-    hamiltonian,
-    max_condition_gap,
-    riesz_advanced,
-    riesz_duality_check,
-    solve_absde,
-    stationarity_gap,
-)
+# Exported names by defining module.  Each is imported on first access
+# (PEP 562), so a program that imports one module of the package, such as
+# one CLI subcommand, loads only the modules that module needs.
+_EXPORTS = {
+    "memsfde.grid": ("SimGrid", "step_generator"),
+    "memsfde.measures": (
+        "EmpiricalMeasure",
+        "MeasureSegment",
+        "QuadratureRule",
+        "gauss_weight_rule",
+        "ecf",
+        "m_norm_sq",
+        "m_dist_sq",
+        "m_segment_dist_sq",
+        "cf_dist_sq",
+        "law_dist_l2_bound",
+    ),
+    "memsfde.segments": ("GridPath", "Segment", "backward_segment", "forward_segment", "sup_norm", "l2_norm_sq"),
+    "memsfde.engine": (
+        "CoefficientSet",
+        "JumpModel",
+        "ParticleEnsemble",
+        "ControlProblem",
+        "MeshMismatchError",
+        "SimulationBlowupError",
+        "simulate",
+        "law_at",
+        "law_segment",
+        "performance",
+        "pathwise_cost",
+    ),
+    "memsfde.picard": ("PicardReport", "picard_solve", "consistency_check"),
+    "memsfde.adjoint": (
+        "AdjointTriple",
+        "HamiltonianInputs",
+        "SegmentFunctional",
+        "hamiltonian",
+        "riesz_advanced",
+        "riesz_duality_check",
+        "solve_absde",
+        "max_condition_gap",
+        "stationarity_gap",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "SimGrid",
-    "step_generator",
-    "EmpiricalMeasure",
-    "MeasureSegment",
-    "QuadratureRule",
-    "gauss_weight_rule",
-    "ecf",
-    "m_norm_sq",
-    "m_dist_sq",
-    "m_segment_dist_sq",
-    "cf_dist_sq",
-    "law_dist_l2_bound",
-    "GridPath",
-    "Segment",
-    "backward_segment",
-    "forward_segment",
-    "sup_norm",
-    "l2_norm_sq",
-    "CoefficientSet",
-    "JumpModel",
-    "ParticleEnsemble",
-    "ControlProblem",
-    "MeshMismatchError",
-    "SimulationBlowupError",
-    "simulate",
-    "law_at",
-    "law_segment",
-    "performance",
-    "pathwise_cost",
-    "PicardReport",
-    "picard_solve",
-    "consistency_check",
-    "AdjointTriple",
-    "HamiltonianInputs",
-    "SegmentFunctional",
-    "hamiltonian",
-    "riesz_advanced",
-    "riesz_duality_check",
-    "solve_absde",
-    "max_condition_gap",
-    "stationarity_gap",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -12,6 +12,8 @@ in code.
 
 A runner returns its CSV tables, checks and scalars, and ``_emit`` writes
 them with the manifest once the run has returned: exit 2 or 3 writes no file.
+A runner imports the solver modules it uses when it runs, so a subcommand
+loads only its own.
 
 Exit codes: 0 all built-in checks passed, 1 at least one check failed,
 2 invalid configuration (message anchored to file and line), 3 runtime abort
@@ -33,18 +35,15 @@ import time
 
 import numpy as np
 
-from memsfde import lq_memory
-from memsfde import mean_variance
-from memsfde.adjoint import solve_absde
 from memsfde.engine import (
     CoefficientSet,
+    FixedPointDivergence,
     JumpModel,
     SimulationBlowupError,
     pathwise_cost,
     simulate,
 )
 from memsfde.grid import SimGrid, trapezoid_weights
-from memsfde.lq_memory import FixedPointDivergence
 from memsfde.measures import (
     SQRT_PI,
     EmpiricalMeasure,
@@ -57,7 +56,6 @@ from memsfde.measures import (
     m_norm_sq,
     m_segment_dist_sq,
 )
-from memsfde.picard import consistency_check, picard_solve
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -453,6 +451,8 @@ def run_simulate(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
 
 
 def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
+    from memsfde.picard import consistency_check, picard_solve
+
     res = RunResult()
     values = cfg.section("picard")
     coeffs, xi = build_linear_coefficients(values, jumps)
@@ -561,6 +561,8 @@ def run_norms(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
 
 
 def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
+    from memsfde import mean_variance
+
     res = RunResult()
     spec = mean_variance.MeanVarSpec(**cfg.section("meanvar"), jumps=jumps)
     if grid.delta_steps < 1:
@@ -624,6 +626,8 @@ def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
 
 
 def run_lq(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
+    from memsfde import lq_memory
+
     res = RunResult()
     values = cfg.section("lq")
     spec = lq_memory.LQSpec(**_subset(values, "kernel", "alpha0", "beta0", "xi"), jumps=jumps)
@@ -688,6 +692,9 @@ def _bound(label: str, err: float, tol: float) -> str:
 
 
 def selftest_checks() -> list:
+    from memsfde import lq_memory, mean_variance
+    from memsfde.adjoint import solve_absde
+
     checks = []
 
     # closed-form values of the weighted measure norm

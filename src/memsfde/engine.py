@@ -85,6 +85,7 @@ from memsfde.measures import EmpiricalMeasure, MeasureSegment
 __all__ = [
     "MeshMismatchError",
     "SimulationBlowupError",
+    "FixedPointDivergence",
     "JumpModel",
     "CoefficientSet",
     "ParticleEnsemble",
@@ -115,6 +116,10 @@ class SimulationBlowupError(RuntimeError):
             f"non-finite state for {n_bad} particle(s) at step {step} (t={time:g}); "
             "reduce dt or check coefficient growth"
         )
+
+
+class FixedPointDivergence(RuntimeError):
+    """Control changes grew for several consecutive fixed-point sweeps."""
 
 
 @dataclass(frozen=True)
@@ -221,6 +226,11 @@ def as_control(obj) -> _Control:
             lambda k, t, x, x_seg, law: np.broadcast_to(np.asarray(obj(t, x, x_seg, law), dtype=float), x.shape)
         )
     raise TypeError(f"cannot interpret {type(obj).__name__} as a control")
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a bool not counted."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _as_time_fn(v) -> Callable[[float], float]:
@@ -576,9 +586,13 @@ def _euler_window(
         u = read_ens._control_value(k, x, x_seg, law)
         u_seg = ring.push(idx, u)
 
-        nxt = write_paths[:, idx].copy()
+        # the step accumulates in its own row of write_paths; every input
+        # above is a view of columns up to idx, which it leaves alone
+        nxt = write_paths[:, idx + 1]
         if coeffs.drift is not None:
-            nxt += dt * np.asarray(coeffs.drift(t, x, x_seg, law, law_seg, u, u_seg))
+            np.add(write_paths[:, idx], dt * np.asarray(coeffs.drift(t, x, x_seg, law, law_seg, u, u_seg)), out=nxt)
+        else:
+            nxt[...] = write_paths[:, idx]
         if coeffs.diffusion is not None:
             nxt += np.asarray(coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg)) * read_ens.brownian[:, k]
         if jump_counts is not None:
@@ -588,10 +602,8 @@ def _euler_window(
                 # a float64 product whatever the counts' integer dtype
                 nxt += np.multiply(counts[:, a], g, dtype=float) - jumps.intensity * p * g * dt
 
-        bad = ~np.isfinite(nxt)
-        if bad.any():
-            raise SimulationBlowupError(step=k, time=t, n_bad=int(bad.sum()))
-        write_paths[:, idx + 1] = nxt
+        if not np.isfinite(nxt).all():
+            raise SimulationBlowupError(step=k, time=t, n_bad=int(np.count_nonzero(~np.isfinite(nxt))))
 
 
 def simulate(
@@ -672,8 +684,10 @@ def performance(ens: ParticleEnsemble, coeffs: CoefficientSet) -> tuple[float, f
 class ControlProblem:
     """Bundle of dynamics, mesh, noise and initial data; controls vary.
 
-    The noise is drawn on first use and every simulation of the problem
-    shares it (common random numbers at no extra draw).
+    The histories are checked when the problem is built, so a bad one
+    fails before any noise is drawn.  The noise is drawn on first use and
+    every simulation of the problem shares it (common random numbers at no
+    extra draw).
     """
 
     coeffs: CoefficientSet
@@ -681,6 +695,10 @@ class ControlProblem:
     jumps: JumpModel = field(default_factory=JumpModel.none)
     xi: object = 0.0
     control_history: object = 0.0
+
+    def __post_init__(self) -> None:
+        _materialize_history(self.xi, self.grid)
+        _control_history(self.grid, self.control_history)
 
     @cached_property
     def noise(self) -> tuple:

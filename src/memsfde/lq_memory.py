@@ -43,8 +43,10 @@ from memsfde.adjoint import (
 from memsfde.engine import (
     CoefficientSet,
     ControlProblem,
+    FixedPointDivergence,
     JumpModel,
     _as_time_fn,
+    _is_integer,
     combine_controls,
     pathwise_cost,
 )
@@ -64,10 +66,6 @@ __all__ = [
 
 
 log = logging.getLogger("memsfde.lq_memory")
-
-
-class FixedPointDivergence(RuntimeError):
-    """Control changes grew for several consecutive fixed-point sweeps."""
 
 
 def _is_zero_const(v) -> bool:
@@ -218,16 +216,18 @@ def solve_lq(
     is a deterministic map on control arrays.  Five consecutive growing
     sweeps abort with :class:`FixedPointDivergence`.  Rank-deficient
     regressions are summarised in one warning for all sweeps.  The damped
-    update and its change norm are built in two buffers, allocated after
-    the sweep's ensemble is freed.  After the last update the coupling
-    residual of the returned control is formed and the last backward solve
-    is dropped, so no sweep's arrays outlive the solve.
+    update runs one time row at a time, in place: the new row overwrites
+    the control's, the row's coupling residual ``|mean(p0 - new)|`` is
+    kept, and p0's row takes the squared change, from which the change
+    norm is formed, so the update consumes the sweep's p0 and allocates
+    only two (N,) rows.  The residual of the returned control is that of
+    the last sweep, and no sweep's arrays outlive the solve.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+    if not _is_integer(max_iter) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     problem = control_problem(spec, grid)
     K, N = grid.n_steps, grid.n_particles
@@ -237,6 +237,9 @@ def solve_lq(
 
     # time-major like the ensemble, so each step reads its control as a row
     control = np.zeros((K + 1, N)).T
+    coupling_residual = np.zeros(K + 1)
+    # one time row of the new control and one of p0 minus it
+    new_row, gap_row = np.empty(N), np.empty(N)
     changes: list[float] = []
     deficient: list[int] = []
     converged = False
@@ -244,21 +247,28 @@ def solve_lq(
 
     for _ in range(max_iter):
         # only one sweep's ensemble and adjoint are alive at a time
-        adjoint: AdjointTriple | None = None
         ens = problem.simulate(control)
         adjoint = _solve_adjoint(ens, driver, basis_fn)
         del ens
         deficient.append(len(adjoint.deficient_steps))
-        # (1 - damping) control + damping p0 and the squared update, built
-        # in place in two buffers with the time-major layout of control; the
-        # second is freed before the next sweep simulates
-        new_control = np.multiply(control, 1.0 - damping)
-        delta = np.multiply(adjoint.p0, damping)
-        new_control += delta
-        np.subtract(new_control, control, out=delta)
-        delta *= delta
-        change = float(np.sqrt(np.mean(delta @ wq)))
-        del delta
+        p0 = adjoint.p0
+        del adjoint
+        # the damped update, one time row at a time and in place: the new
+        # row (1 - damping) c + damping p overwrites the control's row, its
+        # coupling residual is |mean(p - new)|, and p0's row takes the
+        # squared change, so p0 is consumed
+        for k, (c, p) in enumerate(zip(control.T, p0.T)):
+            np.multiply(c, 1.0 - damping, out=new_row)
+            np.multiply(p, damping, out=gap_row)
+            new_row += gap_row
+            np.subtract(p, new_row, out=gap_row)
+            coupling_residual[k] = abs(gap_row.mean())
+            np.subtract(new_row, c, out=p)
+            p *= p
+            c[...] = new_row
+        change = float(np.sqrt(np.mean(p0 @ wq)))
+        # a row view would keep p0 alive into the next sweep
+        del p0, c, p
         if changes and change > changes[-1]:
             growing += 1
             if growing >= 5:
@@ -268,15 +278,10 @@ def solve_lq(
         else:
             growing = 0
         changes.append(change)
-        control = new_control
         if change < tol:
             converged = True
             break
 
-    # the coupling residual of the returned control; its backward solve is
-    # not needed after this
-    coupling_residual = np.abs((adjoint.p0 - control).mean(axis=0))
-    del adjoint
     _warn_deficient(deficient, K)
 
     report = FBSDEIterationReport(

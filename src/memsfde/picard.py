@@ -15,11 +15,26 @@ the new window's initial guess the constant extension of its starting value.
 The solve runs on the problem's noise as :func:`memsfde.engine.draw_noise`
 draws it for the direct scheme, once and before the first sweep; every sweep
 reads those stored increments, so the converged result matches the direct
-scheme exactly.  The frozen iterate is one array allocated per solve; a sweep
-refreshes only the columns its window reads (the window plus the memory span
-before it).  The applied control lives in one ring of d + t0_steps values
-for the whole solve (see ``engine._ControlRing``): a sweep restarts at its
-window's first step and still finds the d values before it.  The returned
+scheme exactly.  The frozen iterate is one array allocated per solve.
+
+A sweep redoes only what its predecessor changed.  The first sweep of a
+window integrates every step from the initial guess, after the memory span
+and the window are copied into the frozen iterate.  A later sweep starts at
+the first step that reads the first window column whose bits (compared as
+``uint64``, so -0.0 and +0.0 differ) the previous sweep changed: step k reads
+columns k..d+k, so that is step ``first - d``.  A step before it would read
+bit-identical inputs, push the same control value into the ring and write
+the same column, so skipping it moves no bit.  The sweep refreshes only
+columns ``first`` onwards of the frozen iterate and measures its distance
+there, since an unchanged column adds an exact zero to the max.  Paths,
+distances, ratios, iteration counts and the replayed controls are those of
+re-integrating the whole window on every sweep.  Since each sweep makes one
+more column final, a sweep typically runs one step fewer than the one before.
+
+The applied control lives in one ring of d + t0_steps values for the whole
+solve (see ``engine._ControlRing``): a sweep restarts inside its window and
+still finds the d values before its first step, which are the window's
+history or values an earlier sweep pushed with the same bits.  The returned
 ensemble, like any other, keeps no control array; it replays its control on
 its final paths.
 """
@@ -37,6 +52,7 @@ from memsfde.engine import (
     _ControlRing,
     _euler_window,
     _grid_control,
+    _is_integer,
     _mesh_array,
     _new_ensemble,
     simulate,
@@ -88,10 +104,11 @@ def picard_solve(
 ) -> tuple[ParticleEnsemble, PicardReport]:
     """Solve the particle system by frozen-noise fixed-point sweeps.
 
-    ``t0_steps`` is the window length in mesh steps and must divide the number
-    of steps (default: one window spanning [0, T]).  Iteration on a window
-    stops when the mean squared sup-distance between consecutive sweeps falls
-    to ``tol`` (non-negative); ``max_iter`` (at least 1) defaults to
+    ``t0_steps`` is the window length in mesh steps, an integer that must
+    divide the number of steps (default: one window spanning [0, T]).
+    Iteration on a window stops when the mean squared sup-distance between
+    consecutive sweeps falls to ``tol`` (non-negative); ``max_iter`` (an
+    integer of at least 1) defaults to
     ``t0_steps + 5``, past the point where exactness is guaranteed.  An
     array control must have shape (K+1,) or (N, K+1).
 
@@ -103,12 +120,12 @@ def picard_solve(
     d, K = grid.delta_steps, grid.n_steps
     if t0_steps is None:
         t0_steps = K
-    if t0_steps <= 0 or K % t0_steps != 0:
-        raise ValueError(f"t0_steps must be a positive divisor of n_steps={K}, got {t0_steps}")
+    if not _is_integer(t0_steps) or t0_steps <= 0 or K % t0_steps != 0:
+        raise ValueError(f"t0_steps must be a positive integer divisor of n_steps={K}, got {t0_steps!r}")
     if max_iter is None:
         max_iter = t0_steps + 5
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not _is_integer(max_iter) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be non-negative, got {tol}")
     ctrl = _grid_control(control, grid)
@@ -128,27 +145,46 @@ def picard_solve(
     iters: list[int] = []
     converged = True
 
+    # time-major views: row c is mesh column c
+    paths_t, prev_t = paths.T, prev.T
     for w in range(n_windows):
         k0, k1 = w * t0_steps, (w + 1) * t0_steps
         lo, hi = d + k0, d + k1
         # initial guess: constant extension of the window's starting value
         paths[:, lo + 1 : hi + 1] = paths[:, lo][:, None]
+        # the first sweep reads the memory span and the whole window
+        prev_t[k0 : hi + 1] = paths_t[k0 : hi + 1]
+        start = k0
         dists: list[float] = []
         ratios: list[float] = []
         window_done = False
         for _ in range(max_iter):
-            # the sweep reads columns k0..hi-1 (memory span plus window) and
-            # the distance below reads lo+1..hi
-            prev[:, k0 : hi + 1] = paths[:, k0 : hi + 1]
-            _euler_window(coeffs, frozen, paths, ring, k0, k1)
-            diff = paths[:, lo + 1 : hi + 1] - prev[:, lo + 1 : hi + 1]
-            dist = float(np.mean(np.max(diff * diff, axis=1)))
+            # steps before start read only columns that the previous sweep
+            # left bit for bit as they were, so they would push the same
+            # control values and write the same columns again
+            _euler_window(coeffs, frozen, paths, ring, start, k1)
+            # columns up to d + start were not written; the first one whose
+            # bits changed is where the next sweep's reads first differ
+            band = slice(d + start + 1, hi + 1)
+            changed = np.flatnonzero(
+                (paths_t[band].view(np.uint64) != prev_t[band].view(np.uint64)).any(axis=1)
+            )
+            if changed.size:
+                first = d + start + 1 + int(changed[0])
+                diff = paths_t[first : hi + 1] - prev_t[first : hi + 1]
+                # the unchanged columns would add exact zeros to the max
+                dist = float(np.mean(np.max(diff * diff, axis=0)))
+            else:
+                dist = 0.0
             if dists and dists[-1] > 0.0:
                 ratios.append(dist / dists[-1])
             dists.append(dist)
             if dist <= tol:
                 window_done = True
                 break
+            # the next sweep starts at the first step that reads column first
+            prev_t[first : hi + 1] = paths_t[first : hi + 1]
+            start = first - d
         all_dists.append(tuple(dists))
         all_ratios.append(tuple(ratios))
         iters.append(len(dists))

@@ -96,16 +96,22 @@ class TestDegenerateDynamics:
     )
     def test_non_finite_histories_are_refused_before_the_noise_is_drawn(self, name, value):
         # each reached step 0 and failed there as a non-finite state, which
-        # blames the mesh; at d = 0 the control history is never read
+        # blames the mesh; at d = 0 the control history is never read.  A
+        # problem draws its noise on first use, so it checks its histories
+        # when it is built
         grid = SimGrid(dt=0.1, delta_steps=2, horizon=0.5, n_particles=3, seed=1)
         coeffs = CoefficientSet(drift=lambda *a: pytest.fail("a step ran"), diffusion=lambda *a: 0.3)
-        runs = [lambda: simulate(coeffs, grid, **{name: value})]
+        runs = [
+            lambda: simulate(coeffs, grid, **{name: value}),
+            lambda: ControlProblem(coeffs, grid, **{name: value}).simulate(),
+        ]
         if name == "xi":
             runs.append(lambda: picard_solve(coeffs, grid, xi=value))
-        with mock.patch.object(engine, "draw_noise", side_effect=AssertionError("the noise was drawn")):
+        with mock.patch.object(engine, "draw_noise", side_effect=AssertionError("the noise was drawn")) as draw:
             for run in runs:
                 with pytest.raises(ValueError, match=name):
                     run()
+        assert draw.call_count == 0
         if name == "control_history":
             no_lag = SimGrid(dt=0.1, delta_steps=0, horizon=0.5, n_particles=3, seed=1)
             simulate(LAGGED_DRIFT, no_lag, xi=1.0, control_history=value)
@@ -244,7 +250,10 @@ class TestLazyLawSegment:
         ens, report = picard_solve(coeffs, self.GRID, xi=1.0, t0_steps=2)
         assert report.converged
         assert seen == [(self.GRID.delta_steps + 1, True)] * len(seen)
-        assert len(seen) == 2 * sum(report.iterations)
+        # each window takes two sweeps: the first runs both steps, the second
+        # only the step that reads the column the first one changed
+        assert report.iterations == (2,) * (self.GRID.n_steps // 2)
+        assert len(seen) == (2 + 1) * len(report.iterations)
         np.testing.assert_array_equal(ens.paths, simulate(coeffs, self.GRID, xi=1.0).paths)
 
     def test_unread_segment_builds_no_laws(self, monkeypatch):
@@ -881,13 +890,17 @@ class TestControlReplay:
             ens = simulate(coeffs, grid, xi=1.0, control=control, control_history=history)
             assert self.check_windows(log, history, grid) == grid.n_steps
         else:
-            # every sweep restarts at its window's first step and must find
-            # the d values before it, which the window's writes leave alone
+            # every sweep restarts inside its window and must find the d
+            # values before its first step, which its writes leave alone
             assert t0_steps > d + 1
             ens, report = picard_solve(coeffs, grid, xi=1.0, control=control, t0_steps=t0_steps)
             assert min(report.iterations) > 1
             assert all(dists[-1] == 0.0 for dists in report.distances)  # converged exactly
-            assert self.check_windows(log, history, grid) == sum(report.iterations) * t0_steps
+            # sweep m of a window starts at its step m: each sweep makes
+            # one more column final, and the next restarts at the first
+            # step that reads it
+            executed = sum(t0_steps - m for n in report.iterations for m in range(n))
+            assert self.check_windows(log, history, grid) == executed
         last_applied = {k: value for kind, k, value in log if kind == "u"}
         assert sorted(last_applied) == list(range(grid.n_steps + 1))
         # the replay gives the last applied values and their windows, bit

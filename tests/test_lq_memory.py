@@ -289,19 +289,21 @@ class TestRunEconomy:
 
     def test_coupling_residual_is_formed_from_the_last_solve(self, monkeypatch):
         # the residual the solve carries has the bits of |mean(p0 - control)|
-        # over the last backward solve and the returned control
+        # over the last backward solve and the returned control; the update
+        # consumes p0, so it is copied as the solve returns it
         solve = lq_memory._solve_adjoint
         kept = []
 
         def keeping(*args):
-            kept.append(solve(*args))
-            return kept[-1]
+            adj = solve(*args)
+            kept.append((adj, adj.p0.copy(order="K")))  # its time-major layout
+            return adj
 
         monkeypatch.setattr(lq_memory, "_solve_adjoint", keeping)
         solution = solve_lq(LQSpec(), self.GRID)
         assert len(kept) == solution.report.iterations
-        assert all(a.q0 is None and a.r0 is None for a in kept)  # windowed: p0 only
-        expected = np.abs((kept[-1].p0 - solution.control).mean(axis=0))
+        assert all(a.q0 is None and a.r0 is None for a, _ in kept)  # windowed: p0 only
+        expected = np.abs((kept[-1][1] - solution.control).mean(axis=0))
         np.testing.assert_array_equal(solution.coupling_residual, expected)
         assert verify_lq(solution).coupling_residual_max == float(expected.max())
 
@@ -358,14 +360,83 @@ class TestRunEconomy:
             verify_lq(solution)
         finally:
             tracemalloc.stop()
-        one_array = grid.n_particles * (grid.n_steps + 1) * 8
         slack = 16 * grid.n_particles * 8  # (N,) temporaries, such as a cost
         assert len(update_peaks) == solution.report.iterations > 1
-        # each update allocates the new control and one temporary
-        assert max(update_peaks) <= 2 * one_array + slack
+        # each update runs in place, on (N,) rows
+        assert max(update_peaks) <= slack
         # the idempotence check squares its update inside the sweep's p0
         assert len(peaks) == len(update_peaks) + 1
         assert peaks[-1] <= slack
+
+
+def full_buffer_solve(spec, grid, damping=0.5, tol=1e-4, max_iter=50):
+    """Reference damped iteration: the update is built in two full-size
+    buffers and the last backward solve is kept until the coupling residual
+    of the returned control is formed from it.  Returns the control, the
+    coupling residual and the per-sweep changes."""
+    problem = control_problem(spec, grid)
+    K, N = grid.n_steps, grid.n_particles
+    wq = trapezoid_weights(K + 1, grid.dt)
+    basis, driver = lq_basis(spec, grid), lq_memory._adjoint_driver(spec, grid)
+    control = np.zeros((K + 1, N)).T
+    changes = []
+    for _ in range(max_iter):
+        adjoint = lq_memory._solve_adjoint(problem.simulate(control), driver, basis)
+        new_control = np.multiply(control, 1.0 - damping)
+        delta = np.multiply(adjoint.p0, damping)
+        new_control += delta
+        np.subtract(new_control, control, out=delta)
+        delta *= delta
+        changes.append(float(np.sqrt(np.mean(delta @ wq))))
+        control = new_control
+        if changes[-1] < tol:
+            break
+    return control, np.abs((adjoint.p0 - control).mean(axis=0)), tuple(changes)
+
+
+class TestInPlaceUpdate:
+    GRID = SimGrid(dt=0.02, delta_steps=3, horizon=1.0, n_particles=2_000, seed=5)
+    JUMPS = JumpModel(intensity=2.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
+
+    @pytest.mark.parametrize("spec", [LQSpec(), LQSpec(beta0=0.2, jumps=JUMPS)], ids=["brownian", "jumps"])
+    def test_matches_the_full_buffer_update(self, spec):
+        # the row-wise update keeps the bits of the whole-array one
+        solution = solve_lq(spec, self.GRID, damping=0.4)
+        control, residual, changes = full_buffer_solve(spec, self.GRID, damping=0.4)
+        assert solution.report.iterations == len(changes) > 2
+        assert solution.control.tobytes() == control.tobytes()
+        assert solution.control.strides == control.strides
+        assert solution.coupling_residual.tobytes() == residual.tobytes()
+        assert np.array(solution.report.changes).tobytes() == np.array(changes).tobytes()
+
+    def test_peak_is_one_sweep(self):
+        # the update holds nothing of full size beyond the control and the
+        # sweep's p0, so the solve's traced peak is that of one sweep on the
+        # same problem: its noise draw, a simulation and a backward solve
+        # (measured after an untraced sweep, so one-time set-up is not)
+        spec = LQSpec()
+        grid = SimGrid(dt=0.01, delta_steps=3, horizon=1.0, n_particles=2_000, seed=5)
+        K, N = grid.n_steps, grid.n_particles
+
+        def sweep():
+            problem = control_problem(spec, grid)
+            ens = problem.simulate(np.zeros((K + 1, N)).T)
+            lq_memory._solve_adjoint(ens, lq_memory._adjoint_driver(spec, grid), lq_basis(spec, grid))
+
+        sweep()
+        tracemalloc.start()
+        try:
+            sweep()
+            sweep_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            solution = solve_lq(spec, grid)
+            solve_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert solution.report.iterations > 2
+        slack = 8 * N * 8  # a few (N,) rows
+        assert solve_peak <= sweep_peak + slack
 
 
 class TestVerification:

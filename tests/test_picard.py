@@ -1,12 +1,14 @@
 """Frozen-noise fixed-point solver: exactness, contraction ratios, consistency."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from memsfde import engine
 from memsfde.engine import CoefficientSet, JumpModel, simulate
 from memsfde.grid import SimGrid
-from memsfde.picard import consistency_check, picard_solve
+from memsfde.picard import PicardReport, consistency_check, picard_solve
 
 CONST_DRIFT = CoefficientSet(drift=lambda *a: 1.0)
 LAG_DRIFT = CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: xs[:, -1])
@@ -184,6 +186,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_iter"):
             picard_solve(CONST_DRIFT, grid, max_iter=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_iter", 2.5),
+            ("max_iter", "3"),
+            ("max_iter", True),
+            ("t0_steps", 2.5),
+            ("t0_steps", 5.0),
+            ("t0_steps", True),
+        ],
+    )
+    def test_counts_must_be_integers(self, name, value, monkeypatch):
+        # a float or a string failed deep in the solve with a TypeError, and
+        # a bool passed as the number 1
+        grid = SimGrid(dt=0.1, delta_steps=2, horizon=0.5, n_particles=3, seed=1)
+        monkeypatch.setattr(engine, "draw_noise", lambda *a: pytest.fail("the noise was drawn"))
+        with pytest.raises(ValueError, match=name):
+            picard_solve(CONST_DRIFT, grid, **{name: value})
+
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
     def test_tol_must_be_non_negative(self, tol):
         # no distance falls to such a tol, and the sweeps after a zero
@@ -191,3 +212,150 @@ class TestValidation:
         grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=1, seed=0)
         with pytest.raises(ValueError, match="tol"):
             picard_solve(CONST_DRIFT, grid, tol=tol)
+
+
+def full_sweep_solve(coeffs, grid, jumps=None, xi=0.0, control=None, t0_steps=None, tol=1e-20, max_iter=None):
+    """Reference solve: every sweep re-integrates every step of its window
+    and copies the memory span and the whole window into the frozen iterate.
+
+    Returns the ensemble, the report, and per window the steps that a sweep
+    must redo: all of them on the first sweep; on a later one those from
+    the first step that reads the first column whose bits the sweep before
+    it changed (step k reads columns k..d+k).
+    """
+    d, K = grid.delta_steps, grid.n_steps
+    t0_steps = K if t0_steps is None else t0_steps
+    max_iter = t0_steps + 5 if max_iter is None else max_iter
+    ens = engine._new_ensemble(coeffs, grid, jumps, xi, engine._grid_control(control, grid))
+    paths = ens.paths
+    prev = engine._mesh_array(grid)
+    frozen = dataclasses.replace(ens, paths=prev)
+    ring = engine._ControlRing(ens, d + t0_steps)
+    all_dists, all_ratios, iters, needed = [], [], [], []
+    converged = True
+    for w in range(K // t0_steps):
+        k0, k1 = w * t0_steps, (w + 1) * t0_steps
+        lo, hi = d + k0, d + k1
+        paths[:, lo + 1 : hi + 1] = paths[:, lo][:, None]
+        dists, ratios, steps = [], [], 0
+        done = False
+        for m in range(max_iter):
+            if m == 0:
+                steps += t0_steps
+            else:
+                moved = paths[:, lo + 1 : hi + 1].view(np.uint64) != prev[:, lo + 1 : hi + 1].view(np.uint64)
+                steps += k1 - (lo + 1 + int(np.flatnonzero(moved.any(axis=0))[0]) - d)
+            prev[:, k0 : hi + 1] = paths[:, k0 : hi + 1]
+            engine._euler_window(coeffs, frozen, paths, ring, k0, k1)
+            diff = paths[:, lo + 1 : hi + 1] - prev[:, lo + 1 : hi + 1]
+            dist = float(np.mean(np.max(diff * diff, axis=1)))
+            if dists and dists[-1] > 0.0:
+                ratios.append(dist / dists[-1])
+            dists.append(dist)
+            if dist <= tol:
+                done = True
+                break
+        all_dists.append(tuple(dists))
+        all_ratios.append(tuple(ratios))
+        iters.append(len(dists))
+        needed.append(steps)
+        converged = converged and done
+    ens.control_at(K)
+    report = PicardReport(tuple(all_dists), tuple(all_ratios), tuple(iters), converged, tol)
+    return ens, report, tuple(needed)
+
+
+def counting_steps(coeffs, grid, t0_steps, counts):
+    """``coeffs`` whose drift adds each step it runs to its window's count."""
+    t0_steps = t0_steps or grid.n_steps
+
+    def drift(t, *args):
+        counts[int(round(t / grid.dt)) // t0_steps] += 1
+        return coeffs.drift(t, *args)
+
+    return dataclasses.replace(coeffs, drift=drift)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+USEG_COEFFS = CoefficientSet(
+    drift=lambda t, x, xs, m, ms, u, us: 0.5 * us[:, -1] + us[:, 1 % us.shape[1]] - x + 0.2 * m.mean(),
+    diffusion=lambda *a: 0.3,
+)
+USEG_FEEDBACK = lambda t, x, xs, law: 0.2 * xs[:, -1] - 0.5 * x + 0.1 * law.mean() + 0.3  # noqa: E731
+LAW_DRIFT = CoefficientSet(
+    drift=lambda t, x, xs, m, ms, u, us: 0.4 * (m.mean() - x) + 0.3 * ms.measures[-1].mean() - 0.1 * xs[:, -1],
+    diffusion=lambda t, x, *a: 0.2 + 0.1 * np.tanh(x),
+)
+# from a -0.0 history the first step writes +0.0, which equals the guess as
+# a float but not in its bits, and every later step reads that sign
+SIGNED_ZERO_DRIFT = CoefficientSet(drift=lambda t, x, *a: np.copysign(1.0, x) if t > 0.0 else 0.0)
+
+
+class TestRestartAtFirstChangedColumn:
+    """A sweep that restarts at the first column its predecessor changed
+    gives the bits of one that re-integrates the whole window."""
+
+    CASES = {
+        # name: (coeffs, grid, solve arguments)
+        "law_reading_drift": (
+            LAW_DRIFT,
+            SimGrid(dt=0.05, delta_steps=3, horizon=0.6, n_particles=12, seed=2),
+            dict(t0_steps=4),
+        ),
+        "feedback_window_longer_than_d_plus_one": (
+            USEG_COEFFS,
+            SimGrid(dt=0.05, delta_steps=3, horizon=0.6, n_particles=10, seed=4),
+            dict(t0_steps=6, control=USEG_FEEDBACK),
+        ),
+        "feedback_window_shorter_than_d": (
+            USEG_COEFFS,
+            SimGrid(dt=0.05, delta_steps=4, horizon=0.6, n_particles=10, seed=4),
+            dict(t0_steps=3, control=USEG_FEEDBACK),
+        ),
+        "jumps": (
+            MEAN_FIELD_JUMPS,
+            SimGrid(dt=0.02, delta_steps=5, horizon=0.4, n_particles=16, seed=8),
+            dict(t0_steps=5, jumps=TWO_MARKS),
+        ),
+        "no_memory_signed_zero": (
+            SIGNED_ZERO_DRIFT,
+            SimGrid(dt=0.1, delta_steps=0, horizon=0.6, n_particles=3, seed=0),
+            dict(xi=-0.0),
+        ),
+        "one_window": (LAW_DRIFT, SimGrid(dt=0.05, delta_steps=2, horizon=0.4, n_particles=8, seed=6), dict()),
+        "cut_off_by_max_iter": (
+            MEAN_FIELD_JUMPS,
+            SimGrid(dt=0.02, delta_steps=5, horizon=0.4, n_particles=16, seed=8),
+            dict(t0_steps=10, jumps=TWO_MARKS, max_iter=4),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_full_sweep_reference(self, case):
+        coeffs, grid, kwargs = self.CASES[case]
+        kwargs = {"xi": 1.0, **kwargs}
+        t0_steps = kwargs.get("t0_steps")
+        ran, reran = [0] * grid.n_steps, [0] * grid.n_steps
+        ens, report = picard_solve(counting_steps(coeffs, grid, t0_steps, ran), grid, **kwargs)
+        ref, ref_report, needed = full_sweep_solve(counting_steps(coeffs, grid, t0_steps, reran), grid, **kwargs)
+        assert ens.paths.tobytes() == ref.paths.tobytes()
+        assert report == ref_report
+        for field in ("distances", "ratios"):
+            assert [bits(v) for v in getattr(report, field)] == [bits(v) for v in getattr(ref_report, field)]
+        for solved, replayed in zip(ens.coefficient_inputs(), ref.coefficient_inputs()):
+            for a, b in zip(solved[:2] + solved[4:], replayed[:2] + replayed[4:]):
+                assert bits(a) == bits(b)
+            assert bits(solved[2].atoms) == bits(replayed[2].atoms)
+        # the reference re-integrated every window step on every sweep; the
+        # solve ran only the steps that read a changed column
+        windows = len(report.iterations)
+        assert reran[:windows] == [n * (t0_steps or grid.n_steps) for n in report.iterations]
+        assert tuple(ran[:windows]) == needed
+        assert sum(ran) < sum(reran) or max(report.iterations) == 1
+        if case == "cut_off_by_max_iter":
+            assert not report.converged and report.iterations == (4, 4)
+        else:
+            assert report.converged
