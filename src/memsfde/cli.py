@@ -12,8 +12,10 @@ in code.
 
 A runner returns its CSV tables, checks and scalars, and ``_emit`` writes
 them with the manifest once the run has returned: exit 2 or 3 writes no file.
-A runner imports the solver modules it uses when it runs, so a subcommand
-loads only its own.
+The output path is checked before the run, so a path that cannot be a
+directory fails at once, with exit 2, rather than after the run.  A runner
+imports the solver modules it uses when it runs, so a subcommand loads only
+its own.
 
 Exit codes: 0 all built-in checks passed, 1 at least one check failed,
 2 invalid configuration (message anchored to file and line), 3 runtime abort
@@ -40,7 +42,6 @@ from memsfde.engine import (
     FixedPointDivergence,
     JumpModel,
     SimulationBlowupError,
-    pathwise_cost,
     simulate,
 )
 from memsfde.grid import SimGrid, trapezoid_weights
@@ -66,7 +67,8 @@ SEED_ENV_VAR = "MEMSFDE_SEED"
 
 
 class ConfigError(Exception):
-    """Invalid configuration; rendered as ``path:line: [section] key: msg``."""
+    """Invalid configuration; rendered as ``path:line: [section] key: msg``
+    on one line, every unprintable character escaped as in ``repr``."""
 
     def __init__(self, message, path=None, line=None, section=None, key=None):
         super().__init__(message)
@@ -85,7 +87,8 @@ class ConfigError(Exception):
             where = f"[{self.section}] "
         if self.key is not None:
             where += f"{self.key}: "
-        return f"{prefix}{where}{self.message}"
+        text = f"{prefix}{where}{self.message}"
+        return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 class ConfigFile:
@@ -138,31 +141,45 @@ class ConfigFile:
 
 
 def parse_config_file(path: str) -> ConfigFile:
+    """Read a UTF-8 config, a leading byte-order mark ignored.  Lines end at
+    LF, CRLF or CR, as in text mode; a byte that is not UTF-8 is an error
+    anchored at its line."""
     if not os.path.exists(path):
         raise ConfigError("config file not found", path=path, line=0)
+    if not os.path.isfile(path):
+        raise ConfigError("not a regular file", path=path, line=0)
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read the file ({exc.strerror})", path=path, line=0) from None
     cfg = ConfigFile(path)
     section = "run"
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, rawline in enumerate(handle, start=1):
-            line = rawline.split("#", 1)[0].split(";", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip()
-                if not section:
-                    raise ConfigError("empty section name", path=path, line=lineno)
-                cfg.section_lines.setdefault(section, lineno)
-                continue
-            if "=" not in line:
-                raise ConfigError("expected 'key = value'", path=path, line=lineno, section=section)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise ConfigError("empty key", path=path, line=lineno, section=section)
-            if (section, key) in cfg.entries:
-                raise ConfigError("duplicate key", path=path, line=lineno, section=section, key=key)
-            cfg.entries[(section, key)] = (value, lineno)
+    for lineno, rawbytes in enumerate(data.removeprefix(b"\xef\xbb\xbf").splitlines(), start=1):
+        try:
+            rawline = rawbytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = rawbytes[exc.start]
+            raise ConfigError(f"not UTF-8 text: byte 0x{bad:02x} at column {exc.start + 1}", path=path, line=lineno) from None
+        line = rawline.split("#", 1)[0].split(";", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if not section:
+                raise ConfigError("empty section name", path=path, line=lineno)
+            cfg.section_lines.setdefault(section, lineno)
+            continue
+        if "=" not in line:
+            raise ConfigError("expected 'key = value'", path=path, line=lineno, section=section)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise ConfigError("empty key", path=path, line=lineno, section=section)
+        if (section, key) in cfg.entries:
+            raise ConfigError("duplicate key", path=path, line=lineno, section=section, key=key)
+        cfg.entries[(section, key)] = (value, lineno)
     return cfg
 
 
@@ -585,7 +602,7 @@ def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
 
     # the comparison reads only the optimal cost, so the ensemble is freed
     # before its variants are simulated
-    optimal_cost = pathwise_cost(ens, sol.problem.coeffs)
+    optimal_cost = ens.cost
     del ens
     j_rows = mean_variance.j_comparison(optimal_cost, sol)
     out_rows = []
@@ -766,6 +783,19 @@ def _finite_or_none(value):
     return value
 
 
+def _unusable_output_dir(outdir: str) -> str | None:
+    """Why ``outdir`` cannot take a run's files, or ``None`` when it is a
+    directory or its nearest existing ancestor is one; nothing is created."""
+    path = outdir
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if os.path.isdir(path or os.curdir):
+        return None
+    if path == outdir:
+        return f"{outdir!r} is not a directory"
+    return f"{outdir!r} lies under {path!r}, which is not a directory"
+
+
 def _emit(outdir, problem, cfg, grid, threads, seed_overridden, result, started):
     os.makedirs(outdir, exist_ok=True)
     for name, (header, rows) in result.tables.items():
@@ -863,6 +893,10 @@ def main(argv=None) -> int:
         if threads < 1:
             print("--threads: must be at least 1", file=sys.stderr)
             return EXIT_BAD_CONFIG
+        unusable = args.out and _unusable_output_dir(args.out)
+        if unusable:
+            print(f"config error: {ConfigError(unusable, key='--out')}", file=sys.stderr)
+            return EXIT_BAD_CONFIG
         result = RunResult()
         result.checks = selftest_checks()
         _print_checks(result)
@@ -892,6 +926,12 @@ def main(argv=None) -> int:
         seed_overridden = os.environ.get(SEED_ENV_VAR) is not None
         jumps = build_jumps(cfg)
         outdir = args.out or output.get("dir") or os.path.join("out", args.command)
+        # refused before the run, which would otherwise fail only in _emit
+        unusable = _unusable_output_dir(outdir)
+        if unusable and not args.out and output.get("dir"):
+            cfg._error("output", "dir", unusable)
+        if unusable:
+            raise ConfigError(unusable, key="--out" if args.out else None)
 
         # an overflow is reported once, by the non-finite-state abort, not
         # also as a numpy RuntimeWarning

@@ -30,24 +30,22 @@ The law the particles interact through is the ensemble's own empirical law, so
 all mean-field quantities carry the usual O(1/sqrt(N)) particle-approximation
 error on top of the Euler bias.
 
-Every per-step reader takes these inputs from ``ParticleEnsemble.step_inputs``.
-The window integrator ``_euler_window(coeffs, read_ens, write_paths, ring, k0,
-k1)`` serves the direct scheme (``write_paths`` is ``read_ens.paths``) and the
-fixed-point solver in :mod:`memsfde.picard` (``read_ens`` is the frozen
-previous iterate, sharing the solve's control, control window and noise,
-while increments accumulate on the new paths).
+Every per-step reader takes these inputs from ``ParticleEnsemble.step_inputs``,
+and every forward pass from one loop, ``_replay``, which also evaluates each
+step's control and pushes it to a ``_ControlRing`` of the last d + 1 applied
+values, the source of the control window ``u_seg``.  ``_euler_window``
+advances paths over that loop, for the direct scheme and for the fixed-point
+solver in :mod:`memsfde.picard` (which reads the frozen previous iterate and
+accumulates increments on the new paths).
 
-No ensemble records its control.  It keeps the control itself and its
-history before time zero; the applied value at step k is the control
-evaluated on the stored state, backward window and law of step k, so a
-reader replays it (``ParticleEnsemble.control_at``, or
-``ParticleEnsemble.coefficient_inputs`` for a forward pass) from the paths
-the Euler step read, and gets the same bits.  Only while it integrates does
-a pass hold a ``_ControlRing`` of the last d + 1 applied values, from which
-it hands out the control window ``u_seg``.  A fixed-point ensemble replays
-its control on its final paths: that is the applied value of the last sweep
-once the solve has converged exactly, and differs from it by the residual
-of the iteration otherwise.
+No ensemble records its control: the value applied at step k is the control
+evaluated on the stored inputs of step k, so a reader replays it
+(``ParticleEnsemble.control_at`` or ``coefficient_inputs``) with the same
+bits.  Nor is a simulated control replayed to be costed: ``simulate`` also
+reads the horizon step and sums each particle's cost as it integrates, into
+``ParticleEnsemble.cost``.  A fixed-point ensemble has no ``cost``; it
+replays its control on its final paths, which gives the last sweep's applied
+value once the solve has converged exactly.
 
 The noise of a problem depends only on its grid, its jump model and which
 noise kinds its coefficients use, never on the control.  ``draw_noise`` draws
@@ -288,13 +286,13 @@ class ParticleEnsemble:
     values before time zero: ``None`` without a memory window, else a scalar
     or (d,) float array) instead of a record of the applied control, which
     is fixed by the stored paths.  ``control_at(k)`` replays the value
-    applied at step k, and ``coefficient_inputs()`` replays every step's
-    coefficient inputs with the control and its window, through a ring of
-    d + 1 values like the one :func:`simulate` integrates with.  After
-    :func:`simulate` both give the applied bits.  On a :func:`memsfde.picard.picard_solve` ensemble
-    they evaluate the control on the final paths, which is what the last
-    sweep applied once the solve has converged exactly.  An array control
-    is referenced, so replays read it as it is at the time.
+    applied at step k, and ``coefficient_inputs()`` every step's inputs with
+    the control and its window; after :func:`simulate` both give the applied
+    bits, on a :func:`memsfde.picard.picard_solve` ensemble the control on
+    the final paths.  An array control is referenced, so replays read it as
+    it is at the time.  ``cost`` is the (N,) per-particle cost that
+    :func:`simulate` summed as it integrated (``None`` on a fixed-point
+    ensemble), the bits :func:`pathwise_cost` replays for its coefficients.
 
     ``controls_full`` is always ``None``: there is no full-mesh control
     array, and the attribute is kept so that code which sums the bytes of
@@ -309,6 +307,7 @@ class ParticleEnsemble:
     jumps: JumpModel
     control: _Control
     control_history: np.ndarray | None
+    cost: np.ndarray | None = None
 
     controls_full = None
 
@@ -356,11 +355,8 @@ class ParticleEnsemble:
         order: the step's inputs, the replayed control as its ring row, and
         the control window; ``u`` and ``u_seg`` are valid until the next
         step is yielded."""
-        d = self.grid.delta_steps
-        ring = _ControlRing(self, d + 1)
-        for k in range(self.grid.n_steps + 1):
-            x, x_seg, law, law_seg = self.step_inputs(k)
-            u_seg = ring.push(d + k, self._control_value(k, x, x_seg, law))
+        ring = _ControlRing(self, self.grid.delta_steps + 1)
+        for _, x, x_seg, law, law_seg, _, u_seg in _replay(self, ring, 0, self.grid.n_steps + 1):
             yield x, x_seg, law, law_seg, u_seg[:, 0], u_seg
 
 
@@ -498,20 +494,10 @@ def _new_ensemble(
         if shapes != expected:
             raise MeshMismatchError(f"noise shapes {shapes} do not match the problem's {expected}")
     jumps = jumps if jumps is not None else JumpModel.none()
-    d = grid.delta_steps
     paths = _mesh_array(grid)
-    paths[:, : d + 1] = history
-
+    paths[:, : grid.delta_steps + 1] = history
     brownian, jump_counts = noise
-    return ParticleEnsemble(
-        grid=grid,
-        paths=paths,
-        brownian=brownian,
-        jump_counts=jump_counts,
-        jumps=jumps,
-        control=ctrl,
-        control_history=control_history,
-    )
+    return ParticleEnsemble(grid, paths, brownian, jump_counts, jumps, ctrl, control_history)
 
 
 def _noise_shapes(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None) -> tuple:
@@ -558,6 +544,39 @@ def draw_noise(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None = 
     return brownian.T, counts.transpose(2, 0, 1)
 
 
+def _replay(ens: ParticleEnsemble, ring: _ControlRing, k_start: int, k_stop: int):
+    """Yield ``(k, x, x_seg, law, law_seg, u, u_seg)`` for steps
+    ``k_start..k_stop-1``: the step's inputs, its control ``u`` and the
+    window ``ring`` hands out once ``u`` is pushed.  A step is read from
+    ``ens.paths`` only when asked for, after the caller wrote the column
+    before it."""
+    d = ens.grid.delta_steps
+    for k in range(k_start, k_stop):
+        x, x_seg, law, law_seg = ens.step_inputs(k)
+        u = ens._control_value(k, x, x_seg, law)
+        yield k, x, x_seg, law, law_seg, u, ring.push(d + k, u)
+
+
+class _PathCost:
+    """Per-particle cost of a pass over steps 0..K, summed onto zeros in step
+    order: the running cost at ``t = k dt`` with its trapezoid weight, the
+    control as the ring row ``u_seg[:, 0]``; then the terminal cost."""
+
+    def __init__(self, coeffs: CoefficientSet, grid: SimGrid):
+        self.coeffs, self.dt, self.total = coeffs, grid.dt, np.zeros(grid.n_particles)
+        self.weights = trapezoid_weights(grid.n_steps + 1, grid.dt)
+
+    def add_step(self, k, x, x_seg, law, law_seg, u_seg) -> None:
+        if self.coeffs.running_cost is not None:
+            running = self.coeffs.running_cost(k * self.dt, x, x_seg, law, law_seg, u_seg[:, 0], u_seg)
+            self.total += self.weights[k] * np.asarray(running)
+
+    def finish(self, xT: np.ndarray) -> np.ndarray:
+        if self.coeffs.terminal_cost is not None:
+            self.total += np.asarray(self.coeffs.terminal_cost(xT, EmpiricalMeasure(xT)))
+        return self.total
+
+
 def _euler_window(
     coeffs: CoefficientSet,
     read_ens: ParticleEnsemble,
@@ -565,45 +584,40 @@ def _euler_window(
     ring: _ControlRing,
     k_start: int,
     k_stop: int,
+    cost: _PathCost | None = None,
 ) -> None:
-    """Advance ``write_paths`` over steps ``k_start..k_stop-1``.
-
-    Coefficient inputs (state, segments, laws, control) are read from
-    ``read_ens.paths``; increments accumulate on ``write_paths``.  Passing the
-    ensemble's own ``paths`` gives the ordinary explicit scheme.  Each
-    applied control value is pushed to ``ring``, which must already hold the
-    d values before ``k_start`` and hands out the step's control window, and
-    the noise is read from ``read_ens.brownian`` / ``jump_counts`` (see
-    :func:`draw_noise`).
+    """Advance ``write_paths`` over steps ``k_start..k_stop-1``, reading
+    every input from ``read_ens`` through :func:`_replay` and ``ring`` (which
+    must hold the d values before ``k_start``).  Passing the ensemble's own
+    ``paths`` gives the explicit scheme.  The horizon step K advances
+    nothing.  Each step adds its running cost to ``cost``, if given, after
+    its update.
     """
-    d, dt = read_ens.grid.delta_steps, read_ens.grid.dt
+    d, dt, K = read_ens.grid.delta_steps, read_ens.grid.dt, read_ens.grid.n_steps
     jumps, jump_counts = read_ens.jumps, read_ens.jump_counts
 
-    for k in range(k_start, k_stop):
-        idx = d + k
-        t = k * dt
-        x, x_seg, law, law_seg = read_ens.step_inputs(k)
-        u = read_ens._control_value(k, x, x_seg, law)
-        u_seg = ring.push(idx, u)
-
-        # the step accumulates in its own row of write_paths; every input
-        # above is a view of columns up to idx, which it leaves alone
-        nxt = write_paths[:, idx + 1]
-        if coeffs.drift is not None:
-            np.add(write_paths[:, idx], dt * np.asarray(coeffs.drift(t, x, x_seg, law, law_seg, u, u_seg)), out=nxt)
-        else:
-            nxt[...] = write_paths[:, idx]
-        if coeffs.diffusion is not None:
-            nxt += np.asarray(coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg)) * read_ens.brownian[:, k]
-        if jump_counts is not None:
-            counts = jump_counts[:, k, :]
-            for a, (z, p) in enumerate(zip(jumps.marks, jumps.probs)):
-                g = np.asarray(coeffs.jump(t, x, x_seg, law, law_seg, u, u_seg, z))
-                # a float64 product whatever the counts' integer dtype
-                nxt += np.multiply(counts[:, a], g, dtype=float) - jumps.intensity * p * g * dt
-
-        if not np.isfinite(nxt).all():
-            raise SimulationBlowupError(step=k, time=t, n_bad=int(np.count_nonzero(~np.isfinite(nxt))))
+    for k, x, x_seg, law, law_seg, u, u_seg in _replay(read_ens, ring, k_start, k_stop):
+        if k < K:
+            idx, t = d + k, k * dt
+            # the step accumulates in its own row of write_paths; every
+            # input is a view of columns up to idx, which it leaves alone
+            nxt = write_paths[:, idx + 1]
+            if coeffs.drift is not None:
+                np.add(write_paths[:, idx], dt * np.asarray(coeffs.drift(t, x, x_seg, law, law_seg, u, u_seg)), out=nxt)
+            else:
+                nxt[...] = write_paths[:, idx]
+            if coeffs.diffusion is not None:
+                nxt += np.asarray(coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg)) * read_ens.brownian[:, k]
+            if jump_counts is not None:
+                counts = jump_counts[:, k, :]
+                for a, (z, p) in enumerate(zip(jumps.marks, jumps.probs)):
+                    g = np.asarray(coeffs.jump(t, x, x_seg, law, law_seg, u, u_seg, z))
+                    # a float64 product whatever the counts' integer dtype
+                    nxt += np.multiply(counts[:, a], g, dtype=float) - jumps.intensity * p * g * dt
+            if not np.isfinite(nxt).all():
+                raise SimulationBlowupError(step=k, time=t, n_bad=int(np.count_nonzero(~np.isfinite(nxt))))
+        if cost is not None:
+            cost.add_step(k, x, x_seg, law, law_seg, u_seg)
 
 
 def simulate(
@@ -626,14 +640,15 @@ def simulate(
     :func:`draw_noise` or another ensemble's ``noise``; it is used as is and
     referenced by the ensemble.  Without it the noise is drawn here.
 
-    The integration holds the control window in a ring of d + 1 values; the
-    ensemble keeps no control array (see :class:`ParticleEnsemble`).
+    The ensemble keeps no control array, but the per-particle cost under
+    ``coeffs`` summed on the way (see :class:`ParticleEnsemble`).
     """
     ens = _new_ensemble(coeffs, grid, jumps, xi, _grid_control(control, grid), control_history, noise)
-    _euler_window(coeffs, ens, ens.paths, _ControlRing(ens, grid.delta_steps + 1), 0, grid.n_steps)
-    # no step starts at the horizon, but its control is evaluated, so a
-    # control that fails there fails here rather than in a later reader
-    ens.control_at(grid.n_steps)
+    cost = _PathCost(coeffs, grid)
+    # the pass reads the horizon step too: its running cost is summed, and
+    # a control that fails there fails here rather than in a later reader
+    _euler_window(coeffs, ens, ens.paths, _ControlRing(ens, grid.delta_steps + 1), 0, grid.n_steps + 1, cost)
+    ens.cost = cost.finish(ens.state_column(grid.n_steps))
     return ens
 
 
@@ -649,22 +664,15 @@ def law_segment(ens: ParticleEnsemble, t: float) -> MeasureSegment:
 
 
 def pathwise_cost(ens: ParticleEnsemble, coeffs: CoefficientSet) -> np.ndarray:
-    """Per-particle cost: trapezoid of the running cost over [0, T] plus the
-    terminal cost, evaluated along the stored states.  The running cost sees
-    the control replayed step by step (:meth:`ParticleEnsemble.coefficient_inputs`),
-    with its window in a ring of d + 1 values; without a running cost the
-    control is not evaluated."""
-    grid = ens.grid
-    K, dt = grid.n_steps, grid.dt
-    total = np.zeros(ens.n_particles)
+    """Per-particle cost along the stored states: the sum :func:`simulate`
+    stores in ``ens.cost``, for any coefficients and any ensemble, with the
+    control replayed (:meth:`ParticleEnsemble.coefficient_inputs`) only if
+    there is a running cost."""
+    cost = _PathCost(coeffs, ens.grid)
     if coeffs.running_cost is not None:
-        w = trapezoid_weights(K + 1, dt)
-        for k, inputs in enumerate(ens.coefficient_inputs()):
-            total += w[k] * np.asarray(coeffs.running_cost(k * dt, *inputs))
-    if coeffs.terminal_cost is not None:
-        xT = ens.state_column(K)
-        total += np.asarray(coeffs.terminal_cost(xT, EmpiricalMeasure(xT)))
-    return total
+        for k, (x, x_seg, law, law_seg, _, u_seg) in enumerate(ens.coefficient_inputs()):
+            cost.add_step(k, x, x_seg, law, law_seg, u_seg)
+    return cost.finish(ens.state_column(ens.grid.n_steps))
 
 
 def _mean_and_stderr(values) -> tuple[float, float]:
@@ -706,22 +714,14 @@ class ControlProblem:
         return draw_noise(self.coeffs, self.grid, self.jumps)
 
     def simulate(self, control=None) -> ParticleEnsemble:
-        return simulate(
-            self.coeffs,
-            self.grid,
-            jumps=self.jumps,
-            xi=self.xi,
-            control=control,
-            control_history=self.control_history,
-            noise=self.noise,
-        )
+        return simulate(self.coeffs, self.grid, self.jumps, self.xi, control, self.control_history, self.noise)
 
     def costs(self, controls) -> list:
         """Per-particle cost of each control, in order, under common random
-        numbers: each is simulated on the problem's noise and costed with
-        its coefficients, and its ensemble is dropped before the next
-        control is simulated."""
-        return [pathwise_cost(self.simulate(control), self.coeffs) for control in controls]
+        numbers: each is simulated on the problem's noise, which sums its
+        cost, and its ensemble is dropped before the next control is
+        simulated."""
+        return [self.simulate(control).cost for control in controls]
 
     def performance(self, control=None) -> tuple[float, float]:
         return _mean_and_stderr(self.costs([control])[0])

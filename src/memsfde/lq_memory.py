@@ -48,7 +48,6 @@ from memsfde.engine import (
     _as_time_fn,
     _is_integer,
     combine_controls,
-    pathwise_cost,
 )
 from memsfde.grid import SimGrid, trapezoid_weights
 
@@ -351,7 +350,7 @@ def verify_lq(solution: LQSolution, eps: float = 1e-3) -> LQVerification:
     delta *= delta
     idempotence_change = float(np.sqrt(np.mean(delta @ wq)))
     # the unshifted cost is the idempotence ensemble's, which is not needed after
-    base_cost = pathwise_cost(ens, problem.coeffs)
+    base_cost = ens.cost
     del ens, adj2, delta
 
     half = grid.horizon / 2.0

@@ -362,9 +362,9 @@ PERTURBATION_FAMILY = (
 def j_comparison(optimal_cost: np.ndarray, sol: MeanVarSolution):
     """Performance of the optimal control against its perturbation family.
 
-    ``optimal_cost`` is the pathwise cost of the ensemble that
-    :func:`simulate_optimal` returns for ``sol``, ``pathwise_cost(ens,
-    sol.problem.coeffs)``; the optimal control is not simulated again, and
+    ``optimal_cost`` is the per-particle cost of the ensemble that
+    :func:`simulate_optimal` returns for ``sol``, its ``cost``, summed as it
+    was simulated; the optimal control is not simulated again, and
     its ensemble may be freed before the comparison, which then holds one
     variant ensemble at a time.  All variants run under common random
     numbers: ``sol.problem.costs`` simulates each on the noise the optimal

@@ -191,7 +191,7 @@ def picard_solve(
         if not window_done:
             converged = False
 
-    # evaluated and dropped, as in simulate
+    # evaluated and dropped: simulate evaluates the horizon's control too
     ens.control_at(K)
     report = PicardReport(
         distances=tuple(all_dists),

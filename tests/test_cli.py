@@ -4,8 +4,9 @@ Covers the four exit codes (0 ok, 1 checks failed, 2 bad config, 3 runtime
 abort), the error anchoring ``path:line: [section] key: message``, the
 artifact layout of every subcommand (CSV schemas plus ``manifest.json`` and
 ``timing.txt``), byte-identical re-runs, the seed override environment
-variable, and output-directory precedence (--out flag, then the config's
-[output] dir, then ``out/<command>``).
+variable, output-directory precedence (--out flag, then the config's
+[output] dir, then ``out/<command>``), and the exit-2 contract for a
+config's bytes and for path arguments that cannot be used.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import warnings
 
 import pytest
 
-from memsfde import engine, mean_variance
+from memsfde import cli, engine, mean_variance
 from memsfde.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECKS_FAILED,
@@ -697,3 +698,93 @@ class TestOutputLocations:
         out2 = tmp_path / "flag_threads"
         assert main(["simulate", "--config", path, "--out", str(out2), "--threads", "3"]) == EXIT_OK
         assert read_manifest(out2)["threads"] == 3
+
+
+# run in a directory that holds the config "exp.cfg", a plain file "afile"
+# and a directory "cfgdir": (config bytes, argv, the one stderr line after
+# "config error: ")
+BAD_BYTES_AND_PATHS = {
+    "bad_utf8_byte": (
+        SIM_TINY.encode().replace(b"particles = 500", b"particles = 5\xff0"),
+        ["simulate", "--config", "exp.cfg", "--out", "out"],
+        "exp.cfg:7: not UTF-8 text: byte 0xff at column 14",
+    ),
+    "byte_order_mark": (
+        b"\xef\xbb\xbf" + SIM_TINY.replace("dt = 0.01", "dt = fast").encode(),
+        ["simulate", "--config", "exp.cfg", "--out", "out"],
+        "exp.cfg:6: [grid] dt: expected a number, got 'fast'",
+    ),
+    "unprintable_key": (
+        b"p\x0broblem = simulate\n" + SIM_TINY.encode(),
+        ["simulate", "--config", "exp.cfg", "--out", "out"],
+        "exp.cfg:1: [run] p\\x0broblem: unknown key (expected one of: problem, threads)",
+    ),
+    "config_is_a_directory": (
+        SIM_TINY.encode(),
+        ["simulate", "--config", "cfgdir", "--out", "out"],
+        "cfgdir:0: not a regular file",
+    ),
+    "out_is_a_file": (
+        SIM_TINY.encode(),
+        ["simulate", "--config", "exp.cfg", "--out", "afile"],
+        "--out: 'afile' is not a directory",
+    ),
+    "out_under_a_file": (
+        SIM_TINY.encode(),
+        ["simulate", "--config", "exp.cfg", "--out", "afile/sub"],
+        "--out: 'afile/sub' lies under 'afile', which is not a directory",
+    ),
+    "output_dir_under_a_file": (
+        (SIM_TINY + "\n[output]\ndir = afile/sub\n").encode(),
+        ["simulate", "--config", "exp.cfg"],
+        "exp.cfg:21: [output] dir: 'afile/sub' lies under 'afile', which is not a directory",
+    ),
+    "selftest_out_is_a_file": (
+        b"",
+        ["selftest", "--out", "afile"],
+        "--out: 'afile' is not a directory",
+    ),
+}
+
+
+class TestBytesAndPaths:
+    """The config's bytes and the path arguments keep the exit-2 contract:
+    one anchored line, no traceback, no output directory."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_BYTES_AND_PATHS))
+    def test_bad_input_exits_2_on_one_line_and_creates_nothing(self, tmp_path, capsys, monkeypatch, case):
+        data, argv, message = BAD_BYTES_AND_PATHS[case]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_bytes(data)
+        (tmp_path / "afile").write_bytes(b"kept")
+        (tmp_path / "cfgdir").mkdir()
+        before = sorted(os.walk(tmp_path))
+        assert main(argv) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"config error: {message}\n"
+        assert sorted(os.walk(tmp_path)) == before
+        assert (tmp_path / "afile").read_bytes() == b"kept"
+
+    def test_an_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = write_cfg(tmp_path, SIM_TINY)
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == f"config error: {path}:0: cannot read the file (Permission denied)\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + SIM_TINY.encode())
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert read_manifest(out)["config"]["run"] == {"problem": "simulate"}
+
+    def test_an_output_dir_under_a_new_directory_is_made(self, tmp_path, capsys):
+        out = tmp_path / "new" / "deeper"
+        assert main(["simulate", "--config", write_cfg(tmp_path, SIM_TINY), "--out", str(out)]) == EXIT_OK
+        assert (out / "manifest.json").exists()

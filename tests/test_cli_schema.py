@@ -17,6 +17,14 @@ rule sizes are also drawn huge, which the CLI rejects before allocating.
 The inputs that used to end in a traceback, or to pass although malformed,
 are pinned with their exact messages in ``TestProbedInputs`` and are
 explicit examples of the property test.
+
+A second property test edits the bytes of the file instead: at most two
+inserted, deleted or replaced bytes, truncations, byte-order marks, CRLF
+line ends, NULs or duplicated lines applied to the tiny configs of
+``tests/test_fresh_process.py``.  Two edits grow no run past about a
+hundredfold.  Whatever they make, a run exits 0, 1, 2 or 3 without a
+traceback, and an exit 2 or 3 prints one line and creates no output
+directory.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from memsfde.cli import (
     SCHEMA,
     main,
 )
+from test_fresh_process import LQ_TINY, MEANVAR_JUMPS_TINY, PICARD_TINY
 
 GRID = "[grid]\nhorizon = 0.2\ndelta = 0.04\ndt = 0.02\nparticles = 64\nseed = 3\n"
 
@@ -412,3 +421,66 @@ def test_contract_holds_for_configs_drawn_from_the_schema(case):
         again, _, _ = run(command, text, flag, workdir, "b")
         assert again == code
         assert artifacts(os.path.join(workdir, "b")) == artifacts(os.path.join(workdir, "a"))
+
+
+# the tiny configs of the fresh-process tests, by subcommand
+TINY = {"lq": LQ_TINY, "meanvar": MEANVAR_JUMPS_TINY, "picard": PICARD_TINY}
+
+
+@st.composite
+def byte_edit(draw, data: bytes) -> bytes:
+    """One edit of ``data``: insert, delete or replace a byte, truncate,
+    prepend a byte-order mark, end lines with CRLF, insert a NUL, or
+    duplicate a line."""
+    kind = draw(st.sampled_from(["insert", "delete", "replace", "truncate", "bom", "crlf", "nul", "duplicate"]))
+    i = draw(st.integers(0, len(data)))
+    if kind == "insert":
+        return data[:i] + bytes([draw(st.integers(0, 255))]) + data[i:]
+    if kind == "delete":
+        return data[:i] + data[i + 1 :]
+    if kind == "replace":
+        return data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1 :]
+    if kind == "truncate":
+        return data[:i]
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if kind == "nul":
+        return data[:i] + b"\0" + data[i:]
+    lines = data.splitlines(keepends=True)
+    j = draw(st.integers(0, len(lines)))
+    return b"".join(lines[:j] + lines[j:][:1] + lines[j:])
+
+
+@st.composite
+def edited_configs(draw):
+    command = draw(st.sampled_from(sorted(TINY)))
+    data = TINY[command].encode()
+    for _ in range(draw(st.integers(0, 2))):
+        data = draw(byte_edit(data))
+    return command, data
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(case=edited_configs())
+def test_contract_holds_for_configs_two_byte_edits_away(case):
+    command, data = case
+    with tempfile.TemporaryDirectory() as workdir:
+        path, out = os.path.join(workdir, "exp.cfg"), os.path.join(workdir, "out")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", path, "--out", out])
+        err = stderr.getvalue()
+        assert code in (EXIT_OK, EXIT_CHECKS_FAILED, EXIT_BAD_CONFIG, EXIT_RUNTIME_ABORT)
+        assert "Traceback" not in err
+        if code in (EXIT_BAD_CONFIG, EXIT_RUNTIME_ABORT):
+            assert len(err.splitlines()) == 1, err
+            assert not os.path.exists(out)

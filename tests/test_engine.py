@@ -390,6 +390,58 @@ class TestControlCosts:
         ]
         assert [c.tobytes() for c in costs] == [e.tobytes() for e in expected]
 
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(case=cost_cases())
+    def test_simulate_sums_the_cost_that_pathwise_cost_replays(self, case):
+        problem, controls = case
+        for control in controls:
+            ens = problem.simulate(control)
+            assert ens.cost.shape == (problem.grid.n_particles,)
+            assert ens.cost.tobytes() == pathwise_cost(ens, problem.coeffs).tobytes()
+
+    def test_costs_evaluate_a_feedback_once_per_step(self):
+        grid = SimGrid(dt=0.1, delta_steps=2, horizon=1.0, n_particles=5, seed=3)
+        coeffs = CoefficientSet(
+            drift=lambda t, x, xs, m, ms, u, us: u - 0.2 * xs[:, -1],
+            diffusion=lambda *a: 0.3,
+            running_cost=lambda t, x, xs, m, ms, u, us: -0.5 * u * u,
+            terminal_cost=lambda x, law: -0.5 * x * x,
+        )
+        problem = ControlProblem(coeffs=coeffs, grid=grid, xi=1.0)
+        times = []
+
+        def feedback(t, x, x_seg, law):
+            times.append(t)
+            return -0.4 * x
+
+        problem.costs([feedback, feedback])
+        # steps 0..K, the horizon included, and no replay for the cost
+        assert len(times) == 2 * (grid.n_steps + 1)
+
+    def test_a_fixed_point_ensemble_has_no_cost(self):
+        grid = SimGrid(dt=0.1, delta_steps=2, horizon=1.0, n_particles=5, seed=3)
+        coeffs = CoefficientSet(
+            drift=lambda t, x, xs, m, ms, u, us: u - 0.2 * xs[:, -1] + 0.1 * m.mean(),
+            diffusion=lambda *a: 0.3,
+            running_cost=lambda t, x, xs, m, ms, u, us: -0.5 * u * u + 0.1 * us[:, -1],
+            terminal_cost=lambda x, law: -0.5 * x * x,
+        )
+
+        def feedback(t, x, x_seg, law):
+            return -0.4 * x_seg[:, -1]
+
+        ens, report = picard_solve(coeffs, grid, xi=1.0, control=feedback, t0_steps=5)
+        assert report.converged
+        assert ens.cost is None
+        # converged exactly, so the replay gives the direct scheme's bits
+        direct = simulate(coeffs, grid, xi=1.0, control=feedback)
+        assert pathwise_cost(ens, coeffs).tobytes() == direct.cost.tobytes()
+
 
 class TestControls:
     def test_scalar_array_callable_agree(self):
