@@ -891,7 +891,7 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         threads = args.threads if args.threads is not None else 1
         if threads < 1:
-            print("--threads: must be at least 1", file=sys.stderr)
+            print(f"config error: {ConfigError('must be at least 1', key='--threads')}", file=sys.stderr)
             return EXIT_BAD_CONFIG
         unusable = args.out and _unusable_output_dir(args.out)
         if unusable:
@@ -920,8 +920,9 @@ def main(argv=None) -> int:
         if run.get("problem", args.command) != args.command:
             cfg._error("run", "problem", f"config is for {run['problem']!r} but subcommand is {args.command!r}")
         threads = run["threads"] if args.threads is None else args.threads
+        # [run] threads is checked where it is parsed, so only the flag is left
         if threads < 1:
-            cfg._error("run", "threads", "must be at least 1")
+            raise ConfigError("must be at least 1", key="--threads")
         grid = build_grid(cfg)
         seed_overridden = os.environ.get(SEED_ENV_VAR) is not None
         jumps = build_jumps(cfg)

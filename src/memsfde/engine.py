@@ -17,7 +17,7 @@ empirical law of the ensemble, ``law_seg`` its backward segment, and ``u`` /
 
 All array inputs are views into the arrays being integrated, and ``law_seg``
 builds its d + 1 laws only when read.  They are valid only during the
-coefficient call: the fixed-point solver overwrites the array they view on its
+coefficient call: the fixed-point solver overwrites the rows they view on its
 next sweep, so a coefficient that needs them later must copy them.
 
 One Euler step with law inputs frozen at the step's left endpoint:
@@ -34,9 +34,12 @@ Every per-step reader takes these inputs from ``ParticleEnsemble.step_inputs``,
 and every forward pass from one loop, ``_replay``, which also evaluates each
 step's control and pushes it to a ``_ControlRing`` of the last d + 1 applied
 values, the source of the control window ``u_seg``.  ``_euler_window``
-advances paths over that loop, for the direct scheme and for the fixed-point
-solver in :mod:`memsfde.picard` (which reads the frozen previous iterate and
-accumulates increments on the new paths).
+advances a state over that loop, for the direct scheme and for the
+fixed-point solver in :mod:`memsfde.picard` (which reads the frozen previous
+iterate and accumulates increments on the new paths).  A state it reads or
+writes is an ensemble's ``paths`` or a ``_ColumnBand``, which keeps only the
+mesh columns a pass reads: the solver's frozen iterate and the direct scheme
+of its consistency check are bands.
 
 No ensemble records its control: the value applied at step k is the control
 evaluated on the stored inputs of step k, so a reader replays it
@@ -58,12 +61,11 @@ draw, so it too draws each step's noise once however many sweeps it makes.
 Every per-step array is stored time-major and handed out particle-major:
 ``paths``, ``brownian`` and ``jump_counts`` are transposed views with public
 shapes (N, ·), and the state, control and noise of one step, like every law
-of a law segment, are one contiguous row.  ``paths`` (and the fixed-point
-solver's frozen iterate) keep the newest time first (``_mesh_array``), and so
-does the control ring, so a step's backward windows ``x_seg`` and ``u_seg``
-are bands of d + 1 rows in ascending memory order that a product such as
-``x_seg @ w`` hands to BLAS without a copy; the noise, read one step at a
-time, is stored in time order.  The zero control from a +0.0 history can
+of a law segment, are one contiguous row.  ``paths`` (``_mesh_array``), a
+column band and the control ring keep the newest time first, so a step's
+backward windows ``x_seg`` and ``u_seg`` are bands of d + 1 rows in
+ascending memory order that a product such as ``x_seg @ w`` hands to BLAS
+without a copy; the noise, read one step at a time, is stored in time order.  The zero control from a +0.0 history can
 apply nothing but +0.0, so its window is a read-only zero view and no ring
 is allocated.
 """
@@ -388,20 +390,20 @@ class _LazyLawSegment(MeasureSegment):
 
     Most coefficients never read ``law_seg``, so the d + 1 empirical laws of
     every step are only materialized when one does.  The measures are views
-    into the ensemble's ``paths``.
+    of the ensemble's state columns, read through ``state_column`` so that a
+    :class:`_ColumnBand` serves them as well as ``paths`` does.
     """
 
     def __init__(self, ens: ParticleEnsemble, k: int):
-        d = ens.grid.delta_steps
         object.__setattr__(self, "dt", ens.grid.dt)
-        object.__setattr__(self, "_source", (ens.paths, d + k, d))
+        object.__setattr__(self, "_source", (ens, k, ens.grid.delta_steps))
         object.__setattr__(self, "_measures", None)
 
     @property
     def measures(self) -> tuple:
         if self._measures is None:
-            paths, idx, d = self._source
-            built = tuple(EmpiricalMeasure(paths[:, idx - j]) for j in range(d + 1))
+            ens, k, d = self._source
+            built = tuple(EmpiricalMeasure(ens.state_column(k - j)) for j in range(d + 1))
             object.__setattr__(self, "_measures", built)
         return self._measures
 
@@ -416,6 +418,45 @@ def _mesh_array(grid: SimGrid) -> np.ndarray:
     in ascending memory order, which matrix products hand to BLAS as is."""
     d, K, N = grid.delta_steps, grid.n_steps, grid.n_particles
     return np.zeros((d + K + 1, N))[::-1].T
+
+
+class _ColumnBand(ParticleEnsemble):
+    """An ensemble that keeps a band of ``n_rows`` mesh columns of its state
+    instead of all of them; its noise, jump model, control and control
+    history are those of the ensemble it is made from, and ``paths`` is
+    ``None``.
+
+    Mesh column i (time ``(i - d) dt``) sits in row ``top - i`` of a
+    (n_rows, N) array: the newest column first, as in :func:`_mesh_array`.
+    So ``state_column(k)`` is one contiguous row and ``backward_window(k)``
+    the same F-contiguous (N, d + 1) view of d + 1 rows in ascending memory
+    order that ``paths`` gives, and BLAS and the coefficients see the same
+    operands.  Only the columns the band holds may be read or written.
+    """
+
+    def __init__(self, ens: ParticleEnsemble, n_rows: int):
+        super().__init__(ens.grid, None, ens.brownian, ens.jump_counts, ens.jumps, ens.control, ens.control_history)
+        self.rows = np.zeros((n_rows, ens.grid.n_particles))
+        self.top = n_rows - 1
+
+    def state_column(self, k: int) -> np.ndarray:
+        return self.rows[self.top - self.grid.delta_steps - k]
+
+    def backward_window(self, k: int) -> np.ndarray:
+        r = self.top - self.grid.delta_steps - k
+        return self.rows[r : r + self.grid.delta_steps + 1].T
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """Mesh columns ``lo..hi-1`` as time-ordered rows, a view."""
+        return self.rows[self.top - hi + 1 : self.top - lo + 1][::-1]
+
+    def make_room(self, i: int) -> None:
+        """Free a row for mesh column i + 1 and keep columns i - d..i: when
+        column i sits in row 0, those d + 1 columns move to the last rows."""
+        if self.top == i:
+            d = self.grid.delta_steps
+            self.rows[-(d + 1) :] = self.rows[: d + 1]
+            self.top = i + len(self.rows) - d - 1
 
 
 def _control_history(grid: SimGrid, control_history) -> np.ndarray | None:
@@ -580,32 +621,33 @@ class _PathCost:
 def _euler_window(
     coeffs: CoefficientSet,
     read_ens: ParticleEnsemble,
-    write_paths: np.ndarray,
+    write: ParticleEnsemble,
     ring: _ControlRing,
     k_start: int,
     k_stop: int,
     cost: _PathCost | None = None,
 ) -> None:
-    """Advance ``write_paths`` over steps ``k_start..k_stop-1``, reading
-    every input from ``read_ens`` through :func:`_replay` and ``ring`` (which
-    must hold the d values before ``k_start``).  Passing the ensemble's own
-    ``paths`` gives the explicit scheme.  The horizon step K advances
+    """Advance the state of ``write`` (an ensemble or a :class:`_ColumnBand`,
+    written through ``state_column``) over steps ``k_start..k_stop-1``,
+    reading every input from ``read_ens`` through :func:`_replay` and
+    ``ring`` (which must hold the d values before ``k_start``).  Writing
+    what is read gives the explicit scheme.  The horizon step K advances
     nothing.  Each step adds its running cost to ``cost``, if given, after
     its update.
     """
-    d, dt, K = read_ens.grid.delta_steps, read_ens.grid.dt, read_ens.grid.n_steps
+    dt, K = read_ens.grid.dt, read_ens.grid.n_steps
     jumps, jump_counts = read_ens.jumps, read_ens.jump_counts
 
     for k, x, x_seg, law, law_seg, u, u_seg in _replay(read_ens, ring, k_start, k_stop):
         if k < K:
-            idx, t = d + k, k * dt
-            # the step accumulates in its own row of write_paths; every
-            # input is a view of columns up to idx, which it leaves alone
-            nxt = write_paths[:, idx + 1]
+            t = k * dt
+            # the step accumulates in its own row of write; every input is a
+            # view of columns up to the step's, which it leaves alone
+            cur, nxt = write.state_column(k), write.state_column(k + 1)
             if coeffs.drift is not None:
-                np.add(write_paths[:, idx], dt * np.asarray(coeffs.drift(t, x, x_seg, law, law_seg, u, u_seg)), out=nxt)
+                np.add(cur, dt * np.asarray(coeffs.drift(t, x, x_seg, law, law_seg, u, u_seg)), out=nxt)
             else:
-                nxt[...] = write_paths[:, idx]
+                nxt[...] = cur
             if coeffs.diffusion is not None:
                 nxt += np.asarray(coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg)) * read_ens.brownian[:, k]
             if jump_counts is not None:
@@ -647,7 +689,7 @@ def simulate(
     cost = _PathCost(coeffs, grid)
     # the pass reads the horizon step too: its running cost is summed, and
     # a control that fails there fails here rather than in a later reader
-    _euler_window(coeffs, ens, ens.paths, _ControlRing(ens, grid.delta_steps + 1), 0, grid.n_steps + 1, cost)
+    _euler_window(coeffs, ens, ens, _ControlRing(ens, grid.delta_steps + 1), 0, grid.n_steps + 1, cost)
     ens.cost = cost.finish(ens.state_column(grid.n_steps))
     return ens
 

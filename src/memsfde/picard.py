@@ -15,7 +15,10 @@ the new window's initial guess the constant extension of its starting value.
 The solve runs on the problem's noise as :func:`memsfde.engine.draw_noise`
 draws it for the direct scheme, once and before the first sweep; every sweep
 reads those stored increments, so the converged result matches the direct
-scheme exactly.  The frozen iterate is one array allocated per solve.
+scheme exactly.  The frozen iterate is not a second mesh: it is one band
+of the d + t0_steps + 1 columns a sweep reads, the memory span and the
+window (``engine._ColumnBand``), allocated once per solve and refilled at
+each window.
 
 A sweep redoes only what its predecessor changed.  The first sweep of a
 window integrates every step from the initial guess, after the memory span
@@ -41,7 +44,7 @@ its final paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,13 +52,12 @@ from memsfde.engine import (
     CoefficientSet,
     JumpModel,
     ParticleEnsemble,
+    _ColumnBand,
     _ControlRing,
     _euler_window,
     _grid_control,
     _is_integer,
-    _mesh_array,
     _new_ensemble,
-    simulate,
 )
 from memsfde.grid import SimGrid
 
@@ -132,9 +134,9 @@ def picard_solve(
 
     ens = _new_ensemble(coeffs, grid, jumps, xi, ctrl)
     paths = ens.paths
-    # the frozen iterate: its own paths, the solve's control and noise
-    prev = _mesh_array(grid)
-    frozen = replace(ens, paths=prev)
+    # the frozen iterate: the memory span and the window being solved, with
+    # the solve's control and noise
+    frozen = _ColumnBand(ens, d + t0_steps + 1)
     # one ring for every sweep: a sweep rewrites the t0_steps values of its
     # window, which leaves the d values before the window in place
     ring = _ControlRing(ens, d + t0_steps)
@@ -145,15 +147,16 @@ def picard_solve(
     iters: list[int] = []
     converged = True
 
-    # time-major views: row c is mesh column c
-    paths_t, prev_t = paths.T, prev.T
+    # time-major view: row c is mesh column c
+    paths_t = paths.T
     for w in range(n_windows):
         k0, k1 = w * t0_steps, (w + 1) * t0_steps
         lo, hi = d + k0, d + k1
         # initial guess: constant extension of the window's starting value
         paths[:, lo + 1 : hi + 1] = paths[:, lo][:, None]
         # the first sweep reads the memory span and the whole window
-        prev_t[k0 : hi + 1] = paths_t[k0 : hi + 1]
+        frozen.top = hi  # the band holds columns k0..hi
+        frozen.columns(k0, hi + 1)[...] = paths_t[k0 : hi + 1]
         start = k0
         dists: list[float] = []
         ratios: list[float] = []
@@ -162,16 +165,16 @@ def picard_solve(
             # steps before start read only columns that the previous sweep
             # left bit for bit as they were, so they would push the same
             # control values and write the same columns again
-            _euler_window(coeffs, frozen, paths, ring, start, k1)
+            _euler_window(coeffs, frozen, ens, ring, start, k1)
             # columns up to d + start were not written; the first one whose
             # bits changed is where the next sweep's reads first differ
-            band = slice(d + start + 1, hi + 1)
-            changed = np.flatnonzero(
-                (paths_t[band].view(np.uint64) != prev_t[band].view(np.uint64)).any(axis=1)
-            )
+            written = d + start + 1
+            new, held = paths_t[written : hi + 1], frozen.columns(written, hi + 1)
+            changed = np.flatnonzero((new.view(np.uint64) != held.view(np.uint64)).any(axis=1))
             if changed.size:
-                first = d + start + 1 + int(changed[0])
-                diff = paths_t[first : hi + 1] - prev_t[first : hi + 1]
+                first = written + int(changed[0])
+                new, held = new[changed[0] :], held[changed[0] :]
+                diff = new - held
                 # the unchanged columns would add exact zeros to the max
                 dist = float(np.mean(np.max(diff * diff, axis=0)))
             else:
@@ -183,7 +186,7 @@ def picard_solve(
                 window_done = True
                 break
             # the next sweep starts at the first step that reads column first
-            prev_t[first : hi + 1] = paths_t[first : hi + 1]
+            held[...] = new
             start = first - d
         all_dists.append(tuple(dists))
         all_ratios.append(tuple(ratios))
@@ -210,14 +213,24 @@ def consistency_check(coeffs: CoefficientSet, ens_fp: ParticleEnsemble) -> float
     ``ens_fp`` is the ensemble :func:`picard_solve` returned for ``coeffs``;
     the direct scheme runs on what it holds: its grid, jump model, noise,
     initial history (``paths`` before time zero), control and control
-    history, so nothing is solved or drawn again.  The gap is formed one
-    contiguous time row at a time, so no full-size temporary is held.
+    history, so nothing is solved or drawn again.  The scheme streams
+    through a band of 2(d + 2) mesh columns rather than a second ensemble:
+    each column's gap is formed, one contiguous row, before the step that
+    reads it writes the next column, and the band moves its d + 1 newest
+    columns back to its last rows once it runs out of rows.  The gaps are
+    those of simulating the whole direct ensemble, bit for bit.
     """
-    hist = ens_fp.paths[0, : ens_fp.grid.delta_steps + 1]
-    ens_dir = simulate(coeffs, ens_fp.grid, ens_fp.jumps, hist, ens_fp.control, ens_fp.control_history, ens_fp.noise)
-    gaps = np.empty(ens_fp.grid.n_steps + 1)
-    for k in range(len(gaps)):
-        diff = ens_fp.state_column(k) - ens_dir.state_column(k)
+    d, K = ens_fp.grid.delta_steps, ens_fp.grid.n_steps
+    direct = _ColumnBand(ens_fp, 2 * (d + 2))
+    direct.columns(0, d + 1)[...] = ens_fp.paths.T[: d + 1]
+    ring = _ControlRing(direct, d + 1)
+    gaps = np.empty(K + 1)
+    for k in range(K + 1):
+        diff = ens_fp.state_column(k) - direct.state_column(k)
         diff *= diff
         gaps[k] = diff.mean()
+        # the horizon step advances nothing but evaluates the control, as
+        # simulate does
+        direct.make_room(d + k)
+        _euler_window(coeffs, direct, direct, ring, k, k + 1)
     return float(np.max(gaps))

@@ -252,7 +252,19 @@ class TestConfigErrors:
 
     def test_selftest_threads_must_be_positive(self, capsys):
         assert main(["selftest", "--threads", "0"]) == EXIT_BAD_CONFIG
-        assert "--threads: must be at least 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: --threads: must be at least 1\n"
+
+    def test_threads_flag_is_blamed_not_the_config(self, tmp_path, capsys):
+        # the config never set [run] threads, so it has no line to anchor to
+        path = write_cfg(tmp_path, PICARD_TINY)
+        err = self.run_expecting_bad_config(["picard", "--config", path, "--threads", "0"], capsys)
+        assert err == "config error: --threads: must be at least 1\n"
+
+    def test_threads_key_is_anchored_at_its_line(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "[run]\nthreads = 0\n\n" + SIM_TINY)
+        err = self.run_expecting_bad_config(["simulate", "--config", path, "--threads", "2"], capsys)
+        assert err.startswith(f"config error: {path}:2: [run] threads:")
+        assert err.count("\n") == 1
 
     def test_invalid_seed_override_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")

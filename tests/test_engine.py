@@ -846,9 +846,10 @@ class TestUncontrolledRecord:
     @pytest.mark.parametrize("how", ["simulate", "picard"])
     def test_uncontrolled_runs_allocate_no_control_array(self, how):
         # a simulation on shared noise allocates its paths, and the
-        # fixed-point solve also its frozen iterate and the noise it draws;
-        # no (N, d + K + 1) control array beside them.  A controlled run
-        # adds only its control ring: 2d + 1 rows in a simulation, and
+        # fixed-point solve also the noise it draws and its frozen iterate,
+        # a band of the d + t0_steps + 1 columns a sweep reads; no
+        # (N, d + K + 1) control array beside them.  A controlled run adds
+        # only its control ring: 2d + 1 rows in a simulation, and
         # 2d + t0_steps in the fixed-point solve
         grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=4_000, seed=3)
         coeffs = CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: xs[:, -1] - x + u, diffusion=lambda *a: 0.3)
@@ -870,8 +871,9 @@ class TestUncontrolledRecord:
                 else:
                     picard_solve(coeffs, grid, xi=1.0, control=control, t0_steps=5)
                     ring = (2 * d + 5) * N * 8
+                    band = (d + 5 + 1) * N * 8
                     # plus the sweep distance over a 5-step window
-                    allowed = 2 * mesh + N * K * 8 + 2 * N * 5 * 8 + slack
+                    allowed = mesh + band + N * K * 8 + 2 * N * 5 * 8 + slack
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -153,7 +153,7 @@ def test_output_does_not_depend_on_the_blas_thread_setting(tmp_path):
             MEANVAR_JUMPS_TINY,
             {"mean_variance.j_comparison", "adjoint.solve_absde", "engine.simulate"},
         ),
-        ("picard", PICARD_TINY, {"picard.picard_solve", "engine.simulate"}),
+        ("picard", PICARD_TINY, {"picard.picard_solve", "picard.consistency_check"}),
     ],
     ids=["lq", "meanvar_jumps", "picard"],
 )

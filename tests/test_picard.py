@@ -1,6 +1,7 @@
 """Frozen-noise fixed-point solver: exactness, contraction ratios, consistency."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,29 @@ class TestNoiseReuse:
         assert consistency_check(MEAN_FIELD_JUMPS, ens) == 0.0
 
 
+class TestCheckMemory:
+    @pytest.mark.parametrize("control", ["none", "feedback"])
+    def test_check_holds_a_band_of_columns_not_an_ensemble(self, control):
+        # the direct scheme streams through 2(d + 2) columns beside the
+        # fixed-point ensemble, plus the control ring of 2d + 1 rows of a
+        # controlled run; no second (N, d + K + 1) ensemble
+        grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=4_000, seed=3)
+        feedback = None if control == "none" else (lambda t, x, xs, law: 0.2 * xs[:, -1] - 0.5 * x)
+        coeffs = CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: xs[:, -1] - x + u, diffusion=lambda *a: 0.3)
+        ens, _ = picard_solve(coeffs, grid, xi=1.0, control=feedback, t0_steps=5)
+        N, d = grid.n_particles, grid.delta_steps
+        allowed = 2 * (d + 2) * N * 8 + 16 * N * 8  # the band and (N,)-row temporaries
+        if feedback is not None:
+            allowed += (2 * d + 1) * N * 8
+        tracemalloc.start()
+        try:
+            consistency_check(coeffs, ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= allowed
+
+
 class TestValidation:
     def test_window_must_divide_horizon(self):
         grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=1, seed=0)
@@ -246,7 +270,7 @@ def full_sweep_solve(coeffs, grid, jumps=None, xi=0.0, control=None, t0_steps=No
                 moved = paths[:, lo + 1 : hi + 1].view(np.uint64) != prev[:, lo + 1 : hi + 1].view(np.uint64)
                 steps += k1 - (lo + 1 + int(np.flatnonzero(moved.any(axis=0))[0]) - d)
             prev[:, k0 : hi + 1] = paths[:, k0 : hi + 1]
-            engine._euler_window(coeffs, frozen, paths, ring, k0, k1)
+            engine._euler_window(coeffs, frozen, ens, ring, k0, k1)
             diff = paths[:, lo + 1 : hi + 1] - prev[:, lo + 1 : hi + 1]
             dist = float(np.mean(np.max(diff * diff, axis=1)))
             if dists and dists[-1] > 0.0:
@@ -278,6 +302,21 @@ def counting_steps(coeffs, grid, t0_steps, counts):
 
 def bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
+
+
+def simulated_gap(coeffs, ens) -> float:
+    """The consistency gap the way a second ensemble gives it: the direct
+    scheme simulated on the fixed-point ensemble's history, control, control
+    history and noise, then each column's mean squared gap."""
+    d = ens.grid.delta_steps
+    hist = ens.paths[0, : d + 1]
+    direct = simulate(coeffs, ens.grid, ens.jumps, hist, ens.control, ens.control_history, ens.noise)
+    gaps = np.empty(ens.grid.n_steps + 1)
+    for k in range(len(gaps)):
+        diff = ens.state_column(k) - direct.state_column(k)
+        diff *= diff
+        gaps[k] = diff.mean()
+    return float(np.max(gaps))
 
 
 USEG_COEFFS = CoefficientSet(
@@ -326,6 +365,13 @@ class TestRestartAtFirstChangedColumn:
             dict(xi=-0.0),
         ),
         "one_window": (LAW_DRIFT, SimGrid(dt=0.05, delta_steps=2, horizon=0.4, n_particles=8, seed=6), dict()),
+        # 20 steps through the check's band of 2(d + 2) = 8 columns: the
+        # band moves its newest columns back at steps 5, 10, 15 and 20
+        "check_band_moves": (
+            LAW_DRIFT,
+            SimGrid(dt=0.05, delta_steps=2, horizon=1.0, n_particles=8, seed=6),
+            dict(t0_steps=5, control=USEG_FEEDBACK),
+        ),
         "cut_off_by_max_iter": (
             MEAN_FIELD_JUMPS,
             SimGrid(dt=0.02, delta_steps=5, horizon=0.4, n_particles=16, seed=8),
@@ -334,7 +380,7 @@ class TestRestartAtFirstChangedColumn:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_the_full_sweep_reference(self, case):
+    def test_matches_the_full_sweep_reference(self, case, monkeypatch):
         coeffs, grid, kwargs = self.CASES[case]
         kwargs = {"xi": 1.0, **kwargs}
         t0_steps = kwargs.get("t0_steps")
@@ -359,3 +405,20 @@ class TestRestartAtFirstChangedColumn:
             assert not report.converged and report.iterations == (4, 4)
         else:
             assert report.converged
+        # the streamed check gives the bits of simulating a second ensemble
+        moves = []
+        make_room = engine._ColumnBand.make_room
+
+        def counted(band, i):
+            top = band.top
+            make_room(band, i)
+            if band.top != top:
+                moves.append(i)
+
+        monkeypatch.setattr(engine._ColumnBand, "make_room", counted)
+        gap = consistency_check(coeffs, ens)
+        assert bits(gap) == bits(simulated_gap(coeffs, ens))
+        if case == "cut_off_by_max_iter":
+            assert gap > 0.0
+        if case == "check_band_moves":
+            assert [i - grid.delta_steps for i in moves] == [5, 10, 15, 20]
