@@ -32,14 +32,16 @@ error on top of the Euler bias.
 
 Every per-step reader takes these inputs from ``ParticleEnsemble.step_inputs``,
 and every forward pass from one loop, ``_replay``, which also evaluates each
-step's control and pushes it to a ``_ControlRing`` of the last d + 1 applied
-values, the source of the control window ``u_seg``.  ``_euler_window``
-advances a state over that loop, for the direct scheme and for the
+step's control and pushes it to a band of the newest applied values, the
+source of the control window ``u_seg``.  ``_euler_window`` advances an
+ensemble's state over that loop, for the direct scheme and for the
 fixed-point solver in :mod:`memsfde.picard` (which reads the frozen previous
-iterate and accumulates increments on the new paths).  A state it reads or
-writes is an ensemble's ``paths`` or a ``_ColumnBand``, which keeps only the
-mesh columns a pass reads: the solver's frozen iterate and the direct scheme
-of its consistency check are bands.
+iterate and accumulates increments on the new paths).
+
+One store, ``_Band``, holds every time row of a forward pass: mesh columns,
+the newest first.  An ensemble's state is a band of all d + K + 1 columns
+that never moves, with ``paths`` its view; the solver's frozen iterate and
+its consistency check's direct scheme are ensembles on shorter bands.
 
 No ensemble records its control: the value applied at step k is the control
 evaluated on the stored inputs of step k, so a reader replays it
@@ -61,13 +63,14 @@ draw, so it too draws each step's noise once however many sweeps it makes.
 Every per-step array is stored time-major and handed out particle-major:
 ``paths``, ``brownian`` and ``jump_counts`` are transposed views with public
 shapes (N, ·), and the state, control and noise of one step, like every law
-of a law segment, are one contiguous row.  ``paths`` (``_mesh_array``), a
-column band and the control ring keep the newest time first, so a step's
-backward windows ``x_seg`` and ``u_seg`` are bands of d + 1 rows in
-ascending memory order that a product such as ``x_seg @ w`` hands to BLAS
-without a copy; the noise, read one step at a time, is stored in time order.  The zero control from a +0.0 history can
-apply nothing but +0.0, so its window is a read-only zero view and no ring
-is allocated.
+of a law segment, are one contiguous row.  A band keeps the newest time
+first, so a step's backward windows ``x_seg`` and ``u_seg`` are d + 1 rows
+in ascending memory order that a product such as ``x_seg @ w`` hands to
+BLAS without a copy.  The noise, read one step at a time, is stored in
+time order.
+
+The zero control from a +0.0 history can apply nothing but +0.0, so its
+window is a read-only zero view and no control band is allocated.
 """
 
 from __future__ import annotations
@@ -194,7 +197,7 @@ class _Control:
 
 
 # the control of uncontrolled dynamics; from a +0.0 control history its
-# window is a read-only zero view (see _ControlRing)
+# window is a read-only zero view (see _control_band)
 _ZERO_CONTROL = _Control(lambda k, t, x, x_seg, law: np.zeros_like(x))
 
 
@@ -269,20 +272,74 @@ def _grid_control(control, grid: SimGrid) -> _Control:
 # ensemble
 
 
+class _Band:
+    """A band of the mesh columns of one (N,) quantity, stored newest first.
+
+    Mesh column i (time ``(i - d) dt``) sits in row ``top - i`` of an
+    (n_rows, N) array.  So ``column(i)`` is one contiguous row, and
+    ``window(i)``, columns i - d..i in lag order, is an F-contiguous
+    (N, d + 1) view of d + 1 rows in ascending memory order, which BLAS
+    takes as is.  A band of d + K + 1 rows holds the whole mesh of
+    [-delta, T] and never moves.  A shorter band holds the newest columns:
+    when the next column would not fit, ``make_room`` moves the d + 1
+    newest to the last rows, so every window that ends at a later column
+    stays readable.  Only the columns a band holds may be read or written.
+    """
+
+    def __init__(self, grid: SimGrid, n_rows: int):
+        self.d = grid.delta_steps
+        self.rows = np.zeros((n_rows, grid.n_particles))
+        self.top = n_rows - 1
+
+    def column(self, i: int) -> np.ndarray:
+        return self.rows[self.top - i]
+
+    def window(self, i: int) -> np.ndarray:
+        """Columns i - d..i as an (N, d + 1) view; its column j is lag j."""
+        r = self.top - i
+        return self.rows[r : r + self.d + 1].T
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """Columns ``lo..hi-1`` as time-ordered rows, a view."""
+        return self.rows[self.top - hi + 1 : self.top - lo + 1][::-1]
+
+    def make_room(self, i: int) -> None:
+        """Free a row for column i + 1 and keep columns i - d..i: when
+        column i sits in row 0, those d + 1 columns move to the last rows,
+        oldest first, in blocks that do not overlap their targets, so no
+        temporary copy is made."""
+        if self.top == i:
+            keep, shift = self.d + 1, len(self.rows) - self.d - 1
+            for hi in range(keep, 0, -shift):
+                lo = max(hi - shift, 0)
+                self.rows[lo + shift : hi + shift] = self.rows[lo:hi]
+            self.top = i + shift
+
+    def push(self, i: int, value) -> np.ndarray:
+        """Write ``value`` as column i, after making room for it, and return
+        the window that ends there; it stays valid until the next push."""
+        self.make_room(i - 1)
+        self.rows[self.top - i] = value
+        return self.window(i)
+
+
 @dataclass
 class ParticleEnsemble:
     """Simulated particle system plus the noise that drove it.
 
-    ``paths`` covers ``[-delta, T]`` (column ``delta_steps + k`` is time
-    ``k dt``).  Brownian increments ``brownian`` (N, K) and per-mark jump
-    counts ``jump_counts`` (N, K, marks; ``uint8``, or int64 when a count
-    exceeds 255, see :func:`draw_noise`) are kept so the adjoint solver can
-    build regression features from the same noise that moved the particles.
-    They are the noise of the ensemble's problem, drawn once and shared
-    read-only by every ensemble simulated or solved on it.  ``paths`` and the
-    noise are (N, ·) views of time-major storage, so column k of each is one
-    contiguous row; ``paths`` stores the newest time first, which makes
-    ``backward_window`` a band of rows in ascending memory order.
+    ``state`` is a band of mesh columns (:class:`_Band`); a simulated or
+    solved ensemble's holds all d + K + 1 columns of ``[-delta, T]``, and
+    ``paths`` is its (N, d + K + 1) view (column ``delta_steps + k`` is
+    time ``k dt``).  An ensemble on a shorter band, like the fixed-point
+    solver's frozen iterate, has no ``paths``.  Brownian increments
+    ``brownian`` (N, K) and per-mark jump counts ``jump_counts`` (N, K,
+    marks; ``uint8``, or int64 when a count exceeds 255, see
+    :func:`draw_noise`) are kept so the adjoint solver can build regression
+    features from the same noise that moved the particles.  They are the
+    noise of the ensemble's problem, drawn once and shared read-only by
+    every ensemble simulated or solved on it.  ``paths`` and the noise are
+    (N, ·) views of time-major storage, so column k of each is one
+    contiguous row.
 
     The ensemble keeps its ``control`` and its ``control_history`` (the
     values before time zero: ``None`` without a memory window, else a scalar
@@ -303,7 +360,7 @@ class ParticleEnsemble:
     """
 
     grid: SimGrid
-    paths: np.ndarray
+    state: _Band
     brownian: np.ndarray
     jump_counts: np.ndarray | None
     jumps: JumpModel
@@ -315,7 +372,7 @@ class ParticleEnsemble:
 
     @property
     def n_particles(self) -> int:
-        return self.paths.shape[0]
+        return self.grid.n_particles
 
     @property
     def noise(self) -> tuple:
@@ -323,19 +380,28 @@ class ParticleEnsemble:
         return self.brownian, self.jump_counts
 
     @property
+    def paths(self) -> np.ndarray:
+        """State on the mesh of [-delta, T], shape (N, d + K + 1), a view of
+        ``state``; a ``ValueError`` when ``state`` holds fewer columns."""
+        n_rows, n_mesh = len(self.state.rows), self.grid.delta_steps + self.grid.n_steps + 1
+        if n_rows != n_mesh:
+            raise ValueError(f"the state is a band of {n_rows} of the {n_mesh} mesh columns, so it has no paths")
+        return self.state.rows[::-1].T
+
+    @property
     def states(self) -> np.ndarray:
         """State on the [0, T] mesh, shape (N, n_steps + 1)."""
         return self.paths[:, self.grid.delta_steps :]
 
     def state_column(self, k: int) -> np.ndarray:
-        return self.paths[:, self.grid.delta_steps + k]
+        return self.state.column(self.grid.delta_steps + k)
 
     def backward_window(self, k: int) -> np.ndarray:
         """State window (N, delta_steps + 1); column j is the state at lag j dt."""
-        return self.paths[:, k : self.grid.delta_steps + k + 1][:, ::-1]
+        return self.state.window(self.grid.delta_steps + k)
 
     def step_inputs(self, k: int) -> tuple:
-        """Coefficient inputs at step k read from ``paths``: the state, its
+        """Coefficient inputs at step k read from ``state``: the state, its
         backward window, its empirical law and the (lazy) law segment."""
         x = self.state_column(k)
         return x, self.backward_window(k), EmpiricalMeasure(x), _LazyLawSegment(self, k)
@@ -354,11 +420,10 @@ class ParticleEnsemble:
 
     def coefficient_inputs(self):
         """Yield ``(x, x_seg, law, law_seg, u, u_seg)`` for steps 0..K in
-        order: the step's inputs, the replayed control as its ring row, and
+        order: the step's inputs, the replayed control as its band row, and
         the control window; ``u`` and ``u_seg`` are valid until the next
         step is yielded."""
-        ring = _ControlRing(self, self.grid.delta_steps + 1)
-        for _, x, x_seg, law, law_seg, _, u_seg in _replay(self, ring, 0, self.grid.n_steps + 1):
+        for _, x, x_seg, law, law_seg, _, u_seg in _replay(self, _control_band(self), 0, self.grid.n_steps + 1):
             yield x, x_seg, law, law_seg, u_seg[:, 0], u_seg
 
 
@@ -390,8 +455,7 @@ class _LazyLawSegment(MeasureSegment):
 
     Most coefficients never read ``law_seg``, so the d + 1 empirical laws of
     every step are only materialized when one does.  The measures are views
-    of the ensemble's state columns, read through ``state_column`` so that a
-    :class:`_ColumnBand` serves them as well as ``paths`` does.
+    of the ensemble's state columns, read through ``state_column``.
     """
 
     def __init__(self, ens: ParticleEnsemble, k: int):
@@ -411,54 +475,6 @@ class _LazyLawSegment(MeasureSegment):
         return self._source[2] + 1
 
 
-def _mesh_array(grid: SimGrid) -> np.ndarray:
-    """Zeroed (N, d + K + 1) array over the mesh of [-delta, T], stored
-    time-major with the newest time first: column k is one contiguous row,
-    and a backward window ``[:, k : k + d + 1][:, ::-1]`` is a band of rows
-    in ascending memory order, which matrix products hand to BLAS as is."""
-    d, K, N = grid.delta_steps, grid.n_steps, grid.n_particles
-    return np.zeros((d + K + 1, N))[::-1].T
-
-
-class _ColumnBand(ParticleEnsemble):
-    """An ensemble that keeps a band of ``n_rows`` mesh columns of its state
-    instead of all of them; its noise, jump model, control and control
-    history are those of the ensemble it is made from, and ``paths`` is
-    ``None``.
-
-    Mesh column i (time ``(i - d) dt``) sits in row ``top - i`` of a
-    (n_rows, N) array: the newest column first, as in :func:`_mesh_array`.
-    So ``state_column(k)`` is one contiguous row and ``backward_window(k)``
-    the same F-contiguous (N, d + 1) view of d + 1 rows in ascending memory
-    order that ``paths`` gives, and BLAS and the coefficients see the same
-    operands.  Only the columns the band holds may be read or written.
-    """
-
-    def __init__(self, ens: ParticleEnsemble, n_rows: int):
-        super().__init__(ens.grid, None, ens.brownian, ens.jump_counts, ens.jumps, ens.control, ens.control_history)
-        self.rows = np.zeros((n_rows, ens.grid.n_particles))
-        self.top = n_rows - 1
-
-    def state_column(self, k: int) -> np.ndarray:
-        return self.rows[self.top - self.grid.delta_steps - k]
-
-    def backward_window(self, k: int) -> np.ndarray:
-        r = self.top - self.grid.delta_steps - k
-        return self.rows[r : r + self.grid.delta_steps + 1].T
-
-    def columns(self, lo: int, hi: int) -> np.ndarray:
-        """Mesh columns ``lo..hi-1`` as time-ordered rows, a view."""
-        return self.rows[self.top - hi + 1 : self.top - lo + 1][::-1]
-
-    def make_room(self, i: int) -> None:
-        """Free a row for mesh column i + 1 and keep columns i - d..i: when
-        column i sits in row 0, those d + 1 columns move to the last rows."""
-        if self.top == i:
-            d = self.grid.delta_steps
-            self.rows[-(d + 1) :] = self.rows[: d + 1]
-            self.top = i + len(self.rows) - d - 1
-
-
 def _control_history(grid: SimGrid, control_history) -> np.ndarray | None:
     """The control's values before time zero, a copied finite scalar or (d,)
     float array; ``None`` when there is no memory window, which reads none."""
@@ -473,57 +489,33 @@ def _control_history(grid: SimGrid, control_history) -> np.ndarray | None:
     return hist
 
 
-class _ControlRing:
-    """The newest applied values of an ensemble's control, newest first.
+def _control_band(ens: ParticleEnsemble, n_rows: int | None = None) -> _Band | None:
+    """The band an integration pushes the ensemble's applied control values
+    to, with its control history as mesh columns 0..d-1, so each push hands
+    out the window ``u_seg`` that ends at the pushed column.
 
-    Mesh column i (time ``(i - d) dt``) is stored in row ``(-i) % period``
-    of a (period + d, N) array, and rows 0..d-1 are mirrored at
-    ``row + period``.  So the window that ends at column i, lags 0..d, is
-    the band of rows ``p .. p + d`` from ``p = (-i) % period`` in ascending
-    memory order, which :meth:`push` hands out as an F-contiguous
-    (N, d + 1) view without a copy.  A period of d + 1 keeps exactly one
-    window; the fixed-point solver's longer period also keeps the d values
-    before a window while its sweeps rewrite the window.  The history fills
-    the columns before time zero.
-
-    The zero control from a +0.0 history (a scalar or a (d,) array, all
-    +0.0; any history when d = 0) applies nothing but +0.0: its ring holds
-    no rows, and every window is one read-only zero view.
+    ``n_rows`` defaults to 2(d + 1), which moves d + 1 rows once every
+    d + 1 pushes.  The zero control from a +0.0 history (a scalar or a (d,)
+    array, all +0.0; any history when d = 0) applies nothing but +0.0: it
+    has no band (``None``), and every window is one read-only zero view.
     """
-
-    def __init__(self, ens: ParticleEnsemble, period: int):
-        d, N = ens.grid.delta_steps, ens.grid.n_particles
-        hist = ens.control_history
-        self.d, self.period = d, period
-        if ens.control is _ZERO_CONTROL and (hist is None or not (np.any(hist) or np.any(np.signbit(hist)))):
-            self.rows = None
-            self.zero = np.broadcast_to(np.zeros(()), (N, d + 1))
-            return
-        self.rows = np.zeros((period + d, N))
-        if hist is not None:
-            for i, value in enumerate(np.broadcast_to(hist, (d,))):
-                self.push(i, value)
-
-    def push(self, i: int, u) -> np.ndarray:
-        """Store ``u`` as the value at mesh column i and return the window
-        that ends there; it stays valid until the next push."""
-        if self.rows is None:
-            return self.zero
-        p = (-i) % self.period
-        self.rows[p] = u
-        if p < self.d:
-            self.rows[p + self.period] = u
-        return self.rows[p : p + self.d + 1].T
+    d, hist = ens.grid.delta_steps, ens.control_history
+    if ens.control is _ZERO_CONTROL and (hist is None or not (np.any(hist) or np.any(np.signbit(hist)))):
+        return None
+    band = _Band(ens.grid, 2 * (d + 1) if n_rows is None else n_rows)
+    if hist is not None:
+        band.columns(0, d)[...] = np.broadcast_to(hist, (d,))[:, None]
+    return band
 
 
 def _new_ensemble(
     coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None, xi, ctrl: _Control, control_history=0.0, noise=None
 ) -> ParticleEnsemble:
-    """Ensemble with the state history filled in and the rest of ``paths``
-    zero (a :func:`_mesh_array` array), driven by ``ctrl`` from
-    ``control_history``, over ``noise`` (referenced, not copied; drawn here
-    when ``None``).  Both histories are checked before any noise is drawn.
-    ``jumps=None`` means no jumps.
+    """Ensemble with the state history filled in and the rest of its
+    full-mesh state zero, driven by ``ctrl`` from ``control_history``, over
+    ``noise`` (referenced, not copied; drawn here when ``None``).  Both
+    histories are checked before any noise is drawn.  ``jumps=None`` means
+    no jumps.
     """
     history = _materialize_history(xi, grid)
     control_history = _control_history(grid, control_history)
@@ -535,10 +527,11 @@ def _new_ensemble(
         if shapes != expected:
             raise MeshMismatchError(f"noise shapes {shapes} do not match the problem's {expected}")
     jumps = jumps if jumps is not None else JumpModel.none()
-    paths = _mesh_array(grid)
-    paths[:, : grid.delta_steps + 1] = history
+    d = grid.delta_steps
+    state = _Band(grid, d + grid.n_steps + 1)
+    state.columns(0, d + 1)[...] = history[:, None]
     brownian, jump_counts = noise
-    return ParticleEnsemble(grid, paths, brownian, jump_counts, jumps, ctrl, control_history)
+    return ParticleEnsemble(grid, state, brownian, jump_counts, jumps, ctrl, control_history)
 
 
 def _noise_shapes(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None) -> tuple:
@@ -585,23 +578,25 @@ def draw_noise(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None = 
     return brownian.T, counts.transpose(2, 0, 1)
 
 
-def _replay(ens: ParticleEnsemble, ring: _ControlRing, k_start: int, k_stop: int):
+def _replay(ens: ParticleEnsemble, controls: _Band | None, k_start: int, k_stop: int):
     """Yield ``(k, x, x_seg, law, law_seg, u, u_seg)`` for steps
     ``k_start..k_stop-1``: the step's inputs, its control ``u`` and the
-    window ``ring`` hands out once ``u`` is pushed.  A step is read from
-    ``ens.paths`` only when asked for, after the caller wrote the column
+    window the control band (:func:`_control_band`; ``None`` for the zero
+    control) hands out once ``u`` is pushed.  A step is read from
+    ``ens.state`` only when asked for, after the caller wrote the column
     before it."""
     d = ens.grid.delta_steps
+    zero = np.broadcast_to(np.zeros(()), (ens.grid.n_particles, d + 1))
     for k in range(k_start, k_stop):
         x, x_seg, law, law_seg = ens.step_inputs(k)
         u = ens._control_value(k, x, x_seg, law)
-        yield k, x, x_seg, law, law_seg, u, ring.push(d + k, u)
+        yield k, x, x_seg, law, law_seg, u, zero if controls is None else controls.push(d + k, u)
 
 
 class _PathCost:
     """Per-particle cost of a pass over steps 0..K, summed onto zeros in step
     order: the running cost at ``t = k dt`` with its trapezoid weight, the
-    control as the ring row ``u_seg[:, 0]``; then the terminal cost."""
+    control as the band row ``u_seg[:, 0]``; then the terminal cost."""
 
     def __init__(self, coeffs: CoefficientSet, grid: SimGrid):
         self.coeffs, self.dt, self.total = coeffs, grid.dt, np.zeros(grid.n_particles)
@@ -622,23 +617,22 @@ def _euler_window(
     coeffs: CoefficientSet,
     read_ens: ParticleEnsemble,
     write: ParticleEnsemble,
-    ring: _ControlRing,
+    controls: _Band | None,
     k_start: int,
     k_stop: int,
     cost: _PathCost | None = None,
 ) -> None:
-    """Advance the state of ``write`` (an ensemble or a :class:`_ColumnBand`,
-    written through ``state_column``) over steps ``k_start..k_stop-1``,
-    reading every input from ``read_ens`` through :func:`_replay` and
-    ``ring`` (which must hold the d values before ``k_start``).  Writing
-    what is read gives the explicit scheme.  The horizon step K advances
-    nothing.  Each step adds its running cost to ``cost``, if given, after
-    its update.
+    """Advance the state of ``write`` (written through ``state_column``)
+    over steps ``k_start..k_stop-1``, reading every input from ``read_ens``
+    through :func:`_replay` and ``controls`` (which must hold the d values
+    before ``k_start``).  Writing what is read gives the explicit scheme.
+    The horizon step K advances nothing.  Each step adds its running cost to
+    ``cost``, if given, after its update.
     """
     dt, K = read_ens.grid.dt, read_ens.grid.n_steps
     jumps, jump_counts = read_ens.jumps, read_ens.jump_counts
 
-    for k, x, x_seg, law, law_seg, u, u_seg in _replay(read_ens, ring, k_start, k_stop):
+    for k, x, x_seg, law, law_seg, u, u_seg in _replay(read_ens, controls, k_start, k_stop):
         if k < K:
             t = k * dt
             # the step accumulates in its own row of write; every input is a
@@ -689,7 +683,7 @@ def simulate(
     cost = _PathCost(coeffs, grid)
     # the pass reads the horizon step too: its running cost is summed, and
     # a control that fails there fails here rather than in a later reader
-    _euler_window(coeffs, ens, ens, _ControlRing(ens, grid.delta_steps + 1), 0, grid.n_steps + 1, cost)
+    _euler_window(coeffs, ens, ens, _control_band(ens), 0, grid.n_steps + 1, cost)
     ens.cost = cost.finish(ens.state_column(grid.n_steps))
     return ens
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +48,7 @@ from memsfde.engine import (
     _as_time_fn,
     _is_integer,
     combine_controls,
+    simulate,
 )
 from memsfde.grid import SimGrid, trapezoid_weights
 
@@ -212,10 +213,11 @@ def solve_lq(
 
     Builds the problem once and returns it in the :class:`LQSolution`.
     Noise is frozen across sweeps (counter-based streams), so the iteration
-    is a deterministic map on control arrays.  Five consecutive growing
-    sweeps abort with :class:`FixedPointDivergence`.  Rank-deficient
-    regressions are summarised in one warning for all sweeps.  The damped
-    update runs one time row at a time, in place: the new row overwrites
+    is a deterministic map on control arrays; the sweeps simulate without
+    the cost, which none reads.  Five consecutive growing sweeps abort
+    with :class:`FixedPointDivergence`.  Rank-deficient regressions are
+    summarised in one warning for all sweeps.  The damped update runs one
+    time row at a time, in place: the new row overwrites
     the control's, the row's coupling residual ``|mean(p0 - new)|`` is
     kept, and p0's row takes the squared change, from which the change
     norm is formed, so the update consumes the sweep's p0 and allocates
@@ -229,6 +231,8 @@ def solve_lq(
     if not _is_integer(max_iter) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     problem = control_problem(spec, grid)
+    # the sweeps' dynamics, on the problem's noise; no sweep sums a cost
+    dynamics = replace(problem.coeffs, running_cost=None, terminal_cost=None)
     K, N = grid.n_steps, grid.n_particles
     wq = trapezoid_weights(K + 1, grid.dt)
     basis_fn = lq_basis(spec, grid)
@@ -246,7 +250,7 @@ def solve_lq(
 
     for _ in range(max_iter):
         # only one sweep's ensemble and adjoint are alive at a time
-        ens = problem.simulate(control)
+        ens = simulate(dynamics, grid, problem.jumps, problem.xi, control, problem.control_history, problem.noise)
         adjoint = _solve_adjoint(ens, driver, basis_fn)
         del ens
         deficient.append(len(adjoint.deficient_steps))

@@ -15,10 +15,10 @@ the new window's initial guess the constant extension of its starting value.
 The solve runs on the problem's noise as :func:`memsfde.engine.draw_noise`
 draws it for the direct scheme, once and before the first sweep; every sweep
 reads those stored increments, so the converged result matches the direct
-scheme exactly.  The frozen iterate is not a second mesh: it is one band
-of the d + t0_steps + 1 columns a sweep reads, the memory span and the
-window (``engine._ColumnBand``), allocated once per solve and refilled at
-each window.
+scheme exactly.  The frozen iterate is not a second mesh: it is the
+solve's ensemble on a band (``engine._Band``) of the d + t0_steps + 1
+columns a sweep reads, the memory span and the window, refilled at each
+window after it moves its newest d + 1 columns, the new span, to its end.
 
 A sweep redoes only what its predecessor changed.  The first sweep of a
 window integrates every step from the initial guess, after the memory span
@@ -26,25 +26,25 @@ and the window are copied into the frozen iterate.  A later sweep starts at
 the first step that reads the first window column whose bits (compared as
 ``uint64``, so -0.0 and +0.0 differ) the previous sweep changed: step k reads
 columns k..d+k, so that is step ``first - d``.  A step before it would read
-bit-identical inputs, push the same control value into the ring and write
-the same column, so skipping it moves no bit.  The sweep refreshes only
+bit-identical inputs, push the same control value and write the same
+column, so skipping it moves no bit.  The sweep refreshes only
 columns ``first`` onwards of the frozen iterate and measures its distance
 there, since an unchanged column adds an exact zero to the max.  Paths,
 distances, ratios, iteration counts and the replayed controls are those of
 re-integrating the whole window on every sweep.  Since each sweep makes one
 more column final, a sweep typically runs one step fewer than the one before.
 
-The applied control lives in one ring of d + t0_steps values for the whole
-solve (see ``engine._ControlRing``): a sweep restarts inside its window and
-still finds the d values before its first step, which are the window's
-history or values an earlier sweep pushed with the same bits.  The returned
-ensemble, like any other, keeps no control array; it replays its control on
-its final paths.
+The applied control is pushed to one band of d + t0_steps + 1 columns for
+the whole solve, which moves only at a window's second push.  So a sweep
+that restarts inside its window still finds the d values before its first
+step: the window's history, or values an earlier sweep pushed with the
+same bits.  The returned ensemble, like any other, keeps no control array;
+it replays its control on its final paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,8 +52,8 @@ from memsfde.engine import (
     CoefficientSet,
     JumpModel,
     ParticleEnsemble,
-    _ColumnBand,
-    _ControlRing,
+    _Band,
+    _control_band,
     _euler_window,
     _grid_control,
     _is_integer,
@@ -133,13 +133,13 @@ def picard_solve(
     ctrl = _grid_control(control, grid)
 
     ens = _new_ensemble(coeffs, grid, jumps, xi, ctrl)
-    paths = ens.paths
+    state = ens.state
     # the frozen iterate: the memory span and the window being solved, with
     # the solve's control and noise
-    frozen = _ColumnBand(ens, d + t0_steps + 1)
-    # one ring for every sweep: a sweep rewrites the t0_steps values of its
-    # window, which leaves the d values before the window in place
-    ring = _ControlRing(ens, d + t0_steps)
+    frozen = replace(ens, state=_Band(grid, d + t0_steps + 1))
+    # one control band for every sweep: a sweep rewrites the t0_steps
+    # values of its window, which leaves the d values before it in place
+    controls = _control_band(ens, d + t0_steps + 1)
 
     n_windows = K // t0_steps
     all_dists: list[tuple] = []
@@ -147,16 +147,15 @@ def picard_solve(
     iters: list[int] = []
     converged = True
 
-    # time-major view: row c is mesh column c
-    paths_t = paths.T
     for w in range(n_windows):
         k0, k1 = w * t0_steps, (w + 1) * t0_steps
         lo, hi = d + k0, d + k1
         # initial guess: constant extension of the window's starting value
-        paths[:, lo + 1 : hi + 1] = paths[:, lo][:, None]
-        # the first sweep reads the memory span and the whole window
-        frozen.top = hi  # the band holds columns k0..hi
-        frozen.columns(k0, hi + 1)[...] = paths_t[k0 : hi + 1]
+        state.columns(lo + 1, hi + 1)[...] = state.column(lo)
+        # the first sweep reads the memory span and the whole window, the
+        # columns k0..hi the band now holds
+        frozen.state.make_room(lo)
+        frozen.state.columns(k0, hi + 1)[...] = state.columns(k0, hi + 1)
         start = k0
         dists: list[float] = []
         ratios: list[float] = []
@@ -165,11 +164,11 @@ def picard_solve(
             # steps before start read only columns that the previous sweep
             # left bit for bit as they were, so they would push the same
             # control values and write the same columns again
-            _euler_window(coeffs, frozen, ens, ring, start, k1)
+            _euler_window(coeffs, frozen, ens, controls, start, k1)
             # columns up to d + start were not written; the first one whose
             # bits changed is where the next sweep's reads first differ
             written = d + start + 1
-            new, held = paths_t[written : hi + 1], frozen.columns(written, hi + 1)
+            new, held = state.columns(written, hi + 1), frozen.state.columns(written, hi + 1)
             changed = np.flatnonzero((new.view(np.uint64) != held.view(np.uint64)).any(axis=1))
             if changed.size:
                 first = written + int(changed[0])
@@ -212,18 +211,18 @@ def consistency_check(coeffs: CoefficientSet, ens_fp: ParticleEnsemble) -> float
 
     ``ens_fp`` is the ensemble :func:`picard_solve` returned for ``coeffs``;
     the direct scheme runs on what it holds: its grid, jump model, noise,
-    initial history (``paths`` before time zero), control and control
+    initial history (its state before time zero), control and control
     history, so nothing is solved or drawn again.  The scheme streams
-    through a band of 2(d + 2) mesh columns rather than a second ensemble:
-    each column's gap is formed, one contiguous row, before the step that
-    reads it writes the next column, and the band moves its d + 1 newest
-    columns back to its last rows once it runs out of rows.  The gaps are
-    those of simulating the whole direct ensemble, bit for bit.
+    through an ensemble whose state is a band of 2(d + 2) mesh columns, not
+    the full mesh: each column's gap is formed, one contiguous row, before
+    the step that reads it writes the next column, and the band moves its
+    d + 1 newest columns back to its last rows once it runs out of rows.
+    The gaps are those of simulating the whole direct ensemble, bit for bit.
     """
     d, K = ens_fp.grid.delta_steps, ens_fp.grid.n_steps
-    direct = _ColumnBand(ens_fp, 2 * (d + 2))
-    direct.columns(0, d + 1)[...] = ens_fp.paths.T[: d + 1]
-    ring = _ControlRing(direct, d + 1)
+    direct = replace(ens_fp, state=_Band(ens_fp.grid, 2 * (d + 2)))
+    direct.state.columns(0, d + 1)[...] = ens_fp.state.columns(0, d + 1)
+    controls = _control_band(direct)
     gaps = np.empty(K + 1)
     for k in range(K + 1):
         diff = ens_fp.state_column(k) - direct.state_column(k)
@@ -231,6 +230,6 @@ def consistency_check(coeffs: CoefficientSet, ens_fp: ParticleEnsemble) -> float
         gaps[k] = diff.mean()
         # the horizon step advances nothing but evaluates the control, as
         # simulate does
-        direct.make_room(d + k)
-        _euler_window(coeffs, direct, direct, ring, k, k + 1)
+        direct.state.make_room(d + k)
+        _euler_window(coeffs, direct, direct, controls, k, k + 1)
     return float(np.max(gaps))

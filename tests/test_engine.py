@@ -732,6 +732,111 @@ class TestTimeMajorLayout:
             assert all(arr[:, k].flags.c_contiguous for k in range(K + 1))
 
 
+@st.composite
+def band_pushes(draw):
+    """A memory window d, a mesh of K steps, a band of d + 2 to d + K + 1
+    rows, and runs of pushes ``(back, length)``: each run restarts ``back``
+    columns before the column after the newest, as far back as the band
+    still holds the d columns before it (a fixed-point sweep restarts
+    inside its window), and pushes ``length`` columns one step at a time."""
+    d = draw(st.integers(0, 4))
+    K = draw(st.integers(1, 16))
+    n_rows = draw(st.integers(d + 2, d + K + 1))
+    runs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 8)), min_size=1, max_size=8))
+    return d, K, n_rows, runs
+
+
+class TestColumnBand:
+    """One store, a band of mesh columns kept newest first, holds every
+    ensemble state and every control window."""
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(case=band_pushes())
+    def test_a_short_band_reads_like_the_full_mesh(self, case):
+        d, K, n_rows, runs = case
+        grid = SimGrid(dt=1.0, delta_steps=d, horizon=float(K), n_particles=3, seed=0)
+        rng = np.random.default_rng(n_rows)
+        # the record of every push, in time order, and a band that never moves
+        mesh = np.zeros((d + K + 1, 3))
+        full, band = engine._Band(grid, d + K + 1), engine._Band(grid, n_rows)
+        mesh[:d] = rng.standard_normal((d, 3))
+        for store in (full, band):
+            store.columns(0, d)[...] = mesh[:d]
+        # the columns the band holds, from the move rule alone: when column
+        # c does not fit, the d + 1 newest columns move to its last rows
+        oldest, last, newest = 0, n_rows - 1, d - 1
+        for back, length in runs:
+            start = max(newest + 1 - back, oldest + d)
+            for c in range(start, min(start + length, d + K + 1)):
+                if c > last:
+                    oldest = c - 1 - d
+                    last = oldest + n_rows - 1
+                mesh[c] = rng.standard_normal(3)
+                for store in (full, band):
+                    window = store.push(c, mesh[c])
+                    assert window.flags.f_contiguous and window.shape == (3, d + 1)
+                    assert window.tobytes(order="F") == mesh[c - d : c + 1][::-1].tobytes()
+                newest = max(newest, c)
+                for store in (full, band):
+                    assert store.columns(oldest, newest + 1).tobytes() == mesh[oldest : newest + 1].tobytes()
+                    for i in range(oldest, newest + 1):
+                        assert store.column(i).tobytes() == mesh[i].tobytes()
+                    for i in range(oldest + d, newest + 1):
+                        assert store.window(i).tobytes(order="F") == mesh[i - d : i + 1][::-1].tobytes()
+        assert full.top == d + K  # the full mesh never moved
+
+    @pytest.mark.parametrize("n_rows", [6, 8, 10])
+    def test_a_move_copies_no_temporary(self, n_rows):
+        # a band of fewer than 2(d + 1) rows moves its newest columns onto
+        # rows they occupy: one slice assignment copied all d + 1 rows to a
+        # temporary first, 1.6 MB at the fixed-point benchmark's size
+        d, N = 4, 2_000
+        grid = SimGrid(dt=1.0, delta_steps=d, horizon=20.0, n_particles=N, seed=0)
+        band = engine._Band(grid, n_rows)
+        band.rows[...] = np.random.default_rng(n_rows).standard_normal((n_rows, N))
+        kept = band.rows[: d + 1].copy()
+        tracemalloc.start()
+        try:
+            band.make_room(band.top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N * 8
+        assert band.rows[-(d + 1) :].tobytes() == kept.tobytes()
+        assert band.top == n_rows - 1 + n_rows - d - 1
+
+    def test_paths_is_a_view_of_the_full_band(self):
+        grid = SimGrid(dt=0.1, delta_steps=3, horizon=1.0, n_particles=5, seed=0)
+        ens = simulate(LAGGED_DRIFT, grid, xi=1.0)
+        N, d, K = 5, 3, 10
+        # newest first: column i is row d + K - i of the band
+        assert ens.paths.shape == (N, d + K + 1) and ens.paths.strides == (8, -8 * N)
+        assert _buffer_owner(ens.paths) is ens.state.rows
+        for i in range(d + K + 1):
+            assert ens.paths[:, i].tobytes() == ens.state.rows[d + K - i].tobytes()
+
+    def test_an_ensemble_on_a_short_band_keeps_its_members(self):
+        # a band ensemble once read n_particles and states through a paths
+        # of None (AttributeError, TypeError)
+        grid = SimGrid(dt=0.1, delta_steps=3, horizon=1.0, n_particles=5, seed=0)
+        ens = simulate(LAGGED_DRIFT, grid, xi=1.0)
+        band = dataclasses.replace(ens, state=engine._Band(grid, 8))
+        assert band.n_particles == 5
+        assert band.noise == ens.noise
+        for name in ("paths", "states"):
+            with pytest.raises(ValueError, match="band of 8 of the 14 mesh columns"):
+                getattr(band, name)
+        band.state.columns(0, 4)[...] = ens.state.columns(0, 4)
+        assert band.state_column(0).tobytes() == ens.state_column(0).tobytes()
+        assert band.backward_window(0).tobytes() == ens.backward_window(0).tobytes()
+        assert law_at(band, 0.0).atoms.tobytes() == law_at(ens, 0.0).atoms.tobytes()
+
+
 def _buffer_owner(arr: np.ndarray) -> np.ndarray:
     """The array that owns the memory ``arr`` views."""
     while arr.base is not None:
@@ -743,7 +848,7 @@ class TestUncontrolledRecord:
     """The zero control from a +0.0 history applies nothing but +0.0, so its
     ensemble holds no control storage: every control window it hands out,
     integrating or replaying, is one read-only zero view that owns no buffer
-    of its size.  Any other control or history is held in a ring."""
+    of its size.  Any other control or history is held in a band."""
 
     GRID = TestSharedNoise.GRID
     COEFFS, JUMPS = TestSharedNoise.WITH_JUMPS
@@ -782,7 +887,7 @@ class TestUncontrolledRecord:
             assert not writeable
             assert owned < N * (d + 1) * 8
             assert np.all(window == 0.0) and not np.signbit(window).any()
-        # every reader sees +0.0, as on a 0.0 control held in a ring
+        # every reader sees +0.0, as on a 0.0 control held in a band
         recorded = self.ensemble(how, control=0.0)
         np.testing.assert_array_equal(ens.paths, recorded.paths)
         for k, (a, b) in enumerate(zip(ens.coefficient_inputs(), recorded.coefficient_inputs())):
@@ -833,15 +938,15 @@ class TestUncontrolledRecord:
     def test_controlled_records_stay_writable(self, how):
         ens, seen = self.integration_windows(how, control=lambda t, x, xs, law: -0.5 * x)
         N, d = self.GRID.n_particles, self.GRID.delta_steps
-        # views of a ring of 2d + 1 rows (2d + t0_steps for the fixed-point
-        # solve), not of a full-mesh array
-        period = 5 + d if how == "picard" else d + 1
+        # views of a control band of 2(d + 1) rows (d + t0_steps + 1 for the
+        # fixed-point solve), not of a full-mesh array
+        rows = d + 5 + 1 if how == "picard" else 2 * (d + 1)
         for _, writeable, owned in seen:
             assert writeable
-            assert owned == (period + d) * N * 8
+            assert owned == rows * N * 8
         for *_, u_seg in ens.coefficient_inputs():
             assert u_seg.flags.writeable
-            assert _buffer_owner(u_seg).nbytes == (2 * d + 1) * N * 8
+            assert _buffer_owner(u_seg).nbytes == 2 * (d + 1) * N * 8
 
     @pytest.mark.parametrize("how", ["simulate", "picard"])
     def test_uncontrolled_runs_allocate_no_control_array(self, how):
@@ -849,8 +954,8 @@ class TestUncontrolledRecord:
         # fixed-point solve also the noise it draws and its frozen iterate,
         # a band of the d + t0_steps + 1 columns a sweep reads; no
         # (N, d + K + 1) control array beside them.  A controlled run adds
-        # only its control ring: 2d + 1 rows in a simulation, and
-        # 2d + t0_steps in the fixed-point solve
+        # only its control band: 2(d + 1) rows in a simulation, and
+        # d + t0_steps + 1 in the fixed-point solve
         grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=4_000, seed=3)
         coeffs = CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: xs[:, -1] - x + u, diffusion=lambda *a: 0.3)
         noise = draw_noise(coeffs, grid)
@@ -866,18 +971,18 @@ class TestUncontrolledRecord:
             try:
                 if how == "simulate":
                     simulate(coeffs, grid, xi=1.0, control=control, noise=noise)
-                    ring = (2 * d + 1) * N * 8
+                    controls = 2 * (d + 1) * N * 8
                     allowed = mesh + slack
                 else:
                     picard_solve(coeffs, grid, xi=1.0, control=control, t0_steps=5)
-                    ring = (2 * d + 5) * N * 8
+                    controls = (d + 5 + 1) * N * 8
                     band = (d + 5 + 1) * N * 8
                     # plus the sweep distance over a 5-step window
                     allowed = mesh + band + N * K * 8 + 2 * N * 5 * 8 + slack
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= allowed + (0 if control is None else ring)
+            assert peak <= allowed + (0 if control is None else controls)
 
 
 class TestControlReplay:

@@ -1,5 +1,7 @@
 """Distributed-delay LQ regulator: fixed-point solver and optimality audit."""
 
+import dataclasses
+import functools
 import logging
 import math
 import tracemalloc
@@ -112,7 +114,7 @@ class TestSolverBehaviour:
     def test_stopping_rule_validated_before_any_sweep(self, name, value, monkeypatch):
         # a non-positive or NaN tol ran every sweep and returned unconverged;
         # a non-integer max_iter failed in range() with a TypeError
-        monkeypatch.setattr(engine.ControlProblem, "simulate", lambda *a: pytest.fail("a sweep ran"))
+        route_simulations(monkeypatch, lambda *a, **k: pytest.fail("a sweep ran"))
         with pytest.raises(ValueError, match=name):
             solve_lq(LQSpec(), DESK_GRID, **{name: value})
 
@@ -164,6 +166,14 @@ def desk_solution():
     spec = LQSpec()
     solution = solve_lq(spec, DESK_GRID)
     return spec, solution, verify_lq(solution)
+
+
+def route_simulations(monkeypatch, wrapper):
+    """Send every simulation through ``wrapper(simulate, *args, **kwargs)``:
+    the solve's sweeps call ``lq_memory.simulate``, and a problem's
+    simulations ``engine.simulate``."""
+    for module in (engine, lq_memory):
+        monkeypatch.setattr(module, "simulate", functools.partial(wrapper, module.simulate))
 
 
 class TestRunEconomy:
@@ -247,14 +257,40 @@ class TestRunEconomy:
         assert solution.problem.grid is self.GRID
         assert solution.problem.jumps is spec.jumps and solution.problem.xi == spec.xi
 
+    def test_sweeps_sum_no_cost(self, monkeypatch):
+        # no sweep reads a cost, so the solve evaluates none; the solution
+        # keeps the costed problem, whose simulations still sum it
+        calls = []
+        control_problem = lq_memory.control_problem
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        def counting_problem(spec, grid):
+            problem = control_problem(spec, grid)
+            coeffs = problem.coeffs
+            costs = {name: counted(name, getattr(coeffs, name)) for name in ("running_cost", "terminal_cost")}
+            return dataclasses.replace(problem, coeffs=dataclasses.replace(coeffs, **costs))
+
+        monkeypatch.setattr(lq_memory, "control_problem", counting_problem)
+        solution = solve_lq(LQSpec(), self.GRID)
+        assert solution.report.iterations > 1
+        assert calls == []
+        solution.problem.simulate(solution.control)
+        assert calls == ["running_cost"] * (self.GRID.n_steps + 1) + ["terminal_cost"]
+
     @staticmethod
     def track_lifetimes(monkeypatch):
         """Weak references to every ensemble and backward solve, in order."""
         ensembles, solves = [], []
-        simulate, solve = engine.ControlProblem.simulate, lq_memory.solve_absde
+        solve = lq_memory.solve_absde
 
-        def tracked_simulate(self, *args, **kwargs):
-            ens = simulate(self, *args, **kwargs)
+        def tracked_simulate(simulate, *args, **kwargs):
+            ens = simulate(*args, **kwargs)
             ensembles.append(weakref.ref(ens))
             return ens
 
@@ -263,20 +299,19 @@ class TestRunEconomy:
             solves.append(weakref.ref(adj))
             return adj
 
-        monkeypatch.setattr(engine.ControlProblem, "simulate", tracked_simulate)
+        route_simulations(monkeypatch, tracked_simulate)
         monkeypatch.setattr(lq_memory, "solve_absde", tracked_solve)
         return ensembles, solves
 
     def test_solve_keeps_one_sweep_alive(self, monkeypatch):
         ensembles, solves = self.track_lifetimes(monkeypatch)
         alive_at_simulate = []
-        simulate = engine.ControlProblem.simulate
 
-        def checking(self, *args, **kwargs):
+        def checking(simulate, *args, **kwargs):
             alive_at_simulate.append(sum(r() is not None for r in ensembles + solves))
-            return simulate(self, *args, **kwargs)
+            return simulate(*args, **kwargs)
 
-        monkeypatch.setattr(engine.ControlProblem, "simulate", checking)
+        route_simulations(monkeypatch, checking)
         spec = LQSpec()
         solution = solve_lq(spec, self.GRID)
         report = solution.report
@@ -331,7 +366,7 @@ class TestRunEconomy:
         # The solve's ensemble is held until the next simulation, so its
         # release cannot hide what the update allocates.
         grid = SimGrid(dt=0.02, delta_steps=4, horizon=1.0, n_particles=4_000, seed=5)
-        solve, simulate = lq_memory._solve_adjoint, engine.ControlProblem.simulate
+        solve = lq_memory._solve_adjoint
         marks, peaks, held = [], [], []
 
         def close_interval():
@@ -346,12 +381,12 @@ class TestRunEconomy:
             tracemalloc.reset_peak()
             return adj
 
-        def closing_simulate(self, *args, **kwargs):
+        def closing_simulate(simulate, *args, **kwargs):
             close_interval()
-            return simulate(self, *args, **kwargs)
+            return simulate(*args, **kwargs)
 
         monkeypatch.setattr(lq_memory, "_solve_adjoint", marking_solve)
-        monkeypatch.setattr(engine.ControlProblem, "simulate", closing_simulate)
+        route_simulations(monkeypatch, closing_simulate)
         tracemalloc.start()
         try:
             solution = solve_lq(LQSpec(), grid)

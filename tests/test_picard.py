@@ -178,7 +178,7 @@ class TestCheckMemory:
     @pytest.mark.parametrize("control", ["none", "feedback"])
     def test_check_holds_a_band_of_columns_not_an_ensemble(self, control):
         # the direct scheme streams through 2(d + 2) columns beside the
-        # fixed-point ensemble, plus the control ring of 2d + 1 rows of a
+        # fixed-point ensemble, plus the control band of 2(d + 1) rows of a
         # controlled run; no second (N, d + K + 1) ensemble
         grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=4_000, seed=3)
         feedback = None if control == "none" else (lambda t, x, xs, law: 0.2 * xs[:, -1] - 0.5 * x)
@@ -187,7 +187,7 @@ class TestCheckMemory:
         N, d = grid.n_particles, grid.delta_steps
         allowed = 2 * (d + 2) * N * 8 + 16 * N * 8  # the band and (N,)-row temporaries
         if feedback is not None:
-            allowed += (2 * d + 1) * N * 8
+            allowed += 2 * (d + 1) * N * 8
         tracemalloc.start()
         try:
             consistency_check(coeffs, ens)
@@ -241,6 +241,8 @@ class TestValidation:
 def full_sweep_solve(coeffs, grid, jumps=None, xi=0.0, control=None, t0_steps=None, tol=1e-20, max_iter=None):
     """Reference solve: every sweep re-integrates every step of its window
     and copies the memory span and the whole window into the frozen iterate.
+    The frozen iterate and the control store hold the whole mesh, so
+    neither band ever moves.
 
     Returns the ensemble, the report, and per window the steps that a sweep
     must redo: all of them on the first sweep; on a later one those from
@@ -252,9 +254,9 @@ def full_sweep_solve(coeffs, grid, jumps=None, xi=0.0, control=None, t0_steps=No
     max_iter = t0_steps + 5 if max_iter is None else max_iter
     ens = engine._new_ensemble(coeffs, grid, jumps, xi, engine._grid_control(control, grid))
     paths = ens.paths
-    prev = engine._mesh_array(grid)
-    frozen = dataclasses.replace(ens, paths=prev)
-    ring = engine._ControlRing(ens, d + t0_steps)
+    frozen = dataclasses.replace(ens, state=engine._Band(grid, d + K + 1))
+    prev = frozen.paths
+    controls = engine._control_band(ens, d + K + 1)
     all_dists, all_ratios, iters, needed = [], [], [], []
     converged = True
     for w in range(K // t0_steps):
@@ -270,7 +272,7 @@ def full_sweep_solve(coeffs, grid, jumps=None, xi=0.0, control=None, t0_steps=No
                 moved = paths[:, lo + 1 : hi + 1].view(np.uint64) != prev[:, lo + 1 : hi + 1].view(np.uint64)
                 steps += k1 - (lo + 1 + int(np.flatnonzero(moved.any(axis=0))[0]) - d)
             prev[:, k0 : hi + 1] = paths[:, k0 : hi + 1]
-            engine._euler_window(coeffs, frozen, ens, ring, k0, k1)
+            engine._euler_window(coeffs, frozen, ens, controls, k0, k1)
             diff = paths[:, lo + 1 : hi + 1] - prev[:, lo + 1 : hi + 1]
             dist = float(np.mean(np.max(diff * diff, axis=1)))
             if dists and dists[-1] > 0.0:
@@ -405,17 +407,18 @@ class TestRestartAtFirstChangedColumn:
             assert not report.converged and report.iterations == (4, 4)
         else:
             assert report.converged
-        # the streamed check gives the bits of simulating a second ensemble
+        # the streamed check gives the bits of simulating a second ensemble;
+        # the bands the check builds itself hold its direct scheme's state
         moves = []
-        make_room = engine._ColumnBand.make_room
 
-        def counted(band, i):
-            top = band.top
-            make_room(band, i)
-            if band.top != top:
-                moves.append(i)
+        class CountedBand(engine._Band):
+            def make_room(self, i):
+                top = self.top
+                super().make_room(i)
+                if self.top != top:
+                    moves.append(i)
 
-        monkeypatch.setattr(engine._ColumnBand, "make_room", counted)
+        monkeypatch.setattr("memsfde.picard._Band", CountedBand)
         gap = consistency_check(coeffs, ens)
         assert bits(gap) == bits(simulated_gap(coeffs, ens))
         if case == "cut_off_by_max_iter":
