@@ -66,7 +66,6 @@ _EXPORTS = {
     "memsfde.picard": ("PicardReport", "picard_solve", "consistency_check"),
     "memsfde.adjoint": (
         "AdjointTriple",
-        "HamiltonianInputs",
         "SegmentFunctional",
         "hamiltonian",
         "riesz_advanced",

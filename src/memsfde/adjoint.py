@@ -50,7 +50,6 @@ from memsfde.segments import GridPath
 __all__ = [
     "SegmentFunctional",
     "AdjointTriple",
-    "HamiltonianInputs",
     "hamiltonian",
     "riesz_advanced",
     "riesz_duality_check",
@@ -196,81 +195,68 @@ def riesz_duality_check(
 # Hamiltonian
 
 
-@dataclass
-class HamiltonianInputs:
-    """Arguments of the Hamiltonian at one (t, state, control, adjoint) point.
-
-    Scalars or (N,) arrays are accepted throughout; ``law`` defaults to the
-    Dirac mass at ``x`` and segments default to constant extensions, which is
-    what pointwise evaluations want.  ``r0`` is a scalar/array: a loading
-    constant in the jump mark.
-    """
-
-    t: float
-    x: object
-    p0: object
-    q0: object = 0.0
-    r0: object = 0.0
-    x_seg: np.ndarray | None = None
-    law: EmpiricalMeasure | None = None
-    law_seg: MeasureSegment | None = None
-    u: object = 0.0
-    u_seg: np.ndarray | None = None
-
-
 def hamiltonian(
     coeffs: CoefficientSet,
-    inputs: HamiltonianInputs,
+    t: float,
+    x,
+    p0,
+    q0=0.0,
+    r0=0.0,
+    x_seg: np.ndarray | None = None,
+    law: EmpiricalMeasure | None = None,
+    law_seg: MeasureSegment | None = None,
+    u=0.0,
+    u_seg: np.ndarray | None = None,
     jumps: JumpModel | None = None,
     horizon: float = math.inf,
 ) -> float | np.ndarray:
-    """Running cost plus adjoint-weighted dynamics; identically 0 past the
-    horizon.  A scalar state gives a float, an (N,) state an (N,) array."""
-    scalar_in = np.isscalar(inputs.x)
-    x = np.atleast_1d(np.asarray(inputs.x, dtype=float))
-    if inputs.t > horizon + 1e-12:
+    """Running cost plus adjoint-weighted dynamics at one (t, state, control,
+    adjoint) point; identically 0 past the horizon.
+
+    Scalars or (N,) arrays are accepted throughout: a scalar state gives a
+    float, an (N,) state an (N,) array.  ``law`` defaults to the Dirac mass
+    at ``x`` and segments default to constant extensions, which is what
+    pointwise evaluations want.  ``r0`` is a scalar/array: a loading
+    constant in the jump mark.
+    """
+    scalar_in = np.isscalar(x)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if t > horizon + 1e-12:
         return 0.0 if scalar_in else np.zeros(x.shape[0])
     jumps = jumps if jumps is not None else JumpModel.none()
 
     n = x.shape[0]
 
-    if inputs.x_seg is not None:
-        x_seg = np.asarray(inputs.x_seg, dtype=float)
+    if x_seg is not None:
+        x_seg = np.asarray(x_seg, dtype=float)
         if x_seg.ndim == 1:
             x_seg = np.broadcast_to(x_seg, (n, x_seg.shape[0]))
     else:
         x_seg = x[:, None]
     d = x_seg.shape[1] - 1
 
-    if inputs.law is not None:
-        law = inputs.law
-    else:
+    if law is None:
         law = dirac(float(x[0])) if n == 1 else EmpiricalMeasure(x)
     # constant-extension default (unit lag mesh); pointwise evaluations only
-    law_seg = inputs.law_seg if inputs.law_seg is not None else MeasureSegment([law] * (d + 1), 1.0)
+    law_seg = law_seg if law_seg is not None else MeasureSegment([law] * (d + 1), 1.0)
 
-    u = np.broadcast_to(np.asarray(inputs.u, dtype=float), x.shape)
-    if inputs.u_seg is not None:
-        u_seg = np.asarray(inputs.u_seg, dtype=float)
+    u = np.broadcast_to(np.asarray(u, dtype=float), x.shape)
+    if u_seg is not None:
+        u_seg = np.asarray(u_seg, dtype=float)
         if u_seg.ndim == 1:
             u_seg = np.broadcast_to(u_seg, (n, u_seg.shape[0]))
     else:
         u_seg = np.broadcast_to(u[:, None], (n, d + 1))
 
-    t = inputs.t
     total = np.zeros(n)
     if coeffs.running_cost is not None:
         total = total + np.asarray(coeffs.running_cost(t, x, x_seg, law, law_seg, u, u_seg))
     if coeffs.drift is not None:
-        total = total + np.asarray(inputs.p0) * np.asarray(
-            coeffs.drift(t, x, x_seg, law, law_seg, u, u_seg)
-        )
+        total = total + np.asarray(p0) * np.asarray(coeffs.drift(t, x, x_seg, law, law_seg, u, u_seg))
     if coeffs.diffusion is not None:
-        total = total + np.asarray(inputs.q0) * np.asarray(
-            coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg)
-        )
+        total = total + np.asarray(q0) * np.asarray(coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg))
     if coeffs.jump is not None and jumps.active:
-        total = total + np.asarray(inputs.r0) * jumps.nu_integral(
+        total = total + np.asarray(r0) * jumps.nu_integral(
             lambda z: np.asarray(coeffs.jump(t, x, x_seg, law, law_seg, u, u_seg, z))
         )
     return float(total[0]) if scalar_in else total
@@ -562,7 +548,6 @@ def max_condition_gap(
     ens: ParticleEnsemble,
     adj: AdjointTriple,
     candidate_grid,
-    jumps: JumpModel | None = None,
     filtration: str = "trivial",
     basis=None,
 ) -> tuple[float, float]:
@@ -578,12 +563,13 @@ def max_condition_gap(
     should vanish within noise; a genuinely improvable control yields a gap
     many standard errors above zero.  The applied control and its segment
     are replayed from the ensemble's paths
-    (:meth:`~memsfde.engine.ParticleEnsemble.coefficient_inputs`).
+    (:meth:`~memsfde.engine.ParticleEnsemble.coefficient_inputs`), and the
+    jump term integrates against the ensemble's jump model, ``ens.jumps``.
+    The candidates must be finite.
     """
     candidates = [float(c) for c in candidate_grid]
-    if not candidates:
-        raise ValueError("candidate grid must be non-empty")
-    jumps = jumps if jumps is not None else ens.jumps
+    if not candidates or not all(map(math.isfinite, candidates)):
+        raise ValueError(f"candidate grid must be non-empty and finite, got {candidates}")
     basis = basis if basis is not None else default_basis
     grid = ens.grid
     if adj.q0 is None:
@@ -602,19 +588,19 @@ def max_condition_gap(
             p0=adj.p0[:, k],
             q0=adj.q0[:, k],
             r0=adj.r0[:, k],
+            jumps=ens.jumps,
+            horizon=grid.horizon,
         )
-        h_used = hamiltonian(coeffs, HamiltonianInputs(u=u, **common), jumps, grid.horizon)
+        h_used = hamiltonian(coeffs, u=u, **common)
         if filtration == "trivial":
             for c in candidates:
-                diff = hamiltonian(coeffs, HamiltonianInputs(u=c, **common), jumps, grid.horizon) - h_used
+                diff = hamiltonian(coeffs, u=c, **common) - h_used
                 gap, se = _mean_and_stderr(diff)
                 if gap > best_gap:
                     best_gap, best_se = gap, se
         elif filtration == "full":
             phi = basis(ens, k)
-            diffs = np.column_stack(
-                [hamiltonian(coeffs, HamiltonianInputs(u=c, **common), jumps, grid.horizon) - h_used for c in candidates]
-            )
+            diffs = np.column_stack([hamiltonian(coeffs, u=c, **common) - h_used for c in candidates])
             beta, _ = _regress(phi, diffs)
             gap, se = _mean_and_stderr(np.max(phi @ beta, axis=1))
             if gap > best_gap:

@@ -226,18 +226,15 @@ def _numbers(raw: str) -> tuple:
     return values
 
 
-def _physical_memory_bytes() -> int | None:
+def _exceeded_memory(need: int) -> int | None:
+    """The machine's physical memory in bytes if ``need`` bytes exceed it,
+    else None, also when it cannot be read: the guards that refuse an
+    allocation before making it ask this."""
     try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
-
-
-def _doubled_rule_fits(n_nodes: int) -> bool:
-    # run_norms also builds the rule with 2 * rule_points nodes, whose
-    # eigenproblem is a (2n, 2n) float matrix; refuse before allocating it
-    memory = _physical_memory_bytes()
-    return memory is None or (2 * n_nodes) ** 2 * 8 <= memory
+    return memory if need > memory else None
 
 
 REQUIRED = object()
@@ -275,7 +272,12 @@ SCHEMA = {
             _integer,
             64,
             (lambda n: n >= 2, "must be at least 2"),
-            (_doubled_rule_fits, "the doubled rule's (2n)^2 * 8-byte eigenproblem exceeds physical memory"),
+            # run_norms also builds the rule with 2 * rule_points nodes, whose
+            # eigenproblem is a (2n, 2n) float matrix; refuse before allocating it
+            (
+                lambda n: _exceeded_memory((2 * n) ** 2 * 8) is None,
+                "the doubled rule's (2n)^2 * 8-byte eigenproblem exceeds physical memory",
+            ),
         ),
         "point_a": (_number, 0.7),
         "point_b": (_number, -0.3),
@@ -338,8 +340,8 @@ def build_grid(cfg: ConfigFile) -> SimGrid:
     n_steps = _steps_of(cfg, "grid", "horizon", horizon, dt, "must be a positive integer multiple of dt", positive=True)
     # one (N, d + K + 1) float array per ensemble; refuse before allocating it
     points = delta_steps + n_steps + 1
-    memory = _physical_memory_bytes()
-    if memory is not None and particles * points * 8 > memory:
+    memory = _exceeded_memory(particles * points * 8)
+    if memory is not None:
         cfg._error(
             "grid",
             "particles",
@@ -482,10 +484,9 @@ def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
         coeffs, grid, jumps=jumps, xi=xi, t0_steps=t0_steps, **_subset(values, "tol", "max_iter")
     )
     rows = []
-    for w, dists in enumerate(report.distances):
+    for w, (dists, ratios) in enumerate(zip(report.distances, report.ratios)):
         for m, dist in enumerate(dists):
-            ratio = report.ratios[w][m - 1] if m >= 1 else float("nan")
-            rows.append((w, m + 1, dist, ratio))
+            rows.append((w, m + 1, dist, ratios[m - 1] if m >= 1 else float("nan")))
     res.tables["picard_iters.csv"] = (("window", "iter", "distance", "ratio"), rows)
 
     worst = report.worst_final_ratio
@@ -517,8 +518,7 @@ def run_norms(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
     # per sample: a complex ecf phase entry per rule point, and a pair of
     # float (samples, lags) windows; refuse before drawing them
     need = n_samples * (16 * n_nodes + 2 * 8 * n_lags)
-    memory = _physical_memory_bytes()
-    if memory is not None and need > memory:
+    if _exceeded_memory(need) is not None:
         cfg._error("norms", "samples", f"{n_samples} samples need {need} bytes, more than physical memory")
     rule = gauss_weight_rule(n_nodes)
     rng = np.random.Generator(np.random.Philox(key=grid.seed))

@@ -245,6 +245,15 @@ def _as_time_fn(v) -> Callable[[float], float]:
     return lambda t: c
 
 
+def _check_finite(owner, *names) -> None:
+    """Refuse a non-callable field of ``owner`` holding a non-finite value,
+    naming the field."""
+    for name in names:
+        value = getattr(owner, name)
+        if not callable(value) and not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def combine_controls(base, direction, scale: float) -> _Control:
     """Control ``base + scale * direction`` (both may be feedback rules)."""
     base, direction, scale = as_control(base), as_control(direction), float(scale)

@@ -46,6 +46,7 @@ from memsfde.engine import (
     FixedPointDivergence,
     JumpModel,
     _as_time_fn,
+    _check_finite,
     _is_integer,
     combine_controls,
     simulate,
@@ -79,7 +80,8 @@ class LQSpec:
     The default is a noise-excited regulator (zero initial history): the
     state law is then symmetric under flipping the driving noise, which the
     optimality diagnostics inherit, so their estimates carry no systematic
-    offset for deterministic perturbation directions.
+    offset for deterministic perturbation directions.  The constant
+    coefficients and the kernel's values must be finite.
     """
 
     kernel: object = 1.0  # constant, callable(s), or mesh array (delta_steps+1,)
@@ -87,6 +89,9 @@ class LQSpec:
     beta0: object = 0.0
     xi: object = 0.0
     jumps: JumpModel = field(default_factory=JumpModel.none)
+
+    def __post_init__(self):
+        _check_finite(self, "kernel", "alpha0", "beta0")
 
     def delay_functional(self, grid: SimGrid) -> SegmentFunctional:
         """The kernel as an averaging functional on the grid's memory window;
@@ -169,17 +174,22 @@ def _warn_deficient(counts, n_steps: int) -> None:
 class FBSDEIterationReport:
     """Trace of the damped control iteration: per-sweep control change
     (root-mean-square over particles of the mesh-L2 norm of the update) and
-    per-sweep number of rank-deficient regression steps."""
+    per-sweep number of rank-deficient regression steps.  ``iterations`` is
+    the number of sweeps, and ``converged`` says whether the last change
+    fell below ``tol``, the solve's stopping rule."""
 
     changes: tuple
     damping: float
     tol: float
-    converged: bool
     deficient_counts: tuple = ()
 
     @property
     def iterations(self) -> int:
         return len(self.changes)
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.changes) and self.changes[-1] < self.tol
 
 
 class LQSolution(NamedTuple):
@@ -245,7 +255,6 @@ def solve_lq(
     new_row, gap_row = np.empty(N), np.empty(N)
     changes: list[float] = []
     deficient: list[int] = []
-    converged = False
     growing = 0
 
     for _ in range(max_iter):
@@ -282,18 +291,11 @@ def solve_lq(
             growing = 0
         changes.append(change)
         if change < tol:
-            converged = True
             break
 
     _warn_deficient(deficient, K)
 
-    report = FBSDEIterationReport(
-        changes=tuple(changes),
-        damping=damping,
-        tol=tol,
-        converged=converged,
-        deficient_counts=tuple(deficient),
-    )
+    report = FBSDEIterationReport(changes=tuple(changes), damping=damping, tol=tol, deficient_counts=tuple(deficient))
     return LQSolution(control, coupling_residual, report, spec, problem)
 
 

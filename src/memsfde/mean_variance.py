@@ -44,6 +44,7 @@ from memsfde.engine import (
     JumpModel,
     ParticleEnsemble,
     _as_time_fn,
+    _check_finite,
     _materialize_history,
     combine_controls,
 )
@@ -70,6 +71,7 @@ class MeanVarSpec:
 
     ``gamma0`` is the jump loading; the jump coefficient is loading(t) times
     the mark, so the second-moment integral is loading^2 * intensity * E[z^2].
+    The constant coefficients and the target must be finite.
     """
 
     b0: object = 0.1
@@ -79,14 +81,8 @@ class MeanVarSpec:
     xi: object = 2.0
     jumps: JumpModel = field(default_factory=JumpModel.none)
 
-    def b0_fn(self):
-        return _as_time_fn(self.b0)
-
-    def sigma0_fn(self):
-        return _as_time_fn(self.sigma0)
-
-    def gamma0_fn(self):
-        return _as_time_fn(self.gamma0)
+    def __post_init__(self):
+        _check_finite(self, "b0", "sigma0", "gamma0", "target")
 
     def jump_m2(self) -> float:
         """intensity * E[z^2], the mark part of the jump second moment."""
@@ -101,7 +97,7 @@ class MeanVarSpec:
 
     def rate_fn(self):
         """Squared signal-to-noise rate entering every closed-form formula."""
-        b0, s0, g0 = self.b0_fn(), self.sigma0_fn(), self.gamma0_fn()
+        b0, s0, g0 = _as_time_fn(self.b0), _as_time_fn(self.sigma0), _as_time_fn(self.gamma0)
         m2 = self.jump_m2()
 
         def rate(t: float) -> float:
@@ -122,16 +118,19 @@ class MeanVarSolution:
     ``problem`` is the simulation problem the solution is checked on, built
     once by :func:`solve_closed_form`.  Its noise is drawn on the first
     simulation, and the optimal ensemble, its variants and the stationarity
-    probes all share that one draw.
+    probes all share that one draw.  ``grid`` is the problem's grid.
     """
 
     spec: MeanVarSpec
-    grid: SimGrid
     rate: np.ndarray  # (n_steps + 1,)
     phi: np.ndarray
     psi: np.ndarray
     feedback: Callable  # (t, x, x_seg, law) -> per-particle control
     problem: ControlProblem
+
+    @property
+    def grid(self) -> SimGrid:
+        return self.problem.grid
 
     def p0_closed(self, x: np.ndarray, k: int) -> np.ndarray:
         """Affine adjoint phi X + psi at step k, along the states ``x``."""
@@ -154,7 +153,7 @@ def solve_closed_form(spec: MeanVarSpec, grid: SimGrid) -> MeanVarSolution:
     if grid.delta_steps < 1:
         raise ValueError(f"the delay problem needs a lag of at least one step (got delta_steps={grid.delta_steps})")
     rate_fn = spec.rate_fn()
-    b0_fn = spec.b0_fn()
+    b0_fn = _as_time_fn(spec.b0)
     ts = grid.times()
     rate = np.array([rate_fn(t) for t in ts])
     steps = 0.5 * (rate[1:] + rate[:-1]) * grid.dt
@@ -163,7 +162,7 @@ def solve_closed_form(spec: MeanVarSpec, grid: SimGrid) -> MeanVarSolution:
     psi = spec.target * np.exp(-tail)
 
     if spec.jumps.active:
-        g0, m = spec.gamma0_fn(), max(abs(z) for z in spec.jumps.marks)
+        g0, m = _as_time_fn(spec.gamma0), max(abs(z) for z in spec.jumps.marks)
         worst = max((rate_fn(t) / abs(b0_fn(t))) * abs(g0(t)) * m for t in ts)
         if worst >= 1.0:
             raise ValueError(
@@ -180,12 +179,12 @@ def solve_closed_form(spec: MeanVarSpec, grid: SimGrid) -> MeanVarSolution:
             )
         return rate_fn(t) * (target - x) / (b0_fn(t) * x_del)
 
-    return MeanVarSolution(spec, grid, rate, phi, psi, feedback, control_problem(spec, grid))
+    return MeanVarSolution(spec, rate, phi, psi, feedback, control_problem(spec, grid))
 
 
 def control_problem(spec: MeanVarSpec, grid: SimGrid) -> ControlProblem:
     """The simulation problem shared by the optimal and perturbed controls."""
-    b0, s0, g0 = spec.b0_fn(), spec.sigma0_fn(), spec.gamma0_fn()
+    b0, s0, g0 = _as_time_fn(spec.b0), _as_time_fn(spec.sigma0), _as_time_fn(spec.gamma0)
     target = spec.target
 
     def drift(t, x, x_seg, law, law_seg, u, u_seg):
@@ -264,9 +263,7 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
     spec, grid = sol.spec, sol.grid
     K, d, N = grid.n_steps, grid.delta_steps, grid.n_particles
     ts = grid.times()
-    b0 = np.array([spec.b0_fn()(t) for t in ts])
-    s0 = np.array([spec.sigma0_fn()(t) for t in ts])
-    g0 = np.array([spec.gamma0_fn()(t) for t in ts])
+    b0, s0, g0 = (np.array([f(t) for t in ts]) for f in map(_as_time_fn, (spec.b0, spec.sigma0, spec.gamma0)))
     m2 = spec.jump_m2()
     m1 = spec.jump_m1()
     noise_var = s0**2 + g0**2 * m2

@@ -69,15 +69,28 @@ class PicardReport:
     """Per-window iteration record of the fixed-point solve.
 
     ``distances[w][m]`` is the mean over particles of the squared sup-distance
-    (over the window mesh) between sweeps m and m+1 on window w;
-    ``ratios[w]`` are successive distance quotients.
+    (over the window mesh) between sweeps m and m+1 on window w, and ``tol``
+    the distance at or below which a window stops.  The rest is derived
+    from those two: ``ratios[w]`` are the successive distance quotients (a
+    zero distance starts none), ``iterations[w]`` is the number of sweeps
+    window w ran, and ``converged`` says whether every window's last
+    distance fell to ``tol``.
     """
 
     distances: tuple  # tuple of tuples, one per window
-    ratios: tuple
-    iterations: tuple
-    converged: bool
     tol: float
+
+    @property
+    def ratios(self) -> tuple:
+        return tuple(tuple(b / a for a, b in zip(ds, ds[1:]) if a > 0.0) for ds in self.distances)
+
+    @property
+    def iterations(self) -> tuple:
+        return tuple(len(dists) for dists in self.distances)
+
+    @property
+    def converged(self) -> bool:
+        return all(dists[-1] <= self.tol for dists in self.distances)
 
     @property
     def initial_contraction_ratio(self) -> float:
@@ -141,13 +154,8 @@ def picard_solve(
     # values of its window, which leaves the d values before it in place
     controls = _control_band(ens, d + t0_steps + 1)
 
-    n_windows = K // t0_steps
     all_dists: list[tuple] = []
-    all_ratios: list[tuple] = []
-    iters: list[int] = []
-    converged = True
-
-    for w in range(n_windows):
+    for w in range(K // t0_steps):
         k0, k1 = w * t0_steps, (w + 1) * t0_steps
         lo, hi = d + k0, d + k1
         # initial guess: constant extension of the window's starting value
@@ -158,8 +166,6 @@ def picard_solve(
         frozen.state.columns(k0, hi + 1)[...] = state.columns(k0, hi + 1)
         start = k0
         dists: list[float] = []
-        ratios: list[float] = []
-        window_done = False
         for _ in range(max_iter):
             # steps before start read only columns that the previous sweep
             # left bit for bit as they were, so they would push the same
@@ -178,31 +184,17 @@ def picard_solve(
                 dist = float(np.mean(np.max(diff * diff, axis=0)))
             else:
                 dist = 0.0
-            if dists and dists[-1] > 0.0:
-                ratios.append(dist / dists[-1])
             dists.append(dist)
             if dist <= tol:
-                window_done = True
                 break
             # the next sweep starts at the first step that reads column first
             held[...] = new
             start = first - d
         all_dists.append(tuple(dists))
-        all_ratios.append(tuple(ratios))
-        iters.append(len(dists))
-        if not window_done:
-            converged = False
 
     # evaluated and dropped: simulate evaluates the horizon's control too
     ens.control_at(K)
-    report = PicardReport(
-        distances=tuple(all_dists),
-        ratios=tuple(all_ratios),
-        iterations=tuple(iters),
-        converged=converged,
-        tol=tol,
-    )
-    return ens, report
+    return ens, PicardReport(distances=tuple(all_dists), tol=tol)
 
 
 def consistency_check(coeffs: CoefficientSet, ens_fp: ParticleEnsemble) -> float:

@@ -8,7 +8,6 @@ import pytest
 
 from memsfde import adjoint
 from memsfde.adjoint import (
-    HamiltonianInputs,
     SegmentFunctional,
     SweepContext,
     _regress,
@@ -112,7 +111,7 @@ class TestRieszDuality:
 class TestHamiltonian:
     def test_single_drift_term(self):
         coeffs = CoefficientSet(drift=lambda *a: 1.0)
-        h = hamiltonian(coeffs, HamiltonianInputs(t=0.0, x=0.0, p0=3.0))
+        h = hamiltonian(coeffs, t=0.0, x=0.0, p0=3.0)
         assert h == pytest.approx(3.0)
 
     def test_control_scaled_memory_product(self):
@@ -121,7 +120,8 @@ class TestHamiltonian:
         scaled = lambda t, x, xs, m, ms, u, us: u * xs[..., -1]
         coeffs = CoefficientSet(drift=scaled, diffusion=scaled, jump=lambda *a: a[5] * a[2][..., -1])
         jumps = JumpModel(intensity=2.0, marks=(1.0,), probs=(1.0,))
-        inputs = HamiltonianInputs(
+        h = hamiltonian(
+            coeffs,
             t=0.5,
             x=9.0,  # current state does not enter
             x_seg=np.array([9.0, 2.0, 1.5]),
@@ -129,26 +129,27 @@ class TestHamiltonian:
             p0=0.1,
             q0=0.1,
             r0=0.1,
+            jumps=jumps,
         )
         # bracket = 0.1 + 0.1 + 0.1 * 2 = 0.4; u * lag * bracket = 2 * 1.5 * 0.4
-        assert hamiltonian(coeffs, inputs, jumps) == pytest.approx(1.2)
+        assert h == pytest.approx(1.2)
 
     def test_vanishes_past_horizon(self):
         coeffs = CoefficientSet(drift=lambda *a: 1.0)
-        h = hamiltonian(coeffs, HamiltonianInputs(t=1.01, x=0.0, p0=5.0), horizon=1.0)
+        h = hamiltonian(coeffs, t=1.01, x=0.0, p0=5.0, horizon=1.0)
         assert h == 0.0
 
     def test_past_horizon_keeps_the_shape_of_the_state(self):
         coeffs = CoefficientSet(drift=lambda *a: 1.0)
         x = np.array([1.0, 2.0, 3.0])
-        inside = hamiltonian(coeffs, HamiltonianInputs(t=0.5, x=x, p0=5.0), horizon=1.0)
-        past = hamiltonian(coeffs, HamiltonianInputs(t=1.5, x=x, p0=5.0), horizon=1.0)
+        inside = hamiltonian(coeffs, t=0.5, x=x, p0=5.0, horizon=1.0)
+        past = hamiltonian(coeffs, t=1.5, x=x, p0=5.0, horizon=1.0)
         assert isinstance(past, np.ndarray) and past.shape == inside.shape == (3,)
         np.testing.assert_array_equal(past, 0.0)
 
     def test_vector_inputs_broadcast(self):
         coeffs = CoefficientSet(running_cost=lambda t, x, xs, m, ms, u, us: x * u)
-        out = hamiltonian(coeffs, HamiltonianInputs(t=0.0, x=np.array([1.0, 2.0]), p0=0.0, u=3.0))
+        out = hamiltonian(coeffs, t=0.0, x=np.array([1.0, 2.0]), p0=0.0, u=3.0)
         np.testing.assert_allclose(out, [3.0, 6.0])
 
 
@@ -568,6 +569,15 @@ class TestMaxCondition:
             max_condition_gap(CoefficientSet(), ens, adj, [])
         with pytest.raises(ValueError):
             max_condition_gap(CoefficientSet(), ens, adj, [0.0], filtration="partial")
+
+    @pytest.mark.parametrize("candidates", [[math.nan], [0.0, math.nan], [math.inf], [0.5, -math.inf]])
+    def test_non_finite_candidates_refused(self, candidates):
+        # a nan gap compared false and read as no improvement, and an
+        # infinite candidate gave a nan gap
+        ens = brownian_ensemble(10, seed=1)
+        adj = solve_absde(ens, terminal=lambda x, law: x)
+        with pytest.raises(ValueError, match="finite"):
+            max_condition_gap(CoefficientSet(), ens, adj, candidates)
 
     @pytest.mark.parametrize("keep", ["p0", "initial_p0"])
     @pytest.mark.parametrize("filtration", ["trivial", "full"])

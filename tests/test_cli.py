@@ -219,6 +219,16 @@ class TestConfigErrors:
         assert f"{path}:7: [grid] particles: 10000000000000 particles on 61 mesh points" in err
         assert "physical memory" in err
 
+    def test_memory_guards_refuse_only_what_exceeds_a_readable_memory(self, monkeypatch):
+        assert cli._exceeded_memory(0) is None
+        assert cli._exceeded_memory(2**80) > 0
+
+        def unreadable(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(os, "sysconf", unreadable)
+        assert cli._exceeded_memory(2**80) is None
+
     def test_lag_span_must_be_a_multiple_of_dt(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SIM_TINY.replace("delta = 0.1", "delta = 0.035"))
         err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)

@@ -118,6 +118,14 @@ class TestSolverBehaviour:
         with pytest.raises(ValueError, match=name):
             solve_lq(LQSpec(), DESK_GRID, **{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value", [("kernel", math.nan), ("kernel", [1.0, math.inf, 1.0]), ("alpha0", math.inf), ("beta0", -math.inf)]
+    )
+    def test_non_finite_constants_refused(self, name, value):
+        # they were accepted, and the first sweep died in SimulationBlowupError
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            LQSpec(**{name: value})
+
     def test_kernel_forms_agree(self):
         grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.2, n_particles=3, seed=1)
         by_const = LQSpec(kernel=2.0).delay_functional(grid).kernel

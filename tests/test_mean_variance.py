@@ -87,6 +87,14 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             solve_closed_form(MeanVarSpec(sigma0=0.0, gamma0=0.0), DESK_GRID)
 
+    @pytest.mark.parametrize(
+        "name, value", [("b0", math.nan), ("sigma0", math.inf), ("gamma0", -math.inf), ("target", math.nan)]
+    )
+    def test_non_finite_constants_refused(self, name, value):
+        # they were accepted, and the simulation died in SimulationBlowupError
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            MeanVarSpec(**{name: value})
+
     def test_oversized_jump_loading_rejected(self):
         # tiny noise makes the gearing rate huge; one unit-mark jump would
         # then throw the optimally controlled state across the target

@@ -244,10 +244,12 @@ def full_sweep_solve(coeffs, grid, jumps=None, xi=0.0, control=None, t0_steps=No
     The frozen iterate and the control store hold the whole mesh, so
     neither band ever moves.
 
-    Returns the ensemble, the report, and per window the steps that a sweep
-    must redo: all of them on the first sweep; on a later one those from
-    the first step that reads the first column whose bits the sweep before
-    it changed (step k reads columns k..d+k).
+    Returns the ensemble, the report, per window the steps that a sweep
+    must redo, and the ratios, iteration counts and converged flag kept
+    sweep by sweep, for the report's derived values to be checked against.
+    The steps to redo are all of them on the first sweep; on a later one
+    those from the first step that reads the first column whose bits the
+    sweep before it changed (step k reads columns k..d+k).
     """
     d, K = grid.delta_steps, grid.n_steps
     t0_steps = K if t0_steps is None else t0_steps
@@ -287,8 +289,8 @@ def full_sweep_solve(coeffs, grid, jumps=None, xi=0.0, control=None, t0_steps=No
         needed.append(steps)
         converged = converged and done
     ens.control_at(K)
-    report = PicardReport(tuple(all_dists), tuple(all_ratios), tuple(iters), converged, tol)
-    return ens, report, tuple(needed)
+    report = PicardReport(tuple(all_dists), tol)
+    return ens, report, tuple(needed), (tuple(all_ratios), tuple(iters), converged)
 
 
 def counting_steps(coeffs, grid, t0_steps, counts):
@@ -388,11 +390,14 @@ class TestRestartAtFirstChangedColumn:
         t0_steps = kwargs.get("t0_steps")
         ran, reran = [0] * grid.n_steps, [0] * grid.n_steps
         ens, report = picard_solve(counting_steps(coeffs, grid, t0_steps, ran), grid, **kwargs)
-        ref, ref_report, needed = full_sweep_solve(counting_steps(coeffs, grid, t0_steps, reran), grid, **kwargs)
+        ref, ref_report, needed, kept = full_sweep_solve(counting_steps(coeffs, grid, t0_steps, reran), grid, **kwargs)
         assert ens.paths.tobytes() == ref.paths.tobytes()
         assert report == ref_report
-        for field in ("distances", "ratios"):
-            assert [bits(v) for v in getattr(report, field)] == [bits(v) for v in getattr(ref_report, field)]
+        assert [bits(v) for v in report.distances] == [bits(v) for v in ref_report.distances]
+        # the derived values against those the reference kept sweep by sweep
+        ratios, iterations, converged = kept
+        assert [bits(v) for v in report.ratios] == [bits(v) for v in ratios]
+        assert (report.iterations, report.converged) == (iterations, converged)
         for solved, replayed in zip(ens.coefficient_inputs(), ref.coefficient_inputs()):
             for a, b in zip(solved[:2] + solved[4:], replayed[:2] + replayed[4:]):
                 assert bits(a) == bits(b)

@@ -30,7 +30,11 @@ The base is checked out with ``git worktree add --detach`` into a temporary
 directory (``--base REV``, default ``HEAD``) and removed afterwards.  The
 script prints one line per run with both trees' exit codes and child peak RSS
 (``ru_maxrss``), then every exit code, stdout, stderr and artifact
-(``timing.txt`` excepted) that differs.  It exits 1 on any difference and 0
+(``timing.txt`` excepted) that differs.  Each MB figure is one run, and
+the left one ran first: the base's, or in a traced row this checkout's
+plain run.  So the two columns are not a memory comparison, since a steady
+offset between them can come from the order alone; compare memory with
+alternated runs of the benchmark (``perfbench/run.py``).  It exits 1 on any difference and 0
 when everything is identical.  The work directory is deleted unless a run
 differs.
 """
@@ -218,12 +222,15 @@ def main(argv=None) -> int:
 
         def report(name, b, c, diffs):
             verdict = "identical" if not diffs else "DIFFERS: " + ", ".join(diffs)
-            print(f"{name:<28} {b['exit']:>9} {b['rss_mb']:>9.1f} {c['exit']:>11} {c['rss_mb']:>9.1f}  {verdict}")
+            print(f"{name:<28} {b['exit']:>9} {b['rss_mb']:>20.1f} {c['exit']:>11} {c['rss_mb']:>22.1f}  {verdict}")
             sys.stdout.flush()
             if diffs:
                 differing.append(name)
 
-        print(f"{'run':<28} {'base exit':>9} {'base MB':>9} {'change exit':>11} {'change MB':>9}  result")
+        print(
+            f"{'run':<28} {'base exit':>9} {'base MB (1 run, 1st)':>20} {'change exit':>11} "
+            f"{'change MB (1 run, 2nd)':>22}  result"
+        )
         plain = {}
         for name, cmd in runs:
             b, plain[name] = base.run(name, cmd), change.run(name, cmd)
