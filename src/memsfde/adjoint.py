@@ -23,7 +23,8 @@ Four pieces live here:
 * ``max_condition_gap`` / ``stationarity_gap`` — numerical optimality tests:
   how much the Hamiltonian can be improved over a candidate control grid, and
   the common-random-number central difference of the performance functional in
-  a perturbation direction.
+  a perturbation direction; ``stationarity_rows`` runs the probes that every
+  verification battery shares, then the battery's own.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ from memsfde.engine import (
     CoefficientSet,
     ControlProblem,
     JumpModel,
+    MeshMismatchError,
     ParticleEnsemble,
     _mean_and_stderr,
     combine_controls,
 )
-from memsfde.grid import SimGrid, trapezoid_weights
+from memsfde.grid import SimGrid, _is_integer, mesh_index, trapezoid_weights
 from memsfde.measures import EmpiricalMeasure, MeasureSegment, dirac
 from memsfde.segments import GridPath
 
@@ -58,6 +60,7 @@ __all__ = [
     "SweepContext",
     "max_condition_gap",
     "stationarity_gap",
+    "stationarity_rows",
 ]
 
 log = logging.getLogger("memsfde.adjoint")
@@ -84,7 +87,9 @@ class SegmentFunctional:
     @staticmethod
     def averaging(kernel, delta_steps: int, dt: float) -> "SegmentFunctional":
         """The kernel is a callable of the lag, a constant, or its
-        ``delta_steps + 1`` mesh values."""
+        ``delta_steps + 1`` mesh values; its mesh values must be finite."""
+        if not _is_integer(delta_steps) or delta_steps < 0:
+            raise ValueError(f"delta_steps={delta_steps!r} must be an integer >= 0")
         if callable(kernel):
             vals = np.array([float(kernel(j * dt)) for j in range(delta_steps + 1)])
         else:
@@ -95,16 +100,16 @@ class SegmentFunctional:
                 raise ValueError(
                     f"kernel needs delta_steps + 1 = {delta_steps + 1} mesh values, got {vals.shape}"
                 )
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ValueError(f"kernel must be finite, got {vals[bad[0]]} at lag step {bad[0]}")
         return SegmentFunctional(kind="averaging", dt=float(dt), kernel=vals)
 
     @staticmethod
     def evaluation(point: float, dt: float) -> "SegmentFunctional":
-        steps = point / dt
-        if abs(steps - round(steps)) > 1e-6:
-            raise ValueError(f"evaluation point {point} is not on the dt={dt} mesh")
-        if point < 0.0:
-            raise ValueError("evaluation point must lie in [0, delta]")
-        return SegmentFunctional(kind="evaluation", dt=float(dt), point_steps=int(round(steps)))
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"dt={dt} must be positive and finite")
+        return SegmentFunctional(kind="evaluation", dt=float(dt), point_steps=mesh_index(point, dt, name="point"))
 
     @property
     def delta_steps(self) -> int:
@@ -177,11 +182,9 @@ def riesz_duality_check(
 
     lhs = 0.0
     for k in range(n):
-        lhs += w[k] * y[k] * float(f.apply(_forward_values(p_path, k * dt, d)))
+        lhs += w[k] * y[k] * riesz_advanced(f, p_path, k * dt)
 
-    p = np.zeros(n)
-    m = min(n, len(p_path.values))
-    p[:m] = p_path.values[:m]
+    p = _forward_values(p_path, 0.0, n - 1)
     rhs = 0.0
     for k in range(n):
         back = np.zeros(d + 1)
@@ -193,6 +196,13 @@ def riesz_duality_check(
 
 # ---------------------------------------------------------------------------
 # Hamiltonian
+
+
+def _per_particle(seg, n: int) -> np.ndarray:
+    """A segment argument as (n, length) rows: one shared (length,) segment
+    is broadcast to every particle."""
+    seg = np.asarray(seg, dtype=float)
+    return np.broadcast_to(seg, (n, seg.shape[0])) if seg.ndim == 1 else seg
 
 
 def hamiltonian(
@@ -227,12 +237,7 @@ def hamiltonian(
 
     n = x.shape[0]
 
-    if x_seg is not None:
-        x_seg = np.asarray(x_seg, dtype=float)
-        if x_seg.ndim == 1:
-            x_seg = np.broadcast_to(x_seg, (n, x_seg.shape[0]))
-    else:
-        x_seg = x[:, None]
+    x_seg = _per_particle(x_seg, n) if x_seg is not None else x[:, None]
     d = x_seg.shape[1] - 1
 
     if law is None:
@@ -241,12 +246,7 @@ def hamiltonian(
     law_seg = law_seg if law_seg is not None else MeasureSegment([law] * (d + 1), 1.0)
 
     u = np.broadcast_to(np.asarray(u, dtype=float), x.shape)
-    if u_seg is not None:
-        u_seg = np.asarray(u_seg, dtype=float)
-        if u_seg.ndim == 1:
-            u_seg = np.broadcast_to(u_seg, (n, u_seg.shape[0]))
-    else:
-        u_seg = np.broadcast_to(u[:, None], (n, d + 1))
+    u_seg = _per_particle(u_seg, n) if u_seg is not None else np.broadcast_to(u[:, None], (n, d + 1))
 
     total = np.zeros(n)
     if coeffs.running_cost is not None:
@@ -523,12 +523,8 @@ def solve_absde(
             np.matmul(beta[2 * m :], basis_rows, out=r0[:, k % width])
         _, mean_stderr[k] = _mean_and_stderr(target)
 
-    if deficient and warn:
-        log.warning(
-            "rank-deficient regression at %d of %d steps; least-norm/ensemble-mean fallback used",
-            len(deficient),
-            K,
-        )
+    if warn:
+        _log_rank_deficiency(log, (len(deficient),), K)
     return AdjointTriple(
         grid=grid,
         p0=p0[:, :1].copy() if keep == "initial_p0" else p0,
@@ -537,6 +533,23 @@ def solve_absde(
         mean_stderr=mean_stderr,
         deficient_steps=tuple(reversed(deficient)),
     )
+
+
+def _log_rank_deficiency(logger: logging.Logger, counts, n_steps: int) -> None:
+    """One warning line on ``logger`` for the rank-deficient regression
+    steps of one or more backward solves, given each solve's count; nothing
+    when no solve had any.  Several solves share a line because the steps
+    are expected wherever the lagged features are constant."""
+    hit = [c for c in counts if c]
+    if not hit:
+        return
+    if len(counts) == 1:
+        where = f"{hit[0]} of {n_steps} steps"
+    elif len(hit) == len(counts) and min(hit) == max(hit):
+        where = f"{hit[0]} of {n_steps} steps in each of {len(counts)} solves"
+    else:
+        where = f"{min(hit)} to {max(hit)} of {n_steps} steps in {len(hit)} of {len(counts)} solves"
+    logger.warning("rank-deficient regression at %s; least-norm/ensemble-mean fallback used", where)
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +578,20 @@ def max_condition_gap(
     are replayed from the ensemble's paths
     (:meth:`~memsfde.engine.ParticleEnsemble.coefficient_inputs`), and the
     jump term integrates against the ensemble's jump model, ``ens.jumps``.
-    The candidates must be finite.
+    The candidates must be finite, and ``adj`` must be solved on the
+    ensemble's mesh: the same particles, steps, ``dt`` and lag steps.
     """
     candidates = [float(c) for c in candidate_grid]
     if not candidates or not all(map(math.isfinite, candidates)):
         raise ValueError(f"candidate grid must be non-empty and finite, got {candidates}")
     basis = basis if basis is not None else default_basis
     grid = ens.grid
+    mesh = (grid.n_particles, grid.n_steps, grid.dt, grid.delta_steps)
+    adj_mesh = (adj.grid.n_particles, adj.grid.n_steps, adj.grid.dt, adj.grid.delta_steps)
+    if mesh != adj_mesh:
+        raise MeshMismatchError(
+            f"the adjoint was solved on (particles, steps, dt, lag steps) = {adj_mesh}, the ensemble lives on {mesh}"
+        )
     if adj.q0 is None:
         raise ValueError("the loadings were not kept after the sweep; solve with keep='all'")
     best_gap, best_se = -math.inf, 0.0
@@ -629,6 +649,20 @@ def stationarity_gap(
         raise ValueError(f"eps must be a positive finite number, got {eps!r}")
     plus, minus = problem.costs([combine_controls(control, direction, eps), combine_controls(control, direction, -eps)])
     return _mean_and_stderr((plus - minus) / (2.0 * eps))
+
+
+def stationarity_rows(problem: ControlProblem, control, directions, eps: float = 1e-3) -> list:
+    """Rows ``(label, gap, stderr)`` of :func:`stationarity_gap` at
+    ``control``: first in the two probes every verification battery shares,
+    a unit shift (``const_1``) and a unit shift over the second half of the
+    horizon (``late_half``), then in each ``(label, direction)`` of
+    ``directions``, the battery's own."""
+    half = problem.grid.horizon / 2.0
+    shared = (("const_1", 1.0), ("late_half", lambda t, x, x_seg, law: 1.0 if t >= half else 0.0))
+    return [
+        (label, *stationarity_gap(problem, control, direction, eps=eps))
+        for label, direction in (*shared, *directions)
+    ]
 
 
 def _paired_rows(base_label: str, base_cost: np.ndarray, labels, costs) -> list:

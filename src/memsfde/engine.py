@@ -231,11 +231,6 @@ def as_control(obj) -> _Control:
     raise TypeError(f"cannot interpret {type(obj).__name__} as a control")
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer, a bool not counted."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _as_time_fn(v) -> Callable[[float], float]:
     """A deterministic coefficient of time: callables pass through, constants
     become constant functions."""
@@ -252,6 +247,19 @@ def _check_finite(owner, *names) -> None:
         value = getattr(owner, name)
         if not callable(value) and not np.isfinite(np.asarray(value, dtype=float)).all():
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_finite_on_mesh(owner, grid: SimGrid, *names) -> None:
+    """Refuse a callable coefficient of time, a field of ``owner``, that is
+    not finite at some time of ``grid.times()``, naming the field and the
+    time, so it fails before any noise is drawn."""
+    for name in names:
+        fn = getattr(owner, name)
+        if callable(fn):
+            for t in grid.times():
+                value = float(fn(t))
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite on the mesh, got {value} at t={t:g}")
 
 
 def combine_controls(base, direction, scale: float) -> _Control:

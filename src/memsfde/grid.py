@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SimGrid", "step_generator", "trapezoid_weights"]
+__all__ = ["SimGrid", "mesh_index", "step_generator", "trapezoid_weights"]
 
 # substream tags for step_generator
 BROWNIAN = 0
@@ -35,6 +35,29 @@ def step_generator(seed: int, step: int, substream: int = 0) -> np.random.Genera
         raise ValueError("step and substream must be non-negative")
     bitgen = np.random.Philox(key=np.uint64(seed), counter=[0, 0, np.uint64(substream), np.uint64(step)])
     return np.random.Generator(bitgen)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a bool not counted."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def mesh_index(t: float, dt: float, t0: float = 0.0, n_points: float = math.inf, name: str = "t") -> int:
+    """Index k of the mesh time ``t = t0 + k dt``, to within 1e-6 dt, on the
+    ``n_points`` mesh points from ``t0`` (unbounded above by default).
+
+    ``dt`` must be positive.  A non-finite, off-mesh or out-of-range ``t``
+    is a ``ValueError`` naming it.
+    """
+    steps = (t - t0) / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"{name}={t} is not a finite mesh time")
+    k = int(round(steps))
+    if abs(t0 + k * dt - t) > 1e-6 * dt:
+        raise ValueError(f"{name}={t} is not on the mesh (dt={dt})")
+    if not 0 <= k < n_points:
+        raise ValueError(f"{name}={t} outside [{t0}, {t0 + (n_points - 1) * dt}]")
+    return k
 
 
 def _check_multiple(value: float, dt: float, name: str) -> int:
@@ -61,7 +84,7 @@ class SimGrid:
     def __post_init__(self) -> None:
         for name in ("delta_steps", "n_particles", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ValueError(f"{name}={value!r} must be an integer")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed={self.seed} must be an unsigned 64-bit integer")
@@ -96,12 +119,7 @@ class SimGrid:
 
     def index_of(self, t: float) -> int:
         """Mesh index of time t on [0, T] (0 at t=0). Off-mesh times are an error."""
-        k = int(round(t / self.dt))
-        if abs(k * self.dt - t) > 1e-6 * self.dt:
-            raise ValueError(f"t={t} is not on the mesh (dt={self.dt})")
-        if k < 0 or k > self.n_steps:
-            raise ValueError(f"t={t} outside [0, {self.horizon}]")
-        return k
+        return mesh_index(t, self.dt, n_points=self.n_steps + 1)
 
 
 def trapezoid_weights(n_points: int, dt: float) -> np.ndarray:

@@ -35,10 +35,11 @@ import numpy as np
 from memsfde.adjoint import (
     AdjointTriple,
     SegmentFunctional,
+    _log_rank_deficiency,
     _paired_rows,
     _polynomial_rows,
     solve_absde,
-    stationarity_gap,
+    stationarity_rows,
 )
 from memsfde.engine import (
     CoefficientSet,
@@ -47,11 +48,11 @@ from memsfde.engine import (
     JumpModel,
     _as_time_fn,
     _check_finite,
-    _is_integer,
+    _check_finite_on_mesh,
     combine_controls,
     simulate,
 )
-from memsfde.grid import SimGrid, trapezoid_weights
+from memsfde.grid import SimGrid, _is_integer, trapezoid_weights
 
 __all__ = [
     "LQSpec",
@@ -100,6 +101,9 @@ class LQSpec:
 
 
 def control_problem(spec: LQSpec, grid: SimGrid) -> ControlProblem:
+    """The problem every sweep and check of ``spec`` simulates on ``grid``.
+    The kernel and the noise loadings must be finite on the mesh."""
+    _check_finite_on_mesh(spec, grid, "alpha0", "beta0")
     dw = spec.delay_functional(grid).weights
     a0 = _as_time_fn(spec.alpha0)
     b0 = _as_time_fn(spec.beta0)
@@ -155,19 +159,6 @@ def _solve_adjoint(ens, driver, basis_fn) -> AdjointTriple:
     """The adjoint of one sweep.  The solve and its checks read only p0, so
     the loadings are kept only while the driver can read them."""
     return solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis_fn, warn=False, keep="p0")
-
-
-def _warn_deficient(counts, n_steps: int) -> None:
-    """One warning line for the rank-deficient regression steps of several
-    backward solves (expected at steps whose lagged features are constant)."""
-    hit = [c for c in counts if c]
-    if not hit:
-        return
-    if len(hit) == len(counts) and min(hit) == max(hit):
-        where = f"{hit[0]} of {n_steps} steps in each of {len(counts)} solves"
-    else:
-        where = f"{min(hit)} to {max(hit)} of {n_steps} steps in {len(hit)} of {len(counts)} solves"
-    log.warning("rank-deficient regression at %s; least-norm/ensemble-mean fallback used", where)
 
 
 @dataclass(frozen=True)
@@ -293,7 +284,7 @@ def solve_lq(
         if change < tol:
             break
 
-    _warn_deficient(deficient, K)
+    _log_rank_deficiency(log, deficient, K)
 
     report = FBSDEIterationReport(changes=tuple(changes), damping=damping, tol=tol, deficient_counts=tuple(deficient))
     return LQSolution(control, coupling_residual, report, spec, problem)
@@ -348,7 +339,7 @@ def verify_lq(solution: LQSolution, eps: float = 1e-3) -> LQVerification:
     ens = problem.simulate(control)
     adj2 = _solve_adjoint(ens, _adjoint_driver(spec, grid), lq_basis(spec, grid))
     if len(adj2.deficient_steps) > max(report.deficient_counts, default=0):
-        _warn_deficient((len(adj2.deficient_steps),), K)
+        _log_rank_deficiency(log, (len(adj2.deficient_steps),), K)
     # the damped squared update, built inside adj2.p0, which is not read again
     delta = adj2.p0
     np.subtract(delta, control, out=delta)
@@ -359,16 +350,8 @@ def verify_lq(solution: LQSolution, eps: float = 1e-3) -> LQVerification:
     base_cost = ens.cost
     del ens, adj2, delta
 
-    half = grid.horizon / 2.0
-    directions = (
-        ("const_1", 1.0),
-        ("late_half", lambda t, x, x_seg, law: 1.0 if t >= half else 0.0),
-        ("delayed_state", lambda t, x, x_seg, law: x_seg[:, -1]),
-    )
-    stationarity = tuple(
-        (label, *stationarity_gap(problem, control, direction, eps=eps))
-        for label, direction in directions
-    )
+    delayed_state = ("delayed_state", lambda t, x, x_seg, law: x_seg[:, -1])
+    stationarity = tuple(stationarity_rows(problem, control, (delayed_state,), eps=eps))
 
     # pathwise cost per shift size, each simulated once: the compared shifts
     # first, then the parabola's other sizes

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from memsfde.adjoint import _paired_rows, default_basis, solve_absde, stationarity_gap
+from memsfde.adjoint import _paired_rows, default_basis, solve_absde, stationarity_rows
 from memsfde.engine import (
     CoefficientSet,
     ControlProblem,
@@ -45,6 +45,7 @@ from memsfde.engine import (
     ParticleEnsemble,
     _as_time_fn,
     _check_finite,
+    _check_finite_on_mesh,
     _materialize_history,
     combine_controls,
 )
@@ -183,7 +184,9 @@ def solve_closed_form(spec: MeanVarSpec, grid: SimGrid) -> MeanVarSolution:
 
 
 def control_problem(spec: MeanVarSpec, grid: SimGrid) -> ControlProblem:
-    """The simulation problem shared by the optimal and perturbed controls."""
+    """The simulation problem shared by the optimal and perturbed controls.
+    The coefficients must be finite on the mesh."""
+    _check_finite_on_mesh(spec, grid, "b0", "sigma0", "gamma0")
     b0, s0, g0 = _as_time_fn(spec.b0), _as_time_fn(spec.sigma0), _as_time_fn(spec.gamma0)
     target = spec.target
 
@@ -381,20 +384,11 @@ def j_comparison(optimal_cost: np.ndarray, sol: MeanVarSolution):
 def stationarity_suite(sol: MeanVarSolution, eps: float = 1e-3):
     """First-order gaps of J at the optimal feedback in bounded directions.
 
-    Every probe is simulated on ``sol.problem``, so after
-    :func:`simulate_optimal` the suite shares the optimal ensemble's noise
-    and draws nothing.
+    The shared probes of :func:`~memsfde.adjoint.stationarity_rows` come
+    first, then ``sin_wave``.  Every probe is simulated on ``sol.problem``,
+    so after :func:`simulate_optimal` the suite shares the optimal
+    ensemble's noise and draws nothing.
     """
-    grid = sol.grid
-    half = grid.horizon / 2.0
-
-    directions = (
-        ("const_1", 1.0),
-        ("late_half", lambda t, x, x_seg, law: 1.0 if t >= half else 0.0),
-        ("sin_wave", lambda t, x, x_seg, law: math.sin(2.0 * math.pi * t / grid.horizon)),
-    )
-    rows = []
-    for label, direction in directions:
-        gap, se = stationarity_gap(sol.problem, sol.feedback, direction, eps=eps)
-        rows.append((label, gap, se))
-    return rows
+    horizon = sol.grid.horizon
+    sin_wave = ("sin_wave", lambda t, x, x_seg, law: math.sin(2.0 * math.pi * t / horizon))
+    return stationarity_rows(sol.problem, sol.feedback, (sin_wave,), eps=eps)

@@ -25,6 +25,7 @@ mesh; their distance integrates the pointwise distance with trapezoid weights.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,14 +80,10 @@ def gauss_weight_rule(n_nodes: int = 64) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-_DEFAULT_RULE: QuadratureRule | None = None
-
-
+@functools.cache
 def default_rule() -> QuadratureRule:
-    global _DEFAULT_RULE
-    if _DEFAULT_RULE is None:
-        _DEFAULT_RULE = gauss_weight_rule(64)
-    return _DEFAULT_RULE
+    """The 64-node rule, built once, that every distance uses by default."""
+    return gauss_weight_rule(64)
 
 
 @dataclass(frozen=True)
@@ -148,17 +145,14 @@ def ecf(mu: EmpiricalMeasure, y: float | np.ndarray) -> complex | np.ndarray:
 
 
 def m_norm_sq(mu: EmpiricalMeasure, rule: QuadratureRule | None = None) -> float:
-    """Squared weighted-Fourier norm of the measure itself."""
-    rule = rule or default_rule()
-    vals = ecf(mu, rule.nodes)
-    return float(rule.weights @ np.abs(vals) ** 2)
+    """Squared weighted-Fourier norm of the measure itself: its distance
+    from the zero function."""
+    return cf_dist_sq(mu, lambda y: 0.0, rule)
 
 
 def m_dist_sq(mu: EmpiricalMeasure, nu: EmpiricalMeasure, rule: QuadratureRule | None = None) -> float:
     """Squared distance between two laws in the weighted-Fourier norm."""
-    rule = rule or default_rule()
-    diff = ecf(mu, rule.nodes) - ecf(nu, rule.nodes)
-    return float(rule.weights @ np.abs(diff) ** 2)
+    return cf_dist_sq(mu, lambda y: ecf(nu, y), rule)
 
 
 def cf_dist_sq(mu: EmpiricalMeasure, cf, rule: QuadratureRule | None = None) -> float:

@@ -56,10 +56,9 @@ from memsfde.engine import (
     _control_band,
     _euler_window,
     _grid_control,
-    _is_integer,
     _new_ensemble,
 )
-from memsfde.grid import SimGrid
+from memsfde.grid import SimGrid, _is_integer
 
 __all__ = ["PicardReport", "picard_solve", "consistency_check"]
 

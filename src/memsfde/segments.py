@@ -15,11 +15,12 @@ at ``t``; tests rely on that mirror identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from memsfde.grid import trapezoid_weights
+from memsfde.grid import _is_integer, mesh_index, trapezoid_weights
 
 __all__ = [
     "GridPath",
@@ -70,10 +71,10 @@ class GridPath:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("path values must be a non-empty 1-d array")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.delta_steps < 0:
-            raise ValueError("delta_steps must be >= 0")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt={self.dt} must be positive and finite")
+        if not _is_integer(self.delta_steps) or self.delta_steps < 0:
+            raise ValueError(f"delta_steps={self.delta_steps!r} must be an integer >= 0")
         object.__setattr__(self, "values", values)
 
     @property
@@ -81,12 +82,7 @@ class GridPath:
         return self.t0 + (self.values.size - 1) * self.dt
 
     def index_of(self, t: float) -> int:
-        k = int(round((t - self.t0) / self.dt))
-        if abs(self.t0 + k * self.dt - t) > 1e-6 * self.dt:
-            raise ValueError(f"t={t} is not on the path mesh")
-        if k < 0 or k >= self.values.size:
-            raise ValueError(f"t={t} outside the path domain [{self.t0}, {self.t_end}]")
-        return k
+        return mesh_index(t, self.dt, self.t0, self.values.size)
 
     def value_at(self, t: float) -> float:
         return float(self.values[self.index_of(t)])

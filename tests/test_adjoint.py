@@ -19,7 +19,7 @@ from memsfde.adjoint import (
     solve_absde,
     stationarity_gap,
 )
-from memsfde.engine import CoefficientSet, ControlProblem, JumpModel, simulate
+from memsfde.engine import CoefficientSet, ControlProblem, JumpModel, MeshMismatchError, simulate
 from memsfde.grid import SimGrid, trapezoid_weights
 from memsfde.lq_memory import LQSpec, control_problem, lq_basis
 from memsfde.segments import GridPath
@@ -519,6 +519,33 @@ class TestAdvancedAverage:
             np.testing.assert_allclose(ctx.advanced_average(k, f), loop, rtol=1e-13, atol=1e-15)
 
 
+class TestRankDeficiencySummary:
+    """Every backward solve's rank-deficient steps are reported by one helper,
+    on the caller's logger."""
+
+    @pytest.mark.parametrize(
+        "counts, where",
+        [
+            ((3,), "3 of 10 steps"),
+            ((3, 3, 3), "3 of 10 steps in each of 3 solves"),
+            ((0, 2, 5), "2 to 5 of 10 steps in 2 of 3 solves"),
+        ],
+    )
+    def test_message_forms(self, counts, where, caplog):
+        logger = logging.getLogger("memsfde.lq_memory")
+        with caplog.at_level(logging.WARNING, logger=logger.name):
+            adjoint._log_rank_deficiency(logger, counts, 10)
+        assert [(rec.name, rec.getMessage()) for rec in caplog.records] == [
+            (logger.name, f"rank-deficient regression at {where}; least-norm/ensemble-mean fallback used")
+        ]
+
+    @pytest.mark.parametrize("counts", [(), (0,), (0, 0)])
+    def test_no_deficient_step_logs_nothing(self, counts, caplog):
+        with caplog.at_level(logging.WARNING):
+            adjoint._log_rank_deficiency(adjoint.log, counts, 10)
+        assert caplog.records == []
+
+
 class TestMaxCondition:
     def test_zero_bracket_means_no_improvement(self):
         # terminal cost is constant, so the whole adjoint triple vanishes and
@@ -578,6 +605,21 @@ class TestMaxCondition:
         adj = solve_absde(ens, terminal=lambda x, law: x)
         with pytest.raises(ValueError, match="finite"):
             max_condition_gap(CoefficientSet(), ens, adj, candidates)
+
+    @pytest.mark.parametrize(
+        "change", [dict(horizon=0.5), dict(n_particles=30), dict(dt=0.025), dict(delta_steps=2)]
+    )
+    def test_a_triple_from_another_mesh_is_refused(self, change):
+        # a triple from a 10-step grid failed with an IndexError at step 11,
+        # and one from a mesh with other particles, dt or lag steps was read
+        base = dict(dt=0.05, delta_steps=4, horizon=1.0, n_particles=20, seed=2)
+        ens, other = (
+            simulate(CoefficientSet(diffusion=lambda *a: 1.0), SimGrid(**kwargs), xi=1.0)
+            for kwargs in (base, {**base, **change})
+        )
+        adj = solve_absde(other, terminal=lambda x, law: x)
+        with pytest.raises(MeshMismatchError, match="adjoint was solved on"):
+            max_condition_gap(CoefficientSet(), ens, adj, [0.0])
 
     @pytest.mark.parametrize("keep", ["p0", "initial_p0"])
     @pytest.mark.parametrize("filtration", ["trivial", "full"])

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from memsfde import engine, lq_memory
+from memsfde import adjoint, engine, lq_memory
 from memsfde.adjoint import SegmentFunctional, SweepContext, solve_absde
 from memsfde.engine import JumpModel
 from memsfde.grid import BROWNIAN, JUMPS, SimGrid, trapezoid_weights
@@ -125,6 +125,23 @@ class TestSolverBehaviour:
         # they were accepted, and the first sweep died in SimulationBlowupError
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             LQSpec(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("kernel", lambda s: math.nan),
+            ("kernel", lambda s: math.inf if s > 0.1 else 1.0),
+            ("alpha0", lambda t: math.inf),
+            ("beta0", lambda t: math.nan),
+        ],
+    )
+    def test_non_finite_callables_refused_before_any_noise(self, name, value, monkeypatch):
+        # they were accepted: the first sweep drew the noise and died in
+        # SimulationBlowupError
+        monkeypatch.setattr(engine, "draw_noise", lambda *a, **k: pytest.fail("drew noise"))
+        grid = SimGrid(dt=0.1, delta_steps=2, horizon=0.5, n_particles=50, seed=1)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            solve_lq(LQSpec(**{name: value}), grid)
 
     def test_kernel_forms_agree(self):
         grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.2, n_particles=3, seed=1)
@@ -355,13 +372,13 @@ class TestRunEconomy:
         solution = solve_lq(spec, self.GRID)
         ensembles, solves = self.track_lifetimes(monkeypatch)
         alive_at_stationarity = []
-        gap = lq_memory.stationarity_gap
+        gap = adjoint.stationarity_gap
 
         def checking(*args, **kwargs):
             alive_at_stationarity.append(sum(r() is not None for r in ensembles + solves))
             return gap(*args, **kwargs)
 
-        monkeypatch.setattr(lq_memory, "stationarity_gap", checking)
+        monkeypatch.setattr(adjoint, "stationarity_gap", checking)
         verify_lq(solution)
         assert len(ensembles) == 13 and len(solves) == 1
         assert alive_at_stationarity == [0, 0, 0]

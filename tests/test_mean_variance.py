@@ -95,6 +95,15 @@ class TestClosedForm:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             MeanVarSpec(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [("b0", math.nan), ("sigma0", math.inf), ("gamma0", math.nan)])
+    def test_non_finite_callables_refused_before_any_noise(self, name, value, monkeypatch):
+        # they were accepted: the simulation drew the noise and died in
+        # SimulationBlowupError
+        monkeypatch.setattr(engine, "draw_noise", lambda *a, **k: pytest.fail("drew noise"))
+        grid = SimGrid(dt=0.1, delta_steps=2, horizon=0.5, n_particles=50, seed=1)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            optimal(MeanVarSpec(**{name: lambda t: value}), grid)
+
     def test_oversized_jump_loading_rejected(self):
         # tiny noise makes the gearing rate huge; one unit-mark jump would
         # then throw the optimally controlled state across the target
