@@ -42,6 +42,7 @@ from memsfde.engine import (
     JumpModel,
     MeshMismatchError,
     ParticleEnsemble,
+    _Band,
     _mean_and_stderr,
     combine_controls,
 )
@@ -275,27 +276,22 @@ class AdjointTriple:
     are per-step noise loadings whose final column is zero.  Each is an
     (N, n_steps + 1) view of time-major storage in time order, so column k
     is one contiguous row and the forward window a driver reads is a band
-    of rows in ascending memory order.  A solve that does not keep the
-    whole triple (``solve_absde(keep=...)``) holds the rest only as long as
-    its driver can read it: with ``keep="p0"`` its ``q0`` and ``r0`` are
-    ``None``, and with ``keep="initial_p0"`` so are they and ``p0`` is the
-    (N, 1) column of step 0.  ``mean_stderr[k]`` is the Monte Carlo
-    standard error of the regression target's mean at step k, the right
-    yardstick for drift/level tests.
+    of rows in ascending memory order.  A solve that hands its rows to
+    ``on_row`` (see :func:`solve_absde`) keeps none of them, and all three
+    are ``None``.  ``mean_stderr[k]`` is the Monte Carlo standard error of
+    the regression target's mean at step k, the right yardstick for
+    drift/level tests.
     """
 
     grid: SimGrid
-    p0: np.ndarray  # (N, n_steps + 1), or (N, 1) for step 0 only
+    p0: np.ndarray | None  # (N, n_steps + 1)
     q0: np.ndarray | None  # (N, n_steps + 1)
     r0: np.ndarray | None  # (N, n_steps + 1)
     mean_stderr: np.ndarray  # (n_steps + 1,)
     deficient_steps: tuple = ()
 
     def check_terminal_conventions(self) -> bool:
-        """The noise loadings vanish at the horizon.  A solve that did not
-        keep them cannot be checked."""
-        if self.q0 is None:
-            raise ValueError("the loadings were not kept after the sweep; solve with keep='all'")
+        """The noise loadings vanish at the horizon."""
         K = self.grid.n_steps
         return bool(np.all(self.q0[:, K] == 0.0) and np.all(self.r0[:, K] == 0.0))
 
@@ -365,6 +361,14 @@ def default_basis(ens: ParticleEnsemble, k: int) -> np.ndarray:
     return rows.T
 
 
+def _sweep_band(grid: SimGrid) -> _Band:
+    """A band for the rows of a backward sweep that a driver may still read:
+    d + 1 + s rows, s = ceil((d + 1) / 4).  It moves its d + 1 newest rows
+    once every s steps, about four rows a step."""
+    d = grid.delta_steps
+    return _Band(grid, d + 1 + (d + 4) // 4)
+
+
 class SweepContext:
     """Backward-sweep state handed to ABSDE drivers.
 
@@ -373,17 +377,23 @@ class SweepContext:
     Everything past the horizon reads as zero — the convention under which
     the duality identity behind the driver is exact.
 
-    Each array is an (N, width) view whose column ``j % width`` holds step
-    j.  A full array has width n_steps + 1, so that is column j; what
-    :func:`solve_absde` does not keep lives in a ring of fewer columns, in
-    which every step a driver may still read has its own column.
+    ``p0``, ``q0`` and ``r0`` are bands (``engine._Band``) indexed by
+    reversed time: step j of an n_steps mesh with d lag steps is column
+    d + n_steps - j.  So the d zero history columns of a band are the steps
+    past the horizon, and the window ending at step k + 1 holds steps
+    k + 1..k + d + 1 in lead order, an F-contiguous (N, d + 1) view.  A
+    solve with ``on_row`` keeps no ``q0`` or ``r0`` (``None``).
     """
 
-    def __init__(self, ens: ParticleEnsemble, p0: np.ndarray, q0: np.ndarray, r0: np.ndarray):
+    def __init__(self, ens: ParticleEnsemble, p0: _Band, q0: _Band | None = None, r0: _Band | None = None):
         self.grid = ens.grid
         self._p0 = p0
         self._q0 = q0
         self._r0 = r0
+
+    def _column(self, k: int) -> int:
+        """The band column of step k."""
+        return self.grid.delta_steps + self.grid.n_steps - k
 
     def _check_ahead(self, k: int, ahead: int, name: str) -> None:
         if ahead < 1:
@@ -391,12 +401,11 @@ class SweepContext:
         if ahead > self.grid.delta_steps:
             raise ValueError(f"{name} at step {k}: read offset {ahead} exceeds the memory window")
 
-    def _future(self, arr, k: int, ahead: int, name: str):
+    def _future(self, band, k: int, ahead: int, name: str):
         self._check_ahead(k, ahead, name)
-        j = k + ahead
-        if j > self.grid.n_steps:
-            return np.zeros(arr.shape[0])
-        return arr[:, j % arr.shape[1]]
+        if band is None:
+            raise ValueError(f"{name} at step {k}: a solve with on_row hands {name} to on_row and serves it to no driver")
+        return band.column(self._column(k + ahead))
 
     def p0_future(self, k: int, ahead: int) -> np.ndarray:
         return self._future(self._p0, k, ahead, "p0")
@@ -413,15 +422,12 @@ class SweepContext:
         Trapezoid in the lag variable; the lag-0 endpoint is read one step
         ahead to keep the sweep explicit (an O(dt^3) perturbation of the
         step's integral).  Computed as one matrix-vector product over the
-        live band ``p0[:, k+1 : min(k+d, K)+1]``: the lag-0 weight is folded
-        onto lag 1, and lags past the horizon read zero, so their weights
-        are dropped.  The band cannot wrap around a ring, so an averaging
-        functional needs p0 kept in full (``keep="all"`` or ``"p0"``).
+        live part of the window that ends at step k + 1, p0 at steps
+        k + 1..min(k + d, K): the lag-0 weight is folded onto lag 1, and
+        lags past the horizon read zero, so their weights are dropped.
         """
         if f.kind == "evaluation":
             return self.p0_future(k, f.point_steps)
-        if self._p0.shape[1] <= self.grid.n_steps:
-            raise ValueError("advanced_average reads a band of p0, which a ring cannot hold; keep p0 in full")
         d = f.delta_steps
         lags = max(d, 1)
         self._check_ahead(k, lags, "p0")
@@ -430,7 +436,7 @@ class SweepContext:
         folded[:d] = w[1:]
         folded[0] += w[0]
         live = min(lags, self.grid.n_steps - k)
-        return self._p0[:, k + 1 : k + 1 + live] @ folded[:live]
+        return self._p0.window(self._column(k + 1))[:, :live] @ folded[:live]
 
 
 def solve_absde(
@@ -439,7 +445,7 @@ def solve_absde(
     driver=None,
     basis=None,
     warn: bool = True,
-    keep: str = "all",
+    on_row=None,
 ) -> AdjointTriple:
     """Backward least-squares sweep for the adjoint triple along an ensemble.
 
@@ -461,48 +467,49 @@ def solve_absde(
     mean) and are reported via ``deficient_steps`` plus, unless ``warn`` is
     false, a logged warning.
 
-    ``keep`` names what survives the sweep: ``"all"`` keeps the whole
-    triple, ``"p0"`` keeps p0 only and ``"initial_p0"`` keeps p0 at step 0
-    only.  What is not kept lives in a ring of max(d, 1) + 1 rows (d the
-    grid's delay steps): step k overwrites the row of a step beyond the
-    driver's reach and beyond step k + 1, whose p0 is the step's target.
-    The returned triple's ``q0`` and ``r0`` are then ``None``, and with
-    ``"initial_p0"`` its ``p0`` is the (N, 1) column of step 0.  Every value
-    a driver reads, p0 at the steps kept, ``mean_stderr`` and
-    ``deficient_steps`` are the same bits in all three modes; each ring
-    saves an (N, n_steps + 1) array.  A driver that calls
-    :meth:`SweepContext.advanced_average` needs p0 in full.
+    The rows live in bands of mesh columns (see :class:`SweepContext`).
+    Without ``on_row`` they are bands of the whole mesh, which never move,
+    and the returned triple holds all three processes.  With it,
+    ``on_row(k, p0, q0, r0)`` receives the rows of every step as they are
+    solved, the horizon first (its loadings are zero rows): views that are
+    valid during the call only and must not be written.  p0 then lives in
+    a band of a few more rows than the memory window, q0 and r0 in one row
+    each, and the returned triple holds no process.  Every value a driver
+    reads, every row and ``mean_stderr`` and ``deficient_steps`` are the
+    same bits either way; only a driver of a solve without ``on_row`` may
+    read q0 and r0.
     """
-    if keep not in ("all", "p0", "initial_p0"):
-        raise ValueError(f"keep must be 'all', 'p0' or 'initial_p0', got {keep!r}")
     grid = ens.grid
-    K, N, dt = grid.n_steps, grid.n_particles, grid.dt
+    K, N, dt, d = grid.n_steps, grid.n_particles, grid.dt, grid.delta_steps
     basis = basis if basis is not None else default_basis
+    use_jumps = ens.jump_counts is not None
 
-    # time-major storage behind (N, ·) views: each step writes one row, and
-    # step k goes to row k % width (see SweepContext)
-    ring = min(max(grid.delta_steps, 1), K) + 1
-    p_width = ring if keep == "initial_p0" else K + 1
-    width = K + 1 if keep == "all" else ring
-    p0 = np.zeros((p_width, N)).T
-    q0 = np.zeros((width, N)).T
-    r0 = np.zeros((width, N)).T
+    if on_row is None:
+        p0, q0, r0 = (_Band(grid, d + K + 1) for _ in range(3))
+    else:
+        p0, q0, r0 = _sweep_band(grid), None, None
+        q_row, r_row = np.zeros(N), np.zeros(N)
     mean_stderr = np.zeros(K + 1)
+    ctx = SweepContext(ens, p0, q0, r0)
 
     xT = ens.state_column(K)
-    p0[:, K % p_width] = np.asarray(terminal(xT, EmpiricalMeasure(xT)), dtype=float)
+    p0.push(d, np.asarray(terminal(xT, EmpiricalMeasure(xT)), dtype=float))
+    if on_row is not None:
+        on_row(K, p0.column(d), q_row, r_row)
 
-    use_jumps = ens.jump_counts is not None
     lam_dt = ens.jumps.intensity * dt if use_jumps else 0.0
     n_blocks = 3 if use_jumps else 2
-    ctx = SweepContext(ens, p0, q0, r0)
     deficient: list[int] = []
     rows = None
 
     for k in range(K - 1, -1, -1):
-        target = p0[:, (k + 1) % p_width]
+        i = d + K - k  # the band column of step k
+        target = p0.column(i - 1)
         if driver is not None:
             target = target + dt * np.asarray(driver(ctx, k))
+        # read before step k's row is written: a short band that moves every
+        # step (d <= 3) writes it to the row the target was read from
+        _, mean_stderr[k] = _mean_and_stderr(target)
         phi = basis(ens, k)
         m = phi.shape[1]
         if rows is None:
@@ -510,6 +517,7 @@ def solve_absde(
             rows = np.empty((n_blocks * m, N))
         basis_rows = rows[:m]
         basis_rows[...] = phi.T
+        del phi  # so that two steps' bases are never held at once
         np.multiply(basis_rows, ens.brownian[:, k], out=rows[m : 2 * m])
         if use_jumps:
             dn = ens.jump_counts[:, k, :].sum(axis=1) - lam_dt
@@ -517,22 +525,20 @@ def solve_absde(
         beta, rank = _regress(rows.T, target, step=k)
         if rank < rows.shape[0]:
             deficient.append(k)
-        np.matmul(beta[:m], basis_rows, out=p0[:, k % p_width])
-        np.matmul(beta[m : 2 * m], basis_rows, out=q0[:, k % width])
+        p0.make_room(i - 1)
+        p = np.matmul(beta[:m], basis_rows, out=p0.column(i))
+        q = np.matmul(beta[m : 2 * m], basis_rows, out=q_row if q0 is None else q0.column(i))
+        r = r_row if r0 is None else r0.column(i)
         if use_jumps:
-            np.matmul(beta[2 * m :], basis_rows, out=r0[:, k % width])
-        _, mean_stderr[k] = _mean_and_stderr(target)
+            np.matmul(beta[2 * m :], basis_rows, out=r)
+        if on_row is not None:
+            on_row(k, p, q, r)
 
     if warn:
         _log_rank_deficiency(log, (len(deficient),), K)
-    return AdjointTriple(
-        grid=grid,
-        p0=p0[:, :1].copy() if keep == "initial_p0" else p0,
-        q0=q0 if keep == "all" else None,
-        r0=r0 if keep == "all" else None,
-        mean_stderr=mean_stderr,
-        deficient_steps=tuple(reversed(deficient)),
-    )
+    # row j of a whole-mesh band is step j
+    p0, q0, r0 = (None, None, None) if on_row is not None else (band.rows[: K + 1].T for band in (p0, q0, r0))
+    return AdjointTriple(grid, p0, q0, r0, mean_stderr, tuple(reversed(deficient)))
 
 
 def _log_rank_deficiency(logger: logging.Logger, counts, n_steps: int) -> None:
@@ -592,8 +598,6 @@ def max_condition_gap(
         raise MeshMismatchError(
             f"the adjoint was solved on (particles, steps, dt, lag steps) = {adj_mesh}, the ensemble lives on {mesh}"
         )
-    if adj.q0 is None:
-        raise ValueError("the loadings were not kept after the sweep; solve with keep='all'")
     best_gap, best_se = -math.inf, 0.0
 
     # the ensemble's inputs and replayed control, one step at a time

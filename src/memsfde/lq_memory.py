@@ -33,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 
 from memsfde.adjoint import (
-    AdjointTriple,
     SegmentFunctional,
     _log_rank_deficiency,
     _paired_rows,
@@ -155,10 +154,45 @@ def _adjoint_driver(spec: LQSpec, grid: SimGrid):
     return driver
 
 
-def _solve_adjoint(ens, driver, basis_fn) -> AdjointTriple:
-    """The adjoint of one sweep.  The solve and its checks read only p0, so
-    the loadings are kept only while the driver can read them."""
-    return solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis_fn, warn=False, keep="p0")
+def _on_mesh(spec: LQSpec, grid: SimGrid) -> LQSpec:
+    """``spec`` with its kernel replaced by its values on the grid's memory
+    window, the same floats, so that the problem, the basis and the driver
+    built from it on ``grid`` evaluate a callable kernel once, not each."""
+    return replace(spec, kernel=spec.delay_functional(grid).kernel)
+
+
+def _damped_sweep(ens, driver, basis_fn, control: np.ndarray, damping: float, residual=None) -> tuple[float, int]:
+    """One backward solve of the adjoint along ``ens`` and the damped update
+    of ``control`` toward its p0, formed one time row at a time as the solve
+    hands each row over: the new row is (1 - damping) c + damping p, and the
+    change new - c is squared and summed per particle with the mesh's
+    trapezoid weights.  Given ``residual``, the new row overwrites the
+    control's and ``residual[k]`` takes the row's coupling residual
+    ``|mean(p - new)|``; the solve reads no control, so the rows it has
+    passed may change.  Returns the change norm, the root mean over
+    particles of that sum, and the solve's number of rank-deficient steps.
+    The update allocates three (N,) rows."""
+    grid = ens.grid
+    wq = trapezoid_weights(grid.n_steps + 1, grid.dt)
+    new_row, gap_row, change_sq = np.empty(grid.n_particles), np.empty(grid.n_particles), np.zeros(grid.n_particles)
+
+    def on_row(k, p, q, r):
+        c = control[:, k]
+        np.multiply(c, 1.0 - damping, out=new_row)
+        np.multiply(p, damping, out=gap_row)
+        np.add(new_row, gap_row, out=new_row)
+        if residual is not None:
+            np.subtract(p, new_row, out=gap_row)
+            residual[k] = abs(gap_row.mean())
+        np.subtract(new_row, c, out=gap_row)
+        if residual is not None:
+            c[...] = new_row
+        np.multiply(gap_row, gap_row, out=gap_row)
+        np.multiply(gap_row, wq[k], out=gap_row)
+        np.add(change_sq, gap_row, out=change_sq)
+
+    adjoint = solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis_fn, warn=False, on_row=on_row)
+    return float(np.sqrt(np.mean(change_sq))), len(adjoint.deficient_steps)
 
 
 @dataclass(frozen=True)
@@ -212,18 +246,20 @@ def solve_lq(
 ) -> LQSolution:
     """Damped fixed-point solve of the coupled forward-backward system.
 
-    Builds the problem once and returns it in the :class:`LQSolution`.
+    Builds the problem once and returns it in the :class:`LQSolution`; a
+    callable kernel is evaluated once, on the memory window's mesh.
     Noise is frozen across sweeps (counter-based streams), so the iteration
     is a deterministic map on control arrays; the sweeps simulate without
     the cost, which none reads.  Five consecutive growing sweeps abort
     with :class:`FixedPointDivergence`.  Rank-deficient regressions are
-    summarised in one warning for all sweeps.  The damped update runs one
-    time row at a time, in place: the new row overwrites
-    the control's, the row's coupling residual ``|mean(p0 - new)|`` is
-    kept, and p0's row takes the squared change, from which the change
-    norm is formed, so the update consumes the sweep's p0 and allocates
-    only two (N,) rows.  The residual of the returned control is that of
-    the last sweep, and no sweep's arrays outlive the solve.
+    summarised in one warning for all sweeps.  The damped update runs in
+    place, one time row at a time, as the backward solve hands each p0 row
+    over: the new row overwrites the control's, the row's coupling
+    residual ``|mean(p0 - new)|`` is kept, and the squared change is
+    summed per particle into the change norm.  So no sweep holds p0
+    beyond the rows its driver reads.  The residual of the returned
+    control is that of the last sweep, and no sweep's arrays outlive the
+    solve.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -231,19 +267,17 @@ def solve_lq(
         raise ValueError(f"tol must be positive, got {tol!r}")
     if not _is_integer(max_iter) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
-    problem = control_problem(spec, grid)
+    meshed = _on_mesh(spec, grid)
+    problem = control_problem(meshed, grid)
     # the sweeps' dynamics, on the problem's noise; no sweep sums a cost
     dynamics = replace(problem.coeffs, running_cost=None, terminal_cost=None)
     K, N = grid.n_steps, grid.n_particles
-    wq = trapezoid_weights(K + 1, grid.dt)
-    basis_fn = lq_basis(spec, grid)
-    driver = _adjoint_driver(spec, grid)
+    basis_fn = lq_basis(meshed, grid)
+    driver = _adjoint_driver(meshed, grid)
 
     # time-major like the ensemble, so each step reads its control as a row
     control = np.zeros((K + 1, N)).T
     coupling_residual = np.zeros(K + 1)
-    # one time row of the new control and one of p0 minus it
-    new_row, gap_row = np.empty(N), np.empty(N)
     changes: list[float] = []
     deficient: list[int] = []
     growing = 0
@@ -251,27 +285,9 @@ def solve_lq(
     for _ in range(max_iter):
         # only one sweep's ensemble and adjoint are alive at a time
         ens = simulate(dynamics, grid, problem.jumps, problem.xi, control, problem.control_history, problem.noise)
-        adjoint = _solve_adjoint(ens, driver, basis_fn)
+        change, n_deficient = _damped_sweep(ens, driver, basis_fn, control, damping, coupling_residual)
         del ens
-        deficient.append(len(adjoint.deficient_steps))
-        p0 = adjoint.p0
-        del adjoint
-        # the damped update, one time row at a time and in place: the new
-        # row (1 - damping) c + damping p overwrites the control's row, its
-        # coupling residual is |mean(p - new)|, and p0's row takes the
-        # squared change, so p0 is consumed
-        for k, (c, p) in enumerate(zip(control.T, p0.T)):
-            np.multiply(c, 1.0 - damping, out=new_row)
-            np.multiply(p, damping, out=gap_row)
-            new_row += gap_row
-            np.subtract(p, new_row, out=gap_row)
-            coupling_residual[k] = abs(gap_row.mean())
-            np.subtract(new_row, c, out=p)
-            p *= p
-            c[...] = new_row
-        change = float(np.sqrt(np.mean(p0 @ wq)))
-        # a row view would keep p0 alive into the next sweep
-        del p0, c, p
+        deficient.append(n_deficient)
         if changes and change > changes[-1]:
             growing += 1
             if growing >= 5:
@@ -320,7 +336,9 @@ def verify_lq(solution: LQSolution, eps: float = 1e-3) -> LQVerification:
 
     ``solution`` is what :func:`solve_lq` returns.  Every simulation runs on
     ``solution.problem``, so on the solve's noise, which is not drawn again;
-    the idempotence sweep is damped like the solve's (``report.damping``).
+    the idempotence sweep is damped like the solve's (``report.damping``)
+    and its change is formed by the same update, which leaves the control
+    as it is here.
     The coupling residual is the maximum of ``solution.coupling_residual``,
     which the solve formed from its last backward solve.
     The parabola diagnostics exploit that for frozen noise the performance is
@@ -331,24 +349,19 @@ def verify_lq(solution: LQSolution, eps: float = 1e-3) -> LQVerification:
     """
     control, coupling_residual, report, spec, problem = solution
     grid = problem.grid
-    K = grid.n_steps
-    wq = trapezoid_weights(K + 1, grid.dt)
     coupling_residual_max = float(coupling_residual.max())
 
     # idempotence: one more forward+backward sweep barely moves the control
     ens = problem.simulate(control)
-    adj2 = _solve_adjoint(ens, _adjoint_driver(spec, grid), lq_basis(spec, grid))
-    if len(adj2.deficient_steps) > max(report.deficient_counts, default=0):
-        _log_rank_deficiency(log, (len(adj2.deficient_steps),), K)
-    # the damped squared update, built inside adj2.p0, which is not read again
-    delta = adj2.p0
-    np.subtract(delta, control, out=delta)
-    delta *= report.damping
-    delta *= delta
-    idempotence_change = float(np.sqrt(np.mean(delta @ wq)))
+    meshed = _on_mesh(spec, grid)
+    idempotence_change, n_deficient = _damped_sweep(
+        ens, _adjoint_driver(meshed, grid), lq_basis(meshed, grid), control, report.damping
+    )
+    if n_deficient > max(report.deficient_counts, default=0):
+        _log_rank_deficiency(log, (n_deficient,), grid.n_steps)
     # the unshifted cost is the idempotence ensemble's, which is not needed after
     base_cost = ens.cost
-    del ens, adj2, delta
+    del ens
 
     delayed_state = ("delayed_state", lambda t, x, x_seg, law: x_seg[:, -1])
     stationarity = tuple(stationarity_rows(problem, control, (delayed_state,), eps=eps))

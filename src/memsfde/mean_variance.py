@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from memsfde.adjoint import _paired_rows, default_basis, solve_absde, stationarity_rows
+from memsfde.adjoint import _paired_rows, _sweep_band, default_basis, solve_absde, stationarity_rows
 from memsfde.engine import (
     CoefficientSet,
     ControlProblem,
@@ -254,9 +254,10 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
     (the denominator of the feedback rule) are monitored alongside.
 
     Checks (1) and (2) and the monitors run one contiguous time row at a
-    time, and the backward solve keeps only p0 at step 0: the rest of the
-    triple lives in rings of d + 1 rows, because the driver reads exactly
-    d steps ahead.  The control the checks and the driver weigh by is
+    time.  The backward solve hands each step's rows to a hook, which keeps
+    p0 at step 0 and, in a band of a few more rows than the memory window,
+    the one combination of the triple that the driver reads d steps ahead.
+    The control the checks and the driver weigh by is
     replayed step by step from the ensemble's paths
     (:meth:`~memsfde.engine.ParticleEnsemble.control_at`), which gives the
     applied bits.  So the checks hold no (N, n_steps + 1) array on top of
@@ -316,21 +317,25 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
     p0_drift_max_step_z = float(np.max(zs))
 
     # (3) independent LSMC backward solve; the driver reads the future triple
-    # at lag delta (strictly ahead, zero past the horizon)
+    # at lag delta (strictly ahead, zero past the horizon) through the one
+    # combination b0 p0 + sigma0 q0 + gamma0 m1 r0, formed as each step is
+    # solved, in a band indexed like the solve's (step j is column d + K - j)
+    combined = _sweep_band(grid)
+    initial = []
+
+    def on_row(j, p, q, r):
+        combined.push(d + K - j, b0[j] * p + s0[j] * q + g0[j] * m1 * r)
+        if j == 0:
+            initial.append(float(p.mean()))
+
     def driver(ctx, k):
         j = k + d
         if j > K:
             return np.zeros(N)
-        p = ctx.p0_future(k, d)
-        q = ctx.q0_future(k, d)
-        r = ctx.r0_future(k, d)
-        w = b0[j] * p + s0[j] * q + g0[j] * m1 * r
-        return ens.control_at(j) * w
+        return ens.control_at(j) * combined.column(d + K - j)
 
-    adj = solve_absde(
-        ens, terminal=lambda x, law: -(x - target), driver=driver, basis=default_basis, keep="initial_p0"
-    )
-    lsmc_p0 = float(adj.p0[:, 0].mean())
+    adj = solve_absde(ens, terminal=lambda x, law: -(x - target), driver=driver, basis=default_basis, on_row=on_row)
+    lsmc_p0 = initial[0]
     rel = abs(lsmc_p0 - closed_p0) / max(abs(closed_p0), 1e-300)
 
     return MeanVarVerification(

@@ -19,7 +19,7 @@ from memsfde.adjoint import (
     solve_absde,
     stationarity_gap,
 )
-from memsfde.engine import CoefficientSet, ControlProblem, JumpModel, MeshMismatchError, simulate
+from memsfde.engine import CoefficientSet, ControlProblem, JumpModel, MeshMismatchError, _Band, simulate
 from memsfde.grid import SimGrid, trapezoid_weights
 from memsfde.lq_memory import LQSpec, control_problem, lq_basis
 from memsfde.segments import GridPath
@@ -247,87 +247,78 @@ class TestBackwardSolver:
             np.testing.assert_array_equal(seen[name], 0.0)
         assert adj.check_terminal_conventions()
 
-    def test_windowed_loadings_match_the_full_solve(self):
-        # a jump problem with d = 4 whose driver reads every lag of all three
-        # processes, so p0 depends on every loading the ring must serve
-        grid = SimGrid(dt=0.05, delta_steps=4, horizon=1.0, n_particles=200, seed=8)
+    @pytest.mark.parametrize("delta_steps", [4, 0])
+    def test_a_sweep_with_a_hook_has_the_full_solves_bits(self, delta_steps):
+        # a jump problem whose driver reads p0 through the kernel average and
+        # at every lag, and q0 and r0 at every lag: in a full solve from the
+        # context, in a hook solve from the rows the hook received.  So p0
+        # depends on every row the band and the hook serve.  With d = 0
+        # there is no driver, and each step's target is p0 at step k + 1 in
+        # a band of two rows, which the step's own row overwrites: it must
+        # not do so before mean_stderr reads the target
+        grid = SimGrid(dt=0.05, delta_steps=delta_steps, horizon=1.0, n_particles=200, seed=8)
         jumps = JumpModel(intensity=3.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
         coeffs = CoefficientSet(diffusion=lambda *a: 0.3, jump=lambda t, x, xs, m, ms, u, us, z: 0.2 * z)
         ens = simulate(coeffs, grid, jumps=jumps, xi=1.0)
         K, d = grid.n_steps, grid.delta_steps
+        f = SegmentFunctional.averaging(np.linspace(1.0, 0.5, d + 1), d, grid.dt)
+        zero = np.zeros(ens.n_particles)
 
-        def solve(keep):
-            reads = {}
+        def solve(hook):
+            reads, rows = {}, {}
+
+            def loading(ctx, name, k, ahead):
+                if not hook:
+                    return getattr(ctx, f"{name}0_future")(k, ahead)
+                return rows[k + ahead][name] if k + ahead <= K else zero
 
             def driver(ctx, k):
-                total = np.zeros(ens.n_particles)
+                total = ctx.advanced_average(k, f)
                 for ahead in range(1, d + 1):
-                    for name, read in (("p", ctx.p0_future), ("q", ctx.q0_future), ("r", ctx.r0_future)):
-                        reads[name, k, ahead] = read(k, ahead).copy()
-                        total += 0.1 * ahead * reads[name, k, ahead]
+                    reads["p", k, ahead] = ctx.p0_future(k, ahead).copy()
+                    reads["q", k, ahead] = loading(ctx, "q", k, ahead).copy()
+                    reads["r", k, ahead] = loading(ctx, "r", k, ahead).copy()
+                    for name in "pqr":
+                        total = total + 0.1 * ahead * reads[name, k, ahead]
                 return total
 
-            return solve_absde(ens, terminal=lambda x, law: -x, driver=driver, keep=keep), reads
+            def on_row(k, p, q, r):
+                rows[k] = {"p": p.copy(), "q": q.copy(), "r": r.copy()}
 
-        full, full_reads = solve("all")
-        window, window_reads = solve("p0")
-        np.testing.assert_array_equal(window.p0, full.p0)
-        assert window.deficient_steps == full.deficient_steps
-        assert window_reads.keys() == full_reads.keys()
-        for (name, k, ahead), value in window_reads.items():
+            triple = solve_absde(
+                ens, terminal=lambda x, law: np.sin(x), driver=driver if d else None, on_row=on_row if hook else None
+            )
+            return triple, reads, rows
+
+        full, full_reads, _ = solve(hook=False)
+        hooked, hooked_reads, rows = solve(hook=True)
+        assert hooked.p0 is None and hooked.q0 is None and hooked.r0 is None
+        # the hook received every step's rows, horizon first, with the bits
+        # of the full triple
+        assert list(rows) == list(range(K, -1, -1))
+        for k, row in rows.items():
+            for name, value in row.items():
+                np.testing.assert_array_equal(value, getattr(full, f"{name}0")[:, k])
+        # the driver read the same bits at every lag, zero past the horizon
+        assert hooked_reads.keys() == full_reads.keys()
+        assert len(full_reads) == (3 * K * d)
+        for (name, k, ahead), value in hooked_reads.items():
             np.testing.assert_array_equal(value, full_reads[name, k, ahead])
             if k + ahead > K:
                 np.testing.assert_array_equal(value, 0.0)
-            elif name != "p":
+            else:
                 np.testing.assert_array_equal(value, getattr(full, f"{name}0")[:, k + ahead])
-        assert np.any(full.r0[:, : K - d] != 0.0)  # the ring's reused rows were live
-        assert window.q0 is None and window.r0 is None
-        with pytest.raises(ValueError, match="not kept"):
-            window.check_terminal_conventions()
-        with pytest.raises(ValueError, match="keep must be"):
-            solve_absde(ens, terminal=lambda x, law: -x, keep="ring")
-
-    @pytest.mark.parametrize("delta_steps", [4, 0])
-    def test_a_ring_held_p0_keeps_the_initial_step_bits(self, delta_steps):
-        # with d >= 2 the driver reads p0 at every lag through the ring; with
-        # d = 0 there is no driver, so each step's target is a view of p0 at
-        # step k + 1, which the ring must not overwrite before mean_stderr
-        # reads it (a ring of one row would)
-        grid = SimGrid(dt=0.05, delta_steps=delta_steps, horizon=1.0, n_particles=300, seed=8)
-        jumps = JumpModel(intensity=3.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
-        coeffs = CoefficientSet(diffusion=lambda *a: 0.3, jump=lambda t, x, xs, m, ms, u, us, z: 0.2 * z)
-        ens = simulate(coeffs, grid, jumps=jumps, xi=1.0)
-        d = grid.delta_steps
-
-        def driver(ctx, k):
-            total = np.zeros(ens.n_particles)
-            for ahead in range(1, d + 1):
-                total += 0.1 * ahead * ctx.p0_future(k, ahead) + 0.05 * ctx.q0_future(k, ahead)
-            return total
-
-        def solve(keep):
-            return solve_absde(ens, terminal=lambda x, law: np.sin(x), driver=driver if d else None, keep=keep)
-
-        full, initial = solve("all"), solve("initial_p0")
-        assert initial.p0.shape == (ens.n_particles, 1)
-        np.testing.assert_array_equal(initial.p0[:, 0], full.p0[:, 0])
-        np.testing.assert_array_equal(initial.mean_stderr, full.mean_stderr)
-        assert initial.deficient_steps == full.deficient_steps
-        assert initial.q0 is None and initial.r0 is None
+        np.testing.assert_array_equal(hooked.mean_stderr, full.mean_stderr)
+        assert hooked.deficient_steps == full.deficient_steps
         assert np.all(full.mean_stderr[:-1] > 0.0)
-
-    def test_advanced_average_refuses_a_ring_held_p0(self):
-        ens = brownian_ensemble(50, seed=4, dt=0.05, delta_steps=3)
-        f = SegmentFunctional.averaging(1.0, 3, ens.grid.dt)
-
-        def driver(ctx, k):
-            return ctx.advanced_average(k, f)
-
-        with pytest.raises(ValueError, match="ring"):
-            solve_absde(ens, terminal=lambda x, law: -x, driver=driver, keep="initial_p0")
-        kept = solve_absde(ens, terminal=lambda x, law: -x, driver=driver, keep="p0")
-        full = solve_absde(ens, terminal=lambda x, law: -x, driver=driver)
-        np.testing.assert_array_equal(kept.p0, full.p0)
+        assert np.any(full.r0 != 0.0) and full.check_terminal_conventions()
+        if d:
+            # a hook solve keeps no loadings for a driver to read
+            for read in ("q0_future", "r0_future"):
+                with pytest.raises(ValueError, match="on_row"):
+                    solve_absde(
+                        ens, terminal=lambda x, law: x, driver=lambda c, k: getattr(c, read)(k, 1), on_row=lambda *row: None
+                    )
 
 
 def rel_err(a, b) -> float:
@@ -507,9 +498,11 @@ class TestAdvancedAverage:
         ens = brownian_ensemble(50, seed=4, dt=0.05, delta_steps=6)
         K, d = ens.grid.n_steps, ens.grid.delta_steps
         rng = np.random.Generator(np.random.Philox(key=3))
-        p0 = rng.normal(size=(50, K + d + 1))
-        p0[:, K:] = p0[:, K, None]
-        ctx = SweepContext(ens, p0, np.zeros((50, K + 1)), np.zeros((50, K + 1)))
+        # a band of the whole mesh, whose row j is step j and whose rows
+        # past the horizon are zero
+        p0 = _Band(ens.grid, K + d + 1)
+        p0.rows[: K + 1] = rng.normal(size=(K + 1, 50))
+        ctx = SweepContext(ens, p0)
         f = SegmentFunctional.averaging(rng.uniform(size=d + 1), d, ens.grid.dt)
         w = trapezoid_weights(d + 1, ens.grid.dt) * f.kernel
         for k in (0, K - d - 1, K - d, K - 3, K - 1):
@@ -620,14 +613,6 @@ class TestMaxCondition:
         adj = solve_absde(other, terminal=lambda x, law: x)
         with pytest.raises(MeshMismatchError, match="adjoint was solved on"):
             max_condition_gap(CoefficientSet(), ens, adj, [0.0])
-
-    @pytest.mark.parametrize("keep", ["p0", "initial_p0"])
-    @pytest.mark.parametrize("filtration", ["trivial", "full"])
-    def test_a_triple_without_its_loadings_is_refused(self, keep, filtration):
-        ens = brownian_ensemble(10, seed=1)
-        adj = solve_absde(ens, terminal=lambda x, law: x, keep=keep)
-        with pytest.raises(ValueError, match="keep='all'"):
-            max_condition_gap(CoefficientSet(), ens, adj, [0.0, 0.5], filtration=filtration)
 
 
 class TestStationarityGap:

@@ -12,7 +12,7 @@ import pytest
 
 from memsfde import adjoint, engine, lq_memory
 from memsfde.adjoint import SegmentFunctional, SweepContext, solve_absde
-from memsfde.engine import JumpModel
+from memsfde.engine import JumpModel, _Band
 from memsfde.grid import BROWNIAN, JUMPS, SimGrid, trapezoid_weights
 from memsfde.lq_memory import (
     FixedPointDivergence,
@@ -176,9 +176,11 @@ class TestAdvancedDriverContract:
         # show), lag 0 is read one step ahead and lags past the horizon are 0
         for k in range(K):
             live = np.arange(k + 1, min(k + d, K) + 1)
-            p0 = np.full_like(adj.p0, np.nan)
-            p0[:, live] = adj.p0[:, live]
-            ctx = SweepContext(ens, p0, adj.q0, adj.r0)
+            # a band of the whole mesh: row j is step j, zero past the horizon
+            p0 = _Band(grid, d + K + 1)
+            p0.rows[: K + 1] = np.nan
+            p0.rows[live] = adj.p0[:, live].T
+            ctx = SweepContext(ens, p0)
             expected = w[0] * adj.p0[:, k + 1]
             for j in range(1, d + 1):
                 if k + j <= K:
@@ -282,6 +284,21 @@ class TestRunEconomy:
         assert solution.problem.grid is self.GRID
         assert solution.problem.jumps is spec.jumps and solution.problem.xi == spec.xi
 
+    def test_a_callable_kernel_is_sampled_once_per_solve_and_per_verification(self):
+        # the problem, the basis and the driver share one sampling of the
+        # kernel on the memory window
+        lags = []
+
+        def kernel(s):
+            lags.append(s)
+            return 1.0
+
+        solution = solve_lq(LQSpec(kernel=kernel), self.GRID)
+        assert lags == [j * self.GRID.dt for j in range(self.GRID.delta_steps + 1)]
+        lags.clear()
+        verify_lq(solution)
+        assert lags == [j * self.GRID.dt for j in range(self.GRID.delta_steps + 1)]
+
     def test_sweeps_sum_no_cost(self, monkeypatch):
         # no sweep reads a cost, so the solve evaluates none; the solution
         # keeps the costed problem, whose simulations still sum it
@@ -349,20 +366,26 @@ class TestRunEconomy:
 
     def test_coupling_residual_is_formed_from_the_last_solve(self, monkeypatch):
         # the residual the solve carries has the bits of |mean(p0 - control)|
-        # over the last backward solve and the returned control; the update
-        # consumes p0, so it is copied as the solve returns it
-        solve = lq_memory._solve_adjoint
+        # over the last backward solve and the returned control; the solve
+        # keeps no p0, so each row is copied as the solve hands it over
+        solve = lq_memory.solve_absde
         kept = []
 
-        def keeping(*args):
-            adj = solve(*args)
-            kept.append((adj, adj.p0.copy(order="K")))  # its time-major layout
+        def keeping(*args, on_row, **kwargs):
+            rows = {}
+
+            def copying(k, p, q, r):
+                rows[k] = p.copy()
+                on_row(k, p, q, r)
+
+            adj = solve(*args, on_row=copying, **kwargs)
+            kept.append((adj, np.array([rows[k] for k in sorted(rows)]).T))  # time-major, like p0
             return adj
 
-        monkeypatch.setattr(lq_memory, "_solve_adjoint", keeping)
+        monkeypatch.setattr(lq_memory, "solve_absde", keeping)
         solution = solve_lq(LQSpec(), self.GRID)
         assert len(kept) == solution.report.iterations
-        assert all(a.q0 is None and a.r0 is None for a, _ in kept)  # windowed: p0 only
+        assert all(a.p0 is None and a.q0 is None and a.r0 is None for a, _ in kept)  # handed over, not kept
         expected = np.abs((kept[-1][1] - solution.control).mean(axis=0))
         np.testing.assert_array_equal(solution.coupling_residual, expected)
         assert verify_lq(solution).coupling_residual_max == float(expected.max())
@@ -385,48 +408,38 @@ class TestRunEconomy:
 
 
     def test_update_and_idempotence_check_hold_at_most_one_temporary(self, monkeypatch):
-        # traced memory after each backward solve, and the peak from there to
-        # the next simulation (or to the end of the solve): the damped update
-        # of every sweep, then the idempotence check of the verification.
-        # The solve's ensemble is held until the next simulation, so its
-        # release cannot hide what the update allocates.
+        # the traced peak of each backward solve with its damped update (of
+        # every sweep, then of the idempotence check) against that of the
+        # same solve with a hook that does nothing: the update runs in
+        # place, on (N,) rows
         grid = SimGrid(dt=0.02, delta_steps=4, horizon=1.0, n_particles=4_000, seed=5)
-        solve = lq_memory._solve_adjoint
-        marks, peaks, held = [], [], []
+        sweep = lq_memory._damped_sweep
+        extra = []
 
-        def close_interval():
-            if len(peaks) < len(marks):
-                peaks.append(tracemalloc.get_traced_memory()[1] - marks[-1])
-            held.clear()
-
-        def marking_solve(ens, *args):
-            adj = solve(ens, *args)
-            held.append(ens)
-            marks.append(tracemalloc.get_traced_memory()[0])
+        def peak_of(fn, *args, **kwargs):
             tracemalloc.reset_peak()
-            return adj
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1] - base
 
-        def closing_simulate(simulate, *args, **kwargs):
-            close_interval()
-            return simulate(*args, **kwargs)
+        def comparing(ens, driver, basis_fn, *args):
+            _, bare = peak_of(
+                solve_absde, ens, lambda x, law: -x, driver=driver, basis=basis_fn, warn=False, on_row=lambda *row: None
+            )
+            result, updating = peak_of(sweep, ens, driver, basis_fn, *args)
+            extra.append(updating - bare)
+            return result
 
-        monkeypatch.setattr(lq_memory, "_solve_adjoint", marking_solve)
-        route_simulations(monkeypatch, closing_simulate)
+        monkeypatch.setattr(lq_memory, "_damped_sweep", comparing)
         tracemalloc.start()
         try:
             solution = solve_lq(LQSpec(), grid)
-            close_interval()
-            update_peaks = list(peaks)
             verify_lq(solution)
         finally:
             tracemalloc.stop()
-        slack = 16 * grid.n_particles * 8  # (N,) temporaries, such as a cost
-        assert len(update_peaks) == solution.report.iterations > 1
-        # each update runs in place, on (N,) rows
-        assert max(update_peaks) <= slack
-        # the idempotence check squares its update inside the sweep's p0
-        assert len(peaks) == len(update_peaks) + 1
-        assert peaks[-1] <= slack
+        # the update's three rows and a temporary
+        assert len(extra) == solution.report.iterations + 1 > 2
+        assert max(extra) <= 4 * grid.n_particles * 8
 
 
 def full_buffer_solve(spec, grid, damping=0.5, tol=1e-4, max_iter=50):
@@ -441,7 +454,7 @@ def full_buffer_solve(spec, grid, damping=0.5, tol=1e-4, max_iter=50):
     control = np.zeros((K + 1, N)).T
     changes = []
     for _ in range(max_iter):
-        adjoint = lq_memory._solve_adjoint(problem.simulate(control), driver, basis)
+        adjoint = solve_absde(problem.simulate(control), terminal=lambda x, law: -x, driver=driver, basis=basis)
         new_control = np.multiply(control, 1.0 - damping)
         delta = np.multiply(adjoint.p0, damping)
         new_control += delta
@@ -460,14 +473,37 @@ class TestInPlaceUpdate:
 
     @pytest.mark.parametrize("spec", [LQSpec(), LQSpec(beta0=0.2, jumps=JUMPS)], ids=["brownian", "jumps"])
     def test_matches_the_full_buffer_update(self, spec):
-        # the row-wise update keeps the bits of the whole-array one
+        # the row-wise update keeps the bits of the whole-array one; its
+        # change norm sums the squared changes per particle one step at a
+        # time, not in the order of a matrix-vector product
         solution = solve_lq(spec, self.GRID, damping=0.4)
         control, residual, changes = full_buffer_solve(spec, self.GRID, damping=0.4)
         assert solution.report.iterations == len(changes) > 2
         assert solution.control.tobytes() == control.tobytes()
         assert solution.control.strides == control.strides
         assert solution.coupling_residual.tobytes() == residual.tobytes()
-        assert np.array(solution.report.changes).tobytes() == np.array(changes).tobytes()
+        np.testing.assert_allclose(solution.report.changes, changes, rtol=1e-14, atol=0.0)
+
+    def test_a_sweep_holds_no_row_per_step_beyond_the_ensemble(self):
+        # one sweep at K = 50 and at K = 200 steps, with N and d fixed: its
+        # traced peak grows by a row per step of the ensemble's state, of
+        # its noise and of the control, and by no row of p0 (measured after
+        # an untraced sweep, so one-time set-up is not)
+        N = 2_000
+
+        def sweep_peak(n_steps):
+            grid = SimGrid(dt=0.01, delta_steps=4, horizon=n_steps * 0.01, n_particles=N, seed=5)
+            assert grid.n_steps == n_steps
+            tracemalloc.start()
+            try:
+                solve_lq(LQSpec(), grid, max_iter=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sweep_peak(50)
+        growth = 3 * (200 - 50) * N * 8
+        assert sweep_peak(200) - sweep_peak(50) <= growth + 4 * N * 8
 
     def test_peak_is_one_sweep(self):
         # the update holds nothing of full size beyond the control and the
@@ -481,7 +517,8 @@ class TestInPlaceUpdate:
         def sweep():
             problem = control_problem(spec, grid)
             ens = problem.simulate(np.zeros((K + 1, N)).T)
-            lq_memory._solve_adjoint(ens, lq_memory._adjoint_driver(spec, grid), lq_basis(spec, grid))
+            driver, basis = lq_memory._adjoint_driver(spec, grid), lq_basis(spec, grid)
+            solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis, on_row=lambda *row: None)
 
         sweep()
         tracemalloc.start()

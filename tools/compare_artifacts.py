@@ -30,7 +30,12 @@ The base is checked out with ``git worktree add --detach`` into a temporary
 directory (``--base REV``, default ``HEAD``) and removed afterwards.  The
 script prints one line per run with both trees' exit codes and child peak RSS
 (``ru_maxrss``), then every exit code, stdout, stderr and artifact
-(``timing.txt`` excepted) that differs.  Each MB figure is one run, and
+(``timing.txt`` excepted) that differs.  For a differing CSV it also
+prints, per column, the largest absolute and the largest relative
+difference of the numeric cells with the data row where each occurs, and
+for a differing ``manifest.json`` the same per differing scalar, named by
+its key path; a cell or scalar that is not numeric is reported as text.  A
+relative difference is taken against the larger of the two magnitudes.  Each MB figure is one run, and
 the left one ran first: the base's, or in a traced row this checkout's
 plain run.  So the two columns are not a memory comparison, since a steady
 offset between them can come from the order alone; compare memory with
@@ -42,7 +47,9 @@ differs.
 from __future__ import annotations
 
 import argparse
+import csv
 import glob
+import json
 import os
 import re
 import shutil
@@ -173,8 +180,104 @@ def _artifacts(outdir: str) -> set:
     return found
 
 
+def _number(value):
+    """``value`` as a float if it is a number or numeric text, else ``None``."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _largest(found: dict, name: str, base, change, where: str) -> None:
+    """Fold one differing value into ``found[name]``: the largest absolute
+    and relative differences, each with ``where`` it occurs (a suffix such
+    as ``" at row 3"``), or ``"text"`` once a value is not numeric."""
+    b, c = _number(base), _number(change)
+    if b is None or c is None or found.get(name) == "text":
+        found[name] = "text"
+        return
+    gap, scale = abs(c - b), max(abs(b), abs(c))
+    rel = gap / scale if scale > 0.0 else 0.0
+    (worst_abs, at_abs), (worst_rel, at_rel) = found.get(name, ((-1.0, ""), (-1.0, "")))
+    if gap > worst_abs:
+        worst_abs, at_abs = gap, where
+    if rel > worst_rel:
+        worst_rel, at_rel = rel, where
+    found[name] = ((worst_abs, at_abs), (worst_rel, at_rel))
+
+
+def _describe(found: dict) -> str:
+    parts = []
+    for name, worst in found.items():
+        if worst == "text":
+            parts.append(f"{name} text")
+        else:
+            (a, at_a), (r, at_r) = worst
+            parts.append(f"{name} abs {a:.3g}{at_a}, rel {r:.3g}{at_r}")
+    return "; ".join(parts)
+
+
+def _csv_magnitudes(base_path: str, change_path: str) -> str:
+    """How far each column of two CSV files with one header row moved."""
+    with open(base_path, newline="", encoding="utf-8") as b, open(change_path, newline="", encoding="utf-8") as c:
+        base, change = list(csv.reader(b)), list(csv.reader(c))
+    if not base or not change or base[0] != change[0] or len(base) != len(change):
+        return "header or row count differs"
+    found: dict = {}
+    for row, (b_row, c_row) in enumerate(zip(base[1:], change[1:]), start=1):
+        if len(b_row) != len(c_row):
+            return f"row {row} has another number of cells"
+        for column, b_cell, c_cell in zip(base[0], b_row, c_row):
+            if b_cell != c_cell:
+                _largest(found, column, b_cell, c_cell, f" at row {row} ({b_row[0]})")
+    return _describe(found)
+
+
+def _leaves(value, path: str = ""):
+    """``(key path, value)`` of every scalar in a JSON document."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{index}]")
+    else:
+        yield path, value
+
+
+def _manifest_magnitudes(base_path: str, change_path: str) -> str:
+    """How far each scalar of two ``manifest.json`` files moved."""
+    with open(base_path, encoding="utf-8") as b, open(change_path, encoding="utf-8") as c:
+        base, change = dict(_leaves(json.load(b))), dict(_leaves(json.load(c)))
+    found: dict = {}
+    for key in [*base, *(k for k in change if k not in base)]:
+        if key not in base or key not in change:
+            found[key] = "text"
+        elif base[key] != change[key]:
+            _largest(found, key, base[key], change[key], "")
+    return _describe(found)
+
+
+def _magnitudes(rel: str, base_path: str, change_path: str) -> str:
+    """The magnitude report of a differing artifact: ``""`` for a file that
+    is neither a CSV nor ``manifest.json``, ``"does not parse"`` for one
+    that cannot be read as such."""
+    try:
+        if rel.endswith(".csv"):
+            return _csv_magnitudes(base_path, change_path)
+        if os.path.basename(rel) == "manifest.json":
+            return _manifest_magnitudes(base_path, change_path)
+    except (UnicodeDecodeError, csv.Error, json.JSONDecodeError):
+        return "does not parse"
+    return ""
+
+
 def differences(base: dict, change: dict) -> list:
-    """What differs between two runs of the same command."""
+    """What differs between two runs of the same command: one entry per
+    differing exit code, stream or artifact, with the magnitude report of
+    a differing CSV or ``manifest.json`` in parentheses."""
     diffs = []
     if base["exit"] != change["exit"]:
         diffs.append(f"exit code {base['exit']} -> {change['exit']}")
@@ -187,8 +290,11 @@ def differences(base: dict, change: dict) -> list:
             diffs.append(f"{rel} missing in the change")
         elif rel not in base_files:
             diffs.append(f"{rel} missing in the base")
-        elif _read(os.path.join(base["out"], rel)) != _read(os.path.join(change["out"], rel)):
-            diffs.append(rel)
+        else:
+            base_path, change_path = os.path.join(base["out"], rel), os.path.join(change["out"], rel)
+            if _read(base_path) != _read(change_path):
+                sizes = _magnitudes(rel, base_path, change_path)
+                diffs.append(f"{rel} ({sizes})" if sizes else rel)
     return diffs
 
 
