@@ -585,7 +585,8 @@ def max_condition_gap(
     (:meth:`~memsfde.engine.ParticleEnsemble.coefficient_inputs`), and the
     jump term integrates against the ensemble's jump model, ``ens.jumps``.
     The candidates must be finite, and ``adj`` must be solved on the
-    ensemble's mesh: the same particles, steps, ``dt`` and lag steps.
+    ensemble's mesh: the same particles, steps, ``dt`` and lag steps, and
+    hold all three arrays (a solve with ``on_row`` keeps none).
     """
     candidates = [float(c) for c in candidate_grid]
     if not candidates or not all(map(math.isfinite, candidates)):
@@ -598,6 +599,9 @@ def max_condition_gap(
         raise MeshMismatchError(
             f"the adjoint was solved on (particles, steps, dt, lag steps) = {adj_mesh}, the ensemble lives on {mesh}"
         )
+    missing = [name for name in ("p0", "q0", "r0") if getattr(adj, name) is None]
+    if missing:
+        raise ValueError(f"the triple holds no {' or '.join(missing)}: a solve with on_row keeps none; solve without it")
     best_gap, best_se = -math.inf, 0.0
 
     # the ensemble's inputs and replayed control, one step at a time

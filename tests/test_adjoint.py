@@ -1,5 +1,6 @@
 """Adjoint machinery: segment functionals, backward LSMC solver, optimality tests."""
 
+import dataclasses
 import logging
 import math
 
@@ -247,15 +248,13 @@ class TestBackwardSolver:
             np.testing.assert_array_equal(seen[name], 0.0)
         assert adj.check_terminal_conventions()
 
-    @pytest.mark.parametrize("delta_steps", [4, 0])
-    def test_a_sweep_with_a_hook_has_the_full_solves_bits(self, delta_steps):
+    @staticmethod
+    def full_and_hooked_solves(delta_steps):
         # a jump problem whose driver reads p0 through the kernel average and
         # at every lag, and q0 and r0 at every lag: in a full solve from the
         # context, in a hook solve from the rows the hook received.  So p0
         # depends on every row the band and the hook serve.  With d = 0
-        # there is no driver, and each step's target is p0 at step k + 1 in
-        # a band of two rows, which the step's own row overwrites: it must
-        # not do so before mean_stderr reads the target
+        # there is no driver
         grid = SimGrid(dt=0.05, delta_steps=delta_steps, horizon=1.0, n_particles=200, seed=8)
         jumps = JumpModel(intensity=3.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
         coeffs = CoefficientSet(diffusion=lambda *a: 0.3, jump=lambda t, x, xs, m, ms, u, us, z: 0.2 * z)
@@ -292,9 +291,16 @@ class TestBackwardSolver:
 
         full, full_reads, _ = solve(hook=False)
         hooked, hooked_reads, rows = solve(hook=True)
+        return ens, full, full_reads, hooked, hooked_reads, rows
+
+    def test_windowed_loadings_match_the_full_solve(self):
+        # a hook solve keeps p0 in a band of the rows a driver may still
+        # read; what the driver reads there and what the hook receives are
+        # the full solve's bits at every lag
+        ens, full, full_reads, hooked, hooked_reads, rows = self.full_and_hooked_solves(4)
+        K, d = ens.grid.n_steps, ens.grid.delta_steps
         assert hooked.p0 is None and hooked.q0 is None and hooked.r0 is None
-        # the hook received every step's rows, horizon first, with the bits
-        # of the full triple
+        # the hook received every step's rows, horizon first
         assert list(rows) == list(range(K, -1, -1))
         for k, row in rows.items():
             for name, value in row.items():
@@ -308,17 +314,26 @@ class TestBackwardSolver:
                 np.testing.assert_array_equal(value, 0.0)
             else:
                 np.testing.assert_array_equal(value, getattr(full, f"{name}0")[:, k + ahead])
+        assert np.any(full.r0 != 0.0) and full.check_terminal_conventions()
+        # a hook solve keeps no loadings for a driver to read
+        for read in ("q0_future", "r0_future"):
+            with pytest.raises(ValueError, match="on_row"):
+                solve_absde(
+                    ens, terminal=lambda x, law: x, driver=lambda c, k: getattr(c, read)(k, 1), on_row=lambda *row: None
+                )
+
+    @pytest.mark.parametrize("delta_steps", [4, 0])
+    def test_a_ring_held_p0_keeps_the_initial_step_bits(self, delta_steps):
+        # p0 of a hook solve lives in a band that moves as the sweep goes
+        # back; the initial step's row, the standard errors and the
+        # deficient steps are the full solve's bits.  With d = 0 each step's
+        # target is p0 at step k + 1 in a band of two rows, which the step's
+        # own row overwrites: it must not do so before mean_stderr reads it
+        ens, full, _, hooked, _, rows = self.full_and_hooked_solves(delta_steps)
+        np.testing.assert_array_equal(rows[0]["p"], full.p0[:, 0])
         np.testing.assert_array_equal(hooked.mean_stderr, full.mean_stderr)
         assert hooked.deficient_steps == full.deficient_steps
         assert np.all(full.mean_stderr[:-1] > 0.0)
-        assert np.any(full.r0 != 0.0) and full.check_terminal_conventions()
-        if d:
-            # a hook solve keeps no loadings for a driver to read
-            for read in ("q0_future", "r0_future"):
-                with pytest.raises(ValueError, match="on_row"):
-                    solve_absde(
-                        ens, terminal=lambda x, law: x, driver=lambda c, k: getattr(c, read)(k, 1), on_row=lambda *row: None
-                    )
 
 
 def rel_err(a, b) -> float:
@@ -613,6 +628,22 @@ class TestMaxCondition:
         adj = solve_absde(other, terminal=lambda x, law: x)
         with pytest.raises(MeshMismatchError, match="adjoint was solved on"):
             max_condition_gap(CoefficientSet(), ens, adj, [0.0])
+
+    @pytest.mark.parametrize("keep", ["p0", "initial_p0"])
+    @pytest.mark.parametrize("filtration", ["trivial", "full"])
+    def test_a_triple_without_its_loadings_is_refused(self, keep, filtration):
+        # a solve with on_row returns a triple without arrays; one whose p0
+        # is rebuilt from the hook's rows (every step, or step 0 alone)
+        # still has no q0 or r0 for the Hamiltonian.  Both are refused by
+        # name before the step loop (they raised TypeError in it)
+        ens = brownian_ensemble(10, seed=1)
+        rows = {}
+        adj = solve_absde(ens, terminal=lambda x, law: x, on_row=lambda k, p, q, r: rows.setdefault(k, p.copy()))
+        steps = range(ens.grid.n_steps + 1) if keep == "p0" else [0]
+        rebuilt = dataclasses.replace(adj, p0=np.column_stack([rows[k] for k in steps]))
+        for triple in (adj, rebuilt):
+            with pytest.raises(ValueError, match="on_row"):
+                max_condition_gap(CoefficientSet(), ens, triple, [0.0, 0.5], filtration=filtration)
 
 
 class TestStationarityGap:
