@@ -31,31 +31,40 @@ all mean-field quantities carry the usual O(1/sqrt(N)) particle-approximation
 error on top of the Euler bias.
 
 Every per-step reader takes these inputs from ``ParticleEnsemble.step_inputs``,
-and every forward pass from one loop, ``_replay``, which also evaluates each
-step's control and pushes it to a band of the newest applied values, the
-source of the control window ``u_seg``.  ``_euler_window`` advances an
-ensemble's state over that loop, for the direct scheme and for the
-fixed-point solver in :mod:`memsfde.picard` (which reads the frozen previous
-iterate and accumulates increments on the new paths).
+through one loop, ``_replay``, which also evaluates each step's control and
+pushes it to a band of the newest applied values, the source of the control
+window ``u_seg``.  Every forward pass is one loop, ``_euler_window``, which
+advances an ensemble's state over ``_replay`` and hands each step's inputs
+to a per-step hook: for ``simulate``, for the cost pass of
+``ControlProblem.costs``, for the fixed-point solver in
+:mod:`memsfde.picard` (which reads the frozen previous iterate and
+accumulates increments on the new paths) and for its consistency check.
 
 One store, ``_Band``, holds every time row of a forward pass: mesh columns,
-the newest first.  An ensemble's state is a band of all d + K + 1 columns
-that never moves, with ``paths`` its view; the solver's frozen iterate and
-its consistency check's direct scheme are ensembles on shorter bands.
+the newest first.  A simulated or solved ensemble's state is a band of all
+d + K + 1 columns that never moves, with ``paths`` its view.  The
+coefficients read the state only on the memory window, so a pass that
+keeps nothing but a cost or a gap writes a short band instead:
+``_euler_window`` makes room for each column before it writes it, which
+moves a short band's d + 1 newest columns back to its last rows when it
+runs out of rows and does nothing on a whole-mesh band.  The cost pass and
+the consistency check's direct scheme run on 2(d + 2) columns, and the
+solver's frozen iterate is a band of its memory span and window.
 
 No ensemble records its control: the value applied at step k is the control
 evaluated on the stored inputs of step k, so a reader replays it
 (``ParticleEnsemble.control_at`` or ``coefficient_inputs``) with the same
 bits.  Nor is a simulated control replayed to be costed: ``simulate`` also
 reads the horizon step and sums each particle's cost as it integrates, into
-``ParticleEnsemble.cost``.  A fixed-point ensemble has no ``cost``; it
+``ParticleEnsemble.cost``, and ``ControlProblem.costs`` sums the same bits
+on a short band.  A fixed-point ensemble has no ``cost``; it
 replays its control on its final paths, which gives the last sweep's applied
 value once the solve has converged exactly.
 
 The noise of a problem depends only on its grid, its jump model and which
 noise kinds its coefficients use, never on the control.  ``draw_noise`` draws
 it once over all steps and marks it read-only; ``ControlProblem`` caches that
-draw and passes it to every ``simulate`` call, so all ensembles of one problem
+draw and passes it to every pass it runs, so all ensembles of one problem
 share one read-only ``(brownian, jump_counts)`` pair instead of each drawing
 and holding its own.  The fixed-point solver builds its ensemble on the same
 draw, so it too draws each step's noise once however many sweeps it makes.
@@ -348,7 +357,8 @@ class ParticleEnsemble:
     solved ensemble's holds all d + K + 1 columns of ``[-delta, T]``, and
     ``paths`` is its (N, d + K + 1) view (column ``delta_steps + k`` is
     time ``k dt``).  An ensemble on a shorter band, like the fixed-point
-    solver's frozen iterate, has no ``paths``.  Brownian increments
+    solver's frozen iterate or a cost pass of ``ControlProblem.costs``,
+    has no ``paths``.  Brownian increments
     ``brownian`` (N, K) and per-mark jump counts ``jump_counts`` (N, K,
     marks; ``uint8``, or int64 when a count exceeds 255, see
     :func:`draw_noise`) are kept so the adjoint solver can build regression
@@ -448,13 +458,12 @@ def _materialize_history(xi, grid: SimGrid) -> np.ndarray:
     """Initial data on the mesh of [-delta, 0], time-ordered, shape (d + 1,),
     checked to be finite."""
     d = grid.delta_steps
-    ts = grid.times_full()[: d + 1]
     if xi is None:
         return np.zeros(d + 1)
     if np.isscalar(xi):
         arr = np.full(d + 1, float(xi))
     elif callable(xi):
-        arr = np.array([float(xi(t)) for t in ts])
+        arr = np.array([float(xi(t)) for t in grid.times_full()[: d + 1]])
     else:
         arr = np.asarray(xi, dtype=float)
         if arr.shape != (d + 1,):
@@ -526,13 +535,14 @@ def _control_band(ens: ParticleEnsemble, n_rows: int | None = None) -> _Band | N
 
 
 def _new_ensemble(
-    coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None, xi, ctrl: _Control, control_history=0.0, noise=None
+    coeffs: CoefficientSet, grid: SimGrid, jumps, xi, ctrl: _Control, control_history=0.0, noise=None, n_rows=None
 ) -> ParticleEnsemble:
-    """Ensemble with the state history filled in and the rest of its
-    full-mesh state zero, driven by ``ctrl`` from ``control_history``, over
-    ``noise`` (referenced, not copied; drawn here when ``None``).  Both
-    histories are checked before any noise is drawn.  ``jumps=None`` means
-    no jumps.
+    """Ensemble with the state history filled in and the rest of its state
+    zero, driven by ``ctrl`` from ``control_history``, over ``noise``
+    (referenced, not copied; drawn here when ``None``).  The state is a
+    band of ``n_rows`` mesh columns, by default all d + K + 1 of them; a
+    shorter band must hold at least d + 1.  Both histories are checked
+    before any noise is drawn.  ``jumps=None`` means no jumps.
     """
     history = _materialize_history(xi, grid)
     control_history = _control_history(grid, control_history)
@@ -545,7 +555,7 @@ def _new_ensemble(
             raise MeshMismatchError(f"noise shapes {shapes} do not match the problem's {expected}")
     jumps = jumps if jumps is not None else JumpModel.none()
     d = grid.delta_steps
-    state = _Band(grid, d + grid.n_steps + 1)
+    state = _Band(grid, d + grid.n_steps + 1 if n_rows is None else n_rows)
     state.columns(0, d + 1)[...] = history[:, None]
     brownian, jump_counts = noise
     return ParticleEnsemble(grid, state, brownian, jump_counts, jumps, ctrl, control_history)
@@ -619,7 +629,7 @@ class _PathCost:
         self.coeffs, self.dt, self.total = coeffs, grid.dt, np.zeros(grid.n_particles)
         self.weights = trapezoid_weights(grid.n_steps + 1, grid.dt)
 
-    def add_step(self, k, x, x_seg, law, law_seg, u_seg) -> None:
+    def add_step(self, k, x, x_seg, law, law_seg, u, u_seg) -> None:
         if self.coeffs.running_cost is not None:
             running = self.coeffs.running_cost(k * self.dt, x, x_seg, law, law_seg, u_seg[:, 0], u_seg)
             self.total += self.weights[k] * np.asarray(running)
@@ -637,21 +647,29 @@ def _euler_window(
     controls: _Band | None,
     k_start: int,
     k_stop: int,
-    cost: _PathCost | None = None,
+    on_step: Callable | None = None,
 ) -> None:
     """Advance the state of ``write`` (written through ``state_column``)
     over steps ``k_start..k_stop-1``, reading every input from ``read_ens``
     through :func:`_replay` and ``controls`` (which must hold the d values
     before ``k_start``).  Writing what is read gives the explicit scheme.
-    The horizon step K advances nothing.  Each step adds its running cost to
-    ``cost``, if given, after its update.
+
+    Step k makes room for column k + 1 in the band of ``write`` before it
+    writes there (see :meth:`_Band.make_room`): a whole-mesh band never
+    moves, and a short one keeps the columns the step reads.  A short band
+    that is also read needs at least 2d + 3 rows, so that the move copies
+    the step's inputs without overwriting the rows they view.  The horizon
+    step K advances nothing and makes no room.  Each step hands
+    ``(k, x, x_seg, law, law_seg, u, u_seg)`` to ``on_step``, if given,
+    after its update; the inputs are then still valid.
     """
-    dt, K = read_ens.grid.dt, read_ens.grid.n_steps
+    dt, K, d = read_ens.grid.dt, read_ens.grid.n_steps, read_ens.grid.delta_steps
     jumps, jump_counts = read_ens.jumps, read_ens.jump_counts
 
     for k, x, x_seg, law, law_seg, u, u_seg in _replay(read_ens, controls, k_start, k_stop):
         if k < K:
             t = k * dt
+            write.state.make_room(d + k)
             # the step accumulates in its own row of write; every input is a
             # view of columns up to the step's, which it leaves alone
             cur, nxt = write.state_column(k), write.state_column(k + 1)
@@ -669,8 +687,21 @@ def _euler_window(
                     nxt += np.multiply(counts[:, a], g, dtype=float) - jumps.intensity * p * g * dt
             if not np.isfinite(nxt).all():
                 raise SimulationBlowupError(step=k, time=t, n_bad=int(np.count_nonzero(~np.isfinite(nxt))))
-        if cost is not None:
-            cost.add_step(k, x, x_seg, law, law_seg, u_seg)
+        if on_step is not None:
+            on_step(k, x, x_seg, law, law_seg, u, u_seg)
+
+
+def _integrate(coeffs, grid, jumps, xi, ctrl: _Control, control_history, noise, n_rows=None) -> ParticleEnsemble:
+    """The ensemble of ``ctrl`` integrated over steps 0..K, with its state
+    on a band of ``n_rows`` columns (default: the whole mesh) and its cost
+    summed in the same pass."""
+    ens = _new_ensemble(coeffs, grid, jumps, xi, ctrl, control_history, noise, n_rows)
+    cost = _PathCost(coeffs, grid)
+    # the pass reads the horizon step too: its running cost is summed, and
+    # a control that fails there fails here rather than in a later reader
+    _euler_window(coeffs, ens, ens, _control_band(ens), 0, grid.n_steps + 1, cost.add_step)
+    ens.cost = cost.finish(ens.state_column(grid.n_steps))
+    return ens
 
 
 def simulate(
@@ -696,13 +727,7 @@ def simulate(
     The ensemble keeps no control array, but the per-particle cost under
     ``coeffs`` summed on the way (see :class:`ParticleEnsemble`).
     """
-    ens = _new_ensemble(coeffs, grid, jumps, xi, _grid_control(control, grid), control_history, noise)
-    cost = _PathCost(coeffs, grid)
-    # the pass reads the horizon step too: its running cost is summed, and
-    # a control that fails there fails here rather than in a later reader
-    _euler_window(coeffs, ens, ens, _control_band(ens), 0, grid.n_steps + 1, cost)
-    ens.cost = cost.finish(ens.state_column(grid.n_steps))
-    return ens
+    return _integrate(coeffs, grid, jumps, xi, _grid_control(control, grid), control_history, noise)
 
 
 def law_at(ens: ParticleEnsemble, t: float) -> EmpiricalMeasure:
@@ -723,8 +748,8 @@ def pathwise_cost(ens: ParticleEnsemble, coeffs: CoefficientSet) -> np.ndarray:
     there is a running cost."""
     cost = _PathCost(coeffs, ens.grid)
     if coeffs.running_cost is not None:
-        for k, (x, x_seg, law, law_seg, _, u_seg) in enumerate(ens.coefficient_inputs()):
-            cost.add_step(k, x, x_seg, law, law_seg, u_seg)
+        for k, (x, x_seg, law, law_seg, u, u_seg) in enumerate(ens.coefficient_inputs()):
+            cost.add_step(k, x, x_seg, law, law_seg, u, u_seg)
     return cost.finish(ens.state_column(ens.grid.n_steps))
 
 
@@ -745,10 +770,10 @@ def performance(ens: ParticleEnsemble, coeffs: CoefficientSet) -> tuple[float, f
 class ControlProblem:
     """Bundle of dynamics, mesh, noise and initial data; controls vary.
 
-    The histories are checked when the problem is built, so a bad one
-    fails before any noise is drawn.  The noise is drawn on first use and
-    every simulation of the problem shares it (common random numbers at no
-    extra draw).
+    The histories are checked when the problem is built, and a control
+    before the noise is read, so a bad one fails before any noise is drawn.
+    The noise is drawn on first use and every simulation and cost pass of
+    the problem shares it (common random numbers at no extra draw).
     """
 
     coeffs: CoefficientSet
@@ -767,14 +792,23 @@ class ControlProblem:
         return draw_noise(self.coeffs, self.grid, self.jumps)
 
     def simulate(self, control=None) -> ParticleEnsemble:
-        return simulate(self.coeffs, self.grid, self.jumps, self.xi, control, self.control_history, self.noise)
+        # checked here, before the noise is read
+        ctrl = _grid_control(control, self.grid)
+        return simulate(self.coeffs, self.grid, self.jumps, self.xi, ctrl, self.control_history, self.noise)
 
     def costs(self, controls) -> list:
         """Per-particle cost of each control, in order, under common random
-        numbers: each is simulated on the problem's noise, which sums its
-        cost, and its ensemble is dropped before the next control is
-        simulated."""
-        return [self.simulate(control).cost for control in controls]
+        numbers.  Every control is checked before the noise is read.  Each
+        is then integrated on the problem's noise in one pass that sums its
+        cost, with its state on a band of 2(d + 2) mesh columns rather than
+        the whole mesh, and its ensemble is dropped before the next control
+        is integrated.  The costs are the bits ``simulate`` sums."""
+        ctrls = [_grid_control(control, self.grid) for control in controls]
+        n_rows = 2 * (self.grid.delta_steps + 2)
+        return [
+            _integrate(self.coeffs, self.grid, self.jumps, self.xi, ctrl, self.control_history, self.noise, n_rows).cost
+            for ctrl in ctrls
+        ]
 
     def performance(self, control=None) -> tuple[float, float]:
         return _mean_and_stderr(self.costs([control])[0])

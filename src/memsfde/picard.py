@@ -132,19 +132,16 @@ def picard_solve(
     value up to the iteration's residual otherwise.
     """
     d, K = grid.delta_steps, grid.n_steps
-    if t0_steps is None:
-        t0_steps = K
+    t0_steps = K if t0_steps is None else t0_steps
     if not _is_integer(t0_steps) or t0_steps <= 0 or K % t0_steps != 0:
         raise ValueError(f"t0_steps must be a positive integer divisor of n_steps={K}, got {t0_steps!r}")
-    if max_iter is None:
-        max_iter = t0_steps + 5
+    max_iter = t0_steps + 5 if max_iter is None else max_iter
     if not _is_integer(max_iter) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be non-negative, got {tol}")
-    ctrl = _grid_control(control, grid)
 
-    ens = _new_ensemble(coeffs, grid, jumps, xi, ctrl)
+    ens = _new_ensemble(coeffs, grid, jumps, xi, _grid_control(control, grid))
     state = ens.state
     # the frozen iterate: the memory span and the window being solved, with
     # the solve's control and noise
@@ -178,9 +175,8 @@ def picard_solve(
             if changed.size:
                 first = written + int(changed[0])
                 new, held = new[changed[0] :], held[changed[0] :]
-                diff = new - held
                 # the unchanged columns would add exact zeros to the max
-                dist = float(np.mean(np.max(diff * diff, axis=0)))
+                dist = float(np.mean(np.max(np.square(new - held), axis=0)))
             else:
                 dist = 0.0
             dists.append(dist)
@@ -203,24 +199,23 @@ def consistency_check(coeffs: CoefficientSet, ens_fp: ParticleEnsemble) -> float
     ``ens_fp`` is the ensemble :func:`picard_solve` returned for ``coeffs``;
     the direct scheme runs on what it holds: its grid, jump model, noise,
     initial history (its state before time zero), control and control
-    history, so nothing is solved or drawn again.  The scheme streams
-    through an ensemble whose state is a band of 2(d + 2) mesh columns, not
-    the full mesh: each column's gap is formed, one contiguous row, before
-    the step that reads it writes the next column, and the band moves its
-    d + 1 newest columns back to its last rows once it runs out of rows.
-    The gaps are those of simulating the whole direct ensemble, bit for bit.
+    history, so nothing is solved or drawn again.  The scheme is one
+    ``engine._euler_window`` pass over steps 0..K on an ensemble whose
+    state is a band of 2(d + 2) mesh columns, not the full mesh: the pass
+    makes room for each column before it writes it, and its per-step hook
+    forms the gap of column k, one contiguous row, while the band still
+    holds it.  The gaps are those of simulating the whole direct ensemble,
+    bit for bit.
     """
     d, K = ens_fp.grid.delta_steps, ens_fp.grid.n_steps
     direct = replace(ens_fp, state=_Band(ens_fp.grid, 2 * (d + 2)))
     direct.state.columns(0, d + 1)[...] = ens_fp.state.columns(0, d + 1)
-    controls = _control_band(direct)
     gaps = np.empty(K + 1)
-    for k in range(K + 1):
-        diff = ens_fp.state_column(k) - direct.state_column(k)
-        diff *= diff
-        gaps[k] = diff.mean()
-        # the horizon step advances nothing but evaluates the control, as
-        # simulate does
-        direct.state.make_room(d + k)
-        _euler_window(coeffs, direct, direct, controls, k, k + 1)
+
+    def gap(k, x, *_):
+        gaps[k] = np.square(ens_fp.state_column(k) - x).mean()
+
+    # steps 0..K, the horizon included: it advances nothing but evaluates
+    # the control, as simulate does
+    _euler_window(coeffs, direct, direct, _control_band(direct), 0, K + 1, gap)
     return float(np.max(gaps))

@@ -361,15 +361,16 @@ class TestControlCosts:
     def test_costs_are_the_fresh_pathwise_costs_one_ensemble_at_a_time(self, case):
         problem, controls = case
         alive = []
+        integrate = engine._integrate
 
         def tracked(*args, **kwargs):
-            # every ensemble this call simulated before is already freed
+            # every ensemble this call integrated before is already freed
             assert all(ref() is None for ref in alive)
-            ens = simulate(*args, **kwargs)
+            ens = integrate(*args, **kwargs)
             alive.append(weakref.ref(ens))
             return ens
 
-        with mock.patch.object(engine, "simulate", tracked):
+        with mock.patch.object(engine, "_integrate", tracked):
             costs = problem.costs(controls)
         assert len(alive) == len(controls)
         assert all(ref() is None for ref in alive)
@@ -422,6 +423,54 @@ class TestControlCosts:
         problem.costs([feedback, feedback])
         # steps 0..K, the horizon included, and no replay for the cost
         assert len(times) == 2 * (grid.n_steps + 1)
+
+    @pytest.mark.parametrize("shape", [(3,), ("N", 3), (2, "N", "K+1"), "abc"])
+    def test_a_bad_control_is_refused_before_the_noise_is_drawn(self, shape):
+        # each drew the problem's noise first and only then failed the
+        # control's check
+        grid = SimGrid(dt=0.1, delta_steps=2, horizon=0.5, n_particles=4, seed=1)
+        sizes = {"N": grid.n_particles, "K+1": grid.n_steps + 1}
+        control = shape if isinstance(shape, str) else np.zeros([sizes.get(n, n) for n in shape])
+        coeffs = CoefficientSet(drift=lambda *a: pytest.fail("a step ran"), diffusion=lambda *a: 0.3)
+        problem = ControlProblem(coeffs, grid, xi=1.0)
+        runs = [
+            lambda: problem.costs([control]),
+            lambda: problem.costs([0.5, control]),
+            lambda: problem.simulate(control),
+            lambda: problem.performance(control),
+        ]
+        error = ValueError if isinstance(shape, str) else MeshMismatchError
+        with mock.patch.object(engine, "draw_noise", side_effect=AssertionError("the noise was drawn")) as draw:
+            for run in runs:
+                with pytest.raises(error):
+                    run()
+        assert draw.call_count == 0
+
+    def test_a_cost_pass_holds_no_whole_mesh_state(self):
+        # a cost pass held the state of all d + K + 1 mesh columns; it needs
+        # a band of 2(d + 2) of them, the control's band of 2(d + 1) and a
+        # few (N,) rows of step temporaries
+        d, K, N = 4, 200, 2_000
+        grid = SimGrid(dt=0.005, delta_steps=d, horizon=K * 0.005, n_particles=N, seed=2)
+        assert grid.n_steps == K
+        coeffs = CoefficientSet(
+            drift=lambda t, x, xs, m, ms, u, us: u - 0.2 * xs[:, -1] + 0.1 * m.mean(),
+            diffusion=lambda *a: 0.3,
+            running_cost=lambda t, x, xs, m, ms, u, us: -0.5 * u * u + 0.1 * us[:, -1],
+            terminal_cost=lambda x, law: -0.5 * x * x,
+        )
+        problem = ControlProblem(coeffs, grid, xi=1.0)
+        problem.noise
+        control = combine_controls(lambda t, x, x_seg, law: -0.4 * x_seg[:, -1], 0.1, 1.0)
+        tracemalloc.start()
+        try:
+            (cost,) = problem.costs([control])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bands = 2 * (d + 2) + 2 * (d + 1)
+        assert peak <= (bands + 10) * N * 8 < (d + K + 1) * N * 8
+        assert cost.tobytes() == problem.simulate(control).cost.tobytes()
 
     def test_a_fixed_point_ensemble_has_no_cost(self):
         grid = SimGrid(dt=0.1, delta_steps=2, horizon=1.0, n_particles=5, seed=3)

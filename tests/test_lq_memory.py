@@ -196,11 +196,11 @@ def desk_solution():
 
 
 def route_simulations(monkeypatch, wrapper):
-    """Send every simulation through ``wrapper(simulate, *args, **kwargs)``:
-    the solve's sweeps call ``lq_memory.simulate``, and a problem's
-    simulations ``engine.simulate``."""
-    for module in (engine, lq_memory):
-        monkeypatch.setattr(module, "simulate", functools.partial(wrapper, module.simulate))
+    """Send every forward pass through ``wrapper(integrate, *args,
+    **kwargs)``: the solve's sweeps and a problem's simulations call
+    ``engine.simulate``, and a problem's costs ``engine._integrate``, the
+    pass ``simulate`` runs."""
+    monkeypatch.setattr(engine, "_integrate", functools.partial(wrapper, engine._integrate))
 
 
 class TestRunEconomy:
@@ -241,13 +241,13 @@ class TestRunEconomy:
         spec = LQSpec()
         solution = solve_lq(spec, self.GRID)
         calls = []
-        original = engine.simulate
+        original = engine._integrate
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "simulate", counting)
+        monkeypatch.setattr(engine, "_integrate", counting)
         ver = verify_lq(solution)
         # idempotence 1, stationarity 3 x 2, shifts +-0.2 and +-0.5, parabola +-0.25
         assert len(calls) == 13
@@ -331,8 +331,8 @@ class TestRunEconomy:
         ensembles, solves = [], []
         solve = lq_memory.solve_absde
 
-        def tracked_simulate(simulate, *args, **kwargs):
-            ens = simulate(*args, **kwargs)
+        def tracked_simulate(integrate, *args, **kwargs):
+            ens = integrate(*args, **kwargs)
             ensembles.append(weakref.ref(ens))
             return ens
 
@@ -349,9 +349,9 @@ class TestRunEconomy:
         ensembles, solves = self.track_lifetimes(monkeypatch)
         alive_at_simulate = []
 
-        def checking(simulate, *args, **kwargs):
+        def checking(integrate, *args, **kwargs):
             alive_at_simulate.append(sum(r() is not None for r in ensembles + solves))
-            return simulate(*args, **kwargs)
+            return integrate(*args, **kwargs)
 
         route_simulations(monkeypatch, checking)
         spec = LQSpec()

@@ -370,7 +370,8 @@ class TestRestartAtFirstChangedColumn:
         ),
         "one_window": (LAW_DRIFT, SimGrid(dt=0.05, delta_steps=2, horizon=0.4, n_particles=8, seed=6), dict()),
         # 20 steps through the check's band of 2(d + 2) = 8 columns: the
-        # band moves its newest columns back at steps 5, 10, 15 and 20
+        # band moves its newest columns back at steps 5, 10 and 15; the
+        # horizon step writes no column, so it makes no room
         "check_band_moves": (
             LAW_DRIFT,
             SimGrid(dt=0.05, delta_steps=2, horizon=1.0, n_particles=8, seed=6),
@@ -429,4 +430,4 @@ class TestRestartAtFirstChangedColumn:
         if case == "cut_off_by_max_iter":
             assert gap > 0.0
         if case == "check_band_moves":
-            assert [i - grid.delta_steps for i in moves] == [5, 10, 15, 20]
+            assert [i - grid.delta_steps for i in moves] == [5, 10, 15]
