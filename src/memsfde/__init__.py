@@ -3,9 +3,10 @@ memory, mean-field interaction through the running law, and compound-Poisson jum
 
 The pieces fit together like this:
 
+* :mod:`memsfde.grid` - the uniform mesh, its counter-based noise streams and
+  scalar paths on it.
 * :mod:`memsfde.measures` - empirical laws on the real line, a Gaussian-weighted
   Fourier distance between them, and segments of laws over the memory window.
-* :mod:`memsfde.segments` - mesh paths and their backward/forward segments.
 * :mod:`memsfde.engine` - the N-particle Euler scheme driving everything.
 * :mod:`memsfde.picard` - fixed-point (iterate the solution map) solver with
   frozen noise, plus a consistency check against direct simulation.
@@ -36,7 +37,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 # (PEP 562), so a program that imports one module of the package, such as
 # one CLI subcommand, loads only the modules that module needs.
 _EXPORTS = {
-    "memsfde.grid": ("SimGrid", "step_generator"),
+    "memsfde.grid": ("GridPath", "SimGrid", "step_generator"),
     "memsfde.measures": (
         "EmpiricalMeasure",
         "MeasureSegment",
@@ -49,7 +50,6 @@ _EXPORTS = {
         "cf_dist_sq",
         "law_dist_l2_bound",
     ),
-    "memsfde.segments": ("GridPath", "Segment", "backward_segment", "forward_segment", "sup_norm", "l2_norm_sq"),
     "memsfde.engine": (
         "CoefficientSet",
         "JumpModel",
@@ -58,9 +58,6 @@ _EXPORTS = {
         "MeshMismatchError",
         "SimulationBlowupError",
         "simulate",
-        "law_at",
-        "law_segment",
-        "performance",
         "pathwise_cost",
     ),
     "memsfde.picard": ("PicardReport", "picard_solve", "consistency_check"),

@@ -46,9 +46,8 @@ from memsfde.engine import (
     _mean_and_stderr,
     combine_controls,
 )
-from memsfde.grid import SimGrid, _is_integer, mesh_index, trapezoid_weights
+from memsfde.grid import GridPath, SimGrid, _check_step, _is_integer, mesh_index, trapezoid_weights
 from memsfde.measures import EmpiricalMeasure, MeasureSegment, dirac
-from memsfde.segments import GridPath
 
 __all__ = [
     "SegmentFunctional",
@@ -89,6 +88,7 @@ class SegmentFunctional:
     def averaging(kernel, delta_steps: int, dt: float) -> "SegmentFunctional":
         """The kernel is a callable of the lag, a constant, or its
         ``delta_steps + 1`` mesh values; its mesh values must be finite."""
+        _check_step(dt)
         if not _is_integer(delta_steps) or delta_steps < 0:
             raise ValueError(f"delta_steps={delta_steps!r} must be an integer >= 0")
         if callable(kernel):
@@ -108,8 +108,7 @@ class SegmentFunctional:
 
     @staticmethod
     def evaluation(point: float, dt: float) -> "SegmentFunctional":
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ValueError(f"dt={dt} must be positive and finite")
+        _check_step(dt)
         return SegmentFunctional(kind="evaluation", dt=float(dt), point_steps=mesh_index(point, dt, name="point"))
 
     @property
@@ -289,11 +288,6 @@ class AdjointTriple:
     r0: np.ndarray | None  # (N, n_steps + 1)
     mean_stderr: np.ndarray  # (n_steps + 1,)
     deficient_steps: tuple = ()
-
-    def check_terminal_conventions(self) -> bool:
-        """The noise loadings vanish at the horizon."""
-        K = self.grid.n_steps
-        return bool(np.all(self.q0[:, K] == 0.0) and np.all(self.r0[:, K] == 0.0))
 
 
 def _regress(design: np.ndarray, target: np.ndarray, step: int | None = None) -> tuple[np.ndarray, int]:

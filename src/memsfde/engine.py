@@ -104,9 +104,6 @@ __all__ = [
     "ControlProblem",
     "draw_noise",
     "simulate",
-    "law_at",
-    "law_segment",
-    "performance",
     "pathwise_cost",
     "as_control",
     "combine_controls",
@@ -396,15 +393,6 @@ class ParticleEnsemble:
     cost: np.ndarray | None = None
 
     controls_full = None
-
-    @property
-    def n_particles(self) -> int:
-        return self.grid.n_particles
-
-    @property
-    def noise(self) -> tuple:
-        """``(brownian, jump_counts)``, the form ``simulate(noise=)`` takes."""
-        return self.brownian, self.jump_counts
 
     @property
     def paths(self) -> np.ndarray:
@@ -721,24 +709,13 @@ def simulate(
     (including seed) and inputs reproduce the ensemble bit for bit.
 
     ``noise`` is the ``(brownian, jump_counts)`` of the same problem, from
-    :func:`draw_noise` or another ensemble's ``noise``; it is used as is and
-    referenced by the ensemble.  Without it the noise is drawn here.
+    :func:`draw_noise` or another ensemble's two arrays; it is used as is
+    and referenced by the ensemble.  Without it the noise is drawn here.
 
     The ensemble keeps no control array, but the per-particle cost under
     ``coeffs`` summed on the way (see :class:`ParticleEnsemble`).
     """
     return _integrate(coeffs, grid, jumps, xi, _grid_control(control, grid), control_history, noise)
-
-
-def law_at(ens: ParticleEnsemble, t: float) -> EmpiricalMeasure:
-    """Empirical law of the ensemble at mesh time t in [0, T]."""
-    k = ens.grid.index_of(t)
-    return EmpiricalMeasure(ens.state_column(k))
-
-
-def law_segment(ens: ParticleEnsemble, t: float) -> MeasureSegment:
-    """Backward law segment at t: entry j is the law at lag j dt."""
-    return _LazyLawSegment(ens, ens.grid.index_of(t))
 
 
 def pathwise_cost(ens: ParticleEnsemble, coeffs: CoefficientSet) -> np.ndarray:
@@ -759,11 +736,6 @@ def _mean_and_stderr(values) -> tuple[float, float]:
     n = values.size
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return float(values.mean()), se
-
-
-def performance(ens: ParticleEnsemble, coeffs: CoefficientSet) -> tuple[float, float]:
-    """Monte Carlo estimate of the cost functional: ``(mean, standard error)``."""
-    return _mean_and_stderr(pathwise_cost(ens, coeffs))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ drawn in any order.  Each step's streams are drawn once per problem: the noise
 is drawn over all steps, marked read-only and shared by every simulation and
 fixed-point solve of that problem (``engine.draw_noise``), so all of them see
 the same increments.
+
+A :class:`GridPath` is one scalar path on such a mesh; the forward/backward
+pairing checks of :mod:`memsfde.adjoint` read it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SimGrid", "mesh_index", "step_generator", "trapezoid_weights"]
+__all__ = ["GridPath", "SimGrid", "mesh_index", "step_generator", "trapezoid_weights"]
 
 # substream tags for step_generator
 BROWNIAN = 0
@@ -40,6 +43,12 @@ def step_generator(seed: int, step: int, substream: int = 0) -> np.random.Genera
 def _is_integer(value) -> bool:
     """Whether ``value`` is an integer, a bool not counted."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_step(dt: float) -> None:
+    """Refuse a mesh step that is not positive and finite, by name."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt={dt} must be positive and finite")
 
 
 def mesh_index(t: float, dt: float, t0: float = 0.0, n_points: float = math.inf, name: str = "t") -> int:
@@ -117,9 +126,29 @@ class SimGrid:
         """Mesh of [-delta, T], length delta_steps + n_steps + 1."""
         return (np.arange(self.delta_steps + self.n_steps + 1) - self.delta_steps) * self.dt
 
+
+@dataclass(frozen=True)
+class GridPath:
+    """Scalar path on the uniform mesh ``t0, t0 + dt, ...``: finite values,
+    a finite ``t0`` and a positive finite ``dt``."""
+
+    values: np.ndarray
+    dt: float
+    t0: float
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("path values must be a non-empty 1-d array")
+        if not np.isfinite(values).all():
+            raise ValueError("path values must be finite")
+        _check_step(self.dt)
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0={self.t0} must be finite")
+        object.__setattr__(self, "values", values)
+
     def index_of(self, t: float) -> int:
-        """Mesh index of time t on [0, T] (0 at t=0). Off-mesh times are an error."""
-        return mesh_index(t, self.dt, n_points=self.n_steps + 1)
+        return mesh_index(t, self.dt, self.t0, self.values.size)
 
 
 def trapezoid_weights(n_points: int, dt: float) -> np.ndarray:

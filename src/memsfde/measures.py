@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from memsfde.grid import trapezoid_weights
+from memsfde.grid import _check_step, trapezoid_weights
 
 __all__ = [
     "QuadratureRule",
@@ -111,20 +111,10 @@ class EmpiricalMeasure:
                 raise ValueError("weights must be non-negative and sum to 1")
             object.__setattr__(self, "weights", w)
 
-    @property
-    def n_atoms(self) -> int:
-        return self.atoms.size
-
     def mean(self) -> float:
         if self.weights is None:
             return float(self.atoms.mean())
         return float(self.weights @ self.atoms)
-
-    def var(self) -> float:
-        m = self.mean()
-        if self.weights is None:
-            return float(np.mean((self.atoms - m) ** 2))
-        return float(self.weights @ (self.atoms - m) ** 2)
 
 
 def dirac(point: float) -> EmpiricalMeasure:
@@ -183,17 +173,12 @@ class MeasureSegment:
         measures = tuple(measures)
         if not measures:
             raise ValueError("segment needs at least one measure")
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        _check_step(dt)
         object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "dt", dt)
 
     def __len__(self) -> int:
         return len(self.measures)
-
-    @property
-    def delta(self) -> float:
-        return (len(self) - 1) * self.dt
 
 
 def m_segment_dist_sq(seg_a: MeasureSegment, seg_b: MeasureSegment, rule: QuadratureRule | None = None) -> float:

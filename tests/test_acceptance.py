@@ -23,8 +23,7 @@ import numpy as np
 from memsfde.adjoint import SegmentFunctional, riesz_duality_check, solve_absde
 from memsfde.cli import EXIT_OK, main
 from memsfde.engine import CoefficientSet, pathwise_cost, simulate
-from memsfde.grid import SimGrid
-from memsfde.segments import GridPath
+from memsfde.grid import GridPath, SimGrid
 from memsfde import lq_memory
 from memsfde import mean_variance
 from memsfde.measures import dirac, gauss_weight_rule, law_dist_l2_bound, m_dist_sq, m_norm_sq
@@ -121,7 +120,7 @@ def test_criterion_5_forward_backward_pairing():
         for j in range(1, 5):
             a, b = rng.uniform(-0.5, 0.5, 2) / j
             vals += a * np.cos(j * math.pi * t) + b * np.sin(j * math.pi * t)
-        return GridPath(values=vals, dt=dt, t0=0.0, delta_steps=0)
+        return GridPath(values=vals, dt=dt, t0=0.0)
 
     worst = 0.0
     for kind in ("averaging", "evaluation"):

@@ -21,9 +21,8 @@ from memsfde.adjoint import (
     stationarity_gap,
 )
 from memsfde.engine import CoefficientSet, ControlProblem, JumpModel, MeshMismatchError, _Band, simulate
-from memsfde.grid import SimGrid, trapezoid_weights
+from memsfde.grid import GridPath, SimGrid, trapezoid_weights
 from memsfde.lq_memory import LQSpec, control_problem, lq_basis
-from memsfde.segments import GridPath
 
 
 def smooth_path(rng, n_steps, dt, t0=0.0, amplitude=0.5):
@@ -33,31 +32,31 @@ def smooth_path(rng, n_steps, dt, t0=0.0, amplitude=0.5):
     for j in range(1, 5):
         a, b = rng.uniform(-amplitude, amplitude, 2) / j
         vals += a * np.cos(j * math.pi * t) + b * np.sin(j * math.pi * t)
-    return GridPath(values=vals, dt=dt, t0=t0, delta_steps=0)
+    return GridPath(values=vals, dt=dt, t0=t0)
 
 
 class TestRieszAdvanced:
     def test_unit_kernel_on_constant_path(self):
         f = SegmentFunctional.averaging(lambda r: 1.0, delta_steps=10, dt=0.1)
-        p = GridPath(np.full(21, 4.0), dt=0.1, t0=0.0, delta_steps=10)
+        p = GridPath(np.full(21, 4.0), dt=0.1, t0=0.0)
         assert riesz_advanced(f, p, 0.5) == pytest.approx(4.0)
 
     def test_evaluation_reads_ahead(self):
         # p(t) = t and a half-unit lag: value at t = 1 is p(1.5)
         f = SegmentFunctional.evaluation(0.5, dt=0.25)
-        p = GridPath(0.25 * np.arange(9), dt=0.25, t0=0.0, delta_steps=2)
+        p = GridPath(0.25 * np.arange(9), dt=0.25, t0=0.0)
         assert riesz_advanced(f, p, 1.0) == pytest.approx(1.5)
 
     def test_linear_kernel_integral(self):
         # kernel r against p(r) = r over [0, 1]: integral r^2 dr = 1/3
         dt = 0.01
         f = SegmentFunctional.averaging(lambda r: r, delta_steps=100, dt=dt)
-        p = GridPath(dt * np.arange(201), dt=dt, t0=0.0, delta_steps=100)
+        p = GridPath(dt * np.arange(201), dt=dt, t0=0.0)
         assert riesz_advanced(f, p, 0.0) == pytest.approx(1.0 / 3.0, abs=dt**2)
 
     def test_zero_extension_past_path_end(self):
         f = SegmentFunctional.evaluation(0.5, dt=0.25)
-        p = GridPath(np.ones(5), dt=0.25, t0=0.0, delta_steps=2)  # ends at t = 1
+        p = GridPath(np.ones(5), dt=0.25, t0=0.0)  # ends at t = 1
         assert riesz_advanced(f, p, 1.0) == 0.0
         avg = SegmentFunctional.averaging(lambda r: 1.0, delta_steps=2, dt=0.25)
         # window [1, 1.5] has support only at the left endpoint
@@ -73,8 +72,8 @@ class TestRieszAdvanced:
 class TestRieszDuality:
     def test_zero_y_path(self):
         f = SegmentFunctional.averaging(lambda r: 1.0, delta_steps=4, dt=0.1)
-        p = GridPath(np.ones(11), dt=0.1, t0=0.0, delta_steps=4)
-        y = GridPath(np.zeros(11), dt=0.1, t0=0.0, delta_steps=4)
+        p = GridPath(np.ones(11), dt=0.1, t0=0.0)
+        y = GridPath(np.zeros(11), dt=0.1, t0=0.0)
         assert riesz_duality_check(f, p, y) == (0.0, 0.0)
 
     def test_evaluation_at_zero_lag_is_exact(self):
@@ -103,8 +102,8 @@ class TestRieszDuality:
 
     def test_mismatched_meshes_rejected(self):
         f = SegmentFunctional.evaluation(0.1, dt=0.1)
-        p = GridPath(np.ones(11), dt=0.1, t0=0.0, delta_steps=1)
-        y = GridPath(np.ones(11), dt=0.05, t0=0.0, delta_steps=1)
+        p = GridPath(np.ones(11), dt=0.1, t0=0.0)
+        y = GridPath(np.ones(11), dt=0.05, t0=0.0)
         with pytest.raises(ValueError):
             riesz_duality_check(f, p, y)
 
@@ -166,7 +165,7 @@ class TestBackwardSolver:
         np.testing.assert_allclose(adj.p0, 4.0, atol=1e-10)
         np.testing.assert_allclose(adj.q0, 0.0, atol=1e-10)
         np.testing.assert_allclose(adj.r0, 0.0)
-        assert adj.check_terminal_conventions()
+        assert not (adj.q0[:, -1].any() or adj.r0[:, -1].any())  # zero loadings at the horizon
 
     def test_brownian_martingale_recovery(self):
         # state 1 + B(t), terminal -X(T): the time-t value is -X(t) and the
@@ -180,7 +179,7 @@ class TestBackwardSolver:
         q_means = adj.q0[:, :K].mean(axis=0)
         assert np.max(np.abs(q_means + 1.0)) < 0.05
         np.testing.assert_allclose(adj.r0, 0.0)
-        assert adj.check_terminal_conventions()
+        assert not (adj.q0[:, -1].any() or adj.r0[:, -1].any())  # zero loadings at the horizon
 
     def test_column_means_follow_zero_driver_martingale(self):
         ens = brownian_ensemble(5_000, seed=3)
@@ -211,7 +210,7 @@ class TestBackwardSolver:
 
         adj = solve_absde(ens, terminal=lambda x, law: -x, driver=driver)
         assert steps == list(range(ens.grid.n_steps - 1, -1, -1))
-        assert adj.check_terminal_conventions()
+        assert not (adj.q0[:, -1].any() or adj.r0[:, -1].any())  # zero loadings at the horizon
 
     def test_driver_cannot_read_current_or_far_future(self):
         ens = brownian_ensemble(100, seed=5)
@@ -237,7 +236,7 @@ class TestBackwardSolver:
                 seen["p_tail"] = ctx.p0_future(k, 2).copy()
                 seen["q_tail"] = ctx.q0_future(k, 2).copy()
                 seen["r_tail"] = ctx.r0_future(k, 2).copy()
-            return np.zeros(ens.n_particles)
+            return np.zeros(ens.grid.n_particles)
 
         adj = solve_absde(ens, terminal=lambda x, law: -x, driver=probe)
         # reads up to the horizon see the stored solution, reads past it zero
@@ -246,7 +245,7 @@ class TestBackwardSolver:
         assert np.any(seen["r_inside"] != 0.0)
         for name in ("p_tail", "q_tail", "r_tail"):
             np.testing.assert_array_equal(seen[name], 0.0)
-        assert adj.check_terminal_conventions()
+        assert not (adj.q0[:, -1].any() or adj.r0[:, -1].any())  # zero loadings at the horizon
 
     @staticmethod
     def full_and_hooked_solves(delta_steps):
@@ -261,7 +260,7 @@ class TestBackwardSolver:
         ens = simulate(coeffs, grid, jumps=jumps, xi=1.0)
         K, d = grid.n_steps, grid.delta_steps
         f = SegmentFunctional.averaging(np.linspace(1.0, 0.5, d + 1), d, grid.dt)
-        zero = np.zeros(ens.n_particles)
+        zero = np.zeros(ens.grid.n_particles)
 
         def solve(hook):
             reads, rows = {}, {}
@@ -314,7 +313,7 @@ class TestBackwardSolver:
                 np.testing.assert_array_equal(value, 0.0)
             else:
                 np.testing.assert_array_equal(value, getattr(full, f"{name}0")[:, k + ahead])
-        assert np.any(full.r0 != 0.0) and full.check_terminal_conventions()
+        assert np.any(full.r0 != 0.0) and not (full.q0[:, -1].any() or full.r0[:, -1].any())
         # a hook solve keeps no loadings for a driver to read
         for read in ("q0_future", "r0_future"):
             with pytest.raises(ValueError, match="on_row"):

@@ -23,10 +23,7 @@ from memsfde.engine import (
     as_control,
     combine_controls,
     draw_noise,
-    law_at,
-    law_segment,
     pathwise_cost,
-    performance,
     simulate,
 )
 from memsfde.grid import BROWNIAN, JUMPS, SimGrid, step_generator
@@ -46,7 +43,7 @@ class TestDeterministicDelay:
 
     def test_first_window_is_scheme_exact(self):
         ens = simulate(LAGGED_DRIFT, delay_grid(0.01), xi=1.0)
-        mid = ens.grid.index_of(1.0)
+        mid = round(1.0 / ens.grid.dt)
         assert ens.states[0, mid] == pytest.approx(2.0, abs=1e-12)
 
     def test_second_window_left_endpoint_bias(self):
@@ -130,7 +127,7 @@ class TestNoiseMoments:
         n = 100_000
         grid = SimGrid(dt=0.01, delta_steps=1, horizon=1.0, n_particles=n, seed=42)
         ens = simulate(CoefficientSet(diffusion=lambda *a: 1.0), grid, xi=0.0)
-        law = law_at(ens, 1.0)
+        law = EmpiricalMeasure(ens.state_column(grid.n_steps))
         assert cf_dist_sq(law, lambda y: np.exp(-(y**2) / 2.0)) < 5e-3
 
     def test_compensated_jumps_are_centered(self):
@@ -195,24 +192,22 @@ class TestLawViews:
     def test_deterministic_law_is_a_point_mass(self):
         grid = SimGrid(dt=0.1, delta_steps=2, horizon=1.0, n_particles=50, seed=0)
         ens = simulate(CoefficientSet(drift=lambda *a: 1.0), grid, xi=0.0)
-        law = law_at(ens, 0.5)
+        law = ens.step_inputs(5)[2]  # t = 0.5
         assert np.ptp(law.atoms) == 0.0
         assert law.mean() == pytest.approx(0.5, abs=1e-12)
 
     def test_single_particle_law(self):
         grid = SimGrid(dt=0.1, delta_steps=1, horizon=0.5, n_particles=1, seed=5)
         ens = simulate(CoefficientSet(diffusion=lambda *a: 1.0), grid, xi=0.0)
-        law = law_at(ens, 0.5)
-        assert law.n_atoms == 1
+        law = ens.step_inputs(grid.n_steps)[2]
+        assert law.atoms.size == 1
         assert law.atoms[0] == ens.states[0, -1]
 
     def test_law_segment_reads_history(self):
         grid = SimGrid(dt=0.1, delta_steps=2, horizon=0.5, n_particles=3, seed=0)
         ens = simulate(CoefficientSet(), grid, xi=np.array([5.0, 6.0, 7.0]))
-        seg = law_segment(ens, 0.0)
+        seg = ens.step_inputs(0)[3]
         assert [m.mean() for m in seg.measures] == [7.0, 6.0, 5.0]
-        with pytest.raises(ValueError):
-            law_at(ens, 0.75)  # off mesh
 
 
 def segment_reading_drift(seen: list):
@@ -237,7 +232,7 @@ class TestLazyLawSegment:
         d, K = self.GRID.delta_steps, self.GRID.n_steps
         assert seen == [(d + 1, True)] * K
         # the window's laws are the stored states at lags 0..d
-        seg = law_segment(ens, 0.3)
+        seg = ens.step_inputs(6)[3]  # t = 0.3
         idx = d + 6
         for j, m in enumerate(seg.measures):
             np.testing.assert_array_equal(m.atoms, ens.paths[:, idx - j])
@@ -273,26 +268,26 @@ class TestLazyLawSegment:
         grid = self.GRID
         ens = simulate(CoefficientSet(diffusion=lambda *a: 1.0), grid, xi=0.0)
         d, idx = grid.delta_steps, grid.delta_steps + 5
-        seg = law_segment(ens, 5 * grid.dt)
+        seg = ens.step_inputs(5)[3]
         eager = MeasureSegment([EmpiricalMeasure(ens.paths[:, idx - j]) for j in range(d + 1)], grid.dt)
         assert isinstance(seg, MeasureSegment)
         assert len(seg) == len(eager) == d + 1
-        assert (seg.dt, seg.delta) == (eager.dt, eager.delta)
+        assert seg.dt == eager.dt
         assert m_segment_dist_sq(seg, eager) == 0.0
-        assert m_segment_dist_sq(seg, law_segment(ens, 0.0)) > 0.0
+        assert m_segment_dist_sq(seg, ens.step_inputs(0)[3]) > 0.0
 
 
 class TestPerformance:
     def test_terminal_only_deterministic(self):
         grid = SimGrid(dt=0.1, delta_steps=1, horizon=1.0, n_particles=8, seed=0)
         coeffs = CoefficientSet(terminal_cost=lambda x, law: x)
-        j, se = performance(simulate(coeffs, grid, xi=3.0), coeffs)
+        j, se = ControlProblem(coeffs=coeffs, grid=grid, xi=3.0).performance()
         assert (j, se) == (pytest.approx(3.0), 0.0)
 
     def test_unit_running_cost(self):
         grid = SimGrid(dt=0.1, delta_steps=1, horizon=2.0, n_particles=4, seed=0)
         coeffs = CoefficientSet(running_cost=lambda *a: 1.0)
-        j, se = performance(simulate(coeffs, grid), coeffs)
+        j, se = ControlProblem(coeffs=coeffs, grid=grid).performance()
         assert j == pytest.approx(2.0, abs=1e-12)
         assert se == 0.0
 
@@ -740,13 +735,13 @@ class TestTimeMajorLayout:
         ens = self.ensemble(how)
         d, K = self.GRID.delta_steps, self.GRID.n_steps
         assert ens.jump_counts is not None
-        for k, (*_, u, u_seg) in enumerate(ens.coefficient_inputs()):
+        for k, (*_, law_seg, u, u_seg) in enumerate(ens.coefficient_inputs()):
             assert ens.state_column(k).flags.c_contiguous
             # newest time first: the backward windows are bands of rows in
             # ascending memory order
             assert ens.backward_window(k).flags.f_contiguous
             assert u_seg.flags.f_contiguous
-            assert all(law.atoms.flags.c_contiguous for law in law_segment(ens, k * self.GRID.dt).measures)
+            assert all(law.atoms.flags.c_contiguous for law in law_seg.measures)
             # every control value, history included, is one contiguous row
             assert u.flags.c_contiguous
             assert all(u_seg[:, j].flags.c_contiguous for j in range(d + 1))
@@ -870,20 +865,19 @@ class TestColumnBand:
             assert ens.paths[:, i].tobytes() == ens.state.rows[d + K - i].tobytes()
 
     def test_an_ensemble_on_a_short_band_keeps_its_members(self):
-        # a band ensemble once read n_particles and states through a paths
-        # of None (AttributeError, TypeError)
+        # a band ensemble once read its particle count and states through a
+        # paths of None (AttributeError, TypeError)
         grid = SimGrid(dt=0.1, delta_steps=3, horizon=1.0, n_particles=5, seed=0)
         ens = simulate(LAGGED_DRIFT, grid, xi=1.0)
         band = dataclasses.replace(ens, state=engine._Band(grid, 8))
-        assert band.n_particles == 5
-        assert band.noise == ens.noise
+        assert band.brownian is ens.brownian and band.jump_counts is ens.jump_counts
         for name in ("paths", "states"):
             with pytest.raises(ValueError, match="band of 8 of the 14 mesh columns"):
                 getattr(band, name)
         band.state.columns(0, 4)[...] = ens.state.columns(0, 4)
         assert band.state_column(0).tobytes() == ens.state_column(0).tobytes()
         assert band.backward_window(0).tobytes() == ens.backward_window(0).tobytes()
-        assert law_at(band, 0.0).atoms.tobytes() == law_at(ens, 0.0).atoms.tobytes()
+        assert band.step_inputs(0)[2].atoms.tobytes() == ens.step_inputs(0)[2].atoms.tobytes()
 
 
 def _buffer_owner(arr: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ EXPORTING = [name for name in MODULES if hasattr(importlib.import_module(name), 
 
 def test_package_and_library_modules_export():
     assert "memsfde" in EXPORTING
-    assert len(EXPORTING) >= 9
+    assert len(EXPORTING) >= 8
 
 
 @pytest.mark.parametrize("module_name", EXPORTING)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from memsfde.adjoint import SegmentFunctional
-from memsfde.engine import CoefficientSet, JumpModel, law_at, simulate
-from memsfde.grid import BROWNIAN, JUMPS, SimGrid, step_generator, trapezoid_weights
-from memsfde.segments import GridPath
+from memsfde.engine import JumpModel
+from memsfde.grid import BROWNIAN, JUMPS, GridPath, SimGrid, step_generator, trapezoid_weights
+from memsfde.measures import MeasureSegment, dirac
 
 
 def test_mesh_counts():
@@ -27,40 +27,41 @@ def test_mesh_counts():
 
 
 def test_index_of_requires_mesh_point():
-    grid = SimGrid(dt=0.1, delta_steps=2, horizon=1.0, n_particles=1, seed=0)
-    assert grid.index_of(0.3) == 3
+    path = GridPath(np.zeros(13), dt=0.1, t0=-0.2)
+    assert path.index_of(0.3) == 5
     with pytest.raises(ValueError):
-        grid.index_of(0.35)
+        path.index_of(0.35)
 
 
-SMALL = SimGrid(dt=0.1, delta_steps=2, horizon=1.0, n_particles=4, seed=0)
-PATH = GridPath(np.zeros(5), dt=0.1, t0=0.0, delta_steps=2)
+PATH = GridPath(np.zeros(5), dt=0.1, t0=0.0)
 
 
 @pytest.mark.parametrize(
     "call, named",
     [
-        pytest.param(lambda: law_at(simulate(CoefficientSet(), SMALL, xi=1.0), math.inf), "t=inf", id="law_at-inf"),
-        pytest.param(lambda: law_at(simulate(CoefficientSet(), SMALL, xi=1.0), math.nan), "t=nan", id="law_at-nan"),
-        pytest.param(lambda: SMALL.index_of(math.inf), "t=inf", id="SimGrid.index_of-inf"),
-        pytest.param(lambda: SMALL.index_of(math.nan), "t=nan", id="SimGrid.index_of-nan"),
         pytest.param(lambda: PATH.index_of(-math.inf), "t=-inf", id="GridPath.index_of-inf"),
         pytest.param(lambda: PATH.index_of(math.nan), "t=nan", id="GridPath.index_of-nan"),
+        pytest.param(lambda: PATH.index_of(0.33), "t=0.33 is not on the mesh", id="GridPath.index_of-off-mesh"),
+        pytest.param(lambda: PATH.index_of(0.5), "t=0.5 outside", id="GridPath.index_of-past-end"),
         pytest.param(lambda: SegmentFunctional.evaluation(math.inf, 0.1), "point=inf", id="evaluation-inf"),
         pytest.param(lambda: SegmentFunctional.evaluation(0.3, 0.0), "dt=0.0", id="evaluation-zero-dt"),
         pytest.param(lambda: SegmentFunctional.averaging(1.0, -1, 0.1), "delta_steps=-1", id="averaging-negative"),
         pytest.param(
             lambda: SegmentFunctional.averaging(np.array([1.0, math.nan, 1.0]), 2, 0.1), "kernel", id="averaging-nan"
         ),
-        pytest.param(lambda: GridPath(np.zeros(5), dt=math.nan, t0=0.0, delta_steps=2), "dt=nan", id="GridPath-dt"),
-        pytest.param(
-            lambda: GridPath(np.zeros(5), dt=0.1, t0=0.0, delta_steps=1.5), "delta_steps=1.5", id="GridPath-delta"
-        ),
+        pytest.param(lambda: SegmentFunctional.averaging(1.0, 2, -0.1), "dt=-0.1", id="averaging-negative-dt"),
+        pytest.param(lambda: SegmentFunctional.averaging(1.0, 2, math.nan), "dt=nan", id="averaging-nan-dt"),
+        pytest.param(lambda: MeasureSegment([dirac(0.0)], math.nan), "dt=nan", id="MeasureSegment-nan-dt"),
+        pytest.param(lambda: MeasureSegment([dirac(0.0)], math.inf), "dt=inf", id="MeasureSegment-inf-dt"),
+        pytest.param(lambda: GridPath(np.zeros(5), dt=math.nan, t0=0.0), "dt=nan", id="GridPath-dt"),
+        pytest.param(lambda: GridPath(np.zeros(5), dt=0.1, t0=math.nan), "t0=nan", id="GridPath-nan-t0"),
+        pytest.param(lambda: GridPath(np.array([0.0, math.nan]), dt=0.1, t0=0.0), "values", id="GridPath-nan-values"),
+        pytest.param(lambda: GridPath(np.array([0.0, math.inf]), dt=0.1, t0=0.0), "values", id="GridPath-inf-values"),
     ],
 )
 def test_bad_mesh_inputs_are_refused_by_name(call, named):
-    # each raised OverflowError, ZeroDivisionError or Python's NaN-to-integer
-    # error, or was accepted
+    # each raised OverflowError, ZeroDivisionError, Python's NaN-to-integer
+    # error or an error naming another input, or was accepted
     with pytest.raises(ValueError, match=re.escape(named)):
         call()
 

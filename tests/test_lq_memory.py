@@ -171,7 +171,7 @@ class TestAdvancedDriverContract:
         adj = solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=lq_basis(spec, grid))
         # every step calls the driver once, latest step first
         assert steps == list(range(K - 1, -1, -1))
-        assert adj.check_terminal_conventions()
+        assert not (adj.q0[:, -1].any() or adj.r0[:, -1].any())  # zero loadings at the horizon
         # at step k only p0 on k+1..min(k+d, K) is read (NaN elsewhere would
         # show), lag 0 is read one step ahead and lags past the horizon are 0
         for k in range(K):

@@ -131,10 +131,7 @@ class TestOptimalSimulation:
         np.testing.assert_array_equal(ens.states, 1.0)
         for k in range(DESK_GRID.n_steps + 1):
             np.testing.assert_array_equal(ens.control_at(k), 0.0)
-        from memsfde.engine import performance
-
-        j, se = performance(ens, sol.problem.coeffs)
-        assert (j, se) == (0.0, 0.0)
+        np.testing.assert_array_equal(pathwise_cost(ens, sol.problem.coeffs), 0.0)
 
     def test_history_below_target_rejected(self):
         with pytest.raises(ValueError):

@@ -314,7 +314,7 @@ def simulated_gap(coeffs, ens) -> float:
     history and noise, then each column's mean squared gap."""
     d = ens.grid.delta_steps
     hist = ens.paths[0, : d + 1]
-    direct = simulate(coeffs, ens.grid, ens.jumps, hist, ens.control, ens.control_history, ens.noise)
+    direct = simulate(coeffs, ens.grid, ens.jumps, hist, ens.control, ens.control_history, (ens.brownian, ens.jump_counts))
     gaps = np.empty(ens.grid.n_steps + 1)
     for k in range(len(gaps)):
         diff = ens.state_column(k) - direct.state_column(k)
