@@ -472,6 +472,10 @@ def solve_absde(
     reads, every row and ``mean_stderr`` and ``deficient_steps`` are the
     same bits either way; only a driver of a solve without ``on_row`` may
     read q0 and r0.
+
+    A terminal value must be finite and a scalar or (N,) array, a driver
+    value a scalar or (N,) array, and every basis (N, m) with the first
+    step's m; a bad value raises ``ValueError`` naming its step.
     """
     grid = ens.grid
     K, N, dt, d = grid.n_steps, grid.n_particles, grid.dt, grid.delta_steps
@@ -487,7 +491,10 @@ def solve_absde(
     ctx = SweepContext(ens, p0, q0, r0)
 
     xT = ens.state_column(K)
-    p0.push(d, np.asarray(terminal(xT, EmpiricalMeasure(xT)), dtype=float))
+    pT = _row_value(terminal(xT, EmpiricalMeasure(xT)), N, "terminal")
+    if not np.isfinite(pT).all():
+        raise ValueError("terminal must be finite")
+    p0.push(d, pT)
     if on_row is not None:
         on_row(K, p0.column(d), q_row, r_row)
 
@@ -500,12 +507,15 @@ def solve_absde(
         i = d + K - k  # the band column of step k
         target = p0.column(i - 1)
         if driver is not None:
-            target = target + dt * np.asarray(driver(ctx, k))
+            target = target + dt * _row_value(driver(ctx, k), N, f"driver at step {k}")
         # read before step k's row is written: a short band that moves every
         # step (d <= 3) writes it to the row the target was read from
         _, mean_stderr[k] = _mean_and_stderr(target)
         phi = basis(ens, k)
-        m = phi.shape[1]
+        shape = np.shape(phi)
+        if len(shape) != 2 or shape[0] != N or (rows is not None and shape[1] != m):
+            raise ValueError(f"basis at step {k} has shape {shape}, not ({N}, {'m' if rows is None else m})")
+        m = shape[1]
         if rows is None:
             # feature-major design: block b is rows [b*m, (b+1)*m)
             rows = np.empty((n_blocks * m, N))
@@ -533,6 +543,15 @@ def solve_absde(
     # row j of a whole-mesh band is step j
     p0, q0, r0 = (None, None, None) if on_row is not None else (band.rows[: K + 1].T for band in (p0, q0, r0))
     return AdjointTriple(grid, p0, q0, r0, mean_stderr, tuple(reversed(deficient)))
+
+
+def _row_value(value, n: int, what: str) -> np.ndarray:
+    """``value`` as a float array of shape () or (n,); a ``ValueError``
+    naming ``what`` for any other shape."""
+    value = np.asarray(value, dtype=float)
+    if value.shape not in ((), (n,)):
+        raise ValueError(f"{what} has shape {value.shape}, not () or ({n},)")
+    return value
 
 
 def _log_rank_deficiency(logger: logging.Logger, counts, n_steps: int) -> None:

@@ -869,8 +869,17 @@ def _logs_held_until_return():
         logging.getLogger(record.name).handle(record)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one ``config error:``
+    line and exit 2, like every other bad input; its subparsers share the
+    class."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_CONFIG, f"config error: {ConfigError(message, key=self.prog)}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="memsfde",
         description="Monte Carlo experiments for memory mean-field SFDE control problems.",
     )

@@ -78,8 +78,9 @@ in ascending memory order that a product such as ``x_seg @ w`` hands to
 BLAS without a copy.  The noise, read one step at a time, is stored in
 time order.
 
-The zero control from a +0.0 history can apply nothing but +0.0, so its
-window is a read-only zero view and no control band is allocated.
+The control reads +0.0 before time zero.  So the zero control applies
+nothing but +0.0: its window is a read-only zero view and no control band
+is allocated.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ class SimulationBlowupError(RuntimeError):
 
 
 class FixedPointDivergence(RuntimeError):
-    """Control changes grew for several consecutive fixed-point sweeps."""
+    """Control changes grew for several consecutive fixed-point sweeps, or a
+    sweep left a non-finite control."""
 
 
 @dataclass(frozen=True)
@@ -202,8 +204,8 @@ class _Control:
     shapes: tuple = ()
 
 
-# the control of uncontrolled dynamics; from a +0.0 control history its
-# window is a read-only zero view (see _control_band)
+# the control of uncontrolled dynamics; its window is a read-only zero view
+# (see _control_band)
 _ZERO_CONTROL = _Control(lambda k, t, x, x_seg, law: np.zeros_like(x))
 
 
@@ -214,9 +216,9 @@ def as_control(obj) -> _Control:
     (N, K+1) per particle (``simulate`` and ``picard_solve`` reject any
     other shape, bare or inside :func:`combine_controls`); a float64 array
     is referenced, not copied, and an ensemble replays its values from it,
-    so it must not change while the ensemble is read.  Callables receive
-    ``(t, x, x_seg, law)`` and return per-particle values.  ``None`` is the
-    zero control, one shared instance.
+    so it must not change while the ensemble is read.  A scalar or an array
+    must be finite.  Callables receive ``(t, x, x_seg, law)`` and return
+    per-particle values.  ``None`` is the zero control, one shared instance.
     """
     if obj is None:
         return _ZERO_CONTROL
@@ -224,9 +226,13 @@ def as_control(obj) -> _Control:
         return obj
     if np.isscalar(obj):
         c = float(obj)
+        if not math.isfinite(c):
+            raise ValueError(f"a control value must be finite, got {c}")
         return _Control(lambda k, t, x, x_seg, law: np.full_like(x, c))
     if isinstance(obj, np.ndarray):
         values = np.asarray(obj, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError(f"a control array must be finite; shape {values.shape} holds a non-finite value")
         if values.ndim == 1:
             return _Control(lambda k, t, x, x_seg, law: np.full_like(x, values[k]), (values.shape,))
         return _Control(lambda k, t, x, x_seg, law: values[:, k], (values.shape,))
@@ -269,8 +275,11 @@ def _check_finite_on_mesh(owner, grid: SimGrid, *names) -> None:
 
 
 def combine_controls(base, direction, scale: float) -> _Control:
-    """Control ``base + scale * direction`` (both may be feedback rules)."""
+    """Control ``base + scale * direction`` (both may be feedback rules);
+    ``scale`` must be finite."""
     base, direction, scale = as_control(base), as_control(direction), float(scale)
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
 
     def value(k, t, x, x_seg, law):
         # summed onto zeros, so a -0.0 base value comes out as +0.0
@@ -365,11 +374,10 @@ class ParticleEnsemble:
     (N, ·) views of time-major storage, so column k of each is one
     contiguous row.
 
-    The ensemble keeps its ``control`` and its ``control_history`` (the
-    values before time zero: ``None`` without a memory window, else a scalar
-    or (d,) float array) instead of a record of the applied control, which
-    is fixed by the stored paths.  ``control_at(k)`` replays the value
-    applied at step k, and ``coefficient_inputs()`` every step's inputs with
+    The ensemble keeps its ``control`` instead of a record of the applied
+    control, which is fixed by the stored paths; the control reads +0.0
+    before time zero.  ``control_at(k)`` replays the value applied at step
+    k, and ``coefficient_inputs()`` every step's inputs with
     the control and its window; after :func:`simulate` both give the applied
     bits, on a :func:`memsfde.picard.picard_solve` ensemble the control on
     the final paths.  An array control is referenced, so replays read it as
@@ -389,7 +397,6 @@ class ParticleEnsemble:
     jump_counts: np.ndarray | None
     jumps: JumpModel
     control: _Control
-    control_history: np.ndarray | None
     cost: np.ndarray | None = None
 
     controls_full = None
@@ -489,51 +496,32 @@ class _LazyLawSegment(MeasureSegment):
         return self._source[2] + 1
 
 
-def _control_history(grid: SimGrid, control_history) -> np.ndarray | None:
-    """The control's values before time zero, a copied finite scalar or (d,)
-    float array; ``None`` when there is no memory window, which reads none."""
-    d = grid.delta_steps
-    if d == 0:
-        return None
-    hist = np.array(control_history, dtype=float)
-    if hist.ndim != 0 and hist.shape != (d,):
-        raise MeshMismatchError(f"control history must be scalar or shape ({d},)")
-    if not np.isfinite(hist).all():
-        raise ValueError(f"control_history must be finite, got {control_history!r}")
-    return hist
-
-
 def _control_band(ens: ParticleEnsemble, n_rows: int | None = None) -> _Band | None:
     """The band an integration pushes the ensemble's applied control values
-    to, with its control history as mesh columns 0..d-1, so each push hands
-    out the window ``u_seg`` that ends at the pushed column.
+    to, so each push hands out the window ``u_seg`` that ends at the pushed
+    column; its mesh columns 0..d-1, the control before time zero, are the
+    band's initial +0.0.
 
     ``n_rows`` defaults to 2(d + 1), which moves d + 1 rows once every
-    d + 1 pushes.  The zero control from a +0.0 history (a scalar or a (d,)
-    array, all +0.0; any history when d = 0) applies nothing but +0.0: it
-    has no band (``None``), and every window is one read-only zero view.
+    d + 1 pushes.  The zero control applies nothing but +0.0: it has no
+    band (``None``), and every window is one read-only zero view.
     """
-    d, hist = ens.grid.delta_steps, ens.control_history
-    if ens.control is _ZERO_CONTROL and (hist is None or not (np.any(hist) or np.any(np.signbit(hist)))):
+    if ens.control is _ZERO_CONTROL:
         return None
-    band = _Band(ens.grid, 2 * (d + 1) if n_rows is None else n_rows)
-    if hist is not None:
-        band.columns(0, d)[...] = np.broadcast_to(hist, (d,))[:, None]
-    return band
+    return _Band(ens.grid, 2 * (ens.grid.delta_steps + 1) if n_rows is None else n_rows)
 
 
 def _new_ensemble(
-    coeffs: CoefficientSet, grid: SimGrid, jumps, xi, ctrl: _Control, control_history=0.0, noise=None, n_rows=None
+    coeffs: CoefficientSet, grid: SimGrid, jumps, xi, ctrl: _Control, noise=None, n_rows=None
 ) -> ParticleEnsemble:
     """Ensemble with the state history filled in and the rest of its state
-    zero, driven by ``ctrl`` from ``control_history``, over ``noise``
-    (referenced, not copied; drawn here when ``None``).  The state is a
-    band of ``n_rows`` mesh columns, by default all d + K + 1 of them; a
-    shorter band must hold at least d + 1.  Both histories are checked
-    before any noise is drawn.  ``jumps=None`` means no jumps.
+    zero, driven by ``ctrl``, over ``noise`` (referenced, not copied; drawn
+    here when ``None``).  The state is a band of ``n_rows`` mesh columns,
+    by default all d + K + 1 of them; a shorter band must hold at least
+    d + 1.  The history is checked before any noise is drawn.
+    ``jumps=None`` means no jumps.
     """
     history = _materialize_history(xi, grid)
-    control_history = _control_history(grid, control_history)
     if noise is None:
         noise = draw_noise(coeffs, grid, jumps)
     else:
@@ -546,7 +534,7 @@ def _new_ensemble(
     state = _Band(grid, d + grid.n_steps + 1 if n_rows is None else n_rows)
     state.columns(0, d + 1)[...] = history[:, None]
     brownian, jump_counts = noise
-    return ParticleEnsemble(grid, state, brownian, jump_counts, jumps, ctrl, control_history)
+    return ParticleEnsemble(grid, state, brownian, jump_counts, jumps, ctrl)
 
 
 def _noise_shapes(coeffs: CoefficientSet, grid: SimGrid, jumps: JumpModel | None) -> tuple:
@@ -679,11 +667,11 @@ def _euler_window(
             on_step(k, x, x_seg, law, law_seg, u, u_seg)
 
 
-def _integrate(coeffs, grid, jumps, xi, ctrl: _Control, control_history, noise, n_rows=None) -> ParticleEnsemble:
+def _integrate(coeffs, grid, jumps, xi, ctrl: _Control, noise, n_rows=None) -> ParticleEnsemble:
     """The ensemble of ``ctrl`` integrated over steps 0..K, with its state
     on a band of ``n_rows`` columns (default: the whole mesh) and its cost
     summed in the same pass."""
-    ens = _new_ensemble(coeffs, grid, jumps, xi, ctrl, control_history, noise, n_rows)
+    ens = _new_ensemble(coeffs, grid, jumps, xi, ctrl, noise, n_rows)
     cost = _PathCost(coeffs, grid)
     # the pass reads the horizon step too: its running cost is summed, and
     # a control that fails there fails here rather than in a later reader
@@ -698,15 +686,14 @@ def simulate(
     jumps: JumpModel | None = None,
     xi=0.0,
     control=None,
-    control_history=0.0,
     noise: tuple | None = None,
 ) -> ParticleEnsemble:
     """Run the N-particle scheme over [0, T] from initial history ``xi``.
 
     ``xi`` may be a scalar, a callable of time, or a time-ordered array on the
-    mesh of [-delta, 0].  ``control_history`` fills the control's memory window
-    before time zero (scalar or (delta_steps,) array).  Identical ``grid``
-    (including seed) and inputs reproduce the ensemble bit for bit.
+    mesh of [-delta, 0].  The control reads +0.0 before time zero, so its
+    memory window ``u_seg`` holds +0.0 at every lag before it.  Identical
+    ``grid`` (including seed) and inputs reproduce the ensemble bit for bit.
 
     ``noise`` is the ``(brownian, jump_counts)`` of the same problem, from
     :func:`draw_noise` or another ensemble's two arrays; it is used as is
@@ -715,7 +702,7 @@ def simulate(
     The ensemble keeps no control array, but the per-particle cost under
     ``coeffs`` summed on the way (see :class:`ParticleEnsemble`).
     """
-    return _integrate(coeffs, grid, jumps, xi, _grid_control(control, grid), control_history, noise)
+    return _integrate(coeffs, grid, jumps, xi, _grid_control(control, grid), noise)
 
 
 def pathwise_cost(ens: ParticleEnsemble, coeffs: CoefficientSet) -> np.ndarray:
@@ -742,7 +729,7 @@ def _mean_and_stderr(values) -> tuple[float, float]:
 class ControlProblem:
     """Bundle of dynamics, mesh, noise and initial data; controls vary.
 
-    The histories are checked when the problem is built, and a control
+    The history is checked when the problem is built, and a control
     before the noise is read, so a bad one fails before any noise is drawn.
     The noise is drawn on first use and every simulation and cost pass of
     the problem shares it (common random numbers at no extra draw).
@@ -752,11 +739,9 @@ class ControlProblem:
     grid: SimGrid
     jumps: JumpModel = field(default_factory=JumpModel.none)
     xi: object = 0.0
-    control_history: object = 0.0
 
     def __post_init__(self) -> None:
         _materialize_history(self.xi, self.grid)
-        _control_history(self.grid, self.control_history)
 
     @cached_property
     def noise(self) -> tuple:
@@ -766,7 +751,7 @@ class ControlProblem:
     def simulate(self, control=None) -> ParticleEnsemble:
         # checked here, before the noise is read
         ctrl = _grid_control(control, self.grid)
-        return simulate(self.coeffs, self.grid, self.jumps, self.xi, ctrl, self.control_history, self.noise)
+        return simulate(self.coeffs, self.grid, self.jumps, self.xi, ctrl, self.noise)
 
     def costs(self, controls) -> list:
         """Per-particle cost of each control, in order, under common random
@@ -778,8 +763,7 @@ class ControlProblem:
         ctrls = [_grid_control(control, self.grid) for control in controls]
         n_rows = 2 * (self.grid.delta_steps + 2)
         return [
-            _integrate(self.coeffs, self.grid, self.jumps, self.xi, ctrl, self.control_history, self.noise, n_rows).cost
-            for ctrl in ctrls
+            _integrate(self.coeffs, self.grid, self.jumps, self.xi, ctrl, self.noise, n_rows).cost for ctrl in ctrls
         ]
 
     def performance(self, control=None) -> tuple[float, float]:

@@ -250,8 +250,9 @@ def solve_lq(
     callable kernel is evaluated once, on the memory window's mesh.
     Noise is frozen across sweeps (counter-based streams), so the iteration
     is a deterministic map on control arrays; the sweeps simulate without
-    the cost, which none reads.  Five consecutive growing sweeps abort
-    with :class:`FixedPointDivergence`.  Rank-deficient regressions are
+    the cost, which none reads.  Five consecutive growing sweeps, or one
+    that leaves a non-finite control, abort with
+    :class:`FixedPointDivergence`.  Rank-deficient regressions are
     summarised in one warning for all sweeps.  The damped update runs in
     place, one time row at a time, as the backward solve hands each p0 row
     over: the new row overwrites the control's, the row's coupling
@@ -284,10 +285,14 @@ def solve_lq(
 
     for _ in range(max_iter):
         # only one sweep's ensemble and adjoint are alive at a time
-        ens = simulate(dynamics, grid, problem.jumps, problem.xi, control, problem.control_history, problem.noise)
+        ens = simulate(dynamics, grid, problem.jumps, problem.xi, control, problem.noise)
         change, n_deficient = _damped_sweep(ens, driver, basis_fn, control, damping, coupling_residual)
         del ens
         deficient.append(n_deficient)
+        if not np.isfinite(control).all():
+            # no later sweep or check could simulate it
+            sweep = len(changes) + 1
+            raise FixedPointDivergence(f"the control is not finite after sweep {sweep}; check coefficient growth")
         if changes and change > changes[-1]:
             growing += 1
             if growing >= 5:

@@ -1,7 +1,8 @@
 """Empirical laws on the line and a Gaussian-weighted Fourier distance.
 
-A law is represented by weighted atoms.  Two laws are compared through their
-characteristic functions, integrated against the weight ``exp(-y**2)``:
+A law is represented by equally weighted atoms.  Two laws are compared
+through their characteristic functions, integrated against the weight
+``exp(-y**2)``:
 
     dist_sq(mu, nu) = integral |mu_hat(y) - nu_hat(y)|**2 exp(-y**2) dy
 
@@ -88,33 +89,24 @@ def default_rule() -> QuadratureRule:
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Probability measure with finitely many atoms.
+    """The empirical law of finitely many atoms, each weighing 1/n.
 
-    ``weights=None`` means uniform 1/n weights without materializing them
-    (the simulation engine builds one of these per mesh step, backed by a view
-    into the ensemble state, so construction stays cheap).
+    The package realizes every law as the empirical law of N equally likely
+    particles, so an atom carries no weight of its own.  The simulation
+    engine builds one of these per mesh step, backed by a view into the
+    ensemble state, so construction stays cheap.
     """
 
     atoms: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         atoms = np.asarray(self.atoms, dtype=float)
         if atoms.ndim != 1 or atoms.size == 0:
             raise ValueError("atoms must be a non-empty 1-d array")
         object.__setattr__(self, "atoms", atoms)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != atoms.shape:
-                raise ValueError("weights shape must match atoms")
-            if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("weights must be non-negative and sum to 1")
-            object.__setattr__(self, "weights", w)
 
     def mean(self) -> float:
-        if self.weights is None:
-            return float(self.atoms.mean())
-        return float(self.weights @ self.atoms)
+        return float(self.atoms.mean())
 
 
 def dirac(point: float) -> EmpiricalMeasure:
@@ -122,13 +114,10 @@ def dirac(point: float) -> EmpiricalMeasure:
 
 
 def ecf(mu: EmpiricalMeasure, y: float | np.ndarray) -> complex | np.ndarray:
-    """Characteristic function of the empirical law: ``sum w_j exp(-i x_j y)``."""
+    """Characteristic function of the empirical law: ``mean_j exp(-i x_j y)``."""
     ys = np.asarray(y, dtype=float)
     phase = np.exp(-1j * np.multiply.outer(ys, mu.atoms))
-    if mu.weights is None:
-        out = phase.mean(axis=-1)
-    else:
-        out = phase @ mu.weights
+    out = phase.mean(axis=-1)
     if np.isscalar(y) or (isinstance(y, np.ndarray) and y.ndim == 0):
         return complex(out)
     return out

@@ -37,7 +37,7 @@ more column final, a sweep typically runs one step fewer than the one before.
 The applied control is pushed to one band of d + t0_steps + 1 columns for
 the whole solve, which moves only at a window's second push.  So a sweep
 that restarts inside its window still finds the d values before its first
-step: the window's history, or values an earlier sweep pushed with the
+step: +0.0 before time zero, or values an earlier sweep pushed with the
 same bits.  The returned ensemble, like any other, keeps no control array;
 it replays its control on its final paths.
 """
@@ -198,8 +198,8 @@ def consistency_check(coeffs: CoefficientSet, ens_fp: ParticleEnsemble) -> float
 
     ``ens_fp`` is the ensemble :func:`picard_solve` returned for ``coeffs``;
     the direct scheme runs on what it holds: its grid, jump model, noise,
-    initial history (its state before time zero), control and control
-    history, so nothing is solved or drawn again.  The scheme is one
+    initial history (its state before time zero) and control, which reads
+    +0.0 before time zero, so nothing is solved or drawn again.  The scheme is one
     ``engine._euler_window`` pass over steps 0..K on an ensemble whose
     state is a band of 2(d + 2) mesh columns, not the full mesh: the pass
     makes room for each column before it writes it, and its per-step hook

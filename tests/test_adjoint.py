@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,49 @@ class TestBackwardSolver:
         too_far = ens.grid.delta_steps + 1
         with pytest.raises(ValueError):
             solve_absde(ens, terminal=lambda x, law: x, driver=lambda c, k: c.p0_future(k, too_far))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (math.nan, "terminal must be finite"),
+            (np.array([1.0, 2.0, -math.inf, 0.0, 1.0]), "terminal must be finite"),
+            (np.zeros(7), r"terminal has shape \(7,\), not \(\) or \(5,\)"),
+            (np.zeros((5, 1)), r"terminal has shape \(5, 1\)"),
+        ],
+        ids=["nan", "inf_entry", "too_long", "column"],
+    )
+    def test_a_bad_terminal_is_refused_before_the_sweep(self, value, message):
+        # NaN gave an all-NaN triple with no error, and a wrong shape a
+        # numpy broadcast error
+        ens = brownian_ensemble(5, seed=2, dt=0.1, delta_steps=2)
+        fail = lambda *a: pytest.fail("the sweep ran")  # noqa: E731
+        for on_row in (None, fail):
+            with pytest.raises(ValueError, match=message):
+                solve_absde(ens, terminal=lambda x, law: value, driver=fail, basis=fail, on_row=on_row)
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 1), (1,)])
+    def test_a_bad_driver_value_is_refused_naming_its_step(self, shape):
+        # each failed as a numpy broadcast error, or broadcast silently
+        ens = brownian_ensemble(5, seed=2, dt=0.1, delta_steps=2)
+        K = ens.grid.n_steps
+        driver = lambda ctx, k: np.zeros(shape) if k == K - 3 else 0.5  # noqa: E731
+        with pytest.raises(ValueError, match=rf"driver at step {K - 3} has shape {re.escape(str(shape))}"):
+            solve_absde(ens, terminal=lambda x, law: -x, driver=driver)
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 3), (3, 5), (5, 2)])
+    def test_a_bad_basis_is_refused_naming_its_step(self, shape):
+        # a 1-D basis failed as an IndexError, a wrong N or width as a numpy
+        # broadcast error; the first step's width m is what later steps need
+        ens = brownian_ensemble(5, seed=2, dt=0.1, delta_steps=2)
+        K = ens.grid.n_steps
+        basis = lambda e, k: np.zeros(shape) if k == K - 2 else default_basis(e, k)  # noqa: E731
+        expected = rf"basis at step {K - 2} has shape {re.escape(str(shape))}, not \(5, 5\)"
+        with pytest.raises(ValueError, match=expected):
+            solve_absde(ens, terminal=lambda x, law: -x, basis=basis, warn=False)
+        first = lambda e, k: np.zeros(shape) if k == K - 1 else default_basis(e, k)  # noqa: E731
+        if len(shape) != 2 or shape[0] != 5:
+            with pytest.raises(ValueError, match=rf"basis at step {K - 1} has shape .*, not \(5, m\)"):
+                solve_absde(ens, terminal=lambda x, law: -x, basis=first, warn=False)
 
     def test_zero_extension_convention_in_context(self):
         grid = SimGrid(dt=0.05, delta_steps=4, horizon=1.0, n_particles=200, seed=8)

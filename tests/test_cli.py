@@ -333,6 +333,25 @@ class TestConfigErrors:
             main(["simulate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lq", "--config", "exp.cfg", "--threads", "abc"], "memsfde lq: argument --threads: invalid int value: 'abc'"),
+            (["bogus"], "memsfde: argument command: invalid choice: 'bogus'"),
+            (["simulate"], "memsfde simulate: the following arguments are required: --config"),
+        ],
+        ids=["threads_not_an_int", "unknown_subcommand", "missing_config"],
+    )
+    def test_a_usage_error_is_one_config_error_line(self, argv, message, capsys):
+        # argparse printed a usage line before its error line
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_BAD_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"config error: {message}")
+
 
 class TestRuntimeAborts:
     def test_nonfinite_state_exits_3(self, tmp_path, capsys):
@@ -362,6 +381,18 @@ class TestRuntimeAborts:
         err = capsys.readouterr().err
         assert err.startswith("runtime abort:")
         assert "consecutive sweeps" in err
+
+    def test_an_overflowing_lq_control_exits_3(self, tmp_path, capsys):
+        # a delay kernel of 1e5 overflows p0 in the second sweep; the third
+        # sweep then failed on the control it left, as a non-finite state
+        path = write_cfg(
+            tmp_path,
+            "problem = lq\n\n[grid]\nhorizon = 0.5\ndelta = 0.1\ndt = 0.05\n"
+            "particles = 200\nseed = 3\n\n[lq]\nkernel = 1e5\n",
+        )
+        assert main(["lq", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_RUNTIME_ABORT
+        err = capsys.readouterr().err
+        assert err == "runtime abort: the control is not finite after sweep 2; check coefficient growth\n"
 
     @pytest.mark.parametrize(
         "text, code",

@@ -82,9 +82,6 @@ class TestDegenerateDynamics:
     @pytest.mark.parametrize(
         "name, value",
         [
-            ("control_history", None),
-            ("control_history", math.nan),
-            ("control_history", np.array([0.0, math.inf])),
             ("xi", math.nan),
             ("xi", -math.inf),
             ("xi", np.array([1.0, math.nan, 1.0])),
@@ -93,25 +90,20 @@ class TestDegenerateDynamics:
     )
     def test_non_finite_histories_are_refused_before_the_noise_is_drawn(self, name, value):
         # each reached step 0 and failed there as a non-finite state, which
-        # blames the mesh; at d = 0 the control history is never read.  A
-        # problem draws its noise on first use, so it checks its histories
-        # when it is built
+        # blames the mesh.  A problem draws its noise on first use, so it
+        # checks its history when it is built
         grid = SimGrid(dt=0.1, delta_steps=2, horizon=0.5, n_particles=3, seed=1)
         coeffs = CoefficientSet(drift=lambda *a: pytest.fail("a step ran"), diffusion=lambda *a: 0.3)
         runs = [
             lambda: simulate(coeffs, grid, **{name: value}),
             lambda: ControlProblem(coeffs, grid, **{name: value}).simulate(),
+            lambda: picard_solve(coeffs, grid, xi=value),
         ]
-        if name == "xi":
-            runs.append(lambda: picard_solve(coeffs, grid, xi=value))
         with mock.patch.object(engine, "draw_noise", side_effect=AssertionError("the noise was drawn")) as draw:
             for run in runs:
                 with pytest.raises(ValueError, match=name):
                     run()
         assert draw.call_count == 0
-        if name == "control_history":
-            no_lag = SimGrid(dt=0.1, delta_steps=0, horizon=0.5, n_particles=3, seed=1)
-            simulate(LAGGED_DRIFT, no_lag, xi=1.0, control_history=value)
 
 
 class TestNoiseMoments:
@@ -311,7 +303,7 @@ FINITE = st.floats(-2.0, 2.0, allow_nan=False, width=64)
 
 @st.composite
 def cost_cases(draw):
-    """A small problem with a drawn history and jump model, and 1-4
+    """A small problem with a drawn initial history and jump model, and 1-4
     controls of every kind ``as_control`` takes."""
     n, k, d = draw(st.integers(1, 7)), draw(st.integers(1, 12)), draw(st.integers(0, 4))
     grid = SimGrid(dt=0.1, delta_steps=d, horizon=0.1 * k, n_particles=n, seed=draw(st.integers(0, 2**64 - 1)))
@@ -326,7 +318,6 @@ def cost_cases(draw):
         terminal_cost=lambda x, law: -0.5 * x * x + 0.1 * law.mean(),
     )
     xi = draw(st.one_of(FINITE, st.lists(FINITE, min_size=d + 1, max_size=d + 1).map(np.array)))
-    history = draw(st.one_of(st.sampled_from([0.0, -0.0]), FINITE, st.lists(FINITE, min_size=d, max_size=d).map(np.array)))
 
     def feedback(a, b):
         return lambda t, x, xs, law: a * xs[:, -1] + b * x - 0.1 * law.mean() + np.sin(t)
@@ -339,7 +330,7 @@ def cost_cases(draw):
         st.builds(feedback, FINITE, FINITE),
     )
     control = st.one_of(simple, st.builds(combine_controls, simple, simple, FINITE))
-    problem = ControlProblem(coeffs=coeffs, grid=grid, jumps=jumps, xi=xi, control_history=history)
+    problem = ControlProblem(coeffs=coeffs, grid=grid, jumps=jumps, xi=xi)
     return problem, draw(st.lists(control, min_size=1, max_size=4))
 
 
@@ -372,14 +363,7 @@ class TestControlCosts:
         # each control on its own freshly drawn noise, bit for bit
         expected = [
             pathwise_cost(
-                simulate(
-                    problem.coeffs,
-                    problem.grid,
-                    jumps=problem.jumps,
-                    xi=problem.xi,
-                    control=control,
-                    control_history=problem.control_history,
-                ),
+                simulate(problem.coeffs, problem.grid, jumps=problem.jumps, xi=problem.xi, control=control),
                 problem.coeffs,
             )
             for control in controls
@@ -419,25 +403,46 @@ class TestControlCosts:
         # steps 0..K, the horizon included, and no replay for the cost
         assert len(times) == 2 * (grid.n_steps + 1)
 
-    @pytest.mark.parametrize("shape", [(3,), ("N", 3), (2, "N", "K+1"), "abc"])
+    # non-finite controls, built from (N, K + 1) inside each run: each drew
+    # the noise and then failed as a non-finite state, which blames the mesh
+    NON_FINITE = {
+        "nan_scalar": lambda n, k: math.nan,
+        "nan_shared": lambda n, k: np.full(k, math.nan),
+        "inf_per_particle": lambda n, k: np.full((n, k), math.inf),
+        "inf_in_combined": lambda n, k: combine_controls(0.5, np.where(np.arange(k) == 2, -math.inf, 1.0), 1.0),
+        "nan_scale": lambda n, k: combine_controls(None, 1.0, math.nan),
+        "inf_scale": lambda n, k: combine_controls(0.5, np.ones(k), -math.inf),
+    }
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(3,), ("N", 3), (2, "N", "K+1"), "abc"] + [pytest.param(make, id=name) for name, make in NON_FINITE.items()],
+    )
     def test_a_bad_control_is_refused_before_the_noise_is_drawn(self, shape):
         # each drew the problem's noise first and only then failed the
         # control's check
         grid = SimGrid(dt=0.1, delta_steps=2, horizon=0.5, n_particles=4, seed=1)
         sizes = {"N": grid.n_particles, "K+1": grid.n_steps + 1}
-        control = shape if isinstance(shape, str) else np.zeros([sizes.get(n, n) for n in shape])
+        if callable(shape):
+            control = lambda: shape(grid.n_particles, grid.n_steps + 1)  # noqa: E731
+        else:
+            fixed = shape if isinstance(shape, str) else np.zeros([sizes.get(n, n) for n in shape])
+            control = lambda: fixed  # noqa: E731
         coeffs = CoefficientSet(drift=lambda *a: pytest.fail("a step ran"), diffusion=lambda *a: 0.3)
         problem = ControlProblem(coeffs, grid, xi=1.0)
         runs = [
-            lambda: problem.costs([control]),
-            lambda: problem.costs([0.5, control]),
-            lambda: problem.simulate(control),
-            lambda: problem.performance(control),
+            lambda: problem.costs([control()]),
+            lambda: problem.costs([0.5, control()]),
+            lambda: problem.simulate(control()),
+            lambda: problem.performance(control()),
+            lambda: simulate(coeffs, grid, xi=1.0, control=control()),
+            lambda: picard_solve(coeffs, grid, xi=1.0, control=control()),
         ]
-        error = ValueError if isinstance(shape, str) else MeshMismatchError
+        error = MeshMismatchError if isinstance(shape, tuple) else ValueError
+        match = "finite" if callable(shape) else None
         with mock.patch.object(engine, "draw_noise", side_effect=AssertionError("the noise was drawn")) as draw:
             for run in runs:
-                with pytest.raises(error):
+                with pytest.raises(error, match=match):
                     run()
         assert draw.call_count == 0
 
@@ -518,15 +523,23 @@ class TestControls:
         assert not callable(combine_controls(0.5, None, 1.0))
 
     def test_control_memory_window(self):
-        # drift reads the lag-delta control; the pre-horizon window is supplied
-        # via control_history, so the state climbs at rate 3 for delta time
+        # drift reads the lag-delta control, which is +0.0 before time zero
+        # and the applied 3.0 after it, so the state rests for delta time
+        # and then climbs at rate 3
         grid = SimGrid(dt=0.1, delta_steps=3, horizon=1.0, n_particles=1, seed=0)
-        coeffs = CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: us[:, -1])
-        ens = simulate(coeffs, grid, xi=0.0, control=0.0, control_history=3.0)
-        assert ens.states[0, 3] == pytest.approx(0.9, abs=1e-12)
-        assert ens.states[0, -1] == pytest.approx(0.9, abs=1e-12)
-        with pytest.raises(MeshMismatchError):
-            simulate(coeffs, grid, control_history=np.array([1.0, 2.0]))
+        windows = []
+
+        def drift(t, x, xs, m, ms, u, us):
+            windows.append(us.copy())
+            return us[:, -1]
+
+        ens = simulate(CoefficientSet(drift=drift), grid, xi=0.0, control=3.0)
+        for k, window in enumerate(windows):
+            before = window[0, min(k, 3) + 1 :]
+            assert np.all(before == 0.0) and not np.signbit(before).any()
+            assert np.all(window[0, : min(k, 3) + 1] == 3.0)
+        assert ens.states[0, 3] == 0.0
+        assert ens.states[0, -1] == pytest.approx(3.0 * 0.7, abs=1e-12)
 
     def test_unknown_control_type_rejected(self):
         with pytest.raises(TypeError):
@@ -888,25 +901,26 @@ def _buffer_owner(arr: np.ndarray) -> np.ndarray:
 
 
 class TestUncontrolledRecord:
-    """The zero control from a +0.0 history applies nothing but +0.0, so its
-    ensemble holds no control storage: every control window it hands out,
-    integrating or replaying, is one read-only zero view that owns no buffer
-    of its size.  Any other control or history is held in a band."""
+    """The zero control applies nothing but +0.0, and the control reads +0.0
+    before time zero, so its ensemble holds no control storage: every
+    control window it hands out, integrating or replaying, is one read-only
+    zero view that owns no buffer of its size.  Any other control is held
+    in a band."""
 
     GRID = TestSharedNoise.GRID
     COEFFS, JUMPS = TestSharedNoise.WITH_JUMPS
 
-    def ensemble(self, how, control=None, coeffs=None, **kwargs):
+    def ensemble(self, how, control=None, coeffs=None):
         coeffs = coeffs if coeffs is not None else self.COEFFS
         if how == "simulate":
-            return simulate(coeffs, self.GRID, jumps=self.JUMPS, xi=1.0, control=control, **kwargs)
+            return simulate(coeffs, self.GRID, jumps=self.JUMPS, xi=1.0, control=control)
         if how == "problem":
-            problem = ControlProblem(coeffs=coeffs, grid=self.GRID, jumps=self.JUMPS, xi=1.0, **kwargs)
+            problem = ControlProblem(coeffs=coeffs, grid=self.GRID, jumps=self.JUMPS, xi=1.0)
             return problem.simulate(control)
         ens, _ = picard_solve(coeffs, self.GRID, jumps=self.JUMPS, xi=1.0, control=control, t0_steps=5)
         return ens
 
-    def integration_windows(self, how, control=None, **kwargs):
+    def integration_windows(self, how, control=None):
         """The ensemble and the control windows its Euler steps were handed,
         each as ``(copy, writeable, bytes of the buffer it views)``."""
         seen = []
@@ -916,7 +930,7 @@ class TestUncontrolledRecord:
             return self.COEFFS.drift(t, x, xs, m, ms, u, us)
 
         coeffs = dataclasses.replace(self.COEFFS, drift=drift)
-        return self.ensemble(how, control=control, coeffs=coeffs, **kwargs), seen
+        return self.ensemble(how, control=control, coeffs=coeffs), seen
 
     @pytest.mark.parametrize("how", ["simulate", "problem", "picard"])
     def test_uncontrolled_record_is_a_read_only_zero_view(self, how):
@@ -940,42 +954,6 @@ class TestUncontrolledRecord:
             assert ens.control_at(k).tobytes() == recorded.control_at(k).tobytes()
         cost = CoefficientSet(running_cost=lambda t, x, xs, m, ms, u, us: u * u + us.sum(axis=1) + x)
         assert pathwise_cost(ens, cost).tobytes() == pathwise_cost(recorded, cost).tobytes()
-
-    @pytest.mark.parametrize("how", ["simulate", "problem"])
-    def test_signed_and_non_zero_histories_are_recorded(self, how):
-        N, d = self.GRID.n_particles, self.GRID.delta_steps
-        # the same history shapes at +0.0 are held nowhere
-        for zero in (0.0, np.zeros(d)):
-            ens = self.ensemble(how, control_history=zero)
-            assert all(not u_seg.flags.writeable for *_, u_seg in ens.coefficient_inputs())
-        minus_zero = np.zeros(d)
-        minus_zero[1] = -0.0
-        for hist in (-0.0, 0.25, minus_zero, np.linspace(-1.0, 1.0, d)):
-            ens, seen = self.integration_windows(how, control_history=hist)
-            expected = np.broadcast_to(np.asarray(hist, dtype=float), (N, d))
-            replayed = [(u_seg.copy(), u_seg.flags.writeable) for *_, u_seg in ens.coefficient_inputs()]
-            steps = [(k, w, writeable) for k, (w, writeable, _) in enumerate(seen)]
-            steps += [(k, w, writeable) for k, (w, writeable) in enumerate(replayed)]
-            for k, window, writeable in steps:
-                assert writeable
-                # lag j at step k is history column d + k - j up to time zero
-                for j in range(k + 1, d + 1):
-                    column, held = window[:, j], expected[:, d + k - j]
-                    assert column.tobytes() == np.ascontiguousarray(held).tobytes()
-                    assert np.array_equal(np.signbit(column), np.signbit(held))
-                applied = window[:, : min(k, d) + 1]
-                assert np.all(applied == 0.0) and not np.signbit(applied).any()
-
-    def test_without_a_memory_window_the_history_is_ignored(self):
-        grid = SimGrid(dt=0.1, delta_steps=0, horizon=1.0, n_particles=4, seed=0)
-        coeffs = CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: 1.0 + u)
-        for hist in (0.0, -0.0, 2.0, np.arange(5.0)):
-            ens = simulate(coeffs, grid, xi=0.0, control_history=hist)
-            assert ens.control_history is None
-            windows = [u_seg for *_, u_seg in ens.coefficient_inputs()]
-            assert len(windows) == grid.n_steps + 1
-            assert all(w.shape == (4, 1) and not w.flags.writeable for w in windows)
-            np.testing.assert_allclose(ens.states[:, -1], 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("how", ["simulate", "problem", "picard"])
     def test_controlled_records_stay_writable(self, how):
@@ -1052,13 +1030,11 @@ class TestControlReplay:
         return dataclasses.replace(coeffs, drift=drift), applied
 
     @staticmethod
-    def check_windows(log, history, grid):
-        """Every logged window is bit for bit the history before time zero
-        and the values applied since, newest first."""
+    def check_windows(log, grid):
+        """Every logged window is bit for bit +0.0 before time zero and the
+        values applied since, newest first."""
         N, d = grid.n_particles, grid.delta_steps
-        held = {}
-        if d:
-            held.update(enumerate(np.broadcast_to(np.asarray(history, dtype=float)[..., None], (d, N))))
+        held = dict.fromkeys(range(d), np.zeros(N))
         windows = 0
         for kind, k, value in log:
             if kind == "u":
@@ -1080,17 +1056,17 @@ class TestControlReplay:
     FEEDBACK = staticmethod(lambda t, x, xs, law: 0.2 * xs[:, -1] - 0.5 * x + 0.1 * law.mean() + 0.3)
 
     @pytest.mark.parametrize(
-        "d, history, t0_steps",
-        [(4, -0.0, None), (4, np.array([0.5, -0.0, -1.25, 2.0]), None), (0, 1.0, None), (3, 0.0, 6)],
-        ids=["minus_zero_history", "non_zero_history", "no_memory", "picard_window_longer_than_d_plus_one"],
+        "d, t0_steps",
+        [(4, None), (0, None), (3, 6)],
+        ids=["memory_window", "no_memory", "picard_window_longer_than_d_plus_one"],
     )
-    def test_windows_are_the_history_and_the_applied_values(self, d, history, t0_steps):
+    def test_windows_are_the_history_and_the_applied_values(self, d, t0_steps):
         grid = SimGrid(dt=0.05, delta_steps=d, horizon=0.6, n_particles=16, seed=4)
         log = []
         coeffs, control = self.logged(self.COEFFS, self.FEEDBACK, grid, log)
         if t0_steps is None:
-            ens = simulate(coeffs, grid, xi=1.0, control=control, control_history=history)
-            assert self.check_windows(log, history, grid) == grid.n_steps
+            ens = simulate(coeffs, grid, xi=1.0, control=control)
+            assert self.check_windows(log, grid) == grid.n_steps
         else:
             # every sweep restarts inside its window and must find the d
             # values before its first step, which its writes leave alone
@@ -1102,7 +1078,7 @@ class TestControlReplay:
             # one more column final, and the next restarts at the first
             # step that reads it
             executed = sum(t0_steps - m for n in report.iterations for m in range(n))
-            assert self.check_windows(log, history, grid) == executed
+            assert self.check_windows(log, grid) == executed
         last_applied = {k: value for kind, k, value in log if kind == "u"}
         assert sorted(last_applied) == list(range(grid.n_steps + 1))
         # the replay gives the last applied values and their windows, bit
@@ -1111,7 +1087,7 @@ class TestControlReplay:
         for k, (*_, u, u_seg) in enumerate(ens.coefficient_inputs()):
             assert u.tobytes() == last_applied[k].tobytes()
             log.append(("window", k, u_seg.copy()))
-        assert self.check_windows(log, history, grid) == grid.n_steps + 1
+        assert self.check_windows(log, grid) == grid.n_steps + 1
 
     @pytest.mark.parametrize("kind", ["feedback", "per_particle", "shared", "combined"])
     def test_control_at_gives_the_applied_bits_at_every_step(self, kind):

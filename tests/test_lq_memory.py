@@ -93,6 +93,14 @@ class TestSolverBehaviour:
         with pytest.raises(FixedPointDivergence):
             solve_lq(spec, grid, damping=1.0)
 
+    def test_a_non_finite_control_aborts_after_its_sweep(self):
+        # a delay kernel of 1e5 overflows p0 in the second sweep; the third
+        # then failed as a non-finite state at step 0, which blames the mesh
+        grid = SimGrid(dt=0.05, delta_steps=2, horizon=0.5, n_particles=200, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FixedPointDivergence, match="the control is not finite after sweep 2"):
+                solve_lq(LQSpec(kernel=1e5), grid)
+
     def test_non_convergence_reported(self):
         report = solve_lq(LQSpec(), DESK_GRID, max_iter=2).report
         assert not report.converged

@@ -310,11 +310,11 @@ def bits(values) -> bytes:
 
 def simulated_gap(coeffs, ens) -> float:
     """The consistency gap the way a second ensemble gives it: the direct
-    scheme simulated on the fixed-point ensemble's history, control, control
-    history and noise, then each column's mean squared gap."""
+    scheme simulated on the fixed-point ensemble's history, control and
+    noise, then each column's mean squared gap."""
     d = ens.grid.delta_steps
     hist = ens.paths[0, : d + 1]
-    direct = simulate(coeffs, ens.grid, ens.jumps, hist, ens.control, ens.control_history, (ens.brownian, ens.jump_counts))
+    direct = simulate(coeffs, ens.grid, ens.jumps, hist, ens.control, (ens.brownian, ens.jump_counts))
     gaps = np.empty(ens.grid.n_steps + 1)
     for k in range(len(gaps)):
         diff = ens.state_column(k) - direct.state_column(k)
