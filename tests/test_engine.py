@@ -1055,15 +1055,20 @@ class TestControlReplay:
     )
     FEEDBACK = staticmethod(lambda t, x, xs, law: 0.2 * xs[:, -1] - 0.5 * x + 0.1 * law.mean() + 0.3)
 
+    # applies -0.0 at every step: the windows must keep the sign bit of each
+    # applied value and still read +0.0 before time zero
+    MINUS_ZERO = staticmethod(lambda t, x, xs, law: np.full_like(x, -0.0))
+
     @pytest.mark.parametrize(
-        "d, t0_steps",
-        [(4, None), (0, None), (3, 6)],
-        ids=["memory_window", "no_memory", "picard_window_longer_than_d_plus_one"],
+        "d, minus_zero, t0_steps",
+        [(4, True, None), (4, False, None), (0, False, None), (3, False, 6)],
+        ids=["minus_zero_history", "non_zero_history", "no_memory", "picard_window_longer_than_d_plus_one"],
     )
-    def test_windows_are_the_history_and_the_applied_values(self, d, t0_steps):
+    def test_windows_are_the_history_and_the_applied_values(self, d, minus_zero, t0_steps):
         grid = SimGrid(dt=0.05, delta_steps=d, horizon=0.6, n_particles=16, seed=4)
         log = []
-        coeffs, control = self.logged(self.COEFFS, self.FEEDBACK, grid, log)
+        feedback = self.MINUS_ZERO if minus_zero else self.FEEDBACK
+        coeffs, control = self.logged(self.COEFFS, feedback, grid, log)
         if t0_steps is None:
             ens = simulate(coeffs, grid, xi=1.0, control=control)
             assert self.check_windows(log, grid) == grid.n_steps
