@@ -15,8 +15,10 @@ Four pieces live here:
   and O(dt) on the mesh.
 * ``solve_absde`` — least-squares Monte Carlo backward sweep for the adjoint
   triple (p0, q0, r0).  The equation is *advanced*: the driver at time t may
-  read the (already computed) solution on [t, t+delta], read as zero past the
+  read the (already computed) p0 on [t, t+delta], read as zero past the
   horizon: the convention under which the duality identity above is exact.
+  Every row goes to one ``on_row`` hook as it is solved, so a caller that
+  needs q0 or r0 ahead, or a streamed combination, takes them there.
   Conditioning on the time-t information is done by regression onto a state
   basis; the Brownian and compensated-jump loadings come out as the regression
   coefficients of the basis interacted with the corresponding noise increments.
@@ -243,7 +245,8 @@ def hamiltonian(
     if law is None:
         law = dirac(float(x[0])) if n == 1 else EmpiricalMeasure(x)
     # constant-extension default (unit lag mesh); pointwise evaluations only
-    law_seg = law_seg if law_seg is not None else MeasureSegment([law] * (d + 1), 1.0)
+    if law_seg is None:
+        law_seg = MeasureSegment(np.broadcast_to(law.atoms[:, None], (law.atoms.size, d + 1)), 1.0)
 
     u = np.broadcast_to(np.asarray(u, dtype=float), x.shape)
     u_seg = _per_particle(u_seg, n) if u_seg is not None else np.broadcast_to(u[:, None], (n, d + 1))
@@ -273,13 +276,13 @@ class AdjointTriple:
     ``p0``, ``q0`` and ``r0`` cover the [0, T] mesh only; past the horizon
     all three read as zero (see :class:`SweepContext`).  ``q0`` and ``r0``
     are per-step noise loadings whose final column is zero.  Each is an
-    (N, n_steps + 1) view of time-major storage in time order, so column k
-    is one contiguous row and the forward window a driver reads is a band
-    of rows in ascending memory order.  A solve that hands its rows to
-    ``on_row`` (see :func:`solve_absde`) keeps none of them, and all three
-    are ``None``.  ``mean_stderr[k]`` is the Monte Carlo standard error of
-    the regression target's mean at step k, the right yardstick for
-    drift/level tests.
+    (N, n_steps + 1) view of one time-major (3, n_steps + 1, N) array, so
+    column k is one contiguous row, and a caller that keeps only one of the
+    three keeps the memory of all three.  A solve that hands its rows to the
+    caller's ``on_row`` (see :func:`solve_absde`) keeps none of them, and
+    all three are ``None``.  ``mean_stderr[k]`` is the Monte Carlo standard
+    error of the regression target's mean at step k, the right yardstick
+    for drift/level tests.
     """
 
     grid: SimGrid
@@ -366,49 +369,37 @@ def _sweep_band(grid: SimGrid) -> _Band:
 class SweepContext:
     """Backward-sweep state handed to ABSDE drivers.
 
-    Drivers may read the solution strictly ahead of the current step and at
-    most one memory window ahead (that is what makes the equation advanced).
+    Drivers may read p0 strictly ahead of the current step and at most one
+    memory window ahead (that is what makes the equation advanced).
     Everything past the horizon reads as zero — the convention under which
-    the duality identity behind the driver is exact.
+    the duality identity behind the driver is exact.  A driver that needs
+    q0 or r0 ahead takes them from the rows :func:`solve_absde` hands to
+    ``on_row``.
 
-    ``p0``, ``q0`` and ``r0`` are bands (``engine._Band``) indexed by
-    reversed time: step j of an n_steps mesh with d lag steps is column
-    d + n_steps - j.  So the d zero history columns of a band are the steps
-    past the horizon, and the window ending at step k + 1 holds steps
-    k + 1..k + d + 1 in lead order, an F-contiguous (N, d + 1) view.  A
-    solve with ``on_row`` keeps no ``q0`` or ``r0`` (``None``).
+    ``p0`` is a band (``engine._Band``) indexed by reversed time: step j of
+    an n_steps mesh with d lag steps is column d + n_steps - j.  So the d
+    zero history columns of the band are the steps past the horizon, and
+    the window ending at step k + 1 holds steps k + 1..k + d + 1 in lead
+    order, an F-contiguous (N, d + 1) view.
     """
 
-    def __init__(self, ens: ParticleEnsemble, p0: _Band, q0: _Band | None = None, r0: _Band | None = None):
+    def __init__(self, ens: ParticleEnsemble, p0: _Band):
         self.grid = ens.grid
         self._p0 = p0
-        self._q0 = q0
-        self._r0 = r0
 
     def _column(self, k: int) -> int:
         """The band column of step k."""
         return self.grid.delta_steps + self.grid.n_steps - k
 
-    def _check_ahead(self, k: int, ahead: int, name: str) -> None:
+    def _check_ahead(self, k: int, ahead: int) -> None:
         if ahead < 1:
-            raise ValueError(f"{name} at step {k}: drivers may only read strictly ahead (got offset {ahead})")
+            raise ValueError(f"p0 at step {k}: drivers may only read strictly ahead (got offset {ahead})")
         if ahead > self.grid.delta_steps:
-            raise ValueError(f"{name} at step {k}: read offset {ahead} exceeds the memory window")
-
-    def _future(self, band, k: int, ahead: int, name: str):
-        self._check_ahead(k, ahead, name)
-        if band is None:
-            raise ValueError(f"{name} at step {k}: a solve with on_row hands {name} to on_row and serves it to no driver")
-        return band.column(self._column(k + ahead))
+            raise ValueError(f"p0 at step {k}: read offset {ahead} exceeds the memory window")
 
     def p0_future(self, k: int, ahead: int) -> np.ndarray:
-        return self._future(self._p0, k, ahead, "p0")
-
-    def q0_future(self, k: int, ahead: int) -> np.ndarray:
-        return self._future(self._q0, k, ahead, "q0")
-
-    def r0_future(self, k: int, ahead: int) -> np.ndarray:
-        return self._future(self._r0, k, ahead, "r0")
+        self._check_ahead(k, ahead)
+        return self._p0.column(self._column(k + ahead))
 
     def advanced_average(self, k: int, f: SegmentFunctional) -> np.ndarray:
         """Kernel-weighted integral of future p0 over the memory window.
@@ -419,12 +410,15 @@ class SweepContext:
         live part of the window that ends at step k + 1, p0 at steps
         k + 1..min(k + d, K): the lag-0 weight is folded onto lag 1, and
         lags past the horizon read zero, so their weights are dropped.
+        ``f`` must live on the sweep's mesh step.
         """
+        if f.dt != self.grid.dt:
+            raise MeshMismatchError(f"the functional has dt={f.dt!r}, the sweep's mesh dt={self.grid.dt!r}")
         if f.kind == "evaluation":
             return self.p0_future(k, f.point_steps)
         d = f.delta_steps
         lags = max(d, 1)
-        self._check_ahead(k, lags, "p0")
+        self._check_ahead(k, lags)
         w = f.weights
         folded = np.zeros(lags)
         folded[:d] = w[1:]
@@ -445,7 +439,7 @@ def solve_absde(
 
     ``terminal(x_T, law_T)`` gives p0 at the horizon.  ``driver(ctx, k)``
     returns the per-particle dt-coefficient at step k; it may read the
-    already-computed future of (p0, q0, r0) through ``ctx``.  Each step
+    already-computed future of p0 through ``ctx``.  Each step
     regresses ``p0[k+1] + dt * driver`` onto the basis augmented by basis
     interactions with the step's Brownian and compensated-jump increments;
     the plain-basis fit is p0 at k and the interaction fits are the noise
@@ -461,17 +455,13 @@ def solve_absde(
     mean) and are reported via ``deficient_steps`` plus, unless ``warn`` is
     false, a logged warning.
 
-    The rows live in bands of mesh columns (see :class:`SweepContext`).
-    Without ``on_row`` they are bands of the whole mesh, which never move,
-    and the returned triple holds all three processes.  With it,
-    ``on_row(k, p0, q0, r0)`` receives the rows of every step as they are
-    solved, the horizon first (its loadings are zero rows): views that are
-    valid during the call only and must not be written.  p0 then lives in
-    a band of a few more rows than the memory window, q0 and r0 in one row
-    each, and the returned triple holds no process.  Every value a driver
-    reads, every row and ``mean_stderr`` and ``deficient_steps`` are the
-    same bits either way; only a driver of a solve without ``on_row`` may
-    read q0 and r0.
+    p0 lives in a band of a few more rows than the memory window (see
+    :class:`SweepContext`), q0 and r0 in one row each.  ``on_row(k, p0,
+    q0, r0)`` receives the rows of every step as they are solved, the
+    horizon first (its loadings are zero rows): views that are valid
+    during the call only and must not be written.  The returned triple
+    then holds no process.  Without ``on_row`` the solve copies every row
+    into one time-major array and returns the whole triple.
 
     A terminal value must be finite and a scalar or (N,) array, a driver
     value a scalar or (N,) array, and every basis (N, m) with the first
@@ -482,21 +472,25 @@ def solve_absde(
     basis = basis if basis is not None else default_basis
     use_jumps = ens.jump_counts is not None
 
-    if on_row is None:
-        p0, q0, r0 = (_Band(grid, d + K + 1) for _ in range(3))
-    else:
-        p0, q0, r0 = _sweep_band(grid), None, None
-        q_row, r_row = np.zeros(N), np.zeros(N)
+    # a plain solve's own hook keeps the triple; r0 stays unwritten zeros,
+    # which take no memory, when there are no jumps
+    kept = np.zeros((3, K + 1, N)) if on_row is None else None
+    if kept is not None:
+        def on_row(k, p, q, r):
+            kept[0, k], kept[1, k] = p, q
+            if use_jumps:
+                kept[2, k] = r
+
+    p0, q_row, r_row = _sweep_band(grid), np.zeros(N), np.zeros(N)
     mean_stderr = np.zeros(K + 1)
-    ctx = SweepContext(ens, p0, q0, r0)
+    ctx = SweepContext(ens, p0)
 
     xT = ens.state_column(K)
     pT = _row_value(terminal(xT, EmpiricalMeasure(xT)), N, "terminal")
     if not np.isfinite(pT).all():
         raise ValueError("terminal must be finite")
     p0.push(d, pT)
-    if on_row is not None:
-        on_row(K, p0.column(d), q_row, r_row)
+    on_row(K, p0.column(d), q_row, r_row)
 
     lam_dt = ens.jumps.intensity * dt if use_jumps else 0.0
     n_blocks = 3 if use_jumps else 2
@@ -531,18 +525,15 @@ def solve_absde(
             deficient.append(k)
         p0.make_room(i - 1)
         p = np.matmul(beta[:m], basis_rows, out=p0.column(i))
-        q = np.matmul(beta[m : 2 * m], basis_rows, out=q_row if q0 is None else q0.column(i))
-        r = r_row if r0 is None else r0.column(i)
+        np.matmul(beta[m : 2 * m], basis_rows, out=q_row)
         if use_jumps:
-            np.matmul(beta[2 * m :], basis_rows, out=r)
-        if on_row is not None:
-            on_row(k, p, q, r)
+            np.matmul(beta[2 * m :], basis_rows, out=r_row)
+        on_row(k, p, q_row, r_row)
 
     if warn:
         _log_rank_deficiency(log, (len(deficient),), K)
-    # row j of a whole-mesh band is step j
-    p0, q0, r0 = (None, None, None) if on_row is not None else (band.rows[: K + 1].T for band in (p0, q0, r0))
-    return AdjointTriple(grid, p0, q0, r0, mean_stderr, tuple(reversed(deficient)))
+    triple = (None, None, None) if kept is None else kept.transpose(0, 2, 1)
+    return AdjointTriple(grid, *triple, mean_stderr, tuple(reversed(deficient)))
 
 
 def _row_value(value, n: int, what: str) -> np.ndarray:
@@ -604,6 +595,8 @@ def max_condition_gap(
     candidates = [float(c) for c in candidate_grid]
     if not candidates or not all(map(math.isfinite, candidates)):
         raise ValueError(f"candidate grid must be non-empty and finite, got {candidates}")
+    if filtration not in ("trivial", "full"):
+        raise ValueError(f"filtration must be 'trivial' or 'full', got {filtration!r}")
     basis = basis if basis is not None else default_basis
     grid = ens.grid
     mesh = (grid.n_particles, grid.n_steps, grid.dt, grid.delta_steps)
@@ -639,15 +632,13 @@ def max_condition_gap(
                 gap, se = _mean_and_stderr(diff)
                 if gap > best_gap:
                     best_gap, best_se = gap, se
-        elif filtration == "full":
+        else:
             phi = basis(ens, k)
             diffs = np.column_stack([hamiltonian(coeffs, u=c, **common) - h_used for c in candidates])
             beta, _ = _regress(phi, diffs)
             gap, se = _mean_and_stderr(np.max(phi @ beta, axis=1))
             if gap > best_gap:
                 best_gap, best_se = gap, se
-        else:
-            raise ValueError("filtration must be 'trivial' or 'full'")
     return best_gap, best_se
 
 
@@ -666,10 +657,15 @@ def stationarity_gap(
     standard errors of zero (plus an O(eps^2) curvature remainder).
     ``eps`` must be a positive finite number.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be a positive finite number, got {eps!r}")
+    _check_eps(eps)
     plus, minus = problem.costs([combine_controls(control, direction, eps), combine_controls(control, direction, -eps)])
     return _mean_and_stderr((plus - minus) / (2.0 * eps))
+
+
+def _check_eps(eps: float) -> None:
+    """Refuse a perturbation size that is not a positive finite number."""
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be a positive finite number, got {eps!r}")
 
 
 def stationarity_rows(problem: ControlProblem, control, directions, eps: float = 1e-3) -> list:

@@ -257,7 +257,11 @@ SCHEMA = {
         "particles": (_integer, REQUIRED, _AT_LEAST_1),
         "seed": (_integer, REQUIRED),
     },
-    "jumps": {"intensity": (_number, None), "marks": (_numbers, None), "probs": (_numbers, None)},
+    "jumps": {
+        "intensity": (_number, None),
+        "marks": (_numbers, None),
+        "probs": (_numbers, None),
+    },
     "simulate": _LINEAR,
     "picard": {
         **_LINEAR,
@@ -353,14 +357,16 @@ def build_grid(cfg: ConfigFile) -> SimGrid:
 
 
 def build_jumps(cfg: ConfigFile) -> JumpModel:
+    """The jump model of ``[jumps]``; marks and probs are checked whatever
+    the intensity, and an inactive model is the no-jump one."""
     values = cfg.section("jumps")
-    if not values.get("intensity"):
-        return JumpModel.none()
     try:
         jumps = JumpModel(**values)
     except ValueError as exc:
-        line = cfg.line("jumps", "intensity")
-        raise ConfigError(str(exc), path=cfg.path, line=line, section="jumps")
+        key = "intensity" if "intensity" in str(exc) else "probs" if "probs" in values else "marks"
+        cfg._error("jumps", key, str(exc))
+    if not jumps.active:
+        return JumpModel.none()
     # the largest per-step rate, formed as the engine forms it
     rate = max(jumps.probs) * jumps.intensity * cfg.section("grid")["dt"]
     if rate > POISSON_LAM_MAX:
@@ -559,9 +565,7 @@ def run_norms(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
     # window variant: trapezoid-in-lag integral of the same inequality
     base = rng.standard_normal((n_samples, n_lags))
     other = base + rng.standard_normal((n_samples, n_lags)) * rng.uniform(0.0, 1.0, size=n_lags)
-    seg_a = MeasureSegment([EmpiricalMeasure(base[:, j]) for j in range(n_lags)], grid.dt)
-    seg_b = MeasureSegment([EmpiricalMeasure(other[:, j]) for j in range(n_lags)], grid.dt)
-    lhs = m_segment_dist_sq(seg_a, seg_b, rule)
+    lhs = m_segment_dist_sq(MeasureSegment(base, grid.dt), MeasureSegment(other, grid.dt), rule)
     rhs = SQRT_PI * float(trapezoid_weights(n_lags, grid.dt) @ np.mean((base - other) ** 2, axis=0))
     seg_violation = lhs - rhs
     ok = seg_violation <= 1e-8

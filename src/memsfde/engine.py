@@ -16,9 +16,10 @@ empirical law of the ensemble, ``law_seg`` its backward segment, and ``u`` /
 ``u_seg`` the control and its backward window.  ``None`` stands for zero.
 
 All array inputs are views into the arrays being integrated, and ``law_seg``
-builds its d + 1 laws only when read.  They are valid only during the
-coefficient call: the fixed-point solver overwrites the rows they view on its
-next sweep, so a coefficient that needs them later must copy them.
+is the law segment of ``x_seg``, which builds its d + 1 laws only when read.
+They are valid only during the coefficient call: the fixed-point solver
+overwrites the rows they view on its next sweep, so a coefficient that needs
+them later must copy them.
 
 One Euler step with law inputs frozen at the step's left endpoint:
 
@@ -424,9 +425,10 @@ class ParticleEnsemble:
 
     def step_inputs(self, k: int) -> tuple:
         """Coefficient inputs at step k read from ``state``: the state, its
-        backward window, its empirical law and the (lazy) law segment."""
-        x = self.state_column(k)
-        return x, self.backward_window(k), EmpiricalMeasure(x), _LazyLawSegment(self, k)
+        backward window, its empirical law and the law segment of that
+        window, whose d + 1 laws are built only when read."""
+        x, x_seg = self.state_column(k), self.backward_window(k)
+        return x, x_seg, EmpiricalMeasure(x), MeasureSegment(x_seg, self.grid.dt)
 
     def _control_value(self, k: int, x, x_seg, law):
         """The control at step k on the given state inputs; the horizon step
@@ -468,32 +470,6 @@ def _materialize_history(xi, grid: SimGrid) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"initial history xi must be finite on the mesh of [-delta, 0], got {arr}")
     return arr
-
-
-class _LazyLawSegment(MeasureSegment):
-    """Backward law segment of an ensemble at step k (entry j is the law at
-    lag ``j * dt``) whose measures are built on first access.
-
-    Most coefficients never read ``law_seg``, so the d + 1 empirical laws of
-    every step are only materialized when one does.  The measures are views
-    of the ensemble's state columns, read through ``state_column``.
-    """
-
-    def __init__(self, ens: ParticleEnsemble, k: int):
-        object.__setattr__(self, "dt", ens.grid.dt)
-        object.__setattr__(self, "_source", (ens, k, ens.grid.delta_steps))
-        object.__setattr__(self, "_measures", None)
-
-    @property
-    def measures(self) -> tuple:
-        if self._measures is None:
-            ens, k, d = self._source
-            built = tuple(EmpiricalMeasure(ens.state_column(k - j)) for j in range(d + 1))
-            object.__setattr__(self, "_measures", built)
-        return self._measures
-
-    def __len__(self) -> int:
-        return self._source[2] + 1
 
 
 def _control_band(ens: ParticleEnsemble, n_rows: int | None = None) -> _Band | None:

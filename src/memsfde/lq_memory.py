@@ -34,6 +34,7 @@ import numpy as np
 
 from memsfde.adjoint import (
     SegmentFunctional,
+    _check_eps,
     _log_rank_deficiency,
     _paired_rows,
     _polynomial_rows,
@@ -351,7 +352,10 @@ def verify_lq(solution: LQSolution, eps: float = 1e-3) -> LQVerification:
     fit over five sizes must be essentially interpolation: its curvature is
     negative and its vertex sits at the distance of the solved control from
     the true discrete optimizer in that direction.
+    ``eps``, the stationarity probes' size, must be a positive finite number;
+    it is checked before anything is simulated.
     """
+    _check_eps(eps)
     control, coupling_residual, report, spec, problem = solution
     grid = problem.grid
     coupling_residual_max = float(coupling_residual.max())

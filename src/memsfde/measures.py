@@ -20,8 +20,9 @@ their empirical laws is controlled by the coupled mean-square difference:
 both sides; the inequality is exact (not asymptotic), which makes it a sharp
 property test.
 
-Segments of laws over the memory window are lists of measures on the segment
-mesh; their distance integrates the pointwise distance with trapezoid weights.
+A segment of laws over the memory window holds an (N, n) window of samples,
+one law per column on the segment mesh; the distance of two segments
+integrates the pointwise distance with trapezoid weights.
 """
 
 from __future__ import annotations
@@ -148,26 +149,33 @@ def cf_dist_sq(mu: EmpiricalMeasure, cf, rule: QuadratureRule | None = None) -> 
 
 @dataclass(frozen=True)
 class MeasureSegment:
-    """Laws sampled on the segment mesh s = 0, dt, ..., delta.
+    """The laws of the columns of an (N, n) ``window``, sampled on the
+    segment mesh s = 0, dt, ..., (n - 1) dt.
 
-    Orientation is up to the producer; the simulation engine emits backward
-    segments (entry j is the law at lag j*dt).  The segment distance below is
-    orientation-agnostic as long as both operands agree.
+    ``measures`` builds the n empirical laws on first read, each from one
+    column of the window (a view, not a copy), so a segment that no
+    coefficient reads costs no law.  Orientation is up to the producer; the
+    simulation engine hands out the backward window (column j is the state
+    at lag j*dt).  The segment distance below is orientation-agnostic as
+    long as both operands agree.
     """
 
-    measures: tuple
+    window: np.ndarray
     dt: float
 
-    def __init__(self, measures, dt: float):
-        measures = tuple(measures)
-        if not measures:
-            raise ValueError("segment needs at least one measure")
-        _check_step(dt)
-        object.__setattr__(self, "measures", measures)
-        object.__setattr__(self, "dt", dt)
+    def __post_init__(self) -> None:
+        window = np.asarray(self.window, dtype=float)
+        if window.ndim != 2 or window.size == 0:
+            raise ValueError(f"window must be a non-empty (N, n) array, got shape {window.shape}")
+        _check_step(self.dt)
+        object.__setattr__(self, "window", window)
+
+    @functools.cached_property
+    def measures(self) -> tuple:
+        return tuple(EmpiricalMeasure(self.window[:, j]) for j in range(self.window.shape[1]))
 
     def __len__(self) -> int:
-        return len(self.measures)
+        return self.window.shape[1]
 
 
 def m_segment_dist_sq(seg_a: MeasureSegment, seg_b: MeasureSegment, rule: QuadratureRule | None = None) -> float:

@@ -275,54 +275,38 @@ class TestBackwardSolver:
         def probe(ctx, k):
             if k == K - 2:
                 seen["p_at_horizon"] = ctx.p0_future(k, 2).copy()
-                seen["r_inside"] = ctx.r0_future(k, 1).copy()
             if k == K - 1:
                 seen["p_tail"] = ctx.p0_future(k, 2).copy()
-                seen["q_tail"] = ctx.q0_future(k, 2).copy()
-                seen["r_tail"] = ctx.r0_future(k, 2).copy()
             return np.zeros(ens.grid.n_particles)
 
         adj = solve_absde(ens, terminal=lambda x, law: -x, driver=probe)
         # reads up to the horizon see the stored solution, reads past it zero
         np.testing.assert_array_equal(seen["p_at_horizon"], -ens.states[:, K])
-        np.testing.assert_array_equal(seen["r_inside"], adj.r0[:, K - 1])
-        assert np.any(seen["r_inside"] != 0.0)
-        for name in ("p_tail", "q_tail", "r_tail"):
-            np.testing.assert_array_equal(seen[name], 0.0)
+        np.testing.assert_array_equal(seen["p_tail"], 0.0)
         assert not (adj.q0[:, -1].any() or adj.r0[:, -1].any())  # zero loadings at the horizon
 
     @staticmethod
     def full_and_hooked_solves(delta_steps):
         # a jump problem whose driver reads p0 through the kernel average and
-        # at every lag, and q0 and r0 at every lag: in a full solve from the
-        # context, in a hook solve from the rows the hook received.  So p0
-        # depends on every row the band and the hook serve.  With d = 0
-        # there is no driver
+        # records its reads at every lag: in a plain solve, which keeps the
+        # whole triple, and in a solve that hands its rows to the caller's
+        # hook.  Both are also solved by the lstsq reference sweep.  With
+        # d = 0 there is no driver
         grid = SimGrid(dt=0.05, delta_steps=delta_steps, horizon=1.0, n_particles=200, seed=8)
         jumps = JumpModel(intensity=3.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
         coeffs = CoefficientSet(diffusion=lambda *a: 0.3, jump=lambda t, x, xs, m, ms, u, us, z: 0.2 * z)
         ens = simulate(coeffs, grid, jumps=jumps, xi=1.0)
-        K, d = grid.n_steps, grid.delta_steps
-        f = SegmentFunctional.averaging(np.linspace(1.0, 0.5, d + 1), d, grid.dt)
-        zero = np.zeros(ens.grid.n_particles)
+        d = grid.delta_steps
+        kernel = np.linspace(1.0, 0.5, d + 1)
+        f = SegmentFunctional.averaging(kernel, d, grid.dt)
 
         def solve(hook):
             reads, rows = {}, {}
 
-            def loading(ctx, name, k, ahead):
-                if not hook:
-                    return getattr(ctx, f"{name}0_future")(k, ahead)
-                return rows[k + ahead][name] if k + ahead <= K else zero
-
             def driver(ctx, k):
-                total = ctx.advanced_average(k, f)
                 for ahead in range(1, d + 1):
-                    reads["p", k, ahead] = ctx.p0_future(k, ahead).copy()
-                    reads["q", k, ahead] = loading(ctx, "q", k, ahead).copy()
-                    reads["r", k, ahead] = loading(ctx, "r", k, ahead).copy()
-                    for name in "pqr":
-                        total = total + 0.1 * ahead * reads[name, k, ahead]
-                return total
+                    reads[k, ahead] = ctx.p0_future(k, ahead).copy()
+                return ctx.advanced_average(k, f)
 
             def on_row(k, p, q, r):
                 rows[k] = {"p": p.copy(), "q": q.copy(), "r": r.copy()}
@@ -334,13 +318,20 @@ class TestBackwardSolver:
 
         full, full_reads, _ = solve(hook=False)
         hooked, hooked_reads, rows = solve(hook=True)
-        return ens, full, full_reads, hooked, hooked_reads, rows
+        reference = reference_sweep(ens, np.sin, kernel if d else None)
+        return ens, full, full_reads, hooked, hooked_reads, rows, reference
+
+    @staticmethod
+    def assert_rows_match_the_reference(rows, reference, n_steps):
+        # the hook's rows against the per-step lstsq sweep, to 1e-10
+        for name, ref in zip("pqr", reference[:3]):
+            assert rel_err(np.column_stack([rows[k][name] for k in range(n_steps + 1)]), ref) <= 1e-10
 
     def test_windowed_loadings_match_the_full_solve(self):
         # a hook solve keeps p0 in a band of the rows a driver may still
-        # read; what the driver reads there and what the hook receives are
-        # the full solve's bits at every lag
-        ens, full, full_reads, hooked, hooked_reads, rows = self.full_and_hooked_solves(4)
+        # read; what the driver reads there is the row the hook received at
+        # every lag, and the hook receives the plain solve's bits
+        ens, full, full_reads, hooked, hooked_reads, rows, reference = self.full_and_hooked_solves(4)
         K, d = ens.grid.n_steps, ens.grid.delta_steps
         assert hooked.p0 is None and hooked.q0 is None and hooked.r0 is None
         # the hook received every step's rows, horizon first
@@ -350,33 +341,30 @@ class TestBackwardSolver:
                 np.testing.assert_array_equal(value, getattr(full, f"{name}0")[:, k])
         # the driver read the same bits at every lag, zero past the horizon
         assert hooked_reads.keys() == full_reads.keys()
-        assert len(full_reads) == (3 * K * d)
-        for (name, k, ahead), value in hooked_reads.items():
-            np.testing.assert_array_equal(value, full_reads[name, k, ahead])
+        assert len(full_reads) == K * d
+        for (k, ahead), value in hooked_reads.items():
+            np.testing.assert_array_equal(value, full_reads[k, ahead])
             if k + ahead > K:
                 np.testing.assert_array_equal(value, 0.0)
             else:
-                np.testing.assert_array_equal(value, getattr(full, f"{name}0")[:, k + ahead])
+                np.testing.assert_array_equal(value, rows[k + ahead]["p"])
         assert np.any(full.r0 != 0.0) and not (full.q0[:, -1].any() or full.r0[:, -1].any())
-        # a hook solve keeps no loadings for a driver to read
-        for read in ("q0_future", "r0_future"):
-            with pytest.raises(ValueError, match="on_row"):
-                solve_absde(
-                    ens, terminal=lambda x, law: x, driver=lambda c, k: getattr(c, read)(k, 1), on_row=lambda *row: None
-                )
+        self.assert_rows_match_the_reference(rows, reference, K)
 
     @pytest.mark.parametrize("delta_steps", [4, 0])
     def test_a_ring_held_p0_keeps_the_initial_step_bits(self, delta_steps):
         # p0 of a hook solve lives in a band that moves as the sweep goes
         # back; the initial step's row, the standard errors and the
-        # deficient steps are the full solve's bits.  With d = 0 each step's
-        # target is p0 at step k + 1 in a band of two rows, which the step's
-        # own row overwrites: it must not do so before mean_stderr reads it
-        ens, full, _, hooked, _, rows = self.full_and_hooked_solves(delta_steps)
+        # deficient steps are the plain solve's bits, and every row is the
+        # lstsq reference's.  With d = 0 each step's target is p0 at step
+        # k + 1 in a band of two rows, which the step's own row overwrites:
+        # it must not do so before mean_stderr reads it
+        ens, full, _, hooked, _, rows, reference = self.full_and_hooked_solves(delta_steps)
         np.testing.assert_array_equal(rows[0]["p"], full.p0[:, 0])
         np.testing.assert_array_equal(hooked.mean_stderr, full.mean_stderr)
         assert hooked.deficient_steps == full.deficient_steps
         assert np.all(full.mean_stderr[:-1] > 0.0)
+        self.assert_rows_match_the_reference(rows, reference, ens.grid.n_steps)
 
 
 def rel_err(a, b) -> float:
@@ -570,6 +558,19 @@ class TestAdvancedAverage:
             np.testing.assert_allclose(ctx.advanced_average(k, f), loop, rtol=1e-13, atol=1e-15)
 
 
+    @pytest.mark.parametrize("kind", ["averaging", "evaluation"])
+    def test_a_functional_from_another_mesh_is_refused(self, kind):
+        # a kernel sampled at 2 dt, or a point counted in steps of 2 dt, was
+        # read on the sweep's mesh with no error
+        ens = brownian_ensemble(50, seed=4, dt=0.05, delta_steps=4)
+        if kind == "averaging":
+            f = SegmentFunctional.averaging(1.0, 4, 0.1)
+        else:
+            f = SegmentFunctional.evaluation(0.2, 0.1)
+        with pytest.raises(MeshMismatchError, match=r"dt=0\.1, the sweep's mesh dt=0\.05"):
+            solve_absde(ens, terminal=lambda x, law: -x, driver=lambda c, k: c.advanced_average(k, f))
+
+
 class TestRankDeficiencySummary:
     """Every backward solve's rank-deficient steps are reported by one helper,
     on the caller's logger."""
@@ -646,6 +647,14 @@ class TestMaxCondition:
         with pytest.raises(ValueError):
             max_condition_gap(CoefficientSet(), ens, adj, [])
         with pytest.raises(ValueError):
+            max_condition_gap(CoefficientSet(), ens, adj, [0.0], filtration="partial")
+
+    def test_a_bad_filtration_is_refused_before_the_step_loop(self, monkeypatch):
+        # it was refused only after step 0's Hamiltonian was evaluated
+        ens = brownian_ensemble(10, seed=1)
+        adj = solve_absde(ens, terminal=lambda x, law: x)
+        monkeypatch.setattr(adjoint, "hamiltonian", lambda *a, **k: pytest.fail("the Hamiltonian was evaluated"))
+        with pytest.raises(ValueError, match="filtration must be 'trivial' or 'full', got 'partial'"):
             max_condition_gap(CoefficientSet(), ens, adj, [0.0], filtration="partial")
 
     @pytest.mark.parametrize("candidates", [[math.nan], [0.0, math.nan], [math.inf], [0.5, -math.inf]])

@@ -255,6 +255,35 @@ class TestConfigErrors:
         assert "[jumps]" in err
         assert "sum to 1" in err
 
+    @pytest.mark.parametrize("intensity", ["0", "1"])
+    def test_a_bad_mark_law_is_anchored_at_its_own_key(self, tmp_path, capsys, intensity):
+        # with intensity 0 the pair was not checked and the run exited 0;
+        # with intensity 1 the error was anchored at the intensity line, no key
+        jumps = f"\n[jumps]\nintensity = {intensity}\nmarks = 1.0, 2.0\nprobs = 0.3\n"
+        path = write_cfg(tmp_path, MEANVAR_TINY + jumps)
+        err = self.run_expecting_bad_config(["meanvar", "--config", path], capsys)
+        assert err == f"config error: {path}:19: [jumps] probs: marks and probs must be non-empty and match\n"
+        path = write_cfg(tmp_path, MEANVAR_TINY + jumps.replace("probs = 0.3", "probs = 0.5, 0.6"))
+        err = self.run_expecting_bad_config(["meanvar", "--config", path], capsys)
+        assert f"{path}:19: [jumps] probs: mark probabilities must be non-negative and sum to 1" in err
+        path = write_cfg(tmp_path, MEANVAR_TINY + jumps.replace("probs = 0.3\n", ""))
+        err = self.run_expecting_bad_config(["meanvar", "--config", path], capsys)
+        assert f"{path}:18: [jumps] marks: marks and probs must be non-empty and match" in err
+
+    def test_a_negative_intensity_is_anchored_at_its_key(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, SIM_TINY.replace("intensity = 1.5", "intensity = -1.5"))
+        err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)
+        assert err == f"config error: {path}:16: [jumps] intensity: intensity must be >= 0\n"
+
+    def test_a_valid_mark_law_without_jumps_is_accepted(self, tmp_path, capsys):
+        # marks and probs that match are checked and then unused, and a
+        # mismatched pair is refused, at intensity 0 as at any other
+        text = SIM_TINY.replace("intensity = 1.5", "intensity = 0")
+        assert main(["simulate", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "ok")]) == EXIT_OK
+        capsys.readouterr()
+        path = write_cfg(tmp_path, text.replace("probs = 0.5, 0.5", "probs = 1.0"), name="bad.cfg")
+        self.run_expecting_bad_config(["simulate", "--config", path], capsys)
+
     def test_threads_must_be_positive(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SIM_TINY)
         err = self.run_expecting_bad_config(["simulate", "--config", path, "--threads", "0"], capsys)

@@ -243,25 +243,38 @@ class TestLazyLawSegment:
         assert len(seen) == (2 + 1) * len(report.iterations)
         np.testing.assert_array_equal(ens.paths, simulate(coeffs, self.GRID, xi=1.0).paths)
 
+    @staticmethod
+    def count_laws(monkeypatch) -> list:
+        """Count every empirical law built, wherever it is built from."""
+        built, post_init = [], EmpiricalMeasure.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(EmpiricalMeasure, "__post_init__", counting)
+        return built
+
     def test_unread_segment_builds_no_laws(self, monkeypatch):
-        built = []
-
-        class CountingMeasure(EmpiricalMeasure):
-            def __post_init__(self):
-                built.append(1)
-                super().__post_init__()
-
-        monkeypatch.setattr(engine, "EmpiricalMeasure", CountingMeasure)
+        built = self.count_laws(monkeypatch)
         simulate(CoefficientSet(drift=lambda *a: 1.0), self.GRID, xi=1.0)
         # one law per step plus the one for the horizon control
         assert len(built) == self.GRID.n_steps + 1
+
+    def test_a_read_segment_builds_its_laws_once(self, monkeypatch):
+        built = self.count_laws(monkeypatch)
+        seen = []
+        simulate(segment_reading_drift(seen), self.GRID, xi=1.0)
+        # each drift call reads the segment's d + 1 laws twice and builds them once
+        assert len(seen) == self.GRID.n_steps
+        assert len(built) == self.GRID.n_steps + 1 + self.GRID.n_steps * (self.GRID.delta_steps + 1)
 
     def test_law_segment_matches_an_eager_segment(self):
         grid = self.GRID
         ens = simulate(CoefficientSet(diffusion=lambda *a: 1.0), grid, xi=0.0)
         d, idx = grid.delta_steps, grid.delta_steps + 5
         seg = ens.step_inputs(5)[3]
-        eager = MeasureSegment([EmpiricalMeasure(ens.paths[:, idx - j]) for j in range(d + 1)], grid.dt)
+        eager = MeasureSegment(ens.paths[:, idx - np.arange(d + 1)], grid.dt)  # a copy of the window
         assert isinstance(seg, MeasureSegment)
         assert len(seg) == len(eager) == d + 1
         assert seg.dt == eager.dt

@@ -9,7 +9,7 @@ import pytest
 from memsfde.adjoint import SegmentFunctional
 from memsfde.engine import JumpModel
 from memsfde.grid import BROWNIAN, JUMPS, GridPath, SimGrid, step_generator, trapezoid_weights
-from memsfde.measures import MeasureSegment, dirac
+from memsfde.measures import MeasureSegment
 
 
 def test_mesh_counts():
@@ -51,8 +51,12 @@ PATH = GridPath(np.zeros(5), dt=0.1, t0=0.0)
         ),
         pytest.param(lambda: SegmentFunctional.averaging(1.0, 2, -0.1), "dt=-0.1", id="averaging-negative-dt"),
         pytest.param(lambda: SegmentFunctional.averaging(1.0, 2, math.nan), "dt=nan", id="averaging-nan-dt"),
-        pytest.param(lambda: MeasureSegment([dirac(0.0)], math.nan), "dt=nan", id="MeasureSegment-nan-dt"),
-        pytest.param(lambda: MeasureSegment([dirac(0.0)], math.inf), "dt=inf", id="MeasureSegment-inf-dt"),
+        pytest.param(lambda: MeasureSegment(np.zeros((1, 1)), math.nan), "dt=nan", id="MeasureSegment-nan-dt"),
+        pytest.param(lambda: MeasureSegment(np.zeros((1, 1)), math.inf), "dt=inf", id="MeasureSegment-inf-dt"),
+        pytest.param(
+            lambda: MeasureSegment(np.array([1.0, 2.0]), 0.1), "window", id="MeasureSegment-one-dimensional-window"
+        ),
+        pytest.param(lambda: MeasureSegment(np.zeros((3, 0)), 0.1), "window", id="MeasureSegment-empty-window"),
         pytest.param(lambda: GridPath(np.zeros(5), dt=math.nan, t0=0.0), "dt=nan", id="GridPath-dt"),
         pytest.param(lambda: GridPath(np.zeros(5), dt=0.1, t0=math.nan), "t0=nan", id="GridPath-nan-t0"),
         pytest.param(lambda: GridPath(np.array([0.0, math.nan]), dt=0.1, t0=0.0), "values", id="GridPath-nan-values"),

@@ -285,6 +285,14 @@ class TestRunEconomy:
             verify_lq(solution)
             assert calls == []
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_a_bad_eps_is_refused_before_the_sweep(self, monkeypatch, desk_solution, eps):
+        # the idempotence sweep ran, forward and backward, before the
+        # stationarity probes refused eps
+        monkeypatch.setattr(lq_memory, "_damped_sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+            verify_lq(desk_solution[1], eps=eps)
+
     def test_the_solution_carries_the_problem_it_was_solved_on(self):
         spec = LQSpec()
         solution = solve_lq(spec, self.GRID)

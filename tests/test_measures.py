@@ -160,14 +160,10 @@ class TestCoupledSampleBound:
         # time-varying coupled samples: integrate both sides over a window
         x1, x2 = pair
         dt = 0.25
-        segs1, segs2, rhs_vals = [], [], []
-        for j in range(n_times):
-            shift = 0.5 * j
-            a, b = x1 + shift, x2 - shift
-            segs1.append(EmpiricalMeasure(a))
-            segs2.append(EmpiricalMeasure(b))
-            rhs_vals.append(SQRT_PI * float(np.mean((a - b) ** 2)))
-        lhs = m_segment_dist_sq(MeasureSegment(segs1, dt), MeasureSegment(segs2, dt))
+        shifts = 0.5 * np.arange(n_times)
+        a, b = x1[:, None] + shifts, x2[:, None] - shifts
+        rhs_vals = [SQRT_PI * float(np.mean((a[:, j] - b[:, j]) ** 2)) for j in range(n_times)]
+        lhs = m_segment_dist_sq(MeasureSegment(a, dt), MeasureSegment(b, dt))
         from memsfde.grid import trapezoid_weights
 
         rhs = float(trapezoid_weights(n_times, dt) @ np.asarray(rhs_vals))
@@ -180,7 +176,7 @@ class TestCoupledSampleBound:
 
 class TestEmpiricalMeasure:
     def test_segment_mesh_mismatch(self):
-        a = MeasureSegment([dirac(0.0), dirac(1.0)], dt=0.1)
-        b = MeasureSegment([dirac(0.0), dirac(1.0)], dt=0.2)
+        a = MeasureSegment(np.array([[0.0, 1.0]]), dt=0.1)
+        b = MeasureSegment(np.array([[0.0, 1.0]]), dt=0.2)
         with pytest.raises(ValueError):
             m_segment_dist_sq(a, b)

@@ -3,9 +3,10 @@
 
     python3 tools/count_lines.py [FILE ...]
 
-Prints two numbers for ``src/memsfde/*.py`` (or the files given): the total
-number of lines, and the code lines, which are the non-blank lines that are
-neither a comment line nor part of a module, class or function docstring.
+Prints, for ``src/memsfde/*.py`` (or the files given), one line per file
+with its total and code lines, then the two totals: the total number of
+lines, and the code lines, which are the non-blank lines that are neither a
+comment line nor part of a module, class or function docstring.
 A line that holds code and a trailing comment counts as code.  Uses only the
 standard library's ``ast``.
 """
@@ -53,6 +54,9 @@ def count(path: str) -> tuple[int, int]:
 def main(argv=None) -> int:
     paths = (sys.argv[1:] if argv is None else argv) or sorted(glob.glob(os.path.join(ROOT, "src", "memsfde", "*.py")))
     totals = [count(path) for path in paths]
+    width = max(len(os.path.relpath(path, ROOT)) for path in paths)
+    for path, (total, code) in zip(paths, totals):
+        print(f"{os.path.relpath(path, ROOT):<{width}}  {total:>5} total  {code:>5} code")
     print(f"total lines: {sum(t for t, _ in totals)}")
     print(f"code lines outside docstrings and comments: {sum(c for _, c in totals)}")
     return 0
