@@ -257,11 +257,7 @@ SCHEMA = {
         "particles": (_integer, REQUIRED, _AT_LEAST_1),
         "seed": (_integer, REQUIRED),
     },
-    "jumps": {
-        "intensity": (_number, None),
-        "marks": (_numbers, None),
-        "probs": (_numbers, None),
-    },
+    "jumps": {"intensity": (_number, None), "marks": (_numbers, None), "probs": (_numbers, None)},
     "simulate": _LINEAR,
     "picard": {
         **_LINEAR,
