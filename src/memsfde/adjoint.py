@@ -691,3 +691,17 @@ def _paired_rows(base_label: str, base_cost: np.ndarray, labels, costs) -> list:
     for label, cost in zip(labels, costs):
         rows.append((label, *_mean_and_stderr(cost), *_mean_and_stderr(base_cost - cost)))
     return rows
+
+
+# the paired-dominance allowance: a variant may beat the base by this many
+# paired standard errors before the base is judged dominated
+DOMINANCE_STDERRS = 3.0
+
+
+def dominates(row) -> bool:
+    """The paired-dominance rule for a row ``(label, J, stderr, gap,
+    gap_stderr)`` of :func:`_paired_rows`: the gap J(base) - J(variant) is
+    at least -``DOMINANCE_STDERRS`` paired standard errors.  The base row's
+    gap and its standard error are 0, so it passes."""
+    *_, gap, gap_stderr = row
+    return gap >= -DOMINANCE_STDERRS * gap_stderr

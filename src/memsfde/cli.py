@@ -472,7 +472,7 @@ def run_simulate(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
 
 
 def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
-    from memsfde.picard import consistency_check, picard_solve
+    from memsfde import picard
 
     res = RunResult()
     values = cfg.section("picard")
@@ -482,7 +482,7 @@ def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
     if grid.n_steps % t0_steps != 0:
         cfg._error("picard", "t0", f"horizon must be an integer multiple of t0 (t0={t0!r}, horizon={grid.horizon!r})")
 
-    ens, report = picard_solve(
+    ens, report = picard.picard_solve(
         coeffs, grid, jumps=jumps, xi=xi, t0_steps=t0_steps, **_subset(values, "tol", "max_iter")
     )
     rows = []
@@ -491,21 +491,16 @@ def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
             rows.append((w, m + 1, dist, ratios[m - 1] if m >= 1 else float("nan")))
     res.tables["picard_iters.csv"] = (("window", "iter", "distance", "ratio"), rows)
 
-    worst = report.worst_final_ratio
-    res.add_check("converged", report.converged, f"iterations per window: {list(report.iterations)}")
-    res.add_check(
-        "final_contraction_ratio",
-        (not math.isfinite(worst)) or worst < 1.0,
-        f"worst final ratio {worst:.6g}",
-    )
+    for c in report.checks():
+        res.add_check(*c)
     if values["consistency"]:
-        gap = consistency_check(coeffs, ens)
-        res.add_check("matches_direct_scheme", gap < 1e-8, f"sup mean-square gap {gap:.3e}")
+        gap = picard.consistency_check(coeffs, ens)
+        res.add_check("matches_direct_scheme", gap < picard.CONSISTENCY_TOL, f"sup mean-square gap {gap:.3e}")
         res.scalars["consistency_gap"] = gap
     res.scalars.update(
         windows=len(report.distances),
         total_iterations=int(sum(report.iterations)),
-        worst_final_ratio=worst,
+        worst_final_ratio=report.worst_final_ratio,
         terminal_mean=float(ens.states[:, -1].mean()),
     )
     return res
@@ -577,17 +572,9 @@ def run_norms(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
     return res
 
 
-def _dominates(row) -> bool:
-    """The paired-dominance rule for a row ``(label, J, stderr, gap,
-    gap_stderr)`` of ``adjoint._paired_rows``: the gap J(base) - J(variant)
-    is at least -3 paired standard errors.  The base row's gap and its
-    standard error are 0, so it passes."""
-    *_, gap, gap_stderr = row
-    return gap >= -3.0 * gap_stderr
-
-
 def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
     from memsfde import mean_variance
+    from memsfde.adjoint import DOMINANCE_STDERRS, dominates
 
     res = RunResult()
     spec = mean_variance.MeanVarSpec(**cfg.section("meanvar"), jumps=jumps)
@@ -614,26 +601,14 @@ def run_meanvar(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
     optimal_cost = ens.cost
     del ens
     j_rows = mean_variance.j_comparison(optimal_cost, sol)
-    out_rows = [(*row, _dominates(row)) for row in j_rows]
+    out_rows = [(*row, dominates(row)) for row in j_rows]
     dominance = all(passed for *_, passed in out_rows)
     res.tables["j_comparison.csv"] = (("control", "J", "stderr", "gap_vs_optimal", "gap_stderr", "passed"), out_rows)
 
-    res.add_check(
-        "first_order_condition",
-        ver.foc_residual_max < 1e-12,
-        f"max |bracket| = {ver.foc_residual_max:.3e}",
-    )
-    res.add_check(
-        "path_positivity",
-        ver.positivity_fraction == 1.0,
-        f"fraction above floor = {ver.positivity_fraction:.6f}",
-    )
-    res.add_check(
-        "adjoint_regression_match",
-        ver.lsmc_p0_rel_err < 0.02,
-        f"initial adjoint relative error = {ver.lsmc_p0_rel_err:.4f}",
-    )
-    res.add_check("performance_dominance", dominance, "J(optimal) >= J(variant) - 3 paired stderr for all variants")
+    for c in ver.checks():
+        res.add_check(*c)
+    detail = f"J(optimal) >= J(variant) - {DOMINANCE_STDERRS:g} paired stderr for all variants"
+    res.add_check("performance_dominance", dominance, detail)
     res.scalars.update(
         J_optimal=j_rows[0][1],
         rate_initial=float(sol.rate[0]),
@@ -678,19 +653,8 @@ def run_lq(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
         ver = lq_memory.verify_lq(solution, **_subset(values, "eps"))
         res.tables["verification.csv"] = (("name", "value"), list(ver.rows()))
 
-        dominance = all(map(_dominates, ver.j_rows))
-        res.add_check(
-            "coupling_residual",
-            ver.coupling_residual_max < 1e-3,
-            f"max_t |mean(p - u)| = {ver.coupling_residual_max:.3e}",
-        )
-        res.add_check("performance_concave", ver.parabola_quad < 0.0, f"quadratic coefficient {ver.parabola_quad:.4f}")
-        res.add_check(
-            "performance_vertex_near_zero",
-            abs(ver.parabola_vertex) < 0.05,
-            f"vertex at lambda = {ver.parabola_vertex:.3e}",
-        )
-        res.add_check("performance_dominance", dominance, "J(solution) >= J(shifted) - 3 paired stderr")
+        for c in ver.checks():
+            res.add_check(*c)
         res.scalars.update(
             J=ver.j_rows[0][1],
             coupling_residual_max=ver.coupling_residual_max,

@@ -33,11 +33,13 @@ from typing import NamedTuple
 import numpy as np
 
 from memsfde.adjoint import (
+    DOMINANCE_STDERRS,
     SegmentFunctional,
     _check_eps,
     _log_rank_deficiency,
     _paired_rows,
     _polynomial_rows,
+    dominates,
     solve_absde,
     stationarity_rows,
 )
@@ -312,6 +314,12 @@ def solve_lq(
     return LQSolution(control, coupling_residual, report, spec, problem)
 
 
+# the battery's thresholds: the largest coupling residual |mean(p0 - u)|
+# over the mesh, and the largest |vertex| of the performance parabola
+COUPLING_TOL = 1e-3
+VERTEX_TOL = 0.05
+
+
 @dataclass(frozen=True)
 class LQVerification:
     coupling_residual_max: float
@@ -335,6 +343,18 @@ class LQVerification:
         yield "parabola_quad", self.parabola_quad
         yield "parabola_vertex", self.parabola_vertex
         yield "parabola_rel_residual", self.parabola_rel_residual
+
+    def checks(self):
+        """The battery's checks ``(name, passed, detail)``: the coupling
+        residual below ``COUPLING_TOL``, a concave performance parabola
+        whose vertex lies within ``VERTEX_TOL`` of zero, and the solution
+        dominating every shifted control (:func:`~memsfde.adjoint.dominates`)."""
+        residual, quad, vertex = self.coupling_residual_max, self.parabola_quad, self.parabola_vertex
+        yield "coupling_residual", residual < COUPLING_TOL, f"max_t |mean(p - u)| = {residual:.3e}"
+        yield "performance_concave", quad < 0.0, f"quadratic coefficient {quad:.4f}"
+        yield "performance_vertex_near_zero", abs(vertex) < VERTEX_TOL, f"vertex at lambda = {vertex:.3e}"
+        dominance = f"J(solution) >= J(shifted) - {DOMINANCE_STDERRS:g} paired stderr"
+        yield "performance_dominance", all(map(dominates, self.j_rows)), dominance
 
 
 def verify_lq(solution: LQSolution, eps: float = 1e-3) -> LQVerification:

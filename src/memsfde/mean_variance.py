@@ -219,6 +219,12 @@ def simulate_optimal(sol: MeanVarSolution) -> ParticleEnsemble:
     return sol.problem.simulate(sol.feedback)
 
 
+# the battery's thresholds: the first-order bracket must vanish to rounding,
+# and the LSMC p0(0) must match the closed form's to this relative error
+FOC_TOL = 1e-12
+LSMC_P0_REL_TOL = 0.02
+
+
 @dataclass(frozen=True)
 class MeanVarVerification:
     foc_residual_max: float
@@ -235,6 +241,16 @@ class MeanVarVerification:
         """``(name, value)`` of every field, in declaration order."""
         for f in fields(self):
             yield f.name, getattr(self, f.name)
+
+    def checks(self):
+        """The battery's checks ``(name, passed, detail)``: the first-order
+        bracket below ``FOC_TOL``, every path above the floor, and the LSMC
+        p0(0) within ``LSMC_P0_REL_TOL`` of the closed form's."""
+        yield "first_order_condition", self.foc_residual_max < FOC_TOL, f"max |bracket| = {self.foc_residual_max:.3e}"
+        fraction = self.positivity_fraction
+        yield "path_positivity", fraction == 1.0, f"fraction above floor = {fraction:.6f}"
+        rel = self.lsmc_p0_rel_err
+        yield "adjoint_regression_match", rel < LSMC_P0_REL_TOL, f"initial adjoint relative error = {rel:.4f}"
 
 
 def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerification:
@@ -375,8 +391,8 @@ def j_comparison(optimal_cost: np.ndarray, sol: MeanVarSolution):
     numbers: ``sol.problem.costs`` simulates each on the noise the optimal
     ensemble was simulated on, so each row's gap J(optimal) - J(variant)
     comes with a paired standard error.  Returns rows (label, J, stderr,
-    gap, gap_stderr); optimality means every gap is no less than -3
-    gap_stderr.
+    gap, gap_stderr); optimality means that every row passes
+    :func:`~memsfde.adjoint.dominates`.
     """
     controls = [
         combine_controls(None, sol.feedback, amount) if kind == "scale" else combine_controls(sol.feedback, 1.0, amount)

@@ -44,6 +44,7 @@ it replays its control on its final paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,6 +62,9 @@ from memsfde.engine import (
 from memsfde.grid import SimGrid, _is_integer
 
 __all__ = ["PicardReport", "picard_solve", "consistency_check"]
+
+# the largest sup mean-square gap at which the solve matches the direct scheme
+CONSISTENCY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,18 @@ class PicardReport:
         """Largest last-observed quotient across windows (nan if none)."""
         finals = [rs[-1] for rs in self.ratios if rs]
         return max(finals) if finals else float("nan")
+
+    def checks(self):
+        """The solve's checks ``(name, passed, detail)``: every window
+        converged, and every window's last quotient is below 1.  A window
+        with no quotient passes; a distance or quotient that is not finite
+        (an overflowed distance makes inf/inf) fails."""
+        yield "converged", self.converged, f"iterations per window: {list(self.iterations)}"
+        worst = self.worst_final_ratio
+        finite = all(math.isfinite(v) for ds, rs in zip(self.distances, self.ratios) for v in (*ds, *rs))
+        passed = finite and (math.isnan(worst) or worst < 1.0)
+        detail = "" if finite else "; a distance or quotient is not finite"
+        yield "final_contraction_ratio", passed, f"worst final ratio {worst:.6g}{detail}"
 
 
 def picard_solve(

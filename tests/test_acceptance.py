@@ -10,6 +10,12 @@ and the rationale behind every number; this file is only the gate.
 Statistical gates (criteria 6-8) fix their seeds: each was measured well
 inside its 3-stderr allowance on the pinned seed, so a failure here means a
 code change, not an unlucky draw.
+
+Criteria 7 and 8 assert the verification batteries' own checks, the ones
+the CLI reports: their rules and thresholds are owned by the solver modules
+(``MeanVarVerification.checks``, ``LQVerification.checks`` and
+``adjoint.dominates``) and pinned by those modules' boundary tests.  Only
+the conditions a criterion adds to a battery are written here.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import time
 
 import numpy as np
 
-from memsfde.adjoint import SegmentFunctional, riesz_duality_check, solve_absde
+from memsfde.adjoint import SegmentFunctional, dominates, riesz_duality_check, solve_absde
 from memsfde.cli import EXIT_OK, main
 from memsfde.engine import CoefficientSet, pathwise_cost, simulate
 from memsfde.grid import GridPath, SimGrid
@@ -156,8 +162,9 @@ def test_criterion_6_driverless_backward_recovery():
 
 
 def test_criterion_7_delayed_wealth_battery():
-    """Variance-minimizing wealth control at N = 100000: algebraic first-order
-    condition, adjoint drift, paired dominance over 8 perturbations, positivity."""
+    """Variance-minimizing wealth control at N = 100000: the battery's checks
+    (algebraic first-order condition, positivity, LSMC adjoint match), adjoint
+    drift, paired dominance over 8 perturbations."""
     started = time.perf_counter()
     grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=100_000, seed=1)
     spec = mean_variance.MeanVarSpec()  # unit-excess history above a unit floor
@@ -166,21 +173,16 @@ def test_criterion_7_delayed_wealth_battery():
     ver = mean_variance.verify_adjoint(ens, sol)
     rows = mean_variance.j_comparison(pathwise_cost(ens, sol.problem.coeffs), sol)
     variants = rows[1:]
-    dominance = all(gap >= -3.0 * gse for _, _, _, gap, gse in variants)
-    ok = (
-        ver.foc_residual_max < 1e-12
-        and ver.p0_drift_z < 3.0
-        and len(variants) == 8
-        and dominance
-        and ver.positivity_fraction == 1.0
-    )
+    failed = [name for name, passed, _ in ver.checks() if not passed]
+    ok = not failed and ver.p0_drift_z < 3.0 and len(variants) == 8 and all(map(dominates, variants))
     report(
         7,
         ok,
         (
             f"(a) foc {ver.foc_residual_max:.1e} (b) drift z {ver.p0_drift_z:.2f} "
             f"(c) min gap/se {min(gap / gse for _, _, _, gap, gse in variants):.2f} over 8 controls "
-            f"(d) positivity {ver.positivity_fraction:.0%}"
+            f"(d) positivity {ver.positivity_fraction:.0%} (e) lsmc p0 rel err {ver.lsmc_p0_rel_err:.4f}, "
+            f"failed checks {failed}"
         ),
         started,
         budget=300.0,
@@ -189,7 +191,8 @@ def test_criterion_7_delayed_wealth_battery():
 
 def test_criterion_8_distributed_delay_energy():
     """Energy problem: hand-solved sub-case, default convergence, stationarity
-    in all three probe directions on a refined mesh, performance parabola."""
+    in all three probe directions on a refined mesh, and the battery's checks
+    (coupling residual, performance parabola, paired dominance)."""
     started = time.perf_counter()
 
     # (a) no kernel, no noise, unit history: u = -1/2 and J = -1/4 exactly
@@ -207,10 +210,12 @@ def test_criterion_8_distributed_delay_energy():
     rep_b = sol_b.report
     ok_b = rep_b.converged and rep_b.iterations <= 50 and rep_b.changes[-1] < 1e-4
 
-    # (d) frozen-noise performance is exactly quadratic in an additive shift;
-    # its fitted vertex locates the solved control's optimality error
+    # (d) the battery's checks: frozen-noise performance is exactly quadratic
+    # in an additive shift, and its fitted vertex locates the solved
+    # control's optimality error
     ver_b = lq_memory.verify_lq(sol_b)
-    ok_d = ver_b.parabola_quad < 0.0 and abs(ver_b.parabola_vertex) < 0.05
+    failed_d = [name for name, passed, _ in ver_b.checks() if not passed]
+    ok_d = not failed_d
 
     # (c) stationarity on a refined mesh, where the endpoint-quadrature bias
     # of the state-dependent direction is far below the Monte Carlo noise
@@ -228,7 +233,8 @@ def test_criterion_8_distributed_delay_energy():
             f"(a) u err {u_err:.1e}, J err {abs(j_a + 0.25):.1e} "
             f"(b) {rep_b.iterations} iterations, last change {rep_b.changes[-1]:.1e} "
             f"(c) worst stationarity z {worst_z:.2f} over 3 directions "
-            f"(d) vertex {ver_b.parabola_vertex:+.1e}"
+            f"(d) vertex {ver_b.parabola_vertex:+.1e}, coupling {ver_b.coupling_residual_max:.2e}, "
+            f"failed checks {failed_d}"
         ),
         started,
         budget=600.0,

@@ -746,3 +746,16 @@ class TestStationarityGap:
         cost_sd = float(np.std(problem.simulate(-0.5).states[:, -1]))
         assert se < cost_sd  # paired CRN differencing beats naive MC by far
         assert abs(gap) < 3.0 * se + 1e-3
+
+
+class TestDominance:
+    """The paired-dominance rule of both batteries, at its boundary of 3
+    paired standard errors (a literal here, so that a changed allowance
+    fails)."""
+
+    @pytest.mark.parametrize("gap, passed", [(-2.99, True), (-3.01, False)])
+    def test_a_variant_may_win_by_less_than_3_paired_stderr(self, gap, passed):
+        assert adjoint.dominates(("variant", -1.0, 0.1, gap * 0.01, 0.01)) == passed
+
+    def test_the_base_row_passes(self):
+        assert adjoint.dominates(("base", -1.0, 0.1, 0.0, 0.0))

@@ -12,6 +12,7 @@ config's bytes and for path arguments that cannot be used.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -19,7 +20,7 @@ import warnings
 
 import pytest
 
-from memsfde import cli, engine, mean_variance
+from memsfde import cli, engine, lq_memory, mean_variance, picard
 from memsfde.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECKS_FAILED,
@@ -113,6 +114,21 @@ seed = 3
 [lq]
 kernel = 1.0
 tol = 1e-4
+"""
+
+# a single damped sweep leaves the coupling residual above its tolerance
+LQ_ONE_SWEEP = """\
+problem = lq
+
+[grid]
+horizon = 0.5
+delta = 0.1
+dt = 0.05
+particles = 2000
+seed = 3
+
+[lq]
+max_iter = 1
 """
 
 MANIFEST_KEYS = {
@@ -461,6 +477,53 @@ class TestFailedChecks:
         assert manifest["checks_passed"] is False
         # the manifest is still written in full so the failure can be audited
         assert (out / "picard_iters.csv").exists()
+
+    def failed_check(self, tmp_path, command, text, name) -> dict:
+        """Run ``command`` on the config ``text``, which must exit 1, and
+        return the manifest's check ``name``, which must have failed."""
+        path = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_CHECKS_FAILED
+        check = next(c for c in read_manifest(out)["checks"] if c["name"] == name)
+        assert check["passed"] is False
+        return check
+
+    def test_one_lq_sweep_fails_the_coupling_residual(self, tmp_path, capsys):
+        check = self.failed_check(tmp_path, "lq", LQ_ONE_SWEEP, "coupling_residual")
+        assert check["detail"].startswith("max_t |mean(p - u)| = ")
+        assert f"[FAIL] coupling_residual: {check['detail']}" in capsys.readouterr().out
+
+    def test_a_scaled_wealth_feedback_fails_the_first_order_condition(self, tmp_path, capsys, monkeypatch):
+        solve = mean_variance.solve_closed_form
+
+        def scaled(spec, grid):
+            sol = solve(spec, grid)
+            return dataclasses.replace(sol, feedback=lambda t, x, x_seg, law: 1.5 * sol.feedback(t, x, x_seg, law))
+
+        monkeypatch.setattr(mean_variance, "solve_closed_form", scaled)
+        self.failed_check(tmp_path, "meanvar", MEANVAR_TINY, "first_order_condition")
+
+    def test_a_shifted_lq_solution_fails_the_vertex_check(self, tmp_path, capsys, monkeypatch):
+        solve = lq_memory.solve_lq
+
+        def shifted(*args, **kwargs):
+            solution = solve(*args, **kwargs)
+            solution.control[...] += 0.2
+            return solution
+
+        monkeypatch.setattr(lq_memory, "solve_lq", shifted)
+        check = self.failed_check(tmp_path, "lq", LQ_TINY, "performance_vertex_near_zero")
+        # the solved control's optimality error in the shift direction
+        assert float(check["detail"].rsplit(" ", 1)[1]) == pytest.approx(-0.2, abs=0.05)
+
+    @pytest.mark.parametrize("gap, passed", [(0.99e-8, True), (1.01e-8, False)])
+    def test_the_consistency_gap_must_fall_below_1e_8(self, tmp_path, capsys, monkeypatch, gap, passed):
+        monkeypatch.setattr(picard, "consistency_check", lambda coeffs, ens: gap)
+        path = write_cfg(tmp_path, PICARD_TINY)
+        out = tmp_path / "out"
+        assert main(["picard", "--config", path, "--out", str(out)]) == (EXIT_OK if passed else EXIT_CHECKS_FAILED)
+        check = read_manifest(out)["checks"][-1]
+        assert (check["name"], check["passed"]) == ("matches_direct_scheme", passed)
 
 
 class TestZeroLag:

@@ -17,6 +17,7 @@ from memsfde.grid import BROWNIAN, JUMPS, SimGrid, trapezoid_weights
 from memsfde.lq_memory import (
     FixedPointDivergence,
     LQSpec,
+    LQVerification,
     control_problem,
     lq_basis,
     solve_lq,
@@ -593,3 +594,53 @@ class TestVerification:
         assert "stationarity_delayed_state" in names
         assert "J_solution" in names
         assert names[-1] == "parabola_rel_residual"
+
+
+SOLUTION_ROW = ("solution", -0.5, 0.01, 0.0, 0.0)
+
+
+def lq_record(**values) -> LQVerification:
+    """A battery record that passes every check, with ``values`` replaced."""
+    passing = dict(
+        coupling_residual_max=0.0,
+        idempotence_change=0.0,
+        stationarity=(),
+        j_rows=(SOLUTION_ROW, ("shift_+0.2", -0.52, 0.01, 0.02, 0.001)),
+        parabola_quad=-0.4,
+        parabola_vertex=0.0,
+        parabola_rel_residual=0.0,
+    )
+    return LQVerification(**{**passing, **values})
+
+
+class TestBatteryChecks:
+    """Each threshold of the battery just inside and just outside its
+    boundary, written as a literal so that a changed threshold fails."""
+
+    @pytest.mark.parametrize(
+        "name, field, value, passed",
+        [
+            ("coupling_residual", "coupling_residual_max", 0.99e-3, True),
+            ("coupling_residual", "coupling_residual_max", 1.01e-3, False),
+            ("performance_concave", "parabola_quad", -1e-300, True),
+            ("performance_concave", "parabola_quad", 0.0, False),
+            ("performance_vertex_near_zero", "parabola_vertex", 0.049, True),
+            ("performance_vertex_near_zero", "parabola_vertex", -0.049, True),
+            ("performance_vertex_near_zero", "parabola_vertex", 0.051, False),
+            ("performance_vertex_near_zero", "parabola_vertex", -0.051, False),
+            ("performance_dominance", "j_rows", (SOLUTION_ROW, ("s", -0.49, 0.01, -0.0299, 0.01)), True),
+            ("performance_dominance", "j_rows", (SOLUTION_ROW, ("s", -0.49, 0.01, -0.0301, 0.01)), False),
+        ],
+    )
+    def test_each_threshold_at_its_boundary(self, name, field, value, passed):
+        flags = {check: ok for check, ok, _ in lq_record(**{field: value}).checks()}
+        assert flags == {**dict.fromkeys(flags, True), name: passed}
+
+    def test_names_order_and_details(self):
+        checks = lq_record(coupling_residual_max=2.516e-3, parabola_quad=-0.37964, parabola_vertex=2.618e-4).checks()
+        assert [(name, detail) for name, _, detail in checks] == [
+            ("coupling_residual", "max_t |mean(p - u)| = 2.516e-03"),
+            ("performance_concave", "quadratic coefficient -0.3796"),
+            ("performance_vertex_near_zero", "vertex at lambda = 2.618e-04"),
+            ("performance_dominance", "J(solution) >= J(shifted) - 3 paired stderr"),
+        ]

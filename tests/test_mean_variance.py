@@ -12,6 +12,7 @@ from memsfde.engine import JumpModel, pathwise_cost
 from memsfde.grid import SimGrid
 from memsfde.mean_variance import (
     MeanVarSpec,
+    MeanVarVerification,
     PERTURBATION_FAMILY,
     j_comparison,
     simulate_optimal,
@@ -329,3 +330,47 @@ class TestOracleSensitivity:
         tainted = {c["name"]: c["passed"] for c in cli.selftest_checks()}
         assert not tainted["wealth_rate_closed_form"]
         assert not tainted["wealth_discount_closed_form"]
+
+
+def record(**values) -> MeanVarVerification:
+    """A battery record that passes every check, with ``values`` replaced."""
+    passing = dict(
+        foc_residual_max=0.0,
+        p0_drift_z=0.0,
+        p0_drift_max_step_z=0.0,
+        lsmc_p0=-0.78,
+        closed_p0=-0.78,
+        lsmc_p0_rel_err=0.0,
+        positivity_fraction=1.0,
+        min_abs_delayed_state=1.0,
+        lsmc_deficient_steps=0,
+    )
+    return MeanVarVerification(**{**passing, **values})
+
+
+class TestBatteryChecks:
+    """Each threshold of the battery just inside and just outside its
+    boundary, written as a literal so that a changed threshold fails."""
+
+    @pytest.mark.parametrize(
+        "name, field, value, passed",
+        [
+            ("first_order_condition", "foc_residual_max", 0.99e-12, True),
+            ("first_order_condition", "foc_residual_max", 1.01e-12, False),
+            ("path_positivity", "positivity_fraction", 1.0, True),
+            ("path_positivity", "positivity_fraction", 1.0 - 1e-6, False),
+            ("adjoint_regression_match", "lsmc_p0_rel_err", 0.0199, True),
+            ("adjoint_regression_match", "lsmc_p0_rel_err", 0.0201, False),
+        ],
+    )
+    def test_each_threshold_at_its_boundary(self, name, field, value, passed):
+        flags = {check: ok for check, ok, _ in record(**{field: value}).checks()}
+        assert flags == {**dict.fromkeys(flags, True), name: passed}
+
+    def test_names_order_and_details(self):
+        checks = record(foc_residual_max=1.5e-13, positivity_fraction=0.75, lsmc_p0_rel_err=0.0123).checks()
+        assert [(name, detail) for name, _, detail in checks] == [
+            ("first_order_condition", "max |bracket| = 1.500e-13"),
+            ("path_positivity", "fraction above floor = 0.750000"),
+            ("adjoint_regression_match", "initial adjoint relative error = 0.0123"),
+        ]

@@ -1,6 +1,7 @@
 """Frozen-noise fixed-point solver: exactness, contraction ratios, consistency."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -102,6 +103,35 @@ class TestContraction:
         assert report.converged
         for dists in report.distances:
             assert dists[-1] <= report.tol
+
+
+class TestReportChecks:
+    """The solve's two checks, read from a report built by hand."""
+
+    def checks(self, *distances) -> dict:
+        report = PicardReport(distances=distances, tol=1e-20)
+        return {name: (ok, detail) for name, ok, detail in report.checks()}
+
+    @pytest.mark.parametrize("last, passed", [(0.99, True), (1.01, False)])
+    def test_the_last_quotient_must_fall_below_one(self, last, passed):
+        assert self.checks((1.0, 0.5, 0.5 * last))["final_contraction_ratio"][0] == passed
+
+    @pytest.mark.parametrize("distances", [((0.5,), (0.25,)), ((0.0,),)], ids=["one_sweep", "exact_first_sweep"])
+    def test_a_window_with_no_quotient_passes(self, distances):
+        assert self.checks(*distances)["final_contraction_ratio"] == (True, "worst final ratio nan")
+
+    @pytest.mark.parametrize(
+        "distances",
+        [(math.inf, math.inf, math.inf), (math.inf, 0.0), (1e-300, 1e300)],
+        ids=["overflowed_distances", "overflow_then_exact", "overflowed_quotient"],
+    )
+    def test_a_distance_or_quotient_that_is_not_finite_fails(self, distances):
+        passed, detail = self.checks((0.5, 0.25), distances)["final_contraction_ratio"]
+        assert not passed
+        assert detail.endswith("; a distance or quotient is not finite")
+
+    def test_converged_names_the_iterations_per_window(self):
+        assert self.checks((0.5, 0.0), (0.5,))["converged"] == (False, "iterations per window: [2, 1]")
 
 
 class TestConsistencyWithDirectScheme:

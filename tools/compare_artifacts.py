@@ -9,8 +9,9 @@ The runs are the ones a pure refactor must leave byte-identical:
 - ``selftest --out``;
 - each benchmark workload's config (``perfbench/workloads.py``, imported
   read-only) at every ``--seeds`` value;
-- three small edge configs that end in exit 1, 2 and 3, so the contract's
-  failure paths are compared like its successes.
+- four small edge configs, two that end in exit 1 and one each in exit 2
+  and 3, so the contract's failure paths are compared like its successes;
+  the ``lq`` one fails a battery check, so its FAIL detail is compared too.
 
 Each workload at the first ``--seeds`` value also runs once more in this
 checkout under the benchmark's tracer, ``python3 perfbench/tracer.py SPANS
@@ -67,6 +68,12 @@ EDGE_CONFIGS = {
     "edge_exit1": (
         "picard",
         _EDGE_GRID.format(delta=0.1) + "[picard]\nxi = 1.0\ndrift_lag = 1.0\ndiff_const = 0.2\nt0 = 0.1\nmax_iter = 1\n",
+    ),
+    # one sweep leaves the coupling residual above its tolerance: a failed
+    # battery check, whose detail is compared byte for byte
+    "edge_exit1_lq": (
+        "lq",
+        _EDGE_GRID.format(delta=0.1).replace("particles = 200\n", "particles = 2000\n") + "[lq]\nmax_iter = 1\n",
     ),
     # the wealth problem needs a lag of at least one step: a config error
     # found inside the runner
