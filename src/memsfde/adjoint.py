@@ -17,8 +17,10 @@ Four pieces live here:
   triple (p0, q0, r0).  The equation is *advanced*: the driver at time t may
   read the (already computed) p0 on [t, t+delta], read as zero past the
   horizon: the convention under which the duality identity above is exact.
-  Every row goes to one ``on_row`` hook as it is solved, so a caller that
-  needs q0 or r0 ahead, or a streamed combination, takes them there.
+  ``SweepContext`` is the one store of a sweep's rows ahead: the solve keeps
+  p0 in one, and every row goes to one ``on_row`` hook as it is solved, so a
+  caller whose driver reads q0 or r0 ahead, or a combination of the triple,
+  writes it there into a store of its own.
   Conditioning on the time-t information is done by regression onto a state
   basis; the Brownian and compensated-jump loadings come out as the regression
   coefficients of the basis interacted with the corresponding noise increments.
@@ -274,11 +276,11 @@ class AdjointTriple:
     """Regression-valued adjoint processes on the simulation mesh.
 
     ``p0``, ``q0`` and ``r0`` cover the [0, T] mesh only; past the horizon
-    all three read as zero (see :class:`SweepContext`).  ``q0`` and ``r0``
-    are per-step noise loadings whose final column is zero.  Each is an
-    (N, n_steps + 1) view of one time-major (3, n_steps + 1, N) array, so
-    column k is one contiguous row, and a caller that keeps only one of the
-    three keeps the memory of all three.  A solve that hands its rows to the
+    all three read as zero, as every row of a :class:`SweepContext` does.
+    ``q0`` and ``r0`` are per-step noise loadings whose final column is
+    zero.  Each is an (N, n_steps + 1) view of one time-major (3, n_steps +
+    1, N) array, so column k is one contiguous row, and a caller that keeps
+    only one of the three keeps the memory of all three.  A solve that hands its rows to the
     caller's ``on_row`` (see :func:`solve_absde`) keeps none of them, and
     all three are ``None``.  ``mean_stderr[k]`` is the Monte Carlo standard
     error of the regression target's mean at step k, the right yardstick
@@ -358,56 +360,65 @@ def default_basis(ens: ParticleEnsemble, k: int) -> np.ndarray:
     return rows.T
 
 
-def _sweep_band(grid: SimGrid) -> _Band:
-    """A band for the rows of a backward sweep that a driver may still read:
-    d + 1 + s rows, s = ceil((d + 1) / 4).  It moves its d + 1 newest rows
-    once every s steps, about four rows a step."""
-    d = grid.delta_steps
-    return _Band(grid, d + 1 + (d + 4) // 4)
-
-
 class SweepContext:
-    """Backward-sweep state handed to ABSDE drivers.
+    """The rows of one (N,) quantity that a backward sweep may still read
+    ahead, handed to ABSDE drivers.
 
-    Drivers may read p0 strictly ahead of the current step and at most one
+    A driver may read strictly ahead of the current step and at most one
     memory window ahead (that is what makes the equation advanced).
     Everything past the horizon reads as zero — the convention under which
-    the duality identity behind the driver is exact.  A driver that needs
-    q0 or r0 ahead takes them from the rows :func:`solve_absde` hands to
-    ``on_row``.
+    the duality identity behind the driver is exact.  :func:`solve_absde`
+    keeps p0 in one and hands it to the driver; a driver that needs another
+    row ahead, such as a combination of q0 and r0, keeps it in its own,
+    written from the rows the solve hands to ``on_row``.
 
-    ``p0`` is a band (``engine._Band``) indexed by reversed time: step j of
-    an n_steps mesh with d lag steps is column d + n_steps - j.  So the d
-    zero history columns of the band are the steps past the horizon, and
-    the window ending at step k + 1 holds steps k + 1..k + d + 1 in lead
-    order, an F-contiguous (N, d + 1) view.
+    Rows are written horizon first through ``row(k)``; ``future(k, ahead)``
+    and ``advanced_average`` read the rows ahead of step k.  Only this
+    class knows the layout: a band (``engine._Band``) of d + 1 + s rows,
+    s = ceil((d + 1) / 4), indexed by reversed time, so step j of an
+    n_steps mesh with d lag steps is column d + n_steps - j.  The d zero
+    history columns of the band are the steps past the horizon, and the
+    window ending at step k + 1 holds steps k + 1..k + d + 1 in lead order,
+    an F-contiguous (N, d + 1) view.  The band moves its d + 1 newest rows
+    once every s steps, about four rows a step.
     """
 
-    def __init__(self, ens: ParticleEnsemble, p0: _Band):
-        self.grid = ens.grid
-        self._p0 = p0
+    def __init__(self, grid: SimGrid):
+        self.grid = grid
+        self._band = _Band(grid, grid.delta_steps + 1 + (grid.delta_steps + 4) // 4)
 
     def _column(self, k: int) -> int:
         """The band column of step k."""
         return self.grid.delta_steps + self.grid.n_steps - k
 
+    def row(self, k: int) -> np.ndarray:
+        """The row of step k, for the caller to write.  Rows are asked for
+        horizon first, one step at a time, and asking for step k's keeps
+        the rows of steps k + 1..k + d + 1, all that a driver at step k or
+        k - 1 may read."""
+        i = self._column(k)
+        self._band.make_room(i - 1)
+        return self._band.column(i)
+
     def _check_ahead(self, k: int, ahead: int) -> None:
         if ahead < 1:
-            raise ValueError(f"p0 at step {k}: drivers may only read strictly ahead (got offset {ahead})")
+            raise ValueError(f"row at step {k}: drivers may only read strictly ahead (got offset {ahead})")
         if ahead > self.grid.delta_steps:
-            raise ValueError(f"p0 at step {k}: read offset {ahead} exceeds the memory window")
+            raise ValueError(f"row at step {k}: read offset {ahead} exceeds the memory window")
 
-    def p0_future(self, k: int, ahead: int) -> np.ndarray:
+    def future(self, k: int, ahead: int) -> np.ndarray:
+        """The row of step k + ahead, zero past the horizon; ``ahead`` must
+        be in 1..d."""
         self._check_ahead(k, ahead)
-        return self._p0.column(self._column(k + ahead))
+        return self._band.column(self._column(k + ahead))
 
     def advanced_average(self, k: int, f: SegmentFunctional) -> np.ndarray:
-        """Kernel-weighted integral of future p0 over the memory window.
+        """Kernel-weighted integral of the future rows over the memory window.
 
         Trapezoid in the lag variable; the lag-0 endpoint is read one step
         ahead to keep the sweep explicit (an O(dt^3) perturbation of the
         step's integral).  Computed as one matrix-vector product over the
-        live part of the window that ends at step k + 1, p0 at steps
+        live part of the window that ends at step k + 1, the rows of steps
         k + 1..min(k + d, K): the lag-0 weight is folded onto lag 1, and
         lags past the horizon read zero, so their weights are dropped.
         ``f`` must live on the sweep's mesh step.
@@ -415,7 +426,7 @@ class SweepContext:
         if f.dt != self.grid.dt:
             raise MeshMismatchError(f"the functional has dt={f.dt!r}, the sweep's mesh dt={self.grid.dt!r}")
         if f.kind == "evaluation":
-            return self.p0_future(k, f.point_steps)
+            return self.future(k, f.point_steps)
         d = f.delta_steps
         lags = max(d, 1)
         self._check_ahead(k, lags)
@@ -424,7 +435,7 @@ class SweepContext:
         folded[:d] = w[1:]
         folded[0] += w[0]
         live = min(lags, self.grid.n_steps - k)
-        return self._p0.window(self._column(k + 1))[:, :live] @ folded[:live]
+        return self._band.window(self._column(k + 1))[:, :live] @ folded[:live]
 
 
 def solve_absde(
@@ -455,11 +466,12 @@ def solve_absde(
     mean) and are reported via ``deficient_steps`` plus, unless ``warn`` is
     false, a logged warning.
 
-    p0 lives in a band of a few more rows than the memory window (see
-    :class:`SweepContext`), q0 and r0 in one row each.  ``on_row(k, p0,
-    q0, r0)`` receives the rows of every step as they are solved, the
-    horizon first (its loadings are zero rows): views that are valid
-    during the call only and must not be written.  The returned triple
+    p0 lives in one :class:`SweepContext`, the store the driver reads, q0
+    and r0 in one row each.  ``on_row(k, p0, q0, r0)`` receives the rows
+    of every step as they are solved, the horizon first (its loadings are
+    zero rows): views that are valid during the call only and must not be
+    written.  A driver that reads another row ahead keeps it in a
+    :class:`SweepContext` of its own, written by ``on_row``.  The returned triple
     then holds no process.  Without ``on_row`` the solve copies every row
     into one time-major array and returns the whole triple.
 
@@ -468,7 +480,7 @@ def solve_absde(
     step's m; a bad value raises ``ValueError`` naming its step.
     """
     grid = ens.grid
-    K, N, dt, d = grid.n_steps, grid.n_particles, grid.dt, grid.delta_steps
+    K, N, dt = grid.n_steps, grid.n_particles, grid.dt
     basis = basis if basis is not None else default_basis
     use_jumps = ens.jump_counts is not None
 
@@ -481,16 +493,16 @@ def solve_absde(
             if use_jumps:
                 kept[2, k] = r
 
-    p0, q_row, r_row = _sweep_band(grid), np.zeros(N), np.zeros(N)
+    ctx, q_row, r_row = SweepContext(grid), np.zeros(N), np.zeros(N)
     mean_stderr = np.zeros(K + 1)
-    ctx = SweepContext(ens, p0)
 
     xT = ens.state_column(K)
     pT = _row_value(terminal(xT, EmpiricalMeasure(xT)), N, "terminal")
     if not np.isfinite(pT).all():
         raise ValueError("terminal must be finite")
-    p0.push(d, pT)
-    on_row(K, p0.column(d), q_row, r_row)
+    p = ctx.row(K)
+    p[...] = pT
+    on_row(K, p, q_row, r_row)
 
     lam_dt = ens.jumps.intensity * dt if use_jumps else 0.0
     n_blocks = 3 if use_jumps else 2
@@ -498,12 +510,11 @@ def solve_absde(
     rows = None
 
     for k in range(K - 1, -1, -1):
-        i = d + K - k  # the band column of step k
-        target = p0.column(i - 1)
+        target = p
         if driver is not None:
             target = target + dt * _row_value(driver(ctx, k), N, f"driver at step {k}")
-        # read before step k's row is written: a short band that moves every
-        # step (d <= 3) writes it to the row the target was read from
+        # step k + 1's row, read before step k's is asked for: a short store
+        # that moves every step (d <= 3) puts step k's where this one was
         _, mean_stderr[k] = _mean_and_stderr(target)
         phi = basis(ens, k)
         shape = np.shape(phi)
@@ -523,8 +534,7 @@ def solve_absde(
         beta, rank = _regress(rows.T, target, step=k)
         if rank < rows.shape[0]:
             deficient.append(k)
-        p0.make_room(i - 1)
-        p = np.matmul(beta[:m], basis_rows, out=p0.column(i))
+        p = np.matmul(beta[:m], basis_rows, out=ctx.row(k))
         np.matmul(beta[m : 2 * m], basis_rows, out=q_row)
         if use_jumps:
             np.matmul(beta[2 * m :], basis_rows, out=r_row)

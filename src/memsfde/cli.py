@@ -207,6 +207,13 @@ def _integer(raw: str) -> int:
         raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
+def _seed(raw: str) -> int:
+    seed = _integer(raw)
+    if not 0 <= seed < 2**64:
+        raise ValueError("must be an unsigned 64-bit integer")
+    return seed
+
+
 def _boolean(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -255,7 +262,7 @@ SCHEMA = {
         "dt": (_number, REQUIRED, _POSITIVE),
         "delta": (_number, REQUIRED),
         "particles": (_integer, REQUIRED, _AT_LEAST_1),
-        "seed": (_integer, REQUIRED),
+        "seed": (_seed, REQUIRED),
     },
     "jumps": {"intensity": (_number, None), "marks": (_numbers, None), "probs": (_numbers, None)},
     "simulate": _LINEAR,
@@ -281,7 +288,7 @@ SCHEMA = {
         ),
         "point_a": (_number, 0.7),
         "point_b": (_number, -0.3),
-        "property_sets": (_integer, 100),
+        "property_sets": (_integer, 100, _AT_LEAST_1),
         "samples": (_integer, 256, _AT_LEAST_1),
     },
     "meanvar": {
@@ -330,11 +337,9 @@ def build_grid(cfg: ConfigFile) -> SimGrid:
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            seed = _integer(env_seed)
+            seed = _seed(env_seed)
         except ValueError as exc:
             raise ConfigError(str(exc), path=f"${SEED_ENV_VAR}", line=0)
-    if not 0 <= seed < 2**64:
-        cfg._error("grid", "seed", "must be an unsigned 64-bit integer")
 
     delta_steps = _steps_of(cfg, "grid", "delta", delta, dt, "must be a non-negative integer multiple of dt")
     n_steps = _steps_of(cfg, "grid", "horizon", horizon, dt, "must be a positive integer multiple of dt", positive=True)

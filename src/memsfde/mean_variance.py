@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from memsfde.adjoint import _paired_rows, _sweep_band, default_basis, solve_absde, stationarity_rows
+from memsfde.adjoint import SweepContext, _paired_rows, default_basis, solve_absde, stationarity_rows
 from memsfde.engine import (
     CoefficientSet,
     ControlProblem,
@@ -269,12 +269,12 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
     tolerance.  Positivity of Y = X - target and the smallest |X(t - delta)|
     (the denominator of the feedback rule) are monitored alongside.
 
-    Checks (1) and (2) and the monitors run one contiguous time row at a
-    time.  The backward solve hands each step's rows to a hook, which keeps
-    p0 at step 0 and, in a band of a few more rows than the memory window,
-    the one combination of the triple that the driver reads d steps ahead.
-    The control the checks and the driver weigh by is
-    replayed step by step from the ensemble's paths
+    The checks make one backward pass: the solve hands each step's rows to
+    a hook, the horizon first, which runs checks (1) and (2) and the
+    monitors for that step, keeps p0 at step 0 and writes the one row the
+    driver reads d steps ahead into a :class:`~memsfde.adjoint.SweepContext`
+    of its own: the control there times the combination of the triple.
+    The control is replayed once a step from the ensemble's paths
     (:meth:`~memsfde.engine.ParticleEnsemble.control_at`), which gives the
     applied bits.  So the checks hold no (N, n_steps + 1) array on top of
     the ensemble.  The pooled increment statistics are combined from the
@@ -293,28 +293,42 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
     abs_delayed = np.empty(K + 1)  # min |X(t - delta)| per step
     step_means, step_sds = np.empty(K), np.empty(K)  # of the p0 increments
     lowest = np.full(N, np.inf)  # per-path min of X - target
-    for k in range(K + 1):
+    # (3) the driver reads the future triple at lag delta (strictly ahead,
+    # zero past the horizon) through the one row u (b0 p0 + sigma0 q0 +
+    # gamma0 m1 r0), formed as each step is solved
+    weighted = SweepContext(grid)
+    p_next = closed_p0 = lsmc_p0 = None  # closed-form p0 of the step after; both p0(0)
+
+    def on_row(k, p_lsmc, q, r):
+        nonlocal p_next, closed_p0, lsmc_p0
         x = ens.state_column(k)
         delayed = ens.paths[:, k]  # X(t - delta)
+        u = ens.control_at(k)
+        np.multiply(u, b0[k] * p_lsmc + s0[k] * q + g0[k] * m1 * r, out=weighted.row(k))
         p = sol.p0_closed(x, k)
         # (1) first-order condition along paths: b0 p0 + sigma0 q0 + jump term
         bracket = sol.phi[k] * delayed
-        bracket *= ens.control_at(k)
+        bracket *= u
         bracket *= noise_var[k]
         bracket += b0[k] * p
         foc[k] = np.max(np.abs(bracket))
         # (2) martingale increments of the closed-form adjoint
-        if k == 0:
-            closed_p0 = float(p.mean())
-        else:
-            incr = p - p_prev
-            step_means[k - 1] = incr.mean()
+        if k < K:
+            incr = p_next - p
+            step_means[k] = incr.mean()
             # one particle has no spread (0, as in _mean_and_stderr); the
             # pooled statistics below treat N = 1 on their own
-            step_sds[k - 1] = incr.std(ddof=1) if N > 1 else 0.0
-        p_prev = p
+            step_sds[k] = incr.std(ddof=1) if N > 1 else 0.0
+        p_next = p
+        if k == 0:
+            closed_p0, lsmc_p0 = float(p.mean()), float(p_lsmc.mean())
         np.minimum(lowest, x - target, out=lowest)
         abs_delayed[k] = np.min(np.abs(delayed))
+
+    def driver(ctx, k):
+        return weighted.future(k, d)
+
+    adj = solve_absde(ens, terminal=lambda x, law: -(x - target), driver=driver, basis=default_basis, on_row=on_row)
     foc_residual_max = float(np.max(foc))
     min_abs_delayed = float(np.min(abs_delayed))
     above = lowest > 0.0
@@ -332,26 +346,6 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
         zs = np.where(step_se > 0, np.abs(step_means) / step_se, 0.0)
     p0_drift_max_step_z = float(np.max(zs))
 
-    # (3) independent LSMC backward solve; the driver reads the future triple
-    # at lag delta (strictly ahead, zero past the horizon) through the one
-    # combination b0 p0 + sigma0 q0 + gamma0 m1 r0, formed as each step is
-    # solved, in a band indexed like the solve's (step j is column d + K - j)
-    combined = _sweep_band(grid)
-    initial = []
-
-    def on_row(j, p, q, r):
-        combined.push(d + K - j, b0[j] * p + s0[j] * q + g0[j] * m1 * r)
-        if j == 0:
-            initial.append(float(p.mean()))
-
-    def driver(ctx, k):
-        j = k + d
-        if j > K:
-            return np.zeros(N)
-        return ens.control_at(j) * combined.column(d + K - j)
-
-    adj = solve_absde(ens, terminal=lambda x, law: -(x - target), driver=driver, basis=default_basis, on_row=on_row)
-    lsmc_p0 = initial[0]
     rel = abs(lsmc_p0 - closed_p0) / max(abs(closed_p0), 1e-300)
 
     return MeanVarVerification(

@@ -21,7 +21,7 @@ from memsfde.adjoint import (
     solve_absde,
     stationarity_gap,
 )
-from memsfde.engine import CoefficientSet, ControlProblem, JumpModel, MeshMismatchError, _Band, simulate
+from memsfde.engine import CoefficientSet, ControlProblem, JumpModel, MeshMismatchError, simulate
 from memsfde.grid import GridPath, SimGrid, trapezoid_weights
 from memsfde.lq_memory import LQSpec, control_problem, lq_basis
 
@@ -216,10 +216,10 @@ class TestBackwardSolver:
     def test_driver_cannot_read_current_or_far_future(self):
         ens = brownian_ensemble(100, seed=5)
         with pytest.raises(ValueError):
-            solve_absde(ens, terminal=lambda x, law: x, driver=lambda c, k: c.p0_future(k, 0))
+            solve_absde(ens, terminal=lambda x, law: x, driver=lambda c, k: c.future(k, 0))
         too_far = ens.grid.delta_steps + 1
         with pytest.raises(ValueError):
-            solve_absde(ens, terminal=lambda x, law: x, driver=lambda c, k: c.p0_future(k, too_far))
+            solve_absde(ens, terminal=lambda x, law: x, driver=lambda c, k: c.future(k, too_far))
 
     @pytest.mark.parametrize(
         "value, message",
@@ -274,9 +274,9 @@ class TestBackwardSolver:
 
         def probe(ctx, k):
             if k == K - 2:
-                seen["p_at_horizon"] = ctx.p0_future(k, 2).copy()
+                seen["p_at_horizon"] = ctx.future(k, 2).copy()
             if k == K - 1:
-                seen["p_tail"] = ctx.p0_future(k, 2).copy()
+                seen["p_tail"] = ctx.future(k, 2).copy()
             return np.zeros(ens.grid.n_particles)
 
         adj = solve_absde(ens, terminal=lambda x, law: -x, driver=probe)
@@ -305,7 +305,7 @@ class TestBackwardSolver:
 
             def driver(ctx, k):
                 for ahead in range(1, d + 1):
-                    reads[k, ahead] = ctx.p0_future(k, ahead).copy()
+                    reads[k, ahead] = ctx.future(k, ahead).copy()
                 return ctx.advanced_average(k, f)
 
             def on_row(k, p, q, r):
@@ -541,22 +541,53 @@ class TestFeatureMajorDesign:
 
 class TestAdvancedAverage:
     def test_matvec_equals_lag_by_lag_sum(self):
-        ens = brownian_ensemble(50, seed=4, dt=0.05, delta_steps=6)
-        K, d = ens.grid.n_steps, ens.grid.delta_steps
+        grid = SimGrid(dt=0.05, delta_steps=6, horizon=1.0, n_particles=50, seed=4)
+        K, d = grid.n_steps, grid.delta_steps
         rng = np.random.Generator(np.random.Philox(key=3))
-        # a band of the whole mesh, whose row j is step j and whose rows
-        # past the horizon are zero
-        p0 = _Band(ens.grid, K + d + 1)
-        p0.rows[: K + 1] = rng.normal(size=(K + 1, 50))
-        ctx = SweepContext(ens, p0)
-        f = SegmentFunctional.averaging(rng.uniform(size=d + 1), d, ens.grid.dt)
-        w = trapezoid_weights(d + 1, ens.grid.dt) * f.kernel
-        for k in (0, K - d - 1, K - d, K - 3, K - 1):
-            loop = w[0] * ctx.p0_future(k, 1)
+        rows = rng.normal(size=(K + 1, 50))
+        f = SegmentFunctional.averaging(rng.uniform(size=d + 1), d, grid.dt)
+        w = trapezoid_weights(d + 1, grid.dt) * f.kernel
+        ctx = SweepContext(grid)
+        ctx.row(K)[...] = rows[K]
+        for k in range(K - 1, -1, -1):
+            loop = w[0] * ctx.future(k, 1)
             for j in range(1, d + 1):
-                loop = loop + w[j] * ctx.p0_future(k, j)
+                loop = loop + w[j] * ctx.future(k, j)
             np.testing.assert_allclose(ctx.advanced_average(k, f), loop, rtol=1e-13, atol=1e-15)
+            ctx.row(k)[...] = rows[k]
 
+
+class TestSweepContext:
+    """The one store of a backward sweep's rows ahead, written horizon first."""
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_rows_read_back_ahead_and_zero_past_the_horizon(self, d):
+        # d <= 3 gives a store that moves every step, d = 4 one that moves
+        # every other step
+        grid = SimGrid(dt=0.05, delta_steps=d, horizon=0.6, n_particles=7, seed=1)
+        K = grid.n_steps
+        rng = np.random.Generator(np.random.Philox(key=d))
+        rows = rng.normal(size=(K + 1, 7))
+        f = SegmentFunctional.averaging(rng.uniform(size=d + 1), d, grid.dt)
+        w = trapezoid_weights(d + 1, grid.dt) * f.kernel
+        ctx = SweepContext(grid)
+        ctx.row(K)[...] = rows[K]
+        for k in range(K - 1, -1, -1):
+            for ahead in range(1, d + 1):
+                expected = rows[k + ahead] if k + ahead <= K else np.zeros(7)
+                np.testing.assert_array_equal(ctx.future(k, ahead), expected)
+            for ahead in (-1, 0, d + 1):
+                with pytest.raises(ValueError, match=f"row at step {k}"):
+                    ctx.future(k, ahead)
+            if d == 0:
+                with pytest.raises(ValueError, match="exceeds the memory window"):
+                    ctx.advanced_average(k, f)
+            else:
+                loop = w[0] * ctx.future(k, 1)
+                for j in range(1, d + 1):
+                    loop = loop + w[j] * ctx.future(k, j)
+                np.testing.assert_allclose(ctx.advanced_average(k, f), loop, rtol=1e-13, atol=1e-15)
+            ctx.row(k)[...] = rows[k]
 
     @pytest.mark.parametrize("kind", ["averaging", "evaluation"])
     def test_a_functional_from_another_mesh_is_refused(self, kind):

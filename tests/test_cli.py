@@ -328,6 +328,27 @@ class TestConfigErrors:
         assert f"${SEED_ENV_VAR}" in err
         assert "expected an integer" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_override_is_blamed_on_the_variable(self, tmp_path, capsys, monkeypatch, seed):
+        # it was blamed on the config's own, valid seed line
+        monkeypatch.setenv(SEED_ENV_VAR, seed)
+        path = write_cfg(tmp_path, SIM_TINY)
+        err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)
+        assert err == f"config error: ${SEED_ENV_VAR}:0: must be an unsigned 64-bit integer\n"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_config_seed_is_anchored_at_its_line(self, tmp_path, capsys, seed):
+        path = write_cfg(tmp_path, SIM_TINY.replace("seed = 9", f"seed = {seed}"))
+        err = self.run_expecting_bad_config(["simulate", "--config", path], capsys)
+        assert err == f"config error: {path}:8: [grid] seed: must be an unsigned 64-bit integer\n"
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_property_sets_must_be_positive(self, tmp_path, capsys, count):
+        # -5 passed the coupled-sample check vacuously, over -5 sets
+        path = write_cfg(tmp_path, NORMS_TINY.replace("property_sets = 25", f"property_sets = {count}"))
+        err = self.run_expecting_bad_config(["norms", "--config", path], capsys)
+        assert err.startswith(f"config error: {path}:11: [norms] property_sets:")
+
     def test_picard_window_must_be_a_multiple_of_dt(self, tmp_path, capsys):
         path = write_cfg(tmp_path, PICARD_TINY.replace("t0 = 0.1", "t0 = 0.013"))
         err = self.run_expecting_bad_config(["picard", "--config", path], capsys)

@@ -12,7 +12,7 @@ import pytest
 
 from memsfde import adjoint, engine, lq_memory
 from memsfde.adjoint import SegmentFunctional, SweepContext, solve_absde
-from memsfde.engine import JumpModel, _Band
+from memsfde.engine import JumpModel
 from memsfde.grid import BROWNIAN, JUMPS, SimGrid, trapezoid_weights
 from memsfde.lq_memory import (
     FixedPointDivergence,
@@ -184,12 +184,11 @@ class TestAdvancedDriverContract:
         # at step k only p0 on k+1..min(k+d, K) is read (NaN elsewhere would
         # show), lag 0 is read one step ahead and lags past the horizon are 0
         for k in range(K):
-            live = np.arange(k + 1, min(k + d, K) + 1)
-            # a band of the whole mesh: row j is step j, zero past the horizon
-            p0 = _Band(grid, d + K + 1)
-            p0.rows[: K + 1] = np.nan
-            p0.rows[live] = adj.p0[:, live].T
-            ctx = SweepContext(ens, p0)
+            # a store written horizon first down to step k + 1, holding p0
+            # on the live steps and NaN on the others
+            ctx = SweepContext(grid)
+            for j in range(K, k, -1):
+                ctx.row(j)[...] = adj.p0[:, j] if j <= k + d else np.nan
             expected = w[0] * adj.p0[:, k + 1]
             for j in range(1, d + 1):
                 if k + j <= K:

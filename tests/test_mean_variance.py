@@ -1,5 +1,6 @@
 """Delayed-gearing target tracking: closed form, optimality, and adjoint checks."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -228,6 +229,22 @@ class TestAdjointVerification:
         # the checks run row by row and the solve keeps only p0 at step 0,
         # so the whole verification peaks below one full-size array
         assert peak - at_entry <= one_array
+
+    def test_the_control_is_replayed_once_a_step(self, monkeypatch):
+        # the checks and the driver share one replay a step: a separate
+        # forward check loop and the driver replayed 2K + 2 - d steps
+        grid = SimGrid(dt=0.05, delta_steps=3, horizon=1.0, n_particles=200, seed=6)
+        ens, sol = optimal(MeanVarSpec(), grid)
+        steps = []
+        value = ens.control.value
+
+        def counting(k, *args):
+            steps.append(k)
+            return value(k, *args)
+
+        monkeypatch.setattr(ens, "control", dataclasses.replace(ens.control, value=counting))
+        verify_adjoint(ens, sol)
+        assert sorted(steps) == list(range(grid.n_steps + 1))
 
     def test_jump_variant_passes_the_same_checks(self):
         spec = MeanVarSpec(jumps=JumpModel(intensity=1.0, marks=(1.0,), probs=(1.0,)))
