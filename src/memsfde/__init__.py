@@ -3,8 +3,7 @@ memory, mean-field interaction through the running law, and compound-Poisson jum
 
 The pieces fit together like this:
 
-* :mod:`memsfde.grid` - the uniform mesh, its counter-based noise streams and
-  scalar paths on it.
+* :mod:`memsfde.grid` - the uniform mesh and its counter-based noise streams.
 * :mod:`memsfde.measures` - empirical laws on the real line, a Gaussian-weighted
   Fourier distance between them, and segments of laws over the memory window.
 * :mod:`memsfde.engine` - the N-particle Euler scheme driving everything.
@@ -37,7 +36,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 # (PEP 562), so a program that imports one module of the package, such as
 # one CLI subcommand, loads only the modules that module needs.
 _EXPORTS = {
-    "memsfde.grid": ("GridPath", "SimGrid", "step_generator"),
+    "memsfde.grid": ("SimGrid", "step_generator"),
     "memsfde.measures": (
         "EmpiricalMeasure",
         "MeasureSegment",

@@ -2,15 +2,17 @@
 
 Four pieces live here:
 
-* ``hamiltonian`` — the scalar pairing of dynamics with adjoint variables,
-  ``running_cost + p0*drift + q0*diffusion + integral(r0*jump)``, zero past the
-  horizon.  No implemented problem has law-dependent coefficients, so the
-  pairing against the law's time derivative is identically zero and omitted.
+* ``hamiltonian`` — the per-particle pairing of dynamics with adjoint
+  variables at one mesh time, ``running_cost + p0*drift + q0*diffusion +
+  integral(r0*jump)``.  No implemented problem has law-dependent
+  coefficients, so the pairing against the law's time derivative is
+  identically zero and omitted.
 * ``SegmentFunctional`` / ``riesz_advanced`` / ``riesz_duality_check`` — bounded
   linear functionals on memory segments (an averaging kernel on [0, delta], or
   evaluation at a fixed lag) and the change-of-variables identity that converts
   "functional applied to the forward window of p, integrated against Y" into
-  "p(t) times the functional applied to the backward window of Y".  Both sides
+  "p(t) times the functional applied to the backward window of Y".  Paths are
+  1-D arrays of values on the functional's own mesh, from t = 0.  Both sides
   use zero extension outside [0, T]; the identity is exact in continuous time
   and O(dt) on the mesh.
 * ``solve_absde`` — least-squares Monte Carlo backward sweep for the adjoint
@@ -50,8 +52,8 @@ from memsfde.engine import (
     _mean_and_stderr,
     combine_controls,
 )
-from memsfde.grid import GridPath, SimGrid, _check_step, _is_integer, mesh_index, trapezoid_weights
-from memsfde.measures import EmpiricalMeasure, MeasureSegment, dirac
+from memsfde.grid import SimGrid, _check_step, _is_integer, mesh_index, trapezoid_weights
+from memsfde.measures import EmpiricalMeasure, MeasureSegment
 
 __all__ = [
     "SegmentFunctional",
@@ -141,54 +143,56 @@ class SegmentFunctional:
         return vals @ self.weights
 
 
-def _forward_values(path: GridPath, t: float, n_ahead: int) -> np.ndarray:
-    """path(t + k dt) for k = 0..n_ahead, zero-extended past the path's end."""
-    k0 = path.index_of(t)
-    out = np.zeros(n_ahead + 1)
-    last = len(path.values) - 1
-    stop = min(n_ahead, last - k0)
-    if stop >= 0:
-        out[: stop + 1] = path.values[k0 : k0 + stop + 1]
-    return out
+def _path_values(path) -> np.ndarray:
+    """A path's mesh values as a float array; a path that is empty, not
+    1-D or not finite is refused."""
+    values = np.asarray(path, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"a path must be a non-empty 1-d array of mesh values, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("path values must be finite")
+    return values
 
 
-def riesz_advanced(f: SegmentFunctional, p_path: GridPath, t: float) -> float:
-    """Apply the functional to the forward window of ``p_path`` at time t.
+def riesz_advanced(f: SegmentFunctional, p, k: int) -> float:
+    """Apply the functional to the forward window of the path ``p`` at step k.
 
-    Reads past the stored path use zero extension, matching the convention
-    that adjoint loadings vanish beyond the horizon; paths that already carry
-    a terminal extension simply get read as stored.
+    ``p`` holds the path's values on the functional's mesh (step ``f.dt``)
+    from t = 0, and ``k`` indexes one of them.  Reads past the stored path
+    use zero extension, matching the convention that adjoint loadings vanish
+    beyond the horizon; paths that already carry a terminal extension simply
+    get read as stored.
     """
-    vals = _forward_values(p_path, t, f.delta_steps)
-    return float(f.apply(vals))
+    p = _path_values(p)
+    if not (_is_integer(k) and 0 <= k < p.size):
+        raise ValueError(f"step k={k!r} is not one of the path's {p.size} mesh steps")
+    window = np.zeros(f.delta_steps + 1)
+    ahead = p[k : k + f.delta_steps + 1]
+    window[: ahead.size] = ahead
+    return float(f.apply(window))
 
 
-def riesz_duality_check(
-    f: SegmentFunctional, p_path: GridPath, y_path: GridPath
-) -> tuple[float, float]:
+def riesz_duality_check(f: SegmentFunctional, p, y) -> tuple[float, float]:
     """Both sides of the forward/backward pairing identity.
 
+    ``p`` and ``y`` hold values on the functional's mesh (step ``f.dt``)
+    from t = 0; ``y``'s length fixes the horizon T.
     lhs = integral over [0, T] of (f applied to p's forward window) * Y(t);
     rhs = integral over [0, T] of p(t) * (f applied to Y's backward window),
     with Y treated as zero outside [0, T] and p as zero past its stored end.
-    The two agree exactly in continuous time and to O(dt) under the trapezoid
-    rule used here.
+    ``p`` must hold at least ``y``'s number of values.  The two agree
+    exactly in continuous time and to O(dt) under the trapezoid rule used
+    here.
     """
-    if abs(p_path.dt - y_path.dt) > 1e-12:
-        raise ValueError("paths must share the mesh step")
-    if abs(y_path.t0) > 1e-12 or abs(p_path.t0) > 1e-12:
-        raise ValueError("duality check expects paths starting at t = 0")
-    y = y_path.values
+    p, y = _path_values(p), _path_values(y)
     n = len(y)  # mesh of [0, T]
-    dt = y_path.dt
     d = f.delta_steps
-    w = trapezoid_weights(n, dt)
+    w = trapezoid_weights(n, f.dt)
 
     lhs = 0.0
     for k in range(n):
-        lhs += w[k] * y[k] * riesz_advanced(f, p_path, k * dt)
+        lhs += w[k] * y[k] * riesz_advanced(f, p, k)
 
-    p = _forward_values(p_path, 0.0, n - 1)
     rhs = 0.0
     for k in range(n):
         back = np.zeros(d + 1)
@@ -202,69 +206,43 @@ def riesz_duality_check(
 # Hamiltonian
 
 
-def _per_particle(seg, n: int) -> np.ndarray:
-    """A segment argument as (n, length) rows: one shared (length,) segment
-    is broadcast to every particle."""
-    seg = np.asarray(seg, dtype=float)
-    return np.broadcast_to(seg, (n, seg.shape[0])) if seg.ndim == 1 else seg
-
-
 def hamiltonian(
     coeffs: CoefficientSet,
     t: float,
-    x,
-    p0,
-    q0=0.0,
-    r0=0.0,
-    x_seg: np.ndarray | None = None,
-    law: EmpiricalMeasure | None = None,
-    law_seg: MeasureSegment | None = None,
-    u=0.0,
-    u_seg: np.ndarray | None = None,
-    jumps: JumpModel | None = None,
-    horizon: float = math.inf,
-) -> float | np.ndarray:
-    """Running cost plus adjoint-weighted dynamics at one (t, state, control,
-    adjoint) point; identically 0 past the horizon.
+    x: np.ndarray,
+    x_seg: np.ndarray,
+    law: EmpiricalMeasure,
+    law_seg: MeasureSegment,
+    u: np.ndarray,
+    u_seg: np.ndarray,
+    p0: np.ndarray,
+    q0: np.ndarray,
+    r0: np.ndarray,
+    jumps: JumpModel,
+) -> np.ndarray:
+    """Running cost plus adjoint-weighted dynamics of each particle at mesh
+    time ``t < T``, as an (N,) array.
 
-    Scalars or (N,) arrays are accepted throughout: a scalar state gives a
-    float, an (N,) state an (N,) array.  ``law`` defaults to the Dirac mass
-    at ``x`` and segments default to constant extensions, which is what
-    pointwise evaluations want.  ``r0`` is a scalar/array: a loading
-    constant in the jump mark.
+    The arguments are one step's inputs, as
+    :meth:`~memsfde.engine.ParticleEnsemble.coefficient_inputs` yields
+    them: the (N,) state ``x`` and control ``u`` with their (N, d + 1)
+    segments ``x_seg`` and ``u_seg``, the law and its segment, then the
+    step's (N,) adjoint rows ``p0``, ``q0`` and ``r0`` (``r0`` a loading
+    constant in the jump mark) and the jump model the ``r0`` term
+    integrates against.
     """
-    scalar_in = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if t > horizon + 1e-12:
-        return 0.0 if scalar_in else np.zeros(x.shape[0])
-    jumps = jumps if jumps is not None else JumpModel.none()
-
-    n = x.shape[0]
-
-    x_seg = _per_particle(x_seg, n) if x_seg is not None else x[:, None]
-    d = x_seg.shape[1] - 1
-
-    if law is None:
-        law = dirac(float(x[0])) if n == 1 else EmpiricalMeasure(x)
-    # constant-extension default (unit lag mesh); pointwise evaluations only
-    if law_seg is None:
-        law_seg = MeasureSegment(np.broadcast_to(law.atoms[:, None], (law.atoms.size, d + 1)), 1.0)
-
-    u = np.broadcast_to(np.asarray(u, dtype=float), x.shape)
-    u_seg = _per_particle(u_seg, n) if u_seg is not None else np.broadcast_to(u[:, None], (n, d + 1))
-
-    total = np.zeros(n)
+    total = np.zeros(x.shape[0])
     if coeffs.running_cost is not None:
         total = total + np.asarray(coeffs.running_cost(t, x, x_seg, law, law_seg, u, u_seg))
     if coeffs.drift is not None:
-        total = total + np.asarray(p0) * np.asarray(coeffs.drift(t, x, x_seg, law, law_seg, u, u_seg))
+        total = total + p0 * np.asarray(coeffs.drift(t, x, x_seg, law, law_seg, u, u_seg))
     if coeffs.diffusion is not None:
-        total = total + np.asarray(q0) * np.asarray(coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg))
+        total = total + q0 * np.asarray(coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg))
     if coeffs.jump is not None and jumps.active:
-        total = total + np.asarray(r0) * jumps.nu_integral(
+        total = total + r0 * jumps.nu_integral(
             lambda z: np.asarray(coeffs.jump(t, x, x_seg, law, law_seg, u, u_seg, z))
         )
-    return float(total[0]) if scalar_in else total
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +260,14 @@ class AdjointTriple:
     1, N) array, so column k is one contiguous row, and a caller that keeps
     only one of the three keeps the memory of all three.  A solve that hands its rows to the
     caller's ``on_row`` (see :func:`solve_absde`) keeps none of them, and
-    all three are ``None``.  ``mean_stderr[k]`` is the Monte Carlo standard
-    error of the regression target's mean at step k, the right yardstick
-    for drift/level tests.
+    all three are ``None``.  ``deficient_steps`` are the steps whose
+    regression was rank-deficient, in time order.
     """
 
     grid: SimGrid
     p0: np.ndarray | None  # (N, n_steps + 1)
     q0: np.ndarray | None  # (N, n_steps + 1)
     r0: np.ndarray | None  # (N, n_steps + 1)
-    mean_stderr: np.ndarray  # (n_steps + 1,)
     deficient_steps: tuple = ()
 
 
@@ -473,7 +449,9 @@ def solve_absde(
     written.  A driver that reads another row ahead keeps it in a
     :class:`SweepContext` of its own, written by ``on_row``.  The returned triple
     then holds no process.  Without ``on_row`` the solve copies every row
-    into one time-major array and returns the whole triple.
+    into one time-major array and returns the whole triple.  The solve
+    keeps no statistic of its targets: without a driver, step k's target is
+    p0 at step k + 1, so its Monte Carlo standard error is that row's.
 
     A terminal value must be finite and a scalar or (N,) array, a driver
     value a scalar or (N,) array, and every basis (N, m) with the first
@@ -494,7 +472,6 @@ def solve_absde(
                 kept[2, k] = r
 
     ctx, q_row, r_row = SweepContext(grid), np.zeros(N), np.zeros(N)
-    mean_stderr = np.zeros(K + 1)
 
     xT = ens.state_column(K)
     pT = _row_value(terminal(xT, EmpiricalMeasure(xT)), N, "terminal")
@@ -510,12 +487,11 @@ def solve_absde(
     rows = None
 
     for k in range(K - 1, -1, -1):
+        # step k + 1's row: the regression reads it before step k's row is
+        # asked for, which may take its place in a short store (d <= 3)
         target = p
         if driver is not None:
             target = target + dt * _row_value(driver(ctx, k), N, f"driver at step {k}")
-        # step k + 1's row, read before step k's is asked for: a short store
-        # that moves every step (d <= 3) puts step k's where this one was
-        _, mean_stderr[k] = _mean_and_stderr(target)
         phi = basis(ens, k)
         shape = np.shape(phi)
         if len(shape) != 2 or shape[0] != N or (rows is not None and shape[1] != m):
@@ -543,7 +519,7 @@ def solve_absde(
     if warn:
         _log_rank_deficiency(log, (len(deficient),), K)
     triple = (None, None, None) if kept is None else kept.transpose(0, 2, 1)
-    return AdjointTriple(grid, *triple, mean_stderr, tuple(reversed(deficient)))
+    return AdjointTriple(grid, *triple, tuple(reversed(deficient)))
 
 
 def _row_value(value, n: int, what: str) -> np.ndarray:
@@ -622,30 +598,19 @@ def max_condition_gap(
 
     # the ensemble's inputs and replayed control, one step at a time
     for k, (x, x_seg, law, law_seg, u, u_seg) in zip(range(grid.n_steps), ens.coefficient_inputs()):
-        common = dict(
-            t=k * grid.dt,
-            x=x,
-            x_seg=x_seg,
-            law=law,
-            law_seg=law_seg,
-            u_seg=u_seg,
-            p0=adj.p0[:, k],
-            q0=adj.q0[:, k],
-            r0=adj.r0[:, k],
-            jumps=ens.jumps,
-            horizon=grid.horizon,
-        )
-        h_used = hamiltonian(coeffs, u=u, **common)
+        # the Hamiltonian's arguments before and after the control
+        head = (coeffs, k * grid.dt, x, x_seg, law, law_seg)
+        tail = (u_seg, adj.p0[:, k], adj.q0[:, k], adj.r0[:, k], ens.jumps)
+        h_used = hamiltonian(*head, u, *tail)
+        diffs = [hamiltonian(*head, np.broadcast_to(c, x.shape), *tail) - h_used for c in candidates]
         if filtration == "trivial":
-            for c in candidates:
-                diff = hamiltonian(coeffs, u=c, **common) - h_used
+            for diff in diffs:
                 gap, se = _mean_and_stderr(diff)
                 if gap > best_gap:
                     best_gap, best_se = gap, se
         else:
             phi = basis(ens, k)
-            diffs = np.column_stack([hamiltonian(coeffs, u=c, **common) - h_used for c in candidates])
-            beta, _ = _regress(phi, diffs)
+            beta, _ = _regress(phi, np.column_stack(diffs))
             gap, se = _mean_and_stderr(np.max(phi @ beta, axis=1))
             if gap > best_gap:
                 best_gap, best_se = gap, se

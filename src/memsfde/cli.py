@@ -485,7 +485,12 @@ def run_picard(cfg: ConfigFile, grid: SimGrid, jumps: JumpModel) -> RunResult:
     t0 = values.get("t0", grid.delta if grid.delta > 0 else grid.horizon)
     t0_steps = _steps_of(cfg, "picard", "t0", t0, grid.dt, "must be a positive integer multiple of dt", positive=True)
     if grid.n_steps % t0_steps != 0:
-        cfg._error("picard", "t0", f"horizon must be an integer multiple of t0 (t0={t0!r}, horizon={grid.horizon!r})")
+        # an absent t0 defaults to delta, so delta takes the blame (a zero
+        # delta defaults it to the horizon, which always divides)
+        key, shown = ("picard", "t0"), f"t0={t0!r}"
+        if "t0" not in values:
+            key, shown = ("grid", "delta"), f"t0 defaults to delta; delta={cfg.entries[('grid', 'delta')][0]}"
+        cfg._error(*key, f"horizon must be an integer multiple of t0 ({shown}, horizon={grid.horizon!r})")
 
     ens, report = picard.picard_solve(
         coeffs, grid, jumps=jumps, xi=xi, t0_steps=t0_steps, **_subset(values, "tol", "max_iter")

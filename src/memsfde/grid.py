@@ -14,8 +14,7 @@ is drawn over all steps, marked read-only and shared by every simulation and
 fixed-point solve of that problem (``engine.draw_noise``), so all of them see
 the same increments.
 
-A :class:`GridPath` is one scalar path on such a mesh; the forward/backward
-pairing checks of :mod:`memsfde.adjoint` read it.
+``mesh_index`` is the one lookup of a mesh time's step index.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridPath", "SimGrid", "mesh_index", "step_generator", "trapezoid_weights"]
+__all__ = ["SimGrid", "mesh_index", "step_generator", "trapezoid_weights"]
 
 # substream tags for step_generator
 BROWNIAN = 0
@@ -51,21 +50,20 @@ def _check_step(dt: float) -> None:
         raise ValueError(f"dt={dt} must be positive and finite")
 
 
-def mesh_index(t: float, dt: float, t0: float = 0.0, n_points: float = math.inf, name: str = "t") -> int:
-    """Index k of the mesh time ``t = t0 + k dt``, to within 1e-6 dt, on the
-    ``n_points`` mesh points from ``t0`` (unbounded above by default).
+def mesh_index(t: float, dt: float, name: str = "t") -> int:
+    """Index k >= 0 of the mesh time ``t = k dt``, to within 1e-6 dt.
 
-    ``dt`` must be positive.  A non-finite, off-mesh or out-of-range ``t``
-    is a ``ValueError`` naming it.
+    ``dt`` must be positive.  A non-finite, off-mesh or negative ``t`` is a
+    ``ValueError`` naming it.
     """
-    steps = (t - t0) / dt
+    steps = t / dt
     if not math.isfinite(steps):
         raise ValueError(f"{name}={t} is not a finite mesh time")
     k = int(round(steps))
-    if abs(t0 + k * dt - t) > 1e-6 * dt:
+    if abs(k * dt - t) > 1e-6 * dt:
         raise ValueError(f"{name}={t} is not on the mesh (dt={dt})")
-    if not 0 <= k < n_points:
-        raise ValueError(f"{name}={t} outside [{t0}, {t0 + (n_points - 1) * dt}]")
+    if k < 0:
+        raise ValueError(f"{name}={t} is before time 0")
     return k
 
 
@@ -125,30 +123,6 @@ class SimGrid:
     def times_full(self) -> np.ndarray:
         """Mesh of [-delta, T], length delta_steps + n_steps + 1."""
         return (np.arange(self.delta_steps + self.n_steps + 1) - self.delta_steps) * self.dt
-
-
-@dataclass(frozen=True)
-class GridPath:
-    """Scalar path on the uniform mesh ``t0, t0 + dt, ...``: finite values,
-    a finite ``t0`` and a positive finite ``dt``."""
-
-    values: np.ndarray
-    dt: float
-    t0: float
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("path values must be a non-empty 1-d array")
-        if not np.isfinite(values).all():
-            raise ValueError("path values must be finite")
-        _check_step(self.dt)
-        if not math.isfinite(self.t0):
-            raise ValueError(f"t0={self.t0} must be finite")
-        object.__setattr__(self, "values", values)
-
-    def index_of(self, t: float) -> int:
-        return mesh_index(t, self.dt, self.t0, self.values.size)
 
 
 def trapezoid_weights(n_points: int, dt: float) -> np.ndarray:

@@ -21,47 +21,45 @@ from memsfde.adjoint import (
     solve_absde,
     stationarity_gap,
 )
-from memsfde.engine import CoefficientSet, ControlProblem, JumpModel, MeshMismatchError, simulate
-from memsfde.grid import GridPath, SimGrid, trapezoid_weights
+from memsfde.engine import CoefficientSet, ControlProblem, JumpModel, MeshMismatchError, _mean_and_stderr, simulate
+from memsfde.grid import SimGrid, trapezoid_weights
 from memsfde.lq_memory import LQSpec, control_problem, lq_basis
+from memsfde.measures import EmpiricalMeasure, MeasureSegment
 
 
-def smooth_path(rng, n_steps, dt, t0=0.0, amplitude=0.5):
-    """Random low-frequency trigonometric path on the mesh."""
-    t = t0 + dt * np.arange(n_steps + 1)
+def smooth_path(rng, n_steps, dt, amplitude=0.5):
+    """Random low-frequency trigonometric path's values on the mesh from t = 0."""
+    t = dt * np.arange(n_steps + 1)
     vals = np.zeros(n_steps + 1)
     for j in range(1, 5):
         a, b = rng.uniform(-amplitude, amplitude, 2) / j
         vals += a * np.cos(j * math.pi * t) + b * np.sin(j * math.pi * t)
-    return GridPath(values=vals, dt=dt, t0=t0)
+    return vals
 
 
 class TestRieszAdvanced:
     def test_unit_kernel_on_constant_path(self):
         f = SegmentFunctional.averaging(lambda r: 1.0, delta_steps=10, dt=0.1)
-        p = GridPath(np.full(21, 4.0), dt=0.1, t0=0.0)
-        assert riesz_advanced(f, p, 0.5) == pytest.approx(4.0)
+        assert riesz_advanced(f, np.full(21, 4.0), 5) == pytest.approx(4.0)
 
     def test_evaluation_reads_ahead(self):
         # p(t) = t and a half-unit lag: value at t = 1 is p(1.5)
         f = SegmentFunctional.evaluation(0.5, dt=0.25)
-        p = GridPath(0.25 * np.arange(9), dt=0.25, t0=0.0)
-        assert riesz_advanced(f, p, 1.0) == pytest.approx(1.5)
+        assert riesz_advanced(f, 0.25 * np.arange(9), 4) == pytest.approx(1.5)
 
     def test_linear_kernel_integral(self):
         # kernel r against p(r) = r over [0, 1]: integral r^2 dr = 1/3
         dt = 0.01
         f = SegmentFunctional.averaging(lambda r: r, delta_steps=100, dt=dt)
-        p = GridPath(dt * np.arange(201), dt=dt, t0=0.0)
-        assert riesz_advanced(f, p, 0.0) == pytest.approx(1.0 / 3.0, abs=dt**2)
+        assert riesz_advanced(f, dt * np.arange(201), 0) == pytest.approx(1.0 / 3.0, abs=dt**2)
 
     def test_zero_extension_past_path_end(self):
         f = SegmentFunctional.evaluation(0.5, dt=0.25)
-        p = GridPath(np.ones(5), dt=0.25, t0=0.0)  # ends at t = 1
-        assert riesz_advanced(f, p, 1.0) == 0.0
+        p = np.ones(5)  # ends at t = 1, step 4
+        assert riesz_advanced(f, p, 4) == 0.0
         avg = SegmentFunctional.averaging(lambda r: 1.0, delta_steps=2, dt=0.25)
         # window [1, 1.5] has support only at the left endpoint
-        assert riesz_advanced(avg, p, 1.0) == pytest.approx(0.125)
+        assert riesz_advanced(avg, p, 4) == pytest.approx(0.125)
 
     def test_off_mesh_point_rejected(self):
         with pytest.raises(ValueError):
@@ -69,13 +67,26 @@ class TestRieszAdvanced:
         with pytest.raises(ValueError):
             SegmentFunctional.averaging(np.ones(3), delta_steps=4, dt=0.25)
 
+    @pytest.mark.parametrize("k", [5, -1, 2.0, True])
+    def test_a_step_outside_the_path_is_refused(self, k):
+        f = SegmentFunctional.evaluation(0.25, dt=0.25)
+        with pytest.raises(ValueError, match=rf"step k={k!r} is not one of the path's 5 mesh steps"):
+            riesz_advanced(f, np.ones(5), k)
+
+
+BAD_PATHS = {
+    "2-d": (np.ones((5, 1)), r"non-empty 1-d array of mesh values, got shape \(5, 1\)"),
+    "empty": (np.ones(0), r"non-empty 1-d array of mesh values, got shape \(0,\)"),
+    "nan": (np.array([0.0, math.nan, 1.0, 1.0, 1.0]), "path values must be finite"),
+    "inf": (np.array([0.0, 1.0, math.inf, 1.0, 1.0]), "path values must be finite"),
+    "-inf": (np.array([0.0, 1.0, 1.0, 1.0, -math.inf]), "path values must be finite"),
+}
+
 
 class TestRieszDuality:
     def test_zero_y_path(self):
         f = SegmentFunctional.averaging(lambda r: 1.0, delta_steps=4, dt=0.1)
-        p = GridPath(np.ones(11), dt=0.1, t0=0.0)
-        y = GridPath(np.zeros(11), dt=0.1, t0=0.0)
-        assert riesz_duality_check(f, p, y) == (0.0, 0.0)
+        assert riesz_duality_check(f, np.ones(11), np.zeros(11)) == (0.0, 0.0)
 
     def test_evaluation_at_zero_lag_is_exact(self):
         rng = np.random.Generator(np.random.Philox(key=1))
@@ -101,19 +112,40 @@ class TestRieszDuality:
             lhs, rhs = riesz_duality_check(f, p, y)
             assert abs(lhs - rhs) < 5.0 * dt
 
-    def test_mismatched_meshes_rejected(self):
+    @pytest.mark.parametrize("bad", sorted(BAD_PATHS))
+    def test_a_bad_path_is_refused(self, bad):
+        # the values of a path are read as given; a malformed one is refused
+        # whichever argument it is
+        path, message = BAD_PATHS[bad]
+        f = SegmentFunctional.averaging(1.0, delta_steps=2, dt=0.1)
+        with pytest.raises(ValueError, match=message):
+            riesz_advanced(f, path, 0)
+        for p, y in ((path, np.ones(5)), (np.ones(5), path)):
+            with pytest.raises(ValueError, match=message):
+                riesz_duality_check(f, p, y)
+
+    def test_a_p_path_shorter_than_y_is_refused(self):
         f = SegmentFunctional.evaluation(0.1, dt=0.1)
-        p = GridPath(np.ones(11), dt=0.1, t0=0.0)
-        y = GridPath(np.ones(11), dt=0.05, t0=0.0)
-        with pytest.raises(ValueError):
-            riesz_duality_check(f, p, y)
+        with pytest.raises(ValueError, match="step k=5 is not one of the path's 5 mesh steps"):
+            riesz_duality_check(f, np.ones(5), np.ones(11))
+
+
+def step_inputs(x, x_seg, u):
+    """One step's per-particle Hamiltonian inputs ``(x, x_seg, law, law_seg,
+    u, u_seg)`` for states ``x`` with segments ``x_seg`` and a constant
+    control ``u``."""
+    x, x_seg = np.asarray(x, dtype=float), np.asarray(x_seg, dtype=float)
+    u = np.broadcast_to(u, x.shape)
+    return x, x_seg, EmpiricalMeasure(x), MeasureSegment(x_seg, 0.1), u, np.broadcast_to(u[:, None], x_seg.shape)
 
 
 class TestHamiltonian:
     def test_single_drift_term(self):
         coeffs = CoefficientSet(drift=lambda *a: 1.0)
-        h = hamiltonian(coeffs, t=0.0, x=0.0, p0=3.0)
-        assert h == pytest.approx(3.0)
+        zero = np.zeros(1)
+        inputs = step_inputs(zero, np.zeros((1, 1)), 0.0)
+        h = hamiltonian(coeffs, 0.0, *inputs, np.full(1, 3.0), zero, zero, JumpModel.none())
+        assert h.shape == (1,) and h[0] == pytest.approx(3.0)
 
     def test_control_scaled_memory_product(self):
         # all three noise channels read u * x(t - delta); the Hamiltonian then
@@ -121,36 +153,18 @@ class TestHamiltonian:
         scaled = lambda t, x, xs, m, ms, u, us: u * xs[..., -1]
         coeffs = CoefficientSet(drift=scaled, diffusion=scaled, jump=lambda *a: a[5] * a[2][..., -1])
         jumps = JumpModel(intensity=2.0, marks=(1.0,), probs=(1.0,))
-        h = hamiltonian(
-            coeffs,
-            t=0.5,
-            x=9.0,  # current state does not enter
-            x_seg=np.array([9.0, 2.0, 1.5]),
-            u=2.0,
-            p0=0.1,
-            q0=0.1,
-            r0=0.1,
-            jumps=jumps,
-        )
+        # current state 9 does not enter
+        inputs = step_inputs([9.0], [[9.0, 2.0, 1.5]], 2.0)
+        adjoint_rows = (np.full(1, 0.1),) * 3
+        h = hamiltonian(coeffs, 0.5, *inputs, *adjoint_rows, jumps)
         # bracket = 0.1 + 0.1 + 0.1 * 2 = 0.4; u * lag * bracket = 2 * 1.5 * 0.4
-        assert h == pytest.approx(1.2)
-
-    def test_vanishes_past_horizon(self):
-        coeffs = CoefficientSet(drift=lambda *a: 1.0)
-        h = hamiltonian(coeffs, t=1.01, x=0.0, p0=5.0, horizon=1.0)
-        assert h == 0.0
-
-    def test_past_horizon_keeps_the_shape_of_the_state(self):
-        coeffs = CoefficientSet(drift=lambda *a: 1.0)
-        x = np.array([1.0, 2.0, 3.0])
-        inside = hamiltonian(coeffs, t=0.5, x=x, p0=5.0, horizon=1.0)
-        past = hamiltonian(coeffs, t=1.5, x=x, p0=5.0, horizon=1.0)
-        assert isinstance(past, np.ndarray) and past.shape == inside.shape == (3,)
-        np.testing.assert_array_equal(past, 0.0)
+        assert h.shape == (1,) and h[0] == pytest.approx(1.2)
 
     def test_vector_inputs_broadcast(self):
         coeffs = CoefficientSet(running_cost=lambda t, x, xs, m, ms, u, us: x * u)
-        out = hamiltonian(coeffs, t=0.0, x=np.array([1.0, 2.0]), p0=0.0, u=3.0)
+        zero = np.zeros(2)
+        inputs = step_inputs([1.0, 2.0], [[1.0], [2.0]], 3.0)
+        out = hamiltonian(coeffs, 0.0, *inputs, zero, zero, zero, JumpModel.none())
         np.testing.assert_allclose(out, [3.0, 6.0])
 
 
@@ -176,7 +190,8 @@ class TestBackwardSolver:
         K = ens.grid.n_steps
         for k in (0, K // 2, K - 1):
             err = abs(adj.p0[:, k].mean() + ens.states[:, k].mean())
-            assert err < 3.0 * max(adj.mean_stderr[k], 1e-12) + 1e-3
+            # the driverless target at step k is p0 at step k + 1
+            assert err < 3.0 * max(_mean_and_stderr(adj.p0[:, k + 1])[1], 1e-12) + 1e-3
         q_means = adj.q0[:, :K].mean(axis=0)
         assert np.max(np.abs(q_means + 1.0)) < 0.05
         np.testing.assert_allclose(adj.r0, 0.0)
@@ -187,7 +202,8 @@ class TestBackwardSolver:
         adj = solve_absde(ens, terminal=lambda x, law: -x)
         means = adj.p0.mean(axis=0)
         steps = np.abs(np.diff(means))
-        assert np.max(steps) < 3.0 * np.max(adj.mean_stderr) + 1e-4
+        target_stderr = [_mean_and_stderr(adj.p0[:, k + 1])[1] for k in range(ens.grid.n_steps)]
+        assert np.max(steps) < 3.0 * np.max(target_stderr) + 1e-4
 
     def test_rank_deficient_fallback_warns(self, caplog):
         # deterministic state collapses every basis column to a constant
@@ -354,17 +370,26 @@ class TestBackwardSolver:
     @pytest.mark.parametrize("delta_steps", [4, 0])
     def test_a_ring_held_p0_keeps_the_initial_step_bits(self, delta_steps):
         # p0 of a hook solve lives in a band that moves as the sweep goes
-        # back; the initial step's row, the standard errors and the
-        # deficient steps are the plain solve's bits, and every row is the
-        # lstsq reference's.  With d = 0 each step's target is p0 at step
-        # k + 1 in a band of two rows, which the step's own row overwrites:
-        # it must not do so before mean_stderr reads it
+        # back; the initial step's row, the standard errors of the rows and
+        # the deficient steps are the plain solve's bits, and every row is
+        # the lstsq reference's.  With d = 0 each step's target is p0 at
+        # step k + 1 in a band of two rows, which the step's own row
+        # overwrites: it must not do so before the regression reads it
         ens, full, _, hooked, _, rows, reference = self.full_and_hooked_solves(delta_steps)
         np.testing.assert_array_equal(rows[0]["p"], full.p0[:, 0])
-        np.testing.assert_array_equal(hooked.mean_stderr, full.mean_stderr)
+        for k in range(1, ens.grid.n_steps + 1):
+            stderr = _mean_and_stderr(rows[k]["p"])[1]
+            assert stderr == _mean_and_stderr(full.p0[:, k])[1] and stderr > 0.0
         assert hooked.deficient_steps == full.deficient_steps
-        assert np.all(full.mean_stderr[:-1] > 0.0)
         self.assert_rows_match_the_reference(rows, reference, ens.grid.n_steps)
+
+    def test_a_solve_takes_no_statistic_of_its_targets(self, monkeypatch):
+        # every step of every solve took its target's mean and standard
+        # error, which no hook solve's caller reads
+        monkeypatch.setattr(adjoint, "_mean_and_stderr", lambda *a: pytest.fail("a statistic was taken"))
+        ens, driver = jump_sweep_inputs()
+        for on_row in (lambda k, p, q, r: None, None):
+            solve_absde(ens, terminal=lambda x, law: -x, driver=driver, on_row=on_row, warn=False)
 
 
 def rel_err(a, b) -> float:

@@ -359,6 +359,17 @@ class TestConfigErrors:
         err = self.run_expecting_bad_config(["picard", "--config", path], capsys)
         assert "horizon must be an integer multiple of t0" in err
 
+    def test_a_defaulted_picard_window_is_blamed_on_delta(self, tmp_path, capsys):
+        # t0 defaults to delta; a delta that does not divide the horizon was
+        # blamed on the absent t0, at line 0, with delta's float repr
+        text = PICARD_TINY.replace("t0 = 0.1\n", "").replace("delta = 0.1", "delta = 3e-1")
+        path = write_cfg(tmp_path, text)
+        err = self.run_expecting_bad_config(["picard", "--config", path], capsys)
+        assert err == (
+            f"config error: {path}:5: [grid] delta: horizon must be an integer multiple of t0 "
+            "(t0 defaults to delta; delta=3e-1, horizon=0.5)\n"
+        )
+
     def test_wealth_history_below_floor_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MEANVAR_TINY.replace("xi = 2.0", "xi = 0.5"))
         err = self.run_expecting_bad_config(["meanvar", "--config", path], capsys)

@@ -8,7 +8,7 @@ import pytest
 
 from memsfde.adjoint import SegmentFunctional
 from memsfde.engine import JumpModel
-from memsfde.grid import BROWNIAN, JUMPS, GridPath, SimGrid, step_generator, trapezoid_weights
+from memsfde.grid import BROWNIAN, JUMPS, SimGrid, step_generator, trapezoid_weights
 from memsfde.measures import MeasureSegment
 
 
@@ -26,23 +26,15 @@ def test_mesh_counts():
     assert full[grid.delta_steps] == 0.0
 
 
-def test_index_of_requires_mesh_point():
-    path = GridPath(np.zeros(13), dt=0.1, t0=-0.2)
-    assert path.index_of(0.3) == 5
-    with pytest.raises(ValueError):
-        path.index_of(0.35)
-
-
-PATH = GridPath(np.zeros(5), dt=0.1, t0=0.0)
-
-
 @pytest.mark.parametrize(
     "call, named",
     [
-        pytest.param(lambda: PATH.index_of(-math.inf), "t=-inf", id="GridPath.index_of-inf"),
-        pytest.param(lambda: PATH.index_of(math.nan), "t=nan", id="GridPath.index_of-nan"),
-        pytest.param(lambda: PATH.index_of(0.33), "t=0.33 is not on the mesh", id="GridPath.index_of-off-mesh"),
-        pytest.param(lambda: PATH.index_of(0.5), "t=0.5 outside", id="GridPath.index_of-past-end"),
+        pytest.param(lambda: SegmentFunctional.evaluation(-math.inf, 0.1), "point=-inf", id="evaluation-minus-inf"),
+        pytest.param(lambda: SegmentFunctional.evaluation(math.nan, 0.1), "point=nan", id="evaluation-nan"),
+        pytest.param(
+            lambda: SegmentFunctional.evaluation(0.33, 0.1), "point=0.33 is not on the mesh", id="evaluation-off-mesh"
+        ),
+        pytest.param(lambda: SegmentFunctional.evaluation(-0.1, 0.1), "point=-0.1 is before time 0", id="evaluation-negative"),
         pytest.param(lambda: SegmentFunctional.evaluation(math.inf, 0.1), "point=inf", id="evaluation-inf"),
         pytest.param(lambda: SegmentFunctional.evaluation(0.3, 0.0), "dt=0.0", id="evaluation-zero-dt"),
         pytest.param(lambda: SegmentFunctional.averaging(1.0, -1, 0.1), "delta_steps=-1", id="averaging-negative"),
@@ -57,10 +49,6 @@ PATH = GridPath(np.zeros(5), dt=0.1, t0=0.0)
             lambda: MeasureSegment(np.array([1.0, 2.0]), 0.1), "window", id="MeasureSegment-one-dimensional-window"
         ),
         pytest.param(lambda: MeasureSegment(np.zeros((3, 0)), 0.1), "window", id="MeasureSegment-empty-window"),
-        pytest.param(lambda: GridPath(np.zeros(5), dt=math.nan, t0=0.0), "dt=nan", id="GridPath-dt"),
-        pytest.param(lambda: GridPath(np.zeros(5), dt=0.1, t0=math.nan), "t0=nan", id="GridPath-nan-t0"),
-        pytest.param(lambda: GridPath(np.array([0.0, math.nan]), dt=0.1, t0=0.0), "values", id="GridPath-nan-values"),
-        pytest.param(lambda: GridPath(np.array([0.0, math.inf]), dt=0.1, t0=0.0), "values", id="GridPath-inf-values"),
     ],
 )
 def test_bad_mesh_inputs_are_refused_by_name(call, named):
