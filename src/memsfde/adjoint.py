@@ -19,22 +19,24 @@ Four pieces live here:
   triple (p0, q0, r0).  The equation is *advanced*: the driver at time t may
   read the (already computed) p0 on [t, t+delta], read as zero past the
   horizon: the convention under which the duality identity above is exact.
-  ``SweepContext`` is the one store of a sweep's rows ahead: the solve keeps
-  p0 in one, and every row goes to one ``on_row`` hook as it is solved, so a
-  caller whose driver reads q0 or r0 ahead, or a combination of the triple,
-  writes it there into a store of its own.
+  ``SweepContext`` is the one store of a sweep's rows ahead, and holds them
+  only once they are read: the solve keeps p0 in one, and every row goes to
+  one ``on_row`` hook as it is solved, so a caller whose driver reads q0 or
+  r0 ahead, or a combination of the triple, writes it there into a store of
+  its own, and the solve's p0 store keeps two rows.
   Conditioning on the time-t information is done by regression onto a state
   basis; the Brownian and compensated-jump loadings come out as the regression
   coefficients of the basis interacted with the corresponding noise increments.
 * ``max_condition_gap`` / ``stationarity_gap`` — numerical optimality tests:
   how much the Hamiltonian can be improved over a candidate control grid, and
   the common-random-number central difference of the performance functional in
-  a perturbation direction; ``stationarity_rows`` runs the probes that every
-  verification battery shares, then the battery's own.
+  a perturbation direction; ``stationarity_rows`` runs two standard probes,
+  then the battery's own.
 """
 
 from __future__ import annotations
 
+import inspect
 import logging
 import math
 from dataclasses import dataclass
@@ -325,13 +327,15 @@ def _polynomial_rows(ens: ParticleEnsemble, k: int, out: np.ndarray) -> None:
     np.multiply(x, xd, out=out[4])
 
 
-def default_basis(ens: ParticleEnsemble, k: int) -> np.ndarray:
+def default_basis(ens: ParticleEnsemble, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """Polynomial regression features {1, X(t), X(t - delta), X^2, X * X_delta}.
 
-    Returned as the (N, 5) transposed view of a feature-major buffer, so each
-    feature is one contiguous row.
+    Written into the feature-major (5, N) buffer ``out``, a new one when
+    ``out`` is None, and returned as its (N, 5) transposed view, so each
+    feature is one contiguous row.  That is the basis protocol of
+    :func:`solve_absde`.
     """
-    rows = np.empty((5, ens.grid.n_particles))
+    rows = np.empty((5, ens.grid.n_particles)) if out is None else out
     _polynomial_rows(ens, k, rows)
     return rows.T
 
@@ -349,19 +353,27 @@ class SweepContext:
     written from the rows the solve hands to ``on_row``.
 
     Rows are written horizon first through ``row(k)``; ``future(k, ahead)``
-    and ``advanced_average`` read the rows ahead of step k.  Only this
-    class knows the layout: a band (``engine._Band``) of d + 1 + s rows,
-    s = ceil((d + 1) / 4), indexed by reversed time, so step j of an
-    n_steps mesh with d lag steps is column d + n_steps - j.  The d zero
-    history columns of the band are the steps past the horizon, and the
-    window ending at step k + 1 holds steps k + 1..k + d + 1 in lead order,
-    an F-contiguous (N, d + 1) view.  The band moves its d + 1 newest rows
-    once every s steps, about four rows a step.
+    and ``advanced_average`` read the rows ahead of step k.  A store holds
+    only what is read: until its first read ahead it keeps the two newest
+    rows, the one being written and the one before it, which is all that a
+    regression target reads.  The first read ahead, at the sweep's first
+    step or the one after, before any row was dropped, turns it into a
+    band of the rows ahead, which it stays; so a store that no driver reads
+    never holds more than two rows.  Only this class knows the band's
+    layout: a band (``engine._Band``) of d + 1 + s rows, s = ceil((d + 1) /
+    4), indexed by reversed time, so step j of an n_steps mesh with d lag
+    steps is column d + n_steps - j.  The d zero history columns of the
+    band are the steps past the horizon, and the window ending at step
+    k + 1 holds steps k + 1..k + d + 1 in lead order, an F-contiguous
+    (N, d + 1) view.  The band moves its d + 1 newest rows once every s
+    steps, about four rows a step.
     """
 
     def __init__(self, grid: SimGrid):
         self.grid = grid
-        self._band = _Band(grid, grid.delta_steps + 1 + (grid.delta_steps + 4) // 4)
+        self._band = None  # made by the first read ahead
+        self._pair = np.empty((2, grid.n_particles))  # step k's row is pair[k % 2]
+        self._oldest = grid.n_steps + 1  # the earliest step written
 
     def _column(self, k: int) -> int:
         """The band column of step k."""
@@ -370,23 +382,40 @@ class SweepContext:
     def row(self, k: int) -> np.ndarray:
         """The row of step k, for the caller to write.  Rows are asked for
         horizon first, one step at a time, and asking for step k's keeps
-        the rows of steps k + 1..k + d + 1, all that a driver at step k or
-        k - 1 may read."""
+        the row of step k + 1 and, once the store is read ahead, the rows
+        of steps k + 1..k + d + 1, all that a driver at step k or k - 1 may
+        read."""
+        if self._band is None:
+            self._oldest = k
+            return self._pair[k % 2]
         i = self._column(k)
         self._band.make_room(i - 1)
         return self._band.column(i)
 
-    def _check_ahead(self, k: int, ahead: int) -> None:
+    def _ahead(self, k: int, ahead: int) -> _Band:
+        """The band of the rows ahead of step k, made from the two rows
+        kept so far on the first read."""
         if ahead < 1:
             raise ValueError(f"row at step {k}: drivers may only read strictly ahead (got offset {ahead})")
         if ahead > self.grid.delta_steps:
             raise ValueError(f"row at step {k}: read offset {ahead} exceeds the memory window")
+        if self._band is None:
+            K, d = self.grid.n_steps, self.grid.delta_steps
+            if self._oldest < K - 1:
+                raise ValueError(
+                    f"row at step {k}: the store kept only its two newest rows, as nothing read ahead "
+                    f"before; a driver that reads ahead must do so from the sweep's first step"
+                )
+            self._band = _Band(self.grid, d + 1 + (d + 4) // 4)
+            for j in range(self._oldest, K + 1):
+                self._band.column(self._column(j))[...] = self._pair[j % 2]
+            self._pair = None
+        return self._band
 
     def future(self, k: int, ahead: int) -> np.ndarray:
         """The row of step k + ahead, zero past the horizon; ``ahead`` must
         be in 1..d."""
-        self._check_ahead(k, ahead)
-        return self._band.column(self._column(k + ahead))
+        return self._ahead(k, ahead).column(self._column(k + ahead))
 
     def advanced_average(self, k: int, f: SegmentFunctional) -> np.ndarray:
         """Kernel-weighted integral of the future rows over the memory window.
@@ -405,13 +434,13 @@ class SweepContext:
             return self.future(k, f.point_steps)
         d = f.delta_steps
         lags = max(d, 1)
-        self._check_ahead(k, lags)
+        band = self._ahead(k, lags)
         w = f.weights
         folded = np.zeros(lags)
         folded[:d] = w[1:]
         folded[0] += w[0]
         live = min(lags, self.grid.n_steps - k)
-        return self._band.window(self._column(k + 1))[:, :live] @ folded[:live]
+        return band.window(self._column(k + 1))[:, :live] @ folded[:live]
 
 
 def solve_absde(
@@ -433,25 +462,35 @@ def solve_absde(
     loadings q0, r0.  The ``[φ, φ·ΔW, φ·ΔÑ]`` design is stored feature-major:
     one C-contiguous (n_blocks·m, N) buffer reused by every step, whose row
     blocks hold the basis and its products with the step's noise rows, so
-    every write and every fitted value is a contiguous row.  Its (N, n)
-    transposed view is solved by ``_regress``: a symmetric eigensolve of
-    its column-scaled Gram matrix, with eigenvalues at most
-    ``max(N, n) * eps`` times the largest counted as zero, plus one
-    residual refinement step.  Rank-deficient designs fall back to the
-    least-norm solution (for a collapsed basis that is exactly the ensemble
-    mean) and are reported via ``deficient_steps`` plus, unless ``warn`` is
-    false, a logged warning.
+    every write and every fitted value is a contiguous row.
+    ``basis(ens, k, out=None)`` returns step k's (N, m) features.  The
+    solve passes ``out``, the design's (m, N) first block: a basis that
+    writes its features there and returns ``out.T``, as
+    :func:`default_basis` and :func:`memsfde.lq_memory.lq_basis` do, is not
+    copied, and any other (N, m) array is copied in.  The first step calls
+    the basis once more, without ``out``, to learn m before the design is
+    made.  The design's (N, n) transposed view is solved by ``_regress``:
+    a symmetric eigensolve of its column-scaled Gram matrix, with
+    eigenvalues at most ``max(N, n) * eps`` times the largest counted as
+    zero, plus one residual refinement step.  Rank-deficient designs fall
+    back to the least-norm solution (for a collapsed basis that is exactly
+    the ensemble mean) and are reported via ``deficient_steps`` plus,
+    unless ``warn`` is false, a logged warning.
 
-    p0 lives in one :class:`SweepContext`, the store the driver reads, q0
-    and r0 in one row each.  ``on_row(k, p0, q0, r0)`` receives the rows
-    of every step as they are solved, the horizon first (its loadings are
-    zero rows): views that are valid during the call only and must not be
-    written.  A driver that reads another row ahead keeps it in a
-    :class:`SweepContext` of its own, written by ``on_row``.  The returned triple
-    then holds no process.  Without ``on_row`` the solve copies every row
-    into one time-major array and returns the whole triple.  The solve
-    keeps no statistic of its targets: without a driver, step k's target is
-    p0 at step k + 1, so its Monte Carlo standard error is that row's.
+    p0 lives in the :class:`SweepContext` the driver reads, which holds the
+    rows ahead only if the driver reads them, and otherwise two rows: step
+    k + 1's, the target, and step k's.  q0 and r0 take one row each.
+    ``on_row(k, p0, q0, r0)`` receives the rows of every step as they are
+    solved, the horizon first (its loadings are zero rows): views that are
+    valid during the call only and must not be written.  A hook that takes
+    ``(k, p0)`` alone gets p0 alone, and the solve fits no loadings for it.
+    A driver that reads another row ahead keeps it in a
+    :class:`SweepContext` of its own, written by ``on_row``.  The returned
+    triple then holds no process.  Without ``on_row`` the solve copies
+    every row into one time-major array and returns the whole triple.  The
+    solve keeps no statistic of its targets: without a driver, step k's
+    target is p0 at step k + 1, so its Monte Carlo standard error is that
+    row's.
 
     A terminal value must be finite and a scalar or (N,) array, a driver
     value a scalar or (N,) array, and every basis (N, m) with the first
@@ -471,55 +510,76 @@ def solve_absde(
             if use_jumps:
                 kept[2, k] = r
 
-    ctx, q_row, r_row = SweepContext(grid), np.zeros(N), np.zeros(N)
+    # the q0 and r0 rows handed to the hook after p0; none for a hook of p0 alone
+    loadings = (np.zeros(N), np.zeros(N)) if _takes_loadings(on_row) else ()
+    ctx = SweepContext(grid)
 
     xT = ens.state_column(K)
-    pT = _row_value(terminal(xT, EmpiricalMeasure(xT)), N, "terminal")
-    if not np.isfinite(pT).all():
-        raise ValueError("terminal must be finite")
     p = ctx.row(K)
-    p[...] = pT
-    on_row(K, p, q_row, r_row)
+    p[...] = _row_value(terminal(xT, EmpiricalMeasure(xT)), N, "terminal")
+    if not np.isfinite(p).all():
+        raise ValueError("terminal must be finite")
+    on_row(K, p, *loadings)
 
     lam_dt = ens.jumps.intensity * dt if use_jumps else 0.0
     n_blocks = 3 if use_jumps else 2
     deficient: list[int] = []
-    rows = None
+    rows = basis_rows = None
 
     for k in range(K - 1, -1, -1):
         # step k + 1's row: the regression reads it before step k's row is
-        # asked for, which may take its place in a short store (d <= 3)
+        # asked for, which may take its place in a band of d + 2 rows (d <= 3)
         target = p
         if driver is not None:
             target = target + dt * _row_value(driver(ctx, k), N, f"driver at step {k}")
-        phi = basis(ens, k)
-        shape = np.shape(phi)
-        if len(shape) != 2 or shape[0] != N or (rows is not None and shape[1] != m):
-            raise ValueError(f"basis at step {k} has shape {shape}, not ({N}, {'m' if rows is None else m})")
-        m = shape[1]
         if rows is None:
+            # the first step learns the width m from a basis of its own,
+            # freed before the design is made
+            shape = np.shape(basis(ens, k))
+            if len(shape) != 2 or shape[0] != N:
+                raise ValueError(f"basis at step {k} has shape {shape}, not ({N}, m)")
+            m = shape[1]
             # feature-major design: block b is rows [b*m, (b+1)*m)
             rows = np.empty((n_blocks * m, N))
-        basis_rows = rows[:m]
-        basis_rows[...] = phi.T
+            basis_rows = rows[:m]
+        phi = basis(ens, k, out=basis_rows)
+        if np.shape(phi) != (N, m):
+            raise ValueError(f"basis at step {k} has shape {np.shape(phi)}, not ({N}, {m})")
+        if not np.may_share_memory(phi, basis_rows):
+            basis_rows[...] = phi.T
         del phi  # so that two steps' bases are never held at once
         np.multiply(basis_rows, ens.brownian[:, k], out=rows[m : 2 * m])
         if use_jumps:
-            dn = ens.jump_counts[:, k, :].sum(axis=1) - lam_dt
+            # the counts sum exactly in floats, so dn holds one row
+            dn = ens.jump_counts[:, k, :].sum(axis=1, dtype=float)
+            dn -= lam_dt
             np.multiply(basis_rows, dn, out=rows[2 * m :])
+            del dn
         beta, rank = _regress(rows.T, target, step=k)
+        del target  # neither row is held through the hook
         if rank < rows.shape[0]:
             deficient.append(k)
         p = np.matmul(beta[:m], basis_rows, out=ctx.row(k))
-        np.matmul(beta[m : 2 * m], basis_rows, out=q_row)
-        if use_jumps:
-            np.matmul(beta[2 * m :], basis_rows, out=r_row)
-        on_row(k, p, q_row, r_row)
+        if loadings:
+            np.matmul(beta[m : 2 * m], basis_rows, out=loadings[0])
+            if use_jumps:
+                np.matmul(beta[2 * m :], basis_rows, out=loadings[1])
+        on_row(k, p, *loadings)
 
     if warn:
         _log_rank_deficiency(log, (len(deficient),), K)
     triple = (None, None, None) if kept is None else kept.transpose(0, 2, 1)
     return AdjointTriple(grid, *triple, tuple(reversed(deficient)))
+
+
+def _takes_loadings(hook) -> bool:
+    """Whether ``hook`` takes a step's loadings, ``(k, p0, q0, r0)``; a
+    hook that cannot take four arguments is handed ``(k, p0)``."""
+    try:
+        inspect.signature(hook).bind(None, None, None, None)
+    except TypeError:
+        return False
+    return True
 
 
 def _row_value(value, n: int, what: str) -> np.ndarray:
@@ -645,8 +705,7 @@ def _check_eps(eps: float) -> None:
 
 def stationarity_rows(problem: ControlProblem, control, directions, eps: float = 1e-3) -> list:
     """Rows ``(label, gap, stderr)`` of :func:`stationarity_gap` at
-    ``control``: first in the two probes every verification battery shares,
-    a unit shift (``const_1``) and a unit shift over the second half of the
+    ``control``: first in two standard probes, a unit shift (``const_1``) and a unit shift over the second half of the
     horizon (``late_half``), then in each ``(label, direction)`` of
     ``directions``, the battery's own."""
     half = problem.grid.horizon / 2.0

@@ -131,11 +131,13 @@ def control_problem(spec: LQSpec, grid: SimGrid) -> ControlProblem:
 
 def lq_basis(spec: LQSpec, grid: SimGrid):
     """Regression basis: the default polynomial features plus the running
-    delay integral — the statistic that drives the dynamics."""
+    delay integral — the statistic that drives the dynamics.  Like
+    :func:`~memsfde.adjoint.default_basis`, it writes its (6, N) features
+    into ``out`` when given one."""
     dw = spec.delay_functional(grid).weights
 
-    def basis(ens, k):
-        rows = np.empty((6, ens.grid.n_particles))
+    def basis(ens, k, out=None):
+        rows = np.empty((6, ens.grid.n_particles)) if out is None else out
         _polynomial_rows(ens, k, rows)
         np.matmul(ens.backward_window(k), dw, out=rows[5])
         return rows.T
@@ -167,7 +169,8 @@ def _on_mesh(spec: LQSpec, grid: SimGrid) -> LQSpec:
 def _damped_sweep(ens, driver, basis_fn, control: np.ndarray, damping: float, residual=None) -> tuple[float, int]:
     """One backward solve of the adjoint along ``ens`` and the damped update
     of ``control`` toward its p0, formed one time row at a time as the solve
-    hands each row over: the new row is (1 - damping) c + damping p, and the
+    hands each p0 row over (the hook takes p0 alone, so the solve fits no
+    loadings): the new row is (1 - damping) c + damping p, and the
     change new - c is squared and summed per particle with the mesh's
     trapezoid weights.  Given ``residual``, the new row overwrites the
     control's and ``residual[k]`` takes the row's coupling residual
@@ -179,7 +182,7 @@ def _damped_sweep(ens, driver, basis_fn, control: np.ndarray, damping: float, re
     wq = trapezoid_weights(grid.n_steps + 1, grid.dt)
     new_row, gap_row, change_sq = np.empty(grid.n_particles), np.empty(grid.n_particles), np.zeros(grid.n_particles)
 
-    def on_row(k, p, q, r):
+    def on_row(k, p):
         c = control[:, k]
         np.multiply(c, 1.0 - damping, out=new_row)
         np.multiply(p, damping, out=gap_row)

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from memsfde.adjoint import SweepContext, _paired_rows, default_basis, solve_absde, stationarity_rows
+from memsfde.adjoint import SweepContext, _paired_rows, default_basis, solve_absde
 from memsfde.engine import (
     CoefficientSet,
     ControlProblem,
@@ -60,7 +60,6 @@ __all__ = [
     "simulate_optimal",
     "verify_adjoint",
     "j_comparison",
-    "stationarity_suite",
     "PERTURBATION_FAMILY",
 ]
 
@@ -118,8 +117,8 @@ class MeanVarSolution:
 
     ``problem`` is the simulation problem the solution is checked on, built
     once by :func:`solve_closed_form`.  Its noise is drawn on the first
-    simulation, and the optimal ensemble, its variants and the stationarity
-    probes all share that one draw.  ``grid`` is the problem's grid.
+    simulation, and the optimal ensemble and its variants share that one
+    draw.  ``grid`` is the problem's grid.
     """
 
     spec: MeanVarSpec
@@ -276,8 +275,9 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
     of its own: the control there times the combination of the triple.
     The control is replayed once a step from the ensemble's paths
     (:meth:`~memsfde.engine.ParticleEnsemble.control_at`), which gives the
-    applied bits.  So the checks hold no (N, n_steps + 1) array on top of
-    the ensemble.  The pooled increment statistics are combined from the
+    applied bits.  The driver reads only that store, so the solve's own p0
+    store keeps two rows, and the hook forms its terms in one scratch row.
+    So the checks hold no (N, n_steps + 1) array on top of the ensemble.  The pooled increment statistics are combined from the
     per-step means and standard deviations.
     """
     spec, grid = sol.spec, sol.grid
@@ -297,6 +297,7 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
     # zero past the horizon) through the one row u (b0 p0 + sigma0 q0 +
     # gamma0 m1 r0), formed as each step is solved
     weighted = SweepContext(grid)
+    scratch = np.empty(N)  # the hook's one temporary row, reused term by term
     p_next = closed_p0 = lsmc_p0 = None  # closed-form p0 of the step after; both p0(0)
 
     def on_row(k, p_lsmc, q, r):
@@ -304,17 +305,22 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
         x = ens.state_column(k)
         delayed = ens.paths[:, k]  # X(t - delta)
         u = ens.control_at(k)
-        np.multiply(u, b0[k] * p_lsmc + s0[k] * q + g0[k] * m1 * r, out=weighted.row(k))
+        w = weighted.row(k)
+        np.multiply(p_lsmc, b0[k], out=w)
+        w += np.multiply(q, s0[k], out=scratch)
+        w += np.multiply(r, g0[k] * m1, out=scratch)
+        w *= u
         p = sol.p0_closed(x, k)
         # (1) first-order condition along paths: b0 p0 + sigma0 q0 + jump term
-        bracket = sol.phi[k] * delayed
+        bracket = np.multiply(delayed, sol.phi[k], out=scratch)
         bracket *= u
+        del u
         bracket *= noise_var[k]
         bracket += b0[k] * p
-        foc[k] = np.max(np.abs(bracket))
+        foc[k] = np.max(np.abs(bracket, out=scratch))
         # (2) martingale increments of the closed-form adjoint
         if k < K:
-            incr = p_next - p
+            incr = np.subtract(p_next, p, out=scratch)
             step_means[k] = incr.mean()
             # one particle has no spread (0, as in _mean_and_stderr); the
             # pooled statistics below treat N = 1 on their own
@@ -322,8 +328,8 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
         p_next = p
         if k == 0:
             closed_p0, lsmc_p0 = float(p.mean()), float(p_lsmc.mean())
-        np.minimum(lowest, x - target, out=lowest)
-        abs_delayed[k] = np.min(np.abs(delayed))
+        np.minimum(lowest, np.subtract(x, target, out=scratch), out=lowest)
+        abs_delayed[k] = np.min(np.abs(delayed, out=scratch))
 
     def driver(ctx, k):
         return weighted.future(k, d)
@@ -395,15 +401,3 @@ def j_comparison(optimal_cost: np.ndarray, sol: MeanVarSolution):
     labels = [label for label, _, _ in PERTURBATION_FAMILY]
     return _paired_rows("optimal", optimal_cost, labels, sol.problem.costs(controls))
 
-
-def stationarity_suite(sol: MeanVarSolution, eps: float = 1e-3):
-    """First-order gaps of J at the optimal feedback in bounded directions.
-
-    The shared probes of :func:`~memsfde.adjoint.stationarity_rows` come
-    first, then ``sin_wave``.  Every probe is simulated on ``sol.problem``,
-    so after :func:`simulate_optimal` the suite shares the optimal
-    ensemble's noise and draws nothing.
-    """
-    horizon = sol.grid.horizon
-    sin_wave = ("sin_wave", lambda t, x, x_seg, law: math.sin(2.0 * math.pi * t / horizon))
-    return stationarity_rows(sol.problem, sol.feedback, (sin_wave,), eps=eps)

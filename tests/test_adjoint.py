@@ -271,11 +271,11 @@ class TestBackwardSolver:
         # broadcast error; the first step's width m is what later steps need
         ens = brownian_ensemble(5, seed=2, dt=0.1, delta_steps=2)
         K = ens.grid.n_steps
-        basis = lambda e, k: np.zeros(shape) if k == K - 2 else default_basis(e, k)  # noqa: E731
+        basis = lambda e, k, out=None: np.zeros(shape) if k == K - 2 else default_basis(e, k, out)  # noqa: E731
         expected = rf"basis at step {K - 2} has shape {re.escape(str(shape))}, not \(5, 5\)"
         with pytest.raises(ValueError, match=expected):
             solve_absde(ens, terminal=lambda x, law: -x, basis=basis, warn=False)
-        first = lambda e, k: np.zeros(shape) if k == K - 1 else default_basis(e, k)  # noqa: E731
+        first = lambda e, k, out=None: np.zeros(shape) if k == K - 1 else default_basis(e, k, out)  # noqa: E731
         if len(shape) != 2 or shape[0] != 5:
             with pytest.raises(ValueError, match=rf"basis at step {K - 1} has shape .*, not \(5, m\)"):
                 solve_absde(ens, terminal=lambda x, law: -x, basis=first, warn=False)
@@ -545,7 +545,8 @@ class TestFeatureMajorDesign:
             ens,
             terminal=lambda x, law: -x,
             driver=driver,
-            basis=lambda e, k: np.ascontiguousarray(default_basis(e, k)),
+            # a basis that leaves ``out`` alone is copied into the design
+            basis=lambda e, k, out=None: np.ascontiguousarray(default_basis(e, k)),
         )
         assert adj.deficient_steps == ref.deficient_steps
         assert adj.deficient_steps  # the constant history collapses the lagged features
@@ -562,6 +563,127 @@ class TestFeatureMajorDesign:
         ref, ref_rank = _regress(np.ascontiguousarray(design), target)
         assert rank == ref_rank
         assert rel_err(design @ beta, design @ ref) <= 1e-12
+
+
+def copying_sweep(ens, terminal, driver, basis, on_row):
+    """The backward sweep with every step's basis built in a new array and
+    copied into the design, and p0 kept in a store of the rows ahead that
+    is read from the first step: the layout and operations of the solve
+    before bases wrote into the design and before a store held only what is
+    read.  Hands ``on_row`` every step's ``(k, p0, q0, r0)``."""
+    grid = ens.grid
+    K, N, dt = grid.n_steps, grid.n_particles, grid.dt
+    store, q, r = SweepContext(grid), np.zeros(N), np.zeros(N)
+    p = store.row(K)
+    p[...] = terminal(ens.state_column(K))
+    store.future(K - 1, 1)
+    on_row(K, p, q, r)
+    use_jumps = ens.jump_counts is not None
+    for k in range(K - 1, -1, -1):
+        target = p + dt * driver(store, k)
+        phi = basis(ens, k).T
+        m = phi.shape[0]
+        blocks = [phi, phi * ens.brownian[:, k]]
+        if use_jumps:
+            blocks.append(phi * (ens.jump_counts[:, k, :].sum(axis=1) - ens.jumps.intensity * dt))
+        rows = np.concatenate(blocks)
+        beta, _ = _regress(rows.T, target, step=k)
+        p = np.matmul(beta[:m], rows[:m], out=store.row(k))
+        np.matmul(beta[m : 2 * m], rows[:m], out=q)
+        if use_jumps:
+            np.matmul(beta[2 * m :], rows[:m], out=r)
+        on_row(k, p, q, r)
+
+
+class TestRowsInPlace:
+    """A solve that writes its basis into the design and keeps no p0 ahead
+    that its driver does not read hands ``on_row`` the bits of the copying
+    sweep."""
+
+    @staticmethod
+    def rows_of(solve, **kwargs):
+        rows = {}
+
+        def on_row(k, p, q, r):
+            rows[k] = np.stack([p, q, r])
+
+        solve(on_row=on_row, **kwargs)
+        return rows
+
+    @staticmethod
+    def counting_bands(monkeypatch):
+        made = []
+        band = adjoint._Band
+
+        def counting(grid, n_rows):
+            made.append(n_rows)
+            return band(grid, n_rows)
+
+        monkeypatch.setattr(adjoint, "_Band", counting)
+        return made
+
+    def test_default_basis_with_a_driver_that_reads_its_own_store(self, monkeypatch):
+        # as in the mean-variance check: the driver reads d steps ahead a
+        # combination of the triple, kept in its own store by the hook, so
+        # the solve's p0 store never holds more than two rows
+        ens, _ = jump_sweep_inputs()
+        grid, d = ens.grid, ens.grid.delta_steps
+        terminal = lambda x: -x  # noqa: E731
+
+        def solved(solve, **kwargs):
+            own = SweepContext(grid)
+            rows = {}
+
+            def on_row(k, p, q, r):
+                rows[k] = np.stack([p, q, r])
+                w = own.row(k)
+                np.multiply(q, 0.5, out=w)
+                w += p - 0.25 * r
+
+            solve(ens, driver=lambda ctx, k: own.future(k, d), basis=default_basis, on_row=on_row, **kwargs)
+            return rows
+
+        reference = solved(copying_sweep, terminal=terminal)
+        made = self.counting_bands(monkeypatch)
+        rows = solved(solve_absde, terminal=lambda x, law: terminal(x), warn=False)
+        assert made == [d + 1 + (d + 4) // 4]  # the driver's own store, and none for p0
+        assert list(rows) == list(reference) == list(range(grid.n_steps, -1, -1))
+        for k in rows:
+            assert rows[k].tobytes() == reference[k].tobytes(), k
+        assert np.any(rows[0][2] != 0.0)
+
+    @pytest.mark.parametrize("jumps", [False, True])
+    def test_lq_basis_with_the_advanced_average(self, jumps):
+        # the driver reads p0 ahead, so the solve keeps it in a store of
+        # the rows ahead; the basis writes its six features into the design
+        model = JumpModel(intensity=2.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
+        spec = LQSpec(beta0=0.2, jumps=model) if jumps else LQSpec()
+        grid = SimGrid(dt=0.02, delta_steps=4, horizon=0.6, n_particles=1_000, seed=9)
+        ens = control_problem(spec, grid).simulate(0.3)
+        f = spec.delay_functional(grid)
+        driver = lambda ctx, k: ctx.advanced_average(k, f)  # noqa: E731
+        basis = lq_basis(spec, grid)
+        outs = []
+
+        def writing(e, k, out=None):
+            phi = basis(e, k, out)
+            outs.append(out is not None and np.shares_memory(phi, out))
+            return phi
+
+        reference = self.rows_of(copying_sweep, ens=ens, terminal=lambda x: -x, driver=driver, basis=basis)
+        rows = self.rows_of(solve_absde, ens=ens, terminal=lambda x, law: -x, driver=driver, basis=writing, warn=False)
+        # one call learns the width, then every step writes into the design
+        assert outs == [False] + [True] * grid.n_steps
+        for k in range(grid.n_steps + 1):
+            assert rows[k].tobytes() == reference[k].tobytes(), k
+
+    def test_a_hook_of_p0_alone_gets_the_same_p0(self):
+        ens, driver = jump_sweep_inputs()
+        full, alone = self.rows_of(solve_absde, ens=ens, terminal=lambda x, law: -x, driver=driver), {}
+        solve_absde(ens, terminal=lambda x, law: -x, driver=driver, on_row=lambda k, p: alone.setdefault(k, p.copy()))
+        assert list(alone) == list(full)
+        for k, p in alone.items():
+            assert p.tobytes() == full[k][0].tobytes()
 
 
 class TestAdvancedAverage:
@@ -613,6 +735,39 @@ class TestSweepContext:
                     loop = loop + w[j] * ctx.future(k, j)
                 np.testing.assert_allclose(ctx.advanced_average(k, f), loop, rtol=1e-13, atol=1e-15)
             ctx.row(k)[...] = rows[k]
+
+    def test_an_unread_store_keeps_two_rows(self, monkeypatch):
+        # a store that nothing reads ahead holds the row being written and
+        # the one before it, and makes no band
+        grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.6, n_particles=7, seed=1)
+        monkeypatch.setattr(adjoint, "_Band", lambda *a: pytest.fail("a band was made"))
+        ctx, rows = SweepContext(grid), {}
+        for k in range(grid.n_steps, -1, -1):
+            rows[k] = ctx.row(k)
+            rows[k][...] = k
+            if k < grid.n_steps:
+                np.testing.assert_array_equal(rows[k + 1], k + 1)
+            if k + 2 <= grid.n_steps:
+                assert np.shares_memory(rows[k], rows[k + 2])
+
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_the_first_read_keeps_the_rows_ahead_until_a_row_was_dropped(self, first):
+        # read first at step K - 1 or K - 2, the store keeps every row
+        # ahead; read first once three rows were written, it has dropped
+        # the horizon's and refuses the read by its step
+        grid = SimGrid(dt=0.05, delta_steps=3, horizon=0.6, n_particles=7, seed=1)
+        K = grid.n_steps
+        ctx = SweepContext(grid)
+        for k in range(K, K - first, -1):
+            ctx.row(k)[...] = k
+        for ahead in range(1, 4):
+            expected = K - first + ahead if K - first + ahead <= K else 0
+            np.testing.assert_array_equal(ctx.future(K - first, ahead), expected)
+        late = SweepContext(grid)
+        for k in range(K, K - 3, -1):
+            late.row(k)[...] = k
+        with pytest.raises(ValueError, match=f"row at step {K - 3}: the store kept only its two newest rows"):
+            late.future(K - 3, 1)
 
     @pytest.mark.parametrize("kind", ["averaging", "evaluation"])
     def test_a_functional_from_another_mesh_is_refused(self, kind):

@@ -189,6 +189,8 @@ class TestAdvancedDriverContract:
             ctx = SweepContext(grid)
             for j in range(K, k, -1):
                 ctx.row(j)[...] = adj.p0[:, j] if j <= k + d else np.nan
+                if j == K:
+                    ctx.future(K - 1, 1)  # a store keeps its rows ahead once read at the first step
             expected = w[0] * adj.p0[:, k + 1]
             for j in range(1, d + 1):
                 if k + j <= K:
@@ -390,9 +392,9 @@ class TestRunEconomy:
         def keeping(*args, on_row, **kwargs):
             rows = {}
 
-            def copying(k, p, q, r):
+            def copying(k, p):
                 rows[k] = p.copy()
-                on_row(k, p, q, r)
+                on_row(k, p)
 
             adj = solve(*args, on_row=copying, **kwargs)
             kept.append((adj, np.array([rows[k] for k in sorted(rows)]).T))  # time-major, like p0
