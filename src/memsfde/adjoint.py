@@ -19,19 +19,17 @@ Four pieces live here:
   triple (p0, q0, r0).  The equation is *advanced*: the driver at time t may
   read the (already computed) p0 on [t, t+delta], read as zero past the
   horizon: the convention under which the duality identity above is exact.
-  ``SweepContext`` is the one store of a sweep's rows ahead, and holds them
-  only once they are read: the solve keeps p0 in one, and every row goes to
-  one ``on_row`` hook as it is solved, so a caller whose driver reads q0 or
-  r0 ahead, or a combination of the triple, writes it there into a store of
-  its own, and the solve's p0 store keeps two rows.
+  The solve keeps p0 in two rows and hands every row to one ``on_row`` hook
+  as it is solved; a caller whose driver reads p0 ahead, or a combination
+  of the triple, writes it there into a ``SweepContext``, the one store of
+  a sweep's rows ahead, which its driver reads.
   Conditioning on the time-t information is done by regression onto a state
   basis; the Brownian and compensated-jump loadings come out as the regression
   coefficients of the basis interacted with the corresponding noise increments.
 * ``max_condition_gap`` / ``stationarity_gap`` — numerical optimality tests:
   how much the Hamiltonian can be improved over a candidate control grid, and
   the common-random-number central difference of the performance functional in
-  a perturbation direction; ``stationarity_rows`` runs two standard probes,
-  then the battery's own.
+  a perturbation direction.
 """
 
 from __future__ import annotations
@@ -68,7 +66,6 @@ __all__ = [
     "SweepContext",
     "max_condition_gap",
     "stationarity_gap",
-    "stationarity_rows",
 ]
 
 log = logging.getLogger("memsfde.adjoint")
@@ -256,7 +253,7 @@ class AdjointTriple:
     """Regression-valued adjoint processes on the simulation mesh.
 
     ``p0``, ``q0`` and ``r0`` cover the [0, T] mesh only; past the horizon
-    all three read as zero, as every row of a :class:`SweepContext` does.
+    all three read as zero, as a driver's :class:`SweepContext` reads them.
     ``q0`` and ``r0`` are per-step noise loadings whose final column is
     zero.  Each is an (N, n_steps + 1) view of one time-major (3, n_steps +
     1, N) array, so column k is one contiguous row, and a caller that keeps
@@ -342,38 +339,31 @@ def default_basis(ens: ParticleEnsemble, k: int, out: np.ndarray | None = None) 
 
 class SweepContext:
     """The rows of one (N,) quantity that a backward sweep may still read
-    ahead, handed to ABSDE drivers.
+    ahead, for an ABSDE driver to read.
 
     A driver may read strictly ahead of the current step and at most one
     memory window ahead (that is what makes the equation advanced).
     Everything past the horizon reads as zero — the convention under which
-    the duality identity behind the driver is exact.  :func:`solve_absde`
-    keeps p0 in one and hands it to the driver; a driver that needs another
-    row ahead, such as a combination of q0 and r0, keeps it in its own,
-    written from the rows the solve hands to ``on_row``.
+    the duality identity behind the driver is exact.  The caller whose
+    driver reads a store writes it from the rows :func:`solve_absde` hands
+    to ``on_row``: p0 for a driver of p0 ahead, or a combination of the
+    triple.
 
     Rows are written horizon first through ``row(k)``; ``future(k, ahead)``
-    and ``advanced_average`` read the rows ahead of step k.  A store holds
-    only what is read: until its first read ahead it keeps the two newest
-    rows, the one being written and the one before it, which is all that a
-    regression target reads.  The first read ahead, at the sweep's first
-    step or the one after, before any row was dropped, turns it into a
-    band of the rows ahead, which it stays; so a store that no driver reads
-    never holds more than two rows.  Only this class knows the band's
-    layout: a band (``engine._Band``) of d + 1 + s rows, s = ceil((d + 1) /
-    4), indexed by reversed time, so step j of an n_steps mesh with d lag
-    steps is column d + n_steps - j.  The d zero history columns of the
-    band are the steps past the horizon, and the window ending at step
-    k + 1 holds steps k + 1..k + d + 1 in lead order, an F-contiguous
-    (N, d + 1) view.  The band moves its d + 1 newest rows once every s
-    steps, about four rows a step.
+    and ``advanced_average`` read the rows ahead of step k.  Only this class
+    knows the layout: a band (``engine._Band``) of d + 1 + s rows, s =
+    ceil((d + 1) / 4), indexed by reversed time, so step j of an n_steps
+    mesh with d lag steps is column d + n_steps - j.  The d zero history
+    columns of the band are the steps past the horizon, and the window
+    ending at step k + 1 holds steps k + 1..k + d + 1 in lead order, an
+    F-contiguous (N, d + 1) view.  The band moves its d + 1 newest rows once
+    every s steps, about four rows a step.
     """
 
     def __init__(self, grid: SimGrid):
         self.grid = grid
-        self._band = None  # made by the first read ahead
-        self._pair = np.empty((2, grid.n_particles))  # step k's row is pair[k % 2]
-        self._oldest = grid.n_steps + 1  # the earliest step written
+        d = grid.delta_steps
+        self._band = _Band(grid, d + 1 + (d + 4) // 4)
 
     def _column(self, k: int) -> int:
         """The band column of step k."""
@@ -382,40 +372,24 @@ class SweepContext:
     def row(self, k: int) -> np.ndarray:
         """The row of step k, for the caller to write.  Rows are asked for
         horizon first, one step at a time, and asking for step k's keeps
-        the row of step k + 1 and, once the store is read ahead, the rows
-        of steps k + 1..k + d + 1, all that a driver at step k or k - 1 may
-        read."""
-        if self._band is None:
-            self._oldest = k
-            return self._pair[k % 2]
+        the rows of steps k + 1..k + d + 1, all that a driver at step k or
+        k - 1 may read."""
         i = self._column(k)
         self._band.make_room(i - 1)
         return self._band.column(i)
 
-    def _ahead(self, k: int, ahead: int) -> _Band:
-        """The band of the rows ahead of step k, made from the two rows
-        kept so far on the first read."""
+    def _check_ahead(self, k: int, ahead: int) -> None:
+        """Refuse a read at step k that is not 1..d steps ahead."""
         if ahead < 1:
             raise ValueError(f"row at step {k}: drivers may only read strictly ahead (got offset {ahead})")
         if ahead > self.grid.delta_steps:
             raise ValueError(f"row at step {k}: read offset {ahead} exceeds the memory window")
-        if self._band is None:
-            K, d = self.grid.n_steps, self.grid.delta_steps
-            if self._oldest < K - 1:
-                raise ValueError(
-                    f"row at step {k}: the store kept only its two newest rows, as nothing read ahead "
-                    f"before; a driver that reads ahead must do so from the sweep's first step"
-                )
-            self._band = _Band(self.grid, d + 1 + (d + 4) // 4)
-            for j in range(self._oldest, K + 1):
-                self._band.column(self._column(j))[...] = self._pair[j % 2]
-            self._pair = None
-        return self._band
 
     def future(self, k: int, ahead: int) -> np.ndarray:
         """The row of step k + ahead, zero past the horizon; ``ahead`` must
         be in 1..d."""
-        return self._ahead(k, ahead).column(self._column(k + ahead))
+        self._check_ahead(k, ahead)
+        return self._band.column(self._column(k + ahead))
 
     def advanced_average(self, k: int, f: SegmentFunctional) -> np.ndarray:
         """Kernel-weighted integral of the future rows over the memory window.
@@ -434,13 +408,13 @@ class SweepContext:
             return self.future(k, f.point_steps)
         d = f.delta_steps
         lags = max(d, 1)
-        band = self._ahead(k, lags)
+        self._check_ahead(k, lags)
         w = f.weights
         folded = np.zeros(lags)
         folded[:d] = w[1:]
         folded[0] += w[0]
         live = min(lags, self.grid.n_steps - k)
-        return band.window(self._column(k + 1))[:, :live] @ folded[:live]
+        return self._band.window(self._column(k + 1))[:, :live] @ folded[:live]
 
 
 def solve_absde(
@@ -453,9 +427,11 @@ def solve_absde(
 ) -> AdjointTriple:
     """Backward least-squares sweep for the adjoint triple along an ensemble.
 
-    ``terminal(x_T, law_T)`` gives p0 at the horizon.  ``driver(ctx, k)``
-    returns the per-particle dt-coefficient at step k; it may read the
-    already-computed future of p0 through ``ctx``.  Each step
+    ``terminal(x_T, law_T)`` gives p0 at the horizon.  ``driver(k)``
+    returns the per-particle dt-coefficient at step k.  A driver that reads
+    the solved future, p0 or a combination of the triple on [t, t+delta],
+    reads it from a :class:`SweepContext` that the caller writes from the
+    rows handed to ``on_row``.  Each step
     regresses ``p0[k+1] + dt * driver`` onto the basis augmented by basis
     interactions with the step's Brownian and compensated-jump increments;
     the plain-basis fit is p0 at k and the interaction fits are the noise
@@ -477,20 +453,17 @@ def solve_absde(
     the ensemble mean) and are reported via ``deficient_steps`` plus,
     unless ``warn`` is false, a logged warning.
 
-    p0 lives in the :class:`SweepContext` the driver reads, which holds the
-    rows ahead only if the driver reads them, and otherwise two rows: step
-    k + 1's, the target, and step k's.  q0 and r0 take one row each.
+    p0 takes two (N,) rows: step k + 1's, the target, and step k's, which
+    the step writes.  q0 and r0 take one row each.
     ``on_row(k, p0, q0, r0)`` receives the rows of every step as they are
     solved, the horizon first (its loadings are zero rows): views that are
     valid during the call only and must not be written.  A hook that takes
     ``(k, p0)`` alone gets p0 alone, and the solve fits no loadings for it.
-    A driver that reads another row ahead keeps it in a
-    :class:`SweepContext` of its own, written by ``on_row``.  The returned
-    triple then holds no process.  Without ``on_row`` the solve copies
-    every row into one time-major array and returns the whole triple.  The
-    solve keeps no statistic of its targets: without a driver, step k's
-    target is p0 at step k + 1, so its Monte Carlo standard error is that
-    row's.
+    The returned triple then holds no process.  Without ``on_row`` the
+    solve copies every row into one time-major array and returns the whole
+    triple.  The solve keeps no statistic of its targets: without a driver,
+    step k's target is p0 at step k + 1, so its Monte Carlo standard error
+    is that row's.
 
     A terminal value must be finite and a scalar or (N,) array, a driver
     value a scalar or (N,) array, and every basis (N, m) with the first
@@ -512,10 +485,10 @@ def solve_absde(
 
     # the q0 and r0 rows handed to the hook after p0; none for a hook of p0 alone
     loadings = (np.zeros(N), np.zeros(N)) if _takes_loadings(on_row) else ()
-    ctx = SweepContext(grid)
+    # p0 at step k + 1, the step's target, and the row step k writes
+    p, spare = np.empty(N), np.empty(N)
 
     xT = ens.state_column(K)
-    p = ctx.row(K)
     p[...] = _row_value(terminal(xT, EmpiricalMeasure(xT)), N, "terminal")
     if not np.isfinite(p).all():
         raise ValueError("terminal must be finite")
@@ -527,11 +500,9 @@ def solve_absde(
     rows = basis_rows = None
 
     for k in range(K - 1, -1, -1):
-        # step k + 1's row: the regression reads it before step k's row is
-        # asked for, which may take its place in a band of d + 2 rows (d <= 3)
         target = p
         if driver is not None:
-            target = target + dt * _row_value(driver(ctx, k), N, f"driver at step {k}")
+            target = target + dt * _row_value(driver(k), N, f"driver at step {k}")
         if rows is None:
             # the first step learns the width m from a basis of its own,
             # freed before the design is made
@@ -559,7 +530,7 @@ def solve_absde(
         del target  # neither row is held through the hook
         if rank < rows.shape[0]:
             deficient.append(k)
-        p = np.matmul(beta[:m], basis_rows, out=ctx.row(k))
+        p, spare = np.matmul(beta[:m], basis_rows, out=spare), p
         if loadings:
             np.matmul(beta[m : 2 * m], basis_rows, out=loadings[0])
             if use_jumps:
@@ -701,19 +672,6 @@ def _check_eps(eps: float) -> None:
     """Refuse a perturbation size that is not a positive finite number."""
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be a positive finite number, got {eps!r}")
-
-
-def stationarity_rows(problem: ControlProblem, control, directions, eps: float = 1e-3) -> list:
-    """Rows ``(label, gap, stderr)`` of :func:`stationarity_gap` at
-    ``control``: first in two standard probes, a unit shift (``const_1``) and a unit shift over the second half of the
-    horizon (``late_half``), then in each ``(label, direction)`` of
-    ``directions``, the battery's own."""
-    half = problem.grid.horizon / 2.0
-    shared = (("const_1", 1.0), ("late_half", lambda t, x, x_seg, law: 1.0 if t >= half else 0.0))
-    return [
-        (label, *stationarity_gap(problem, control, direction, eps=eps))
-        for label, direction in (*shared, *directions)
-    ]
 
 
 def _paired_rows(base_label: str, base_cost: np.ndarray, labels, costs) -> list:

@@ -35,13 +35,14 @@ import numpy as np
 from memsfde.adjoint import (
     DOMINANCE_STDERRS,
     SegmentFunctional,
+    SweepContext,
     _check_eps,
     _log_rank_deficiency,
     _paired_rows,
     _polynomial_rows,
     dominates,
     solve_absde,
-    stationarity_rows,
+    stationarity_gap,
 )
 from memsfde.engine import (
     CoefficientSet,
@@ -145,20 +146,6 @@ def lq_basis(spec: LQSpec, grid: SimGrid):
     return basis
 
 
-def _adjoint_driver(spec: LQSpec, grid: SimGrid):
-    """Advanced driver of the adjoint equation: the kernel-weighted average of
-    future p0, zero past the horizon; ``None`` when the kernel vanishes or
-    the window [0, delta] is a single mesh point (its integral is zero)."""
-    functional = spec.delay_functional(grid)
-    if grid.delta_steps == 0 or not np.any(functional.kernel != 0.0):
-        return None
-
-    def driver(ctx, k):
-        return ctx.advanced_average(k, functional)
-
-    return driver
-
-
 def _on_mesh(spec: LQSpec, grid: SimGrid) -> LQSpec:
     """``spec`` with its kernel replaced by its values on the grid's memory
     window, the same floats, so that the problem, the basis and the driver
@@ -166,23 +153,34 @@ def _on_mesh(spec: LQSpec, grid: SimGrid) -> LQSpec:
     return replace(spec, kernel=spec.delay_functional(grid).kernel)
 
 
-def _damped_sweep(ens, driver, basis_fn, control: np.ndarray, damping: float, residual=None) -> tuple[float, int]:
-    """One backward solve of the adjoint along ``ens`` and the damped update
-    of ``control`` toward its p0, formed one time row at a time as the solve
-    hands each p0 row over (the hook takes p0 alone, so the solve fits no
-    loadings): the new row is (1 - damping) c + damping p, and the
-    change new - c is squared and summed per particle with the mesh's
-    trapezoid weights.  Given ``residual``, the new row overwrites the
-    control's and ``residual[k]`` takes the row's coupling residual
-    ``|mean(p - new)|``; the solve reads no control, so the rows it has
-    passed may change.  Returns the change norm, the root mean over
-    particles of that sum, and the solve's number of rank-deficient steps.
-    The update allocates three (N,) rows."""
+def _damped_sweep(ens, spec: LQSpec, control: np.ndarray, damping: float, residual=None) -> tuple[float, int]:
+    """One LQ sweep: the backward solve of the adjoint along ``ens`` and the
+    damped update of ``control`` toward its p0.  ``spec`` is on the mesh
+    (:func:`_on_mesh`); from it the sweep builds the basis
+    (:func:`lq_basis`), the kernel functional and the
+    :class:`~memsfde.adjoint.SweepContext` of p0 that its hook writes and
+    its driver, the kernel-weighted average of future p0 (zero past the
+    horizon), reads.  A kernel that vanishes, or a window [0, delta] of one
+    mesh point, integrates to zero: then there is no driver and no store.
+    The update is formed one time row at a time as the solve hands each p0
+    row over (the hook takes p0 alone, so the solve fits no loadings): the
+    new row is (1 - damping) c + damping p, and the change new - c is
+    squared and summed per particle with the mesh's trapezoid weights.
+    Given ``residual``, the new row overwrites the control's and
+    ``residual[k]`` takes the row's coupling residual ``|mean(p - new)|``;
+    the solve reads no control, so the rows it has passed may change.
+    Returns the change norm, the root mean over particles of that sum, and
+    the solve's number of rank-deficient steps.  The update allocates three
+    (N,) rows."""
     grid = ens.grid
     wq = trapezoid_weights(grid.n_steps + 1, grid.dt)
     new_row, gap_row, change_sq = np.empty(grid.n_particles), np.empty(grid.n_particles), np.zeros(grid.n_particles)
+    functional = spec.delay_functional(grid)
+    store = SweepContext(grid) if grid.delta_steps and np.any(functional.kernel != 0.0) else None
 
     def on_row(k, p):
+        if store is not None:
+            store.row(k)[...] = p
         c = control[:, k]
         np.multiply(c, 1.0 - damping, out=new_row)
         np.multiply(p, damping, out=gap_row)
@@ -197,7 +195,9 @@ def _damped_sweep(ens, driver, basis_fn, control: np.ndarray, damping: float, re
         np.multiply(gap_row, wq[k], out=gap_row)
         np.add(change_sq, gap_row, out=change_sq)
 
-    adjoint = solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis_fn, warn=False, on_row=on_row)
+    driver = None if store is None else lambda k: store.advanced_average(k, functional)
+    basis = lq_basis(spec, grid)
+    adjoint = solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis, warn=False, on_row=on_row)
     return float(np.sqrt(np.mean(change_sq))), len(adjoint.deficient_steps)
 
 
@@ -279,8 +279,6 @@ def solve_lq(
     # the sweeps' dynamics, on the problem's noise; no sweep sums a cost
     dynamics = replace(problem.coeffs, running_cost=None, terminal_cost=None)
     K, N = grid.n_steps, grid.n_particles
-    basis_fn = lq_basis(meshed, grid)
-    driver = _adjoint_driver(meshed, grid)
 
     # time-major like the ensemble, so each step reads its control as a row
     control = np.zeros((K + 1, N)).T
@@ -292,7 +290,7 @@ def solve_lq(
     for _ in range(max_iter):
         # only one sweep's ensemble and adjoint are alive at a time
         ens = simulate(dynamics, grid, problem.jumps, problem.xi, control, problem.noise)
-        change, n_deficient = _damped_sweep(ens, driver, basis_fn, control, damping, coupling_residual)
+        change, n_deficient = _damped_sweep(ens, meshed, control, damping, coupling_residual)
         del ens
         deficient.append(n_deficient)
         if not np.isfinite(control).all():
@@ -385,18 +383,24 @@ def verify_lq(solution: LQSolution, eps: float = 1e-3) -> LQVerification:
 
     # idempotence: one more forward+backward sweep barely moves the control
     ens = problem.simulate(control)
-    meshed = _on_mesh(spec, grid)
-    idempotence_change, n_deficient = _damped_sweep(
-        ens, _adjoint_driver(meshed, grid), lq_basis(meshed, grid), control, report.damping
-    )
+    idempotence_change, n_deficient = _damped_sweep(ens, _on_mesh(spec, grid), control, report.damping)
     if n_deficient > max(report.deficient_counts, default=0):
         _log_rank_deficiency(log, (n_deficient,), grid.n_steps)
     # the unshifted cost is the idempotence ensemble's, which is not needed after
     base_cost = ens.cost
     del ens
 
-    delayed_state = ("delayed_state", lambda t, x, x_seg, law: x_seg[:, -1])
-    stationarity = tuple(stationarity_rows(problem, control, (delayed_state,), eps=eps))
+    # a unit shift, a unit shift over the second half of the horizon and
+    # the delayed state, each a central difference of the performance
+    half = grid.horizon / 2.0
+    directions = (
+        ("const_1", 1.0),
+        ("late_half", lambda t, x, x_seg, law: 1.0 if t >= half else 0.0),
+        ("delayed_state", lambda t, x, x_seg, law: x_seg[:, -1]),
+    )
+    stationarity = tuple(
+        (label, *stationarity_gap(problem, control, direction, eps=eps)) for label, direction in directions
+    )
 
     # pathwise cost per shift size, each simulated once: the compared shifts
     # first, then the parabola's other sizes

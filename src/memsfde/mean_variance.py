@@ -275,10 +275,11 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
     of its own: the control there times the combination of the triple.
     The control is replayed once a step from the ensemble's paths
     (:meth:`~memsfde.engine.ParticleEnsemble.control_at`), which gives the
-    applied bits.  The driver reads only that store, so the solve's own p0
-    store keeps two rows, and the hook forms its terms in one scratch row.
-    So the checks hold no (N, n_steps + 1) array on top of the ensemble.  The pooled increment statistics are combined from the
-    per-step means and standard deviations.
+    applied bits.  The driver reads only that store, the solve keeps p0 in
+    two rows, and the hook forms its terms in one scratch row.  So the
+    checks hold no (N, n_steps + 1) array on top of the ensemble.  The
+    pooled increment statistics are combined from the per-step means and
+    standard deviations.
     """
     spec, grid = sol.spec, sol.grid
     K, d, N = grid.n_steps, grid.delta_steps, grid.n_particles
@@ -331,7 +332,7 @@ def verify_adjoint(ens: ParticleEnsemble, sol: MeanVarSolution) -> MeanVarVerifi
         np.minimum(lowest, np.subtract(x, target, out=scratch), out=lowest)
         abs_delayed[k] = np.min(np.abs(delayed, out=scratch))
 
-    def driver(ctx, k):
+    def driver(k):
         return weighted.future(k, d)
 
     adj = solve_absde(ens, terminal=lambda x, law: -(x - target), driver=driver, basis=default_basis, on_row=on_row)

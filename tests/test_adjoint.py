@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from memsfde import adjoint
 from memsfde.adjoint import (
@@ -173,6 +175,27 @@ def brownian_ensemble(n, seed, dt=0.01, delta_steps=10):
     return simulate(CoefficientSet(diffusion=lambda *a: 1.0), grid, xi=1.0)
 
 
+def reading_store(grid, read, hook=None):
+    """A driver that reads the solved future of p0 and the hook that keeps
+    it: ``driver(k)`` returns ``read(store, k)`` from a
+    :class:`SweepContext` that ``on_row`` writes each step's p0 into before
+    it hands the step's rows on to ``hook``."""
+    store = SweepContext(grid)
+
+    def on_row(k, p, q, r):
+        store.row(k)[...] = p
+        if hook is not None:
+            hook(k, p, q, r)
+
+    return (lambda k: read(store, k)), on_row
+
+
+def stacked(rows, n_steps):
+    """The (3, N, n_steps + 1) triple of the rows a hook kept as ``rows[k] =
+    (p0, q0, r0)``."""
+    return np.stack([rows[k] for k in range(n_steps + 1)], axis=-1)
+
+
 class TestBackwardSolver:
     def test_deterministic_terminal_is_constant(self):
         ens = brownian_ensemble(2_000, seed=13)
@@ -219,23 +242,25 @@ class TestBackwardSolver:
     def test_driver_runs_once_per_step_backwards(self):
         ens = brownian_ensemble(500, seed=5)
         f = SegmentFunctional.averaging(lambda r: 1.0, delta_steps=ens.grid.delta_steps, dt=ens.grid.dt)
-        steps = []
+        steps, rows = [], {}
 
-        def driver(ctx, k):
+        def read(store, k):
             steps.append(k)
-            return ctx.advanced_average(k, f)
+            return store.advanced_average(k, f)
 
-        adj = solve_absde(ens, terminal=lambda x, law: -x, driver=driver)
+        driver, on_row = reading_store(ens.grid, read, lambda k, p, q, r: rows.setdefault(k, (q.copy(), r.copy())))
+        solve_absde(ens, terminal=lambda x, law: -x, driver=driver, on_row=on_row)
         assert steps == list(range(ens.grid.n_steps - 1, -1, -1))
-        assert not (adj.q0[:, -1].any() or adj.r0[:, -1].any())  # zero loadings at the horizon
+        q, r = rows[ens.grid.n_steps]
+        assert not (q.any() or r.any())  # zero loadings at the horizon
 
     def test_driver_cannot_read_current_or_far_future(self):
         ens = brownian_ensemble(100, seed=5)
-        with pytest.raises(ValueError):
-            solve_absde(ens, terminal=lambda x, law: x, driver=lambda c, k: c.future(k, 0))
         too_far = ens.grid.delta_steps + 1
-        with pytest.raises(ValueError):
-            solve_absde(ens, terminal=lambda x, law: x, driver=lambda c, k: c.future(k, too_far))
+        for ahead in (0, too_far):
+            driver, on_row = reading_store(ens.grid, lambda store, k: store.future(k, ahead))
+            with pytest.raises(ValueError):
+                solve_absde(ens, terminal=lambda x, law: x, driver=driver, on_row=on_row)
 
     @pytest.mark.parametrize(
         "value, message",
@@ -261,7 +286,7 @@ class TestBackwardSolver:
         # each failed as a numpy broadcast error, or broadcast silently
         ens = brownian_ensemble(5, seed=2, dt=0.1, delta_steps=2)
         K = ens.grid.n_steps
-        driver = lambda ctx, k: np.zeros(shape) if k == K - 3 else 0.5  # noqa: E731
+        driver = lambda k: np.zeros(shape) if k == K - 3 else 0.5  # noqa: E731
         with pytest.raises(ValueError, match=rf"driver at step {K - 3} has shape {re.escape(str(shape))}"):
             solve_absde(ens, terminal=lambda x, law: -x, driver=driver)
 
@@ -286,28 +311,31 @@ class TestBackwardSolver:
         coeffs = CoefficientSet(diffusion=lambda *a: 0.3, jump=lambda t, x, xs, m, ms, u, us, z: 0.2 * z)
         ens = simulate(coeffs, grid, jumps=jumps, xi=1.0)
         K = grid.n_steps
-        seen = {}
+        seen, rows = {}, {}
 
-        def probe(ctx, k):
+        def probe(store, k):
             if k == K - 2:
-                seen["p_at_horizon"] = ctx.future(k, 2).copy()
+                seen["p_at_horizon"] = store.future(k, 2).copy()
             if k == K - 1:
-                seen["p_tail"] = ctx.future(k, 2).copy()
+                seen["p_tail"] = store.future(k, 2).copy()
             return np.zeros(ens.grid.n_particles)
 
-        adj = solve_absde(ens, terminal=lambda x, law: -x, driver=probe)
+        driver, on_row = reading_store(grid, probe, lambda k, p, q, r: rows.setdefault(k, (q.copy(), r.copy())))
+        solve_absde(ens, terminal=lambda x, law: -x, driver=driver, on_row=on_row)
         # reads up to the horizon see the stored solution, reads past it zero
         np.testing.assert_array_equal(seen["p_at_horizon"], -ens.states[:, K])
         np.testing.assert_array_equal(seen["p_tail"], 0.0)
-        assert not (adj.q0[:, -1].any() or adj.r0[:, -1].any())  # zero loadings at the horizon
+        q, r = rows[K]
+        assert not (q.any() or r.any())  # zero loadings at the horizon
 
     @staticmethod
     def full_and_hooked_solves(delta_steps):
-        # a jump problem whose driver reads p0 through the kernel average and
-        # records its reads at every lag: in a plain solve, which keeps the
-        # whole triple, and in a solve that hands its rows to the caller's
-        # hook.  Both are also solved by the lstsq reference sweep.  With
-        # d = 0 there is no driver
+        # a jump problem whose driver reads p0 through the kernel average,
+        # from a store its hook writes, and records its reads at every lag:
+        # in the copying sweep, the solve's layout before it kept p0 in two
+        # rows, whose hook keeps the whole triple, and in the solve, whose
+        # hook keeps every step's rows.  Both are also solved by the lstsq
+        # reference sweep.  With d = 0 there is no driver
         grid = SimGrid(dt=0.05, delta_steps=delta_steps, horizon=1.0, n_particles=200, seed=8)
         jumps = JumpModel(intensity=3.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
         coeffs = CoefficientSet(diffusion=lambda *a: 0.3, jump=lambda t, x, xs, m, ms, u, us, z: 0.2 * z)
@@ -316,24 +344,25 @@ class TestBackwardSolver:
         kernel = np.linspace(1.0, 0.5, d + 1)
         f = SegmentFunctional.averaging(kernel, d, grid.dt)
 
-        def solve(hook):
+        def solve(sweep, **kwargs):
             reads, rows = {}, {}
 
-            def driver(ctx, k):
+            def read(store, k):
                 for ahead in range(1, d + 1):
-                    reads[k, ahead] = ctx.future(k, ahead).copy()
-                return ctx.advanced_average(k, f)
+                    reads[k, ahead] = store.future(k, ahead).copy()
+                return store.advanced_average(k, f)
 
-            def on_row(k, p, q, r):
+            def keep(k, p, q, r):
                 rows[k] = {"p": p.copy(), "q": q.copy(), "r": r.copy()}
 
-            triple = solve_absde(
-                ens, terminal=lambda x, law: np.sin(x), driver=driver if d else None, on_row=on_row if hook else None
-            )
-            return triple, reads, rows
+            driver, on_row = reading_store(grid, read, keep)
+            result = sweep(ens, driver=driver if d else None, basis=default_basis, on_row=on_row, **kwargs)
+            return result, reads, rows
 
-        full, full_reads, _ = solve(hook=False)
-        hooked, hooked_reads, rows = solve(hook=True)
+        deficient, full_reads, full_rows = solve(copying_sweep, terminal=np.sin)
+        arrays = (np.column_stack([full_rows[k][name] for k in range(grid.n_steps + 1)]) for name in "pqr")
+        full = adjoint.AdjointTriple(grid, *arrays, deficient)
+        hooked, hooked_reads, rows = solve(solve_absde, terminal=lambda x, law: np.sin(x))
         reference = reference_sweep(ens, np.sin, kernel if d else None)
         return ens, full, full_reads, hooked, hooked_reads, rows, reference
 
@@ -344,9 +373,10 @@ class TestBackwardSolver:
             assert rel_err(np.column_stack([rows[k][name] for k in range(n_steps + 1)]), ref) <= 1e-10
 
     def test_windowed_loadings_match_the_full_solve(self):
-        # a hook solve keeps p0 in a band of the rows a driver may still
-        # read; what the driver reads there is the row the hook received at
-        # every lag, and the hook receives the plain solve's bits
+        # the driver reads p0 from a band of the rows it may still read,
+        # which the hook writes; what it reads there is the row the hook
+        # received at every lag, and the hook receives the bits of the
+        # copying sweep, which keeps the whole triple
         ens, full, full_reads, hooked, hooked_reads, rows, reference = self.full_and_hooked_solves(4)
         K, d = ens.grid.n_steps, ens.grid.delta_steps
         assert hooked.p0 is None and hooked.q0 is None and hooked.r0 is None
@@ -369,11 +399,11 @@ class TestBackwardSolver:
 
     @pytest.mark.parametrize("delta_steps", [4, 0])
     def test_a_ring_held_p0_keeps_the_initial_step_bits(self, delta_steps):
-        # p0 of a hook solve lives in a band that moves as the sweep goes
-        # back; the initial step's row, the standard errors of the rows and
-        # the deficient steps are the plain solve's bits, and every row is
-        # the lstsq reference's.  With d = 0 each step's target is p0 at
-        # step k + 1 in a band of two rows, which the step's own row
+        # the solve keeps p0 in two rows, and the driver reads it from a
+        # band that moves as the sweep goes back; the initial step's row,
+        # the standard errors of the rows and the deficient steps are the
+        # copying sweep's bits, and every row is the lstsq reference's.
+        # Each step's target is p0 at step k + 1, whose row the step after
         # overwrites: it must not do so before the regression reads it
         ens, full, _, hooked, _, rows, reference = self.full_and_hooked_solves(delta_steps)
         np.testing.assert_array_equal(rows[0]["p"], full.p0[:, 0])
@@ -387,9 +417,10 @@ class TestBackwardSolver:
         # every step of every solve took its target's mean and standard
         # error, which no hook solve's caller reads
         monkeypatch.setattr(adjoint, "_mean_and_stderr", lambda *a: pytest.fail("a statistic was taken"))
-        ens, driver = jump_sweep_inputs()
-        for on_row in (lambda k, p, q, r: None, None):
-            solve_absde(ens, terminal=lambda x, law: -x, driver=driver, on_row=on_row, warn=False)
+        ens, read = jump_sweep_inputs()
+        driver, on_row = reading_store(ens.grid, read)
+        solve_absde(ens, terminal=lambda x, law: -x, driver=driver, on_row=on_row, warn=False)
+        solve_absde(ens, terminal=lambda x, law: -x, warn=False)
 
 
 def rel_err(a, b) -> float:
@@ -502,13 +533,16 @@ class TestRegression:
         ens = simulate(coeffs, grid, jumps=jumps, xi=1.0)
         kernel = np.linspace(1.0, 0.5, grid.delta_steps + 1)
         f = SegmentFunctional.averaging(kernel, grid.delta_steps, grid.dt)
-        adj = solve_absde(ens, terminal=lambda x, law: -x, driver=lambda c, k: c.advanced_average(k, f))
+        rows = {}
+        driver, on_row = reading_store(
+            grid, lambda store, k: store.advanced_average(k, f), lambda k, *row: rows.setdefault(k, np.stack(row))
+        )
+        adj = solve_absde(ens, terminal=lambda x, law: -x, driver=driver, on_row=on_row)
         p0, q0, r0, deficient = reference_sweep(ens, lambda x: -x, kernel)
         assert adj.deficient_steps == deficient
         assert deficient  # the constant history collapses the lagged features
-        assert rel_err(adj.p0, p0) <= 1e-10
-        assert rel_err(adj.q0, q0) <= 1e-10
-        assert rel_err(adj.r0, r0) <= 1e-10
+        for solved, ref in zip(stacked(rows, grid.n_steps), (p0, q0, r0)):
+            assert rel_err(solved, ref) <= 1e-10
         assert np.any(r0 != 0.0)
 
 
@@ -522,7 +556,7 @@ def jump_sweep_inputs():
     )
     ens = simulate(coeffs, grid, jumps=jumps, xi=1.0)
     f = SegmentFunctional.averaging(np.linspace(1.0, 0.5, grid.delta_steps + 1), grid.delta_steps, grid.dt)
-    return ens, lambda c, k: c.advanced_average(k, f)
+    return ens, lambda store, k: store.advanced_average(k, f)
 
 
 class TestFeatureMajorDesign:
@@ -539,19 +573,21 @@ class TestFeatureMajorDesign:
                 assert phi.T.flags.c_contiguous
 
     def test_c_ordered_user_basis_gives_the_same_sweep(self):
-        ens, driver = jump_sweep_inputs()
-        adj = solve_absde(ens, terminal=lambda x, law: -x, driver=driver)
-        ref = solve_absde(
-            ens,
-            terminal=lambda x, law: -x,
-            driver=driver,
-            # a basis that leaves ``out`` alone is copied into the design
-            basis=lambda e, k, out=None: np.ascontiguousarray(default_basis(e, k)),
-        )
-        assert adj.deficient_steps == ref.deficient_steps
-        assert adj.deficient_steps  # the constant history collapses the lagged features
-        for name in ("p0", "q0", "r0"):
-            assert rel_err(getattr(adj, name), getattr(ref, name)) <= 1e-12
+        ens, read = jump_sweep_inputs()
+
+        def solved(basis):
+            rows = {}
+            driver, on_row = reading_store(ens.grid, read, lambda k, *row: rows.setdefault(k, np.stack(row)))
+            adj = solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis, on_row=on_row)
+            return adj.deficient_steps, stacked(rows, ens.grid.n_steps)
+
+        deficient, triple = solved(default_basis)
+        # a basis that leaves ``out`` alone is copied into the design
+        ref_deficient, ref = solved(lambda e, k, out=None: np.ascontiguousarray(default_basis(e, k)))
+        assert deficient == ref_deficient
+        assert deficient  # the constant history collapses the lagged features
+        for solved_rows, ref_rows in zip(triple, ref):
+            assert rel_err(solved_rows, ref_rows) <= 1e-12
 
     @pytest.mark.parametrize("name", sorted(regression_designs()))
     def test_regress_on_transposed_rows_matches_c_order(self, name):
@@ -567,47 +603,49 @@ class TestFeatureMajorDesign:
 
 def copying_sweep(ens, terminal, driver, basis, on_row):
     """The backward sweep with every step's basis built in a new array and
-    copied into the design, and p0 kept in a store of the rows ahead that
-    is read from the first step: the layout and operations of the solve
-    before bases wrote into the design and before a store held only what is
-    read.  Hands ``on_row`` every step's ``(k, p0, q0, r0)``."""
+    copied into the design, and p0 kept in a store of the rows ahead: the
+    layout and operations of the solve before bases wrote into the design
+    and before it kept p0 in two rows.  Hands ``on_row`` every step's
+    ``(k, p0, q0, r0)`` and returns the rank-deficient steps in time
+    order."""
     grid = ens.grid
     K, N, dt = grid.n_steps, grid.n_particles, grid.dt
     store, q, r = SweepContext(grid), np.zeros(N), np.zeros(N)
     p = store.row(K)
     p[...] = terminal(ens.state_column(K))
-    store.future(K - 1, 1)
     on_row(K, p, q, r)
     use_jumps = ens.jump_counts is not None
+    deficient = []
     for k in range(K - 1, -1, -1):
-        target = p + dt * driver(store, k)
+        target = p if driver is None else p + dt * driver(k)
         phi = basis(ens, k).T
         m = phi.shape[0]
         blocks = [phi, phi * ens.brownian[:, k]]
         if use_jumps:
             blocks.append(phi * (ens.jump_counts[:, k, :].sum(axis=1) - ens.jumps.intensity * dt))
         rows = np.concatenate(blocks)
-        beta, _ = _regress(rows.T, target, step=k)
+        beta, rank = _regress(rows.T, target, step=k)
+        if rank < rows.shape[0]:
+            deficient.append(k)
         p = np.matmul(beta[:m], rows[:m], out=store.row(k))
         np.matmul(beta[m : 2 * m], rows[:m], out=q)
         if use_jumps:
             np.matmul(beta[2 * m :], rows[:m], out=r)
         on_row(k, p, q, r)
+    return tuple(reversed(deficient))
 
 
 class TestRowsInPlace:
-    """A solve that writes its basis into the design and keeps no p0 ahead
-    that its driver does not read hands ``on_row`` the bits of the copying
-    sweep."""
+    """A solve that writes its basis into the design and keeps p0 in two
+    rows hands ``on_row`` the bits of the copying sweep."""
 
     @staticmethod
-    def rows_of(solve, **kwargs):
+    def rows_of(solve, ens, read, **kwargs):
+        # the rows a solve hands over when its driver reads p0 through
+        # ``read`` from a store its hook writes
         rows = {}
-
-        def on_row(k, p, q, r):
-            rows[k] = np.stack([p, q, r])
-
-        solve(on_row=on_row, **kwargs)
+        driver, on_row = reading_store(ens.grid, read, lambda k, *row: rows.setdefault(k, np.stack(row)))
+        solve(ens, driver=driver, on_row=on_row, **kwargs)
         return rows
 
     @staticmethod
@@ -624,8 +662,8 @@ class TestRowsInPlace:
 
     def test_default_basis_with_a_driver_that_reads_its_own_store(self, monkeypatch):
         # as in the mean-variance check: the driver reads d steps ahead a
-        # combination of the triple, kept in its own store by the hook, so
-        # the solve's p0 store never holds more than two rows
+        # combination of the triple, kept in its own store by the hook, and
+        # the solve makes no store of its own
         ens, _ = jump_sweep_inputs()
         grid, d = ens.grid, ens.grid.delta_steps
         terminal = lambda x: -x  # noqa: E731
@@ -640,7 +678,7 @@ class TestRowsInPlace:
                 np.multiply(q, 0.5, out=w)
                 w += p - 0.25 * r
 
-            solve(ens, driver=lambda ctx, k: own.future(k, d), basis=default_basis, on_row=on_row, **kwargs)
+            solve(ens, driver=lambda k: own.future(k, d), basis=default_basis, on_row=on_row, **kwargs)
             return rows
 
         reference = solved(copying_sweep, terminal=terminal)
@@ -654,14 +692,14 @@ class TestRowsInPlace:
 
     @pytest.mark.parametrize("jumps", [False, True])
     def test_lq_basis_with_the_advanced_average(self, jumps):
-        # the driver reads p0 ahead, so the solve keeps it in a store of
-        # the rows ahead; the basis writes its six features into the design
+        # the driver reads p0 ahead from a store its hook writes; the basis
+        # writes its six features into the design
         model = JumpModel(intensity=2.0, marks=(1.0, -0.5), probs=(0.4, 0.6))
         spec = LQSpec(beta0=0.2, jumps=model) if jumps else LQSpec()
         grid = SimGrid(dt=0.02, delta_steps=4, horizon=0.6, n_particles=1_000, seed=9)
         ens = control_problem(spec, grid).simulate(0.3)
         f = spec.delay_functional(grid)
-        driver = lambda ctx, k: ctx.advanced_average(k, f)  # noqa: E731
+        read = lambda store, k: store.advanced_average(k, f)  # noqa: E731
         basis = lq_basis(spec, grid)
         outs = []
 
@@ -670,20 +708,99 @@ class TestRowsInPlace:
             outs.append(out is not None and np.shares_memory(phi, out))
             return phi
 
-        reference = self.rows_of(copying_sweep, ens=ens, terminal=lambda x: -x, driver=driver, basis=basis)
-        rows = self.rows_of(solve_absde, ens=ens, terminal=lambda x, law: -x, driver=driver, basis=writing, warn=False)
+        reference = self.rows_of(copying_sweep, ens, read, terminal=lambda x: -x, basis=basis)
+        rows = self.rows_of(solve_absde, ens, read, terminal=lambda x, law: -x, basis=writing, warn=False)
         # one call learns the width, then every step writes into the design
         assert outs == [False] + [True] * grid.n_steps
         for k in range(grid.n_steps + 1):
             assert rows[k].tobytes() == reference[k].tobytes(), k
 
     def test_a_hook_of_p0_alone_gets_the_same_p0(self):
-        ens, driver = jump_sweep_inputs()
-        full, alone = self.rows_of(solve_absde, ens=ens, terminal=lambda x, law: -x, driver=driver), {}
-        solve_absde(ens, terminal=lambda x, law: -x, driver=driver, on_row=lambda k, p: alone.setdefault(k, p.copy()))
+        ens, read = jump_sweep_inputs()
+        full, alone = self.rows_of(solve_absde, ens, read, terminal=lambda x, law: -x), {}
+        store = SweepContext(ens.grid)
+
+        def on_row(k, p):
+            store.row(k)[...] = p
+            alone[k] = p.copy()
+
+        solve_absde(ens, terminal=lambda x, law: -x, driver=lambda k: read(store, k), on_row=on_row)
         assert list(alone) == list(full)
         for k, p in alone.items():
             assert p.tobytes() == full[k][0].tobytes()
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small problem on the property sizes of ``tests/test_engine.py``
+    (N <= 7, K <= 12), with or without jumps, a lag of 1-4 steps (d >= K
+    included, so that some reads fall past the horizon), a drawn kernel,
+    and what the driver reads: nothing, p0 through the kernel average, or a
+    combination of the triple d steps ahead."""
+    n, k, d = draw(st.integers(1, 7)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    grid = SimGrid(dt=0.1, delta_steps=d, horizon=0.1 * k, n_particles=n, seed=draw(st.integers(0, 2**64 - 1)))
+    jumps = JumpModel(intensity=draw(st.sampled_from([0.0, 2.0])), marks=(1.0, -0.5), probs=(0.4, 0.6))
+    coeffs = CoefficientSet(
+        drift=lambda t, x, xs, m, ms, u, us: 0.3 * xs[:, -1] - 0.5 * x,
+        diffusion=lambda t, x, *rest: 0.2 + 0.1 * np.tanh(x),
+        jump=lambda t, x, xs, m, ms, u, us, mark: 0.1 * mark * np.tanh(xs[:, -1]),
+    )
+    ens = simulate(coeffs, grid, jumps=jumps, xi=draw(st.floats(-2.0, 2.0)))
+    kernel = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d + 1, max_size=d + 1)))
+    return ens, kernel, draw(st.sampled_from(["nothing", "average", "combination"]))
+
+
+class TestHookedRows:
+    """A solve with ``on_row`` hands over the rows the plain solve returns;
+    with a driver that reads its caller's store, the copying sweep's."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(case=sweep_cases())
+    def test_every_step_hands_on_row_the_reference_bits(self, case):
+        ens, kernel, reads = case
+        grid = ens.grid
+        K, d = grid.n_steps, grid.delta_steps
+        f = SegmentFunctional.averaging(kernel, d, grid.dt)
+
+        def rows_of(sweep, **kwargs):
+            rows = {}
+
+            def keep(k, p, q, r):
+                rows[k] = np.stack([p, q, r])
+
+            if reads == "nothing":
+                driver, on_row = None, keep
+            elif reads == "average":
+                driver, on_row = reading_store(grid, lambda store, k: store.advanced_average(k, f), keep)
+            else:
+                own = SweepContext(grid)
+
+                def on_row(k, p, q, r):
+                    keep(k, p, q, r)
+                    w = own.row(k)
+                    np.multiply(q, 0.5, out=w)
+                    w += p - 0.25 * r
+
+                def driver(k):
+                    return own.future(k, d)
+
+            sweep(ens, driver=driver, basis=default_basis, on_row=on_row, **kwargs)
+            return rows
+
+        reference = rows_of(copying_sweep, terminal=np.sin)
+        rows = rows_of(solve_absde, terminal=lambda x, law: np.sin(x), warn=False)
+        assert list(rows) == list(reference) == list(range(K, -1, -1))
+        for k in rows:
+            assert rows[k].tobytes() == reference[k].tobytes(), k
+        if reads == "nothing":
+            plain = solve_absde(ens, terminal=lambda x, law: np.sin(x), warn=False)
+            for k in rows:
+                assert rows[k].tobytes() == np.stack([plain.p0[:, k], plain.q0[:, k], plain.r0[:, k]]).tobytes(), k
 
 
 class TestAdvancedAverage:
@@ -736,39 +853,6 @@ class TestSweepContext:
                 np.testing.assert_allclose(ctx.advanced_average(k, f), loop, rtol=1e-13, atol=1e-15)
             ctx.row(k)[...] = rows[k]
 
-    def test_an_unread_store_keeps_two_rows(self, monkeypatch):
-        # a store that nothing reads ahead holds the row being written and
-        # the one before it, and makes no band
-        grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.6, n_particles=7, seed=1)
-        monkeypatch.setattr(adjoint, "_Band", lambda *a: pytest.fail("a band was made"))
-        ctx, rows = SweepContext(grid), {}
-        for k in range(grid.n_steps, -1, -1):
-            rows[k] = ctx.row(k)
-            rows[k][...] = k
-            if k < grid.n_steps:
-                np.testing.assert_array_equal(rows[k + 1], k + 1)
-            if k + 2 <= grid.n_steps:
-                assert np.shares_memory(rows[k], rows[k + 2])
-
-    @pytest.mark.parametrize("first", [1, 2])
-    def test_the_first_read_keeps_the_rows_ahead_until_a_row_was_dropped(self, first):
-        # read first at step K - 1 or K - 2, the store keeps every row
-        # ahead; read first once three rows were written, it has dropped
-        # the horizon's and refuses the read by its step
-        grid = SimGrid(dt=0.05, delta_steps=3, horizon=0.6, n_particles=7, seed=1)
-        K = grid.n_steps
-        ctx = SweepContext(grid)
-        for k in range(K, K - first, -1):
-            ctx.row(k)[...] = k
-        for ahead in range(1, 4):
-            expected = K - first + ahead if K - first + ahead <= K else 0
-            np.testing.assert_array_equal(ctx.future(K - first, ahead), expected)
-        late = SweepContext(grid)
-        for k in range(K, K - 3, -1):
-            late.row(k)[...] = k
-        with pytest.raises(ValueError, match=f"row at step {K - 3}: the store kept only its two newest rows"):
-            late.future(K - 3, 1)
-
     @pytest.mark.parametrize("kind", ["averaging", "evaluation"])
     def test_a_functional_from_another_mesh_is_refused(self, kind):
         # a kernel sampled at 2 dt, or a point counted in steps of 2 dt, was
@@ -778,8 +862,9 @@ class TestSweepContext:
             f = SegmentFunctional.averaging(1.0, 4, 0.1)
         else:
             f = SegmentFunctional.evaluation(0.2, 0.1)
+        driver, on_row = reading_store(ens.grid, lambda store, k: store.advanced_average(k, f))
         with pytest.raises(MeshMismatchError, match=r"dt=0\.1, the sweep's mesh dt=0\.05"):
-            solve_absde(ens, terminal=lambda x, law: -x, driver=lambda c, k: c.advanced_average(k, f))
+            solve_absde(ens, terminal=lambda x, law: -x, driver=driver, on_row=on_row)
 
 
 class TestRankDeficiencySummary:

@@ -1,4 +1,4 @@
-"""The magnitude report of ``tools/compare_artifacts.py``."""
+"""The magnitude report and the code-line table of ``tools/compare_artifacts.py``."""
 
 import json
 import os
@@ -50,3 +50,27 @@ def test_differing_csv_and_manifest_report_how_far_each_value_moved(tmp_path):
         "verification.csv (value text)",
     ]
     assert compare_artifacts.differences(base, base) == []
+
+
+def source_tree(root, files):
+    """A tree whose ``src/memsfde`` holds ``files``, name -> source text."""
+    package = root / "src" / "memsfde"
+    package.mkdir(parents=True)
+    for name, text in files.items():
+        (package / name).write_text(text)
+    return str(root)
+
+
+def test_the_code_line_table_counts_both_trees(tmp_path):
+    # code lines leave out blank lines, comments and docstrings; a file in
+    # one tree only reads "-" in the other
+    documented = 'def f():\n    """Doc\n    string."""\n    # a comment\n\n    return 1\n'
+    base = source_tree(tmp_path / "base", {"kept.py": documented + "x = 1\n", "gone.py": "a = 1\nb = 2\n"})
+    change = source_tree(tmp_path / "change", {"kept.py": documented, "new.py": "c = 3  # code\n"})
+    assert compare_artifacts.code_lines(base, change) == [
+        "code lines            base change",
+        "src/memsfde/gone.py      2      -",
+        "src/memsfde/kept.py      3      2",
+        "src/memsfde/new.py       -      1",
+        "total                    5      3",
+    ]

@@ -10,8 +10,8 @@ import weakref
 import numpy as np
 import pytest
 
-from memsfde import adjoint, engine, lq_memory
-from memsfde.adjoint import SegmentFunctional, SweepContext, solve_absde
+from memsfde import engine, lq_memory
+from memsfde.adjoint import SweepContext, solve_absde
 from memsfde.engine import JumpModel
 from memsfde.grid import BROWNIAN, JUMPS, SimGrid, trapezoid_weights
 from memsfde.lq_memory import (
@@ -25,6 +25,21 @@ from memsfde.lq_memory import (
 )
 
 DESK_GRID = SimGrid(dt=0.02, delta_steps=10, horizon=1.0, n_particles=8_000, seed=3)
+
+
+def lq_adjoint(spec, grid, keep=None):
+    """The LQ adjoint's driver, the kernel average of p0 ahead read from a
+    :class:`SweepContext`, and the ``on_row`` hook that writes each step's
+    p0 there before it hands the step's rows to ``keep``."""
+    f = spec.delay_functional(grid)
+    store = SweepContext(grid)
+
+    def on_row(k, p, q, r):
+        store.row(k)[...] = p
+        if keep is not None:
+            keep(k, p, q, r)
+
+    return (lambda k: store.advanced_average(k, f)), on_row
 
 
 class TestHandSolvableCases:
@@ -171,16 +186,18 @@ class TestAdvancedDriverContract:
         K, d = grid.n_steps, grid.delta_steps
         f = spec.delay_functional(grid)
         w = trapezoid_weights(d + 1, grid.dt) * f.kernel
-        steps = []
+        steps, rows = [], {}
+        read, on_row = lq_adjoint(spec, grid, lambda k, *row: rows.setdefault(k, np.stack(row)))
 
-        def driver(ctx, k):
+        def driver(k):
             steps.append(k)
-            return ctx.advanced_average(k, f)
+            return read(k)
 
-        adj = solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=lq_basis(spec, grid))
+        solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=lq_basis(spec, grid), on_row=on_row)
+        p0 = np.column_stack([rows[k][0] for k in range(K + 1)])
         # every step calls the driver once, latest step first
         assert steps == list(range(K - 1, -1, -1))
-        assert not (adj.q0[:, -1].any() or adj.r0[:, -1].any())  # zero loadings at the horizon
+        assert not (rows[K][1].any() or rows[K][2].any())  # zero loadings at the horizon
         # at step k only p0 on k+1..min(k+d, K) is read (NaN elsewhere would
         # show), lag 0 is read one step ahead and lags past the horizon are 0
         for k in range(K):
@@ -188,13 +205,11 @@ class TestAdvancedDriverContract:
             # on the live steps and NaN on the others
             ctx = SweepContext(grid)
             for j in range(K, k, -1):
-                ctx.row(j)[...] = adj.p0[:, j] if j <= k + d else np.nan
-                if j == K:
-                    ctx.future(K - 1, 1)  # a store keeps its rows ahead once read at the first step
-            expected = w[0] * adj.p0[:, k + 1]
+                ctx.row(j)[...] = p0[:, j] if j <= k + d else np.nan
+            expected = w[0] * p0[:, k + 1]
             for j in range(1, d + 1):
                 if k + j <= K:
-                    expected = expected + w[j] * adj.p0[:, k + j]
+                    expected = expected + w[j] * p0[:, k + j]
             np.testing.assert_allclose(ctx.advanced_average(k, f), expected, rtol=1e-13, atol=1e-15)
 
 
@@ -237,12 +252,15 @@ class TestRunEconomy:
         ver = verify_lq(solution)
         # the undamped update of one more forward-backward sweep
         grid = self.GRID
-        f = SegmentFunctional.averaging(spec.kernel, grid.delta_steps, grid.dt)
         ens = problem.simulate(control)
-        adj = solve_absde(
-            ens, terminal=lambda x, law: -x, driver=lambda c, k: c.advanced_average(k, f), basis=lq_basis(spec, grid)
-        )
-        update = adj.p0 - control
+        p0 = np.empty((grid.n_steps + 1, grid.n_particles))
+
+        def keep(k, p, q, r):
+            p0[k] = p
+
+        driver, on_row = lq_adjoint(spec, grid, keep)
+        solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=lq_basis(spec, grid), on_row=on_row)
+        update = p0.T - control
         norm = math.sqrt(np.mean((update * update) @ trapezoid_weights(grid.n_steps + 1, grid.dt)))
         assert report.damping == 0.25
         assert ver.idempotence_change == pytest.approx(report.damping * norm, rel=1e-12)
@@ -413,13 +431,13 @@ class TestRunEconomy:
         solution = solve_lq(spec, self.GRID)
         ensembles, solves = self.track_lifetimes(monkeypatch)
         alive_at_stationarity = []
-        gap = adjoint.stationarity_gap
+        gap = lq_memory.stationarity_gap
 
         def checking(*args, **kwargs):
             alive_at_stationarity.append(sum(r() is not None for r in ensembles + solves))
             return gap(*args, **kwargs)
 
-        monkeypatch.setattr(adjoint, "stationarity_gap", checking)
+        monkeypatch.setattr(lq_memory, "stationarity_gap", checking)
         verify_lq(solution)
         assert len(ensembles) == 13 and len(solves) == 1
         assert alive_at_stationarity == [0, 0, 0]
@@ -440,12 +458,16 @@ class TestRunEconomy:
             result = fn(*args, **kwargs)
             return result, tracemalloc.get_traced_memory()[1] - base
 
-        def comparing(ens, driver, basis_fn, *args):
-            _, bare = peak_of(
-                solve_absde, ens, lambda x, law: -x, driver=driver, basis=basis_fn, warn=False, on_row=lambda *row: None
-            )
-            result, updating = peak_of(sweep, ens, driver, basis_fn, *args)
-            extra.append(updating - bare)
+        def bare(ens, spec):
+            # the sweep's solve, with a hook that only writes the driver's store
+            driver, on_row = lq_adjoint(spec, ens.grid)
+            basis = lq_basis(spec, ens.grid)
+            solve_absde(ens, lambda x, law: -x, driver=driver, basis=basis, warn=False, on_row=on_row)
+
+        def comparing(ens, spec, *args):
+            _, bare_peak = peak_of(bare, ens, spec)
+            result, updating = peak_of(sweep, ens, spec, *args)
+            extra.append(updating - bare_peak)
             return result
 
         monkeypatch.setattr(lq_memory, "_damped_sweep", comparing)
@@ -468,13 +490,20 @@ def full_buffer_solve(spec, grid, damping=0.5, tol=1e-4, max_iter=50):
     problem = control_problem(spec, grid)
     K, N = grid.n_steps, grid.n_particles
     wq = trapezoid_weights(K + 1, grid.dt)
-    basis, driver = lq_basis(spec, grid), lq_memory._adjoint_driver(spec, grid)
+    basis = lq_basis(spec, grid)
     control = np.zeros((K + 1, N)).T
+    # time-major, like the triple a plain solve keeps
+    p0 = np.empty((K + 1, N)).T
     changes = []
+
+    def keep(k, p, q, r):
+        p0[:, k] = p
+
     for _ in range(max_iter):
-        adjoint = solve_absde(problem.simulate(control), terminal=lambda x, law: -x, driver=driver, basis=basis)
+        driver, on_row = lq_adjoint(spec, grid, keep)
+        solve_absde(problem.simulate(control), terminal=lambda x, law: -x, driver=driver, basis=basis, on_row=on_row)
         new_control = np.multiply(control, 1.0 - damping)
-        delta = np.multiply(adjoint.p0, damping)
+        delta = np.multiply(p0, damping)
         new_control += delta
         np.subtract(new_control, control, out=delta)
         delta *= delta
@@ -482,7 +511,7 @@ def full_buffer_solve(spec, grid, damping=0.5, tol=1e-4, max_iter=50):
         control = new_control
         if changes[-1] < tol:
             break
-    return control, np.abs((adjoint.p0 - control).mean(axis=0)), tuple(changes)
+    return control, np.abs((p0 - control).mean(axis=0)), tuple(changes)
 
 
 class TestInPlaceUpdate:
@@ -501,6 +530,34 @@ class TestInPlaceUpdate:
         assert solution.control.strides == control.strides
         assert solution.coupling_residual.tobytes() == residual.tobytes()
         np.testing.assert_allclose(solution.report.changes, changes, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("spec", [LQSpec(), LQSpec(beta0=0.2, jumps=JUMPS)], ids=["brownian", "jumps"])
+    def test_a_sweep_holds_the_design_the_store_and_a_few_rows(self, spec):
+        # one sweep holds, above the ensemble and control it is handed: the
+        # regression design (2m or 3m rows, m = 6), the store of p0 that its
+        # driver reads ahead, the solve's two p0 rows, and a few rows: the
+        # update's three, the driver's value, its dt multiple and the
+        # step's target, the regression's two temporaries and a jump step's
+        # counts.  A solve that also kept p0 in a store of the rows ahead
+        # would hold d + 1 + ceil((d + 1) / 4) rows more
+        grid = SimGrid(dt=0.02, delta_steps=10, horizon=1.0, n_particles=4_000, seed=5)
+        K, N = grid.n_steps, grid.n_particles
+        meshed = lq_memory._on_mesh(spec, grid)
+        control = np.zeros((K + 1, N)).T
+        ens = control_problem(meshed, grid).simulate(control)
+        lq_memory._damped_sweep(ens, meshed, control, 0.5)  # so that one-time set-up is not measured
+        tracemalloc.start()
+        try:
+            at_entry = tracemalloc.get_traced_memory()[0]
+            lq_memory._damped_sweep(ens, meshed, control, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d, m = grid.delta_steps, 6
+        design = (3 if spec.jumps.active else 2) * m
+        store = d + 1 + math.ceil((d + 1) / 4)
+        p0_rows, few = 2, 9
+        assert peak - at_entry <= (design + store + p0_rows + few) * N * 8
 
     def test_a_sweep_holds_no_row_per_step_beyond_the_ensemble(self):
         # one sweep at K = 50 and at K = 200 steps, with N and d fixed: its
@@ -535,8 +592,8 @@ class TestInPlaceUpdate:
         def sweep():
             problem = control_problem(spec, grid)
             ens = problem.simulate(np.zeros((K + 1, N)).T)
-            driver, basis = lq_memory._adjoint_driver(spec, grid), lq_basis(spec, grid)
-            solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=basis, on_row=lambda *row: None)
+            driver, on_row = lq_adjoint(spec, grid)
+            solve_absde(ens, terminal=lambda x, law: -x, driver=driver, basis=lq_basis(spec, grid), on_row=on_row)
 
         sweep()
         tracemalloc.start()

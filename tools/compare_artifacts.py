@@ -40,9 +40,12 @@ relative difference is taken against the larger of the two magnitudes.  Each MB 
 the left one ran first: the base's, or in a traced row this checkout's
 plain run.  So the two columns are not a memory comparison, since a steady
 offset between them can come from the order alone; compare memory with
-alternated runs of the benchmark (``perfbench/run.py``).  It exits 1 on any difference and 0
-when everything is identical.  The work directory is deleted unless a run
-differs.
+alternated runs of the benchmark (``perfbench/run.py``).  The report
+ends with a table of both trees' code lines, counted by
+``tools/count_lines.py``'s ``count``: one row per ``src/memsfde/*.py``
+file, ``-`` where a tree has no such file, then the totals.  It exits 1 on
+any difference and 0 when everything is identical.  The work directory is
+deleted unless a run differs.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+
+from count_lines import count
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNCOMPARED_FILES = ("timing.txt",)
@@ -305,6 +310,25 @@ def differences(base: dict, change: dict) -> list:
     return diffs
 
 
+def code_lines(base_root: str, change_root: str) -> list:
+    """The lines of the report's closing table: the code lines of each
+    ``src/memsfde/*.py`` file in the base and the change tree (``-`` where
+    a tree has no such file), then both totals."""
+
+    def counts(root):
+        paths = glob.glob(os.path.join(root, "src", "memsfde", "*.py"))
+        return {os.path.relpath(path, root): count(path)[1] for path in paths}
+
+    base, change = counts(base_root), counts(change_root)
+    names = sorted(base.keys() | change.keys())
+    width = max(len("code lines"), *map(len, names))
+    lines = [f"{'code lines':<{width}} {'base':>6} {'change':>6}"]
+    for name in names:
+        lines.append(f"{name:<{width}} {base.get(name, '-'):>6} {change.get(name, '-'):>6}")
+    lines.append(f"{'total':<{width}} {sum(base.values()):>6} {sum(change.values()):>6}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
@@ -360,6 +384,7 @@ def main(argv=None) -> int:
             print(f"{len(differing)} of {total} runs differ: {', '.join(differing)}")
         else:
             print(f"all {total} runs identical")
+        print("\n".join(code_lines(worktree, ROOT)))
         keep = bool(differing)
         return 1 if differing else 0
     finally:
