@@ -9,9 +9,10 @@ The pieces fit together like this:
 * :mod:`memsfde.engine` - the N-particle Euler scheme driving everything.
 * :mod:`memsfde.picard` - fixed-point (iterate the solution map) solver with
   frozen noise, plus a consistency check against direct simulation.
-* :mod:`memsfde.adjoint` - Hamiltonian evaluation, advanced (time-shifted)
-  representation of segment gradients, and a least-squares Monte Carlo solver
-  for the backward adjoint equation with an advanced driver.
+* :mod:`memsfde.adjoint` - advanced (time-shifted) representation of segment
+  gradients, a least-squares Monte Carlo solver for the backward adjoint
+  equation with an advanced driver, and the optimality checks the batteries
+  share.
 * :mod:`memsfde.mean_variance` - delayed mean-variance targeting problem with a
   closed-form optimal control and a battery of optimality verifications.
 * :mod:`memsfde.lq_memory` - linear-quadratic problem with distributed delay,
@@ -63,11 +64,9 @@ _EXPORTS = {
     "memsfde.adjoint": (
         "AdjointTriple",
         "SegmentFunctional",
-        "hamiltonian",
         "riesz_advanced",
         "riesz_duality_check",
         "solve_absde",
-        "max_condition_gap",
         "stationarity_gap",
     ),
 }

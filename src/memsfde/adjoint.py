@@ -1,12 +1,7 @@
-"""Hamiltonian and adjoint machinery for memory mean-field control problems.
+"""Adjoint machinery for memory mean-field control problems.
 
-Four pieces live here:
+Three pieces live here:
 
-* ``hamiltonian`` — the per-particle pairing of dynamics with adjoint
-  variables at one mesh time, ``running_cost + p0*drift + q0*diffusion +
-  integral(r0*jump)``.  No implemented problem has law-dependent
-  coefficients, so the pairing against the law's time derivative is
-  identically zero and omitted.
 * ``SegmentFunctional`` / ``riesz_advanced`` / ``riesz_duality_check`` — bounded
   linear functionals on memory segments (an averaging kernel on [0, delta], or
   evaluation at a fixed lag) and the change-of-variables identity that converts
@@ -26,10 +21,10 @@ Four pieces live here:
   Conditioning on the time-t information is done by regression onto a state
   basis; the Brownian and compensated-jump loadings come out as the regression
   coefficients of the basis interacted with the corresponding noise increments.
-* ``max_condition_gap`` / ``stationarity_gap`` — numerical optimality tests:
-  how much the Hamiltonian can be improved over a candidate control grid, and
-  the common-random-number central difference of the performance functional in
-  a perturbation direction.
+* ``stationarity_gap`` — a numerical optimality test: the
+  common-random-number central difference of the performance functional in
+  a perturbation direction.  The maximum condition on the Hamiltonian is
+  checked per problem, by each battery in its own module.
 """
 
 from __future__ import annotations
@@ -43,9 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from memsfde.engine import (
-    CoefficientSet,
     ControlProblem,
-    JumpModel,
     MeshMismatchError,
     ParticleEnsemble,
     _Band,
@@ -53,18 +46,16 @@ from memsfde.engine import (
     combine_controls,
 )
 from memsfde.grid import SimGrid, _check_step, _is_integer, mesh_index, trapezoid_weights
-from memsfde.measures import EmpiricalMeasure, MeasureSegment
+from memsfde.measures import EmpiricalMeasure
 
 __all__ = [
     "SegmentFunctional",
     "AdjointTriple",
-    "hamiltonian",
     "riesz_advanced",
     "riesz_duality_check",
     "solve_absde",
     "default_basis",
     "SweepContext",
-    "max_condition_gap",
     "stationarity_gap",
 ]
 
@@ -202,49 +193,6 @@ def riesz_duality_check(f: SegmentFunctional, p, y) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian
-
-
-def hamiltonian(
-    coeffs: CoefficientSet,
-    t: float,
-    x: np.ndarray,
-    x_seg: np.ndarray,
-    law: EmpiricalMeasure,
-    law_seg: MeasureSegment,
-    u: np.ndarray,
-    u_seg: np.ndarray,
-    p0: np.ndarray,
-    q0: np.ndarray,
-    r0: np.ndarray,
-    jumps: JumpModel,
-) -> np.ndarray:
-    """Running cost plus adjoint-weighted dynamics of each particle at mesh
-    time ``t < T``, as an (N,) array.
-
-    The arguments are one step's inputs, as
-    :meth:`~memsfde.engine.ParticleEnsemble.coefficient_inputs` yields
-    them: the (N,) state ``x`` and control ``u`` with their (N, d + 1)
-    segments ``x_seg`` and ``u_seg``, the law and its segment, then the
-    step's (N,) adjoint rows ``p0``, ``q0`` and ``r0`` (``r0`` a loading
-    constant in the jump mark) and the jump model the ``r0`` term
-    integrates against.
-    """
-    total = np.zeros(x.shape[0])
-    if coeffs.running_cost is not None:
-        total = total + np.asarray(coeffs.running_cost(t, x, x_seg, law, law_seg, u, u_seg))
-    if coeffs.drift is not None:
-        total = total + p0 * np.asarray(coeffs.drift(t, x, x_seg, law, law_seg, u, u_seg))
-    if coeffs.diffusion is not None:
-        total = total + q0 * np.asarray(coeffs.diffusion(t, x, x_seg, law, law_seg, u, u_seg))
-    if coeffs.jump is not None and jumps.active:
-        total = total + r0 * jumps.nu_integral(
-            lambda z: np.asarray(coeffs.jump(t, x, x_seg, law, law_seg, u, u_seg, z))
-        )
-    return total
-
-
-# ---------------------------------------------------------------------------
 # advanced BSDE backward solver (least-squares Monte Carlo)
 
 
@@ -350,7 +298,10 @@ class SweepContext:
     triple.
 
     Rows are written horizon first through ``row(k)``; ``future(k, ahead)``
-    and ``advanced_average`` read the rows ahead of step k.  Only this class
+    and ``advanced_average`` read the rows ahead of step k.  All three
+    refuse, with a ``ValueError`` naming it, a step k that is not an integer
+    in 0..K (a bool is not one), so no write lands past the horizon, and
+    ``future`` refuses an offset that is not an integer.  Only this class
     knows the layout: a band (``engine._Band``) of d + 1 + s rows, s =
     ceil((d + 1) / 4), indexed by reversed time, so step j of an n_steps
     mesh with d lag steps is column d + n_steps - j.  The d zero history
@@ -366,7 +317,10 @@ class SweepContext:
         self._band = _Band(grid, d + 1 + (d + 4) // 4)
 
     def _column(self, k: int) -> int:
-        """The band column of step k."""
+        """The band column of step k; a step that is not an integer in
+        0..K is refused."""
+        if not (_is_integer(k) and 0 <= k <= self.grid.n_steps):
+            raise ValueError(f"step {k!r} is not an integer in 0..{self.grid.n_steps}")
         return self.grid.delta_steps + self.grid.n_steps - k
 
     def row(self, k: int) -> np.ndarray:
@@ -380,6 +334,8 @@ class SweepContext:
 
     def _check_ahead(self, k: int, ahead: int) -> None:
         """Refuse a read at step k that is not 1..d steps ahead."""
+        if not _is_integer(ahead):
+            raise ValueError(f"row at step {k}: read offset {ahead!r} is not an integer")
         if ahead < 1:
             raise ValueError(f"row at step {k}: drivers may only read strictly ahead (got offset {ahead})")
         if ahead > self.grid.delta_steps:
@@ -389,7 +345,7 @@ class SweepContext:
         """The row of step k + ahead, zero past the horizon; ``ahead`` must
         be in 1..d."""
         self._check_ahead(k, ahead)
-        return self._band.column(self._column(k + ahead))
+        return self._band.column(self._column(k) - ahead)
 
     def advanced_average(self, k: int, f: SegmentFunctional) -> np.ndarray:
         """Kernel-weighted integral of the future rows over the memory window.
@@ -408,13 +364,14 @@ class SweepContext:
             return self.future(k, f.point_steps)
         d = f.delta_steps
         lags = max(d, 1)
+        i = self._column(k)
         self._check_ahead(k, lags)
         w = f.weights
         folded = np.zeros(lags)
         folded[:d] = w[1:]
         folded[0] += w[0]
         live = min(lags, self.grid.n_steps - k)
-        return self._band.window(self._column(k + 1))[:, :live] @ folded[:live]
+        return self._band.window(i - 1)[:, :live] @ folded[:live]
 
 
 def solve_absde(
@@ -581,71 +538,6 @@ def _log_rank_deficiency(logger: logging.Logger, counts, n_steps: int) -> None:
 
 # ---------------------------------------------------------------------------
 # optimality checkers
-
-
-def max_condition_gap(
-    coeffs: CoefficientSet,
-    ens: ParticleEnsemble,
-    adj: AdjointTriple,
-    candidate_grid,
-    filtration: str = "trivial",
-    basis=None,
-) -> tuple[float, float]:
-    """Worst improvement of the conditional Hamiltonian over a control grid.
-
-    For each mesh time, each candidate value replaces the applied control in
-    the Hamiltonian (the control's memory segment stays at its realized
-    values) and the conditional expectation is taken under the trivial
-    filtration (plain ensemble mean of the paired difference) or the full
-    one (per-particle regression-fitted difference, maximized pointwise).
-    Returns the largest mean gap over times and candidates together with the
-    standard error at the maximizing pair — for an optimal control the gap
-    should vanish within noise; a genuinely improvable control yields a gap
-    many standard errors above zero.  The applied control and its segment
-    are replayed from the ensemble's paths
-    (:meth:`~memsfde.engine.ParticleEnsemble.coefficient_inputs`), and the
-    jump term integrates against the ensemble's jump model, ``ens.jumps``.
-    The candidates must be finite, and ``adj`` must be solved on the
-    ensemble's mesh: the same particles, steps, ``dt`` and lag steps, and
-    hold all three arrays (a solve with ``on_row`` keeps none).
-    """
-    candidates = [float(c) for c in candidate_grid]
-    if not candidates or not all(map(math.isfinite, candidates)):
-        raise ValueError(f"candidate grid must be non-empty and finite, got {candidates}")
-    if filtration not in ("trivial", "full"):
-        raise ValueError(f"filtration must be 'trivial' or 'full', got {filtration!r}")
-    basis = basis if basis is not None else default_basis
-    grid = ens.grid
-    mesh = (grid.n_particles, grid.n_steps, grid.dt, grid.delta_steps)
-    adj_mesh = (adj.grid.n_particles, adj.grid.n_steps, adj.grid.dt, adj.grid.delta_steps)
-    if mesh != adj_mesh:
-        raise MeshMismatchError(
-            f"the adjoint was solved on (particles, steps, dt, lag steps) = {adj_mesh}, the ensemble lives on {mesh}"
-        )
-    missing = [name for name in ("p0", "q0", "r0") if getattr(adj, name) is None]
-    if missing:
-        raise ValueError(f"the triple holds no {' or '.join(missing)}: a solve with on_row keeps none; solve without it")
-    best_gap, best_se = -math.inf, 0.0
-
-    # the ensemble's inputs and replayed control, one step at a time
-    for k, (x, x_seg, law, law_seg, u, u_seg) in zip(range(grid.n_steps), ens.coefficient_inputs()):
-        # the Hamiltonian's arguments before and after the control
-        head = (coeffs, k * grid.dt, x, x_seg, law, law_seg)
-        tail = (u_seg, adj.p0[:, k], adj.q0[:, k], adj.r0[:, k], ens.jumps)
-        h_used = hamiltonian(*head, u, *tail)
-        diffs = [hamiltonian(*head, np.broadcast_to(c, x.shape), *tail) - h_used for c in candidates]
-        if filtration == "trivial":
-            for diff in diffs:
-                gap, se = _mean_and_stderr(diff)
-                if gap > best_gap:
-                    best_gap, best_se = gap, se
-        else:
-            phi = basis(ens, k)
-            beta, _ = _regress(phi, np.column_stack(diffs))
-            gap, se = _mean_and_stderr(np.max(phi @ beta, axis=1))
-            if gap > best_gap:
-                best_gap, best_se = gap, se
-    return best_gap, best_se
 
 
 def stationarity_gap(

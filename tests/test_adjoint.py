@@ -1,6 +1,5 @@
 """Adjoint machinery: segment functionals, backward LSMC solver, optimality tests."""
 
-import dataclasses
 import logging
 import math
 import re
@@ -16,8 +15,6 @@ from memsfde.adjoint import (
     SweepContext,
     _regress,
     default_basis,
-    hamiltonian,
-    max_condition_gap,
     riesz_advanced,
     riesz_duality_check,
     solve_absde,
@@ -26,7 +23,6 @@ from memsfde.adjoint import (
 from memsfde.engine import CoefficientSet, ControlProblem, JumpModel, MeshMismatchError, _mean_and_stderr, simulate
 from memsfde.grid import SimGrid, trapezoid_weights
 from memsfde.lq_memory import LQSpec, control_problem, lq_basis
-from memsfde.measures import EmpiricalMeasure, MeasureSegment
 
 
 def smooth_path(rng, n_steps, dt, amplitude=0.5):
@@ -130,44 +126,6 @@ class TestRieszDuality:
         f = SegmentFunctional.evaluation(0.1, dt=0.1)
         with pytest.raises(ValueError, match="step k=5 is not one of the path's 5 mesh steps"):
             riesz_duality_check(f, np.ones(5), np.ones(11))
-
-
-def step_inputs(x, x_seg, u):
-    """One step's per-particle Hamiltonian inputs ``(x, x_seg, law, law_seg,
-    u, u_seg)`` for states ``x`` with segments ``x_seg`` and a constant
-    control ``u``."""
-    x, x_seg = np.asarray(x, dtype=float), np.asarray(x_seg, dtype=float)
-    u = np.broadcast_to(u, x.shape)
-    return x, x_seg, EmpiricalMeasure(x), MeasureSegment(x_seg, 0.1), u, np.broadcast_to(u[:, None], x_seg.shape)
-
-
-class TestHamiltonian:
-    def test_single_drift_term(self):
-        coeffs = CoefficientSet(drift=lambda *a: 1.0)
-        zero = np.zeros(1)
-        inputs = step_inputs(zero, np.zeros((1, 1)), 0.0)
-        h = hamiltonian(coeffs, 0.0, *inputs, np.full(1, 3.0), zero, zero, JumpModel.none())
-        assert h.shape == (1,) and h[0] == pytest.approx(3.0)
-
-    def test_control_scaled_memory_product(self):
-        # all three noise channels read u * x(t - delta); the Hamiltonian then
-        # factors as u * lagged state * (p0 + q0 + r0-integral)
-        scaled = lambda t, x, xs, m, ms, u, us: u * xs[..., -1]
-        coeffs = CoefficientSet(drift=scaled, diffusion=scaled, jump=lambda *a: a[5] * a[2][..., -1])
-        jumps = JumpModel(intensity=2.0, marks=(1.0,), probs=(1.0,))
-        # current state 9 does not enter
-        inputs = step_inputs([9.0], [[9.0, 2.0, 1.5]], 2.0)
-        adjoint_rows = (np.full(1, 0.1),) * 3
-        h = hamiltonian(coeffs, 0.5, *inputs, *adjoint_rows, jumps)
-        # bracket = 0.1 + 0.1 + 0.1 * 2 = 0.4; u * lag * bracket = 2 * 1.5 * 0.4
-        assert h.shape == (1,) and h[0] == pytest.approx(1.2)
-
-    def test_vector_inputs_broadcast(self):
-        coeffs = CoefficientSet(running_cost=lambda t, x, xs, m, ms, u, us: x * u)
-        zero = np.zeros(2)
-        inputs = step_inputs([1.0, 2.0], [[1.0], [2.0]], 3.0)
-        out = hamiltonian(coeffs, 0.0, *inputs, zero, zero, zero, JumpModel.none())
-        np.testing.assert_allclose(out, [3.0, 6.0])
 
 
 def brownian_ensemble(n, seed, dt=0.01, delta_steps=10):
@@ -853,6 +811,37 @@ class TestSweepContext:
                 np.testing.assert_allclose(ctx.advanced_average(k, f), loop, rtol=1e-13, atol=1e-15)
             ctx.row(k)[...] = rows[k]
 
+    @pytest.mark.parametrize(
+        "method, args, bad",
+        [
+            ("row", (6,), "step 6"),
+            ("row", (-1,), "step -1"),
+            ("row", (True,), "step True"),
+            ("row", (5.0,), "step 5.0"),
+            ("future", (4, True), "row at step 4: read offset True"),
+            ("future", (6, 1), "step 6"),
+            ("future", (np.True_, 1), f"step {np.True_!r}"),
+            ("advanced_average", (4.0,), "step 4.0"),
+            ("advanced_average", (-1,), "step -1"),
+        ],
+        ids=lambda value: repr(value) if isinstance(value, tuple) else None,
+    )
+    def test_a_step_outside_the_mesh_is_refused(self, method, args, bad):
+        # a step past the horizon wrote into the zero columns that later
+        # reads past the horizon return, a bool was read as a step or an
+        # offset, and a float step raised a numpy IndexError or TypeError
+        grid = SimGrid(dt=0.1, delta_steps=2, horizon=0.5, n_particles=3, seed=1)
+        ctx = SweepContext(grid)
+        ctx.row(5)[...] = 1.0
+        ctx.row(4)[...] = 2.0
+        if method == "advanced_average":
+            args += (SegmentFunctional.averaging(1.0, 2, grid.dt),)
+        expected = " is not an integer" if "offset" in bad else " is not an integer in 0..5"
+        with pytest.raises(ValueError, match=re.escape(bad + expected)):
+            getattr(ctx, method)(*args)
+        np.testing.assert_array_equal(ctx.future(4, 2), np.zeros(3))
+        np.testing.assert_array_equal(ctx.future(4, 1), np.ones(3))
+
     @pytest.mark.parametrize("kind", ["averaging", "evaluation"])
     def test_a_functional_from_another_mesh_is_refused(self, kind):
         # a kernel sampled at 2 dt, or a point counted in steps of 2 dt, was
@@ -892,106 +881,6 @@ class TestRankDeficiencySummary:
         with caplog.at_level(logging.WARNING):
             adjoint._log_rank_deficiency(adjoint.log, counts, 10)
         assert caplog.records == []
-
-
-class TestMaxCondition:
-    def test_zero_bracket_means_no_improvement(self):
-        # terminal cost is constant, so the whole adjoint triple vanishes and
-        # the Hamiltonian cannot be improved by any candidate
-        grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.5, n_particles=200, seed=2)
-        coeffs = CoefficientSet(
-            drift=lambda t, x, xs, m, ms, u, us: u * xs[:, -1],
-            terminal_cost=lambda x, law: 0.0,
-        )
-        ens = simulate(coeffs, grid, xi=1.0, control=0.0)
-        adj = solve_absde(ens, terminal=lambda x, law: 0.0)
-        gap, se = max_condition_gap(coeffs, ens, adj, [-1.0, 0.3, 2.0])
-        assert gap == 0.0
-        assert se == 0.0
-
-    @pytest.mark.parametrize("filtration", ["trivial", "full"])
-    def test_improvable_control_has_positive_gap(self, filtration):
-        # with p0 = 1 the Hamiltonian is u * lag: candidate 0.5 beats u = 0
-        grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.5, n_particles=200, seed=2)
-        coeffs = CoefficientSet(
-            drift=lambda t, x, xs, m, ms, u, us: u * xs[:, -1],
-            terminal_cost=lambda x, law: x,
-        )
-        ens = simulate(coeffs, grid, xi=1.0, control=0.0)
-        adj = solve_absde(ens, terminal=lambda x, law: np.ones_like(x))
-        gap, se = max_condition_gap(coeffs, ens, adj, [-1.0, 0.0, 0.5], filtration=filtration)
-        assert gap == pytest.approx(0.5, abs=1e-10)
-        assert gap > 3.0 * se
-
-    def test_full_filtration_matches_lstsq(self, monkeypatch):
-        spec = LQSpec()
-        grid = SimGrid(dt=0.05, delta_steps=4, horizon=0.5, n_particles=300, seed=7)
-        problem = control_problem(spec, grid)
-        ens = problem.simulate(0.0)
-        basis = lq_basis(spec, grid)
-        adj = solve_absde(ens, terminal=lambda x, law: -x, basis=basis)
-        args = (problem.coeffs, ens, adj, [-0.5, 0.0, 0.5])
-        gap, se = max_condition_gap(*args, filtration="full", basis=basis)
-        monkeypatch.setattr(adjoint, "_regress", lstsq_regress)
-        ref_gap, ref_se = max_condition_gap(*args, filtration="full", basis=basis)
-        assert abs(gap - ref_gap) <= 1e-10 * abs(ref_gap)
-        assert abs(se - ref_se) <= 1e-10 * abs(ref_se)
-
-    def test_bad_arguments_rejected(self):
-        ens = brownian_ensemble(10, seed=1)
-        adj = solve_absde(ens, terminal=lambda x, law: x)
-        with pytest.raises(ValueError):
-            max_condition_gap(CoefficientSet(), ens, adj, [])
-        with pytest.raises(ValueError):
-            max_condition_gap(CoefficientSet(), ens, adj, [0.0], filtration="partial")
-
-    def test_a_bad_filtration_is_refused_before_the_step_loop(self, monkeypatch):
-        # it was refused only after step 0's Hamiltonian was evaluated
-        ens = brownian_ensemble(10, seed=1)
-        adj = solve_absde(ens, terminal=lambda x, law: x)
-        monkeypatch.setattr(adjoint, "hamiltonian", lambda *a, **k: pytest.fail("the Hamiltonian was evaluated"))
-        with pytest.raises(ValueError, match="filtration must be 'trivial' or 'full', got 'partial'"):
-            max_condition_gap(CoefficientSet(), ens, adj, [0.0], filtration="partial")
-
-    @pytest.mark.parametrize("candidates", [[math.nan], [0.0, math.nan], [math.inf], [0.5, -math.inf]])
-    def test_non_finite_candidates_refused(self, candidates):
-        # a nan gap compared false and read as no improvement, and an
-        # infinite candidate gave a nan gap
-        ens = brownian_ensemble(10, seed=1)
-        adj = solve_absde(ens, terminal=lambda x, law: x)
-        with pytest.raises(ValueError, match="finite"):
-            max_condition_gap(CoefficientSet(), ens, adj, candidates)
-
-    @pytest.mark.parametrize(
-        "change", [dict(horizon=0.5), dict(n_particles=30), dict(dt=0.025), dict(delta_steps=2)]
-    )
-    def test_a_triple_from_another_mesh_is_refused(self, change):
-        # a triple from a 10-step grid failed with an IndexError at step 11,
-        # and one from a mesh with other particles, dt or lag steps was read
-        base = dict(dt=0.05, delta_steps=4, horizon=1.0, n_particles=20, seed=2)
-        ens, other = (
-            simulate(CoefficientSet(diffusion=lambda *a: 1.0), SimGrid(**kwargs), xi=1.0)
-            for kwargs in (base, {**base, **change})
-        )
-        adj = solve_absde(other, terminal=lambda x, law: x)
-        with pytest.raises(MeshMismatchError, match="adjoint was solved on"):
-            max_condition_gap(CoefficientSet(), ens, adj, [0.0])
-
-    @pytest.mark.parametrize("keep", ["p0", "initial_p0"])
-    @pytest.mark.parametrize("filtration", ["trivial", "full"])
-    def test_a_triple_without_its_loadings_is_refused(self, keep, filtration):
-        # a solve with on_row returns a triple without arrays; one whose p0
-        # is rebuilt from the hook's rows (every step, or step 0 alone)
-        # still has no q0 or r0 for the Hamiltonian.  Both are refused by
-        # name before the step loop (they raised TypeError in it)
-        ens = brownian_ensemble(10, seed=1)
-        rows = {}
-        adj = solve_absde(ens, terminal=lambda x, law: x, on_row=lambda k, p, q, r: rows.setdefault(k, p.copy()))
-        steps = range(ens.grid.n_steps + 1) if keep == "p0" else [0]
-        rebuilt = dataclasses.replace(adj, p0=np.column_stack([rows[k] for k in steps]))
-        for triple in (adj, rebuilt):
-            with pytest.raises(ValueError, match="on_row"):
-                max_condition_gap(CoefficientSet(), ens, triple, [0.0, 0.5], filtration=filtration)
 
 
 class TestStationarityGap:
