@@ -301,7 +301,8 @@ class SweepContext:
     and ``advanced_average`` read the rows ahead of step k.  All three
     refuse, with a ``ValueError`` naming it, a step k that is not an integer
     in 0..K (a bool is not one), so no write lands past the horizon, and
-    ``future`` refuses an offset that is not an integer.  Only this class
+    ``future`` refuses an offset that is not an integer.  ``row`` also
+    refuses a step asked for out of order.  Only this class
     knows the layout: a band (``engine._Band``) of d + 1 + s rows, s =
     ceil((d + 1) / 4), indexed by reversed time, so step j of an n_steps
     mesh with d lag steps is column d + n_steps - j.  The d zero history
@@ -315,6 +316,7 @@ class SweepContext:
         self.grid = grid
         d = grid.delta_steps
         self._band = _Band(grid, d + 1 + (d + 4) // 4)
+        self._next = grid.n_steps  # the step whose row is asked for next
 
     def _column(self, k: int) -> int:
         """The band column of step k; a step that is not an integer in
@@ -327,8 +329,13 @@ class SweepContext:
         """The row of step k, for the caller to write.  Rows are asked for
         horizon first, one step at a time, and asking for step k's keeps
         the rows of steps k + 1..k + d + 1, all that a driver at step k or
-        k - 1 may read."""
+        k - 1 may read.  Any step but the expected one, K first and then
+        the step before the last one asked for, is refused."""
         i = self._column(k)
+        if k != self._next:
+            expected = f"step {self._next}" if self._next >= 0 else "no step, every row was asked for"
+            raise ValueError(f"row of step {k!r} asked for out of order; expected {expected}")
+        self._next = k - 1
         self._band.make_room(i - 1)
         return self._band.column(i)
 

@@ -871,7 +871,7 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=None, help="worker threads (recorded; kernels are vectorized)")
     p = sub.add_parser("selftest", help="run the built-in analytic oracle suite")
     p.add_argument("--out", default=None, help="optional directory for a manifest of the results")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="worker threads (recorded; kernels are vectorized)")
 
     args = parser.parse_args(argv)
     started = time.perf_counter()

@@ -46,11 +46,14 @@ the newest first.  A simulated or solved ensemble's state is a band of all
 d + K + 1 columns that never moves, with ``paths`` its view.  The
 coefficients read the state only on the memory window, so a pass that
 keeps nothing but a cost or a gap writes a short band instead:
-``_euler_window`` makes room for each column before it writes it, which
-moves a short band's d + 1 newest columns back to its last rows when it
-runs out of rows and does nothing on a whole-mesh band.  The cost pass and
-the consistency check's direct scheme run on 2(d + 2) columns, and the
-solver's frozen iterate is a band of its memory span and window.
+``_euler_window`` makes room for the next column once a step is done with
+its inputs, which moves a short band's d + 1 newest columns back to its
+last rows when it runs out of rows and does nothing on a whole-mesh band.
+No view is live during a move, so a band that a pass both reads and
+writes needs only d + 2 rows.  The cost pass runs on 2(d + 2) columns,
+which moves once every d + 3 steps; the consistency check's direct scheme
+on d + 2 + s, with s = (d + 4) // 4, which moves once every s + 1 steps;
+and the solver's frozen iterate is a band of its memory span and window.
 
 No ensemble records its control: the value applied at step k is the control
 evaluated on the stored inputs of step k, so a reader replays it
@@ -317,10 +320,14 @@ class _Band:
     when the next column would not fit, ``make_room`` moves the d + 1
     newest to the last rows, so every window that ends at a later column
     stays readable.  Only the columns a band holds may be read or written.
+    A band needs a row beside those d + 1 columns, so one of fewer than
+    d + 2 rows is refused.
     """
 
     def __init__(self, grid: SimGrid, n_rows: int):
         self.d = grid.delta_steps
+        if n_rows < self.d + 2:
+            raise ValueError(f"a band needs at least d + 2 = {self.d + 2} rows with d = {self.d}, got {n_rows}")
         self.rows = np.zeros((n_rows, grid.n_particles))
         self.top = n_rows - 1
 
@@ -494,7 +501,7 @@ def _new_ensemble(
     zero, driven by ``ctrl``, over ``noise`` (referenced, not copied; drawn
     here when ``None``).  The state is a band of ``n_rows`` mesh columns,
     by default all d + K + 1 of them; a shorter band must hold at least
-    d + 1.  The history is checked before any noise is drawn.
+    d + 2.  The history is checked before any noise is drawn.
     ``jumps=None`` means no jumps.
     """
     history = _materialize_history(xi, grid)
@@ -606,22 +613,25 @@ def _euler_window(
     through :func:`_replay` and ``controls`` (which must hold the d values
     before ``k_start``).  Writing what is read gives the explicit scheme.
 
-    Step k makes room for column k + 1 in the band of ``write`` before it
-    writes there (see :meth:`_Band.make_room`): a whole-mesh band never
-    moves, and a short one keeps the columns the step reads.  A short band
-    that is also read needs at least 2d + 3 rows, so that the move copies
-    the step's inputs without overwriting the rows they view.  The horizon
-    step K advances nothing and makes no room.  Each step hands
+    The band of ``write`` makes room (see :meth:`_Band.make_room`) for
+    column k_start + 1 before the first step, and for column k + 2 once
+    step k is done with its inputs, ``on_step`` included, so a move never
+    copies rows that a live view still points at: a whole-mesh band never
+    moves, and a short one, read or written or both, needs only d + 2
+    rows.  Room is made only for a column a later step of the pass
+    writes; the horizon step K advances nothing.  Each step hands
     ``(k, x, x_seg, law, law_seg, u, u_seg)`` to ``on_step``, if given,
     after its update; the inputs are then still valid.
     """
     dt, K, d = read_ens.grid.dt, read_ens.grid.n_steps, read_ens.grid.delta_steps
     jumps, jump_counts = read_ens.jumps, read_ens.jump_counts
+    last = min(k_stop, K) - 1  # the last step that writes a column
 
+    if k_start <= last:
+        write.state.make_room(d + k_start)
     for k, x, x_seg, law, law_seg, u, u_seg in _replay(read_ens, controls, k_start, k_stop):
         if k < K:
             t = k * dt
-            write.state.make_room(d + k)
             # the step accumulates in its own row of write; every input is a
             # view of columns up to the step's, which it leaves alone
             cur, nxt = write.state_column(k), write.state_column(k + 1)
@@ -641,6 +651,8 @@ def _euler_window(
                 raise SimulationBlowupError(step=k, time=t, n_bad=int(np.count_nonzero(~np.isfinite(nxt))))
         if on_step is not None:
             on_step(k, x, x_seg, law, law_seg, u, u_seg)
+        if k < last:
+            write.state.make_room(d + k + 1)
 
 
 def _integrate(coeffs, grid, jumps, xi, ctrl: _Control, noise, n_rows=None) -> ParticleEnsemble:

@@ -191,8 +191,13 @@ def picard_solve(
             if changed.size:
                 first = written + int(changed[0])
                 new, held = new[changed[0] :], held[changed[0] :]
-                # the unchanged columns would add exact zeros to the max
-                dist = float(np.mean(np.max(np.square(new - held), axis=0)))
+                # the unchanged columns would add exact zeros to the max; a
+                # running maximum over the changed ones, in two (N,) rows,
+                # has the bits of one over their (rows, N) squares
+                sup, row = np.square(new[0] - held[0]), np.empty_like(held[0])
+                for a, b in zip(new[1:], held[1:]):
+                    np.maximum(sup, np.square(np.subtract(a, b, out=row), out=row), out=sup)
+                dist = float(np.mean(sup))
             else:
                 dist = 0.0
             dists.append(dist)
@@ -217,14 +222,16 @@ def consistency_check(coeffs: CoefficientSet, ens_fp: ParticleEnsemble) -> float
     initial history (its state before time zero) and control, which reads
     +0.0 before time zero, so nothing is solved or drawn again.  The scheme is one
     ``engine._euler_window`` pass over steps 0..K on an ensemble whose
-    state is a band of 2(d + 2) mesh columns, not the full mesh: the pass
-    makes room for each column before it writes it, and its per-step hook
-    forms the gap of column k, one contiguous row, while the band still
-    holds it.  The gaps are those of simulating the whole direct ensemble,
-    bit for bit.
+    state is a band of d + 2 + s mesh columns, s = (d + 4) // 4 as in
+    ``adjoint.SweepContext``, not the full mesh: the pass reads and writes
+    the band and makes room for the next column once a step is done with
+    its inputs, which moves d + 1 rows once every s + 1 steps, and its
+    per-step hook forms the gap of column k, one contiguous row, while the
+    band still holds it.  The gaps are those of simulating the whole direct
+    ensemble, bit for bit.
     """
     d, K = ens_fp.grid.delta_steps, ens_fp.grid.n_steps
-    direct = replace(ens_fp, state=_Band(ens_fp.grid, 2 * (d + 2)))
+    direct = replace(ens_fp, state=_Band(ens_fp.grid, d + 2 + (d + 4) // 4))
     direct.state.columns(0, d + 1)[...] = ens_fp.state.columns(0, d + 1)
     gaps = np.empty(K + 1)
 

@@ -842,6 +842,30 @@ class TestSweepContext:
         np.testing.assert_array_equal(ctx.future(4, 2), np.zeros(3))
         np.testing.assert_array_equal(ctx.future(4, 1), np.ones(3))
 
+    @pytest.mark.parametrize(
+        "d, horizon, written, asked, expected",
+        [
+            (1, 1.0, (10, 9, 8), 5, "step 7"),
+            (2, 0.5, (5, 4), 5, "step 3"),
+            (2, 0.5, (), 4, "step 5"),
+            (2, 0.5, (5, 4, 3, 2, 1, 0), 0, "no step, every row was asked for"),
+        ],
+        ids=["skips_ahead", "rewrites_the_horizon", "starts_below_the_horizon", "asks_past_step_0"],
+    )
+    def test_a_step_out_of_order_is_refused(self, d, horizon, written, asked, expected):
+        # with d = 1 and K = 10, rows 10, 9, 8 and then 5 made future(5, 1),
+        # step 6 that no row held, read step 9's row; with d = 2 and K = 5,
+        # row(5) after row(4) was taken silently
+        grid = SimGrid(dt=0.1, delta_steps=d, horizon=horizon, n_particles=3, seed=1)
+        ctx = SweepContext(grid)
+        for k in written:
+            ctx.row(k)[...] = float(k)
+        band, top = ctx._band.rows.copy(), ctx._band.top
+        with pytest.raises(ValueError, match=f"row of step {asked} asked for out of order; expected {expected}$"):
+            ctx.row(asked)
+        # the refused step moved nothing
+        assert ctx._band.rows.tobytes() == band.tobytes() and ctx._band.top == top
+
     @pytest.mark.parametrize("kind", ["averaging", "evaluation"])
     def test_a_functional_from_another_mesh_is_refused(self, kind):
         # a kernel sampled at 2 dt, or a point counted in steps of 2 dt, was

@@ -803,15 +803,22 @@ class TestTimeMajorLayout:
 
 
 @st.composite
-def band_pushes(draw):
-    """A memory window d, a mesh of K steps, a band of d + 2 to d + K + 1
-    rows, and runs of pushes ``(back, length)``: each run restarts ``back``
-    columns before the column after the newest, as far back as the band
-    still holds the d columns before it (a fixed-point sweep restarts
-    inside its window), and pushes ``length`` columns one step at a time."""
+def band_sizes(draw):
+    """A memory window d, a mesh of K steps and a band of d + 2 to
+    d + K + 1 rows."""
     d = draw(st.integers(0, 4))
     K = draw(st.integers(1, 16))
-    n_rows = draw(st.integers(d + 2, d + K + 1))
+    return d, K, draw(st.integers(d + 2, d + K + 1))
+
+
+@st.composite
+def band_pushes(draw):
+    """A band (:func:`band_sizes`) and runs of pushes ``(back, length)``:
+    each run restarts ``back`` columns before the column after the newest,
+    as far back as the band still holds the d columns before it (a
+    fixed-point sweep restarts inside its window), and pushes ``length``
+    columns one step at a time."""
+    d, K, n_rows = draw(band_sizes())
     runs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 8)), min_size=1, max_size=8))
     return d, K, n_rows, runs
 
@@ -860,6 +867,63 @@ class TestColumnBand:
                         assert store.window(i).tobytes(order="F") == mesh[i - d : i + 1][::-1].tobytes()
         assert full.top == d + K  # the full mesh never moved
 
+    # every input a step reads depends on the state, so a step that read a
+    # row the band had moved, or overwritten, would show in the cost
+    READ_AND_WRITTEN = {
+        "no_jumps": (
+            CoefficientSet(
+                drift=lambda t, x, xs, m, ms, u, us: 0.3 * xs[:, -1] - 0.5 * x + 0.2 * m.mean(),
+                diffusion=lambda t, x, *rest: 0.2 + 0.1 * np.tanh(x),
+                running_cost=lambda t, x, xs, m, ms, u, us: -0.5 * x * xs[:, 0] + 0.1 * ms.measures[-1].mean(),
+                terminal_cost=lambda x, law: -0.5 * x * x,
+            ),
+            None,
+            None,
+        ),
+        "two_marks": (
+            CoefficientSet(
+                drift=lambda t, x, xs, m, ms, u, us: 0.3 * xs[:, -1] - 0.5 * x,
+                diffusion=lambda t, x, *rest: 0.2 + 0.1 * np.tanh(x),
+                jump=lambda t, x, xs, m, ms, u, us, mark: 0.1 * mark * np.tanh(xs[:, -1] + x),
+                running_cost=lambda t, x, xs, m, ms, u, us: -0.5 * x * xs[:, -1],
+                terminal_cost=lambda x, law: -0.5 * x * x + 0.1 * law.mean(),
+            ),
+            JumpModel(intensity=2.0, marks=(1.0, -0.5), probs=(0.4, 0.6)),
+            None,
+        ),
+        "control_reads_u_seg": (
+            CoefficientSet(
+                drift=lambda t, x, xs, m, ms, u, us: u + 0.1 * us[:, -1] - 0.2 * xs[:, -1],
+                diffusion=lambda t, x, *rest: 0.2 + 0.1 * np.tanh(x),
+                running_cost=lambda t, x, xs, m, ms, u, us: -0.5 * u * u + 0.1 * us[:, -1] * xs[:, -1],
+                terminal_cost=lambda x, law: -0.5 * x * x,
+            ),
+            None,
+            lambda t, x, x_seg, law: -0.4 * x_seg[:, -1] + 0.1 * x,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(READ_AND_WRITTEN))
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(size=band_sizes())
+    def test_a_band_read_and_written_gives_the_full_mesh_cost(self, case, size):
+        # a pass made room while the step's views were live, so a band it
+        # both read and wrote needed 2d + 3 rows; d + 2 are enough
+        d, K, n_rows = size
+        coeffs, jumps, control = self.READ_AND_WRITTEN[case]
+        grid = SimGrid(dt=0.1, delta_steps=d, horizon=0.1 * K, n_particles=3, seed=K)
+        ctrl, noise = as_control(control), draw_noise(coeffs, grid, jumps)
+        band = engine._integrate(coeffs, grid, jumps, 1.0, ctrl, noise, n_rows)
+        full = engine._integrate(coeffs, grid, jumps, 1.0, ctrl, noise)
+        assert len(band.state.rows) == n_rows
+        assert band.cost.tobytes() == full.cost.tobytes()
+        assert band.state_column(K).tobytes() == full.state_column(K).tobytes()
+
     @pytest.mark.parametrize("n_rows", [6, 8, 10])
     def test_a_move_copies_no_temporary(self, n_rows):
         # a band of fewer than 2(d + 1) rows moves its newest columns onto
@@ -879,6 +943,18 @@ class TestColumnBand:
         assert peak < N * 8
         assert band.rows[-(d + 1) :].tobytes() == kept.tobytes()
         assert band.top == n_rows - 1 + n_rows - d - 1
+
+    @pytest.mark.parametrize("d", [0, 2, 5])
+    def test_a_band_too_short_to_move_is_refused(self, d):
+        # a band of d + 1 rows died on its first move inside make_room with
+        # numpy's "range() arg 3 must not be zero"
+        grid = SimGrid(dt=0.1, delta_steps=d, horizon=1.0, n_particles=3, seed=0)
+        for n_rows in (d + 1, 1):
+            with pytest.raises(ValueError, match=rf"at least d \+ 2 = {d + 2} rows with d = {d}, got {n_rows}"):
+                engine._Band(grid, n_rows)
+        with pytest.raises(ValueError, match=f"with d = {d}, got {d + 1}"):
+            engine._integrate(LAGGED_DRIFT, grid, None, 1.0, as_control(None), None, d + 1)
+        assert len(engine._Band(grid, d + 2).rows) == d + 2
 
     def test_paths_is_a_view_of_the_full_band(self):
         grid = SimGrid(dt=0.1, delta_steps=3, horizon=1.0, n_particles=5, seed=0)

@@ -207,15 +207,17 @@ class TestNoiseReuse:
 class TestCheckMemory:
     @pytest.mark.parametrize("control", ["none", "feedback"])
     def test_check_holds_a_band_of_columns_not_an_ensemble(self, control):
-        # the direct scheme streams through 2(d + 2) columns beside the
-        # fixed-point ensemble, plus the control band of 2(d + 1) rows of a
-        # controlled run; no second (N, d + K + 1) ensemble
+        # the direct scheme streams through d + 2 + s columns, s =
+        # (d + 4) // 4, beside the fixed-point ensemble, plus the control
+        # band of 2(d + 1) rows of a controlled run; no second
+        # (N, d + K + 1) ensemble.  The band of 2(d + 2) columns the check
+        # used before, 9 rows more at d = 10, exceeds the allowance.
         grid = SimGrid(dt=0.01, delta_steps=10, horizon=1.0, n_particles=4_000, seed=3)
         feedback = None if control == "none" else (lambda t, x, xs, law: 0.2 * xs[:, -1] - 0.5 * x)
         coeffs = CoefficientSet(drift=lambda t, x, xs, m, ms, u, us: xs[:, -1] - x + u, diffusion=lambda *a: 0.3)
         ens, _ = picard_solve(coeffs, grid, xi=1.0, control=feedback, t0_steps=5)
         N, d = grid.n_particles, grid.delta_steps
-        allowed = 2 * (d + 2) * N * 8 + 16 * N * 8  # the band and (N,)-row temporaries
+        allowed = (d + 2 + (d + 4) // 4) * N * 8 + 8 * N * 8  # the band and (N,)-row temporaries
         if feedback is not None:
             allowed += 2 * (d + 1) * N * 8
         tracemalloc.start()
@@ -399,9 +401,10 @@ class TestRestartAtFirstChangedColumn:
             dict(xi=-0.0),
         ),
         "one_window": (LAW_DRIFT, SimGrid(dt=0.05, delta_steps=2, horizon=0.4, n_particles=8, seed=6), dict()),
-        # 20 steps through the check's band of 2(d + 2) = 8 columns: the
-        # band moves its newest columns back at steps 5, 10 and 15; the
-        # horizon step writes no column, so it makes no room
+        # 20 steps through the check's band of d + 2 + s = 5 columns, s =
+        # (d + 4) // 4: the band moves its newest columns back once every
+        # s + 1 = 2 steps, before steps 2, 4, ..., 18; no room is made for
+        # a column past the horizon
         "check_band_moves": (
             LAW_DRIFT,
             SimGrid(dt=0.05, delta_steps=2, horizon=1.0, n_particles=8, seed=6),
@@ -460,4 +463,4 @@ class TestRestartAtFirstChangedColumn:
         if case == "cut_off_by_max_iter":
             assert gap > 0.0
         if case == "check_band_moves":
-            assert [i - grid.delta_steps for i in moves] == [5, 10, 15]
+            assert [i - grid.delta_steps for i in moves] == list(range(2, 20, 2))
